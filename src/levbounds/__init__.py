@@ -6,7 +6,8 @@ derivative-free search over the constrained polynomial shapes."""
 from .jets import (Jet2, NearSingularError, jet_add, jet_const, jet_exp,
                    jet_extract, jet_mul, jet_recip, jet_scale, jet_sub,
                    jet_var_a, jet_var_b)
-from .kernel import KernelSpec, MomentTable, g_jet, kernel_jet, kernel_jet_at, moments
+from .kernel import (KernelSpec, MomentTable, g_jet, kernel_derivative_basis,
+                     kernel_jet, kernel_jet_at, moment_grams, moments)
 from .optimizer import (DimensionTooHighError, EvaluationFailureError,
                         SearchResult, SearchSpec, grid_scan, optimize)
 from .oracle import (CheckResult, CrosscheckReport, FdScheme, crosscheck_report,
@@ -16,7 +17,8 @@ from .polyalg import (ConstraintViolationError, MollifierShape, Poly, TwistShape
                       expand_mollifier, expand_twist, integrate01_product,
                       poly_derivative, poly_eval)
 from .proportions import (BoundReport, NonFiniteError, NonPositiveConstantError,
-                          SectionFiveParams, SectionFourParams, c1_value, c_value,
+                          SectionFiveParams, SectionFourParams, c1_core, c1_value,
+                          c_core, c_value,
                           full_report, grh_bounds, kappa_bound, nu_bound,
                           unconditional_bounds)
 from .reference import (REFERENCE_CONSTANTS, REMARK_DELTA1_KAPPA,
@@ -28,7 +30,8 @@ __all__ = [
     "Jet2", "NearSingularError", "jet_add", "jet_const", "jet_exp",
     "jet_extract", "jet_mul", "jet_recip", "jet_scale", "jet_sub",
     "jet_var_a", "jet_var_b",
-    "KernelSpec", "MomentTable", "g_jet", "kernel_jet", "kernel_jet_at", "moments",
+    "KernelSpec", "MomentTable", "g_jet", "kernel_derivative_basis", "kernel_jet",
+    "kernel_jet_at", "moment_grams", "moments",
     "DimensionTooHighError", "EvaluationFailureError", "SearchResult",
     "SearchSpec", "grid_scan", "optimize",
     "CheckResult", "CrosscheckReport", "FdScheme", "crosscheck_report",
@@ -38,7 +41,8 @@ __all__ = [
     "expand_mollifier", "expand_twist", "integrate01_product",
     "poly_derivative", "poly_eval",
     "BoundReport", "NonFiniteError", "NonPositiveConstantError",
-    "SectionFiveParams", "SectionFourParams", "c1_value", "c_value",
+    "SectionFiveParams", "SectionFourParams", "c1_core", "c1_value", "c_core",
+    "c_value",
     "full_report", "grh_bounds", "kappa_bound", "nu_bound",
     "unconditional_bounds",
     "REFERENCE_CONSTANTS", "REMARK_DELTA1_KAPPA",

@@ -55,7 +55,10 @@ def _get_float(section: dict, field: str, where: str) -> float:
 
 
 def _get_fractions(section: dict, field: str, where: str) -> list[Fraction]:
-    raw = section.get(field, [])
+    try:
+        raw = section[field]
+    except KeyError:
+        raise ConfigError(f"{where}: missing field {field!r}") from None
     if not isinstance(raw, list):
         raise ConfigError(f"{where}.{field}: expected an array of decimals")
     try:
@@ -64,22 +67,47 @@ def _get_fractions(section: dict, field: str, where: str) -> list[Fraction]:
         raise ConfigError(f"{where}.{field}: entries must be decimals") from None
 
 
-def _section_four(cfg: dict, theta: float) -> SectionFourParams:
-    sec = cfg.get("section4")
+SECTION_FIELDS = {
+    "section4": ("p1_shape", "p1_poly", "p2_shape", "p2_poly", "r", "R"),
+    "section5": ("p_shape", "p_poly", "q_linear", "q_sym", "q_poly", "R", "delta"),
+    "search": ("target", "bounds", "budget", "restarts", "seed", "vary_shapes"),
+}
+
+
+def _section(cfg: dict, where: str) -> dict:
+    """The named section, rejecting any key it does not define."""
+    sec = cfg.get(where)
     if sec is None:
-        raise ConfigError("config: missing section4")
+        raise ConfigError(f"config: missing {where}")
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{where}: expected an object")
+    unknown = sorted(set(sec) - set(SECTION_FIELDS[where]))
+    if unknown:
+        raise ConfigError(f"{where}: unknown field {unknown[0]!r} "
+                          f"(allowed: {', '.join(SECTION_FIELDS[where])})")
+    return sec
 
-    def shape_of(which: str) -> MollifierShape:
-        if f"{which}_poly" in sec:
-            poly = Poly.from_coeffs(_get_fractions(sec, f"{which}_poly", "section4"))
-            try:
-                return mollifier_shape_from_poly(poly)
-            except ConstraintViolationError as exc:
-                raise ConfigError(f"section4.{which}_poly: {exc}") from exc
-        return MollifierShape(tuple(_get_fractions(sec, f"{which}_shape", "section4")))
 
-    p1 = shape_of("p1")
-    p2 = shape_of("p2")
+def _mollifier(sec: dict, which: str, where: str) -> MollifierShape:
+    """A mollifier given as exactly one of {which}_shape or {which}_poly."""
+    shape_key, poly_key = f"{which}_shape", f"{which}_poly"
+    if shape_key in sec and poly_key in sec:
+        raise ConfigError(f"{where}: give {shape_key!r} or {poly_key!r}, not both")
+    if poly_key in sec:
+        poly = Poly.from_coeffs(_get_fractions(sec, poly_key, where))
+        try:
+            return mollifier_shape_from_poly(poly)
+        except ConstraintViolationError as exc:
+            raise ConfigError(f"{where}.{poly_key}: {exc}") from exc
+    if shape_key not in sec:
+        raise ConfigError(f"{where}: missing field {shape_key!r} (or {poly_key!r})")
+    return MollifierShape(tuple(_get_fractions(sec, shape_key, where)))
+
+
+def _section_four(cfg: dict, theta: float) -> SectionFourParams:
+    sec = _section(cfg, "section4")
+    p1 = _mollifier(sec, "p1", "section4")
+    p2 = _mollifier(sec, "p2", "section4")
     try:
         return SectionFourParams(p1_shape=p1, p2_shape=p2, theta=theta,
                                  r=_get_float(sec, "r", "section4"),
@@ -89,18 +117,11 @@ def _section_four(cfg: dict, theta: float) -> SectionFourParams:
 
 
 def _section_five(cfg: dict, theta: float) -> SectionFiveParams:
-    sec = cfg.get("section5")
-    if sec is None:
-        raise ConfigError("config: missing section5")
-    if "p_poly" in sec:
-        try:
-            p = mollifier_shape_from_poly(
-                Poly.from_coeffs(_get_fractions(sec, "p_poly", "section5")))
-        except ConstraintViolationError as exc:
-            raise ConfigError(f"section5.p_poly: {exc}") from exc
-    else:
-        p = MollifierShape(tuple(_get_fractions(sec, "p_shape", "section5")))
+    sec = _section(cfg, "section5")
+    p = _mollifier(sec, "p", "section5")
     if "q_poly" in sec:
+        if "q_linear" in sec or "q_sym" in sec:
+            raise ConfigError("section5: give 'q_linear'/'q_sym' or 'q_poly', not both")
         try:
             q = twist_shape_from_poly(
                 Poly.from_coeffs(_get_fractions(sec, "q_poly", "section5")))
@@ -108,9 +129,9 @@ def _section_five(cfg: dict, theta: float) -> SectionFiveParams:
             raise ConfigError(f"section5.q_poly: {exc}") from exc
     else:
         if "q_linear" not in sec:
-            raise ConfigError("section5: missing field 'q_linear'")
-        q = TwistShape(Fraction(str(sec["q_linear"])),
-                       tuple(_get_fractions(sec, "q_sym", "section5")))
+            raise ConfigError("section5: missing field 'q_linear' (or 'q_poly')")
+        sym = _get_fractions(sec, "q_sym", "section5") if "q_sym" in sec else []
+        q = TwistShape(Fraction(str(sec["q_linear"])), tuple(sym))
     try:
         return SectionFiveParams(p_shape=p, q_shape=q, theta=theta,
                                  R=_get_float(sec, "R", "section5"),
@@ -129,9 +150,7 @@ def _theta(cfg: dict) -> float:
 
 
 def _search_spec(cfg: dict, seed_override: int | None) -> SearchSpec:
-    sec = cfg.get("search")
-    if sec is None:
-        raise ConfigError("config: missing search section")
+    sec = _section(cfg, "search")
     target = sec.get("target")
     theta = _theta(cfg)
     bounds_raw = sec.get("bounds", {})
@@ -377,8 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--machine", action="store_true",
                         help="line-oriented key=value output, 17 significant digits")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the search seed")
     common.add_argument("--out", default=None,
                         help="duplicate machine output to this file")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -395,6 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", parents=[common], help="run a search")
     p.add_argument("--config", required=True)
+    p.add_argument("--seed", type=int, default=None,
+                   help="override the search seed")
     p.set_defaults(fn=cmd_optimize)
 
     p = sub.add_parser("selfcheck", parents=[common],

@@ -25,8 +25,23 @@ of the high-order entries once |a0+b0| is small (the reciprocal's entries
 grow like |s0|^-(m+n+1) with matching cancellation in the product), which
 is why it is kept only as a cross-validation path.
 
-Moments stay exact rationals until kernel assembly, where they convert
-once to binary64; that single boundary is where all rounding enters.
+Two routes evaluate the kernel.  The production route works in binary64
+throughout: moment_grams holds, per shape degree, the four Gram matrices
+of the mollifier basis (exact rationals rounded once), so a shape's
+moments are small quadratic forms in its float coefficients, and
+kernel_derivative_basis gives every d_a^m d_b^n h at a = b = -R in closed
+form, per unit moment (h is linear in its moment table).  g is bilinear,
+so with G = g(-a,-b) at the base point
+
+    d_a^m d_b^n h = [m=n=0] (m_pd + m_dp)
+                    + (E^(m+n) G + m E^(m+n-1) G_a + n E^(m+n-1) G_b
+                       + m n E^(m+n-2) G_ab) / theta.
+
+Rounding enters that route at two places only: the cached Gram matrices
+and the single float conversion of the shape coefficients.  The
+reference route -- exact moments(), then kernel_jet / kernel_jet_at built
+with jet arithmetic -- keeps the moments exact until assembly; the tests
+and the oracle compare the production route against it.
 """
 
 from __future__ import annotations
@@ -34,11 +49,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .jets import Jet2, jet_add, jet_const, jet_exp, jet_mul, jet_recip, jet_scale, jet_sub, jet_var_a, jet_var_b
-from .polyalg import Poly, integrate01_product, poly_derivative
+from functools import lru_cache
 
 import numpy as np
+
+from .jets import Jet2, jet_add, jet_const, jet_exp, jet_mul, jet_recip, jet_scale, jet_sub, jet_var_a, jet_var_b
+from .polyalg import Poly, integrate01_product, mollifier_basis, poly_derivative
 
 
 @dataclass(frozen=True)
@@ -66,6 +82,30 @@ def moments(p1: Poly, p2: Poly) -> MomentTable:
     )
 
 
+@lru_cache(maxsize=None)
+def moment_grams(m: int) -> np.ndarray:
+    """Float Gram matrices of the four moments over degree-m mollifier shapes.
+
+    Entry [k, i, j] is moment k (m_dd, m_dp, m_pd, m_pp) of the pair
+    (b_i, b_j) of mollifier_basis(m), computed exactly and rounded once.
+    By bilinearity, moment k of (P1, P2) is u1 @ grams[k] @ u2 with
+    u = (1, c_1, .., c_m).  The array is read-only.
+    """
+    basis = mollifier_basis(m)
+    grams = np.empty((4, m + 1, m + 1))
+    for i, bi in enumerate(basis):
+        for j in range(i, m + 1):
+            mt = moments(bi, basis[j])
+            for (a, b), table in (((i, j), mt), ((j, i), mt.transpose())):
+                grams[:, a, b] = [float(table.m_dd), float(table.m_dp),
+                                  float(table.m_pd), float(table.m_pp)]
+    grams.setflags(write=False)
+    return grams
+
+
+MIN_BASE_R = 1e-6  # smallest contour offset R a kernel is evaluated at
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     moments: MomentTable
@@ -76,8 +116,8 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
-        if self.base_R < 1e-6:
-            raise ValueError(f"base_R must be >= 1e-6, got {self.base_R}")
+        if not self.base_R >= MIN_BASE_R:
+            raise ValueError(f"base_R must be >= {MIN_BASE_R}, got {self.base_R}")
         if self.order < 0:
             raise ValueError("order must be >= 0")
 
@@ -115,27 +155,33 @@ def kernel_numerator_jet(mt: MomentTable, theta: float,
     return jet_sub(straight, jet_mul(jet_exp(minus_sum), reflected))
 
 
-def _expm1_ratio_derivatives(s0: float, dmax: int) -> list[float]:
+@lru_cache(maxsize=64)
+def _series_tables(dmax: int, nterms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables of the E^(d) series: (-1)^d / (d+j+1) for d <= dmax
+    and j < nterms, and 1/j for 0 < j < nterms (entry 0 unused)."""
+    d = np.arange(dmax + 1)[:, None]
+    weights = np.where(d % 2 == 0, 1.0, -1.0) / (d + np.arange(nterms) + 1.0)
+    inverses = 1.0 / np.maximum(np.arange(nterms), 1)
+    for table in (weights, inverses):
+        table.setflags(write=False)
+    return weights, inverses
+
+
+def _expm1_ratio_derivatives(s0: float, dmax: int) -> np.ndarray:
     """Derivatives E^(d)(s0), d = 0..dmax, of E(s) = (1 - e^{-s})/s.
 
     Summed from the entire-series form E^(d)(s) = sum_j (-1)^{d+j} s^j /
-    (j! (d+j+1)).  For s0 <= 0 (every kernel base point) all terms share
+    (j! (d+j+1)), every d in one matrix-vector product over a shared
+    term vector.  For s0 <= 0 (every kernel base point) all terms share
     one sign, so the sum is exact to rounding; for s0 > 0 the alternating
     cancellation is bounded by e^{s0}, fine for the moderate synthetic
     bases the tests use.
     """
-    out = []
     nterms = max(36, int(3 * abs(s0)) + 36)
-    for d in range(dmax + 1):
-        total = 0.0
-        term = 1.0  # (-s0)^j / j!
-        for j in range(nterms):
-            total += term / (d + j + 1)
-            term *= -s0 / (j + 1)
-            if abs(term) < 1e-22 * (abs(total) + 1e-300) and j > abs(s0):
-                break
-        out.append(((-1.0) ** d) * total)
-    return out
+    weights, inverses = _series_tables(dmax, nterms)
+    ratios = -s0 * inverses
+    ratios[0] = 1.0
+    return weights @ np.cumprod(ratios)  # cumprod: (-s0)^j / j!
 
 
 def _e_jet(base: tuple[float, float], order: int) -> Jet2:
@@ -175,3 +221,52 @@ def kernel_jet(spec: KernelSpec) -> Jet2:
     """Kernel jet at the standard evaluation point a0 = b0 = -R."""
     return kernel_jet_at(spec.moments, spec.theta, (-spec.base_R, -spec.base_R),
                          spec.order)
+
+
+@lru_cache(maxsize=None)
+def _leibniz_tables(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables for kernel_derivative_basis at one order.
+
+    index[i, m, n] = m + n + 2 - i picks E^(m+n-i) out of the padded
+    derivative vector; grids[k, i] is the integer grid multiplying it in
+    the unit-moment matrix k: 1 | 1, -n | 1, -m | 1, -(m+n), m n.
+    """
+    m = np.arange(order + 1)[:, None]
+    n = np.arange(order + 1)[None, :]
+    one, zero = np.ones_like(m + n), np.zeros_like(m + n)
+    index = np.array([m + n + 2 - i for i in range(3)])
+    grids = np.array([[one, zero, zero],
+                      [one, -n * one, zero],
+                      [one, -m * one, zero],
+                      [one, -(m + n), m * n]], dtype=float)
+    for table in (index, grids):
+        table.setflags(write=False)
+    return index, grids
+
+
+def kernel_derivative_basis(theta: float, R: float, order: int) -> np.ndarray:
+    """d_a^m d_b^n h at a = b = -R, m, n <= order, per unit moment.
+
+    h is linear in its moment table, so out[k] is the derivative matrix of
+    the kernel of the table whose moment k (in the order m_dd, m_dp, m_pd,
+    m_pp) is 1 and whose others are 0; any table mt has the derivative
+    matrix sum_k mt[k] out[k].  From the Leibniz form in the module
+    docstring, with E_i = E^(m+n-i)(-2R) (zero when m+n < i):
+
+        out[m_dd] = E_0 / theta
+        out[m_dp] = [m=n=0] + R E_0 - n E_1
+        out[m_pd] = [m=n=0] + R E_0 - m E_1
+        out[m_pp] = theta (R^2 E_0 - R (m+n) E_1 + m n E_2)
+
+    Inputs are not validated: the callers in proportions check theta and R.
+    """
+    index, grids = _leibniz_tables(order)
+    e = np.zeros(2 * order + 3)  # e[d + 2] = E^(d)(-2R)
+    e[2:] = _expm1_ratio_derivatives(-2.0 * R, 2 * order)
+    scale = np.array([[1.0 / theta, 0.0, 0.0],
+                      [R, 1.0, 0.0],
+                      [R, 1.0, 0.0],
+                      [theta * R * R, theta * R, theta]])
+    out = np.einsum("ki,kimn,imn->kmn", scale, grids, e[index])
+    out[1:3, 0, 0] += 1.0
+    return out

@@ -22,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .polyalg import MollifierShape, TwistShape
-from .proportions import (SectionFourParams, SectionFiveParams, c1_value,
-                          c_value, kappa_bound, nu_bound)
+from .proportions import (SectionFourParams, SectionFiveParams, c1_core,
+                          c_core, kappa_bound, nu_bound)
 
 SPREAD_TOLERANCE = 1e-10
 RESTART_RELATIVE_STEP = 0.10
@@ -130,16 +130,26 @@ class SearchResult:
 
 
 def _objective(spec: SearchSpec):
-    """Raw target objective on the full vector; sign-flipped for maximization."""
-    sign = -1.0 if spec.target == "maximize_kappa" else 1.0
+    """Raw target objective on the full vector; sign-flipped for maximization.
 
-    def f(vector: np.ndarray) -> float:
-        params = spec.params_from_vector(vector)
-        if spec.target == "minimize_nu":
-            val = nu_bound(c_value(params), params.R)
-        else:
-            val = kappa_bound(c1_value(params), params.R)
-        return sign * val
+    Evaluates the float core on slices of the vector directly.  It equals
+    the objective of params_from_vector(vector) bit for bit, because
+    float(Fraction(repr(x))) == x for every float x.
+    """
+    theta = spec.theta
+    if spec.target == "minimize_nu":
+        m1, m2 = spec.shape_degrees
+
+        def f(v: np.ndarray) -> float:
+            R = float(v[m1 + m2 + 1])
+            return nu_bound(c_core(v[:m1], v[m1:m1 + m2], theta, v[m1 + m2], R), R)
+    else:
+        mp, mq = spec.shape_degrees
+
+        def f(v: np.ndarray) -> float:
+            R = float(v[mp + 1 + mq])
+            return -kappa_bound(c1_core(v[:mp], v[mp:mp + 1 + mq], theta, R,
+                                        v[mp + 2 + mq]), R)
 
     return f
 

@@ -1,9 +1,10 @@
 """Independent numeric verification path.
 
-Everything here recomputes a quantity the exact/jet path produces, by a
-route that shares nothing with it beyond polynomial evaluation and the
-moment data itself: Gauss-Legendre quadrature against exact moment
-integrals, and central finite differences against jet extractions.
+Everything here recomputes a quantity the engine produces, by a route
+that shares nothing with it beyond polynomial evaluation and the moment
+data itself: Gauss-Legendre quadrature against exact moment integrals,
+central finite differences against the reference kernel jets, and finite
+differences of the scalar kernel against c and c1 from the float core.
 
 The high-order route (mixed derivatives up to deg(Q)+1 in each variable
 for the c1 crosscheck) needs wide stencils to survive the step^-(m+n)
@@ -289,10 +290,10 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
 
     c_exact = c_value(p4)
     c_fd = fd_c_value(p4)
-    checks.append(CheckResult("c jets vs finite differences", c_exact, c_fd,
+    checks.append(CheckResult("c vs finite differences", c_exact, c_fd,
                               _rel(c_exact, c_fd), 1e-5))
     c1_exact = c1_value(p5)
     c1_fd = fd_c1_value(p5)
-    checks.append(CheckResult("c1 jets vs finite differences", c1_exact, c1_fd,
+    checks.append(CheckResult("c1 vs finite differences", c1_exact, c1_fd,
                               _rel(c1_exact, c1_fd), 1e-4))
     return CrosscheckReport(tuple(checks))

@@ -13,13 +13,20 @@ Two constrained construction bases are provided:
 with I_k(x) = integral_0^x t^k (1-t)^k dt.  The constraints hold as exact
 polynomial identities for every shape, which is what lets a search loop
 move shape coefficients freely without runtime constraint checks.
+
+Both bases are affine in their coefficients.  mollifier_basis and
+twist_matrix hold those affine maps per degree, built lazily from the
+exact expansions; the float evaluation core reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+
+import numpy as np
 
 MAX_DEGREE = 64
 
@@ -189,7 +196,6 @@ def expand_mollifier(shape: MollifierShape) -> Poly:
     for j, c in enumerate(shape.shape_coeffs, start=1):
         # c * x^j (1-x) = c x^j - c x^{j+1}
         p = p + monomial(j, c) + monomial(j + 1, -c)
-    assert poly_eval(p, 0) == 0 and poly_eval(p, 1) == 1
     return p
 
 
@@ -206,10 +212,42 @@ def expand_twist(shape: TwistShape) -> Poly:
     q = ONE + monomial(1, shape.linear_coeff)
     for k, c in enumerate(shape.sym_coeffs, start=1):
         q = q + sym_basis_integral(k).scale(c)
-    assert poly_eval(q, 0) == 1
-    dq = poly_derivative(q)
-    assert (dq - poly_reflect(dq)) == ZERO
     return q
+
+
+# --------------------------------------------------------------------------
+# affine shape maps (built once per degree from the exact expansions)
+# --------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def mollifier_basis(m: int) -> tuple[Poly, ...]:
+    """Exact affine basis (b_0, .., b_m) of the degree-m mollifier shapes.
+
+    expand_mollifier(c) = b_0 + sum_j c_j b_j: b_0 expands the empty shape
+    and b_j is the expansion of the j-th unit shape minus b_0.
+    """
+    origin = expand_mollifier(MollifierShape(()))
+    units = [MollifierShape.of([int(i == j) for i in range(m)]) for j in range(m)]
+    return (origin,) + tuple(expand_mollifier(u) - origin for u in units)
+
+
+@lru_cache(maxsize=None)
+def twist_matrix(m: int) -> np.ndarray:
+    """Float map from (1, q0, q_1, .., q_m) to the monomial coefficients of Q.
+
+    Column 0 expands the zero shape (Q = 1), column 1 is x and column k+1
+    is I_k; each exact coefficient is rounded to binary64 once.  Rows run
+    over degrees 0 .. max(1, 2m+1).  The array is read-only.
+    """
+    origin = expand_twist(TwistShape.of(0))
+    columns = [origin, expand_twist(TwistShape.of(1)) - origin]
+    columns += [expand_twist(TwistShape.of(0, [int(i == k) for i in range(m)])) - origin
+                for k in range(m)]
+    out = np.zeros((max(2, 2 * m + 2), m + 2))
+    for col, poly in enumerate(columns):
+        out[:len(poly.coeffs), col] = poly.float_coeffs()
+    out.setflags(write=False)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Bound constants and the distinct/simple zero proportion combiners.
 
-Two independent constants are computed from kernel jets:
+Two independent constants are computed from kernel derivatives at a
+base point:
 
   c(theta, r, R)   one kernel per mollifier pair, combined as
                    h11 + (1/r) d_a h21 + (1/r) d_b h12 + (1/r^2) d_ab h22,
@@ -25,9 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .jets import jet_extract
-from .kernel import KernelSpec, kernel_jet, moments
-from .polyalg import MollifierShape, TwistShape, expand_mollifier, expand_twist
+import numpy as np
+
+from .kernel import MIN_BASE_R, kernel_derivative_basis, moment_grams
+from .polyalg import MollifierShape, TwistShape, twist_matrix
 
 
 class NonFiniteError(ArithmeticError):
@@ -38,7 +40,16 @@ class NonPositiveConstantError(ValueError):
     """log of a non-positive moment constant requested."""
 
 
-C_JET_ORDER = 2  # value, one derivative per variable, and the mixed term
+def _check_scalars(theta: float, R: float, r: float = 1.0, delta: float = 0.0) -> None:
+    """The scalar domain shared by the params classes and the float core."""
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+    if not r > 0:
+        raise ValueError(f"r must be positive, got {r}")
+    if not R > 0:
+        raise ValueError(f"R must be positive, got {R}")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
 
 
 @dataclass(frozen=True)
@@ -53,12 +64,7 @@ class SectionFourParams:
     R: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
-        if not self.r > 0:
-            raise ValueError(f"r must be positive, got {self.r}")
-        if not self.R > 0:
-            raise ValueError(f"R must be positive, got {self.R}")
+        _check_scalars(self.theta, self.R, r=self.r)
 
 
 @dataclass(frozen=True)
@@ -73,10 +79,7 @@ class SectionFiveParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
-        if not self.R > 0:
-            raise ValueError(f"R must be positive, got {self.R}")
+        _check_scalars(self.theta, self.R, delta=self.delta)
 
 
 @dataclass(frozen=True)
@@ -93,31 +96,54 @@ class BoundReport:
     params5: SectionFiveParams
 
 
-def c_value(p: SectionFourParams) -> float:
-    """The mollified second-moment constant of the two-mollifier detector.
+def _homogeneous(*shapes) -> np.ndarray:
+    """Rows (1, c_1, .., c_m), zero-padded to the longest shape.
 
-    Builds kernels for the pairs (P1,P1), (P2,P1), (P1,P2), (P2,P2) at
-    a = b = -R and combines value, first and mixed-second extractions with
-    weights 1, 1/r, 1/r, 1/r^2.
+    Rejects non-finite coefficients with ValueError, as building the exact
+    shape from them does.
     """
-    poly1 = expand_mollifier(p.p1_shape)
-    poly2 = expand_mollifier(p.p2_shape)
+    m = max(len(c) for c in shapes)
+    u = np.zeros((len(shapes), m + 1))
+    u[:, 0] = 1.0
+    for row, c in zip(u, shapes):
+        row[1:len(c) + 1] = c
+    if not np.isfinite(u).all():
+        raise ValueError("shape coefficients must be finite")
+    return u
 
-    def kern(pa, pb):
-        return kernel_jet(KernelSpec(moments(pa, pb), p.theta, p.R, C_JET_ORDER))
 
-    h11 = kern(poly1, poly1)
-    h21 = kern(poly2, poly1)
-    h12 = kern(poly1, poly2)
-    h22 = kern(poly2, poly2)
-    inv_r = 1.0 / p.r
-    c = (jet_extract(h11, 0, 0)
-         + inv_r * jet_extract(h21, 1, 0)
-         + inv_r * jet_extract(h12, 0, 1)
-         + inv_r * inv_r * jet_extract(h22, 1, 1))
+def _check_base(R: float) -> None:
+    if not R >= MIN_BASE_R:
+        raise ValueError(f"R must be >= {MIN_BASE_R}, got {R}")
+
+
+def c_core(p1, p2, theta: float, r: float, R: float) -> float:
+    """c from float shape coefficients; c_value and the search objective
+    both evaluate through here.
+
+    The kernels of the pairs (P_a, P_b) at a = b = -R enter through their
+    derivative d_a^a d_b^b with weight r^-(a+b), a, b in {0, 1}: the value
+    of (P1,P1), d_a of (P2,P1), d_b of (P1,P2) and d_ab of (P2,P2).  Both
+    the moments and the kernel are linear, so c is one contraction of the
+    shapes with the moment Gram matrices and the kernel's unit-moment
+    derivatives.
+    """
+    theta, r, R = float(theta), float(r), float(R)
+    _check_scalars(theta, R, r=r)
+    _check_base(R)
+    u = _homogeneous(p1, p2)
+    weight = np.array([1.0, 1.0 / r])
+    kernel = kernel_derivative_basis(theta, R, 1) * np.multiply.outer(weight, weight)
+    c = float(np.einsum("ai,kij,bj,kab->", u, moment_grams(u.shape[1] - 1), u, kernel))
     if not math.isfinite(c):
         raise NonFiniteError(f"c evaluated to {c!r}")
     return c
+
+
+def c_value(p: SectionFourParams) -> float:
+    """The mollified second-moment constant of the two-mollifier detector."""
+    return c_core([float(c) for c in p.p1_shape.shape_coeffs],
+                  [float(c) for c in p.p2_shape.shape_coeffs], p.theta, p.r, p.R)
 
 
 def nu_bound(c: float, R: float) -> float:
@@ -129,7 +155,7 @@ def nu_bound(c: float, R: float) -> float:
     return math.log(c) / (2.0 * R)
 
 
-def twist_operator_coefficients(q_monomial: list[float], delta: float) -> list[float]:
+def twist_operator_coefficients(q_monomial, delta: float) -> np.ndarray:
     """Expansion of (1-delta) Id + delta (Id + 2 d) Q(-d) over powers of d.
 
     With Q(x) = sum_k q_k x^k the derivative-power coefficients are
@@ -139,40 +165,47 @@ def twist_operator_coefficients(q_monomial: list[float], delta: float) -> list[f
     one entry per j = 0 .. deg(Q)+1.  These are exactly the weights of the
     coefficient-shift maps the operator induces on a jet grid.
     """
-    deg = len(q_monomial) - 1
-    u = [0.0] * (deg + 2)
-    u[0] = 1.0 - delta
-    for j in range(deg + 2):
-        qj = q_monomial[j] if j <= deg else 0.0
-        qjm1 = q_monomial[j - 1] if 1 <= j <= deg + 1 else 0.0
-        u[j] += delta * ((-1.0) ** j) * (qj - 2.0 * qjm1)
+    q = np.asarray(q_monomial, dtype=float)
+    w = np.zeros(len(q) + 1)
+    w[:-1] = q
+    w[1:] -= 2.0 * q
+    w[1::2] *= -1.0
+    u = delta * w
+    u[0] += 1.0 - delta
     return u
 
 
-def c1_value(p: SectionFiveParams) -> float:
-    """The twisted second-moment constant of the critical-line detector.
+def c1_core(p, q, theta: float, R: float, delta: float) -> float:
+    """c1 from float coefficients; c1_value and the search objective both
+    evaluate through here.
 
-    The kernel for the pair (P, P) is built to order deg(Q)+1 per variable
-    (the Id + 2d factor needs one derivative beyond Q's degree), then the
-    operator is applied in a and in b as extraction sums.
+    p holds the mollifier shape, q the twist shape (q0, q_1, .., q_m).  The
+    kernel of (P, P) is taken to order deg(Q)+1 per variable (the Id + 2d
+    factor needs one derivative beyond Q's degree), and the operator acts
+    in a and in b as the quadratic form u^T H u over its derivative matrix
+    H, itself the moments of (P, P) contracted with the unit-moment
+    derivative matrices.
     """
-    poly = expand_mollifier(p.p_shape)
-    q_poly = expand_twist(p.q_shape)
-    q_monomial = q_poly.float_coeffs()
-    order = (len(q_monomial) - 1) + 1
-    h = kernel_jet(KernelSpec(moments(poly, poly), p.theta, p.R, order))
-    u = twist_operator_coefficients(q_monomial, p.delta)
-    c1 = 0.0
-    for j, uj in enumerate(u):
-        if uj == 0.0:
-            continue
-        for l, ul in enumerate(u):
-            if ul == 0.0:
-                continue
-            c1 += uj * ul * jet_extract(h, j, l)
+    theta, R, delta = float(theta), float(R), float(delta)
+    _check_scalars(theta, R, delta=delta)
+    _check_base(R)
+    up = _homogeneous(p)[0]
+    mt = np.einsum("i,kij,j->k", up, moment_grams(len(up) - 1), up)
+    q_monomial = twist_matrix(len(q) - 1) @ _homogeneous(q)[0]
+    u = twist_operator_coefficients(q_monomial, delta)
+    kernel = kernel_derivative_basis(theta, R, len(q_monomial))
+    c1 = float(np.einsum("k,kmn,m,n->", mt, kernel, u, u))
     if not math.isfinite(c1):
         raise NonFiniteError(f"c1 evaluated to {c1!r}")
     return c1
+
+
+def c1_value(p: SectionFiveParams) -> float:
+    """The twisted second-moment constant of the critical-line detector."""
+    q = p.q_shape
+    return c1_core([float(c) for c in p.p_shape.shape_coeffs],
+                   [float(q.linear_coeff)] + [float(c) for c in q.sym_coeffs],
+                   p.theta, p.R, p.delta)
 
 
 def kappa_bound(c1: float, R: float) -> float:

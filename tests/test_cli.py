@@ -164,6 +164,75 @@ class TestEval:
         assert "section4" in capsys.readouterr().err
 
 
+class TestConfigKeys:
+    @pytest.mark.parametrize("section, key, command", [
+        ("section4", "p1_shap", ["eval", "--which", "c"]),
+        ("section5", "delt", ["eval", "--which", "c1"]),
+        ("search", "budjet", ["optimize"]),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, capsys, section, key, command):
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["search"] = {"target": "minimize_nu", "budget": 5}
+        cfg[section][key] = ["0.1"]
+        code = main(command + ["--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert section in err and repr(key) in err
+
+    @pytest.mark.parametrize("section, key, which", [("section4", "p2_shape", "c"),
+                                                     ("section5", "p_shape", "c1"),
+                                                     ("section5", "q_linear", "c1")])
+    def test_missing_shape_rejected(self, tmp_path, capsys, section, key, which):
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        del cfg[section][key]
+        code = main(["eval", "--which", which, "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_misspelt_shape_no_longer_evaluates(self, tmp_path, capsys):
+        # a typo once fell back to P1(x) = x and printed c = 1.237059
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["section4"]["p1_shap"] = cfg["section4"].pop("p1_shape")
+        code = main(["eval", "--which", "c", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "c = " not in captured.out
+        assert "'p1_shap'" in captured.err
+
+    def test_shape_and_poly_together_rejected(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["section4"]["p1_poly"] = ["0", "0.842", "0.408", "-0.25"]
+        code = main(["eval", "--which", "c", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        assert "not both" in capsys.readouterr().err
+
+    def test_poly_alone_accepted(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["section4"]["p1_poly"] = ["0", "0.842", "0.408", "-0.25"]
+        del cfg["section4"]["p1_shape"]
+        code = main(["eval", "--which", "c", "--config",
+                     write_config(tmp_path, cfg), "--machine"])
+        assert code == 0
+        values = machine_values(capsys.readouterr().out)
+        assert values["c"] == pytest.approx(1.2301085737954217, rel=1e-12)
+
+    def test_nan_delta_is_a_config_error(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["section5"]["delta"] = "nan"
+        code = main(["eval", "--which", "c1", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "delta" in err
+
+    @pytest.mark.parametrize("command", [["reproduce"], ["selfcheck"],
+                                         ["eval", "--which", "c", "--config", "x.json"]])
+    def test_seed_only_on_optimize(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(command + ["--seed", "3"])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
 class TestOptimize:
     def test_budget_one_echoes_seed(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(REFERENCE_CONFIG))
