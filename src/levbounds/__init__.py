@@ -1,18 +1,15 @@
 """Mollified-moment bound constants for zero proportions of the Dirichlet
-L-function family: exact polynomial algebra, bivariate jets, the singular
-moment kernel, the bound combiners, a finite-difference oracle, and a
-derivative-free search over the constrained polynomial shapes."""
+L-function family: exact polynomial algebra, the closed-form derivatives
+of the singular moment kernel, the bound combiners, a finite-difference
+oracle, and a derivative-free search over the constrained polynomial
+shapes."""
 
-from .jets import (Jet2, NearSingularError, jet_add, jet_const, jet_exp,
-                   jet_extract, jet_mul, jet_recip, jet_scale, jet_sub,
-                   jet_var_a, jet_var_b)
-from .kernel import (KernelSpec, MomentTable, g_jet, kernel_derivative_basis,
-                     kernel_jet, kernel_jet_at, moment_grams, moments)
+from .kernel import MomentTable, kernel_derivative_basis, moment_grams, moments
 from .optimizer import (DimensionTooHighError, EvaluationFailureError,
                         SearchResult, SearchSpec, grid_scan, optimize)
-from .oracle import (CheckResult, CrosscheckReport, FdScheme, crosscheck_report,
-                     fd_c1_value, fd_c_value, fd_partial, kernel_numeric,
-                     quad_integrate01)
+from .oracle import (CheckResult, CrosscheckReport, FdScheme, NearSingularError,
+                     crosscheck_report, fd_c1_value, fd_c_value, fd_partial,
+                     kernel_numeric, quad_integrate01)
 from .polyalg import (ConstraintViolationError, MollifierShape, Poly, TwistShape,
                       expand_mollifier, expand_twist, integrate01_product,
                       poly_derivative, poly_eval)
@@ -27,16 +24,12 @@ from .reference import (REFERENCE_CONSTANTS, REMARK_DELTA1_KAPPA,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Jet2", "NearSingularError", "jet_add", "jet_const", "jet_exp",
-    "jet_extract", "jet_mul", "jet_recip", "jet_scale", "jet_sub",
-    "jet_var_a", "jet_var_b",
-    "KernelSpec", "MomentTable", "g_jet", "kernel_derivative_basis", "kernel_jet",
-    "kernel_jet_at", "moment_grams", "moments",
+    "MomentTable", "kernel_derivative_basis", "moment_grams", "moments",
     "DimensionTooHighError", "EvaluationFailureError", "SearchResult",
     "SearchSpec", "grid_scan", "optimize",
-    "CheckResult", "CrosscheckReport", "FdScheme", "crosscheck_report",
-    "fd_c1_value", "fd_c_value", "fd_partial", "kernel_numeric",
-    "quad_integrate01",
+    "CheckResult", "CrosscheckReport", "FdScheme", "NearSingularError",
+    "crosscheck_report", "fd_c1_value", "fd_c_value", "fd_partial",
+    "kernel_numeric", "quad_integrate01",
     "ConstraintViolationError", "MollifierShape", "Poly", "TwistShape",
     "expand_mollifier", "expand_twist", "integrate01_product",
     "poly_derivative", "poly_eval",

@@ -35,14 +35,25 @@ class ConfigError(ValueError):
 # config parsing
 # --------------------------------------------------------------------------
 
+TOP_LEVEL_FIELDS = ("theta", "section4", "section5", "search", "constants")
+
+
 def _load_json(path: str) -> dict:
+    """The config object, rejecting any top-level key it does not define."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=str)
+            cfg = json.load(fh, parse_float=str)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path!r}: expected an object")
+    unknown = sorted(set(cfg) - set(TOP_LEVEL_FIELDS))
+    if unknown:
+        raise ConfigError(f"config: unknown field {unknown[0]!r} "
+                          f"(allowed: {', '.join(TOP_LEVEL_FIELDS)})")
+    return cfg
 
 
 def _get_float(section: dict, field: str, where: str) -> float:
@@ -160,7 +171,10 @@ def _search_spec(cfg: dict, seed_override: int | None) -> SearchSpec:
     for name, pair in bounds_raw.items():
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ConfigError(f"search.bounds.{name}: expected [lo, hi]")
-        bounds[name] = (float(pair[0]), float(pair[1]))
+        try:
+            bounds[name] = (float(pair[0]), float(pair[1]))
+        except (TypeError, ValueError):
+            raise ConfigError(f"search.bounds.{name}: not a number: {pair!r}") from None
     if target == "minimize_nu":
         p4 = _section_four(cfg, theta)
         shape_degrees = (len(p4.p1_shape.shape_coeffs), len(p4.p2_shape.shape_coeffs))

@@ -1,4 +1,4 @@
-"""Moment tables and the singular mollifier kernel as a jet.
+"""Moment tables and the derivatives of the singular mollifier kernel.
 
 For a polynomial pair (P_1, P_2) and length exponent theta, the bilinear
 moment function is
@@ -6,54 +6,43 @@ moment function is
     g(a, b) = m_dd + a theta m_pd + b theta m_dp + a b theta^2 m_pp,
 
 built from the four exact integrals over [0,1] of P_1'P_2', P_1'P_2,
-P_1 P_2', P_1 P_2.  The kernel evaluated by this module is
+P_1 P_2', P_1 P_2.  The kernel is
 
     h(a, b) = [ g(b, a) - e^{-a-b} g(-a, -b) ] / (theta (a + b)),
 
-carried as a Jet2 at a chosen base point, normally a0 = b0 = -R.  The
-numerator vanishes identically on the line a + b = 0 (there e^{-a-b} = 1
-and both g values coincide), so the singularity is removable and h is
-entire.  Assembly exploits that explicitly: with s = a + b,
+and this module gives its derivatives at a = b = -R.  The numerator
+vanishes identically on the line a + b = 0 (there e^{-a-b} = 1 and both g
+values coincide), so the singularity is removable and h is entire.  With
+s = a + b,
 
     g(b,a) - g(-a,-b) = theta s (m_pd + m_dp)        (exact identity)
     h(a,b) = (m_pd + m_dp) + E(s) g(-a,-b) / theta,  E(s) = (1 - e^{-s})/s,
 
-which contains no division by s and so stays fully accurate even with the
-base point close to (or on) the line a + b = 0.  The textbook assembly
-jet_mul(numerator, jet_recip(theta (a+b))) loses all significant digits
-of the high-order entries once |a0+b0| is small (the reciprocal's entries
-grow like |s0|^-(m+n+1) with matching cancellation in the product), which
-is why it is kept only as a cross-validation path.
-
-Two routes evaluate the kernel.  The production route works in binary64
-throughout: moment_grams holds, per shape degree, the four Gram matrices
-of the mollifier basis (exact rationals rounded once), so a shape's
-moments are small quadratic forms in its float coefficients, and
-kernel_derivative_basis gives every d_a^m d_b^n h at a = b = -R in closed
-form, per unit moment (h is linear in its moment table).  g is bilinear,
-so with G = g(-a,-b) at the base point
+which contains no division by s.  g is bilinear, so with G = g(-a,-b) at
+the base point
 
     d_a^m d_b^n h = [m=n=0] (m_pd + m_dp)
                     + (E^(m+n) G + m E^(m+n-1) G_a + n E^(m+n-1) G_b
                        + m n E^(m+n-2) G_ab) / theta.
 
-Rounding enters that route at two places only: the cached Gram matrices
-and the single float conversion of the shape coefficients.  The
-reference route -- exact moments(), then kernel_jet / kernel_jet_at built
-with jet arithmetic -- keeps the moments exact until assembly; the tests
-and the oracle compare the production route against it.
+kernel_derivative_basis evaluates that in binary64, per unit moment (h is
+linear in its moment table); moment_grams holds, per shape degree, the
+four Gram matrices of the mollifier basis (exact rationals rounded once),
+so a shape's moments are small quadratic forms in its float coefficients.
+Rounding enters at two places only: the cached Gram matrices and the
+single float conversion of the shape coefficients.  The exact moments()
+and a high-precision evaluation of the definition of h are the references
+the tests compare against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .jets import Jet2, jet_add, jet_const, jet_exp, jet_mul, jet_recip, jet_scale, jet_sub, jet_var_a, jet_var_b
 from .polyalg import Poly, integrate01_product, mollifier_basis, poly_derivative
 
 
@@ -106,55 +95,6 @@ def moment_grams(m: int) -> np.ndarray:
 MIN_BASE_R = 1e-6  # smallest contour offset R a kernel is evaluated at
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    moments: MomentTable
-    theta: float
-    base_R: float
-    order: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
-        if not self.base_R >= MIN_BASE_R:
-            raise ValueError(f"base_R must be >= {MIN_BASE_R}, got {self.base_R}")
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
-
-
-def g_jet(mt: MomentTable, theta: float, base: tuple[float, float], order: int,
-          swap: bool = False, negate: bool = False) -> Jet2:
-    """The bilinear g as an exact jet (bidegree (1,1); higher entries zero).
-
-    swap   replaces (a, b) by (b, a); negate replaces them by (-a, -b).
-    """
-    mdd = float(mt.m_dd)
-    ca = theta * float(mt.m_pd)   # coefficient of a
-    cb = theta * float(mt.m_dp)   # coefficient of b
-    cab = theta * theta * float(mt.m_pp)
-    if swap:
-        ca, cb = cb, ca
-    if negate:
-        ca, cb = -ca, -cb
-    a0, b0 = base
-    c = np.zeros((order + 1, order + 1))
-    c[0, 0] = mdd + ca * a0 + cb * b0 + cab * a0 * b0
-    if order >= 1:
-        c[1, 0] = ca + cab * b0
-        c[0, 1] = cb + cab * a0
-        c[1, 1] = cab
-    return Jet2(base, order, c)
-
-
-def kernel_numerator_jet(mt: MomentTable, theta: float,
-                         base: tuple[float, float], order: int) -> Jet2:
-    """g(b,a) - e^{-a-b} g(-a,-b) as a jet; value is 0 whenever a0+b0 = 0."""
-    straight = g_jet(mt, theta, base, order, swap=True)
-    reflected = g_jet(mt, theta, base, order, negate=True)
-    minus_sum = jet_scale(jet_add(jet_var_a(base, order), jet_var_b(base, order)), -1.0)
-    return jet_sub(straight, jet_mul(jet_exp(minus_sum), reflected))
-
-
 @lru_cache(maxsize=64)
 def _series_tables(dmax: int, nterms: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only tables of the E^(d) series: (-1)^d / (d+j+1) for d <= dmax
@@ -182,45 +122,6 @@ def _expm1_ratio_derivatives(s0: float, dmax: int) -> np.ndarray:
     ratios = -s0 * inverses
     ratios[0] = 1.0
     return weights @ np.cumprod(ratios)  # cumprod: (-s0)^j / j!
-
-
-def _e_jet(base: tuple[float, float], order: int) -> Jet2:
-    """Jet of E(a+b) at the base point; entry (m,n) = E^(m+n)(s0)/(m! n!)."""
-    s0 = base[0] + base[1]
-    derivs = _expm1_ratio_derivatives(s0, 2 * order)
-    c = np.zeros((order + 1, order + 1))
-    for m in range(order + 1):
-        for n in range(order + 1):
-            c[m, n] = derivs[m + n] / (math.factorial(m) * math.factorial(n))
-    return Jet2(base, order, c)
-
-
-def kernel_jet_at(mt: MomentTable, theta: float,
-                  base: tuple[float, float], order: int) -> Jet2:
-    """Kernel jet at an arbitrary base point, in the stable product form."""
-    const = float(mt.m_pd + mt.m_dp)
-    reflected = g_jet(mt, theta, base, order, negate=True)
-    tail = jet_scale(jet_mul(_e_jet(base, order), reflected), 1.0 / theta)
-    return jet_add(jet_const(const, base, order), tail)
-
-
-def kernel_jet_division_form(mt: MomentTable, theta: float,
-                             base: tuple[float, float], order: int) -> Jet2:
-    """Textbook numerator/(theta (a+b)) assembly; validation only.
-
-    Accurate while |a0 + b0| is comfortably away from zero; high-order
-    entries degrade rapidly as the base approaches the removable
-    singularity.
-    """
-    numerator = kernel_numerator_jet(mt, theta, base, order)
-    denom = jet_scale(jet_add(jet_var_a(base, order), jet_var_b(base, order)), theta)
-    return jet_mul(numerator, jet_recip(denom))
-
-
-def kernel_jet(spec: KernelSpec) -> Jet2:
-    """Kernel jet at the standard evaluation point a0 = b0 = -R."""
-    return kernel_jet_at(spec.moments, spec.theta, (-spec.base_R, -spec.base_R),
-                         spec.order)
 
 
 @lru_cache(maxsize=None)

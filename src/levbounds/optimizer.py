@@ -59,14 +59,19 @@ class SearchSpec:
             raise ValueError("budget must be >= 1")
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
+        names = self.vector_names()
+        unknown = sorted(set(self.scalar_bounds) - set(names))
+        if unknown:
+            raise ValueError(f"bounds name {unknown[0]!r} is not in the search "
+                             f"vector (allowed: {', '.join(names)})")
         for name, (lo, hi) in self.scalar_bounds.items():
             if not lo <= hi:
                 raise ValueError(f"empty bounds for {name!r}: ({lo}, {hi})")
-        if len(self.initial_point) != len(self.vector_names()):
+        if len(self.initial_point) != len(names):
             raise ValueError(
                 f"initial point has {len(self.initial_point)} entries, "
-                f"expected {len(self.vector_names())} ({self.vector_names()})")
-        for name, v in zip(self.vector_names(), self.initial_point):
+                f"expected {len(names)} ({names})")
+        for name, v in zip(names, self.initial_point):
             lo, hi = self.scalar_bounds.get(name, (-math.inf, math.inf))
             if name in self.scalar_bounds and not lo <= v <= hi:
                 raise ValueError(f"initial {name} = {v} outside bounds ({lo}, {hi})")

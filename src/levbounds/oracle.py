@@ -3,8 +3,9 @@
 Everything here recomputes a quantity the engine produces, by a route
 that shares nothing with it beyond polynomial evaluation and the moment
 data itself: Gauss-Legendre quadrature against exact moment integrals,
-central finite differences against the reference kernel jets, and finite
-differences of the scalar kernel against c and c1 from the float core.
+central finite differences against the closed-form kernel derivatives,
+and finite differences of the scalar kernel against c and c1 from the
+float core.
 
 The high-order route (mixed derivatives up to deg(Q)+1 in each variable
 for the c1 crosscheck) needs wide stencils to survive the step^-(m+n)
@@ -21,11 +22,14 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .jets import NearSingularError, jet_extract
-from .kernel import KernelSpec, MomentTable, kernel_jet, moments
+from .kernel import MomentTable, kernel_derivative_basis, moments
 from .polyalg import Poly, expand_mollifier, expand_twist, poly_derivative
 from .proportions import (SectionFourParams, SectionFiveParams,
                           c1_value, c_value, twist_operator_coefficients)
+
+
+class NearSingularError(ArithmeticError):
+    """Scalar kernel evaluation attempted too close to the line a + b = 0."""
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,7 @@ def quad_integrate01(p: Poly, q: Poly, nodes: int) -> float:
 
 
 def kernel_numeric(mt: MomentTable, theta: float, a: float, b: float) -> float:
-    """Direct scalar kernel evaluation (no jets).
+    """Direct scalar kernel evaluation.
 
     Evaluated as (m_pd + m_dp) + (1 - e^{-s})/s * g(-a,-b)/theta with
     s = a + b and expm1 supplying the numerator, so stencil points that
@@ -177,22 +181,22 @@ def fd_c_value(p: SectionFourParams, step: float = 5e-3) -> float:
     poly2 = expand_mollifier(p.p2_shape)
     at = (-p.R, -p.R)
 
-    def h(pa, pb) -> Callable[[float, float], float]:
-        mt = moments(pa, pb)
+    def h(mt: MomentTable) -> Callable[[float, float], float]:
         return lambda a, b: kernel_numeric(mt, p.theta, a, b)
 
+    m11, m12, m22 = moments(poly1, poly1), moments(poly1, poly2), moments(poly2, poly2)
     inv_r = 1.0 / p.r
-    return (h(poly1, poly1)(*at)
-            + inv_r * fd_partial_high(h(poly2, poly1), 1, 0, at, step)
-            + inv_r * fd_partial_high(h(poly1, poly2), 0, 1, at, step)
-            + inv_r * inv_r * fd_partial_high(h(poly2, poly2), 1, 1, at, step))
+    return (h(m11)(*at)
+            + inv_r * fd_partial_high(h(m12.transpose()), 1, 0, at, step)
+            + inv_r * fd_partial_high(h(m12), 0, 1, at, step)
+            + inv_r * inv_r * fd_partial_high(h(m22), 1, 1, at, step))
 
 
 def fd_c1_value(p: SectionFiveParams, step: float = 0.35, extra: int = 8) -> float:
     """c1 recomputed by applying the twist operator with FD derivatives.
 
     The defaults were tuned on acceptance-style random draws: worst-case
-    disagreement with the jet path stays near 1e-6 across seeds, two
+    disagreement with the float core stays near 1e-6 across seeds, two
     orders under the 1e-4 contract.
     """
     poly = expand_mollifier(p.p_shape)
@@ -247,8 +251,14 @@ def _rel(exact: float, numeric: float) -> float:
 
 
 def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> CrosscheckReport:
-    """Run every exact-vs-numeric comparison; failures are data, not errors."""
+    """Run every exact-vs-numeric comparison; failures are data, not errors.
+
+    Inputs the engine rejects (R below MIN_BASE_R) raise its ValueError
+    before any check runs.
+    """
     checks: list[CheckResult] = []
+    c_exact = c_value(p4)
+    c1_exact = c1_value(p5)
 
     poly1 = expand_mollifier(p4.p1_shape)
     poly2 = expand_mollifier(p4.p2_shape)
@@ -256,8 +266,9 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
     pairs = {"m11": (poly1, poly1), "m21": (poly2, poly1),
              "m12": (poly1, poly2), "m22": (poly2, poly2),
              "m55": (poly5, poly5)}
+    tables: dict[str, MomentTable] = {}
     for name, (pa, pb) in pairs.items():
-        mt = moments(pa, pb)
+        mt = tables[name] = moments(pa, pb)
         nodes = (max(pa.degree, 0) + max(pb.degree, 0)) // 2 + 1
         for part, exact, qa, qb in (
             ("dd", mt.m_dd, poly_derivative(pa), poly_derivative(pb)),
@@ -269,30 +280,28 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
             checks.append(CheckResult(f"moment[{name}.{part}] vs quadrature",
                                       float(exact), num, _rel(float(exact), num), 1e-12))
 
-    # kernel jet derivatives vs finite differences of the scalar kernel
-    for tag, pa, pb, params in (("11", poly1, poly1, p4), ("22", poly2, poly2, p4),
-                                ("55", poly5, poly5, p5)):
-        mt = moments(pa, pb)
-        h = kernel_jet(KernelSpec(mt, params.theta, params.R, 2))
+    # closed-form kernel derivatives vs finite differences of the scalar kernel
+    for tag, params in (("11", p4), ("22", p4), ("55", p5)):
+        mt = tables[f"m{tag}"]
+        floats = [float(mt.m_dd), float(mt.m_dp), float(mt.m_pd), float(mt.m_pp)]
+        h = np.tensordot(floats, kernel_derivative_basis(params.theta, params.R, 2), 1)
         at = (-params.R, -params.R)
         scalar = lambda a, b, mt=mt, th=params.theta: kernel_numeric(mt, th, a, b)
         # 1e-3 keeps the halved Richardson step clear of the eps/h^2 noise
         # floor of the mixed second derivative
         scheme = FdScheme(step=1e-3, order=4)
-        checks.append(CheckResult(
-            f"kernel[{tag}] value vs direct", jet_extract(h, 0, 0), scalar(*at),
-            _rel(jet_extract(h, 0, 0), scalar(*at)), 1e-10))
+        value = float(h[0, 0])
+        checks.append(CheckResult(f"kernel[{tag}] value vs direct", value, scalar(*at),
+                                  _rel(value, scalar(*at)), 1e-10))
         for (m, n, label) in ((1, 0, "d_a"), (0, 1, "d_b"), (1, 1, "d_ab")):
-            ex = jet_extract(h, m, n)
+            ex = float(h[m, n])
             num = fd_partial(scalar, scheme, m, n, at)
             checks.append(CheckResult(f"kernel[{tag}] {label} vs finite difference",
                                       ex, num, _rel(ex, num), 1e-6))
 
-    c_exact = c_value(p4)
     c_fd = fd_c_value(p4)
     checks.append(CheckResult("c vs finite differences", c_exact, c_fd,
                               _rel(c_exact, c_fd), 1e-5))
-    c1_exact = c1_value(p5)
     c1_fd = fd_c1_value(p5)
     checks.append(CheckResult("c1 vs finite differences", c1_exact, c1_fd,
                               _rel(c1_exact, c1_fd), 1e-4))

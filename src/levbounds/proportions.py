@@ -162,8 +162,8 @@ def twist_operator_coefficients(q_monomial, delta: float) -> np.ndarray:
 
         u_j = (1-delta) [j=0] + delta (-1)^j (q_j - 2 q_{j-1}),
 
-    one entry per j = 0 .. deg(Q)+1.  These are exactly the weights of the
-    coefficient-shift maps the operator induces on a jet grid.
+    one entry per j = 0 .. deg(Q)+1.  These are the weights the operator
+    puts on the kernel derivatives d^j in each variable.
     """
     q = np.asarray(q_monomial, dtype=float)
     w = np.zeros(len(q) + 1)

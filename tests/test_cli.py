@@ -216,6 +216,40 @@ class TestConfigKeys:
         values = machine_values(capsys.readouterr().out)
         assert values["c"] == pytest.approx(1.2301085737954217, rel=1e-12)
 
+    def test_unknown_top_level_key_rejected(self, tmp_path, capsys):
+        # a misspelt theta once evaluated c at the default theta = 1
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["thetta"] = cfg.pop("theta")
+        code = main(["eval", "--which", "c", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "c = " not in captured.out
+        assert "config error" in captured.err and "'thetta'" in captured.err
+
+    def test_non_object_config_rejected(self, tmp_path, capsys):
+        code = main(["reproduce", "--config", write_config(tmp_path, [1.0])])
+        assert code == 2
+        assert "expected an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair", [["abc", "0.7"], ["0.5", None]])
+    def test_non_numeric_bound_is_a_config_error(self, tmp_path, capsys, pair):
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["search"] = {"target": "minimize_nu", "budget": 5, "bounds": {"R": pair}}
+        code = main(["optimize", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        assert "config error: search.bounds.R" in capsys.readouterr().err
+
+    def test_bound_name_outside_vector_is_a_config_error(self, tmp_path, capsys):
+        # a misspelt bound once ran the search with R frozen and exited 0
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["search"] = {"target": "minimize_nu", "budget": 5,
+                         "bounds": {"RR": [0.5, 1.0]}}
+        code = main(["optimize", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "best objective" not in captured.out
+        assert "config error: search: " in captured.err and "'RR'" in captured.err
+
     def test_nan_delta_is_a_config_error(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(REFERENCE_CONFIG))
         cfg["section5"]["delta"] = "nan"

@@ -1,13 +1,16 @@
-"""The float evaluation core against the exact reference route.
+"""The float evaluation core against its references.
 
-The reference route is the exact one: exact rational moments(), the kernel
-as a jet (kernel_jet), and the extraction sums that define c and c1.  The
-core evaluates the same quantities in binary64 from cached Gram matrices
-and the closed-form kernel derivatives.
+The reference route keeps the moments exact: exact rational moments(),
+rounded once into the closed-form kernel derivatives, and the extraction
+sums that define c and c1.  The core evaluates the same quantities from
+cached Gram matrices.  The closed-form derivatives themselves are checked
+against an mpmath evaluation of the definition of the kernel, which shares
+no code with them.
 """
 
 import math
 import os
+from fractions import Fraction
 import subprocess
 import sys
 
@@ -15,10 +18,8 @@ import numpy as np
 import pytest
 
 import levbounds
-from levbounds.jets import jet_extract
-from levbounds.kernel import (KernelSpec, MomentTable, kernel_derivative_basis,
-                              kernel_jet, moment_grams, moments,
-                              _expm1_ratio_derivatives)
+from levbounds.kernel import (MomentTable, kernel_derivative_basis, moment_grams,
+                              moments, _expm1_ratio_derivatives)
 from levbounds.optimizer import SearchSpec, _objective
 from levbounds.polyalg import (MollifierShape, TwistShape, expand_mollifier,
                                expand_twist, mollifier_basis, twist_matrix)
@@ -27,32 +28,33 @@ from levbounds.proportions import (SectionFiveParams, SectionFourParams, c1_core
                                    nu_bound, twist_operator_coefficients)
 from levbounds.reference import section_five_reference, section_four_reference
 
+from kernel_reference import anchor_matrix, kernel_matrix
+
 AGREEMENT = 1e-13
 
 
 def reference_c(p: SectionFourParams) -> float:
-    """c by the exact route: exact moments, kernel jets, extraction sums."""
+    """c by the exact route: exact moments, kernel derivatives, extraction sums."""
     poly1 = expand_mollifier(p.p1_shape)
     poly2 = expand_mollifier(p.p2_shape)
 
     def kern(pa, pb):
-        return kernel_jet(KernelSpec(moments(pa, pb), p.theta, p.R, 2))
+        return kernel_matrix(moments(pa, pb), p.theta, p.R, 1)
 
     inv_r = 1.0 / p.r
-    return (jet_extract(kern(poly1, poly1), 0, 0)
-            + inv_r * jet_extract(kern(poly2, poly1), 1, 0)
-            + inv_r * jet_extract(kern(poly1, poly2), 0, 1)
-            + inv_r * inv_r * jet_extract(kern(poly2, poly2), 1, 1))
+    return (kern(poly1, poly1)[0, 0]
+            + inv_r * kern(poly2, poly1)[1, 0]
+            + inv_r * kern(poly1, poly2)[0, 1]
+            + inv_r * inv_r * kern(poly2, poly2)[1, 1])
 
 
 def reference_c1(p: SectionFiveParams) -> float:
     """c1 by the exact route: the twist operator applied as extraction sums."""
     poly = expand_mollifier(p.p_shape)
     q_monomial = expand_twist(p.q_shape).float_coeffs()
-    h = kernel_jet(KernelSpec(moments(poly, poly), p.theta, p.R, len(q_monomial)))
+    h = kernel_matrix(moments(poly, poly), p.theta, p.R, len(q_monomial))
     u = twist_operator_coefficients(q_monomial, p.delta)
-    return sum(uj * ul * jet_extract(h, j, l)
-               for j, uj in enumerate(u) for l, ul in enumerate(u))
+    return sum(uj * ul * h[j, l] for j, uj in enumerate(u) for l, ul in enumerate(u))
 
 
 def criterion_six_draws():
@@ -127,33 +129,26 @@ class TestReferenceAgreement:
 
 
 class TestKernelDerivativeBasis:
-    @pytest.mark.parametrize("order", [0, 1, 2, 5, 7])
-    def test_matches_kernel_jet(self, order):
+    @pytest.mark.parametrize("order", range(8))
+    def test_matches_mpmath_anchor(self, order):
         rng = np.random.default_rng(100 + order)
-        for _ in range(10):
-            pa = expand_mollifier(MollifierShape.of(list(rng.uniform(-1, 1, 2))))
-            pb = expand_mollifier(MollifierShape.of(list(rng.uniform(-1, 1, 3))))
-            mt = moments(pa, pb)
-            theta = float(rng.uniform(0.3, 1.0))
-            R = float(rng.uniform(0.1, 2.0))
-            jet = kernel_jet(KernelSpec(mt, theta, R, order))
-            floats = np.array([float(x) for x in (mt.m_dd, mt.m_dp, mt.m_pd, mt.m_pp)])
-            closed = np.tensordot(floats, kernel_derivative_basis(theta, R, order), 1)
-            for m in range(order + 1):
-                for n in range(order + 1):
-                    expected = jet_extract(jet, m, n)
-                    assert closed[m, n] == pytest.approx(expected, rel=1e-12, abs=1e-13)
+        pa = expand_mollifier(MollifierShape.of(list(rng.uniform(-1, 1, 2))))
+        pb = expand_mollifier(MollifierShape.of(list(rng.uniform(-1, 1, 3))))
+        mt = moments(pa, pb)
+        theta = float(rng.uniform(0.3, 1.0))
+        R = float(rng.uniform(0.1, 2.0))
+        assert kernel_matrix(mt, theta, R, order) == pytest.approx(
+            anchor_matrix(mt, theta, R, order), rel=1e-13, abs=1e-14)
 
     def test_unit_moment_kernels(self):
-        # each basis matrix is the kernel of a one-hot moment table
-        basis = kernel_derivative_basis(0.7, 0.9, 3)
-        for k in range(4):
-            unit = MomentTable(*[int(i == k) for i in range(4)])
-            jet = kernel_jet(KernelSpec(unit, 0.7, 0.9, 3))
-            for m in range(4):
-                for n in range(4):
-                    assert basis[k, m, n] == pytest.approx(jet_extract(jet, m, n),
-                                                           rel=1e-13, abs=1e-14)
+        # each basis matrix is the kernel of a one-hot moment table; R = 0.05
+        # puts the base point close to the removable singularity
+        for theta, R in ((0.7, 0.9), (0.45, 0.05)):
+            basis = kernel_derivative_basis(theta, R, 3)
+            for k in range(4):
+                unit = MomentTable(*[Fraction(int(i == k)) for i in range(4)])
+                assert basis[k] == pytest.approx(anchor_matrix(unit, theta, R, 3),
+                                                 rel=1e-13, abs=1e-14)
 
     def test_series_derivatives_against_integral_form(self):
         # E^(d)(s) = (-1)^d integral_0^1 t^d e^{-s t} dt

@@ -1,252 +1,169 @@
-"""Jet arithmetic: construction, ring laws, exp/recip, derivative extraction."""
+"""Kernel jets: the derivative tables of h at the base point, and the
+series they are built from.
+
+The jet of the kernel h at a = b = -R is its table of derivatives
+d_a^m d_b^n h there; kernel_derivative_basis gives it per unit moment.
+The exponential and the 1/(a + b) of the definition of h enter it only
+through E(s) = (1 - e^{-s})/s and its derivatives at s = -2R, summed from
+an entire series.
+"""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from levbounds.jets import (Jet2, NearSingularError, NonFiniteJetError, jet_add,
-                            jet_const, jet_exp, jet_extract, jet_mul, jet_recip,
-                            jet_scale, jet_sub, jet_var_a, jet_var_b)
-from levbounds.oracle import FdScheme, fd_partial
+from levbounds.kernel import (MomentTable, _expm1_ratio_derivatives,
+                              kernel_derivative_basis, moments)
+from levbounds.oracle import FdScheme, NearSingularError, fd_partial, kernel_numeric
+from levbounds.polyalg import MollifierShape, X, expand_mollifier
+
+from kernel_reference import division_form, kernel_matrix
+
+F = Fraction
+
+P1 = expand_mollifier(MollifierShape.of(["-0.158", "0.25"]))
+P2 = expand_mollifier(MollifierShape.of(["0.492", "0.075"]))
 
 
-def random_poly_jet(rng, base, order, scale=1.0):
-    """Jet of a random polynomial in (a - a0), (b - b0)."""
-    c = rng.uniform(-scale, scale, (order + 1, order + 1))
-    return Jet2(base, order, c)
+def ratio(s: float) -> float:
+    """E(s) = (1 - e^{-s})/s by its definition, for s != 0."""
+    return -math.expm1(-s) / s
 
 
-def jet_eval(f: Jet2, da: float, db: float) -> float:
-    """Evaluate the truncated expansion at base + (da, db)."""
-    total = 0.0
-    for m in range(f.order + 1):
-        for n in range(f.order + 1):
-            total += f.coeffs[m, n] * da ** m * db ** n
-    return total
-
-
-class TestConstructors:
-    def test_const(self):
-        f = jet_const(2.0, (0.0, 0.0), 2)
-        assert f.value == 2.0
-        assert np.count_nonzero(f.coeffs) == 1
-
-    def test_var_a(self):
-        f = jet_var_a((-0.617, -0.617), 1)
-        assert f.value == -0.617
-        assert f.coeffs[1, 0] == 1.0
-        assert f.coeffs[0, 1] == 0.0
-
-    def test_var_b(self):
-        f = jet_var_b((1.0, 2.0), 3)
-        assert f.value == 2.0
-        assert f.coeffs[0, 1] == 1.0
-        assert np.count_nonzero(f.coeffs) == 2
-
-    def test_nonfinite_rejected(self):
-        c = np.zeros((2, 2))
-        c[1, 1] = np.nan
-        with pytest.raises(NonFiniteJetError):
-            Jet2((0.0, 0.0), 1, c)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Jet2((0.0, 0.0), 2, np.zeros((2, 2)))
+def random_pair_moments(rng) -> MomentTable:
+    pa = expand_mollifier(MollifierShape.of([float(x) for x in rng.uniform(-1, 1, 2)]))
+    pb = expand_mollifier(MollifierShape.of([float(x) for x in rng.uniform(-1, 1, 2)]))
+    return moments(pa, pb)
 
 
 class TestRingOps:
-    def test_product_ab(self):
-        base = (0.0, 0.0)
-        f = jet_mul(jet_var_a(base, 2), jet_var_b(base, 2))
-        expected = np.zeros((3, 3))
-        expected[1, 1] = 1.0
-        assert np.array_equal(f.coeffs, expected)
-
-    def test_mul_identity(self):
-        rng = np.random.default_rng(21)
-        f = random_poly_jet(rng, (0.3, -0.4), 3)
-        g = jet_mul(f, jet_const(1.0, f.base, f.order))
-        assert np.allclose(g.coeffs, f.coeffs, rtol=0, atol=0)
-
-    def test_mul_matches_hand_expansion_degree_one(self):
-        base = (2.0, 3.0)
-        f = jet_add(jet_var_a(base, 1), jet_const(1.0, base, 1))   # a + 1
-        g = jet_sub(jet_var_b(base, 1), jet_const(2.0, base, 1))   # b - 2
-        prod = jet_mul(f, g)
-        # (a0+da+1)(b0+db-2) = 3*1 + 1*da + 3*db + da*db at (a0,b0)=(2,3)
-        assert prod.coeffs[0, 0] == 3.0
-        assert prod.coeffs[1, 0] == 1.0
-        assert prod.coeffs[0, 1] == 3.0
-        assert prod.coeffs[1, 1] == 1.0
-
-    def test_base_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            jet_add(jet_const(1.0, (0.0, 0.0), 2), jet_const(1.0, (1.0, 0.0), 2))
-
-    def test_commutative_and_associative(self):
-        rng = np.random.default_rng(22)
-        base = (0.1, 0.2)
-        for _ in range(20):
-            f = random_poly_jet(rng, base, 3)
-            g = random_poly_jet(rng, base, 3)
-            h = random_poly_jet(rng, base, 3)
-            assert np.allclose(jet_mul(f, g).coeffs, jet_mul(g, f).coeffs,
-                               rtol=1e-15, atol=1e-15)
-            lhs = jet_mul(jet_mul(f, g), h).coeffs
-            rhs = jet_mul(f, jet_mul(g, h)).coeffs
-            assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
     def test_distributive(self):
+        # h is linear in its moment table, the premise of the unit-moment
+        # basis; the scalar kernel shares no code with the basis
         rng = np.random.default_rng(23)
-        base = (0.0, 0.0)
         for _ in range(20):
-            f = random_poly_jet(rng, base, 3)
-            g = random_poly_jet(rng, base, 3)
-            h = random_poly_jet(rng, base, 3)
-            lhs = jet_mul(f, jet_add(g, h)).coeffs
-            rhs = jet_add(jet_mul(f, g), jet_mul(f, h)).coeffs
-            assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
+            mt1, mt2 = random_pair_moments(rng), random_pair_moments(rng)
+            total = MomentTable(mt1.m_dd + mt2.m_dd, mt1.m_dp + mt2.m_dp,
+                                mt1.m_pd + mt2.m_pd, mt1.m_pp + mt2.m_pp)
+            theta = float(rng.uniform(0.3, 1.0))
+            a, b = (float(x) for x in rng.uniform(-2.0, -0.1, 2))
+            lhs = kernel_numeric(total, theta, a, b)
+            rhs = kernel_numeric(mt1, theta, a, b) + kernel_numeric(mt2, theta, a, b)
+            assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
 
 class TestExp:
     def test_exp_of_zero(self):
-        f = jet_exp(jet_const(0.0, (0.0, 0.0), 3))
-        assert np.allclose(f.coeffs, jet_const(1.0, (0.0, 0.0), 3).coeffs)
+        # E^(d)(0) = (-1)^d / (d + 1)
+        derivs = _expm1_ratio_derivatives(0.0, 6)
+        expected = [(-1.0) ** d / (d + 1) for d in range(7)]
+        assert derivs == pytest.approx(expected, rel=1e-15)
 
     def test_exp_minus_a_minus_b_series(self):
-        base = (0.0, 0.0)
-        order = 2
-        s = jet_scale(jet_add(jet_var_a(base, order), jet_var_b(base, order)), -1.0)
-        f = jet_exp(s)
-        for m in range(order + 1):
-            for n in range(order + 1):
-                expected = (-1.0) ** (m + n) / (math.factorial(m) * math.factorial(n))
-                assert f.coeffs[m, n] == pytest.approx(expected, rel=1e-15)
+        # s E(s) = 1 - e^{-s}, differentiated d + 1 times:
+        # s E^(d+1)(s) + (d+1) E^(d)(s) = (-1)^d e^{-s}
+        for s0 in (-1.234, 0.0, 0.5):
+            derivs = _expm1_ratio_derivatives(s0, 7)
+            for d in range(7):
+                lhs = s0 * derivs[d + 1] + (d + 1) * derivs[d]
+                assert lhs == pytest.approx((-1.0) ** d * math.exp(-s0), rel=1e-14)
 
     def test_exp_at_shifted_base_value(self):
-        base = (-0.617, -0.617)
-        s = jet_scale(jet_add(jet_var_a(base, 2), jet_var_b(base, 2)), -1.0)
-        f = jet_exp(s)
-        assert f.value == pytest.approx(math.exp(1.234), rel=1e-15)
+        # base a = b = -0.617, so s = -1.234
+        value = _expm1_ratio_derivatives(-1.234, 2)[0]
+        assert value == pytest.approx(math.expm1(1.234) / 1.234, rel=1e-15)
 
     def test_exp_matches_finite_differences(self):
         base = (-0.617, -0.617)
-        s = jet_scale(jet_add(jet_var_a(base, 2), jet_var_b(base, 2)), -1.0)
-        f = jet_exp(s)
-        func = lambda a, b: math.exp(-a - b)
+        derivs = _expm1_ratio_derivatives(-1.234, 2)
+        func = lambda a, b: ratio(a + b)
         scheme = FdScheme(step=1e-4, order=2)
         for m, n in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2)):
             fd = fd_partial(func, scheme, m, n, base)
-            assert jet_extract(f, m, n) == pytest.approx(fd, rel=1e-6)
-
-    def test_exp_overflow_surfaces_as_error(self):
-        with pytest.raises((OverflowError, NonFiniteJetError)):
-            jet_exp(jet_const(1e4, (0.0, 0.0), 2))
+            assert derivs[m + n] == pytest.approx(fd, rel=1e-6)
 
     def test_exp_homomorphism(self):
+        # e^{-(s+t)} = e^{-s} e^{-t}, i.e. (s+t) E(s+t) = s E(s) + e^{-s} t E(t)
         rng = np.random.default_rng(24)
-        base = (0.2, -0.1)
         for _ in range(20):
-            f = random_poly_jet(rng, base, 4, scale=0.5)
-            g = random_poly_jet(rng, base, 4, scale=0.5)
-            lhs = jet_exp(jet_add(f, g)).coeffs
-            rhs = jet_mul(jet_exp(f), jet_exp(g)).coeffs
-            assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+            s, t = (float(x) for x in rng.uniform(-2.0, 2.0, 2))
+            e_sum = _expm1_ratio_derivatives(s + t, 0)[0]
+            e_s = _expm1_ratio_derivatives(s, 0)[0]
+            e_t = _expm1_ratio_derivatives(t, 0)[0]
+            lhs = (s + t) * e_sum
+            rhs = s * e_s + math.exp(-s) * t * e_t
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 class TestRecip:
-    def test_recip_const(self):
-        f = jet_recip(jet_const(2.0, (0.0, 0.0), 2))
-        assert np.allclose(f.coeffs, jet_const(0.5, (0.0, 0.0), 2).coeffs)
-
     def test_recip_a_plus_b_at_one_one(self):
-        base = (1.0, 1.0)
-        f = jet_recip(jet_add(jet_var_a(base, 2), jet_var_b(base, 2)))
-        assert f.value == pytest.approx(0.5)
-        assert jet_extract(f, 1, 0) == pytest.approx(-0.25)
-        assert jet_extract(f, 1, 1) == pytest.approx(0.25)
+        # a = b = 1 (R = -1): s = 2, where the series alternates; the m_dd
+        # unit kernel is E(a + b) / theta
+        jet = kernel_derivative_basis(1.0, -1.0, 1)[0]
+        e2 = math.exp(-2.0)
+        assert jet[0, 0] == pytest.approx((1.0 - e2) / 2.0, rel=1e-14)
+        assert jet[1, 0] == pytest.approx((3.0 * e2 - 1.0) / 4.0, rel=1e-14)
+        assert jet[1, 1] == pytest.approx((1.0 - 5.0 * e2) / 4.0, rel=1e-14)
 
     def test_recip_matches_finite_differences_at_negative_base(self):
         base = (-0.617, -0.617)
-        f = jet_recip(jet_add(jet_var_a(base, 2), jet_var_b(base, 2)))
-        assert f.value == pytest.approx(-1.0 / 1.234, rel=1e-15)
-        func = lambda a, b: 1.0 / (a + b)
+        mt = moments(P1, P2)
+        jet = kernel_matrix(mt, 1.0, 0.617, 2)
+        func = lambda a, b: division_form(mt, 1.0, a, b)
+        assert jet[0, 0] == pytest.approx(func(*base), rel=1e-13)
         scheme = FdScheme(step=1e-4, order=2)
         for m, n in ((1, 0), (0, 1), (1, 1)):
             fd = fd_partial(func, scheme, m, n, base)
-            assert jet_extract(f, m, n) == pytest.approx(fd, rel=1e-6)
+            assert jet[m, n] == pytest.approx(fd, rel=1e-6)
 
     def test_recip_near_singular_rejected(self):
-        base = (0.5, -0.5)
+        # only the scalar kernel divides by a + b
         with pytest.raises(NearSingularError):
-            jet_recip(jet_add(jet_var_a(base, 2), jet_var_b(base, 2)))
-
-    def test_mul_recip_is_one(self):
-        rng = np.random.default_rng(25)
-        base = (0.3, 0.7)
-        one = jet_const(1.0, base, 4)
-        for _ in range(20):
-            f = random_poly_jet(rng, base, 4)
-            f = jet_add(f, jet_const(3.0, base, 4))  # keep the value away from 0
-            prod = jet_mul(f, jet_recip(f))
-            assert np.allclose(prod.coeffs, one.coeffs, rtol=0, atol=1e-12)
+            kernel_numeric(moments(X, X), 1.0, 0.5, -0.5)
 
 
 class TestExtract:
     def test_value_extraction(self):
-        f = jet_const(4.5, (1.0, 2.0), 2)
-        assert jet_extract(f, 0, 0) == 4.5
+        mt = moments(P1, P2)
+        jet = kernel_matrix(mt, 0.8, 0.617, 3)
+        assert jet[0, 0] == pytest.approx(kernel_numeric(mt, 0.8, -0.617, -0.617),
+                                          rel=1e-13)
 
     def test_ab_mixed(self):
-        base = (0.0, 0.0)
-        f = jet_mul(jet_var_a(base, 2), jet_var_b(base, 2))
-        assert jet_extract(f, 1, 1) == 1.0
+        # the m_pp unit kernel is theta a b E(a + b): at the origin its
+        # d_a d_b is theta E(0) = theta and its d_a vanishes
+        jet = kernel_derivative_basis(0.7, 0.0, 2)[3]
+        assert jet[1, 1] == pytest.approx(0.7, rel=1e-15)
+        assert jet[1, 0] == 0.0 and jet[0, 0] == 0.0
 
     def test_exp_third_mixed(self):
-        base = (0.0, 0.0)
-        s = jet_scale(jet_add(jet_var_a(base, 3), jet_var_b(base, 3)), -1.0)
-        assert jet_extract(jet_exp(s), 2, 1) == pytest.approx(-1.0, rel=1e-14)
-
-    def test_order_exceeded_rejected(self):
-        with pytest.raises(ValueError):
-            jet_extract(jet_const(1.0, (0.0, 0.0), 2), 3, 0)
+        # d_a^2 d_b of the m_dd unit kernel E(a + b) at the origin is E'''(0)
+        jet = kernel_derivative_basis(1.0, 0.0, 3)[0]
+        assert jet[2, 1] == pytest.approx(-0.25, rel=1e-14)
 
 
 class TestTruncationConsistency:
     def test_higher_order_truncates_to_lower(self):
         rng = np.random.default_rng(26)
         for k in (2, 4):
-            base = (-0.4, -0.9)
-            ck = rng.uniform(-0.7, 0.7, (k + 1, k + 1))
-            ck2 = np.zeros((k + 3, k + 3))
-            ck2[: k + 1, : k + 1] = ck
-            low, high = Jet2(base, k, ck), Jet2(base, k + 2, ck2)
-            for build in (lambda f: jet_exp(f),
-                          lambda f: jet_recip(jet_add(f, jet_const(2.5, base, f.order))),
-                          lambda f: jet_mul(f, jet_exp(f))):
-                got_low = build(low).coeffs
-                got_high = build(high).coeffs[: k + 1, : k + 1]
-                assert np.allclose(got_low, got_high, rtol=0, atol=1e-13)
+            theta = float(rng.uniform(0.3, 1.0))
+            R = float(rng.uniform(0.1, 2.0))
+            low = kernel_derivative_basis(theta, R, k)
+            high = kernel_derivative_basis(theta, R, k + 2)[:, : k + 1, : k + 1]
+            assert np.allclose(low, high, rtol=0, atol=1e-13)
 
 
 class TestComposedExpressionDerivatives:
     def test_composite_vs_finite_differences(self):
-        # (a^2 + b + 3) * exp(a*b) / (a + b + 4), first and second derivatives
-        base = (0.37, -0.21)
-        order = 2
-        a = jet_var_a(base, order)
-        b = jet_var_b(base, order)
-        three = jet_const(3.0, base, order)
-        four = jet_const(4.0, base, order)
-        expr = jet_mul(jet_mul(jet_add(jet_mul(a, a), jet_add(b, three)),
-                               jet_exp(jet_mul(a, b))),
-                       jet_recip(jet_add(jet_add(a, b), four)))
-
-        def func(x, y):
-            return (x * x + y + 3.0) * math.exp(x * y) / (x + y + 4.0)
-
+        # the kernel composes g, the exponential and 1/(a + b); first and
+        # second derivatives of its definition against the closed form
+        mt = moments(P1, P2)
+        theta, R = 0.8, 0.37
+        jet = kernel_matrix(mt, theta, R, 2)
+        func = lambda a, b: division_form(mt, theta, a, b)
         for m, n in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2)):
             scheme = FdScheme(step=1e-4 if m + n > 1 else 1e-5, order=2)
-            fd = fd_partial(func, scheme, m, n, base)
-            assert jet_extract(expr, m, n) == pytest.approx(fd, rel=1e-6)
+            fd = fd_partial(func, scheme, m, n, (-R, -R))
+            assert jet[m, n] == pytest.approx(fd, rel=1e-6)

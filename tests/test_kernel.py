@@ -1,4 +1,5 @@
-"""Moment tables and kernel jets: examples, exactness, singularity, transpose."""
+"""Moment tables and kernel derivatives: examples, exactness, singularity,
+transpose."""
 
 import math
 from fractions import Fraction
@@ -6,12 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from levbounds.jets import jet_extract
-from levbounds.kernel import (KernelSpec, MomentTable, g_jet, kernel_jet,
-                              kernel_jet_at, kernel_jet_division_form,
-                              kernel_numerator_jet, moments)
+from levbounds.kernel import MomentTable, moments
 from levbounds.oracle import FdScheme, fd_partial, kernel_numeric, quad_integrate01
 from levbounds.polyalg import MollifierShape, X, ZERO, expand_mollifier
+from levbounds.proportions import c1_core, c_core
+
+from kernel_reference import anchor_matrix, kernel_matrix, numerator
 
 F = Fraction
 
@@ -57,52 +58,25 @@ class TestMoments:
         assert mt.m_dp + mt.m_pd == 1
 
 
-class TestGJet:
-    def test_example_no_flags(self):
-        mt = moments(X, X)
-        g = g_jet(mt, 1.0, (0.0, 0.0), 2)
-        assert g.value == 1.0
-        assert jet_extract(g, 1, 0) == pytest.approx(0.5)
-        assert jet_extract(g, 0, 1) == pytest.approx(0.5)
-        assert jet_extract(g, 1, 1) == pytest.approx(1.0 / 3.0)
-
-    def test_example_negate(self):
-        mt = moments(X, X)
-        g = g_jet(mt, 1.0, (0.0, 0.0), 2, negate=True)
-        assert g.value == 1.0
-        assert jet_extract(g, 1, 0) == pytest.approx(-0.5)
-        assert jet_extract(g, 1, 1) == pytest.approx(1.0 / 3.0)
-
-    def test_swap_equals_transposed_table(self):
-        mt = moments(P1, P2)
-        swapped = g_jet(mt, 0.8, (-0.3, -0.9), 3, swap=True)
-        transposed = g_jet(mt.transpose(), 0.8, (-0.3, -0.9), 3)
-        assert np.allclose(swapped.coeffs, transposed.coeffs, rtol=0, atol=0)
-
-    def test_entries_beyond_bidegree_one_are_zero(self):
-        g = g_jet(moments(P1, P2), 0.9, (-0.5, -0.7), 4)
-        mask = np.ones((5, 5), dtype=bool)
-        mask[:2, :2] = False
-        assert np.all(g.coeffs[mask] == 0.0)
-
-
 class TestKernelJet:
+    """The kernel's derivatives at the base point (its jet there)."""
+
     def test_hand_evaluable_closed_form(self):
         # pair (x, x), theta=1, R=0.5: h(-1/2,-1/2) = 19 e / 12 - 7/12
-        h = kernel_jet(KernelSpec(moments(X, X), 1.0, 0.5, 2))
-        assert h.value == pytest.approx(19 * math.e / 12 - 7.0 / 12.0, rel=1e-14)
+        h = kernel_matrix(moments(X, X), 1.0, 0.5, 2)
+        assert h[0, 0] == pytest.approx(19 * math.e / 12 - 7.0 / 12.0, rel=1e-14)
 
     def test_numerator_vanishes_on_singular_line(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
             mt = random_moment_table(rng)
             a0 = float(rng.uniform(-2, 2))
-            num = kernel_numerator_jet(mt, float(rng.uniform(0.3, 1.0)), (a0, -a0), 2)
-            assert abs(num.value) <= 1e-13
+            num = numerator(mt, float(rng.uniform(0.3, 1.0)), a0, -a0)
+            assert abs(num) <= 1e-13
 
     def test_diagonal_kernel_symmetric(self):
-        h = kernel_jet(KernelSpec(moments(P1, P1), 1.0, 0.617, 3))
-        assert np.allclose(h.coeffs, h.coeffs.T, rtol=1e-12, atol=1e-12)
+        h = kernel_matrix(moments(P1, P1), 1.0, 0.617, 3)
+        assert np.allclose(h, h.T, rtol=1e-12, atol=1e-12)
 
     def test_transpose_law(self):
         rng = np.random.default_rng(32)
@@ -112,17 +86,17 @@ class TestKernelJet:
             pa, pb = expand_mollifier(s1), expand_mollifier(s2)
             theta = float(rng.uniform(0.3, 1.0))
             R = float(rng.uniform(0.1, 2.0))
-            h_ab = kernel_jet(KernelSpec(moments(pa, pb), theta, R, 3))
-            h_ba = kernel_jet(KernelSpec(moments(pb, pa), theta, R, 3))
-            assert np.allclose(h_ab.coeffs, h_ba.coeffs.T, rtol=1e-12, atol=1e-12)
+            h_ab = kernel_matrix(moments(pa, pb), theta, R, 3)
+            h_ba = kernel_matrix(moments(pb, pa), theta, R, 3)
+            assert np.allclose(h_ab, h_ba.T, rtol=1e-12, atol=1e-12)
 
     def test_spec_invariants_validated(self):
-        with pytest.raises(ValueError):
-            KernelSpec(moments(X, X), 0.0, 0.5, 2)
-        with pytest.raises(ValueError):
-            KernelSpec(moments(X, X), 1.1, 0.5, 2)
-        with pytest.raises(ValueError):
-            KernelSpec(moments(X, X), 1.0, 1e-7, 2)
+        # the evaluators that take the kernel's derivatives check its domain
+        for theta, R in ((0.0, 0.5), (1.1, 0.5), (1.0, 1e-7)):
+            with pytest.raises(ValueError):
+                c_core([], [], theta, 1.0, R)
+            with pytest.raises(ValueError):
+                c1_core([], [0.0], theta, R, 0.5)
 
     def test_oracle_agreement_over_random_draws(self):
         rng = np.random.default_rng(33)
@@ -133,15 +107,16 @@ class TestKernelJet:
             theta = float(rng.uniform(0.3, 1.0))
             R = float(rng.uniform(0.1, 2.0))
             mt = moments(poly, poly)
-            h = kernel_jet(KernelSpec(mt, theta, R, 2))
+            h = kernel_matrix(mt, theta, R, 2)
             at = (-R, -R)
             scalar = lambda a, b: kernel_numeric(mt, theta, a, b)
-            assert h.value == pytest.approx(scalar(*at), rel=1e-10)
+            assert h[0, 0] == pytest.approx(scalar(*at), rel=1e-10)
             for m, n in ((1, 0), (0, 1), (1, 1)):
                 fd = fd_partial(scalar, scheme, m, n, at)
-                assert jet_extract(h, m, n) == pytest.approx(fd, rel=1e-6)
+                assert h[m, n] == pytest.approx(fd, rel=1e-6)
 
     def test_stable_form_matches_division_form_away_from_line(self):
+        # the closed form against the definition, differentiated by mpmath
         rng = np.random.default_rng(34)
         for _ in range(20):
             shape = MollifierShape.of([float(x) for x in rng.uniform(-1, 1, 2)])
@@ -149,14 +124,15 @@ class TestKernelJet:
             theta = float(rng.uniform(0.5, 1.0))
             R = float(rng.uniform(0.5, 1.5))
             mt = moments(poly, poly)
-            stable = kernel_jet_at(mt, theta, (-R, -R), 4)
-            division = kernel_jet_division_form(mt, theta, (-R, -R), 4)
-            assert np.allclose(stable.coeffs, division.coeffs, rtol=1e-9, atol=1e-9)
+            assert kernel_matrix(mt, theta, R, 4) == pytest.approx(
+                anchor_matrix(mt, theta, R, 4), rel=1e-13, abs=1e-14)
 
     def test_stable_form_survives_base_on_singular_line(self):
-        # the division form cannot evaluate here at all
+        # R = 0 puts the base point a = b = 0 on the line a + b = 0, where
+        # the division form cannot evaluate at all
         mt = moments(X, X)
-        h = kernel_jet_at(mt, 1.0, (0.5, -0.5), 3)
+        h = kernel_matrix(mt, 1.0, 0.0, 3)
+        assert np.all(np.isfinite(h))
 
         def scalar(a, b):  # guard-free stable evaluation for the stencil
             s = a + b
@@ -166,7 +142,7 @@ class TestKernelJet:
             return float(mt.m_pd + mt.m_dp) + ratio * g_neg
 
         scheme = FdScheme(step=1e-3, order=4)
-        assert h.value == pytest.approx(scalar(0.5, -0.5), rel=1e-13)
+        assert h[0, 0] == pytest.approx(scalar(0.0, 0.0), rel=1e-13)
         for m, n in ((1, 0), (0, 1), (1, 1)):
-            fd = fd_partial(scalar, scheme, m, n, (0.5, -0.5))
-            assert jet_extract(h, m, n) == pytest.approx(fd, rel=1e-6)
+            fd = fd_partial(scalar, scheme, m, n, (0.0, 0.0))
+            assert h[m, n] == pytest.approx(fd, rel=1e-6)

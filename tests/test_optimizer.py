@@ -67,6 +67,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             nu_spec(initial_point=(1.0, 2.0))
 
+    @pytest.mark.parametrize("make, name", [(nu_spec, "RR"), (nu_spec, "delta"),
+                                            (kappa_spec, "r")])
+    def test_bound_name_outside_vector_rejected(self, make, name):
+        # a misspelt bound once left its scalar frozen without a word
+        with pytest.raises(ValueError, match=rf"'{name}'.*allowed: .*\bR\b"):
+            make(scalar_bounds={name: (0.5, 1.0)})
+
+    def test_bound_on_shape_coefficient_accepted(self):
+        spec = nu_spec(scalar_bounds={"p1_shape[0]": (-0.5, 0.5), "R": (0.3, 1.0)})
+        assert "p1_shape[0]" in spec.vector_names()
+
 
 class TestOptimize:
     def test_budget_one_returns_seed(self):

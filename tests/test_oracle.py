@@ -1,15 +1,15 @@
 """Numeric verification path: quadrature, finite differences, crosschecks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from levbounds.jets import NearSingularError
-from levbounds.kernel import moments
-from levbounds.oracle import (FdScheme, crosscheck_report, fd_c1_value, fd_c_value,
-                              fd_partial, fd_partial_high, kernel_numeric,
-                              quad_integrate01)
+from levbounds.kernel import kernel_derivative_basis, moments
+from levbounds.oracle import (FdScheme, NearSingularError, crosscheck_report,
+                              fd_c1_value, fd_c_value, fd_partial, fd_partial_high,
+                              kernel_numeric, quad_integrate01)
 from levbounds.polyalg import MollifierShape, Poly, X, expand_mollifier
 from levbounds.proportions import SectionFiveParams, c1_value, c_value
 from levbounds.reference import section_five_reference, section_four_reference
@@ -63,8 +63,7 @@ class TestKernelNumeric:
             straight = (g(b, a) - math.exp(-a - b) * g(-a, -b)) / (theta * (a + b))
             assert kernel_numeric(mt, theta, a, b) == pytest.approx(straight, rel=1e-12)
 
-    def test_matches_kernel_jet_value(self):
-        from levbounds.kernel import KernelSpec, kernel_jet
+    def test_matches_closed_form_value(self):
         rng = np.random.default_rng(52)
         for _ in range(30):
             shape = MollifierShape.of([float(x) for x in rng.uniform(-1, 1, 2)])
@@ -72,9 +71,9 @@ class TestKernelNumeric:
             mt = moments(poly, poly)
             theta = float(rng.uniform(0.3, 1.0))
             R = float(rng.uniform(0.1, 2.0))
-            h = kernel_jet(KernelSpec(mt, theta, R, 2))
-            assert h.value == pytest.approx(kernel_numeric(mt, theta, -R, -R),
-                                            rel=1e-10)
+            floats = [float(mt.m_dd), float(mt.m_dp), float(mt.m_pd), float(mt.m_pp)]
+            value = np.tensordot(floats, kernel_derivative_basis(theta, R, 0), 1)[0, 0]
+            assert value == pytest.approx(kernel_numeric(mt, theta, -R, -R), rel=1e-10)
 
 
 class TestFdPartial:
@@ -89,16 +88,15 @@ class TestFdPartial:
         assert fd_partial(f, scheme, 1, 0, (0.0, 0.0)) == pytest.approx(-1.0, abs=1e-8)
 
     def test_kernel_mixed_matches_jet(self):
-        from levbounds.kernel import KernelSpec, kernel_jet
-        from levbounds.jets import jet_extract
         p4 = section_four_reference()
         p1 = expand_mollifier(p4.p1_shape)
         p2 = expand_mollifier(p4.p2_shape)
         mt = moments(p1, p2)
-        h = kernel_jet(KernelSpec(mt, 1.0, 0.617, 2))
+        floats = [float(mt.m_dd), float(mt.m_dp), float(mt.m_pd), float(mt.m_pp)]
+        h = np.tensordot(floats, kernel_derivative_basis(1.0, 0.617, 1), 1)
         f = lambda a, b: kernel_numeric(mt, 1.0, a, b)
         fd = fd_partial(f, FdScheme(step=1e-3, order=4), 1, 1, (-0.617, -0.617))
-        assert jet_extract(h, 1, 1) == pytest.approx(fd, rel=1e-6)
+        assert h[1, 1] == pytest.approx(fd, rel=1e-6)
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
@@ -154,7 +152,7 @@ class TestOracleRecomputation:
         assert fd_c1_value(p5) == pytest.approx(c1_value(p5), rel=1e-4)
 
     def test_c1_at_small_R(self):
-        # the regime where a naive division-form jet evaluation breaks down
+        # small R: the base point lies close to the removable singularity
         p = SectionFiveParams(
             MollifierShape.of(["-0.37", "0.2", "0.1"]),
             section_five_reference().q_shape, 0.45, 0.13, 1.19)
@@ -173,6 +171,15 @@ class TestCrosscheckReport:
         degenerate = SectionFiveParams(p5.p_shape, p5.q_shape, p5.theta, p5.R, 0.0)
         report = crosscheck_report(section_four_reference(), degenerate)
         assert report.all_passed
+
+    def test_tiny_R_rejected(self):
+        # R = 1e-10 would put the scalar kernel's own point on its guard band
+        p4, p5 = section_four_reference(), section_five_reference()
+        for R in (1e-7, 1e-10):
+            with pytest.raises(ValueError):
+                crosscheck_report(replace(p4, R=R), p5)
+            with pytest.raises(ValueError):
+                crosscheck_report(p4, replace(p5, R=R))
 
     def test_sensitivity_to_corruption(self):
         # a perturbed comparison value must register as a failure

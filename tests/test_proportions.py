@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from levbounds.jets import jet_extract
-from levbounds.kernel import KernelSpec, kernel_jet, moments
+from levbounds.kernel import moments
 from levbounds.polyalg import MollifierShape, TwistShape, expand_mollifier
 from levbounds.proportions import (NonPositiveConstantError, SectionFiveParams,
                                    SectionFourParams, c1_value, c_value,
                                    full_report, grh_bounds, kappa_bound,
                                    nu_bound, unconditional_bounds)
 from levbounds.reference import section_five_reference, section_four_reference
+
+from kernel_reference import kernel_matrix
 
 X_SHAPE = MollifierShape.of([])
 
@@ -50,21 +51,19 @@ class TestCValue:
             theta = float(rng.uniform(0.5, 1.0))
             R = float(rng.uniform(0.3, 1.0))
             pa, pb = expand_mollifier(s1), expand_mollifier(s2)
-            h21 = kernel_jet(KernelSpec(moments(pb, pa), theta, R, 2))
-            h12 = kernel_jet(KernelSpec(moments(pa, pb), theta, R, 2))
+            h21 = kernel_matrix(moments(pb, pa), theta, R, 2)
+            h12 = kernel_matrix(moments(pa, pb), theta, R, 2)
             # at the symmetric base point the two cross extractions coincide
-            assert jet_extract(h21, 1, 0) == pytest.approx(
-                jet_extract(h12, 0, 1), rel=1e-12)
-            assert jet_extract(h21, 0, 1) == pytest.approx(
-                jet_extract(h12, 1, 0), rel=1e-12)
+            assert h21[1, 0] == pytest.approx(h12[0, 1], rel=1e-12)
+            assert h21[0, 1] == pytest.approx(h12[1, 0], rel=1e-12)
 
     def test_infinite_r_reduces_to_kernel_value(self):
         p4 = section_four_reference()
         params = SectionFourParams(p4.p1_shape, p4.p2_shape, p4.theta,
                                    float("inf"), p4.R)
         poly1 = expand_mollifier(p4.p1_shape)
-        h11 = kernel_jet(KernelSpec(moments(poly1, poly1), p4.theta, p4.R, 2))
-        assert c_value(params) == jet_extract(h11, 0, 0)
+        h11 = kernel_matrix(moments(poly1, poly1), p4.theta, p4.R, 2)
+        assert c_value(params) == h11[0, 0]
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -112,20 +111,17 @@ class TestC1Value:
             R = float(rng.uniform(0.2, 1.5))
             params = SectionFiveParams(shape, q, theta, R, 0.0)
             poly = expand_mollifier(shape)
-            h = kernel_jet(KernelSpec(moments(poly, poly), theta, R, 2))
-            assert c1_value(params) == pytest.approx(jet_extract(h, 0, 0),
-                                                     rel=1e-12)
+            h = kernel_matrix(moments(poly, poly), theta, R, 2)
+            assert c1_value(params) == pytest.approx(h[0, 0], rel=1e-12)
 
     def test_constant_twist_expands_operator_by_hand(self):
         p5 = section_five_reference()
         delta = 0.63
         params = SectionFiveParams(p5.p_shape, TwistShape.of(0), 1.0, p5.R, delta)
         poly = expand_mollifier(p5.p_shape)
-        h = kernel_jet(KernelSpec(moments(poly, poly), 1.0, p5.R, 1))
-        expected = (jet_extract(h, 0, 0)
-                    + 2 * delta * jet_extract(h, 1, 0)
-                    + 2 * delta * jet_extract(h, 0, 1)
-                    + 4 * delta * delta * jet_extract(h, 1, 1))
+        h = kernel_matrix(moments(poly, poly), 1.0, p5.R, 1)
+        expected = (h[0, 0] + 2 * delta * h[1, 0] + 2 * delta * h[0, 1]
+                    + 4 * delta * delta * h[1, 1])
         assert c1_value(params) == pytest.approx(expected, rel=1e-12)
 
     def test_quadratic_in_delta(self):
