@@ -7,9 +7,9 @@ shapes."""
 from .kernel import MomentTable, kernel_derivative_basis, moment_grams, moments
 from .optimizer import (DimensionTooHighError, EvaluationFailureError,
                         SearchResult, SearchSpec, grid_scan, optimize)
-from .oracle import (CheckResult, CrosscheckReport, FdScheme, NearSingularError,
-                     crosscheck_report, fd_c1_value, fd_c_value, fd_partial,
-                     kernel_numeric, quad_integrate01)
+from .oracle import (CheckResult, CrosscheckReport, crosscheck_report,
+                     fd_c1_value, fd_c_value, fd_derivatives, kernel_numeric,
+                     quad_integrate01)
 from .polyalg import (ConstraintViolationError, MollifierShape, Poly, TwistShape,
                       expand_mollifier, expand_twist, integrate01_product,
                       poly_derivative, poly_eval)
@@ -27,9 +27,8 @@ __all__ = [
     "MomentTable", "kernel_derivative_basis", "moment_grams", "moments",
     "DimensionTooHighError", "EvaluationFailureError", "SearchResult",
     "SearchSpec", "grid_scan", "optimize",
-    "CheckResult", "CrosscheckReport", "FdScheme", "NearSingularError",
-    "crosscheck_report", "fd_c1_value", "fd_c_value", "fd_partial",
-    "kernel_numeric", "quad_integrate01",
+    "CheckResult", "CrosscheckReport", "crosscheck_report", "fd_c1_value",
+    "fd_c_value", "fd_derivatives", "kernel_numeric", "quad_integrate01",
     "ConstraintViolationError", "MollifierShape", "Poly", "TwistShape",
     "expand_mollifier", "expand_twist", "integrate01_product",
     "poly_derivative", "poly_eval",

@@ -82,6 +82,7 @@ SECTION_FIELDS = {
     "section4": ("p1_shape", "p1_poly", "p2_shape", "p2_poly", "r", "R"),
     "section5": ("p_shape", "p_poly", "q_linear", "q_sym", "q_poly", "R", "delta"),
     "search": ("target", "bounds", "budget", "restarts", "seed", "vary_shapes"),
+    "constants": ("c", "c1", "R4", "R5"),
 }
 
 
@@ -97,6 +98,14 @@ def _section(cfg: dict, where: str) -> dict:
         raise ConfigError(f"{where}: unknown field {unknown[0]!r} "
                           f"(allowed: {', '.join(SECTION_FIELDS[where])})")
     return sec
+
+
+def _get_int(section: dict, field: str, where: str, default: int) -> int:
+    """A JSON integer; booleans and decimals (which arrive as strings) fail."""
+    value = section.get(field, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}.{field}: expected an integer, got {value!r}")
+    return value
 
 
 def _mollifier(sec: dict, which: str, where: str) -> MollifierShape:
@@ -164,6 +173,13 @@ def _search_spec(cfg: dict, seed_override: int | None) -> SearchSpec:
     sec = _section(cfg, "search")
     target = sec.get("target")
     theta = _theta(cfg)
+    vary_shapes = sec.get("vary_shapes", True)
+    if not isinstance(vary_shapes, bool):
+        raise ConfigError(f"search.vary_shapes: expected true or false, "
+                          f"got {vary_shapes!r}")
+    budget = _get_int(sec, "budget", "search", 2000)
+    restarts = _get_int(sec, "restarts", "search", 0)
+    seed = _get_int(sec, "seed", "search", 0)
     bounds_raw = sec.get("bounds", {})
     if not isinstance(bounds_raw, dict):
         raise ConfigError("search.bounds: expected an object of [lo, hi] pairs")
@@ -198,11 +214,10 @@ def _search_spec(cfg: dict, seed_override: int | None) -> SearchSpec:
             scalar_bounds=bounds,
             theta=theta,
             initial_point=initial,
-            budget=int(sec.get("budget", 2000)),
-            seed=int(seed_override if seed_override is not None
-                     else sec.get("seed", 0)),
-            restarts=int(sec.get("restarts", 0)),
-            vary_shapes=bool(sec.get("vary_shapes", True)),
+            budget=budget,
+            seed=seed_override if seed_override is not None else seed,
+            restarts=restarts,
+            vary_shapes=vary_shapes,
         )
     except ValueError as exc:
         raise ConfigError(f"search: {exc}") from exc
@@ -312,18 +327,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
         em.kv("c1", value)
         em.text(f"c1 = {value:.12f}")
     else:
-        consts = cfg.get("constants", {})
+        consts = _section(cfg, "constants") if "constants" in cfg else {}
         if "c" in consts:
-            c = float(consts["c"])
+            c = _get_float(consts, "c", "constants")
         else:
             c = c_value(_section_four(cfg, theta))
         if "c1" in consts:
-            c1 = float(consts["c1"])
+            c1 = _get_float(consts, "c1", "constants")
         else:
             c1 = c1_value(_section_five(cfg, theta))
-        R4 = (float(consts.get("R4")) if "R4" in consts
+        R4 = (_get_float(consts, "R4", "constants") if "R4" in consts
               else _get_float(cfg.get("section4", {}), "R", "section4"))
-        R5 = (float(consts.get("R5")) if "R5" in consts
+        R5 = (_get_float(consts, "R5", "constants") if "R5" in consts
               else _get_float(cfg.get("section5", {}), "R", "section5"))
         nu = nu_bound(c, R4)
         kappa = kappa_bound(c1, R5)

@@ -7,10 +7,13 @@ central finite differences against the closed-form kernel derivatives,
 and finite differences of the scalar kernel against c and c1 from the
 float core.
 
-The high-order route (mixed derivatives up to deg(Q)+1 in each variable
-for the c1 crosscheck) needs wide stencils to survive the step^-(m+n)
-rounding amplification; it uses compact symmetric Fornberg stencils at a
-step of a few tenths, see fd_partial_high.
+Every finite difference goes through fd_derivatives: one symmetric
+tensor grid of scalar kernel values, contracted with a matrix of compact
+Fornberg stencils into the whole table of mixed partials d_a^m d_b^n.
+c1 is then the quadratic form u^T D u of the twist operator's weights u,
+as in the float core.  Its derivatives reach order deg(Q)+1 in each
+variable, so its stencils are wide (a step of a few tenths) to survive
+the step^-(m+n) rounding amplification; see fd_derivatives.
 """
 
 from __future__ import annotations
@@ -26,24 +29,6 @@ from .kernel import MomentTable, kernel_derivative_basis, moments
 from .polyalg import Poly, expand_mollifier, expand_twist, poly_derivative
 from .proportions import (SectionFourParams, SectionFiveParams,
                           c1_value, c_value, twist_operator_coefficients)
-
-
-class NearSingularError(ArithmeticError):
-    """Scalar kernel evaluation attempted too close to the line a + b = 0."""
-
-
-@dataclass(frozen=True)
-class FdScheme:
-    """Central-difference scheme: step size and accuracy order (2 or 4)."""
-
-    step: float
-    order: int = 2
-
-    def __post_init__(self) -> None:
-        if not 1e-7 <= self.step <= 1e-2:
-            raise ValueError(f"step must lie in [1e-7, 1e-2], got {self.step}")
-        if self.order not in (2, 4):
-            raise ValueError(f"order must be 2 or 4, got {self.order}")
 
 
 def quad_integrate01(p: Poly, q: Poly, nodes: int) -> float:
@@ -63,54 +48,18 @@ def quad_integrate01(p: Poly, q: Poly, nodes: int) -> float:
 
 
 def kernel_numeric(mt: MomentTable, theta: float, a: float, b: float) -> float:
-    """Direct scalar kernel evaluation.
+    """Direct scalar kernel evaluation, total on the plane.
 
-    Evaluated as (m_pd + m_dp) + (1 - e^{-s})/s * g(-a,-b)/theta with
-    s = a + b and expm1 supplying the numerator, so stencil points that
-    land near the removable line keep full precision.
+    Evaluated as (m_pd + m_dp) + E(s) g(-a,-b)/theta with s = a + b and
+    E(s) = (1 - e^{-s})/s = -expm1(-s)/s, which keeps full precision at
+    any s != 0; on the removable line E(0) = 1.
     """
-    if abs(a + b) < 1e-9:
-        raise NearSingularError(f"a + b = {a + b!r} too close to the singular line")
     mdd, mdp, mpd, mpp = (float(mt.m_dd), float(mt.m_dp),
                           float(mt.m_pd), float(mt.m_pp))
     s = a + b
+    ratio = -math.expm1(-s) / s if s != 0.0 else 1.0
     g_reflected = mdd - a * theta * mpd - b * theta * mdp + a * b * theta * theta * mpp
-    return (mpd + mdp) - math.expm1(-s) / s * g_reflected / theta
-
-
-def _stencil(m: int, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets and weights of the (m+1)-point central stencil for d^m."""
-    if m == 0:
-        return np.zeros(1), np.ones(1)
-    offsets = np.array([m / 2.0 - i for i in range(m + 1)]) * step
-    weights = np.array([(-1.0) ** i * math.comb(m, i) for i in range(m + 1)]) / step ** m
-    return offsets, weights
-
-
-def _fd_order2(f: Callable[[float, float], float], m: int, n: int,
-               at: tuple[float, float], step: float) -> float:
-    """Tensor-product central difference for d_a^m d_b^n, O(step^2)."""
-    a0, b0 = at
-    offs_a, w_a = _stencil(m, step)
-    offs_b, w_b = _stencil(n, step)
-    total = 0.0
-    for oa, wa in zip(offs_a, w_a):
-        for ob, wb in zip(offs_b, w_b):
-            total += wa * wb * f(a0 + oa, b0 + ob)
-    return total
-
-
-def fd_partial(f: Callable[[float, float], float], scheme: FdScheme,
-               m: int, n: int, at: tuple[float, float]) -> float:
-    """Central-difference estimate of d_a^m d_b^n f, for m, n <= 2."""
-    if m > 2 or n > 2:
-        raise ValueError("fd_partial supports derivative orders up to 2; "
-                         "use fd_partial_high for the operator crosscheck")
-    d1 = _fd_order2(f, m, n, at, scheme.step)
-    if scheme.order == 2:
-        return d1
-    d2 = _fd_order2(f, m, n, at, scheme.step / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    return (mpd + mdp) + ratio * g_reflected / theta
 
 
 def _fornberg_weights(grid: np.ndarray, m: int) -> np.ndarray:
@@ -154,48 +103,62 @@ def _compact_stencil(m: int, step: float, extra: int) -> tuple[np.ndarray, np.nd
     return grid, _fornberg_weights(grid, m)
 
 
-def fd_partial_high(f: Callable[[float, float], float], m: int, n: int,
-                    at: tuple[float, float], step: float = 0.3,
-                    extra: int = 6) -> float:
-    """High-order mixed partial via compact tensor-product stencils.
+# (step, extra) of the stencils: first derivatives for c and the kernel
+# checks, derivatives up to deg(Q)+1 in each variable for c1
+C_STENCIL = (5e-3, 6)
+C1_STENCIL = (0.35, 8)
 
-    Large steps with high-order compact stencils are what makes mixed
-    derivatives up to total order 12 recoverable in binary64: shrinking
-    the stencil amplifies rounding noise like step^-(m+n), while the
-    kernel is entire (its a+b = 0 singularity is removable), so moderate
-    stencil widths keep truncation small.  Compact Fornberg stencils are
-    preferred over Richardson step-doubling because doubled steps reach
-    deep into the e^{-a-b} growth region of the kernel, inflating the
-    values the stencil must cancel.
+
+def fd_derivatives(f: Callable[[float, float], float], at: tuple[float, float],
+                   order: int, step: float, extra: int) -> np.ndarray:
+    """Matrix D[m, n] of d_a^m d_b^n f at `at`, m, n <= order.
+
+    f is evaluated once on the symmetric tensor grid of the widest
+    stencil, the one for d^order; the compact stencil of every lower order
+    sits zero-padded in that grid, so D = W F W^T with one row of W per
+    order.  Large steps with high-order compact stencils are what makes
+    mixed derivatives up to total order 12 recoverable in binary64:
+    shrinking the stencil amplifies rounding noise like step^-(m+n), while
+    the kernel is entire (its a+b = 0 singularity is removable), so
+    moderate stencil widths keep truncation small.  Compact Fornberg
+    stencils are preferred over Richardson step-doubling because doubled
+    steps reach deep into the e^{-a-b} growth region of the kernel,
+    inflating the values the stencil must cancel.
     """
+    grid, _ = _compact_stencil(order, step, extra)
+    weights = np.zeros((order + 1, len(grid)))
+    for m in range(order + 1):
+        _, w = _compact_stencil(m, step, extra)
+        pad = (len(grid) - len(w)) // 2
+        weights[m, pad:pad + len(w)] = w
     a0, b0 = at
-    ga, wa = _compact_stencil(m, step, extra)
-    gb, wb = _compact_stencil(n, step, extra)
-    vals = np.array([[f(a0 + oa, b0 + ob) for ob in gb] for oa in ga])
-    return float(wa @ vals @ wb)
+    values = np.array([[f(a0 + oa, b0 + ob) for ob in grid] for oa in grid])
+    return weights @ values @ weights.T
 
 
-def fd_c_value(p: SectionFourParams, step: float = 5e-3) -> float:
+def fd_c_value(p: SectionFourParams) -> float:
     """c recomputed purely from scalar kernel values and finite differences."""
     poly1 = expand_mollifier(p.p1_shape)
     poly2 = expand_mollifier(p.p2_shape)
     at = (-p.R, -p.R)
 
-    def h(mt: MomentTable) -> Callable[[float, float], float]:
-        return lambda a, b: kernel_numeric(mt, p.theta, a, b)
+    def d(mt: MomentTable) -> np.ndarray:
+        return fd_derivatives(lambda a, b: kernel_numeric(mt, p.theta, a, b),
+                              at, 1, *C_STENCIL)
 
     m11, m12, m22 = moments(poly1, poly1), moments(poly1, poly2), moments(poly2, poly2)
     inv_r = 1.0 / p.r
-    return (h(m11)(*at)
-            + inv_r * fd_partial_high(h(m12.transpose()), 1, 0, at, step)
-            + inv_r * fd_partial_high(h(m12), 0, 1, at, step)
-            + inv_r * inv_r * fd_partial_high(h(m22), 1, 1, at, step))
+    return float(kernel_numeric(m11, p.theta, *at)
+                 + inv_r * d(m12.transpose())[1, 0]
+                 + inv_r * d(m12)[0, 1]
+                 + inv_r * inv_r * d(m22)[1, 1])
 
 
-def fd_c1_value(p: SectionFiveParams, step: float = 0.35, extra: int = 8) -> float:
-    """c1 recomputed by applying the twist operator with FD derivatives.
+def fd_c1_value(p: SectionFiveParams) -> float:
+    """c1 recomputed as u^T D u: the twist operator's weights u against the
+    finite-difference derivative matrix D of the scalar kernel.
 
-    The defaults were tuned on acceptance-style random draws: worst-case
+    C1_STENCIL was tuned on acceptance-style random draws: worst-case
     disagreement with the float core stays near 1e-6 across seeds, two
     orders under the 1e-4 contract.
     """
@@ -203,20 +166,9 @@ def fd_c1_value(p: SectionFiveParams, step: float = 0.35, extra: int = 8) -> flo
     q_monomial = expand_twist(p.q_shape).float_coeffs()
     u = twist_operator_coefficients(q_monomial, p.delta)
     mt = moments(poly, poly)
-    at = (-p.R, -p.R)
-
-    def h(a: float, b: float) -> float:
-        return kernel_numeric(mt, p.theta, a, b)
-
-    total = 0.0
-    for j, uj in enumerate(u):
-        if uj == 0.0:
-            continue
-        for l, ul in enumerate(u):
-            if ul == 0.0:
-                continue
-            total += uj * ul * fd_partial_high(h, j, l, at, step, extra)
-    return total
+    D = fd_derivatives(lambda a, b: kernel_numeric(mt, p.theta, a, b),
+                       (-p.R, -p.R), len(u) - 1, *C1_STENCIL)
+    return float(u @ D @ u)
 
 
 # --------------------------------------------------------------------------
@@ -287,15 +239,13 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
         h = np.tensordot(floats, kernel_derivative_basis(params.theta, params.R, 2), 1)
         at = (-params.R, -params.R)
         scalar = lambda a, b, mt=mt, th=params.theta: kernel_numeric(mt, th, a, b)
-        # 1e-3 keeps the halved Richardson step clear of the eps/h^2 noise
-        # floor of the mixed second derivative
-        scheme = FdScheme(step=1e-3, order=4)
         value = float(h[0, 0])
         checks.append(CheckResult(f"kernel[{tag}] value vs direct", value, scalar(*at),
                                   _rel(value, scalar(*at)), 1e-10))
+        fd = fd_derivatives(scalar, at, 1, *C_STENCIL)
         for (m, n, label) in ((1, 0, "d_a"), (0, 1, "d_b"), (1, 1, "d_ab")):
             ex = float(h[m, n])
-            num = fd_partial(scalar, scheme, m, n, at)
+            num = float(fd[m, n])
             checks.append(CheckResult(f"kernel[{tag}] {label} vs finite difference",
                                       ex, num, _rel(ex, num), 1e-6))
 

@@ -267,6 +267,52 @@ class TestConfigKeys:
         assert "--seed" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("constants, key", [
+        ({"c": "abc", "c1": 1.0, "R4": 0.617, "R5": 0.746}, "constants.c"),
+        ({"c": 1.0, "c1": 1.0, "R4": None, "R5": 0.746}, "constants.R4"),
+    ])
+    def test_non_numeric_constant_is_a_config_error(self, tmp_path, capsys,
+                                                     constants, key):
+        # a non-numeric constant once exited as an evaluation error naming no key
+        cfg = {"constants": constants}
+        code = main(["eval", "--which", "bounds", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        assert f"config error: {key}: not a number" in capsys.readouterr().err
+
+    def test_unknown_constant_rejected(self, tmp_path, capsys):
+        # a stray key was once ignored, and the bounds came from the sections
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["constants"] = {"cc": 3}
+        code = main(["eval", "--which", "bounds", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "nu = " not in captured.out
+        assert "config error: constants: unknown field 'cc'" in captured.err
+
+    def test_non_object_constants_rejected(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["constants"] = [1, 2]
+        code = main(["eval", "--which", "bounds", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        assert "config error: constants: expected an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("vary_shapes", "false"), ("vary_shapes", 0), ("budget", True),
+        ("restarts", True), ("budget", 2000.0), ("seed", 1.5), ("seed", "7"),
+    ])
+    def test_search_scalar_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
+        # "false" once varied the shapes, true once meant 1, and 2000.0
+        # failed with a message naming no key
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["search"] = {"target": "maximize_kappa", "budget": 1, "vary_shapes": False}
+        cfg["search"][key] = value
+        code = main(["optimize", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "best objective" not in captured.out
+        assert f"config error: search.{key}: expected" in captured.err
+
+
 class TestOptimize:
     def test_budget_one_echoes_seed(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(REFERENCE_CONFIG))
@@ -321,6 +367,16 @@ class TestSelfcheck:
     def test_config_driven(self, tmp_path, capsys):
         assert main(["selfcheck", "--config",
                      write_config(tmp_path, REFERENCE_CONFIG)]) == 0
+
+    @pytest.mark.parametrize("section, R", [("section5", 0.175), ("section5", 0.35),
+                                            ("section4", 0.0025)])
+    def test_stencil_on_singular_line_passes(self, tmp_path, capsys, section, R):
+        # 2R a multiple of a stencil step puts grid points on a + b = 0;
+        # these configs once exited 2 as evaluation errors
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg[section]["R"] = R
+        assert main(["selfcheck", "--config", write_config(tmp_path, cfg)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_machine_mode_reports_all_passed(self, capsys):
         assert main(["selfcheck", "--machine"]) == 0

@@ -13,10 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from levbounds.kernel import (MomentTable, _expm1_ratio_derivatives,
                               kernel_derivative_basis, moments)
-from levbounds.oracle import FdScheme, NearSingularError, fd_partial, kernel_numeric
+from levbounds.oracle import C_STENCIL, fd_derivatives, kernel_numeric
 from levbounds.polyalg import MollifierShape, X, expand_mollifier
 
 from kernel_reference import division_form, kernel_matrix
@@ -79,10 +80,9 @@ class TestExp:
         base = (-0.617, -0.617)
         derivs = _expm1_ratio_derivatives(-1.234, 2)
         func = lambda a, b: ratio(a + b)
-        scheme = FdScheme(step=1e-4, order=2)
+        fd = fd_derivatives(func, base, 2, *C_STENCIL)
         for m, n in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2)):
-            fd = fd_partial(func, scheme, m, n, base)
-            assert derivs[m + n] == pytest.approx(fd, rel=1e-6)
+            assert derivs[m + n] == pytest.approx(fd[m, n], rel=1e-6)
 
     def test_exp_homomorphism(self):
         # e^{-(s+t)} = e^{-s} e^{-t}, i.e. (s+t) E(s+t) = s E(s) + e^{-s} t E(t)
@@ -113,15 +113,22 @@ class TestRecip:
         jet = kernel_matrix(mt, 1.0, 0.617, 2)
         func = lambda a, b: division_form(mt, 1.0, a, b)
         assert jet[0, 0] == pytest.approx(func(*base), rel=1e-13)
-        scheme = FdScheme(step=1e-4, order=2)
+        fd = fd_derivatives(func, base, 1, *C_STENCIL)
         for m, n in ((1, 0), (0, 1), (1, 1)):
-            fd = fd_partial(func, scheme, m, n, base)
-            assert jet[m, n] == pytest.approx(fd, rel=1e-6)
+            assert jet[m, n] == pytest.approx(fd[m, n], rel=1e-6)
 
-    def test_recip_near_singular_rejected(self):
-        # only the scalar kernel divides by a + b
-        with pytest.raises(NearSingularError):
-            kernel_numeric(moments(X, X), 1.0, 0.5, -0.5)
+    def test_recip_on_singular_line_is_the_limit(self):
+        # on a + b = 0 the scalar kernel takes the limit of the division
+        # form, which mpmath evaluates 1e-25 off the line; for the pair
+        # (x, x) at theta = 1 the limit at (1/2, -1/2) is 23/12
+        mt = moments(X, X)
+        with mp.workdps(50):
+            a = mp.mpf("0.5")
+            b = -a + mp.mpf("1e-25")
+            g = lambda x, y: 1 + (x + y) / 2 + x * y / 3
+            limit = float((g(b, a) - mp.exp(-a - b) * g(-a, -b)) / (a + b))
+        assert limit == pytest.approx(23.0 / 12.0, rel=1e-15)
+        assert kernel_numeric(mt, 1.0, 0.5, -0.5) == pytest.approx(limit, rel=1e-15)
 
 
 class TestExtract:
@@ -163,7 +170,6 @@ class TestComposedExpressionDerivatives:
         theta, R = 0.8, 0.37
         jet = kernel_matrix(mt, theta, R, 2)
         func = lambda a, b: division_form(mt, theta, a, b)
+        fd = fd_derivatives(func, (-R, -R), 2, *C_STENCIL)
         for m, n in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2)):
-            scheme = FdScheme(step=1e-4 if m + n > 1 else 1e-5, order=2)
-            fd = fd_partial(func, scheme, m, n, (-R, -R))
-            assert jet[m, n] == pytest.approx(fd, rel=1e-6)
+            assert jet[m, n] == pytest.approx(fd[m, n], rel=1e-6)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from levbounds.kernel import MomentTable, moments
-from levbounds.oracle import FdScheme, fd_partial, kernel_numeric, quad_integrate01
+from levbounds.oracle import C_STENCIL, fd_derivatives, kernel_numeric, quad_integrate01
 from levbounds.polyalg import MollifierShape, X, ZERO, expand_mollifier
 from levbounds.proportions import c1_core, c_core
 
@@ -100,7 +100,6 @@ class TestKernelJet:
 
     def test_oracle_agreement_over_random_draws(self):
         rng = np.random.default_rng(33)
-        scheme = FdScheme(step=1e-3, order=4)
         for _ in range(100):
             shape = MollifierShape.of([float(x) for x in rng.uniform(-1, 1, 2)])
             poly = expand_mollifier(shape)
@@ -111,9 +110,9 @@ class TestKernelJet:
             at = (-R, -R)
             scalar = lambda a, b: kernel_numeric(mt, theta, a, b)
             assert h[0, 0] == pytest.approx(scalar(*at), rel=1e-10)
+            fd = fd_derivatives(scalar, at, 1, *C_STENCIL)
             for m, n in ((1, 0), (0, 1), (1, 1)):
-                fd = fd_partial(scalar, scheme, m, n, at)
-                assert h[m, n] == pytest.approx(fd, rel=1e-6)
+                assert h[m, n] == pytest.approx(fd[m, n], rel=1e-6)
 
     def test_stable_form_matches_division_form_away_from_line(self):
         # the closed form against the definition, differentiated by mpmath
@@ -134,15 +133,8 @@ class TestKernelJet:
         h = kernel_matrix(mt, 1.0, 0.0, 3)
         assert np.all(np.isfinite(h))
 
-        def scalar(a, b):  # guard-free stable evaluation for the stencil
-            s = a + b
-            ratio = 1.0 if s == 0.0 else -math.expm1(-s) / s
-            g_neg = float(mt.m_dd) - a * float(mt.m_pd) - b * float(mt.m_dp) \
-                + a * b * float(mt.m_pp)
-            return float(mt.m_pd + mt.m_dp) + ratio * g_neg
-
-        scheme = FdScheme(step=1e-3, order=4)
+        scalar = lambda a, b: kernel_numeric(mt, 1.0, a, b)
         assert h[0, 0] == pytest.approx(scalar(0.0, 0.0), rel=1e-13)
+        fd = fd_derivatives(scalar, (0.0, 0.0), 1, *C_STENCIL)
         for m, n in ((1, 0), (0, 1), (1, 1)):
-            fd = fd_partial(scalar, scheme, m, n, (0.0, 0.0))
-            assert h[m, n] == pytest.approx(fd, rel=1e-6)
+            assert h[m, n] == pytest.approx(fd[m, n], rel=1e-6)

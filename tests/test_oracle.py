@@ -6,13 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from levbounds import oracle
 from levbounds.kernel import kernel_derivative_basis, moments
-from levbounds.oracle import (FdScheme, NearSingularError, crosscheck_report,
-                              fd_c1_value, fd_c_value, fd_partial, fd_partial_high,
-                              kernel_numeric, quad_integrate01)
+from levbounds.oracle import (C1_STENCIL, C_STENCIL, _compact_stencil,
+                              crosscheck_report, fd_c1_value, fd_c_value,
+                              fd_derivatives, kernel_numeric, quad_integrate01)
 from levbounds.polyalg import MollifierShape, Poly, X, expand_mollifier
 from levbounds.proportions import SectionFiveParams, c1_value, c_value
 from levbounds.reference import section_five_reference, section_four_reference
+
+from kernel_reference import kernel_matrix
 
 
 class TestQuadrature:
@@ -41,10 +44,23 @@ class TestKernelNumeric:
         expected = 19 * math.e / 12 - 7.0 / 12.0
         assert kernel_numeric(mt, 1.0, -0.5, -0.5) == pytest.approx(expected, abs=1e-9)
 
-    def test_near_singular_rejected(self):
-        mt = moments(X, X)
-        with pytest.raises(NearSingularError):
-            kernel_numeric(mt, 1.0, 0.3, -0.3)
+    def test_on_singular_line_matches_closed_form(self):
+        # E(0) = 1 on the removable line: at a = b = 0 the value is the
+        # closed form at R = 0, and across the line the kernel is continuous
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            shape = MollifierShape.of([float(x) for x in rng.uniform(-1, 1, 2)])
+            poly = expand_mollifier(shape)
+            mt = moments(poly, poly)
+            theta = float(rng.uniform(0.3, 1.0))
+            assert kernel_numeric(mt, theta, 0.0, 0.0) == pytest.approx(
+                kernel_matrix(mt, theta, 0.0, 0)[0, 0], rel=1e-13)
+            a = float(rng.uniform(-2, 2))
+            on_line = kernel_numeric(mt, theta, a, -a)
+            for eps in (1e-6, 1e-12, 1e-300):
+                mid = 0.5 * (kernel_numeric(mt, theta, a, -a + eps)
+                             + kernel_numeric(mt, theta, a, -a - eps))
+                assert on_line == pytest.approx(mid, rel=1e-10)
 
     def test_matches_straight_formula_away_from_line(self):
         rng = np.random.default_rng(51)
@@ -77,15 +93,17 @@ class TestKernelNumeric:
 
 
 class TestFdPartial:
+    """Single partial derivatives read off the fd_derivatives matrix."""
+
     def test_mixed_of_product(self):
         f = lambda a, b: a * b
-        scheme = FdScheme(step=1e-4, order=2)
-        assert fd_partial(f, scheme, 1, 1, (0.0, 0.0)) == pytest.approx(1.0, abs=1e-8)
+        assert fd_derivatives(f, (0.0, 0.0), 1, *C_STENCIL)[1, 1] == pytest.approx(
+            1.0, abs=1e-8)
 
     def test_first_of_exponential(self):
         f = lambda a, b: math.exp(-a - b)
-        scheme = FdScheme(step=1e-4, order=2)
-        assert fd_partial(f, scheme, 1, 0, (0.0, 0.0)) == pytest.approx(-1.0, abs=1e-8)
+        assert fd_derivatives(f, (0.0, 0.0), 1, *C_STENCIL)[1, 0] == pytest.approx(
+            -1.0, abs=1e-8)
 
     def test_kernel_mixed_matches_jet(self):
         p4 = section_four_reference()
@@ -95,21 +113,12 @@ class TestFdPartial:
         floats = [float(mt.m_dd), float(mt.m_dp), float(mt.m_pd), float(mt.m_pp)]
         h = np.tensordot(floats, kernel_derivative_basis(1.0, 0.617, 1), 1)
         f = lambda a, b: kernel_numeric(mt, 1.0, a, b)
-        fd = fd_partial(f, FdScheme(step=1e-3, order=4), 1, 1, (-0.617, -0.617))
+        fd = fd_derivatives(f, (-0.617, -0.617), 1, *C_STENCIL)[1, 1]
         assert h[1, 1] == pytest.approx(fd, rel=1e-6)
 
-    def test_order_cap(self):
-        with pytest.raises(ValueError):
-            fd_partial(lambda a, b: a, FdScheme(step=1e-3), 3, 0, (0.0, 0.0))
-
-    def test_scheme_validation(self):
-        with pytest.raises(ValueError):
-            FdScheme(step=1e-8)
-        with pytest.raises(ValueError):
-            FdScheme(step=1e-3, order=3)
-
     def test_convergence_order(self):
-        # observed order within +-0.5 of nominal on a smooth function
+        # observed order within +-0.5 of the compact stencil's: len(grid) - m,
+        # rounded up to even, on a smooth function
         f = lambda a, b: math.exp(a + 2 * b) * math.sin(a - b)
         at = (0.3, 0.1)
         exact = {
@@ -117,10 +126,12 @@ class TestFdPartial:
             (0, 1): math.exp(0.5) * (2 * math.sin(0.2) - math.cos(0.2)),
         }
         for (m, n), truth in exact.items():
-            for order, nominal in ((2, 2.0), (4, 4.0)):
+            for extra in (0, 2, 4):
+                nominal = len(_compact_stencil(m + n, 0.1, extra)[0]) - (m + n)
+                nominal += nominal % 2
                 errs = []
-                for h in (1e-2, 5e-3):
-                    est = fd_partial(f, FdScheme(step=h, order=order), m, n, at)
+                for h in (1e-1, 5e-2):
+                    est = fd_derivatives(f, at, 1, h, extra)[m, n]
                     errs.append(abs(est - truth))
                 observed = math.log2(errs[0] / errs[1])
                 assert abs(observed - nominal) <= 0.5
@@ -132,14 +143,51 @@ class TestHighOrderFd:
         f = lambda a, b: math.exp(-a - b)
         at = (-0.7, -0.7)
         truth = math.exp(1.4)
-        est = fd_partial_high(f, 6, 6, at, step=0.3)
+        est = fd_derivatives(f, at, 6, 0.3, 6)[6, 6]
         assert est == pytest.approx(truth, rel=1e-5)
 
     def test_polynomial_exactness(self):
         # degree-(3,2) polynomial: compact stencils reproduce derivatives
         f = lambda a, b: (a ** 3 + 2 * a) * (b ** 2 - b)
-        assert fd_partial_high(f, 3, 2, (0.4, -0.2), step=0.2) == pytest.approx(12.0, rel=1e-9)
-        assert fd_partial_high(f, 1, 1, (0.0, 0.0), step=0.2) == pytest.approx(-2.0, rel=1e-9)
+        assert fd_derivatives(f, (0.4, -0.2), 3, 0.2, 6)[3, 2] == pytest.approx(
+            12.0, rel=1e-9)
+        assert fd_derivatives(f, (0.0, 0.0), 1, 0.2, 6)[1, 1] == pytest.approx(
+            -2.0, rel=1e-9)
+        # every entry, the zero-padded lower-order rows included:
+        # d_a^m (a^3 + 2a) times d_b^n (b^2 - b)
+        a, b = 0.4, -0.2
+        da = [a ** 3 + 2 * a, 3 * a ** 2 + 2, 6 * a, 6.0]
+        db = [b ** 2 - b, 2 * b - 1, 2.0, 0.0]
+        assert fd_derivatives(f, (a, b), 3, 0.2, 6) == pytest.approx(
+            np.outer(da, db), rel=1e-9, abs=1e-9)
+
+
+class TestFdDerivatives:
+    def test_reference_tables_match_closed_form(self):
+        # second derivatives in each variable take the wide c1 stencil; the
+        # 5e-3 one is tuned for first derivatives
+        p4, p5 = section_four_reference(), section_five_reference()
+        p1, p2 = expand_mollifier(p4.p1_shape), expand_mollifier(p4.p2_shape)
+        p = expand_mollifier(p5.p_shape)
+        for mt, params in ((moments(p1, p1), p4), (moments(p1, p2), p4),
+                           (moments(p2, p2), p4), (moments(p, p), p5)):
+            f = lambda a, b: kernel_numeric(mt, params.theta, a, b)
+            D = fd_derivatives(f, (-params.R, -params.R), 2, *C1_STENCIL)
+            assert D == pytest.approx(
+                kernel_matrix(mt, params.theta, params.R, 2), rel=1e-6)
+
+    def test_c1_evaluates_one_grid(self, monkeypatch):
+        # one 15 x 15 grid for derivatives up to order 6 in each variable;
+        # a stencil per (j, l) pair took 7569 kernel calls
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return kernel_numeric(*args)
+
+        monkeypatch.setattr(oracle, "kernel_numeric", counting)
+        fd_c1_value(section_five_reference())
+        assert len(calls) <= 15 ** 2
 
 
 class TestOracleRecomputation:
@@ -172,8 +220,20 @@ class TestCrosscheckReport:
         report = crosscheck_report(section_four_reference(), degenerate)
         assert report.all_passed
 
+    @pytest.mark.parametrize("section, R", [("section5", 0.175), ("section5", 0.35),
+                                            ("section4", 0.0025)])
+    def test_stencil_on_singular_line_passes(self, section, R):
+        # 2R a multiple of the step (0.35 for c1, 5e-3 for c) puts stencil
+        # points on a + b = 0
+        p4, p5 = section_four_reference(), section_five_reference()
+        if section == "section4":
+            report = crosscheck_report(replace(p4, R=R), p5)
+        else:
+            report = crosscheck_report(p4, replace(p5, R=R))
+        failing = [ch.name for ch in report.checks if not ch.passed]
+        assert report.all_passed, failing
+
     def test_tiny_R_rejected(self):
-        # R = 1e-10 would put the scalar kernel's own point on its guard band
         p4, p5 = section_four_reference(), section_five_reference()
         for R in (1e-7, 1e-10):
             with pytest.raises(ValueError):
