@@ -1,22 +1,26 @@
 """Command-line surface: reproduce, eval, optimize, selfcheck.
 
-Config files are JSON.  Decimal numbers inside shape arrays are kept as
-decimal strings all the way into exact rationals (the parser reads JSON
-floats as strings), while scalar parameters (theta, r, R, delta) become
-binary64.  Exit codes: 0 success, 1 quantitative failure, 2 usage or
-config error.
+Config files are JSON.  Every value is read through one field table,
+SECTION_FIELDS, which gives each key of each section (the top level
+included) its kind, and one reader, _get, which converts a value by its
+kind or raises a ConfigError naming <section>.<key>.  Decimal numbers
+are kept as decimal strings all the way into exact rationals (the parser
+reads JSON floats as strings), while scalar parameters (theta, r, R,
+delta) become finite binary64; a JSON boolean is neither.  Exit codes: 0
+success, 1 quantitative failure, 2 usage or config error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Any
 
 from . import reference
-from .optimizer import SearchSpec, optimize
+from .optimizer import TARGETS, SearchSpec, optimize
 from .oracle import crosscheck_report
 from .polyalg import (ConstraintViolationError, MollifierShape, Poly, TwistShape,
                       mollifier_shape_from_poly, twist_shape_from_poly)
@@ -35,11 +39,88 @@ class ConfigError(ValueError):
 # config parsing
 # --------------------------------------------------------------------------
 
-TOP_LEVEL_FIELDS = ("theta", "section4", "section5", "search", "constants")
+def _exactly(json_type: type, value: Any) -> Any:
+    """value if its type is exactly json_type (so true is not an integer)."""
+    if type(value) is not json_type:
+        raise TypeError(value)
+    return value
+
+
+def _number(value: Any) -> float:
+    """A finite binary64 from a JSON number (decimals arrive as strings)."""
+    if isinstance(value, bool) or not math.isfinite(x := float(value)):
+        raise ValueError(value)
+    return x
+
+
+def _decimal(value: Any) -> Fraction:
+    """An exact rational from a decimal inside the binary64 range."""
+    x = Fraction(str(value))
+    float(x)  # OverflowError past the binary64 range
+    return x
+
+
+def _pair(value: Any) -> tuple[float, float]:
+    lo, hi = _exactly(list, value)
+    return _number(lo), _number(hi)
+
+
+# a kind is (convert, complaint); convert raises TypeError or ValueError on a bad value
+NUMBER = (_number, "not a number")
+INTEGER = (lambda v: _exactly(int, v), "expected an integer")
+BOOLEAN = (lambda v: _exactly(bool, v), "expected true or false")
+DECIMAL = (_decimal, "expected a decimal")
+DECIMALS = (lambda v: [_decimal(x) for x in _exactly(list, v)],
+            "expected an array of decimals")
+OBJECT = (lambda v: _exactly(dict, v), "expected an object")
+TARGET = (lambda v: TARGETS[TARGETS.index(v)], "expected 'minimize_nu' or 'maximize_kappa'")
+PAIR = (_pair, "expected [lo, hi]")
+
+TOP = "config"
+SECTION_FIELDS: dict[str, Any] = {
+    TOP: {"theta": NUMBER, "section4": OBJECT, "section5": OBJECT,
+          "search": OBJECT, "constants": OBJECT},
+    "section4": {"p1_shape": DECIMALS, "p1_poly": DECIMALS, "p2_shape": DECIMALS,
+                 "p2_poly": DECIMALS, "r": NUMBER, "R": NUMBER},
+    "section5": {"p_shape": DECIMALS, "p_poly": DECIMALS, "q_linear": DECIMAL,
+                 "q_sym": DECIMALS, "q_poly": DECIMALS, "R": NUMBER, "delta": NUMBER},
+    "search": {"target": TARGET, "bounds": OBJECT, "budget": INTEGER,
+               "restarts": INTEGER, "seed": INTEGER, "vary_shapes": BOOLEAN},
+    "search.bounds": PAIR,  # any name; SearchSpec checks it against its vector
+    "constants": {"c": NUMBER, "c1": NUMBER, "R4": NUMBER, "R5": NUMBER},
+}
+_REQUIRED = object()
+
+
+def _get(sec: dict, key: str, where: str, default: Any = _REQUIRED) -> Any:
+    """sec[key] converted by its kind in SECTION_FIELDS[where], or default
+    when the key is absent; a missing or bad value is a ConfigError."""
+    if key not in sec:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: missing field {key!r}")
+        return default
+    kind = SECTION_FIELDS[where]
+    convert, complaint = kind[key] if isinstance(kind, dict) else kind
+    try:
+        return convert(sec[key])
+    except (TypeError, ValueError, OverflowError):
+        name = key if where == TOP else f"{where}.{key}"
+        raise ConfigError(f"{name}: {complaint}, got {sec[key]!r}") from None
+
+
+def _section(cfg: dict, where: str, default: Any = _REQUIRED) -> dict:
+    """The object cfg[where] (cfg itself for the top level), rejecting any
+    key SECTION_FIELDS does not define for it."""
+    sec = cfg if where == TOP else _get(cfg, where, TOP, default)
+    unknown = sorted(set(sec) - set(SECTION_FIELDS[where]))
+    if unknown:
+        raise ConfigError(f"{where}: unknown field {unknown[0]!r} "
+                          f"(allowed: {', '.join(SECTION_FIELDS[where])})")
+    return sec
 
 
 def _load_json(path: str) -> dict:
-    """The config object, rejecting any top-level key it does not define."""
+    """The config object; its keys are checked like any section's."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh, parse_float=str)
@@ -49,63 +130,7 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"config {path!r} line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path!r}: expected an object")
-    unknown = sorted(set(cfg) - set(TOP_LEVEL_FIELDS))
-    if unknown:
-        raise ConfigError(f"config: unknown field {unknown[0]!r} "
-                          f"(allowed: {', '.join(TOP_LEVEL_FIELDS)})")
-    return cfg
-
-
-def _get_float(section: dict, field: str, where: str) -> float:
-    try:
-        return float(section[field])
-    except KeyError:
-        raise ConfigError(f"{where}: missing field {field!r}") from None
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}.{field}: not a number: {section[field]!r}") from None
-
-
-def _get_fractions(section: dict, field: str, where: str) -> list[Fraction]:
-    try:
-        raw = section[field]
-    except KeyError:
-        raise ConfigError(f"{where}: missing field {field!r}") from None
-    if not isinstance(raw, list):
-        raise ConfigError(f"{where}.{field}: expected an array of decimals")
-    try:
-        return [Fraction(str(v)) for v in raw]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}.{field}: entries must be decimals") from None
-
-
-SECTION_FIELDS = {
-    "section4": ("p1_shape", "p1_poly", "p2_shape", "p2_poly", "r", "R"),
-    "section5": ("p_shape", "p_poly", "q_linear", "q_sym", "q_poly", "R", "delta"),
-    "search": ("target", "bounds", "budget", "restarts", "seed", "vary_shapes"),
-    "constants": ("c", "c1", "R4", "R5"),
-}
-
-
-def _section(cfg: dict, where: str) -> dict:
-    """The named section, rejecting any key it does not define."""
-    sec = cfg.get(where)
-    if sec is None:
-        raise ConfigError(f"config: missing {where}")
-    if not isinstance(sec, dict):
-        raise ConfigError(f"{where}: expected an object")
-    unknown = sorted(set(sec) - set(SECTION_FIELDS[where]))
-    if unknown:
-        raise ConfigError(f"{where}: unknown field {unknown[0]!r} "
-                          f"(allowed: {', '.join(SECTION_FIELDS[where])})")
-    return sec
-
-
-def _get_int(section: dict, field: str, where: str, default: int) -> int:
-    """A JSON integer; booleans and decimals (which arrive as strings) fail."""
-    value = section.get(field, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{field}: expected an integer, got {value!r}")
-    return value
+    return _section(cfg, TOP)
 
 
 def _mollifier(sec: dict, which: str, where: str) -> MollifierShape:
@@ -114,24 +139,23 @@ def _mollifier(sec: dict, which: str, where: str) -> MollifierShape:
     if shape_key in sec and poly_key in sec:
         raise ConfigError(f"{where}: give {shape_key!r} or {poly_key!r}, not both")
     if poly_key in sec:
-        poly = Poly.from_coeffs(_get_fractions(sec, poly_key, where))
+        poly = Poly.from_coeffs(_get(sec, poly_key, where))
         try:
             return mollifier_shape_from_poly(poly)
         except ConstraintViolationError as exc:
             raise ConfigError(f"{where}.{poly_key}: {exc}") from exc
     if shape_key not in sec:
         raise ConfigError(f"{where}: missing field {shape_key!r} (or {poly_key!r})")
-    return MollifierShape(tuple(_get_fractions(sec, shape_key, where)))
+    return MollifierShape(tuple(_get(sec, shape_key, where)))
 
 
 def _section_four(cfg: dict, theta: float) -> SectionFourParams:
     sec = _section(cfg, "section4")
     p1 = _mollifier(sec, "p1", "section4")
     p2 = _mollifier(sec, "p2", "section4")
+    r, R = _get(sec, "r", "section4"), _get(sec, "R", "section4")
     try:
-        return SectionFourParams(p1_shape=p1, p2_shape=p2, theta=theta,
-                                 r=_get_float(sec, "r", "section4"),
-                                 R=_get_float(sec, "R", "section4"))
+        return SectionFourParams(p1_shape=p1, p2_shape=p2, theta=theta, r=r, R=R)
     except ValueError as exc:
         raise ConfigError(f"section4: {exc}") from exc
 
@@ -143,82 +167,55 @@ def _section_five(cfg: dict, theta: float) -> SectionFiveParams:
         if "q_linear" in sec or "q_sym" in sec:
             raise ConfigError("section5: give 'q_linear'/'q_sym' or 'q_poly', not both")
         try:
-            q = twist_shape_from_poly(
-                Poly.from_coeffs(_get_fractions(sec, "q_poly", "section5")))
+            q = twist_shape_from_poly(Poly.from_coeffs(_get(sec, "q_poly", "section5")))
         except ConstraintViolationError as exc:
             raise ConfigError(f"section5.q_poly: {exc}") from exc
     else:
         if "q_linear" not in sec:
             raise ConfigError("section5: missing field 'q_linear' (or 'q_poly')")
-        sym = _get_fractions(sec, "q_sym", "section5") if "q_sym" in sec else []
-        q = TwistShape(Fraction(str(sec["q_linear"])), tuple(sym))
+        q = TwistShape(_get(sec, "q_linear", "section5"),
+                       tuple(_get(sec, "q_sym", "section5", [])))
+    R, delta = _get(sec, "R", "section5"), _get(sec, "delta", "section5")
     try:
-        return SectionFiveParams(p_shape=p, q_shape=q, theta=theta,
-                                 R=_get_float(sec, "R", "section5"),
-                                 delta=_get_float(sec, "delta", "section5"))
+        return SectionFiveParams(p_shape=p, q_shape=q, theta=theta, R=R, delta=delta)
     except ValueError as exc:
         raise ConfigError(f"section5: {exc}") from exc
 
 
-def _theta(cfg: dict) -> float:
-    if "theta" not in cfg:
-        return 1.0
-    try:
-        return float(cfg["theta"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"theta: not a number: {cfg['theta']!r}") from None
+def _params(config: str | None) -> tuple[SectionFourParams, SectionFiveParams]:
+    """Both sections of the config file, or the built-in reference without one."""
+    if not config:
+        return reference.section_four_reference(), reference.section_five_reference()
+    cfg = _load_json(config)
+    theta = _get(cfg, "theta", TOP, 1.0)
+    return _section_four(cfg, theta), _section_five(cfg, theta)
 
 
 def _search_spec(cfg: dict, seed_override: int | None) -> SearchSpec:
     sec = _section(cfg, "search")
-    target = sec.get("target")
-    theta = _theta(cfg)
-    vary_shapes = sec.get("vary_shapes", True)
-    if not isinstance(vary_shapes, bool):
-        raise ConfigError(f"search.vary_shapes: expected true or false, "
-                          f"got {vary_shapes!r}")
-    budget = _get_int(sec, "budget", "search", 2000)
-    restarts = _get_int(sec, "restarts", "search", 0)
-    seed = _get_int(sec, "seed", "search", 0)
-    bounds_raw = sec.get("bounds", {})
-    if not isinstance(bounds_raw, dict):
-        raise ConfigError("search.bounds: expected an object of [lo, hi] pairs")
-    bounds: dict[str, tuple[float, float]] = {}
-    for name, pair in bounds_raw.items():
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigError(f"search.bounds.{name}: expected [lo, hi]")
-        try:
-            bounds[name] = (float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError):
-            raise ConfigError(f"search.bounds.{name}: not a number: {pair!r}") from None
+    target = _get(sec, "target", "search")
+    theta = _get(cfg, "theta", TOP, 1.0)
+    bounds_sec = _get(sec, "bounds", "search", {})
+    bounds = {name: _get(bounds_sec, name, "search.bounds") for name in bounds_sec}
+    budget = _get(sec, "budget", "search", 2000)
+    restarts = _get(sec, "restarts", "search", 0)
+    seed = _get(sec, "seed", "search", 0)
+    vary_shapes = _get(sec, "vary_shapes", "search", True)
     if target == "minimize_nu":
         p4 = _section_four(cfg, theta)
         shape_degrees = (len(p4.p1_shape.shape_coeffs), len(p4.p2_shape.shape_coeffs))
-        initial = tuple([float(c) for c in p4.p1_shape.shape_coeffs]
-                        + [float(c) for c in p4.p2_shape.shape_coeffs]
-                        + [p4.r, p4.R])
-    elif target == "maximize_kappa":
+        initial = tuple(map(float, p4.p1_shape.shape_coeffs
+                            + p4.p2_shape.shape_coeffs + (p4.r, p4.R)))
+    else:
         p5 = _section_five(cfg, theta)
         shape_degrees = (len(p5.p_shape.shape_coeffs), len(p5.q_shape.sym_coeffs))
-        initial = tuple([float(c) for c in p5.p_shape.shape_coeffs]
-                        + [float(p5.q_shape.linear_coeff)]
-                        + [float(c) for c in p5.q_shape.sym_coeffs]
-                        + [p5.R, p5.delta])
-    else:
-        raise ConfigError(f"search.target: expected 'minimize_nu' or "
-                          f"'maximize_kappa', got {target!r}")
+        initial = tuple(map(float, p5.p_shape.shape_coeffs + (p5.q_shape.linear_coeff,)
+                            + p5.q_shape.sym_coeffs + (p5.R, p5.delta)))
     try:
-        return SearchSpec(
-            target=target,
-            shape_degrees=shape_degrees,
-            scalar_bounds=bounds,
-            theta=theta,
-            initial_point=initial,
-            budget=budget,
-            seed=seed_override if seed_override is not None else seed,
-            restarts=restarts,
-            vary_shapes=vary_shapes,
-        )
+        return SearchSpec(target=target, shape_degrees=shape_degrees,
+                          scalar_bounds=bounds, theta=theta, initial_point=initial,
+                          budget=budget, restarts=restarts, vary_shapes=vary_shapes,
+                          seed=seed_override if seed_override is not None else seed)
     except ValueError as exc:
         raise ConfigError(f"search: {exc}") from exc
 
@@ -257,14 +254,7 @@ class Emitter:
 # --------------------------------------------------------------------------
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    if args.config:
-        cfg = _load_json(args.config)
-        theta = _theta(cfg)
-        p4 = _section_four(cfg, theta)
-        p5 = _section_five(cfg, theta)
-    else:
-        p4 = reference.section_four_reference()
-        p5 = reference.section_five_reference()
+    p4, p5 = _params(args.config)
     ref4 = reference.section_four_reference()
     ref5 = reference.section_five_reference()
     comparable = (p4 == ref4 and p5 == ref5)
@@ -316,7 +306,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config)
-    theta = _theta(cfg)
+    theta = _get(cfg, "theta", TOP, 1.0)
     em = Emitter(args.machine, args.out)
     if args.which == "c":
         value = c_value(_section_four(cfg, theta))
@@ -327,19 +317,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         em.kv("c1", value)
         em.text(f"c1 = {value:.12f}")
     else:
-        consts = _section(cfg, "constants") if "constants" in cfg else {}
-        if "c" in consts:
-            c = _get_float(consts, "c", "constants")
-        else:
-            c = c_value(_section_four(cfg, theta))
-        if "c1" in consts:
-            c1 = _get_float(consts, "c1", "constants")
-        else:
-            c1 = c1_value(_section_five(cfg, theta))
-        R4 = (_get_float(consts, "R4", "constants") if "R4" in consts
-              else _get_float(cfg.get("section4", {}), "R", "section4"))
-        R5 = (_get_float(consts, "R5", "constants") if "R5" in consts
-              else _get_float(cfg.get("section5", {}), "R", "section5"))
+        consts = _section(cfg, "constants", {})
+        c = (_get(consts, "c", "constants") if "c" in consts
+             else c_value(_section_four(cfg, theta)))
+        c1 = (_get(consts, "c1", "constants") if "c1" in consts
+              else c1_value(_section_five(cfg, theta)))
+        R4 = (_get(consts, "R4", "constants") if "R4" in consts
+              else _get(_section(cfg, "section4"), "R", "section4"))
+        R5 = (_get(consts, "R5", "constants") if "R5" in consts
+              else _get(_section(cfg, "section5"), "R", "section5"))
         nu = nu_bound(c, R4)
         kappa = kappa_bound(c1, R5)
         d, s = unconditional_bounds(kappa, nu)
@@ -391,14 +377,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
-    if args.config:
-        cfg = _load_json(args.config)
-        theta = _theta(cfg)
-        p4 = _section_four(cfg, theta)
-        p5 = _section_five(cfg, theta)
-    else:
-        p4 = reference.section_four_reference()
-        p5 = reference.section_five_reference()
+    p4, p5 = _params(args.config)
     report = crosscheck_report(p4, p5)
     em = Emitter(args.machine, args.out)
     for check in report.checks:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,6 +54,12 @@ class MomentTable:
     m_dp: Fraction  # integral of P1' P2
     m_pd: Fraction  # integral of P1  P2'
     m_pp: Fraction  # integral of P1  P2
+
+    @cached_property
+    def floats(self) -> tuple[float, float, float, float]:
+        """The four moments, in field order, each rounded to binary64 once
+        per table."""
+        return float(self.m_dd), float(self.m_dp), float(self.m_pd), float(self.m_pp)
 
     def transpose(self) -> "MomentTable":
         """Moment table of the reversed pair (P2, P1)."""
@@ -86,8 +92,7 @@ def moment_grams(m: int) -> np.ndarray:
         for j in range(i, m + 1):
             mt = moments(bi, basis[j])
             for (a, b), table in (((i, j), mt), ((j, i), mt.transpose())):
-                grams[:, a, b] = [float(table.m_dd), float(table.m_dp),
-                                  float(table.m_pd), float(table.m_pp)]
+                grams[:, a, b] = table.floats
     grams.setflags(write=False)
     return grams
 

@@ -54,8 +54,7 @@ def kernel_numeric(mt: MomentTable, theta: float, a: float, b: float) -> float:
     E(s) = (1 - e^{-s})/s = -expm1(-s)/s, which keeps full precision at
     any s != 0; on the removable line E(0) = 1.
     """
-    mdd, mdp, mpd, mpp = (float(mt.m_dd), float(mt.m_dp),
-                          float(mt.m_pd), float(mt.m_pp))
+    mdd, mdp, mpd, mpp = mt.floats
     s = a + b
     ratio = -math.expm1(-s) / s if s != 0.0 else 1.0
     g_reflected = mdd - a * theta * mpd - b * theta * mdp + a * b * theta * theta * mpp
@@ -203,11 +202,7 @@ def _rel(exact: float, numeric: float) -> float:
 
 
 def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> CrosscheckReport:
-    """Run every exact-vs-numeric comparison; failures are data, not errors.
-
-    Inputs the engine rejects (R below MIN_BASE_R) raise its ValueError
-    before any check runs.
-    """
+    """Run every exact-vs-numeric comparison; failures are data, not errors."""
     checks: list[CheckResult] = []
     c_exact = c_value(p4)
     c1_exact = c1_value(p5)
@@ -235,8 +230,7 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
     # closed-form kernel derivatives vs finite differences of the scalar kernel
     for tag, params in (("11", p4), ("22", p4), ("55", p5)):
         mt = tables[f"m{tag}"]
-        floats = [float(mt.m_dd), float(mt.m_dp), float(mt.m_pd), float(mt.m_pp)]
-        h = np.tensordot(floats, kernel_derivative_basis(params.theta, params.R, 2), 1)
+        h = np.tensordot(mt.floats, kernel_derivative_basis(params.theta, params.R, 2), 1)
         at = (-params.R, -params.R)
         scalar = lambda a, b, mt=mt, th=params.theta: kernel_numeric(mt, th, a, b)
         value = float(h[0, 0])

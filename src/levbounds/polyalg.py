@@ -30,8 +30,6 @@ import numpy as np
 
 MAX_DEGREE = 64
 
-Rational = Fraction
-
 
 class ConstraintViolationError(ValueError):
     """A raw polynomial failed a structural identity of its family."""
@@ -91,15 +89,6 @@ class Poly:
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + other.scale(-1)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if not self.coeffs or not other.coeffs:
-            return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly.from_coeffs(out)
 
     def scale(self, s) -> "Poly":
         s = as_fraction(s)

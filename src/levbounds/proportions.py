@@ -46,8 +46,8 @@ def _check_scalars(theta: float, R: float, r: float = 1.0, delta: float = 0.0) -
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     if not r > 0:
         raise ValueError(f"r must be positive, got {r}")
-    if not R > 0:
-        raise ValueError(f"R must be positive, got {R}")
+    if not R >= MIN_BASE_R:
+        raise ValueError(f"R must be >= {MIN_BASE_R}, got {R}")
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
 
@@ -112,11 +112,6 @@ def _homogeneous(*shapes) -> np.ndarray:
     return u
 
 
-def _check_base(R: float) -> None:
-    if not R >= MIN_BASE_R:
-        raise ValueError(f"R must be >= {MIN_BASE_R}, got {R}")
-
-
 def c_core(p1, p2, theta: float, r: float, R: float) -> float:
     """c from float shape coefficients; c_value and the search objective
     both evaluate through here.
@@ -130,7 +125,6 @@ def c_core(p1, p2, theta: float, r: float, R: float) -> float:
     """
     theta, r, R = float(theta), float(r), float(R)
     _check_scalars(theta, R, r=r)
-    _check_base(R)
     u = _homogeneous(p1, p2)
     weight = np.array([1.0, 1.0 / r])
     kernel = kernel_derivative_basis(theta, R, 1) * np.multiply.outer(weight, weight)
@@ -188,7 +182,6 @@ def c1_core(p, q, theta: float, R: float, delta: float) -> float:
     """
     theta, R, delta = float(theta), float(R), float(delta)
     _check_scalars(theta, R, delta=delta)
-    _check_base(R)
     up = _homogeneous(p)[0]
     mt = np.einsum("i,kij,j->k", up, moment_grams(len(up) - 1), up)
     q_monomial = twist_matrix(len(q) - 1) @ _homogeneous(q)[0]

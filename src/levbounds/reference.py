@@ -61,4 +61,3 @@ ABS_TOLERANCE = {"kappa": 5e-4}
 NU_BAND = (0.1677, 0.1679)           # brackets the printed 0.167835 and the
                                      # self-consistent ln(c)/(2R) = 0.1678302
 LOWER_BOUND_SLACK = 1e-3             # d/s rows: computed >= reference - slack
-LOWER_BOUND_KEYS = ("d_uncond", "s_uncond", "d_grh", "s_grh")

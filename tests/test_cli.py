@@ -231,7 +231,7 @@ class TestConfigKeys:
         assert code == 2
         assert "expected an object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("pair", [["abc", "0.7"], ["0.5", None]])
+    @pytest.mark.parametrize("pair", [["abc", "0.7"], ["0.5", None], ["0.5", True]])
     def test_non_numeric_bound_is_a_config_error(self, tmp_path, capsys, pair):
         cfg = json.loads(json.dumps(REFERENCE_CONFIG))
         cfg["search"] = {"target": "minimize_nu", "budget": 5, "bounds": {"R": pair}}
@@ -270,6 +270,9 @@ class TestConfigKeys:
     @pytest.mark.parametrize("constants, key", [
         ({"c": "abc", "c1": 1.0, "R4": 0.617, "R5": 0.746}, "constants.c"),
         ({"c": 1.0, "c1": 1.0, "R4": None, "R5": 0.746}, "constants.R4"),
+        ({"c": 1.1, "c1": 1.0, "R4": True, "R5": 0.7}, "constants.R4"),
+        ({"c": True, "c1": 1.0, "R4": 0.617, "R5": 0.746}, "constants.c"),
+        ({"c": 1.0, "c1": "nan", "R4": 0.617, "R5": 0.746}, "constants.c1"),
     ])
     def test_non_numeric_constant_is_a_config_error(self, tmp_path, capsys,
                                                      constants, key):
@@ -278,6 +281,48 @@ class TestConfigKeys:
         code = main(["eval", "--which", "bounds", "--config", write_config(tmp_path, cfg)])
         assert code == 2
         assert f"config error: {key}: not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section4, message", [
+        ([1], "section4: expected an object"),
+        ({"R": 0.6, "rr": 3}, "section4: unknown field 'rr'"),
+    ])
+    def test_bounds_fallback_section_is_checked(self, tmp_path, capsys,
+                                                section4, message):
+        # R4 once fell back to section4 unchecked: a list crashed with a
+        # TypeError traceback (exit 1), and a stray key was ignored
+        cfg = {"constants": {"c": 1.1, "c1": 1.0}, "section4": section4,
+               "section5": {"R": 0.7}}
+        code = main(["eval", "--which", "bounds", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "nu = " not in captured.out
+        assert f"config error: {message}" in captured.err
+
+    @pytest.mark.parametrize("section, key, value, which, message", [
+        (None, "theta", True, "c", "theta: not a number"),
+        ("section4", "r", True, "c", "section4.r: not a number"),
+        ("section4", "R", True, "c", "section4.R: not a number"),
+        ("section5", "R", True, "c1", "section5.R: not a number"),
+        ("section5", "delta", True, "c1", "section5.delta: not a number"),
+        ("section5", "q_linear", True, "c1", "section5.q_linear: expected a decimal"),
+        ("section5", "q_linear", [1], "c1", "section5.q_linear: expected a decimal"),
+        ("section5", "q_linear", "nan", "c1", "section5.q_linear: expected a decimal"),
+        ("section4", "R", 1e-7, "c", "section4: R must be >= 1e-06"),
+        ("section4", "p1_shape", ["1e400", "0.25"], "c",
+         "section4.p1_shape: expected an array of decimals"),
+    ])
+    def test_section_value_of_wrong_type_rejected(self, tmp_path, capsys, section, key,
+                                                  value, which, message):
+        # true once read as 1 (section4.R: true printed c = 1.455863658397),
+        # and a bad q_linear, a tiny R or a coefficient past the binary64
+        # range exited as an evaluation error naming no key
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        (cfg[section] if section else cfg)[key] = value
+        code = main(["eval", "--which", which, "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"{which} = " not in captured.out
+        assert f"config error: {message}" in captured.err
 
     def test_unknown_constant_rejected(self, tmp_path, capsys):
         # a stray key was once ignored, and the bounds came from the sections

@@ -242,10 +242,14 @@ class TestValidation:
             c1_core([0.1], [-0.5, bad], 1.0, 0.6, 0.7)
 
     def test_tiny_R_rejected_by_evaluation(self):
+        # R below MIN_BASE_R is outside the scalar domain: the params refuse
+        # it when built, and the core the search evaluates through refuses it
         shape = MollifierShape.of(["0.1"])
-        p4 = SectionFourParams(shape, shape, 1.0, 1.0, 1e-7)
-        p5 = SectionFiveParams(shape, TwistShape.of("-0.5"), 1.0, 1e-7, 0.7)
-        with pytest.raises(ValueError):
-            c_value(p4)
-        with pytest.raises(ValueError):
-            c1_value(p5)
+        with pytest.raises(ValueError, match="R must be >= 1e-06"):
+            SectionFourParams(shape, shape, 1.0, 1.0, 1e-7)
+        with pytest.raises(ValueError, match="R must be >= 1e-06"):
+            SectionFiveParams(shape, TwistShape.of("-0.5"), 1.0, 1e-7, 0.7)
+        with pytest.raises(ValueError, match="R must be >= 1e-06"):
+            c_core([0.1], [0.1], 1.0, 1.0, 1e-7)
+        with pytest.raises(ValueError, match="R must be >= 1e-06"):
+            c1_core([0.1], [-0.5], 1.0, 1e-7, 0.7)
