@@ -245,8 +245,11 @@ class Emitter:
 
     def flush(self) -> None:
         if self.out_path:
-            with open(self.out_path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(self.lines) + "\n")
+            try:
+                with open(self.out_path, "w", encoding="utf-8") as fh:
+                    fh.write("\n".join(self.lines) + "\n")
+            except OSError as exc:
+                raise ConfigError(f"cannot write --out {self.out_path!r}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------

@@ -8,8 +8,10 @@ and finite differences of the scalar kernel against c and c1 from the
 float core.
 
 Every finite difference goes through fd_derivatives: one symmetric
-tensor grid of scalar kernel values, contracted with a matrix of compact
-Fornberg stencils into the whole table of mixed partials d_a^m d_b^n.
+tensor grid of scalar kernel values, contracted with a cached table of
+compact symmetric stencils (stencil_weights, closed-form Lagrange weights
+on the unit integer grid) into the whole table of mixed partials
+d_a^m d_b^n.
 c1 is then the quadratic form u^T D u of the twist operator's weights u,
 as in the float core.  Its derivatives reach order deg(Q)+1 in each
 variable, so its stencils are wide (a step of a few tenths) to survive
@@ -20,10 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyfromroots
 
 from .kernel import MomentTable, kernel_derivative_basis, moments
 from .polyalg import Poly, expand_mollifier, expand_twist, poly_derivative
@@ -61,45 +65,31 @@ def kernel_numeric(mt: MomentTable, theta: float, a: float, b: float) -> float:
     return (mpd + mdp) + ratio * g_reflected / theta
 
 
-def _fornberg_weights(grid: np.ndarray, m: int) -> np.ndarray:
-    """Weights of the m-th derivative at 0 on an arbitrary 1-D grid.
+@lru_cache(maxsize=None)
+def stencil_weights(order: int, extra: int) -> np.ndarray:
+    """Compact symmetric stencils of d^0 .. d^order on the unit integer grid.
 
-    Fornberg's recursion; exact for polynomials of degree < len(grid).
-    On a symmetric grid the even-parity error terms cancel, giving
-    accuracy len(grid) - m rounded up to even.
+    Row m holds the (m + extra + 1)-point stencil of d^m, one point wider
+    when that count is even (symmetric grids gain a parity order for even
+    m), zero-padded into the grid -h .. h of the widest row.  Each weight
+    is m! times the x^m coefficient of a Lagrange basis polynomial of the
+    row's nodes.  Up to order 12 with extra 8 the nodes are integers in
+    -10 .. 10, so polyfromroots' coefficients are integers below
+    (11!)^2 < 2^53, hence exact, and each weight is one correctly rounded
+    int/int division.  Accuracy is len(nodes) - m rounded up to even.  The
+    array is read-only.
     """
-    n = len(grid)
-    c = np.zeros((n, m + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = grid[0]
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = grid[i]
-        for j in range(i):
-            c3 = grid[i] - grid[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, m]
-
-
-def _compact_stencil(m: int, step: float, extra: int) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric (m + extra + 1)-point stencil for d^m with spacing step."""
-    npts = m + extra + 1
-    if npts % 2 == 0:
-        npts += 1  # symmetric grids gain a parity order for even m
-    half = (npts - 1) // 2
-    grid = np.arange(-half, half + 1, dtype=float) * step
-    return grid, _fornberg_weights(grid, m)
+    half = (order + extra + 1) // 2
+    out = np.zeros((order + 1, 2 * half + 1))
+    for m in range(order + 1):
+        reach = (m + extra + 1) // 2
+        nodes = range(-reach, reach + 1)
+        for i in nodes:
+            others = [j for j in nodes if j != i]
+            numerator = int(polyfromroots(others)[m]) * math.factorial(m)
+            out[m, half + i] = numerator / math.prod(i - j for j in others)
+    out.setflags(write=False)
+    return out
 
 
 # (step, extra) of the stencils: first derivatives for c and the kernel
@@ -113,23 +103,21 @@ def fd_derivatives(f: Callable[[float, float], float], at: tuple[float, float],
     """Matrix D[m, n] of d_a^m d_b^n f at `at`, m, n <= order.
 
     f is evaluated once on the symmetric tensor grid of the widest
-    stencil, the one for d^order; the compact stencil of every lower order
-    sits zero-padded in that grid, so D = W F W^T with one row of W per
-    order.  Large steps with high-order compact stencils are what makes
-    mixed derivatives up to total order 12 recoverable in binary64:
-    shrinking the stencil amplifies rounding noise like step^-(m+n), while
-    the kernel is entire (its a+b = 0 singularity is removable), so
-    moderate stencil widths keep truncation small.  Compact Fornberg
-    stencils are preferred over Richardson step-doubling because doubled
-    steps reach deep into the e^{-a-b} growth region of the kernel,
-    inflating the values the stencil must cancel.
+    stencil, the one for d^order, and D = W F W^T with row m of W the
+    stencil_weights row of d^m scaled by step^-m.  Large steps with
+    high-order compact stencils are what makes mixed derivatives up to
+    total order 12 recoverable in binary64: shrinking the stencil
+    amplifies rounding noise like step^-(m+n), while the kernel is entire
+    (its a+b = 0 singularity is removable), so moderate stencil widths
+    keep truncation small.  Compact stencils are preferred over Richardson
+    step-doubling because doubled steps reach deep into the e^{-a-b}
+    growth region of the kernel, inflating the values the stencil must
+    cancel.
     """
-    grid, _ = _compact_stencil(order, step, extra)
-    weights = np.zeros((order + 1, len(grid)))
-    for m in range(order + 1):
-        _, w = _compact_stencil(m, step, extra)
-        pad = (len(grid) - len(w)) // 2
-        weights[m, pad:pad + len(w)] = w
+    unit = stencil_weights(order, extra)
+    half = unit.shape[1] // 2
+    weights = unit * step ** -np.arange(order + 1.0)[:, None]
+    grid = np.arange(-half, half + 1, dtype=float) * step
     a0, b0 = at
     values = np.array([[f(a0 + oa, b0 + ob) for ob in grid] for oa in grid])
     return weights @ values @ weights.T

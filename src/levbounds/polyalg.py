@@ -14,9 +14,12 @@ with I_k(x) = integral_0^x t^k (1-t)^k dt.  The constraints hold as exact
 polynomial identities for every shape, which is what lets a search loop
 move shape coefficients freely without runtime constraint checks.
 
-Both bases are affine in their coefficients.  mollifier_basis and
-twist_matrix hold those affine maps per degree, built lazily from the
-exact expansions; the float evaluation core reads them.
+Both bases are affine in their coefficients, and each family is its
+exact affine basis, defined once and cached per degree: mollifier_basis
+(x, x^j - x^{j+1}) and twist_basis (1, x, I_1, .., I_m).  Expansion is
+the affine combination of a basis, recovery from a raw polynomial peels
+the coordinates off by leading degree, and the float evaluation core
+reads the basis through moment_grams and twist_matrix.
 """
 
 from __future__ import annotations
@@ -105,14 +108,6 @@ ONE = Poly((Fraction(1),))
 X = Poly((Fraction(0), Fraction(1)))
 
 
-def monomial(k: int, coeff=1) -> Poly:
-    """coeff * x^k."""
-    c = as_fraction(coeff)
-    if c == 0:
-        return ZERO
-    return Poly(tuple([Fraction(0)] * k + [c]))
-
-
 def poly_eval(p: Poly, x) -> Fraction:
     """Evaluate exactly at a rational point (Horner)."""
     x = as_fraction(x)
@@ -179,61 +174,59 @@ class TwistShape:
                           tuple(as_fraction(c) for c in sym_coeffs))
 
 
-def expand_mollifier(shape: MollifierShape) -> Poly:
-    """Expand P(x) = x + sum_j c_j x^j (1-x) to canonical form."""
-    p = X
-    for j, c in enumerate(shape.shape_coeffs, start=1):
-        # c * x^j (1-x) = c x^j - c x^{j+1}
-        p = p + monomial(j, c) + monomial(j + 1, -c)
-    return p
-
-
-def sym_basis_integral(k: int) -> Poly:
-    """I_k(x) = integral_0^x t^k (1-t)^k dt, exactly."""
-    out = ZERO
-    for i in range(k + 1):
-        out = out + monomial(k + i + 1, Fraction(comb(k, i) * (-1) ** i, k + i + 1))
-    return out
-
-
-def expand_twist(shape: TwistShape) -> Poly:
-    """Expand Q(x) = 1 + q0 x + sum_k q_k I_k(x) to canonical form."""
-    q = ONE + monomial(1, shape.linear_coeff)
-    for k, c in enumerate(shape.sym_coeffs, start=1):
-        q = q + sym_basis_integral(k).scale(c)
-    return q
-
-
 # --------------------------------------------------------------------------
-# affine shape maps (built once per degree from the exact expansions)
+# affine shape bases: each family is its basis, defined once per degree
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def mollifier_basis(m: int) -> tuple[Poly, ...]:
-    """Exact affine basis (b_0, .., b_m) of the degree-m mollifier shapes.
+    """Exact affine basis (x, x^j - x^{j+1} for j = 1..m) of the degree-m
+    mollifier shapes: P = b_0 + sum_j c_j b_j."""
+    return (X,) + tuple(Poly.from_coeffs([0] * j + [1, -1]) for j in range(1, m + 1))
 
-    expand_mollifier(c) = b_0 + sum_j c_j b_j: b_0 expands the empty shape
-    and b_j is the expansion of the j-th unit shape minus b_0.
-    """
-    origin = expand_mollifier(MollifierShape(()))
-    units = [MollifierShape.of([int(i == j) for i in range(m)]) for j in range(m)]
-    return (origin,) + tuple(expand_mollifier(u) - origin for u in units)
+
+def sym_basis_integral(k: int) -> Poly:
+    """I_k(x) = integral_0^x t^k (1-t)^k dt, exactly."""
+    return Poly.from_coeffs([0] * (k + 1) + [Fraction(comb(k, i) * (-1) ** i, k + i + 1)
+                                             for i in range(k + 1)])
+
+
+@lru_cache(maxsize=None)
+def twist_basis(m: int) -> tuple[Poly, ...]:
+    """Exact affine basis (1, x, I_1, .., I_m) of the twist shapes with m
+    symmetric terms: Q = b_0 + q0 b_1 + sum_k q_k b_{k+1}."""
+    return (ONE, X) + tuple(sym_basis_integral(k) for k in range(1, m + 1))
+
+
+def _combine(basis: tuple[Poly, ...], coeffs) -> Poly:
+    """The affine combination basis[0] + sum_i coeffs[i] basis[i+1]."""
+    out = basis[0]
+    for c, b in zip(coeffs, basis[1:]):
+        out = out + b.scale(c)
+    return out
+
+
+def expand_mollifier(shape: MollifierShape) -> Poly:
+    """Expand P(x) = x + sum_j c_j x^j (1-x) to canonical form."""
+    return _combine(mollifier_basis(len(shape.shape_coeffs)), shape.shape_coeffs)
+
+
+def expand_twist(shape: TwistShape) -> Poly:
+    """Expand Q(x) = 1 + q0 x + sum_k q_k I_k(x) to canonical form."""
+    return _combine(twist_basis(len(shape.sym_coeffs)),
+                    (shape.linear_coeff, *shape.sym_coeffs))
 
 
 @lru_cache(maxsize=None)
 def twist_matrix(m: int) -> np.ndarray:
     """Float map from (1, q0, q_1, .., q_m) to the monomial coefficients of Q.
 
-    Column 0 expands the zero shape (Q = 1), column 1 is x and column k+1
-    is I_k; each exact coefficient is rounded to binary64 once.  Rows run
-    over degrees 0 .. max(1, 2m+1).  The array is read-only.
+    Column k is twist_basis(m)[k] with each exact coefficient rounded to
+    binary64 once.  Rows run over degrees 0 .. max(1, 2m+1).  The array is
+    read-only.
     """
-    origin = expand_twist(TwistShape.of(0))
-    columns = [origin, expand_twist(TwistShape.of(1)) - origin]
-    columns += [expand_twist(TwistShape.of(0, [int(i == k) for i in range(m)])) - origin
-                for k in range(m)]
     out = np.zeros((max(2, 2 * m + 2), m + 2))
-    for col, poly in enumerate(columns):
+    for col, poly in enumerate(twist_basis(m)):
         out[:len(poly.coeffs), col] = poly.float_coeffs()
     out.setflags(write=False)
     return out
@@ -243,31 +236,29 @@ def twist_matrix(m: int) -> np.ndarray:
 # validators / inverse conversions for raw polynomial input
 # --------------------------------------------------------------------------
 
-def mollifier_shape_from_poly(p: Poly) -> MollifierShape:
-    """Recover the shape of a raw polynomial, or fail naming the identity.
+def _coordinates(p: Poly, basis: tuple[Poly, ...], family: str) -> tuple[Fraction, ...]:
+    """Coordinates of p in an affine basis whose directions have distinct
+    degrees in ascending order, peeled off from the top by leading degree;
+    fails naming the family when p lies outside the basis."""
+    rem = p - basis[0]
+    coords: list[Fraction] = []
+    for b in reversed(basis[1:]):
+        c = rem.coeffs[-1] / b.coeffs[-1] if rem.degree == b.degree else Fraction(0)
+        rem = rem - b.scale(c)
+        coords.append(c)
+    if rem != ZERO:
+        raise ConstraintViolationError(f"polynomial is not expressible {family}")
+    return tuple(reversed(coords))
 
-    Solves the triangular system P(x) - x = sum_j c_j (x^j - x^{j+1}).
-    """
+
+def mollifier_shape_from_poly(p: Poly) -> MollifierShape:
+    """Recover the shape of a raw polynomial, or fail naming the identity."""
     if poly_eval(p, 0) != 0:
         raise ConstraintViolationError("mollifier polynomial violates P(0) = 0")
     if poly_eval(p, 1) != 1:
         raise ConstraintViolationError("mollifier polynomial violates P(1) = 1")
-    m = p.degree - 1
-    if m < 0:
-        raise ConstraintViolationError("mollifier polynomial violates P(0) = 0")
-    cs: list[Fraction] = []
-    prev = Fraction(0)
-    for j in range(1, m + 1):
-        coeff = p.coeffs[j] if j < len(p.coeffs) else Fraction(0)
-        target = coeff - (1 if j == 1 else 0)
-        cj = target + prev
-        cs.append(cj)
-        prev = cj
-    shape = MollifierShape(tuple(cs))
-    if expand_mollifier(shape) != p:
-        raise ConstraintViolationError(
-            "polynomial is not expressible as x + sum_j c_j x^j (1-x)")
-    return shape
+    basis = mollifier_basis(max(p.degree - 1, 0))
+    return MollifierShape(_coordinates(p, basis, "as x + sum_j c_j x^j (1-x)"))
 
 
 def twist_shape_from_poly(q: Poly) -> TwistShape:
@@ -277,24 +268,7 @@ def twist_shape_from_poly(q: Poly) -> TwistShape:
     dq = poly_derivative(q)
     if (dq - poly_reflect(dq)) != ZERO:
         raise ConstraintViolationError("twist polynomial violates Q'(x) = Q'(1-x)")
-    # Q has odd degree 2m+1 for m sym terms (or degree <= 1); peel from the top,
-    # I_k's leading coefficient being (-1)^k / (2k+1) in degree 2k+1.
-    rem = q - ONE
-    sym: list[Fraction] = []
-    deg = rem.degree
-    m = max(0, (deg - 1) // 2)
-    for k in range(m, 0, -1):
-        lead = rem.coeffs[2 * k + 1] if rem.degree == 2 * k + 1 else Fraction(0)
-        qk = lead * (2 * k + 1) * (-1) ** k
-        sym.append(qk)
-        rem = rem - sym_basis_integral(k).scale(qk)
-    sym.reverse()
-    if rem.degree > 1:
-        raise ConstraintViolationError(
-            "polynomial is not expressible in the twist basis 1 + q0 x + sum_k q_k I_k")
-    linear = rem.coeffs[1] if rem.degree == 1 else Fraction(0)
-    shape = TwistShape(linear, tuple(sym))
-    if expand_twist(shape) != q:
-        raise ConstraintViolationError(
-            "polynomial is not expressible in the twist basis 1 + q0 x + sum_k q_k I_k")
-    return shape
+    basis = twist_basis(max(0, (q.degree - 1) // 2))
+    linear, *sym = _coordinates(
+        q, basis, "in the twist basis 1 + q0 x + sum_k q_k I_k")
+    return TwistShape(linear, tuple(sym))

@@ -74,6 +74,12 @@ class TestReproduce:
         file_values = machine_values(out_file.read_text())
         assert stdout_values == file_values
 
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
+        out_file = tmp_path / "no_such_dir" / "rep.txt"
+        assert main(["reproduce", "--machine", "--out", str(out_file)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write --out {str(out_file)!r}" in err
+
     def test_seventeen_significant_digits(self, capsys):
         main(["reproduce", "--machine"])
         line = [l for l in capsys.readouterr().out.splitlines()

@@ -1,8 +1,9 @@
-"""Kernel jets: the derivative tables of h at the base point, and the
-series they are built from.
+"""Kernel series: the derivative tables of h at the base point, and the
+E(s) series they are built from.
 
-The jet of the kernel h at a = b = -R is its table of derivatives
-d_a^m d_b^n h there; kernel_derivative_basis gives it per unit moment.
+The derivative table of the kernel h at a = b = -R holds every
+d_a^m d_b^n h there (its jet); kernel_derivative_basis gives it per unit
+moment.
 The exponential and the 1/(a + b) of the definition of h enter it only
 through E(s) = (1 - e^{-s})/s and its derivatives at s = -2R, summed from
 an entire series.

@@ -2,15 +2,17 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from levbounds import oracle
 from levbounds.kernel import kernel_derivative_basis, moments
-from levbounds.oracle import (C1_STENCIL, C_STENCIL, _compact_stencil,
+from levbounds.oracle import (C1_STENCIL, C_STENCIL,
                               crosscheck_report, fd_c1_value, fd_c_value,
-                              fd_derivatives, kernel_numeric, quad_integrate01)
+                              fd_derivatives, kernel_numeric, quad_integrate01,
+                              stencil_weights)
 from levbounds.polyalg import MollifierShape, Poly, X, expand_mollifier
 from levbounds.proportions import SectionFiveParams, c1_value, c_value
 from levbounds.reference import section_five_reference, section_four_reference
@@ -117,8 +119,10 @@ class TestFdPartial:
         assert h[1, 1] == pytest.approx(fd, rel=1e-6)
 
     def test_convergence_order(self):
-        # observed order within +-0.5 of the compact stencil's: len(grid) - m,
-        # rounded up to even, on a smooth function
+        # observed order within +-0.5 of the compact stencil's: its width
+        # minus m, rounded up to even, on a smooth function; the d^m stencil
+        # is the widest row of stencil_weights(m, extra), so its width is
+        # the table's
         f = lambda a, b: math.exp(a + 2 * b) * math.sin(a - b)
         at = (0.3, 0.1)
         exact = {
@@ -127,7 +131,7 @@ class TestFdPartial:
         }
         for (m, n), truth in exact.items():
             for extra in (0, 2, 4):
-                nominal = len(_compact_stencil(m + n, 0.1, extra)[0]) - (m + n)
+                nominal = stencil_weights(m + n, extra).shape[1] - (m + n)
                 nominal += nominal % 2
                 errs = []
                 for h in (1e-1, 5e-2):
@@ -135,6 +139,44 @@ class TestFdPartial:
                     errs.append(abs(est - truth))
                 observed = math.log2(errs[0] / errs[1])
                 assert abs(observed - nominal) <= 0.5
+
+
+def exact_stencil(m, half):
+    """Exact weights of d^m at 0 on the nodes -half .. half: m! times the
+    x^m coefficient of each Lagrange basis polynomial, in integers."""
+    nodes = range(-half, half + 1)
+    weights = []
+    for i in nodes:
+        poly = [1]  # prod_{j != i} (x - j)
+        for j in nodes:
+            if j != i:
+                poly = [lo - j * hi for lo, hi in zip([0] + poly, poly + [0])]
+        denom = math.prod(i - j for j in nodes if j != i)
+        weights.append(Fraction(math.factorial(m) * poly[m], denom))
+    return weights
+
+
+class TestStencilWeights:
+    def test_table_matches_exact_weights(self):
+        # row m is the compact symmetric (m + extra + 1)-point stencil, one
+        # point wider when that count is even, centred in the widest row
+        for extra in (0, 2, 4, 6, 8):
+            exact = {m: exact_stencil(m, (m + extra + 1) // 2) for m in range(13)}
+            for m, w in exact.items():  # the reference differentiates x^k exactly
+                nodes = range(-(len(w) // 2), len(w) // 2 + 1)
+                for k in range(len(w)):
+                    assert sum(wi * i ** k for wi, i in zip(w, nodes)) == (
+                        math.factorial(m) if k == m else 0)
+            for order in range(13):
+                table = stencil_weights(order, extra)
+                half = (order + extra + 1) // 2
+                assert table.shape == (order + 1, 2 * half + 1)
+                assert not table.flags.writeable
+                for m in range(order + 1):
+                    pad = half - (len(exact[m]) - 1) // 2
+                    want = [Fraction(0)] * pad + exact[m] + [Fraction(0)] * pad
+                    for got, w in zip(table[m], want):
+                        assert abs(Fraction(got) - w) <= Fraction(1e-15) * abs(w)
 
 
 class TestHighOrderFd:

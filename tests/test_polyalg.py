@@ -19,6 +19,14 @@ REFERENCE_P1 = MollifierShape.of(["-0.158", "0.25"])
 REFERENCE_Q = TwistShape.of("-0.673", ["0.369", "-4.635"])
 
 
+def random_coeffs(rng, n):
+    """n exact rationals, the last one nonzero so the degree is n."""
+    cs = [F(int(rng.integers(-50, 51)), int(rng.integers(1, 20))) for _ in range(n)]
+    if cs and cs[-1] == 0:
+        cs[-1] = F(1)
+    return cs
+
+
 def random_poly(rng, max_deg=8):
     deg = rng.integers(0, max_deg + 1)
     coeffs = [F(int(rng.integers(-50, 51)), int(rng.integers(1, 20))) for _ in range(deg + 1)]
@@ -123,6 +131,13 @@ class TestMollifierShape:
         p = expand_mollifier(REFERENCE_P1)
         assert mollifier_shape_from_poly(p) == REFERENCE_P1
 
+    def test_roundtrip_of_random_shapes(self):
+        rng = np.random.default_rng(16)
+        for degree in range(7):
+            for _ in range(10):
+                shape = MollifierShape(tuple(random_coeffs(rng, degree)))
+                assert mollifier_shape_from_poly(expand_mollifier(shape)) == shape
+
     def test_from_poly_rejects_bad_endpoint(self):
         with pytest.raises(ConstraintViolationError, match=r"P\(0\) = 0"):
             mollifier_shape_from_poly(Poly.from_coeffs([1, 1]))
@@ -157,6 +172,14 @@ class TestTwistShape:
     def test_roundtrip_from_poly(self):
         q = expand_twist(REFERENCE_Q)
         assert twist_shape_from_poly(q) == REFERENCE_Q
+
+    def test_roundtrip_of_random_shapes(self):
+        rng = np.random.default_rng(17)
+        for degree in range(7):
+            for _ in range(10):
+                linear, *sym = random_coeffs(rng, degree + 1)
+                shape = TwistShape(linear, tuple(sym))
+                assert twist_shape_from_poly(expand_twist(shape)) == shape
 
     def test_from_poly_rejects_symmetry_violation(self):
         with pytest.raises(ConstraintViolationError, match=r"Q'\(x\) = Q'\(1-x\)"):
