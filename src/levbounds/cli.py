@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import Any
 
 from . import reference
-from .optimizer import TARGETS, SearchSpec, optimize
+from .optimizer import (SEARCH_FIELDS, TARGETS, EvaluationFailureError, SearchSpec,
+                        optimize, params_fields, search_start)
 from .oracle import crosscheck_report
 from .polyalg import (ConstraintViolationError, MollifierShape, Poly, TwistShape,
                       mollifier_shape_from_poly, twist_shape_from_poly)
@@ -133,26 +134,31 @@ def _load_json(path: str) -> dict:
     return _section(cfg, TOP)
 
 
-def _mollifier(sec: dict, which: str, where: str) -> MollifierShape:
-    """A mollifier given as exactly one of {which}_shape or {which}_poly."""
-    shape_key, poly_key = f"{which}_shape", f"{which}_poly"
-    if shape_key in sec and poly_key in sec:
-        raise ConfigError(f"{where}: give {shape_key!r} or {poly_key!r}, not both")
+MOLLIFIER = (MollifierShape.of, mollifier_shape_from_poly)
+TWIST = (TwistShape.of, twist_shape_from_poly)
+
+
+def _shape(sec: dict, where: str, family: tuple, poly_key: str, *keys: str):
+    """A shape of family (from coefficients, from a raw polynomial) given by
+    its fields keys, the first required, or by poly_key, not both."""
+    from_coeffs, from_poly = family
     if poly_key in sec:
-        poly = Poly.from_coeffs(_get(sec, poly_key, where))
+        if any(key in sec for key in keys):
+            raise ConfigError(f"{where}: give {'/'.join(map(repr, keys))} or "
+                              f"{poly_key!r}, not both")
         try:
-            return mollifier_shape_from_poly(poly)
+            return from_poly(Poly.from_coeffs(_get(sec, poly_key, where)))
         except ConstraintViolationError as exc:
             raise ConfigError(f"{where}.{poly_key}: {exc}") from exc
-    if shape_key not in sec:
-        raise ConfigError(f"{where}: missing field {shape_key!r} (or {poly_key!r})")
-    return MollifierShape(tuple(_get(sec, shape_key, where)))
+    if keys[0] not in sec:
+        raise ConfigError(f"{where}: missing field {keys[0]!r} (or {poly_key!r})")
+    return from_coeffs(*(_get(sec, key, where, ()) for key in keys))
 
 
 def _section_four(cfg: dict, theta: float) -> SectionFourParams:
     sec = _section(cfg, "section4")
-    p1 = _mollifier(sec, "p1", "section4")
-    p2 = _mollifier(sec, "p2", "section4")
+    p1 = _shape(sec, "section4", MOLLIFIER, "p1_poly", "p1_shape")
+    p2 = _shape(sec, "section4", MOLLIFIER, "p2_poly", "p2_shape")
     r, R = _get(sec, "r", "section4"), _get(sec, "R", "section4")
     try:
         return SectionFourParams(p1_shape=p1, p2_shape=p2, theta=theta, r=r, R=R)
@@ -162,19 +168,8 @@ def _section_four(cfg: dict, theta: float) -> SectionFourParams:
 
 def _section_five(cfg: dict, theta: float) -> SectionFiveParams:
     sec = _section(cfg, "section5")
-    p = _mollifier(sec, "p", "section5")
-    if "q_poly" in sec:
-        if "q_linear" in sec or "q_sym" in sec:
-            raise ConfigError("section5: give 'q_linear'/'q_sym' or 'q_poly', not both")
-        try:
-            q = twist_shape_from_poly(Poly.from_coeffs(_get(sec, "q_poly", "section5")))
-        except ConstraintViolationError as exc:
-            raise ConfigError(f"section5.q_poly: {exc}") from exc
-    else:
-        if "q_linear" not in sec:
-            raise ConfigError("section5: missing field 'q_linear' (or 'q_poly')")
-        q = TwistShape(_get(sec, "q_linear", "section5"),
-                       tuple(_get(sec, "q_sym", "section5", [])))
+    p = _shape(sec, "section5", MOLLIFIER, "p_poly", "p_shape")
+    q = _shape(sec, "section5", TWIST, "q_poly", "q_linear", "q_sym")
     R, delta = _get(sec, "R", "section5"), _get(sec, "delta", "section5")
     try:
         return SectionFiveParams(p_shape=p, q_shape=q, theta=theta, R=R, delta=delta)
@@ -201,16 +196,8 @@ def _search_spec(cfg: dict, seed_override: int | None) -> SearchSpec:
     restarts = _get(sec, "restarts", "search", 0)
     seed = _get(sec, "seed", "search", 0)
     vary_shapes = _get(sec, "vary_shapes", "search", True)
-    if target == "minimize_nu":
-        p4 = _section_four(cfg, theta)
-        shape_degrees = (len(p4.p1_shape.shape_coeffs), len(p4.p2_shape.shape_coeffs))
-        initial = tuple(map(float, p4.p1_shape.shape_coeffs
-                            + p4.p2_shape.shape_coeffs + (p4.r, p4.R)))
-    else:
-        p5 = _section_five(cfg, theta)
-        shape_degrees = (len(p5.p_shape.shape_coeffs), len(p5.q_shape.sym_coeffs))
-        initial = tuple(map(float, p5.p_shape.shape_coeffs + (p5.q_shape.linear_coeff,)
-                            + p5.q_shape.sym_coeffs + (p5.R, p5.delta)))
+    read = {"section4": _section_four, "section5": _section_five}[SEARCH_FIELDS[target][0]]
+    shape_degrees, initial = search_start(read(cfg, theta))
     try:
         return SearchSpec(target=target, shape_degrees=shape_degrees,
                           scalar_bounds=bounds, theta=theta, initial_point=initial,
@@ -234,7 +221,10 @@ class Emitter:
         self.out_path = out_path
 
     def kv(self, key: str, value: float) -> None:
-        line = MACHINE_FMT.format(key=key, value=value)
+        self.line(MACHINE_FMT.format(key=key, value=value))
+
+    def line(self, line: str) -> None:
+        """One machine line, as given."""
         if self.machine:
             print(line)
         self.lines.append(line)
@@ -342,30 +332,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _shape_fragment(values) -> list[str]:
-    return [repr(float(v)) for v in values]
+def _written(value: float | list[float], kind: tuple) -> Any:
+    """A field value as a config holds it: a decimal as its shortest exact
+    string, a number as a JSON number."""
+    if kind is NUMBER:
+        return value
+    return [repr(x) for x in value] if kind is DECIMALS else repr(value)
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config)
     spec = _search_spec(cfg, args.seed)
     result = optimize(spec)
-    params = spec.params_from_vector(result.best_point)
+    section, fields = params_fields(spec.params_from_vector(result.best_point))
+    fragment = {section: {name: _written(value, SECTION_FIELDS[section][name])
+                          for name, value in fields.items()}}
     em = Emitter(args.machine, args.out)
     em.kv("best_objective", result.best_objective)
     em.kv("evaluations_used", float(result.evaluations_used))
-    fragment: dict[str, Any]
-    if spec.target == "minimize_nu":
-        fragment = {"section4": {
-            "p1_shape": _shape_fragment(params.p1_shape.shape_coeffs),
-            "p2_shape": _shape_fragment(params.p2_shape.shape_coeffs),
-            "r": params.r, "R": params.R}}
-    else:
-        fragment = {"section5": {
-            "p_shape": _shape_fragment(params.p_shape.shape_coeffs),
-            "q_linear": repr(float(params.q_shape.linear_coeff)),
-            "q_sym": _shape_fragment(params.q_shape.sym_coeffs),
-            "R": params.R, "delta": params.delta}}
     em.text(f"target           {spec.target}")
     em.text(f"best objective   {result.best_objective:.12f}")
     em.text(f"evaluations      {result.evaluations_used}")
@@ -373,8 +357,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             f"(last at evaluation {result.trace[-1][0] if result.trace else 0})")
     em.text("best point (config fragment):")
     em.text(json.dumps(fragment, indent=2))
-    if args.machine:
-        print(json.dumps(fragment, separators=(",", ":")))
+    em.line(json.dumps(fragment, separators=(",", ":")))
     em.flush()
     return 0
 
@@ -442,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError, EvaluationFailureError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,9 +15,9 @@ A search is deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,14 +30,25 @@ RESTART_RELATIVE_STEP = 0.10
 
 
 class EvaluationFailureError(RuntimeError):
-    """The objective failed at the initial point."""
+    """No point of a search evaluated; chained to the first failure."""
 
 
 class DimensionTooHighError(ValueError):
     """grid_scan asked to lattice more than 3 free scalars."""
 
 
-TARGETS = ("minimize_nu", "maximize_kappa")
+# The search layout, stated once: each target's config section and that
+# section's fields in vector order.  A field's size is an index into
+# shape_degrees for a list of shape coefficients, or SHAPE or SCALAR for a
+# single shape coefficient or search scalar.
+SHAPE, SCALAR = "shape", "scalar"
+SEARCH_FIELDS = {
+    "minimize_nu": ("section4", (("p1_shape", 0), ("p2_shape", 1),
+                                 ("r", SCALAR), ("R", SCALAR))),
+    "maximize_kappa": ("section5", (("p_shape", 0), ("q_linear", SHAPE), ("q_sym", 1),
+                                    ("R", SCALAR), ("delta", SCALAR))),
+}
+TARGETS = tuple(SEARCH_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -55,75 +66,95 @@ class SearchSpec:
     def __post_init__(self) -> None:
         if self.target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}, got {self.target!r}")
+        if len(self.shape_degrees) != 2 or min(self.shape_degrees) < 0:
+            raise ValueError(f"shape_degrees must be two counts >= 0, "
+                             f"got {self.shape_degrees}")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         names = self.vector_names()
         unknown = sorted(set(self.scalar_bounds) - set(names))
         if unknown:
             raise ValueError(f"bounds name {unknown[0]!r} is not in the search "
                              f"vector (allowed: {', '.join(names)})")
-        for name, (lo, hi) in self.scalar_bounds.items():
-            if not lo <= hi:
-                raise ValueError(f"empty bounds for {name!r}: ({lo}, {hi})")
         if len(self.initial_point) != len(names):
             raise ValueError(
                 f"initial point has {len(self.initial_point)} entries, "
                 f"expected {len(names)} ({names})")
-        for name, v in zip(names, self.initial_point):
-            lo, hi = self.scalar_bounds.get(name, (-math.inf, math.inf))
-            if name in self.scalar_bounds and not lo <= v <= hi:
-                raise ValueError(f"initial {name} = {v} outside bounds ({lo}, {hi})")
+        initial = dict(zip(names, self.initial_point))
+        for name, (lo, hi) in self.scalar_bounds.items():
+            if not lo <= hi:
+                raise ValueError(f"empty bounds for {name!r}: ({lo}, {hi})")
+            if not lo <= initial[name] <= hi:
+                raise ValueError(f"initial {name} = {initial[name]} "
+                                 f"outside bounds ({lo}, {hi})")
 
     # ---- vector layout -------------------------------------------------
+
+    def places(self) -> dict[str, slice | int]:
+        """Each field's place in the vector: a slice, or an index for one number."""
+        places, i = {}, 0
+        for name, size in SEARCH_FIELDS[self.target][1]:
+            n = 1 if size in (SHAPE, SCALAR) else self.shape_degrees[size]
+            places[name] = i if size in (SHAPE, SCALAR) else slice(i, i + n)
+            i += n
+        return places
 
     def vector_names(self) -> tuple[str, ...]:
         """Names of the full parameter vector entries, shapes included."""
         names: list[str] = []
-        if self.target == "minimize_nu":
-            m1, m2 = self.shape_degrees
-            names += [f"p1_shape[{j}]" for j in range(m1)]
-            names += [f"p2_shape[{j}]" for j in range(m2)]
-            names += ["r", "R"]
-        else:
-            mp, mq = self.shape_degrees
-            names += [f"p_shape[{j}]" for j in range(mp)]
-            names += ["q_linear"] + [f"q_sym[{k}]" for k in range(mq)]
-            names += ["R", "delta"]
+        for name, at in self.places().items():
+            names += ([name] if isinstance(at, int)
+                      else [f"{name}[{j}]" for j in range(at.stop - at.start)])
         return tuple(names)
 
     def free_indices(self) -> tuple[int, ...]:
-        free: list[int] = []
-        for i, name in enumerate(self.vector_names()):
-            is_shape = name.startswith(("p1_shape", "p2_shape", "p_shape",
-                                        "q_linear", "q_sym"))
-            if is_shape:
-                if self.vary_shapes:
-                    free.append(i)
-            elif name in self.scalar_bounds:
-                lo, hi = self.scalar_bounds[name]
-                if lo < hi:
-                    free.append(i)
-        return tuple(free)
+        """Every shape entry when vary_shapes; each scalar whose bounds are
+        a proper interval."""
+        scalars = {name for name, size in SEARCH_FIELDS[self.target][1] if size == SCALAR}
+        bounds = self.scalar_bounds
+        return tuple(i for i, name in enumerate(self.vector_names())
+                     if (name in bounds and bounds[name][0] < bounds[name][1]
+                         if name in scalars else self.vary_shapes))
 
     def params_from_vector(self, v: tuple[float, ...] | np.ndarray):
         """Reassemble a params object from a full vector."""
         v = [float(x) for x in v]
+        f = {name: v[place] for name, place in self.places().items()}
         if self.target == "minimize_nu":
-            m1, m2 = self.shape_degrees
-            p1 = MollifierShape.of([Fraction(repr(x)) for x in v[:m1]])
-            p2 = MollifierShape.of([Fraction(repr(x)) for x in v[m1:m1 + m2]])
-            r, R = v[m1 + m2], v[m1 + m2 + 1]
-            return SectionFourParams(p1_shape=p1, p2_shape=p2, theta=self.theta,
-                                     r=r, R=R)
-        mp, mq = self.shape_degrees
-        p = MollifierShape.of([Fraction(repr(x)) for x in v[:mp]])
-        q = TwistShape.of(Fraction(repr(v[mp])),
-                          [Fraction(repr(x)) for x in v[mp + 1:mp + 1 + mq]])
-        R, delta = v[mp + 1 + mq], v[mp + 2 + mq]
-        return SectionFiveParams(p_shape=p, q_shape=q, theta=self.theta,
-                                 R=R, delta=delta)
+            return SectionFourParams(p1_shape=MollifierShape.of(f["p1_shape"]),
+                                     p2_shape=MollifierShape.of(f["p2_shape"]),
+                                     theta=self.theta, r=f["r"], R=f["R"])
+        return SectionFiveParams(p_shape=MollifierShape.of(f["p_shape"]),
+                                 q_shape=TwistShape.of(f["q_linear"], f["q_sym"]),
+                                 theta=self.theta, R=f["R"], delta=f["delta"])
+
+
+def params_fields(params: SectionFourParams | SectionFiveParams) -> tuple[str, dict]:
+    """The inverse of params_from_vector: the config section of params and
+    its searched fields, in vector order, as floats or lists of floats."""
+    p = params
+    if isinstance(p, SectionFourParams):
+        target, exact = "minimize_nu", dict(
+            p1_shape=p.p1_shape.shape_coeffs, p2_shape=p.p2_shape.shape_coeffs, r=p.r, R=p.R)
+    else:
+        target, exact = "maximize_kappa", dict(
+            p_shape=p.p_shape.shape_coeffs, q_linear=p.q_shape.linear_coeff,
+            q_sym=p.q_shape.sym_coeffs, R=p.R, delta=p.delta)
+    section, fields = SEARCH_FIELDS[target]
+    return section, {name: float(exact[name]) if size in (SHAPE, SCALAR)
+                     else [float(x) for x in exact[name]] for name, size in fields}
+
+
+def search_start(params: SectionFourParams | SectionFiveParams
+                 ) -> tuple[tuple[int, int], tuple[float, ...]]:
+    """The shape_degrees and initial_point of a search that starts at params."""
+    values = list(params_fields(params)[1].values())
+    return (tuple(len(x) for x in values if isinstance(x, list)),
+            tuple(float(x) for x in np.hstack(values)))
 
 
 @dataclass(frozen=True)
@@ -137,24 +168,25 @@ class SearchResult:
 def _objective(spec: SearchSpec):
     """Raw target objective on the full vector; sign-flipped for maximization.
 
-    Evaluates the float core on slices of the vector directly.  It equals
-    the objective of params_from_vector(vector) bit for bit, because
-    float(Fraction(repr(x))) == x for every float x.
+    Evaluates the float core on the fields' slices of the vector directly.
+    It equals the objective of params_from_vector(vector) bit for bit,
+    because float(as_fraction(x)) == x for every float x.
     """
-    theta = spec.theta
+    theta, at = spec.theta, spec.places()
     if spec.target == "minimize_nu":
-        m1, m2 = spec.shape_degrees
+        p1, p2, r, R_at = at["p1_shape"], at["p2_shape"], at["r"], at["R"]
 
         def f(v: np.ndarray) -> float:
-            R = float(v[m1 + m2 + 1])
-            return nu_bound(c_core(v[:m1], v[m1:m1 + m2], theta, v[m1 + m2], R), R)
+            R = float(v[R_at])
+            return nu_bound(c_core(v[p1], v[p2], theta, v[r], R), R)
     else:
-        mp, mq = spec.shape_degrees
+        # c1_core takes the twist as one run (q_linear, q_sym[0], ..)
+        p, q, R_at, delta = (at["p_shape"], slice(at["q_linear"], at["q_sym"].stop),
+                             at["R"], at["delta"])
 
         def f(v: np.ndarray) -> float:
-            R = float(v[mp + 1 + mq])
-            return -kappa_bound(c1_core(v[:mp], v[mp:mp + 1 + mq], theta, R,
-                                        v[mp + 2 + mq]), R)
+            R = float(v[R_at])
+            return -kappa_bound(c1_core(v[p], v[q], theta, R, v[delta]), R)
 
     return f
 
@@ -171,6 +203,7 @@ class _BudgetedObjective:
         self.best = math.inf
         self.best_vector: np.ndarray | None = None
         self.trace: list[tuple[int, float]] = []
+        self.failure: Exception | None = None  # the first evaluation error
 
     def bounds_distance(self, v: np.ndarray) -> float:
         dist = 0.0
@@ -193,7 +226,8 @@ class _BudgetedObjective:
             return base + dist
         try:
             val = self.raw(v)
-        except (ArithmeticError, ValueError, OverflowError):
+        except (ArithmeticError, ValueError, OverflowError) as exc:
+            self.failure = self.failure or exc
             base = self.worst_feasible if math.isfinite(self.worst_feasible) else 0.0
             return base + 1.0
         self.worst_feasible = max(self.worst_feasible, val)
@@ -202,6 +236,17 @@ class _BudgetedObjective:
             self.best_vector = np.array(v, dtype=float)
             self.trace.append((self.count, val))
         return val
+
+    def result(self, failed: str) -> SearchResult:
+        """The best point and trace, maximize-by-negation undone; if nothing
+        evaluated, EvaluationFailureError(failed) from the first failure."""
+        if self.best_vector is None:
+            raise EvaluationFailureError(f"{failed}: {self.failure}") from self.failure
+        sign = -1.0 if self.spec.target == "maximize_kappa" else 1.0
+        return SearchResult(best_point=tuple(float(x) for x in self.best_vector),
+                            best_objective=sign * self.best,
+                            evaluations_used=self.count,
+                            trace=tuple((i, sign * v) for i, v in self.trace))
 
 
 class _BudgetExhausted(Exception):
@@ -264,39 +309,24 @@ def optimize(spec: SearchSpec) -> SearchResult:
     fn = _BudgetedObjective(spec)
     x0 = np.array(spec.initial_point, dtype=float)
     free = spec.free_indices()
-    sign = -1.0 if spec.target == "maximize_kappa" else 1.0
-
     fn(x0)
-    if fn.best_vector is None:
-        raise EvaluationFailureError("objective failed at the initial point")
-
-    if free and fn.remaining() > 0:
+    if fn.best_vector is not None and free and fn.remaining() > 0:
         rng = np.random.default_rng(spec.seed)
-        runs = 1 + spec.restarts
-        for run in range(runs):
+        for run in range(1 + spec.restarts):
             if fn.remaining() <= 0:
                 break
-            if run == 0:
-                start = x0.copy()
-            else:
+            start = x0.copy()
+            if run > 0:
                 factors = 1.0 + RESTART_RELATIVE_STEP * rng.uniform(-1.0, 1.0, len(x0))
-                start = x0.copy()
-                names = spec.vector_names()
                 for i in free:
                     start[i] = x0[i] * factors[i]
-                    if names[i] in spec.scalar_bounds:
-                        lo, hi = spec.scalar_bounds[names[i]]
+                    if fn.names[i] in spec.scalar_bounds:
+                        lo, hi = spec.scalar_bounds[fn.names[i]]
                         start[i] = min(max(start[i], lo), hi)
             step = np.array([0.1 * abs(start[i]) if start[i] != 0.0 else 0.05
                              for i in free])
             _nelder_mead(fn, start, free, step)
-
-    best_vec = fn.best_vector
-    trace = tuple((i, sign * v) for i, v in fn.trace)
-    return SearchResult(best_point=tuple(float(x) for x in best_vec),
-                        best_objective=sign * fn.best,
-                        evaluations_used=fn.count,
-                        trace=trace)
+    return fn.result("objective failed at the initial point")
 
 
 def grid_scan(spec: SearchSpec, resolution: int) -> SearchResult:
@@ -314,30 +344,15 @@ def grid_scan(spec: SearchSpec, resolution: int) -> SearchResult:
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
 
-    names = spec.vector_names()
-    axes: list[np.ndarray] = []
-    for i in free:
-        lo, hi = spec.scalar_bounds[names[i]]
-        if resolution == 1:
-            axes.append(np.array([lo, 0.5 * (lo + hi), hi]))
-        else:
-            axes.append(np.linspace(lo, hi, resolution))
+    bounds = [spec.scalar_bounds[name] for i, name in enumerate(spec.vector_names())
+              if i in free]
+    axes = [np.array([lo, 0.5 * (lo + hi), hi]) if resolution == 1
+            else np.linspace(lo, hi, resolution) for lo, hi in bounds]
 
     fn = _BudgetedObjective(replace(spec, budget=int(np.prod([len(ax) for ax in axes])) + 1))
-    sign = -1.0 if spec.target == "maximize_kappa" else 1.0
     base = np.array(spec.initial_point, dtype=float)
-    if not free:
-        fn(base)
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        for idx in np.ndindex(*mesh[0].shape):
-            v = base.copy()
-            for axis, i in enumerate(free):
-                v[i] = mesh[axis][idx]
-            fn(v)
-    if fn.best_vector is None:
-        raise EvaluationFailureError("every lattice point failed to evaluate")
-    return SearchResult(best_point=tuple(float(x) for x in fn.best_vector),
-                        best_objective=sign * fn.best,
-                        evaluations_used=fn.count,
-                        trace=tuple((i, sign * v) for i, v in fn.trace))
+    for point in itertools.product(*axes):  # last axis fastest; one point if none
+        v = base.copy()
+        v[list(free)] = point
+        fn(v)
+    return fn.result("every lattice point failed to evaluate")

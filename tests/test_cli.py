@@ -407,6 +407,75 @@ class TestOptimize:
         assert main(["optimize", "--config",
                      write_config(tmp_path, REFERENCE_CONFIG)]) == 2
 
+    @staticmethod
+    def optimize_and_reevaluate(tmp_path, capsys, cfg):
+        """optimize --machine on cfg, then eval --which bounds on its fragment
+        (the other section from cfg); the machine values of both runs."""
+        assert main(["optimize", "--config", write_config(tmp_path, cfg), "--machine"]) == 0
+        out = capsys.readouterr().out
+        fragment = json.loads(out.splitlines()[-1], parse_float=str)
+        again = {**{k: v for k, v in cfg.items() if k != "search"}, **fragment}
+        assert main(["eval", "--which", "bounds", "--machine",
+                     "--config", write_config(tmp_path, again, "again.json")]) == 0
+        return machine_values(out), machine_values(capsys.readouterr().out)
+
+    def test_nu_fragment_reevaluates_exactly(self, tmp_path, capsys):
+        # a raw p2 polynomial in, shape coefficients out, one of them bounded
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        del cfg["section4"]["p2_shape"]
+        cfg["section4"]["p2_poly"] = ["0", "1.492", "-0.417", "-0.075"]
+        cfg["search"] = {"target": "minimize_nu", "budget": 150, "restarts": 1, "seed": 5,
+                         "bounds": {"p1_shape[0]": [-0.5, 0.5], "r": [0.5, 2.0],
+                                    "R": [0.3, 1.2]}}
+        found, again = self.optimize_and_reevaluate(tmp_path, capsys, cfg)
+        assert found["best_objective"] < 0.16783
+        assert again["nu"] == found["best_objective"]
+
+    def test_kappa_fragment_reevaluates_exactly(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["search"] = {"target": "maximize_kappa", "budget": 120, "restarts": 1,
+                         "seed": 11, "bounds": {"R": [0.6, 0.9], "delta": [0.6, 0.95]}}
+        found, again = self.optimize_and_reevaluate(tmp_path, capsys, cfg)
+        assert found["best_objective"] > 0.93828
+        assert again["kappa"] == found["best_objective"]
+
+    def test_out_file_ends_with_the_fragment(self, tmp_path, capsys):
+        # --out once left the fragment out
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["search"] = {"target": "maximize_kappa", "budget": 5, "vary_shapes": False,
+                         "bounds": {"delta": [0.6, 0.95]}}
+        out_file = tmp_path / "opt.txt"
+        assert main(["optimize", "--config", write_config(tmp_path, cfg), "--machine",
+                     "--out", str(out_file)]) == 0
+        stdout = capsys.readouterr().out
+        assert out_file.read_text() == stdout
+        fragment = json.loads(out_file.read_text().splitlines()[-1])
+        assert list(fragment["section5"]) == ["p_shape", "q_linear", "q_sym", "R", "delta"]
+        assert fragment["section5"]["q_linear"] == "-0.673"
+
+    def test_start_point_that_fails_to_evaluate(self, tmp_path, capsys):
+        # once a traceback with exit 1 that hid the cause
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["section4"]["p1_shape"] = ["1e200", "0"]
+        cfg["search"] = {"target": "minimize_nu", "budget": 50}
+        code = main(["optimize", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        assert capsys.readouterr().err == ("evaluation error: objective failed at the "
+                                           "initial point: c evaluated to inf\n")
+
+    def test_negative_seed_in_config_names_the_key(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["search"] = {"target": "maximize_kappa", "budget": 1, "seed": -3}
+        assert main(["optimize", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == "config error: search: seed must be >= 0, got -3\n"
+
+    def test_negative_seed_flag_names_the_key(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["search"] = {"target": "maximize_kappa", "budget": 1, "seed": 4}
+        code = main(["optimize", "--config", write_config(tmp_path, cfg), "--seed", "-2"])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: search: seed must be >= 0, got -2\n"
+
 
 class TestSelfcheck:
     def test_default_passes(self, capsys):

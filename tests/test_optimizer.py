@@ -3,8 +3,11 @@
 import pytest
 
 from levbounds.optimizer import (DimensionTooHighError, EvaluationFailureError,
-                                 SearchSpec, grid_scan, optimize)
-from levbounds.proportions import c1_value, c_value, kappa_bound, nu_bound
+                                 SearchSpec, grid_scan, optimize, params_fields,
+                                 search_start)
+from levbounds.polyalg import MollifierShape, TwistShape
+from levbounds.proportions import (NonFiniteError, SectionFiveParams, SectionFourParams,
+                                   c1_value, c_value, kappa_bound, nu_bound)
 from levbounds.reference import section_five_reference, section_four_reference
 
 
@@ -77,6 +80,72 @@ class TestSpecValidation:
     def test_bound_on_shape_coefficient_accepted(self):
         spec = nu_spec(scalar_bounds={"p1_shape[0]": (-0.5, 0.5), "R": (0.3, 1.0)})
         assert "p1_shape[0]" in spec.vector_names()
+
+    def test_negative_seed_rejected_by_name(self):
+        # numpy once rejected it with a message naming no key
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):
+            nu_spec(seed=-3)
+
+    @pytest.mark.parametrize("degrees", [(2,), (2, 2, 2), (-1, 2)])
+    def test_shape_degrees_must_be_two_counts(self, degrees):
+        with pytest.raises(ValueError, match="shape_degrees"):
+            nu_spec(shape_degrees=degrees)
+
+
+def layout_params(target, degrees):
+    """Start params of the given shape degrees, with decimal coefficients."""
+    decimals = ["-0.158", "0.25", "0.492", "0.075", "-0.482"]
+    if target == "minimize_nu":
+        return SectionFourParams(MollifierShape.of(decimals[:degrees[0]]),
+                                 MollifierShape.of(decimals[1:1 + degrees[1]]),
+                                 1.0, 1.154, 0.617)
+    return SectionFiveParams(MollifierShape.of(decimals[:degrees[0]]),
+                             TwistShape.of("-0.673", decimals[2:2 + degrees[1]]),
+                             0.9, 0.746, 0.771)
+
+
+class TestLayout:
+    NAMES = {("minimize_nu", (0, 2)): ("p2_shape[0]", "p2_shape[1]", "r", "R"),
+             ("minimize_nu", (3, 0)): ("p1_shape[0]", "p1_shape[1]", "p1_shape[2]", "r", "R"),
+             ("maximize_kappa", (0, 2)): ("q_linear", "q_sym[0]", "q_sym[1]", "R", "delta"),
+             ("maximize_kappa", (3, 0)): ("p_shape[0]", "p_shape[1]", "p_shape[2]",
+                                          "q_linear", "R", "delta")}
+
+    @pytest.mark.parametrize("target, degrees", list(NAMES))
+    def test_start_vector_rebuilds_start_params(self, target, degrees):
+        params = layout_params(target, degrees)
+        shape_degrees, initial = search_start(params)
+        assert shape_degrees == degrees
+        spec = SearchSpec(target=target, shape_degrees=shape_degrees, scalar_bounds={},
+                          theta=params.theta, initial_point=initial, budget=1)
+        assert spec.vector_names() == self.NAMES[target, degrees]
+        assert spec.params_from_vector(spec.initial_point) == params
+        assert params_fields(spec.params_from_vector(initial)) == params_fields(params)
+
+    @pytest.mark.parametrize("target, degrees", list(NAMES))
+    def test_objective_evaluates_zero_length_shapes(self, target, degrees):
+        params = layout_params(target, degrees)
+        shape_degrees, initial = search_start(params)
+        spec = SearchSpec(target=target, shape_degrees=shape_degrees, scalar_bounds={},
+                          theta=params.theta, initial_point=initial, budget=1)
+        assert optimize(spec).best_objective == seed_objective(spec)
+
+    def test_free_entries(self):
+        # shape entries, q_linear among them, follow vary_shapes; a scalar
+        # is free only under bounds with lo < hi
+        spec = kappa_spec(scalar_bounds={"R": (0.5, 1.0), "delta": (0.771, 0.771)})
+        assert spec.free_indices() == (0, 1, 2, 3, 4, 5, 6)
+        frozen = kappa_spec(vary_shapes=False,
+                            scalar_bounds={"q_linear": (-1.0, 0.0), "R": (0.5, 1.0)})
+        assert frozen.free_indices() == (6,)
+        assert nu_spec(scalar_bounds={"r": (0.5, 2.0)}).free_indices() == (0, 1, 2, 3, 4)
+
+    def test_fields_follow_the_config_section(self):
+        section, fields = params_fields(layout_params("maximize_kappa", (3, 2)))
+        assert section == "section5"
+        assert fields == {"p_shape": [-0.158, 0.25, 0.492], "q_linear": -0.673,
+                          "q_sym": [0.492, 0.075], "R": 0.746, "delta": 0.771}
+        assert params_fields(section_four_reference())[0] == "section4"
 
 
 class TestOptimize:
@@ -151,6 +220,16 @@ class TestOptimize:
         with pytest.raises(EvaluationFailureError):
             optimize(spec)
 
+    def test_evaluation_failure_keeps_its_cause(self):
+        # the cause was once dropped, and the error named no reason
+        spec = nu_spec(initial_point=(1e200, 0.0, 0.492, 0.075, 1.154, 0.617),
+                       budget=10)
+        with pytest.raises(EvaluationFailureError) as info:
+            optimize(spec)
+        assert str(info.value) == ("objective failed at the initial point: "
+                                   "c evaluated to inf")
+        assert isinstance(info.value.__cause__, NonFiniteError)
+
 
 class TestGridScan:
     def test_requires_frozen_shapes(self):
@@ -165,6 +244,15 @@ class TestGridScan:
         spec5 = kappa_spec(vary_shapes=False,
                            scalar_bounds={"R": (0.5, 1.0), "delta": (0.5, 1.0)})
         grid_scan(spec5, resolution=2)
+
+    def test_every_point_failing_keeps_the_first_cause(self):
+        spec = nu_spec(vary_shapes=False, scalar_bounds={"r": (0.5, 2.0)},
+                       initial_point=(1e200, 0.0, 0.492, 0.075, 1.154, 0.617))
+        with pytest.raises(EvaluationFailureError,
+                           match="every lattice point failed to evaluate: c evaluated "
+                                 "to inf") as info:
+            grid_scan(spec, resolution=3)
+        assert isinstance(info.value.__cause__, NonFiniteError)
 
     def test_resolution_one_corners_and_midpoint(self):
         spec = kappa_spec(vary_shapes=False)

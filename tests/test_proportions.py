@@ -1,16 +1,18 @@
 """Bound constants and combiners: reference values, degeneracies, properties."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from levbounds.kernel import moments
-from levbounds.polyalg import MollifierShape, TwistShape, expand_mollifier
+from levbounds.polyalg import MollifierShape, TwistShape, expand_mollifier, expand_twist
 from levbounds.proportions import (NonPositiveConstantError, SectionFiveParams,
                                    SectionFourParams, c1_value, c_value,
                                    full_report, grh_bounds, kappa_bound,
-                                   nu_bound, unconditional_bounds)
+                                   nu_bound, twist_operator_coefficients,
+                                   unconditional_bounds)
 from levbounds.reference import section_five_reference, section_four_reference
 
 from kernel_reference import kernel_matrix
@@ -139,6 +141,50 @@ class TestC1Value:
                                  for j in range(3) if j != i)
                    for i, v in enumerate(values))
         assert at(d) == pytest.approx(pred, abs=1e-10)
+
+
+def exact_twist_operator(q, delta):
+    """(1-delta) + delta (1+2x) Q(-x) over powers of x, in exact rationals,
+    for Q(x) = sum_k q[k] x^k."""
+    q_reflected = [c * (-1) ** k for k, c in enumerate(q)]
+    out = [Fraction(0)] * (len(q) + 1)
+    for k, c in enumerate(q_reflected):
+        out[k] += delta * c
+        out[k + 1] += 2 * delta * c
+    out[0] += 1 - delta
+    return out
+
+
+class TestTwistOperator:
+    """twist_operator_coefficients is shared by the engine, the oracle and
+    the test reference; this checks it against the operator itself."""
+
+    def test_dyadic_twists_match_exactly(self):
+        # dyadic rationals with short numerators: every float step is exact
+        rng = np.random.default_rng(17)
+        for degree in range(1, 6):
+            for _ in range(4):
+                q = [Fraction(1)] + [Fraction(int(n), 64)
+                                     for n in rng.integers(-320, 321, degree)]
+                delta = Fraction(int(rng.integers(0, 129)), 128)
+                u = twist_operator_coefficients([float(c) for c in q], float(delta))
+                assert list(u) == [float(c) for c in exact_twist_operator(q, delta)]
+
+    def test_twist_shapes_match_to_rounding(self):
+        rng = np.random.default_rng(23)
+        for m in range(3):  # Q of degree 1, 3 and 5
+            for _ in range(4):
+                shape = TwistShape.of(float(rng.uniform(-1, 1)),
+                                      [float(x) for x in rng.uniform(-5, 5, m)])
+                q = list(expand_twist(shape).coeffs)
+                assert len(q) == 2 * m + 2
+                delta = Fraction(float(rng.uniform(0, 1.2)))
+                u = twist_operator_coefficients([float(c) for c in q], float(delta))
+                exact = exact_twist_operator(q, delta)
+                scale = max(abs(float(c)) for c in exact)
+                assert len(u) == len(exact)
+                for got, want in zip(u, exact):
+                    assert got == pytest.approx(float(want), rel=1e-15, abs=4e-16 * scale)
 
 
 class TestKappaBound:
