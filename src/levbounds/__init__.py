@@ -1,12 +1,12 @@
 """Mollified-moment bound constants for zero proportions of the Dirichlet
 L-function family: exact polynomial algebra, the closed-form derivatives
 of the singular moment kernel, the bound combiners, a finite-difference
-oracle, and a derivative-free search over the constrained polynomial
-shapes."""
+oracle, and an exact search over the constrained polynomial shapes."""
 
 from .kernel import MomentTable, kernel_derivative_basis, moment_grams, moments
 from .optimizer import (DimensionTooHighError, EvaluationFailureError,
-                        SearchResult, SearchSpec, grid_scan, optimize)
+                        IllPosedSolveError, SearchResult, SearchSpec, grid_scan,
+                        optimize)
 from .oracle import (CheckResult, CrosscheckReport, crosscheck_report,
                      fd_c1_value, fd_c_value, fd_derivatives, kernel_numeric,
                      quad_integrate01)
@@ -25,7 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MomentTable", "kernel_derivative_basis", "moment_grams", "moments",
-    "DimensionTooHighError", "EvaluationFailureError", "SearchResult",
+    "DimensionTooHighError", "EvaluationFailureError", "IllPosedSolveError",
+    "SearchResult",
     "SearchSpec", "grid_scan", "optimize",
     "CheckResult", "CrosscheckReport", "crosscheck_report", "fd_c1_value",
     "fd_c_value", "fd_derivatives", "kernel_numeric", "quad_integrate01",

@@ -350,11 +350,21 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     em = Emitter(args.machine, args.out)
     em.kv("best_objective", result.best_objective)
     em.kv("evaluations_used", float(result.evaluations_used))
+    em.kv("inner_solves", float(result.inner_solves))
+    for name, count in result.failures:
+        em.kv(f"failures.{name}", float(count))
+    for name, cond in result.conditions:
+        em.kv(f"cond.{name}", cond)
     em.text(f"target           {spec.target}")
     em.text(f"best objective   {result.best_objective:.12f}")
     em.text(f"evaluations      {result.evaluations_used}")
     em.text(f"improvements     {len(result.trace)} "
             f"(last at evaluation {result.trace[-1][0] if result.trace else 0})")
+    em.text(f"inner solves     {result.inner_solves}")
+    em.text("failures         " + (", ".join(f"{name} {count}" for name, count
+                                             in result.failures) or "none"))
+    em.text("block condition  " + (", ".join(f"{name} {cond:.3g}" for name, cond
+                                             in result.conditions) or "no free block"))
     em.text("best point (config fragment):")
     em.text(json.dumps(fragment, indent=2))
     em.line(json.dumps(fragment, separators=(",", ":")))

@@ -1,32 +1,60 @@
-"""Derivative-free search over constrained shape coefficients and scalars.
+"""Exact search over constrained shape coefficients and scalars.
 
-Nelder-Mead over a flat parameter vector, restarted from seeded +-10%
-perturbations of the initial point, with all restarts drawing from one
-shared evaluation budget.  Structural constraints (P(0)=0, P(1)=1, Q(0)=1,
-Q'(x)=Q'(1-x)) hold by construction through the shape bases, so only the
-scalar bounds need enforcement; an out-of-bounds or failing point scores
-worst-feasible-seen plus its distance to the feasible box, which keeps the
-simplex machinery unmodified.
+At a fixed contour offset R both bound constants are convex quadratics
+in suitable solve coordinates, so only R needs a one-dimensional search:
+
+  c    = z^T M(R) z with z = (u1, u2 / r), u = (1, c_1, .., c_m) the
+         homogeneous shape coefficients.  z[0] = 1 is pinned, so the
+         minimum over (P1, P2, r) is one linear solve.
+  c1   is quadratic in u = (1, p) when the twist is fixed, and in
+         v = (delta, delta q) when P is fixed, because the operator
+         weights are affine in v.  The two solves alternate until c1
+         stops decreasing, at most MAX_ALTERNATIONS times.
+
+nu and kappa are increasing in c and c1 at fixed R.  Golden section
+(Kiefer 1953) searches R over its bounds; each step is one evaluation of
+the budget, as is the start point, and warm-starts from the previous
+step's solution.  The search returns the better of the start and the best
+step, and its objective is the float core at the returned public vector,
+so it re-evaluates bit for bit.
+
+Structural constraints (P(0)=0, P(1)=1, Q(0)=1, Q'(x)=Q'(1-x)) hold by
+construction through the shape bases.  A frozen entry is a constant of
+the quadratic: frozen shapes leave a quadratic in 1/r or in delta alone.
+A bound is a linear inequality in the solve coordinates (p2_shape[j] >= b
+is z2[j+1] >= b z2[0]), and each box-bounded quadratic is solved exactly
+by a primal active-set loop that pins the bound a step would cross and
+releases a pin whose multiplier has the wrong sign.  With the twist free,
+delta is searched on the side of zero that holds its start value, since
+q = v / delta.  A free block that is not positive definite, or whose
+condition number exceeds MAX_CONDITION, fails the step with
+IllPosedSolveError; the step then counts as a failure.
 
 Freezing: shapes are frozen when vary_shapes is False; a scalar is frozen
 at its initial value when its bounds are degenerate (lo == hi) or absent.
-A search is deterministic for a fixed seed.
+seed and restarts are accepted for config compatibility and change
+nothing.  A search is deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .polyalg import MollifierShape, TwistShape
+from .kernel import MIN_BASE_R, kernel_derivative_basis, moment_grams
+from .polyalg import MollifierShape, TwistShape, twist_matrix
 from .proportions import (SectionFourParams, SectionFiveParams, c1_core,
-                          c_core, kappa_bound, nu_bound)
+                          c_core, kappa_bound, nu_bound, twist_operator_coefficients)
 
-SPREAD_TOLERANCE = 1e-10
-RESTART_RELATIVE_STEP = 0.10
+MAX_CONDITION = 1e12       # a free solve block conditioned worse than this is ill-posed
+MAX_ALTERNATIONS = 50      # P solve, then twist solve: at most this many per R step
+GOLDEN_TOLERANCE = 1e-9    # golden section stops at this fraction of the R bounds
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class EvaluationFailureError(RuntimeError):
@@ -35,6 +63,10 @@ class EvaluationFailureError(RuntimeError):
 
 class DimensionTooHighError(ValueError):
     """grid_scan asked to lattice more than 3 free scalars."""
+
+
+class IllPosedSolveError(ArithmeticError):
+    """A free solve block is not positive definite, or too ill-conditioned."""
 
 
 # The search layout, stated once: each target's config section and that
@@ -88,6 +120,11 @@ class SearchSpec:
         for name, (lo, hi) in self.scalar_bounds.items():
             if not lo <= hi:
                 raise ValueError(f"empty bounds for {name!r}: ({lo}, {hi})")
+            if name == "R" and not lo >= MIN_BASE_R:
+                raise ValueError(f"bounds for 'R' must be >= {MIN_BASE_R}, "
+                                 f"got ({lo}, {hi})")
+            if name == "r" and not lo > 0:
+                raise ValueError(f"bounds for 'r' must be > 0, got ({lo}, {hi})")
             if not lo <= initial[name] <= hi:
                 raise ValueError(f"initial {name} = {initial[name]} "
                                  f"outside bounds ({lo}, {hi})")
@@ -159,10 +196,20 @@ def search_start(params: SectionFourParams | SectionFiveParams
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The best point found and how the search got there.
+
+    inner_solves counts the quadratic solves, failures the evaluations
+    that failed by exception class, and conditions the condition number
+    of each free solve block at the best point; grid_scan solves nothing.
+    """
+
     best_point: tuple[float, ...]
     best_objective: float
     evaluations_used: int
     trace: tuple[tuple[int, float], ...]
+    inner_solves: int = 0
+    failures: tuple[tuple[str, int], ...] = ()
+    conditions: tuple[tuple[str, float], ...] = ()
 
 
 def _objective(spec: SearchSpec):
@@ -191,53 +238,38 @@ def _objective(spec: SearchSpec):
     return f
 
 
-class _BudgetedObjective:
-    """Counts evaluations, applies the bounds penalty, records improvements."""
+class _Record:
+    """Counts evaluations and their failures; keeps the best point and the
+    improvements."""
 
     def __init__(self, spec: SearchSpec):
         self.spec = spec
         self.raw = _objective(spec)
-        self.names = spec.vector_names()
         self.count = 0
-        self.worst_feasible = -math.inf
         self.best = math.inf
         self.best_vector: np.ndarray | None = None
         self.trace: list[tuple[int, float]] = []
+        self.failures: Counter[str] = Counter()
         self.failure: Exception | None = None  # the first evaluation error
 
-    def bounds_distance(self, v: np.ndarray) -> float:
-        dist = 0.0
-        for name, x in zip(self.names, v):
-            if name in self.spec.scalar_bounds:
-                lo, hi = self.spec.scalar_bounds[name]
-                dist += max(0.0, lo - x) + max(0.0, x - hi)
-        return dist
-
-    def remaining(self) -> int:
-        return self.spec.budget - self.count
-
-    def __call__(self, v: np.ndarray) -> float:
-        if self.count >= self.spec.budget:
-            raise _BudgetExhausted
+    def __call__(self, point: np.ndarray | Callable[[], np.ndarray]) -> float:
+        """One evaluation at point, or at the vector point() builds; inf if
+        building or evaluating it fails."""
         self.count += 1
-        dist = self.bounds_distance(v)
-        if dist > 0.0:
-            base = self.worst_feasible if math.isfinite(self.worst_feasible) else 0.0
-            return base + dist
         try:
+            v = point() if callable(point) else point
             val = self.raw(v)
-        except (ArithmeticError, ValueError, OverflowError) as exc:
+        except (ArithmeticError, ValueError) as exc:
             self.failure = self.failure or exc
-            base = self.worst_feasible if math.isfinite(self.worst_feasible) else 0.0
-            return base + 1.0
-        self.worst_feasible = max(self.worst_feasible, val)
+            self.failures[type(exc).__name__] += 1
+            return math.inf
         if val < self.best:
             self.best = val
             self.best_vector = np.array(v, dtype=float)
             self.trace.append((self.count, val))
         return val
 
-    def result(self, failed: str) -> SearchResult:
+    def result(self, failed: str, **extra) -> SearchResult:
         """The best point and trace, maximize-by-negation undone; if nothing
         evaluated, EvaluationFailureError(failed) from the first failure."""
         if self.best_vector is None:
@@ -246,87 +278,384 @@ class _BudgetedObjective:
         return SearchResult(best_point=tuple(float(x) for x in self.best_vector),
                             best_objective=sign * self.best,
                             evaluations_used=self.count,
-                            trace=tuple((i, sign * v) for i, v in self.trace))
+                            trace=tuple((i, sign * v) for i, v in self.trace),
+                            failures=tuple(sorted(self.failures.items())), **extra)
 
 
-class _BudgetExhausted(Exception):
-    pass
+# --------------------------------------------------------------------------
+# the inner solve: one convex quadratic under pins and bounds
+# --------------------------------------------------------------------------
 
-
-def _nelder_mead(fn: _BudgetedObjective, x0: np.ndarray, free: tuple[int, ...],
-                 step: np.ndarray) -> None:
-    """Minimize over the free coordinates of x0; results land in fn's state."""
-    n = len(free)
-    full = np.array(x0, dtype=float)
-
-    def eval_sub(xs: np.ndarray) -> float:
-        v = full.copy()
-        v[list(free)] = xs
-        return fn(v)
-
-    xs0 = full[list(free)]
-    simplex = [xs0]
-    for i in range(n):
-        p = xs0.copy()
-        p[i] += step[i] if step[i] != 0.0 else 0.05
-        simplex.append(p)
+def _condition(Q: np.ndarray) -> float:
+    """The 2-norm condition number of a block; inf unless its Cholesky
+    factor exists."""
     try:
-        values = [eval_sub(p) for p in simplex]
-        while True:
-            order = np.argsort(values, kind="stable")
-            simplex = [simplex[i] for i in order]
-            values = [values[i] for i in order]
-            if values[-1] - values[0] < SPREAD_TOLERANCE:
-                return
-            centroid = np.mean(simplex[:-1], axis=0)
-            reflected = centroid + (centroid - simplex[-1])
-            fr = eval_sub(reflected)
-            if values[0] <= fr < values[-2]:
-                simplex[-1], values[-1] = reflected, fr
-                continue
-            if fr < values[0]:
-                expanded = centroid + 2.0 * (centroid - simplex[-1])
-                fe = eval_sub(expanded)
-                if fe < fr:
-                    simplex[-1], values[-1] = expanded, fe
+        np.linalg.cholesky(Q)
+    except np.linalg.LinAlgError:
+        return math.inf
+    w = np.linalg.eigvalsh(Q)
+    return float(w[-1] / w[0]) if w[0] > 0.0 else math.inf
+
+
+def _inverse(where: str, Q: np.ndarray) -> np.ndarray:
+    """Q^-1 of a free block that is positive definite with a condition
+    number of at most MAX_CONDITION."""
+    cond = _condition(Q)
+    if cond == math.inf:
+        raise IllPosedSolveError(f"{where} is not positive definite")
+    if not cond <= MAX_CONDITION:
+        raise IllPosedSolveError(f"{where} has condition number {cond:.3g} "
+                                 f"> {MAX_CONDITION:.0e}")
+    return np.linalg.inv(Q)
+
+
+def _minimize(Q_inv: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
+              n_eq: int, x: np.ndarray, where: str) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Minimize x'Qx/2 + g'x subject to A x = b on the first n_eq rows and
+    A x >= b on the others, from a feasible x; returns x and the rows
+    pinned at it.
+
+    Primal active set: step towards the minimizer on the pinned rows,
+    stopping at the first row the step would cross and pinning it; at the
+    minimizer, release the pinned row whose multiplier has the wrong sign,
+    or stop when none has.  The loop is finite, and capped.
+    """
+    pinned = list(range(n_eq))
+    newton = Q_inv @ g
+    tol = 1e-12 * (1.0 + float(np.abs(g).max(initial=0.0)))
+    for _ in range(8 + 4 * (len(b) + len(x))):
+        Ap = A[pinned]
+        QA = Q_inv @ Ap.T
+        lam = np.linalg.solve(Ap @ QA, b[pinned] + Ap @ newton) if pinned else g[:0]
+        step = QA @ lam - newton - x
+        along, slack = A @ step, A @ x - b
+        alpha, blocking = 1.0, None
+        for i in range(n_eq, len(b)):
+            if along[i] < 0.0 and i not in pinned:
+                reach = max(slack[i], 0.0) / -along[i]
+                if reach < alpha:
+                    alpha, blocking = reach, i
+        x = x + alpha * step
+        if blocking is not None:
+            pinned.append(blocking)
+            continue
+        worst = n_eq + int(np.argmin(lam[n_eq:])) if len(pinned) > n_eq else None
+        if worst is None or lam[worst] >= -tol:
+            return x, tuple(pinned)
+        del pinned[worst]
+    raise IllPosedSolveError(f"{where}: the active set did not settle")
+
+
+@dataclass(frozen=True)
+class _Segment:
+    """A run s (1, c) of a solve vector: shape coefficients c scaled by s,
+    which is 1 (P1, P), 1/r (P2) or delta (the twist)."""
+
+    shape: tuple[int, ...]   # vector indices of c
+    scale: int | None        # vector index of the field behind s; None: s = 1
+    inverse: bool = False    # s is 1 / the field, not the field
+
+
+class _Block:
+    """One block of solve coordinates x, its solve vector y = y0 + N x, and
+    its bounds as rows A x >= b (the first n_eq rows equalities).
+
+    Each segment contributes the coordinates (s, s c) when s and c are both
+    free, c when only c is, (s,) when only s is, and none when neither is;
+    frozen values come from the start.  Each row names the public entry it
+    pins when active, and the value it pins it to.
+    """
+
+    def __init__(self, name: str, spec: SearchSpec, segments: tuple[_Segment, ...]):
+        self.name = name
+        start = np.array(spec.initial_point, dtype=float)
+        free = set(spec.free_indices())
+        bounds = {i: spec.scalar_bounds[n] for i, n in enumerate(spec.vector_names())
+                  if n in spec.scalar_bounds}
+        self.parts, y0, maps, rows, col = [], [], [], [], 0
+        for seg in segments:
+            n = len(seg.shape)
+            s0 = 1.0 if seg.scale is None else float(start[seg.scale])
+            s0 = 1.0 / s0 if seg.inverse else s0
+            s_free = seg.scale in free
+            c_free = n > 0 and seg.shape[0] in free and (s_free or s0 != 0.0)
+            home, eye = np.concatenate(([1.0], start[list(seg.shape)])), np.eye(n + 1)
+            if s_free:
+                y0.append(np.zeros(n + 1))
+                maps.append(eye if c_free else home[:, None])
+            else:
+                y0.append(s0 * eye[0] if c_free else s0 * home)
+                maps.append(s0 * eye[:, 1:] if c_free else eye[:, :0])
+            sign = 1.0
+            if s_free:
+                lo, hi = bounds[seg.scale]
+                if c_free and not seg.inverse:  # q = v / delta: delta keeps its side of 0
+                    sign = 1.0 if s0 > 0.0 or (s0 == 0.0 and hi > 0.0) else -1.0
+                    lo, hi = (max(lo, 0.0), hi) if sign > 0.0 else (lo, min(hi, 0.0))
+                # s_lo <= s <= s_hi; for s = 1/r the row at 1/hi pins r at hi
+                (s_lo, at_lo), (s_hi, at_hi) = (((1.0 / hi, hi), (1.0 / lo, lo)) if seg.inverse
+                                                else ((lo, lo), (hi, hi)))
+                rows += [({col: 1.0}, s_lo, (seg.scale, at_lo), False),
+                         ({col: -1.0}, -s_hi, (seg.scale, at_hi), False)]
+            for j, at in enumerate(seg.shape):
+                if not c_free or at not in bounds:
+                    continue
+                lo, hi = bounds[at]
+                k = col + s_free + j  # lo <= c_j <= hi, or s lo <= s c_j <= s hi
+                low = {k: 1.0, col: -lo} if s_free else {k: 1.0}
+                high = {k: -1.0, col: hi} if s_free else {k: -1.0}
+                rhs = (0.0, 0.0) if s_free else (lo, -hi)
+                if lo == hi:
+                    rows.append((low, rhs[0], (at, lo), True))
                 else:
-                    simplex[-1], values[-1] = reflected, fr
-                continue
-            contracted = centroid + 0.5 * (simplex[-1] - centroid)
-            fc = eval_sub(contracted)
-            if fc < values[-1]:
-                simplex[-1], values[-1] = contracted, fc
-                continue
-            best = simplex[0]
-            simplex = [best] + [best + 0.5 * (p - best) for p in simplex[1:]]
-            values = [values[0]] + [eval_sub(p) for p in simplex[1:]]
-    except _BudgetExhausted:
+                    rows += [({i: sign * a for i, a in row.items()}, r, (at, v), False)
+                             for row, r, v in ((low, rhs[0], lo), (high, rhs[1], hi))]
+            self.parts.append((seg, col, s_free, c_free))
+            col += maps[-1].shape[1]
+        self.size = col
+        self.y0 = np.concatenate(y0)
+        self.N = np.zeros((len(self.y0), col))
+        i = k = 0
+        for m in maps:
+            self.N[i:i + m.shape[0], k:k + m.shape[1]] = m
+            i, k = i + m.shape[0], k + m.shape[1]
+        rows.sort(key=lambda row: not row[3])
+        self.n_eq = sum(row[3] for row in rows)
+        self.A = np.zeros((len(rows), col))
+        for i, (row, _, _, _) in enumerate(rows):
+            self.A[i, list(row)] = list(row.values())
+        self.b = np.array([row[1] for row in rows])
+        self.pins = [row[2] for row in rows]
+
+    def coordinates(self, v: np.ndarray) -> np.ndarray:
+        """The solve coordinates of a public vector."""
+        x = []
+        for seg, _, s_free, c_free in self.parts:
+            s = 1.0 if seg.scale is None else float(v[seg.scale])
+            s = 1.0 / s if seg.inverse else s
+            c = v[list(seg.shape)]
+            if s_free:
+                x.append(s)
+            if c_free:
+                x += list(s * c if s_free else c)
+        return np.array(x, dtype=float)
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return self.y0 + self.N @ x
+
+    def quadratic(self, H: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """y'Hy + 2h'y in the coordinates, halved: (Q, g) of x'Qx/2 + g'x."""
+        Q = self.N.T @ H @ self.N
+        return 0.5 * (Q + Q.T), self.N.T @ (H @ self.y0 + h)
+
+    def solve(self, R: float, H: np.ndarray, h: np.ndarray, state):
+        """Minimize y'Hy + 2h'y from state (x, pinned rows)."""
+        Q, g = self.quadratic(H, h)
+        where = f"{self.name} block at R = {R!r}"
+        return _minimize(_inverse(where, Q), g, self.A, self.b, self.n_eq, state[0], where)
+
+    def write(self, state, out: np.ndarray) -> None:
+        """Write the public entries of state into the vector out; an entry a
+        row pins lands on its bound exactly."""
+        x, pinned = state
+        for seg, col, s_free, c_free in self.parts:
+            s = x[col] if s_free else 1.0
+            if s_free:
+                out[seg.scale] = 1.0 / s if seg.inverse else s
+            if c_free and s != 0.0:
+                c = x[col + s_free:col + s_free + len(seg.shape)]
+                out[list(seg.shape)] = c / s if s_free else c
+        for i in pinned:
+            at, value = self.pins[i]
+            out[at] = value
+
+
+def _indices(place: slice | int) -> tuple[int, ...]:
+    return tuple(range(place.start, place.stop)) if isinstance(place, slice) else (place,)
+
+
+class _Solve:
+    """The exact solve of one target at fixed R: each free block in turn,
+    alternated while the constant decreases when there are two."""
+
+    def __init__(self, spec: SearchSpec, blocks: tuple[_Block, ...]):
+        self.spec = spec
+        start = np.array(spec.initial_point, dtype=float)
+        self.frozen = {b.name: b.values(b.coordinates(start)) for b in blocks}
+        self.blocks = tuple(b for b in blocks if b.size)
+        self.R_at = spec.places()["R"]
+        self.solves = 0
+        self.clips = [(i, spec.scalar_bounds[n]) for i, n in enumerate(spec.vector_names())
+                      if n in spec.scalar_bounds]
+
+    def start(self, v: np.ndarray):
+        """The state of each free block at the public vector v: (x, no pins)."""
+        return tuple((b.coordinates(v), ()) for b in self.blocks)
+
+    def _values(self, states) -> dict[str, np.ndarray]:
+        return {**self.frozen, **{b.name: b.values(s[0]) for b, s in zip(self.blocks, states)}}
+
+    def solve(self, R: float, states):
+        """The solved states at R, warm-started from states."""
+        kernel = self.kernel(R)
+        states, values, last = list(states), self._values(states), math.inf
+        for _ in range(MAX_ALTERNATIONS):
+            for i, block in enumerate(self.blocks):
+                self.solves += 1
+                states[i] = block.solve(R, *self.form(block.name, kernel, values), states[i])
+                values[block.name] = block.values(states[i][0])
+            if len(self.blocks) < 2:
+                break
+            now = self.constant(kernel, values)
+            if not now < last:
+                break
+            last = now
+        return tuple(states)
+
+    def vector(self, states, R: float) -> np.ndarray:
+        """The public vector of states at R, inside the bounds."""
+        out = np.array(self.spec.initial_point, dtype=float)
+        for block, state in zip(self.blocks, states):
+            block.write(state, out)
+        for i, (lo, hi) in self.clips:
+            out[i] = min(max(out[i], lo), hi)
+        out[self.R_at] = R
+        return out
+
+    def conditions(self, v: np.ndarray) -> tuple[tuple[str, float], ...]:
+        """The condition number of each free block at the public vector v."""
+        kernel, values = self.kernel(float(v[self.R_at])), self._values(self.start(v))
+        return tuple((b.name, _condition(b.quadratic(*self.form(b.name, kernel, values))[0]))
+                     for b in self.blocks)
+
+
+class _NuSolve(_Solve):
+    """c = z'M(R)z over z = (1, p1, t, t p2), t = 1/r: one block."""
+
+    def __init__(self, spec: SearchSpec):
+        at = spec.places()
+        p1, p2 = _indices(at["p1_shape"]), _indices(at["p2_shape"])
+        m = max(len(p1), len(p2))
+        self.grams = moment_grams(m)
+        self.rows = np.r_[0:len(p1) + 1, m + 1:m + 2 + len(p2)]  # z inside (u1, u2) padded
+        super().__init__(spec, (_Block("mollifier", spec, (
+            _Segment(p1, None), _Segment(p2, at["r"], inverse=True))),))
+
+    def kernel(self, R: float) -> np.ndarray:
+        return kernel_derivative_basis(self.spec.theta, R, 1)
+
+    def form(self, name, kernel, values):
+        n = 2 * len(self.grams[0])
+        H = np.einsum("kab,kij->aibj", kernel, self.grams).reshape(n, n)
+        H = H[np.ix_(self.rows, self.rows)]
+        return 0.5 * (H + H.T), np.zeros(len(H))
+
+
+class _KappaSolve(_Solve):
+    """c1 = sum_k (u_P' G_k u_P)(u' K_k u) with u = e0 + B v: a mollifier
+    block u_P = (1, p) and a twist block v = delta (1, q)."""
+
+    def __init__(self, spec: SearchSpec):
+        at = spec.places()
+        p = _indices(at["p_shape"])
+        q = _indices(at["q_linear"]) + _indices(at["q_sym"])
+        twist = twist_matrix(len(q) - 1)
+        self.B = np.column_stack([twist_operator_coefficients(col, 1.0) for col in twist.T])
+        self.B[0, 0] -= 1.0
+        self.order = twist.shape[0]
+        self.grams = moment_grams(len(p))
+        super().__init__(spec, (_Block("mollifier", spec, (_Segment(p, None),)),
+                                _Block("twist", spec, (_Segment(q, at["delta"]),))))
+
+    def kernel(self, R: float) -> np.ndarray:
+        return kernel_derivative_basis(self.spec.theta, R, self.order)
+
+    def _operator(self, values) -> np.ndarray:
+        """The twist operator's weights u = e0 + B v."""
+        u = self.B @ values["twist"]
+        u[0] += 1.0
+        return u
+
+    def _twist_kernel(self, kernel, values) -> np.ndarray:
+        """sum_k m_k K_k over the moments m_k of (P, P), symmetrized."""
+        up = values["mollifier"]
+        moments = np.einsum("i,kij,j->k", up, self.grams, up)
+        K = (moments @ kernel.reshape(4, -1)).reshape(kernel.shape[1:])
+        return 0.5 * (K + K.T)
+
+    def form(self, name, kernel, values):
+        if name == "mollifier":
+            u = self._operator(values)
+            weights = np.einsum("m,kmn,n->k", u, kernel, u)
+            H = (weights @ self.grams.reshape(4, -1)).reshape(self.grams.shape[1:])
+            return 0.5 * (H + H.T), np.zeros(len(H))
+        K = self._twist_kernel(kernel, values)
+        return self.B.T @ K @ self.B, self.B.T @ K[:, 0]
+
+    def constant(self, kernel, values) -> float:
+        u = self._operator(values)
+        return float(u @ self._twist_kernel(kernel, values) @ u)
+
+
+# --------------------------------------------------------------------------
+# the outer search
+# --------------------------------------------------------------------------
+
+def _golden_section(f: Callable[[float], float], lo: float, hi: float,
+                    room: Callable[[], bool]) -> None:
+    """Golden-section search for the minimum of f on [lo, hi] while room();
+    an end of [lo, hi] still in the bracket when it closes is tried too."""
+    a, b = lo, hi
+    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    if not room():
         return
+    fc = f(c)
+    if not room():
+        return
+    fd = f(d)
+    while room() and b - a > GOLDEN_TOLERANCE * (hi - lo):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = f(d)
+    for end in (lo,) * (a == lo) + (hi,) * (b == hi):
+        if room():
+            f(end)
 
 
 def optimize(spec: SearchSpec) -> SearchResult:
-    """Budgeted, restarted Nelder-Mead; deterministic for a fixed seed."""
-    fn = _BudgetedObjective(spec)
-    x0 = np.array(spec.initial_point, dtype=float)
-    free = spec.free_indices()
-    fn(x0)
-    if fn.best_vector is not None and free and fn.remaining() > 0:
-        rng = np.random.default_rng(spec.seed)
-        for run in range(1 + spec.restarts):
-            if fn.remaining() <= 0:
-                break
-            start = x0.copy()
-            if run > 0:
-                factors = 1.0 + RESTART_RELATIVE_STEP * rng.uniform(-1.0, 1.0, len(x0))
-                for i in free:
-                    start[i] = x0[i] * factors[i]
-                    if fn.names[i] in spec.scalar_bounds:
-                        lo, hi = spec.scalar_bounds[fn.names[i]]
-                        start[i] = min(max(start[i], lo), hi)
-            step = np.array([0.1 * abs(start[i]) if start[i] != 0.0 else 0.05
-                             for i in free])
-            _nelder_mead(fn, start, free, step)
-    return fn.result("objective failed at the initial point")
+    """Golden section over R with an exact solve at each step; see the
+    module docstring.  Deterministic."""
+    record = _Record(spec)
+    start = np.array(spec.initial_point, dtype=float)
+    record(start)
+    if record.best_vector is None:
+        return record.result("objective failed at the initial point")
+    solver = (_NuSolve if spec.target == "minimize_nu" else _KappaSolve)(spec)
+    state = solver.start(start)
+
+    def step(R: float) -> float:
+        def point() -> np.ndarray:
+            nonlocal state
+            state = solver.solve(R, state)
+            return solver.vector(state, R)
+        return record(point)
+
+    def room() -> bool:
+        return record.count < spec.budget
+
+    R_at = solver.R_at
+    if R_at in spec.free_indices():
+        _golden_section(step, *spec.scalar_bounds["R"], room)
+    elif solver.blocks and room():
+        step(float(start[R_at]))
+    return record.result("objective failed at the initial point",
+                         inner_solves=solver.solves,
+                         conditions=solver.conditions(record.best_vector))
 
 
 def grid_scan(spec: SearchSpec, resolution: int) -> SearchResult:
@@ -349,10 +678,10 @@ def grid_scan(spec: SearchSpec, resolution: int) -> SearchResult:
     axes = [np.array([lo, 0.5 * (lo + hi), hi]) if resolution == 1
             else np.linspace(lo, hi, resolution) for lo, hi in bounds]
 
-    fn = _BudgetedObjective(replace(spec, budget=int(np.prod([len(ax) for ax in axes])) + 1))
+    record = _Record(spec)
     base = np.array(spec.initial_point, dtype=float)
     for point in itertools.product(*axes):  # last axis fastest; one point if none
         v = base.copy()
         v[list(free)] = point
-        fn(v)
-    return fn.result("every lattice point failed to evaluate")
+        record(v)
+    return record.result("every lattice point failed to evaluate")

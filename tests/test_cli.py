@@ -502,3 +502,42 @@ class TestSelfcheck:
         assert main(["selfcheck", "--machine"]) == 0
         values = machine_values(capsys.readouterr().out)
         assert values["all_passed"] == 1.0
+
+
+class TestOptimizeAccounting:
+    @pytest.mark.parametrize("bounds, message", [
+        ({"R": [-1, 1.2], "r": [-2, 2]}, "bounds for 'R' must be >= 1e-06, got (-1.0, 1.2)"),
+        ({"r": [-2, 2]}, "bounds for 'r' must be > 0, got (-2.0, 2.0)"),
+    ])
+    def test_bounds_outside_the_domain_are_config_errors(self, tmp_path, capsys,
+                                                         bounds, message):
+        # these once exited 0, every invalid point scored as a penalty
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["search"] = {"target": "minimize_nu", "bounds": bounds}
+        assert main(["optimize", "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "best objective" not in captured.out
+        assert captured.err == f"config error: search: {message}\n"
+
+    @pytest.mark.parametrize("target, blocks", [("minimize_nu", {"cond.mollifier"}),
+                                                ("maximize_kappa",
+                                                 {"cond.mollifier", "cond.twist"})])
+    def test_machine_output_counts_solves_and_conditions(self, tmp_path, capsys,
+                                                         target, blocks):
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["search"] = {"target": target, "bounds": {"R": [0.4, 1.2]}}
+        assert main(["optimize", "--config", write_config(tmp_path, cfg), "--machine"]) == 0
+        values = machine_values(capsys.readouterr().out)
+        assert values["inner_solves"] >= values["evaluations_used"] - 1
+        assert {k for k in values if k.startswith("cond.")} == blocks
+        assert not any(k.startswith("failures.") for k in values)
+
+    def test_machine_output_counts_failures_by_class(self, tmp_path, capsys, monkeypatch):
+        from levbounds import optimizer
+        monkeypatch.setattr(optimizer, "MAX_CONDITION", 1.0)
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["search"] = {"target": "minimize_nu", "bounds": {"R": [0.4, 1.2]}, "budget": 9}
+        assert main(["optimize", "--config", write_config(tmp_path, cfg), "--machine"]) == 0
+        values = machine_values(capsys.readouterr().out)
+        assert values["failures.IllPosedSolveError"] == 8.0
+        assert values["evaluations_used"] == 9.0

@@ -1,9 +1,16 @@
-"""Search behaviour: determinism, budget accounting, penalties, grid oracle."""
+"""Search behaviour: determinism, budget accounting, exact solves, grid oracle."""
 
+import itertools
+import math
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from levbounds.optimizer import (DimensionTooHighError, EvaluationFailureError,
-                                 SearchSpec, grid_scan, optimize, params_fields,
+from levbounds import optimizer
+from levbounds.optimizer import (MAX_CONDITION, TARGETS, DimensionTooHighError,
+                                 EvaluationFailureError, IllPosedSolveError, SearchSpec,
+                                 _NuSolve, grid_scan, optimize, params_fields,
                                  search_start)
 from levbounds.polyalg import MollifierShape, TwistShape
 from levbounds.proportions import (NonFiniteError, SectionFiveParams, SectionFourParams,
@@ -273,3 +280,192 @@ class TestGridScan:
                          resolution=15)
         seed_nu = seed_objective(nu_spec())
         assert scan.best_objective <= seed_nu + 5e-4
+
+
+def criterion_eight_spec(target: str, **overrides) -> SearchSpec:
+    """The budget-2000 search of acceptance criterion 8 at seed 5."""
+    p4, p5 = section_four_reference(), section_five_reference()
+    if target == "minimize_nu":
+        fields = dict(target=target, shape_degrees=(2, 2),
+                      scalar_bounds={"r": (0.5, 2.0), "R": (0.3, 1.2)},
+                      initial_point=(-0.158, 0.25, 0.492, 0.075, p4.r, p4.R))
+    else:
+        fields = dict(target=target, shape_degrees=(3, 2),
+                      scalar_bounds={"R": (0.4, 1.2), "delta": (0.4, 1.2)},
+                      initial_point=(-0.482, -0.392, -0.262, -0.673, 0.369, -4.635,
+                                     p5.R, p5.delta))
+    fields.update(theta=1.0, budget=2000, seed=5, restarts=4)
+    fields.update(overrides)
+    return SearchSpec(**fields)
+
+
+def with_entry(spec: SearchSpec, name: str, value: float, **bounds) -> SearchSpec:
+    """spec started with one entry set to value, and bounds replaced by name."""
+    point = list(spec.initial_point)
+    point[spec.vector_names().index(name)] = value
+    merged = {k: v for k, v in {**spec.scalar_bounds, **bounds}.items() if v is not None}
+    return replace(spec, initial_point=tuple(point), scalar_bounds=merged)
+
+
+class TestExactSolves:
+    def test_criterion_eight_searches_match_or_beat_nelder_mead(self):
+        # the budget-2000 Nelder-Mead these replaced reached these values
+        nu = optimize(criterion_eight_spec("minimize_nu"))
+        kappa = optimize(criterion_eight_spec("maximize_kappa"))
+        assert nu.best_objective <= 0.16782944817108
+        assert kappa.best_objective >= 0.93833209946
+        assert nu.failures == kappa.failures == ()
+        assert nu.evaluations_used < 100 and kappa.evaluations_used < 100
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_golden_section_beats_every_point_of_an_R_grid(self, target):
+        spec = criterion_eight_spec(target)
+        found = optimize(spec).best_objective
+        sign = 1.0 if target == "minimize_nu" else -1.0
+        for R in np.linspace(*spec.scalar_bounds["R"], 181):
+            at_R = optimize(with_entry(spec, "R", float(R), R=None)).best_objective
+            assert sign * found <= sign * at_R + 1e-12
+
+    @pytest.mark.parametrize("target, bounds", [("minimize_nu", (0.3, 0.5)),
+                                                ("maximize_kappa", (0.4, 0.6))])
+    def test_optimum_at_an_end_of_the_R_bounds_is_that_end(self, target, bounds):
+        # both profiles are unimodal with their optimum above these bounds
+        spec = with_entry(criterion_eight_spec(target), "R", bounds[0], R=bounds)
+        result = optimize(spec)
+        assert result.best_point[spec.vector_names().index("R")] == bounds[1]
+        at_end = optimize(with_entry(spec, "R", bounds[1], R=None))
+        assert result.best_objective == pytest.approx(at_end.best_objective, abs=1e-12)
+
+    @pytest.mark.parametrize("hi", [1.0, 0.833])  # 1 / (1 / 0.833) != 0.833
+    def test_r_bound_that_cuts_the_optimum_is_pinned(self, hi):
+        spec = with_entry(criterion_eight_spec("minimize_nu"), "r", 0.7, r=(0.5, hi))
+        result = optimize(spec)
+        assert result.best_point[spec.vector_names().index("r")] == hi
+        if hi == 1.0:
+            assert result.best_objective <= 0.19083094  # Nelder-Mead: 0.19085870
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_solve_at_a_frozen_R_converges(self, target):
+        # one step from the start reaches what golden section found at its R
+        spec = criterion_eight_spec(target)
+        found = optimize(spec)
+        R = found.best_point[spec.vector_names().index("R")]
+        at_R = optimize(with_entry(spec, "R", R, R=None))
+        assert at_R.evaluations_used == 2
+        assert at_R.best_objective == pytest.approx(found.best_objective, abs=1e-12)
+
+    def test_shape_bound_that_cuts_the_optimum_beats_a_scan_of_that_entry(self):
+        spec = with_entry(criterion_eight_spec("minimize_nu"), "p1_shape[0]", 0.0,
+                          **{"p1_shape[0]": (-0.1, 0.1)})
+        result = optimize(spec)
+        assert result.best_point[0] == -0.1
+        for value in np.linspace(-0.1, 0.1, 21):
+            value = float(value)
+            fixed = with_entry(spec, "p1_shape[0]", value, **{"p1_shape[0]": (value, value)})
+            scanned = optimize(fixed)
+            assert scanned.best_point[0] == value
+            assert result.best_objective <= scanned.best_objective + 1e-12
+
+    def test_delta_frozen_at_one(self):
+        spec = with_entry(criterion_eight_spec("maximize_kappa", budget=1200, seed=9,
+                                               restarts=2),
+                          "delta", 1.0, delta=(1.0, 1.0))
+        result = optimize(spec)
+        assert result.best_point[-1] == 1.0
+        assert result.best_objective >= 0.842956  # Nelder-Mead: 0.842915
+
+    def test_delta_frozen_at_zero_keeps_the_start_twist(self):
+        spec = with_entry(criterion_eight_spec("maximize_kappa"), "delta", 0.0, delta=None)
+        result = optimize(spec)
+        assert result.best_point[3:6] == spec.initial_point[3:6]
+        assert [name for name, _ in result.conditions] == ["mollifier"]
+        params = spec.params_from_vector(result.best_point)
+        assert kappa_bound(c1_value(params), params.R) == result.best_objective
+        assert result.best_objective > seed_objective(spec)
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_seed_and_restarts_change_nothing(self, target):
+        a = optimize(criterion_eight_spec(target, seed=0, restarts=0))
+        b = optimize(criterion_eight_spec(target, seed=123, restarts=9))
+        assert a == b
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_accounting(self, target):
+        result = optimize(criterion_eight_spec(target))
+        assert result.inner_solves >= result.evaluations_used - 1
+        names = ["mollifier"] + (["twist"] if target == "maximize_kappa" else [])
+        assert [name for name, _ in result.conditions] == names
+        assert all(1.0 <= cond < MAX_CONDITION for _, cond in result.conditions)
+
+
+def brute_force_box_minimum(Q, g, lo, hi) -> float:
+    """min x'Qx/2 + g'x over the box [lo, hi]^n, from every face's minimizer."""
+    n, best = len(g), math.inf
+    for faces in itertools.product((lo, None, hi), repeat=n):
+        fixed = [i for i in range(n) if faces[i] is not None]
+        free = [i for i in range(n) if faces[i] is None]
+        x = np.array([0.0 if f is None else f for f in faces])
+        if free:
+            x[free] = np.linalg.solve(Q[np.ix_(free, free)],
+                                      -(g[free] + Q[np.ix_(free, fixed)] @ x[fixed]))
+        if np.all((x >= lo - 1e-12) & (x <= hi + 1e-12)):
+            best = min(best, 0.5 * x @ Q @ x + g @ x)
+    return best
+
+
+class TestActiveSet:
+    def test_box_quadratics_match_a_brute_force_over_faces(self):
+        rng = np.random.default_rng(11)
+        n = 3
+        A = np.vstack([np.eye(n), -np.eye(n)])
+        b = np.r_[-np.ones(n), -np.ones(n)]
+        for _ in range(200):
+            M = rng.normal(size=(n, n))
+            Q = M @ M.T + 0.1 * np.eye(n)
+            g = 3.0 * rng.normal(size=n)
+            x, pinned = optimizer._minimize(np.linalg.inv(Q), g, A, b, 0,
+                                            rng.uniform(-1.0, 1.0, n), "test")
+            assert np.all(A @ x >= b - 1e-12)
+            assert 0.5 * x @ Q @ x + g @ x <= brute_force_box_minimum(Q, g, -1.0, 1.0) + 1e-12
+            assert all(abs(A[i] @ x - b[i]) <= 1e-12 for i in pinned)
+
+
+class TestIllPosedSolves:
+    def block_and_state(self):
+        spec = criterion_eight_spec("minimize_nu")
+        block = _NuSolve(spec).blocks[0]
+        return block, (block.coordinates(np.array(spec.initial_point)), ())
+
+    def test_indefinite_block_fails_loudly(self):
+        block, state = self.block_and_state()
+        H = np.diag([1.0, 2.0, 3.0, -1.0, 1.0, 1.0])
+        with pytest.raises(IllPosedSolveError,
+                           match=r"^mollifier block at R = 0\.5 is not positive definite$"):
+            block.solve(0.5, H, np.zeros(6), state)
+
+    def test_ill_conditioned_block_fails_loudly(self):
+        block, state = self.block_and_state()
+        H = np.diag([1.0, 1.0, 1.0, 1e-14, 1.0, 1.0])
+        with pytest.raises(IllPosedSolveError, match=r"condition number 1e\+14 > 1e\+12"):
+            block.solve(0.5, H, np.zeros(6), state)
+
+    def test_failed_steps_are_counted_and_never_returned(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "MAX_CONDITION", 1.0)
+        spec = criterion_eight_spec("minimize_nu")
+        result = optimize(spec)
+        assert result.best_point == spec.initial_point
+        assert result.failures == (("IllPosedSolveError", result.evaluations_used - 1),)
+
+
+class TestSearchBounds:
+    @pytest.mark.parametrize("bounds, message", [
+        ({"R": (-1.0, 1.2), "r": (-2.0, 2.0)},
+         r"^bounds for 'R' must be >= 1e-06, got \(-1\.0, 1\.2\)$"),
+        ({"R": (0.0, 1.2)}, r"^bounds for 'R' must be >= 1e-06"),
+        ({"r": (-2.0, 2.0)}, r"^bounds for 'r' must be > 0, got \(-2\.0, 2\.0\)$"),
+        ({"r": (0.0, 2.0)}, r"^bounds for 'r' must be > 0"),
+    ])
+    def test_bounds_outside_the_domain_rejected(self, bounds, message):
+        # they were once accepted and then scored as penalties
+        with pytest.raises(ValueError, match=message):
+            nu_spec(scalar_bounds=bounds)
