@@ -355,6 +355,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         em.kv(f"failures.{name}", float(count))
     for name, cond in result.conditions:
         em.kv(f"cond.{name}", cond)
+    for name, bound in result.pinned:
+        em.kv(f"pinned.{name}", bound)
     em.text(f"target           {spec.target}")
     em.text(f"best objective   {result.best_objective:.12f}")
     em.text(f"evaluations      {result.evaluations_used}")
@@ -365,6 +367,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                                              in result.failures) or "none"))
     em.text("block condition  " + (", ".join(f"{name} {cond:.3g}" for name, cond
                                              in result.conditions) or "no free block"))
+    em.text("pinned bounds    " + (", ".join(f"{name} {bound!r}" for name, bound
+                                             in result.pinned) or "none"))
     em.text("best point (config fragment):")
     em.text(json.dumps(fragment, indent=2))
     em.line(json.dumps(fragment, separators=(",", ":")))

@@ -11,10 +11,11 @@ in suitable solve coordinates, so only R needs a one-dimensional search:
          weights are affine in v.  The two solves alternate until c1
          stops decreasing, at most MAX_ALTERNATIONS times.
 
-nu and kappa are increasing in c and c1 at fixed R.  Golden section
-(Kiefer 1953) searches R over its bounds; each step is one evaluation of
-the budget, as is the start point, and warm-starts from the previous
-step's solution.  The search returns the better of the start and the best
+nu and kappa are increasing in c and c1 at fixed R.  Brent's method
+(Brent 1973, ch. 5: parabolic interpolation with a golden-section
+fallback) searches R over its bounds; each step is one evaluation of the
+budget, as is the start point, and warm-starts from the previous step's
+solution.  The search returns the better of the start and the best
 step, and its objective is the float core at the returned public vector,
 so it re-evaluates bit for bit.
 
@@ -53,8 +54,9 @@ from .proportions import (SectionFourParams, SectionFiveParams, c1_core,
 
 MAX_CONDITION = 1e12       # a free solve block conditioned worse than this is ill-posed
 MAX_ALTERNATIONS = 50      # P solve, then twist solve: at most this many per R step
-GOLDEN_TOLERANCE = 1e-9    # golden section stops at this fraction of the R bounds
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+R_TOLERANCE = 1e-9         # R search tolerance: sqrt(eps) |R| plus this fraction of the bounds
+GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0   # the golden-section step, as a fraction of a bracket
+SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 class EvaluationFailureError(RuntimeError):
@@ -201,6 +203,8 @@ class SearchResult:
     inner_solves counts the quadratic solves, failures the evaluations
     that failed by exception class, and conditions the condition number
     of each free solve block at the best point; grid_scan solves nothing.
+    pinned names each free entry of best_point that sits exactly on one of
+    its bounds (lo < hi), with that bound, sorted by name.
     """
 
     best_point: tuple[float, ...]
@@ -210,6 +214,7 @@ class SearchResult:
     inner_solves: int = 0
     failures: tuple[tuple[str, int], ...] = ()
     conditions: tuple[tuple[str, float], ...] = ()
+    pinned: tuple[tuple[str, float], ...] = ()
 
 
 def _objective(spec: SearchSpec):
@@ -275,11 +280,17 @@ class _Record:
         if self.best_vector is None:
             raise EvaluationFailureError(f"{failed}: {self.failure}") from self.failure
         sign = -1.0 if self.spec.target == "maximize_kappa" else 1.0
-        return SearchResult(best_point=tuple(float(x) for x in self.best_vector),
+        best = tuple(float(x) for x in self.best_vector)
+        at = {name: i for i, name in enumerate(self.spec.vector_names())}
+        free = self.spec.free_indices()
+        pinned = sorted((name, best[at[name]]) for name, (lo, hi) in self.spec.scalar_bounds.items()
+                        if lo < hi and at[name] in free and best[at[name]] in (lo, hi))
+        return SearchResult(best_point=best,
                             best_objective=sign * self.best,
                             evaluations_used=self.count,
                             trace=tuple((i, sign * v) for i, v in self.trace),
-                            failures=tuple(sorted(self.failures.items())), **extra)
+                            failures=tuple(sorted(self.failures.items())),
+                            pinned=tuple(pinned), **extra)
 
 
 # --------------------------------------------------------------------------
@@ -287,12 +298,8 @@ class _Record:
 # --------------------------------------------------------------------------
 
 def _condition(Q: np.ndarray) -> float:
-    """The 2-norm condition number of a block; inf unless its Cholesky
-    factor exists."""
-    try:
-        np.linalg.cholesky(Q)
-    except np.linalg.LinAlgError:
-        return math.inf
+    """The 2-norm condition number of a block; inf unless its smallest
+    eigenvalue is positive."""
     w = np.linalg.eigvalsh(Q)
     return float(w[-1] / w[0]) if w[0] > 0.0 else math.inf
 
@@ -601,34 +608,60 @@ class _KappaSolve(_Solve):
 # the outer search
 # --------------------------------------------------------------------------
 
-def _golden_section(f: Callable[[float], float], lo: float, hi: float,
-                    room: Callable[[], bool]) -> None:
-    """Golden-section search for the minimum of f on [lo, hi] while room();
-    an end of [lo, hi] still in the bracket when it closes is tried too."""
+def _brent(f: Callable[[float], float], lo: float, hi: float,
+           room: Callable[[], bool]) -> None:
+    """Brent's bounded minimization of f on [lo, hi] while room().
+
+    Each step goes to the vertex of the parabola through the best three
+    points when that lands inside the bracket and moves less than half the
+    step before last, and takes a golden-section step into the larger side
+    otherwise.  It stops once the bracket lies within 2 tol of the best
+    point, tol = sqrt(eps) |x| + R_TOLERANCE (hi - lo); an end of [lo, hi]
+    still in the bracket then is tried too.
+    """
+    if not room():
+        return
     a, b = lo, hi
-    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
-    if not room():
-        return
-    fc = f(c)
-    if not room():
-        return
-    fd = f(d)
-    while room() and b - a > GOLDEN_TOLERANCE * (hi - lo):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
+    x = w = v = a + GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while room():
+        mid = 0.5 * (a + b)
+        tol = SQRT_EPS * abs(x) + R_TOLERANCE * (hi - lo)
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+            break
+        p = q = 0.0
+        if abs(e) > tol:  # the parabola through (v, w, x): its vertex is x + p / q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+        if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                d = tol if x < mid else -tol
         else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
+            e = (b if x < mid else a) - x
+            d = GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v in (x, w):
+                v, fv = u, fu
     for end in (lo,) * (a == lo) + (hi,) * (b == hi):
         if room():
             f(end)
 
 
 def optimize(spec: SearchSpec) -> SearchResult:
-    """Golden section over R with an exact solve at each step; see the
+    """Brent's method over R with an exact solve at each step; see the
     module docstring.  Deterministic."""
     record = _Record(spec)
     start = np.array(spec.initial_point, dtype=float)
@@ -650,7 +683,7 @@ def optimize(spec: SearchSpec) -> SearchResult:
 
     R_at = solver.R_at
     if R_at in spec.free_indices():
-        _golden_section(step, *spec.scalar_bounds["R"], room)
+        _brent(step, *spec.scalar_bounds["R"], room)
     elif solver.blocks and room():
         step(float(start[R_at]))
     return record.result("objective failed at the initial point",

@@ -532,6 +532,20 @@ class TestOptimizeAccounting:
         assert {k for k in values if k.startswith("cond.")} == blocks
         assert not any(k.startswith("failures.") for k in values)
 
+    def test_pinned_bounds_printed(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["section4"]["r"] = 0.7
+        cfg["search"] = {"target": "minimize_nu", "bounds": {"r": [0.5, 1.0], "R": [0.3, 1.2]}}
+        path = write_config(tmp_path, cfg)
+        assert main(["optimize", "--config", path, "--machine"]) == 0
+        values = machine_values(capsys.readouterr().out)
+        assert {k: v for k, v in values.items() if k.startswith("pinned.")} == {"pinned.r": 1.0}
+        assert main(["optimize", "--config", path]) == 0
+        assert "\npinned bounds    r 1.0\n" in capsys.readouterr().out
+        cfg["search"]["bounds"] = {"R": [0.3, 1.2]}
+        assert main(["optimize", "--config", write_config(tmp_path, cfg)]) == 0
+        assert "\npinned bounds    none\n" in capsys.readouterr().out
+
     def test_machine_output_counts_failures_by_class(self, tmp_path, capsys, monkeypatch):
         from levbounds import optimizer
         monkeypatch.setattr(optimizer, "MAX_CONDITION", 1.0)

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levbounds import optimizer
 from levbounds.optimizer import (MAX_CONDITION, TARGETS, DimensionTooHighError,
@@ -317,6 +318,21 @@ class TestExactSolves:
         assert nu.failures == kappa.failures == ()
         assert nu.evaluations_used < 100 and kappa.evaluations_used < 100
 
+    def test_criterion_eight_searches_take_few_steps(self):
+        # golden section took 47 evaluations each and 666 kappa solves
+        nu = optimize(criterion_eight_spec("minimize_nu"))
+        kappa = optimize(criterion_eight_spec("maximize_kappa"))
+        assert nu.evaluations_used <= 25 and kappa.evaluations_used <= 25
+        assert kappa.inner_solves <= 400
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_criterion_eight_optima_pin_no_bound(self, target):
+        assert optimize(criterion_eight_spec(target)).pinned == ()
+
+    def test_r_bound_that_cuts_the_optimum_is_reported_pinned(self):
+        spec = with_entry(criterion_eight_spec("minimize_nu"), "r", 0.7, r=(0.5, 1.0))
+        assert optimize(spec).pinned == (("r", 1.0),)
+
     @pytest.mark.parametrize("target", TARGETS)
     def test_golden_section_beats_every_point_of_an_R_grid(self, target):
         spec = criterion_eight_spec(target)
@@ -396,6 +412,60 @@ class TestExactSolves:
         names = ["mollifier"] + (["twist"] if target == "maximize_kappa" else [])
         assert [name for name, _ in result.conditions] == names
         assert all(1.0 <= cond < MAX_CONDITION for _, cond in result.conditions)
+
+
+PROFILES = {"parabola": lambda k, m: lambda x: k * (x - m) ** 2,
+            "cosh": lambda k, m: lambda x: k * math.cosh(x - m)}
+
+
+def run_brent(profile: str, k: float, m: float, lo: float, hi: float,
+              budget: int) -> list[float]:
+    """The points _brent evaluates on the profile over [lo, hi], in order."""
+    f, points = PROFILES[profile](k, m), []
+
+    def step(x: float) -> float:
+        points.append(x)
+        return f(x)
+    optimizer._brent(step, lo, hi, lambda: len(points) < budget)
+    return points
+
+
+# the minimizer at lo + at (hi - lo): at < 0 or at > 1 puts it outside
+brent_cases = dict(profile=st.sampled_from(sorted(PROFILES)), k=st.floats(0.1, 10.0),
+                   at=st.floats(-1.0, 2.0), lo=st.floats(1e-3, 1.0),
+                   width=st.floats(0.5, 2.0))
+brent_settings = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+class TestBrent:
+    @brent_settings
+    @given(**brent_cases)
+    def test_finds_the_minimizer_clipped_to_the_bounds(self, profile, k, at, lo, width):
+        # cosh(x - m) == cosh(0) in binary64 for |x - m| < 1.1e-8, so no
+        # search locates it closer; widths >= 0.5 keep that under 1e-7 (hi - lo)
+        hi = lo + width
+        m = lo + at * width
+        points = run_brent(profile, k, m, lo, hi, budget=1000)
+        assert len(points) < 1000
+        assert all(lo <= x <= hi for x in points)
+        f = PROFILES[profile](k, m)
+        best = min(points, key=f)
+        target = min(max(m, lo), hi)
+        assert abs(best - target) <= 1e-7 * (hi - lo)
+        # nearer than this, cosh(x - m) ties in binary64 next to the end and the
+        # bracket can close just off it (seen up to 3e-8 (hi - lo) in 20000
+        # random draws); best is still within the tolerance above
+        if abs(m - target) > 1e-6 * (hi - lo):
+            assert target in points
+
+    @brent_settings
+    @given(budget=st.integers(0, 60), **brent_cases)
+    def test_never_evaluates_past_the_budget_or_the_bounds(self, budget, profile, k, at,
+                                                          lo, width):
+        hi = lo + width
+        points = run_brent(profile, k, lo + at * width, lo, hi, budget)
+        assert len(points) <= budget
+        assert all(lo <= x <= hi for x in points)
 
 
 def brute_force_box_minimum(Q, g, lo, hi) -> float:
