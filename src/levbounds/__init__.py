@@ -14,8 +14,8 @@ from .polyalg import (ConstraintViolationError, MollifierShape, Poly, TwistShape
                       expand_mollifier, expand_twist, integrate01_product,
                       poly_derivative, poly_eval)
 from .proportions import (BoundReport, NonFiniteError, NonPositiveConstantError,
-                          SectionFiveParams, SectionFourParams, c1_core, c1_value,
-                          c_core, c_value,
+                          SectionFiveParams, SectionFourParams, bounds_table, c1_core,
+                          c1_value, c_core, c_value,
                           full_report, grh_bounds, kappa_bound, nu_bound,
                           unconditional_bounds)
 from .reference import (REFERENCE_CONSTANTS, REMARK_DELTA1_KAPPA,
@@ -34,7 +34,7 @@ __all__ = [
     "expand_mollifier", "expand_twist", "integrate01_product",
     "poly_derivative", "poly_eval",
     "BoundReport", "NonFiniteError", "NonPositiveConstantError",
-    "SectionFiveParams", "SectionFourParams", "c1_core", "c1_value", "c_core",
+    "SectionFiveParams", "SectionFourParams", "bounds_table", "c1_core", "c1_value", "c_core",
     "c_value",
     "full_report", "grh_bounds", "kappa_bound", "nu_bound",
     "unconditional_bounds",

@@ -25,9 +25,8 @@ from .optimizer import (SEARCH_FIELDS, TARGETS, EvaluationFailureError, SearchSp
 from .oracle import crosscheck_report
 from .polyalg import (ConstraintViolationError, MollifierShape, Poly, TwistShape,
                       mollifier_shape_from_poly, twist_shape_from_poly)
-from .proportions import (SectionFourParams, SectionFiveParams, c1_value, c_value,
-                          full_report, grh_bounds, kappa_bound, nu_bound,
-                          unconditional_bounds)
+from .proportions import (SectionFourParams, SectionFiveParams, bounds_table, c1_value,
+                          c_value)
 
 MACHINE_FMT = "{key}={value:.17g}"
 
@@ -86,7 +85,7 @@ SECTION_FIELDS: dict[str, Any] = {
     "section5": {"p_shape": DECIMALS, "p_poly": DECIMALS, "q_linear": DECIMAL,
                  "q_sym": DECIMALS, "q_poly": DECIMALS, "R": NUMBER, "delta": NUMBER},
     "search": {"target": TARGET, "bounds": OBJECT, "budget": INTEGER,
-               "restarts": INTEGER, "seed": INTEGER, "vary_shapes": BOOLEAN},
+               "vary_shapes": BOOLEAN},
     "search.bounds": PAIR,  # any name; SearchSpec checks it against its vector
     "constants": {"c": NUMBER, "c1": NUMBER, "R4": NUMBER, "R5": NUMBER},
 }
@@ -186,23 +185,20 @@ def _params(config: str | None) -> tuple[SectionFourParams, SectionFiveParams]:
     return _section_four(cfg, theta), _section_five(cfg, theta)
 
 
-def _search_spec(cfg: dict, seed_override: int | None) -> SearchSpec:
+def _search_spec(cfg: dict) -> SearchSpec:
     sec = _section(cfg, "search")
     target = _get(sec, "target", "search")
     theta = _get(cfg, "theta", TOP, 1.0)
     bounds_sec = _get(sec, "bounds", "search", {})
     bounds = {name: _get(bounds_sec, name, "search.bounds") for name in bounds_sec}
     budget = _get(sec, "budget", "search", 2000)
-    restarts = _get(sec, "restarts", "search", 0)
-    seed = _get(sec, "seed", "search", 0)
     vary_shapes = _get(sec, "vary_shapes", "search", True)
     read = {"section4": _section_four, "section5": _section_five}[SEARCH_FIELDS[target][0]]
     shape_degrees, initial = search_start(read(cfg, theta))
     try:
         return SearchSpec(target=target, shape_degrees=shape_degrees,
                           scalar_bounds=bounds, theta=theta, initial_point=initial,
-                          budget=budget, restarts=restarts, vary_shapes=vary_shapes,
-                          seed=seed_override if seed_override is not None else seed)
+                          budget=budget, vary_shapes=vary_shapes)
     except ValueError as exc:
         raise ConfigError(f"search: {exc}") from exc
 
@@ -252,19 +248,13 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     ref5 = reference.section_five_reference()
     comparable = (p4 == ref4 and p5 == ref5)
 
-    report = full_report(p4, p5)
+    values = bounds_table(c_value(p4), p4.R, c1_value(p5), p5.R)
     targets = reference.REFERENCE_CONSTANTS
-    rows = [
-        ("c", report.c), ("nu", report.nu), ("c1", report.c1),
-        ("kappa", report.kappa), ("d_uncond", report.d_uncond),
-        ("s_uncond", report.s_uncond), ("d_grh", report.d_grh),
-        ("s_grh", report.s_grh),
-    ]
     em = Emitter(args.machine, args.out)
     em.text(f"{'quantity':<10} {'computed':>20} {'reference':>12} "
             f"{'|delta|':>12}  verdict")
     all_pass = True
-    for key, computed in rows:
+    for key, computed in values.items():
         em.kv(key, computed)
         if not comparable:
             em.text(f"{key:<10} {computed:>20.12f} {'n/a':>12} {'n/a':>12}  N/A")
@@ -284,7 +274,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         em.text(f"{key:<10} {computed:>20.12f} {target:>12.6f} {delta:>12.3e}  "
                 f"{'PASS' if ok else 'FAIL'}")
     if comparable:
-        nu_self = report.nu
+        nu_self = values["nu"]
         nu_printed = targets["nu"]
         em.text()
         em.text(f"note: nu recomputed from c is {nu_self:.7f}; the quoted "
@@ -319,13 +309,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
               else _get(_section(cfg, "section4"), "R", "section4"))
         R5 = (_get(consts, "R5", "constants") if "R5" in consts
               else _get(_section(cfg, "section5"), "R", "section5"))
-        nu = nu_bound(c, R4)
-        kappa = kappa_bound(c1, R5)
-        d, s = unconditional_bounds(kappa, nu)
-        d_grh, s_grh = grh_bounds(nu)
-        for key, value in (("c", c), ("nu", nu), ("c1", c1), ("kappa", kappa),
-                           ("d_uncond", d), ("s_uncond", s),
-                           ("d_grh", d_grh), ("s_grh", s_grh)):
+        for key, value in bounds_table(c, R4, c1, R5).items():
             em.kv(key, value)
             em.text(f"{key} = {value:.12f}")
     em.flush()
@@ -342,7 +326,7 @@ def _written(value: float | list[float], kind: tuple) -> Any:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config)
-    spec = _search_spec(cfg, args.seed)
+    spec = _search_spec(cfg)
     result = optimize(spec)
     section, fields = params_fields(spec.params_from_vector(result.best_point))
     fragment = {section: {name: _written(value, SECTION_FIELDS[section][name])
@@ -420,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", parents=[common], help="run a search")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the search seed")
     p.set_defaults(fn=cmd_optimize)
 
     p = sub.add_parser("selfcheck", parents=[common],

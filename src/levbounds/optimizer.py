@@ -33,8 +33,8 @@ IllPosedSolveError; the step then counts as a failure.
 
 Freezing: shapes are frozen when vary_shapes is False; a scalar is frozen
 at its initial value when its bounds are degenerate (lo == hi) or absent.
-seed and restarts are accepted for config compatibility and change
-nothing.  A search is deterministic.
+A search is deterministic; SearchSpec keeps seed and restarts for library
+callers that still pass them, and neither changes anything.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -87,6 +88,9 @@ TARGETS = tuple(SEARCH_FIELDS)
 
 @dataclass(frozen=True)
 class SearchSpec:
+    """One search.  seed and restarts are kept, and validated, for library
+    callers that pass them; neither changes the search."""
+
     target: str
     shape_degrees: tuple[int, ...]
     scalar_bounds: dict[str, tuple[float, float]]
@@ -149,6 +153,12 @@ class SearchSpec:
             names += ([name] if isinstance(at, int)
                       else [f"{name}[{j}]" for j in range(at.stop - at.start)])
         return tuple(names)
+
+    @cached_property
+    def bounds_by_index(self) -> dict[int, tuple[float, float]]:
+        """Each bounded entry's vector index, mapped to its (lo, hi)."""
+        return {i: self.scalar_bounds[name] for i, name in enumerate(self.vector_names())
+                if name in self.scalar_bounds}
 
     def free_indices(self) -> tuple[int, ...]:
         """Every shape entry when vary_shapes; each scalar whose bounds are
@@ -281,10 +291,9 @@ class _Record:
             raise EvaluationFailureError(f"{failed}: {self.failure}") from self.failure
         sign = -1.0 if self.spec.target == "maximize_kappa" else 1.0
         best = tuple(float(x) for x in self.best_vector)
-        at = {name: i for i, name in enumerate(self.spec.vector_names())}
-        free = self.spec.free_indices()
-        pinned = sorted((name, best[at[name]]) for name, (lo, hi) in self.spec.scalar_bounds.items()
-                        if lo < hi and at[name] in free and best[at[name]] in (lo, hi))
+        names, free = self.spec.vector_names(), self.spec.free_indices()
+        pinned = sorted((names[i], best[i]) for i, (lo, hi) in self.spec.bounds_by_index.items()
+                        if lo < hi and i in free and best[i] in (lo, hi))
         return SearchResult(best_point=best,
                             best_objective=sign * self.best,
                             evaluations_used=self.count,
@@ -377,8 +386,7 @@ class _Block:
         self.name = name
         start = np.array(spec.initial_point, dtype=float)
         free = set(spec.free_indices())
-        bounds = {i: spec.scalar_bounds[n] for i, n in enumerate(spec.vector_names())
-                  if n in spec.scalar_bounds}
+        bounds = spec.bounds_by_index
         self.parts, y0, maps, rows, col = [], [], [], [], 0
         for seg in segments:
             n = len(seg.shape)
@@ -492,8 +500,6 @@ class _Solve:
         self.blocks = tuple(b for b in blocks if b.size)
         self.R_at = spec.places()["R"]
         self.solves = 0
-        self.clips = [(i, spec.scalar_bounds[n]) for i, n in enumerate(spec.vector_names())
-                      if n in spec.scalar_bounds]
 
     def start(self, v: np.ndarray):
         """The state of each free block at the public vector v: (x, no pins)."""
@@ -524,7 +530,7 @@ class _Solve:
         out = np.array(self.spec.initial_point, dtype=float)
         for block, state in zip(self.blocks, states):
             block.write(state, out)
-        for i, (lo, hi) in self.clips:
+        for i, (lo, hi) in self.spec.bounds_by_index.items():
             out[i] = min(max(out[i], lo), hi)
         out[self.R_at] = R
         return out
@@ -616,8 +622,10 @@ def _brent(f: Callable[[float], float], lo: float, hi: float,
     points when that lands inside the bracket and moves less than half the
     step before last, and takes a golden-section step into the larger side
     otherwise.  It stops once the bracket lies within 2 tol of the best
-    point, tol = sqrt(eps) |x| + R_TOLERANCE (hi - lo); an end of [lo, hi]
-    still in the bracket then is tried too.
+    point x, tol = sqrt(eps) |x| + R_TOLERANCE (hi - lo).  An end of
+    [lo, hi] within 2 tol + sqrt(eps) (1 + |end|) of x is then tried too,
+    so a bound that cuts the minimum is evaluated even when f ties in
+    binary64 next to it and the bracket closes just off the end.
     """
     if not room():
         return
@@ -655,8 +663,9 @@ def _brent(f: Callable[[float], float], lo: float, hi: float,
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v in (x, w):
                 v, fv = u, fu
-    for end in (lo,) * (a == lo) + (hi,) * (b == hi):
-        if room():
+    tol = SQRT_EPS * abs(x) + R_TOLERANCE * (hi - lo)
+    for end in (lo, hi):
+        if abs(x - end) <= 2.0 * tol + SQRT_EPS * (1.0 + abs(end)) and room():
             f(end)
 
 
@@ -706,10 +715,9 @@ def grid_scan(spec: SearchSpec, resolution: int) -> SearchResult:
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
 
-    bounds = [spec.scalar_bounds[name] for i, name in enumerate(spec.vector_names())
-              if i in free]
     axes = [np.array([lo, 0.5 * (lo + hi), hi]) if resolution == 1
-            else np.linspace(lo, hi, resolution) for lo, hi in bounds]
+            else np.linspace(lo, hi, resolution)
+            for lo, hi in (spec.bounds_by_index[i] for i in free)]
 
     record = _Record(spec)
     base = np.array(spec.initial_point, dtype=float)

@@ -17,8 +17,8 @@ reference constants), and the four proportions
   d        = 1/2 + kappa/2 - nu        s        = kappa - 2 nu
   d_grh    = 1 - nu                    s_grh    = 1 - 2 nu.
 
-nu and kappa share no parameters, so a report evaluates its two halves
-independently.
+bounds_table is the one place these are composed.  nu and kappa share
+no parameters, so a report evaluates its two halves independently.
 """
 
 from __future__ import annotations
@@ -220,14 +220,17 @@ def grh_bounds(nu: float) -> tuple[float, float]:
     return 1.0 - nu, 1.0 - 2.0 * nu
 
 
-def full_report(p4: SectionFourParams, p5: SectionFiveParams) -> BoundReport:
-    c = c_value(p4)
-    nu = nu_bound(c, p4.R)
-    c1 = c1_value(p5)
-    kappa = kappa_bound(c1, p5.R)
+def bounds_table(c: float, R4: float, c1: float, R5: float) -> dict[str, float]:
+    """The eight quantities of a report from the two constants and their
+    contour offsets, keyed and ordered as BoundReport's fields."""
+    nu = nu_bound(c, R4)
+    kappa = kappa_bound(c1, R5)
     d_uncond, s_uncond = unconditional_bounds(kappa, nu)
     d_grh, s_grh = grh_bounds(nu)
-    return BoundReport(c=c, nu=nu, c1=c1, kappa=kappa,
-                       d_uncond=d_uncond, s_uncond=s_uncond,
-                       d_grh=d_grh, s_grh=s_grh,
+    return {"c": c, "nu": nu, "c1": c1, "kappa": kappa, "d_uncond": d_uncond,
+            "s_uncond": s_uncond, "d_grh": d_grh, "s_grh": s_grh}
+
+
+def full_report(p4: SectionFourParams, p5: SectionFiveParams) -> BoundReport:
+    return BoundReport(**bounds_table(c_value(p4), p4.R, c1_value(p5), p5.R),
                        params4=p4, params5=p5)

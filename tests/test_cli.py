@@ -125,6 +125,16 @@ class TestEval:
         assert values["d_uncond"] == pytest.approx(0.80131, abs=1e-4)
         assert values["s_grh"] == pytest.approx(0.66434, abs=1e-4)
 
+    def test_eval_bounds_prints_the_reproduce_table(self, tmp_path, capsys):
+        # both commands read one bounds table, so the lines agree byte for byte
+        assert main(["reproduce", "--machine"]) == 0
+        reproduced = capsys.readouterr().out
+        assert main(["eval", "--which", "bounds", "--machine", "--config",
+                     write_config(tmp_path, REFERENCE_CONFIG)]) == 0
+        evaluated = capsys.readouterr().out
+        assert len(evaluated.splitlines()) == 8
+        assert evaluated == reproduced
+
     def test_eval_human_output(self, tmp_path, capsys):
         code = main(["eval", "--which", "c", "--config",
                      write_config(tmp_path, REFERENCE_CONFIG)])
@@ -265,8 +275,10 @@ class TestConfigKeys:
         assert "config error" in err and "delta" in err
 
     @pytest.mark.parametrize("command", [["reproduce"], ["selfcheck"],
-                                         ["eval", "--which", "c", "--config", "x.json"]])
-    def test_seed_only_on_optimize(self, command, capsys):
+                                         ["eval", "--which", "c", "--config", "x.json"],
+                                         ["optimize", "--config", "x.json"]])
+    def test_no_command_takes_seed(self, command, capsys):
+        # optimize once took --seed, which changed nothing
         with pytest.raises(SystemExit) as info:
             main(command + ["--seed", "3"])
         assert info.value.code == 2
@@ -349,7 +361,7 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize("key, value", [
         ("vary_shapes", "false"), ("vary_shapes", 0), ("budget", True),
-        ("restarts", True), ("budget", 2000.0), ("seed", 1.5), ("seed", "7"),
+        ("budget", 2000.0),
     ])
     def test_search_scalar_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
         # "false" once varied the shapes, true once meant 1, and 2000.0
@@ -363,12 +375,27 @@ class TestConfigKeys:
         assert "best objective" not in captured.out
         assert f"config error: search.{key}: expected" in captured.err
 
+    @pytest.mark.parametrize("key, value", [
+        ("restarts", True), ("seed", 1.5), ("seed", "7"), ("seed", -3),
+        ("seed", 0), ("restarts", 4),
+    ])
+    def test_retired_search_key_rejected(self, tmp_path, capsys, key, value):
+        # seed and restarts were once accepted and changed nothing
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["search"] = {"target": "maximize_kappa", "budget": 1, "vary_shapes": False}
+        cfg["search"][key] = value
+        code = main(["optimize", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "best objective" not in captured.out
+        assert captured.err.startswith(f"config error: search: unknown field {key!r} ")
+
 
 class TestOptimize:
     def test_budget_one_echoes_seed(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(REFERENCE_CONFIG))
-        cfg["search"] = {"target": "maximize_kappa", "budget": 1, "restarts": 0,
-                         "seed": 3, "bounds": {}, "vary_shapes": False}
+        cfg["search"] = {"target": "maximize_kappa", "budget": 1, "bounds": {},
+                         "vary_shapes": False}
         code = main(["optimize", "--config", write_config(tmp_path, cfg), "--machine"])
         assert code == 0
         values = machine_values(capsys.readouterr().out)
@@ -377,8 +404,8 @@ class TestOptimize:
 
     def test_round_trip_of_emitted_fragment(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(REFERENCE_CONFIG))
-        cfg["search"] = {"target": "maximize_kappa", "budget": 120, "restarts": 1,
-                         "seed": 11, "bounds": {"R": [0.6, 0.9], "delta": [0.6, 0.95]}}
+        cfg["search"] = {"target": "maximize_kappa", "budget": 120,
+                         "bounds": {"R": [0.6, 0.9], "delta": [0.6, 0.95]}}
         code = main(["optimize", "--config", write_config(tmp_path, cfg), "--machine"])
         assert code == 0
         out = capsys.readouterr().out
@@ -390,18 +417,6 @@ class TestOptimize:
         params = _section_five({"section5": sec5}, 1.0)
         again = kappa_bound(c1_value(params), params.R)
         assert again == pytest.approx(values["best_objective"], abs=1e-12)
-
-    def test_seed_flag_overrides_config(self, tmp_path, capsys):
-        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
-        cfg["search"] = {"target": "minimize_nu", "budget": 60, "restarts": 1,
-                         "seed": 1, "bounds": {"r": [1.0, 1.3], "R": [0.5, 0.7]},
-                         "vary_shapes": False}
-        path = write_config(tmp_path, cfg)
-        main(["optimize", "--config", path, "--machine", "--seed", "5"])
-        first = machine_values(capsys.readouterr().out)
-        main(["optimize", "--config", path, "--machine", "--seed", "5"])
-        second = machine_values(capsys.readouterr().out)
-        assert first == second
 
     def test_missing_search_section(self, tmp_path, capsys):
         assert main(["optimize", "--config",
@@ -424,7 +439,7 @@ class TestOptimize:
         cfg = json.loads(json.dumps(REFERENCE_CONFIG))
         del cfg["section4"]["p2_shape"]
         cfg["section4"]["p2_poly"] = ["0", "1.492", "-0.417", "-0.075"]
-        cfg["search"] = {"target": "minimize_nu", "budget": 150, "restarts": 1, "seed": 5,
+        cfg["search"] = {"target": "minimize_nu", "budget": 150,
                          "bounds": {"p1_shape[0]": [-0.5, 0.5], "r": [0.5, 2.0],
                                     "R": [0.3, 1.2]}}
         found, again = self.optimize_and_reevaluate(tmp_path, capsys, cfg)
@@ -433,8 +448,8 @@ class TestOptimize:
 
     def test_kappa_fragment_reevaluates_exactly(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(REFERENCE_CONFIG))
-        cfg["search"] = {"target": "maximize_kappa", "budget": 120, "restarts": 1,
-                         "seed": 11, "bounds": {"R": [0.6, 0.9], "delta": [0.6, 0.95]}}
+        cfg["search"] = {"target": "maximize_kappa", "budget": 120,
+                         "bounds": {"R": [0.6, 0.9], "delta": [0.6, 0.95]}}
         found, again = self.optimize_and_reevaluate(tmp_path, capsys, cfg)
         assert found["best_objective"] > 0.93828
         assert again["kappa"] == found["best_objective"]
@@ -463,18 +478,6 @@ class TestOptimize:
         assert capsys.readouterr().err == ("evaluation error: objective failed at the "
                                            "initial point: c evaluated to inf\n")
 
-    def test_negative_seed_in_config_names_the_key(self, tmp_path, capsys):
-        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
-        cfg["search"] = {"target": "maximize_kappa", "budget": 1, "seed": -3}
-        assert main(["optimize", "--config", write_config(tmp_path, cfg)]) == 2
-        assert capsys.readouterr().err == "config error: search: seed must be >= 0, got -3\n"
-
-    def test_negative_seed_flag_names_the_key(self, tmp_path, capsys):
-        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
-        cfg["search"] = {"target": "maximize_kappa", "budget": 1, "seed": 4}
-        code = main(["optimize", "--config", write_config(tmp_path, cfg), "--seed", "-2"])
-        assert code == 2
-        assert capsys.readouterr().err == "config error: search: seed must be >= 0, got -2\n"
 
 
 class TestSelfcheck:

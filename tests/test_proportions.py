@@ -1,6 +1,7 @@
 """Bound constants and combiners: reference values, degeneracies, properties."""
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +9,13 @@ import pytest
 
 from levbounds.kernel import moments
 from levbounds.polyalg import MollifierShape, TwistShape, expand_mollifier, expand_twist
-from levbounds.proportions import (NonPositiveConstantError, SectionFiveParams,
-                                   SectionFourParams, c1_value, c_value,
-                                   full_report, grh_bounds, kappa_bound,
+from levbounds.proportions import (BoundReport, NonPositiveConstantError,
+                                   SectionFiveParams, SectionFourParams, bounds_table,
+                                   c1_value, c_value, full_report, grh_bounds, kappa_bound,
                                    nu_bound, twist_operator_coefficients,
                                    unconditional_bounds)
-from levbounds.reference import section_five_reference, section_four_reference
+from levbounds.reference import (REFERENCE_CONSTANTS, section_five_reference,
+                                 section_four_reference)
 
 from kernel_reference import kernel_matrix
 
@@ -230,6 +232,14 @@ class TestFullReport:
         assert report.s_uncond >= 0.60261 - 1e-3
         assert report.d_grh >= 0.83216 - 1e-3
         assert report.s_grh >= 0.66433 - 1e-3
+
+    def test_report_is_the_bounds_table(self):
+        p4, p5 = section_four_reference(), section_five_reference()
+        report = full_report(p4, p5)
+        table = bounds_table(report.c, p4.R, report.c1, p5.R)
+        assert list(table) == list(REFERENCE_CONSTANTS)
+        assert list(table) == [f.name for f in fields(BoundReport)][:8]
+        assert table == {key: getattr(report, key) for key in table}
 
     def test_internal_consistency(self):
         report = full_report(section_four_reference(), section_five_reference())
