@@ -244,12 +244,11 @@ class Emitter:
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     p4, p5 = _params(args.config)
-    ref4 = reference.section_four_reference()
-    ref5 = reference.section_five_reference()
-    comparable = (p4 == ref4 and p5 == ref5)
+    comparable = (p4, p5) == (reference.section_four_reference(),
+                              reference.section_five_reference())
 
     values = bounds_table(c_value(p4), p4.R, c1_value(p5), p5.R)
-    targets = reference.REFERENCE_CONSTANTS
+    targets, bands = reference.REFERENCE_CONSTANTS, reference.verdict_bands()
     em = Emitter(args.machine, args.out)
     em.text(f"{'quantity':<10} {'computed':>20} {'reference':>12} "
             f"{'|delta|':>12}  verdict")
@@ -259,28 +258,18 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         if not comparable:
             em.text(f"{key:<10} {computed:>20.12f} {'n/a':>12} {'n/a':>12}  N/A")
             continue
-        target = targets[key]
-        delta = abs(computed - target)
-        if key in reference.REL_TOLERANCE:
-            ok = delta <= reference.REL_TOLERANCE[key] * abs(target)
-        elif key in reference.ABS_TOLERANCE:
-            ok = delta <= reference.ABS_TOLERANCE[key]
-        elif key == "nu":
-            lo, hi = reference.NU_BAND
-            ok = lo <= computed <= hi
-        else:
-            ok = computed >= target - reference.LOWER_BOUND_SLACK
+        target, (lo, hi) = targets[key], bands[key]
+        ok = lo <= computed <= hi
         all_pass &= ok
-        em.text(f"{key:<10} {computed:>20.12f} {target:>12.6f} {delta:>12.3e}  "
-                f"{'PASS' if ok else 'FAIL'}")
+        em.text(f"{key:<10} {computed:>20.12f} {target:>12.6f} "
+                f"{abs(computed - target):>12.3e}  {'PASS' if ok else 'FAIL'}")
     if comparable:
-        nu_self = values["nu"]
-        nu_printed = targets["nu"]
+        nu_self, nu_printed = values["nu"], targets["nu"]
+        lo, hi = bands["nu"]
         em.text()
         em.text(f"note: nu recomputed from c is {nu_self:.7f}; the quoted "
                 f"reference prints {nu_printed:.6f} (gap {abs(nu_self - nu_printed):.1e}, "
-                f"rounding of c in the quoted value; both lie in "
-                f"[{reference.NU_BAND[0]}, {reference.NU_BAND[1]}]).")
+                f"rounding of c in the quoted value; both lie in [{lo}, {hi}]).")
         em.text("note: p2_shape[0] = +0.492; the sign-flipped -0.492 yields "
                 "c = 1.5303158 and does not reproduce the reference constant.")
     em.flush()

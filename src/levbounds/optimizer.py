@@ -20,8 +20,8 @@ step, and its objective is the float core at the returned public vector,
 so it re-evaluates bit for bit.
 
 Structural constraints (P(0)=0, P(1)=1, Q(0)=1, Q'(x)=Q'(1-x)) hold by
-construction through the shape bases.  A frozen entry is a constant of
-the quadratic: frozen shapes leave a quadratic in 1/r or in delta alone.
+construction through the shape bases.  A fixed entry is a constant of
+the quadratic: fixed shapes leave a quadratic in 1/r or in delta alone.
 A bound is a linear inequality in the solve coordinates (p2_shape[j] >= b
 is z2[j+1] >= b z2[0]), and each box-bounded quadratic is solved exactly
 by a primal active-set loop that pins the bound a step would cross and
@@ -31,10 +31,12 @@ q = v / delta.  A free block that is not positive definite, or whose
 condition number exceeds MAX_CONDITION, fails the step with
 IllPosedSolveError; the step then counts as a failure.
 
-Freezing: shapes are frozen when vary_shapes is False; a scalar is frozen
-at its initial value when its bounds are degenerate (lo == hi) or absent.
-A search is deterministic; SearchSpec keeps seed and restarts for library
-callers that still pass them, and neither changes anything.
+Fixing: SearchSpec.free_indices alone decides which entries move.  An
+entry keeps its start value when it is a shape entry and vary_shapes is
+False, a scalar without bounds, or any entry under degenerate bounds
+(lo == hi); so does the twist when delta is fixed at 0, where it cannot
+be identified.  A search is deterministic: seed and restarts change
+nothing.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import MIN_BASE_R, kernel_derivative_basis, moment_grams
+from .kernel import MAX_BASE_R, MIN_BASE_R, kernel_derivative_basis, moment_grams
 from .polyalg import MollifierShape, TwistShape, twist_matrix
 from .proportions import (SectionFourParams, SectionFiveParams, c1_core,
                           c_core, kappa_bound, nu_bound, twist_operator_coefficients)
@@ -126,9 +128,9 @@ class SearchSpec:
         for name, (lo, hi) in self.scalar_bounds.items():
             if not lo <= hi:
                 raise ValueError(f"empty bounds for {name!r}: ({lo}, {hi})")
-            if name == "R" and not lo >= MIN_BASE_R:
-                raise ValueError(f"bounds for 'R' must be >= {MIN_BASE_R}, "
-                                 f"got ({lo}, {hi})")
+            if name == "R" and not MIN_BASE_R <= lo <= hi <= MAX_BASE_R:
+                side = f"<= {MAX_BASE_R}" if lo >= MIN_BASE_R else f">= {MIN_BASE_R}"
+                raise ValueError(f"bounds for 'R' must be {side}, got ({lo}, {hi})")
             if name == "r" and not lo > 0:
                 raise ValueError(f"bounds for 'r' must be > 0, got ({lo}, {hi})")
             if not lo <= initial[name] <= hi:
@@ -161,13 +163,16 @@ class SearchSpec:
                 if name in self.scalar_bounds}
 
     def free_indices(self) -> tuple[int, ...]:
-        """Every shape entry when vary_shapes; each scalar whose bounds are
-        a proper interval."""
+        """The entries that move; every other entry stays at its start.
+
+        A shape entry moves when vary_shapes, a scalar when it has bounds,
+        and neither under degenerate bounds (lo == hi)."""
         scalars = {name for name, size in SEARCH_FIELDS[self.target][1] if size == SCALAR}
         bounds = self.scalar_bounds
         return tuple(i for i, name in enumerate(self.vector_names())
-                     if (name in bounds and bounds[name][0] < bounds[name][1]
-                         if name in scalars else self.vary_shapes))
+                     if (name in scalars or self.vary_shapes)
+                     and (bounds[name][0] < bounds[name][1] if name in bounds
+                          else name not in scalars))
 
     def params_from_vector(self, v: tuple[float, ...] | np.ndarray):
         """Reassemble a params object from a full vector."""
@@ -293,7 +298,7 @@ class _Record:
         best = tuple(float(x) for x in self.best_vector)
         names, free = self.spec.vector_names(), self.spec.free_indices()
         pinned = sorted((names[i], best[i]) for i, (lo, hi) in self.spec.bounds_by_index.items()
-                        if lo < hi and i in free and best[i] in (lo, hi))
+                        if i in free and best[i] in (lo, hi))
         return SearchResult(best_point=best,
                             best_objective=sign * self.best,
                             evaluations_used=self.count,
@@ -326,17 +331,16 @@ def _inverse(where: str, Q: np.ndarray) -> np.ndarray:
 
 
 def _minimize(Q_inv: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
-              n_eq: int, x: np.ndarray, where: str) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Minimize x'Qx/2 + g'x subject to A x = b on the first n_eq rows and
-    A x >= b on the others, from a feasible x; returns x and the rows
-    pinned at it.
+              x: np.ndarray, where: str) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Minimize x'Qx/2 + g'x subject to A x >= b from a feasible x; returns
+    x and the rows pinned at it.
 
     Primal active set: step towards the minimizer on the pinned rows,
     stopping at the first row the step would cross and pinning it; at the
     minimizer, release the pinned row whose multiplier has the wrong sign,
     or stop when none has.  The loop is finite, and capped.
     """
-    pinned = list(range(n_eq))
+    pinned: list[int] = []
     newton = Q_inv @ g
     tol = 1e-12 * (1.0 + float(np.abs(g).max(initial=0.0)))
     for _ in range(8 + 4 * (len(b) + len(x))):
@@ -346,7 +350,7 @@ def _minimize(Q_inv: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
         step = QA @ lam - newton - x
         along, slack = A @ step, A @ x - b
         alpha, blocking = 1.0, None
-        for i in range(n_eq, len(b)):
+        for i in range(len(b)):
             if along[i] < 0.0 and i not in pinned:
                 reach = max(slack[i], 0.0) / -along[i]
                 if reach < alpha:
@@ -355,7 +359,7 @@ def _minimize(Q_inv: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
         if blocking is not None:
             pinned.append(blocking)
             continue
-        worst = n_eq + int(np.argmin(lam[n_eq:])) if len(pinned) > n_eq else None
+        worst = int(np.argmin(lam)) if pinned else None
         if worst is None or lam[worst] >= -tol:
             return x, tuple(pinned)
         del pinned[worst]
@@ -372,14 +376,25 @@ class _Segment:
     inverse: bool = False    # s is 1 / the field, not the field
 
 
+def _matrix(rows: list[dict[int, float]], ncols: int) -> np.ndarray:
+    """The matrix whose row i holds the entries rows[i], {column: value}."""
+    out = np.zeros((len(rows), ncols))
+    for i, row in enumerate(rows):
+        out[i, list(row)] = list(row.values())
+    return out
+
+
 class _Block:
     """One block of solve coordinates x, its solve vector y = y0 + N x, and
-    its bounds as rows A x >= b (the first n_eq rows equalities).
+    its bounds as rows A x >= b.
 
-    Each segment contributes the coordinates (s, s c) when s and c are both
-    free, c when only c is, (s,) when only s is, and none when neither is;
-    frozen values come from the start.  Each row names the public entry it
-    pins when active, and the value it pins it to.
+    A segment s (1, c) holds the solve entries s and y_j = s c_j, each
+    mapped on its own from the start values s0, c0: s is the coordinate s
+    when free and the constant s0 when not; y_j is the coordinate s c_j
+    when s and c_j are both free, s0 times the coordinate c_j when only c_j
+    is, c0_j times the coordinate s when only s is, and the constant s0 c0_j
+    when neither is.  Each row names the public entry it pins when active,
+    and the value it pins it to.
     """
 
     def __init__(self, name: str, spec: SearchSpec, segments: tuple[_Segment, ...]):
@@ -387,72 +402,53 @@ class _Block:
         start = np.array(spec.initial_point, dtype=float)
         free = set(spec.free_indices())
         bounds = spec.bounds_by_index
-        self.parts, y0, maps, rows, col = [], [], [], [], 0
+        self.parts, y, rows, col = [], [], [], 0  # y: per solve entry, (constant, {col: a})
         for seg in segments:
-            n = len(seg.shape)
             s0 = 1.0 if seg.scale is None else float(start[seg.scale])
             s0 = 1.0 / s0 if seg.inverse else s0
-            s_free = seg.scale in free
-            c_free = n > 0 and seg.shape[0] in free and (s_free or s0 != 0.0)
-            home, eye = np.concatenate(([1.0], start[list(seg.shape)])), np.eye(n + 1)
-            if s_free:
-                y0.append(np.zeros(n + 1))
-                maps.append(eye if c_free else home[:, None])
-            else:
-                y0.append(s0 * eye[0] if c_free else s0 * home)
-                maps.append(s0 * eye[:, 1:] if c_free else eye[:, :0])
+            s_free, s_col = seg.scale in free, col
+            # a twist scaled by delta fixed at 0 cannot be identified: it stays put
+            moving = [at for at in seg.shape if at in free and (s_free or s0 != 0.0)]
+            moving = {at: col + s_free + k for k, at in enumerate(moving)}
+            col += s_free + len(moving)
+            y.append((0.0, {s_col: 1.0}) if s_free else (s0, {}))
+            for at in seg.shape:
+                c0 = float(start[at])
+                y.append((0.0, {moving[at]: 1.0 if s_free else s0}) if at in moving
+                         else (0.0, {s_col: c0}) if s_free else (s0 * c0, {}))
             sign = 1.0
             if s_free:
                 lo, hi = bounds[seg.scale]
-                if c_free and not seg.inverse:  # q = v / delta: delta keeps its side of 0
+                if moving and not seg.inverse:  # q = v / delta: delta keeps its side of 0
                     sign = 1.0 if s0 > 0.0 or (s0 == 0.0 and hi > 0.0) else -1.0
                     lo, hi = (max(lo, 0.0), hi) if sign > 0.0 else (lo, min(hi, 0.0))
                 # s_lo <= s <= s_hi; for s = 1/r the row at 1/hi pins r at hi
                 (s_lo, at_lo), (s_hi, at_hi) = (((1.0 / hi, hi), (1.0 / lo, lo)) if seg.inverse
                                                 else ((lo, lo), (hi, hi)))
-                rows += [({col: 1.0}, s_lo, (seg.scale, at_lo), False),
-                         ({col: -1.0}, -s_hi, (seg.scale, at_hi), False)]
-            for j, at in enumerate(seg.shape):
-                if not c_free or at not in bounds:
-                    continue
-                lo, hi = bounds[at]
-                k = col + s_free + j  # lo <= c_j <= hi, or s lo <= s c_j <= s hi
-                low = {k: 1.0, col: -lo} if s_free else {k: 1.0}
-                high = {k: -1.0, col: hi} if s_free else {k: -1.0}
-                rhs = (0.0, 0.0) if s_free else (lo, -hi)
-                if lo == hi:
-                    rows.append((low, rhs[0], (at, lo), True))
-                else:
-                    rows += [({i: sign * a for i, a in row.items()}, r, (at, v), False)
-                             for row, r, v in ((low, rhs[0], lo), (high, rhs[1], hi))]
-            self.parts.append((seg, col, s_free, c_free))
-            col += maps[-1].shape[1]
+                rows += [({s_col: 1.0}, s_lo, (seg.scale, at_lo)),
+                         ({s_col: -1.0}, -s_hi, (seg.scale, at_hi))]
+            for at, k in moving.items():
+                # lo <= c_j <= hi as side (c_j - bound) >= 0, times s when s is free
+                for bound, side in zip(bounds.get(at, ()), (sign, -sign)):
+                    rows.append(({k: side, s_col: -side * bound} if s_free else {k: side},
+                                 0.0 if s_free else side * bound, (at, bound)))
+            self.parts.append((seg, s_col if s_free else None, moving))
         self.size = col
-        self.y0 = np.concatenate(y0)
-        self.N = np.zeros((len(self.y0), col))
-        i = k = 0
-        for m in maps:
-            self.N[i:i + m.shape[0], k:k + m.shape[1]] = m
-            i, k = i + m.shape[0], k + m.shape[1]
-        rows.sort(key=lambda row: not row[3])
-        self.n_eq = sum(row[3] for row in rows)
-        self.A = np.zeros((len(rows), col))
-        for i, (row, _, _, _) in enumerate(rows):
-            self.A[i, list(row)] = list(row.values())
-        self.b = np.array([row[1] for row in rows])
-        self.pins = [row[2] for row in rows]
+        self.y0 = np.array([constant for constant, _ in y])
+        self.N = _matrix([entry for _, entry in y], col)
+        self.A = _matrix([row for row, _, _ in rows], col)
+        self.b = np.array([rhs for _, rhs, _ in rows])
+        self.pins = [pin for _, _, pin in rows]
 
     def coordinates(self, v: np.ndarray) -> np.ndarray:
         """The solve coordinates of a public vector."""
         x = []
-        for seg, _, s_free, c_free in self.parts:
+        for seg, s_col, moving in self.parts:
             s = 1.0 if seg.scale is None else float(v[seg.scale])
             s = 1.0 / s if seg.inverse else s
-            c = v[list(seg.shape)]
-            if s_free:
+            if s_col is not None:
                 x.append(s)
-            if c_free:
-                x += list(s * c if s_free else c)
+            x += [s * v[at] if s_col is not None else v[at] for at in moving]
         return np.array(x, dtype=float)
 
     def values(self, x: np.ndarray) -> np.ndarray:
@@ -467,19 +463,19 @@ class _Block:
         """Minimize y'Hy + 2h'y from state (x, pinned rows)."""
         Q, g = self.quadratic(H, h)
         where = f"{self.name} block at R = {R!r}"
-        return _minimize(_inverse(where, Q), g, self.A, self.b, self.n_eq, state[0], where)
+        return _minimize(_inverse(where, Q), g, self.A, self.b, state[0], where)
 
     def write(self, state, out: np.ndarray) -> None:
         """Write the public entries of state into the vector out; an entry a
         row pins lands on its bound exactly."""
         x, pinned = state
-        for seg, col, s_free, c_free in self.parts:
-            s = x[col] if s_free else 1.0
-            if s_free:
+        for seg, s_col, moving in self.parts:
+            s = 1.0 if s_col is None else x[s_col]
+            if s_col is not None:
                 out[seg.scale] = 1.0 / s if seg.inverse else s
-            if c_free and s != 0.0:
-                c = x[col + s_free:col + s_free + len(seg.shape)]
-                out[list(seg.shape)] = c / s if s_free else c
+            if s != 0.0:
+                for at, k in moving.items():
+                    out[at] = x[k] / s
         for i in pinned:
             at, value = self.pins[i]
             out[at] = value

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import MIN_BASE_R, kernel_derivative_basis, moment_grams
+from .kernel import MAX_BASE_R, MIN_BASE_R, kernel_derivative_basis, moment_grams
 from .polyalg import MollifierShape, TwistShape, twist_matrix
 
 
@@ -46,8 +46,9 @@ def _check_scalars(theta: float, R: float, r: float = 1.0, delta: float = 0.0) -
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     if not r > 0:
         raise ValueError(f"r must be positive, got {r}")
-    if not R >= MIN_BASE_R:
-        raise ValueError(f"R must be >= {MIN_BASE_R}, got {R}")
+    if not MIN_BASE_R <= R <= MAX_BASE_R:
+        side = f"<= {MAX_BASE_R}" if R >= MIN_BASE_R else f">= {MIN_BASE_R}"
+        raise ValueError(f"R must be {side}, got {R}")
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
 

@@ -21,9 +21,8 @@ from levbounds.polyalg import (MollifierShape, TwistShape, ZERO,
 from levbounds.proportions import (SectionFiveParams, SectionFourParams, c1_value,
                                    c_value, grh_bounds, nu_bound,
                                    unconditional_bounds)
-from levbounds.reference import (NU_BAND, REFERENCE_CONSTANTS,
-                                 REMARK_DELTA1_KAPPA, section_five_reference,
-                                 section_four_reference)
+from levbounds.reference import (REFERENCE_CONSTANTS, REMARK_DELTA1_KAPPA,
+                                 section_five_reference, section_four_reference)
 
 from kernel_reference import kernel_matrix
 
@@ -60,7 +59,7 @@ def test_criterion_1_c_reproduction(reference_report):
 def test_criterion_2_nu_reproduction(reference_report):
     """nu in [0.1677, 0.1679]; both the recomputed and quoted values shown."""
     nu = nu_bound(reference_report.c, 0.617)
-    lo, hi = NU_BAND
+    lo, hi = 0.1677, 0.1679
     ok = lo <= nu <= hi
     gap = abs(nu - REFERENCE_CONSTANTS["nu"])
     verdict(2, ok, f"nu recomputed = {nu:.7f}, quoted reference = "

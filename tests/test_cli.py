@@ -328,11 +328,13 @@ class TestConfigKeys:
         ("section4", "R", 1e-7, "c", "section4: R must be >= 1e-06"),
         ("section4", "p1_shape", ["1e400", "0.25"], "c",
          "section4.p1_shape: expected an array of decimals"),
+        ("section4", "R", 400, "c", "section4: R must be <= 300.0, got 400.0"),
+        ("section5", "R", 400, "c1", "section5: R must be <= 300.0, got 400.0"),
     ])
     def test_section_value_of_wrong_type_rejected(self, tmp_path, capsys, section, key,
                                                   value, which, message):
         # true once read as 1 (section4.R: true printed c = 1.455863658397),
-        # and a bad q_linear, a tiny R or a coefficient past the binary64
+        # and a bad q_linear, a tiny or huge R or a coefficient past the binary64
         # range exited as an evaluation error naming no key
         cfg = json.loads(json.dumps(REFERENCE_CONFIG))
         (cfg[section] if section else cfg)[key] = value

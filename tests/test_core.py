@@ -263,3 +263,19 @@ class TestValidation:
             c_core([0.1], [0.1], 1.0, 1.0, 1e-7)
         with pytest.raises(ValueError, match="R must be >= 1e-06"):
             c1_core([0.1], [-0.5], 1.0, 1e-7, 0.7)
+
+    @pytest.mark.parametrize("R", [400.0, math.inf])
+    def test_huge_R_rejected_by_evaluation(self, R):
+        # past R = 300 the kernel series overflows binary64 (c and c1 became
+        # NaN from R = 354), and its term count, int(6R) + 36, grows with R:
+        # R is refused by name before any kernel is built
+        shape = MollifierShape.of(["0.1"])
+        message = rf"^R must be <= 300\.0, got {R}$"
+        with pytest.raises(ValueError, match=message):
+            SectionFourParams(shape, shape, 1.0, 1.0, R)
+        with pytest.raises(ValueError, match=message):
+            SectionFiveParams(shape, TwistShape.of("-0.5"), 1.0, R, 0.7)
+        with pytest.raises(ValueError, match=message):
+            c_core([0.1], [0.1], 1.0, 1.0, R)
+        with pytest.raises(ValueError, match=message):
+            c1_core([0.1], [-0.5], 1.0, R, 0.7)

@@ -382,6 +382,30 @@ class TestExactSolves:
             assert scanned.best_point[0] == value
             assert result.best_objective <= scanned.best_objective + 1e-12
 
+    def test_degenerate_shape_bound_takes_the_entry_out_of_the_block(self):
+        # fixed like a scalar without bounds: a constant of the quadratic,
+        # so the block loses a coordinate and its condition number drops
+        # (about 240 here, 836 with the entry kept in the block)
+        spec = with_entry(criterion_eight_spec("minimize_nu"), "p1_shape[0]", -0.1,
+                          **{"p1_shape[0]": (-0.1, -0.1)})
+        assert 0 not in spec.free_indices()
+        assert _NuSolve(spec).blocks[0].size == 4
+        result = optimize(spec)
+        assert result.best_point[0] == -0.1
+        assert dict(result.conditions)["mollifier"] < 500.0
+        assert "p1_shape[0]" not in dict(result.pinned)
+
+    def test_partly_fixed_twist_keeps_the_fixed_entry(self):
+        # q_sym[0] fixed while delta moves: its solve entry is q_sym[0] delta
+        spec = with_entry(criterion_eight_spec("maximize_kappa"), "q_sym[0]", 0.369,
+                          **{"q_sym[0]": (0.369, 0.369)})
+        result = optimize(spec)
+        assert result.best_point[4] == 0.369
+        assert result.best_point[-1] != spec.initial_point[-1]
+        params = spec.params_from_vector(result.best_point)
+        assert kappa_bound(c1_value(params), params.R) == result.best_objective
+        assert result.best_objective > seed_objective(spec)
+
     def test_delta_frozen_at_one(self):
         spec = with_entry(criterion_eight_spec("maximize_kappa", budget=1200, seed=9,
                                                restarts=2),
@@ -501,7 +525,7 @@ class TestActiveSet:
             M = rng.normal(size=(n, n))
             Q = M @ M.T + 0.1 * np.eye(n)
             g = 3.0 * rng.normal(size=n)
-            x, pinned = optimizer._minimize(np.linalg.inv(Q), g, A, b, 0,
+            x, pinned = optimizer._minimize(np.linalg.inv(Q), g, A, b,
                                             rng.uniform(-1.0, 1.0, n), "test")
             assert np.all(A @ x >= b - 1e-12)
             assert 0.5 * x @ Q @ x + g @ x <= brute_force_box_minimum(Q, g, -1.0, 1.0) + 1e-12
@@ -542,6 +566,7 @@ class TestSearchBounds:
         ({"R": (0.0, 1.2)}, r"^bounds for 'R' must be >= 1e-06"),
         ({"r": (-2.0, 2.0)}, r"^bounds for 'r' must be > 0, got \(-2\.0, 2\.0\)$"),
         ({"r": (0.0, 2.0)}, r"^bounds for 'r' must be > 0"),
+        ({"R": (0.3, 400.0)}, r"^bounds for 'R' must be <= 300\.0, got \(0\.3, 400\.0\)$"),
     ])
     def test_bounds_outside_the_domain_rejected(self, bounds, message):
         # they were once accepted and then scored as penalties
