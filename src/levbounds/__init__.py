@@ -1,14 +1,15 @@
 """Mollified-moment bound constants for zero proportions of the Dirichlet
 L-function family: exact polynomial algebra, the closed-form derivatives
-of the singular moment kernel, the bound combiners, a finite-difference
-oracle, and an exact search over the constrained polynomial shapes."""
+of the singular moment kernel, the bound combiners, an oracle that
+recomputes them by Cauchy integrals of the kernel's definition, and an
+exact search over the constrained polynomial shapes."""
 
 from .kernel import MomentTable, kernel_derivative_basis, moment_grams, moments
 from .optimizer import (DimensionTooHighError, EvaluationFailureError,
                         IllPosedSolveError, SearchResult, SearchSpec, grid_scan,
                         optimize)
-from .oracle import (CheckResult, CrosscheckReport, crosscheck_report,
-                     fd_c1_value, fd_c_value, fd_derivatives, kernel_numeric,
+from .oracle import (CheckResult, CrosscheckReport, cauchy_derivatives,
+                     crosscheck_report, fd_c1_value, fd_c_value, kernel_numeric,
                      quad_integrate01)
 from .polyalg import (ConstraintViolationError, MollifierShape, Poly, TwistShape,
                       expand_mollifier, expand_twist, integrate01_product,
@@ -28,8 +29,8 @@ __all__ = [
     "DimensionTooHighError", "EvaluationFailureError", "IllPosedSolveError",
     "SearchResult",
     "SearchSpec", "grid_scan", "optimize",
-    "CheckResult", "CrosscheckReport", "crosscheck_report", "fd_c1_value",
-    "fd_c_value", "fd_derivatives", "kernel_numeric", "quad_integrate01",
+    "CheckResult", "CrosscheckReport", "cauchy_derivatives", "crosscheck_report",
+    "fd_c1_value", "fd_c_value", "kernel_numeric", "quad_integrate01",
     "ConstraintViolationError", "MollifierShape", "Poly", "TwistShape",
     "expand_mollifier", "expand_twist", "integrate01_product",
     "poly_derivative", "poly_eval",

@@ -99,7 +99,8 @@ def moment_grams(m: int) -> np.ndarray:
 
 MIN_BASE_R = 1e-6  # smallest contour offset R a kernel is evaluated at
 # largest R: E^(d)(-2R) grows like e^{2R} and sums int(6R) + 36 terms; the
-# engine and both finite-difference oracles stay finite up to here, not past 350
+# engine, and the Cauchy-integral oracle whose grid reaches e^{2R + 2 rho}
+# (rho < 7 up to order 16), stay finite up to here, not past 350
 MAX_BASE_R = 300.0
 
 

@@ -29,7 +29,9 @@ releases a pin whose multiplier has the wrong sign.  With the twist free,
 delta is searched on the side of zero that holds its start value, since
 q = v / delta.  A free block that is not positive definite, or whose
 condition number exceeds MAX_CONDITION, fails the step with
-IllPosedSolveError; the step then counts as a failure.
+IllPosedSolveError; the step then counts as a failure.  A search whose
+steps all failed raises EvaluationFailureError, never returning its start
+point as a result.
 
 Fixing: SearchSpec.free_indices alone decides which entries move.  An
 entry keeps its start value when it is a shape entry and vary_shapes is
@@ -63,7 +65,8 @@ SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 class EvaluationFailureError(RuntimeError):
-    """No point of a search evaluated; chained to the first failure."""
+    """No point of a search evaluated, or no step of it; chained to the
+    first failure."""
 
 
 class DimensionTooHighError(ValueError):
@@ -691,6 +694,11 @@ def optimize(spec: SearchSpec) -> SearchResult:
         _brent(step, *spec.scalar_bounds["R"], room)
     elif solver.blocks and room():
         step(float(start[R_at]))
+    steps = record.count - 1
+    if steps and sum(record.failures.values()) == steps:
+        first = record.failure
+        raise EvaluationFailureError(f"all {steps} search steps failed, the first with "
+                                     f"{type(first).__name__}: {first}") from first
     return record.result("objective failed at the initial point",
                          inner_solves=solver.solves,
                          conditions=solver.conditions(record.best_vector))

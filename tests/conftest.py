@@ -1,0 +1,27 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from levbounds import optimizer
+from levbounds.optimizer import IllPosedSolveError
+
+
+@pytest.fixture
+def fail_solves_above(monkeypatch):
+    """fail_solves_above(R_max) makes every search step at R > R_max fail
+    with IllPosedSolveError and returns the list that collects those R."""
+
+    def install(R_max: float) -> list[float]:
+        failed = []
+        solve = optimizer._Solve.solve
+
+        def solve_or_fail(self, R, states):
+            if R > R_max:
+                failed.append(R)
+                raise IllPosedSolveError(f"no solve above R = {R_max}")
+            return solve(self, R, states)
+
+        monkeypatch.setattr(optimizer._Solve, "solve", solve_or_fail)
+        return failed
+
+    return install

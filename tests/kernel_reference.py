@@ -8,8 +8,6 @@ The kernel of a moment table at length exponent theta is
     g(a, b) = m_dd + a theta m_pd + b theta m_dp + a b theta^2 m_pp.
 """
 
-import math
-
 import numpy as np
 from mpmath import mp
 
@@ -24,18 +22,19 @@ def kernel_matrix(mt: MomentTable, theta: float, R: float, order: int) -> np.nda
     return np.tensordot(floats, kernel_derivative_basis(theta, R, order), 1)
 
 
-def numerator(mt: MomentTable, theta: float, a: float, b: float) -> float:
-    """The kernel's numerator g(b,a) - e^{-a-b} g(-a,-b), from its definition."""
+def numerator(mt: MomentTable, theta: float, a, b):
+    """The kernel's numerator g(b,a) - e^{-a-b} g(-a,-b), from its definition;
+    a and b may be numpy arrays, real or complex."""
     mdd, mdp, mpd, mpp = (float(mt.m_dd), float(mt.m_dp),
                           float(mt.m_pd), float(mt.m_pp))
 
     def g(x, y):
         return mdd + x * theta * mpd + y * theta * mdp + x * y * theta * theta * mpp
 
-    return g(b, a) - math.exp(-a - b) * g(-a, -b)
+    return g(b, a) - np.exp(-a - b) * g(-a, -b)
 
 
-def division_form(mt: MomentTable, theta: float, a: float, b: float) -> float:
+def division_form(mt: MomentTable, theta: float, a, b):
     """h(a, b) in binary64 from its definition; undefined on a + b = 0."""
     return numerator(mt, theta, a, b) / (theta * (a + b))
 

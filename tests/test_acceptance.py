@@ -89,7 +89,8 @@ def test_criterion_5_grh_proportions(reference_report):
 
 
 def test_criterion_6_oracle_equivalence():
-    """100 seeded draws: c vs FD within 1e-5, c1 vs FD within 1e-4."""
+    """100 seeded draws: c and c1 against the Cauchy-integral oracle, within
+    1e-5 and 1e-4."""
     rng = np.random.default_rng(20260810)
     t0 = time.time()
     worst_c = worst_c1 = 0.0

@@ -496,12 +496,26 @@ class TestSelfcheck:
     @pytest.mark.parametrize("section, R", [("section5", 0.175), ("section5", 0.35),
                                             ("section4", 0.0025)])
     def test_stencil_on_singular_line_passes(self, tmp_path, capsys, section, R):
-        # 2R a multiple of a stencil step puts grid points on a + b = 0;
-        # these configs once exited 2 as evaluation errors
+        # 2R a multiple of a step of the finite-difference stencils the
+        # oracle once used put grid points on a + b = 0; these configs then
+        # exited 2 as evaluation errors
         cfg = json.loads(json.dumps(REFERENCE_CONFIG))
         cfg[section]["R"] = R
         assert main(["selfcheck", "--config", write_config(tmp_path, cfg)]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("section, R", [("section5", 5.0), ("section4", 300.0),
+                                            ("section5", 300.0)])
+    def test_large_R_passes(self, tmp_path, capsys, section, R):
+        # section5 R = 5 once printed FAIL for c1 against the finite
+        # differences this oracle replaced (rel delta 1.7e-3, tol 1e-4)
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg[section]["R"] = R
+        assert main(["selfcheck", "--machine", "--config", write_config(tmp_path, cfg)]) == 0
+        values = machine_values(capsys.readouterr().out)
+        assert values["all_passed"] == 1.0
+        assert values["check[c1_vs_Cauchy_integrals].rel_delta"] <= 1e-9
+        assert values["check[c_vs_Cauchy_integrals].rel_delta"] <= 1e-9
 
     def test_machine_mode_reports_all_passed(self, capsys):
         assert main(["selfcheck", "--machine"]) == 0
@@ -551,12 +565,27 @@ class TestOptimizeAccounting:
         assert main(["optimize", "--config", write_config(tmp_path, cfg)]) == 0
         assert "\npinned bounds    none\n" in capsys.readouterr().out
 
-    def test_machine_output_counts_failures_by_class(self, tmp_path, capsys, monkeypatch):
-        from levbounds import optimizer
-        monkeypatch.setattr(optimizer, "MAX_CONDITION", 1.0)
+    def test_machine_output_counts_failures_by_class(self, tmp_path, capsys,
+                                                     fail_solves_above):
+        failed = fail_solves_above(0.8)
         cfg = json.loads(json.dumps(REFERENCE_CONFIG))
         cfg["search"] = {"target": "minimize_nu", "bounds": {"R": [0.4, 1.2]}, "budget": 9}
         assert main(["optimize", "--config", write_config(tmp_path, cfg), "--machine"]) == 0
         values = machine_values(capsys.readouterr().out)
-        assert values["failures.IllPosedSolveError"] == 8.0
+        assert 0 < len(failed) < 8
+        assert values["failures.IllPosedSolveError"] == len(failed)
         assert values["evaluations_used"] == 9.0
+
+    def test_search_whose_steps_all_failed_exits_2(self, tmp_path, capsys):
+        # degree (6, 5) at delta = 1: every twist block is ill-conditioned;
+        # this once exited 0 and printed the start point's kappa 0.4874243
+        cfg = {"section5": {"p_shape": ["-0.482", "-0.392", "-0.262", "0", "0", "0"],
+                            "q_linear": "-0.673", "q_sym": ["0.369", "-4.635", "0", "0", "0"],
+                            "R": 0.746, "delta": 1.0},
+               "search": {"target": "maximize_kappa", "budget": 2000,
+                          "bounds": {"R": [0.3, 1.5]}}}
+        assert main(["optimize", "--config", write_config(tmp_path, cfg), "--machine"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("evaluation error: all 37 search steps failed, "
+                                       "the first with IllPosedSolveError: twist block at R = ")

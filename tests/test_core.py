@@ -21,7 +21,6 @@ import levbounds
 from levbounds.kernel import (MomentTable, kernel_derivative_basis, moment_grams,
                               moments, _expm1_ratio_derivatives)
 from levbounds.optimizer import SearchSpec, _objective
-from levbounds.oracle import stencil_weights
 from levbounds.polyalg import (MollifierShape, Poly, TwistShape, expand_mollifier,
                                expand_twist, mollifier_basis, twist_basis,
                                twist_matrix)
@@ -196,7 +195,7 @@ class TestCachedData:
             assert not twist_matrix(len(q.sym_coeffs)).flags.writeable
 
     def test_tables_are_read_only(self):
-        for table in (moment_grams(3), twist_matrix(3), stencil_weights(3, 2)):
+        for table in (moment_grams(3), twist_matrix(3)):
             assert not table.flags.writeable
         for basis in (mollifier_basis(3), twist_basis(3)):
             assert isinstance(basis, tuple) and all(isinstance(b, Poly) for b in basis)
@@ -205,9 +204,9 @@ class TestCachedData:
 
     def test_nothing_built_at_import(self):
         code = ("import levbounds\n"
-                "from levbounds import kernel, oracle, polyalg\n"
+                "from levbounds import kernel, polyalg\n"
                 "for f in (kernel.moment_grams, polyalg.mollifier_basis, "
-                "polyalg.twist_basis, polyalg.twist_matrix, oracle.stencil_weights):\n"
+                "polyalg.twist_basis, polyalg.twist_matrix):\n"
                 "    assert f.cache_info().currsize == 0, f\n")
         src = os.path.dirname(os.path.dirname(levbounds.__file__))
         subprocess.run([sys.executable, "-c", code], check=True,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from levbounds.kernel import MomentTable, moments
-from levbounds.oracle import C_STENCIL, fd_derivatives, kernel_numeric, quad_integrate01
+from levbounds.oracle import cauchy_derivatives, kernel_numeric, quad_integrate01
 from levbounds.polyalg import MollifierShape, X, ZERO, expand_mollifier
 from levbounds.proportions import c1_core, c_core
 
@@ -110,9 +110,9 @@ class TestKernelJet:
             at = (-R, -R)
             scalar = lambda a, b: kernel_numeric(mt, theta, a, b)
             assert h[0, 0] == pytest.approx(scalar(*at), rel=1e-10)
-            fd = fd_derivatives(scalar, at, 1, *C_STENCIL)
-            for m, n in ((1, 0), (0, 1), (1, 1)):
-                assert h[m, n] == pytest.approx(fd[m, n], rel=1e-6)
+            cauchy = cauchy_derivatives(scalar, at, 2)
+            for m, n in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 2)):
+                assert h[m, n] == pytest.approx(cauchy[m, n], rel=1e-12)
 
     def test_stable_form_matches_division_form_away_from_line(self):
         # the closed form against the definition, differentiated by mpmath
@@ -135,6 +135,5 @@ class TestKernelJet:
 
         scalar = lambda a, b: kernel_numeric(mt, 1.0, a, b)
         assert h[0, 0] == pytest.approx(scalar(0.0, 0.0), rel=1e-13)
-        fd = fd_derivatives(scalar, (0.0, 0.0), 1, *C_STENCIL)
-        for m, n in ((1, 0), (0, 1), (1, 1)):
-            assert h[m, n] == pytest.approx(fd[m, n], rel=1e-6)
+        cauchy = cauchy_derivatives(scalar, (0.0, 0.0), 3)
+        assert h == pytest.approx(cauchy, rel=1e-13, abs=1e-14)

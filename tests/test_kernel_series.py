@@ -18,7 +18,7 @@ from mpmath import mp
 
 from levbounds.kernel import (MomentTable, _expm1_ratio_derivatives,
                               kernel_derivative_basis, moments)
-from levbounds.oracle import C_STENCIL, fd_derivatives, kernel_numeric
+from levbounds.oracle import cauchy_derivatives, kernel_numeric
 from levbounds.polyalg import MollifierShape, X, expand_mollifier
 
 from kernel_reference import division_form, kernel_matrix
@@ -29,9 +29,9 @@ P1 = expand_mollifier(MollifierShape.of(["-0.158", "0.25"]))
 P2 = expand_mollifier(MollifierShape.of(["0.492", "0.075"]))
 
 
-def ratio(s: float) -> float:
-    """E(s) = (1 - e^{-s})/s by its definition, for s != 0."""
-    return -math.expm1(-s) / s
+def ratio(s):
+    """E(s) = (1 - e^{-s})/s by its definition, for s != 0, real or complex."""
+    return -np.expm1(-s) / s
 
 
 def random_pair_moments(rng) -> MomentTable:
@@ -78,12 +78,13 @@ class TestExp:
         assert value == pytest.approx(math.expm1(1.234) / 1.234, rel=1e-15)
 
     def test_exp_matches_finite_differences(self):
+        # the definition's derivatives by Cauchy integrals
         base = (-0.617, -0.617)
         derivs = _expm1_ratio_derivatives(-1.234, 2)
         func = lambda a, b: ratio(a + b)
-        fd = fd_derivatives(func, base, 2, *C_STENCIL)
+        cauchy = cauchy_derivatives(func, base, 2)
         for m, n in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2)):
-            assert derivs[m + n] == pytest.approx(fd[m, n], rel=1e-6)
+            assert derivs[m + n] == pytest.approx(cauchy[m, n], rel=1e-13)
 
     def test_exp_homomorphism(self):
         # e^{-(s+t)} = e^{-s} e^{-t}, i.e. (s+t) E(s+t) = s E(s) + e^{-s} t E(t)
@@ -109,14 +110,14 @@ class TestRecip:
         assert jet[1, 1] == pytest.approx((1.0 - 5.0 * e2) / 4.0, rel=1e-14)
 
     def test_recip_matches_finite_differences_at_negative_base(self):
+        # the division form, differentiated by Cauchy integrals
         base = (-0.617, -0.617)
         mt = moments(P1, P2)
         jet = kernel_matrix(mt, 1.0, 0.617, 2)
         func = lambda a, b: division_form(mt, 1.0, a, b)
         assert jet[0, 0] == pytest.approx(func(*base), rel=1e-13)
-        fd = fd_derivatives(func, base, 1, *C_STENCIL)
-        for m, n in ((1, 0), (0, 1), (1, 1)):
-            assert jet[m, n] == pytest.approx(fd[m, n], rel=1e-6)
+        cauchy = cauchy_derivatives(func, base, 2)
+        assert jet == pytest.approx(cauchy, rel=1e-12)
 
     def test_recip_on_singular_line_is_the_limit(self):
         # on a + b = 0 the scalar kernel takes the limit of the division
@@ -165,12 +166,11 @@ class TestTruncationConsistency:
 
 class TestComposedExpressionDerivatives:
     def test_composite_vs_finite_differences(self):
-        # the kernel composes g, the exponential and 1/(a + b); first and
-        # second derivatives of its definition against the closed form
+        # the kernel composes g, the exponential and 1/(a + b); its
+        # definition's derivatives by Cauchy integrals against the closed form
         mt = moments(P1, P2)
         theta, R = 0.8, 0.37
         jet = kernel_matrix(mt, theta, R, 2)
         func = lambda a, b: division_form(mt, theta, a, b)
-        fd = fd_derivatives(func, (-R, -R), 2, *C_STENCIL)
-        for m, n in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2)):
-            assert jet[m, n] == pytest.approx(fd[m, n], rel=1e-6)
+        cauchy = cauchy_derivatives(func, (-R, -R), 2)
+        assert jet == pytest.approx(cauchy, rel=1e-12)

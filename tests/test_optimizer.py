@@ -551,12 +551,21 @@ class TestIllPosedSolves:
         with pytest.raises(IllPosedSolveError, match=r"condition number 1e\+14 > 1e\+12"):
             block.solve(0.5, H, np.zeros(6), state)
 
-    def test_failed_steps_are_counted_and_never_returned(self, monkeypatch):
+    def test_failed_steps_are_counted_and_never_returned(self, fail_solves_above):
+        failed = fail_solves_above(0.8)
+        result = optimize(criterion_eight_spec("minimize_nu"))
+        assert 0 < len(failed) < result.evaluations_used - 1
+        assert result.failures == (("IllPosedSolveError", len(failed)),)
+        assert result.best_point[-1] <= 0.8
+
+    def test_search_whose_steps_all_failed_raises(self, monkeypatch):
+        # it once returned its start point, the failures only counted
         monkeypatch.setattr(optimizer, "MAX_CONDITION", 1.0)
-        spec = criterion_eight_spec("minimize_nu")
-        result = optimize(spec)
-        assert result.best_point == spec.initial_point
-        assert result.failures == (("IllPosedSolveError", result.evaluations_used - 1),)
+        for target in TARGETS:
+            with pytest.raises(EvaluationFailureError, match=r"^all \d+ search steps failed, "
+                               r"the first with IllPosedSolveError: ") as info:
+                optimize(criterion_eight_spec(target))
+            assert isinstance(info.value.__cause__, IllPosedSolveError)
 
 
 class TestSearchBounds:

@@ -1,19 +1,16 @@
-"""Numeric verification path: quadrature, finite differences, crosschecks."""
+"""Numeric verification path: quadrature, Cauchy integrals, crosschecks."""
 
 import math
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from levbounds import oracle
 from levbounds.kernel import kernel_derivative_basis, moments
-from levbounds.oracle import (C1_STENCIL, C_STENCIL,
-                              crosscheck_report, fd_c1_value, fd_c_value,
-                              fd_derivatives, kernel_numeric, quad_integrate01,
-                              stencil_weights)
-from levbounds.polyalg import MollifierShape, Poly, X, expand_mollifier
+from levbounds.oracle import (cauchy_derivatives, crosscheck_report, fd_c1_value,
+                              fd_c_value, kernel_numeric, quad_integrate01)
+from levbounds.polyalg import MollifierShape, Poly, TwistShape, X, expand_mollifier
 from levbounds.proportions import SectionFiveParams, c1_value, c_value
 from levbounds.reference import section_five_reference, section_four_reference
 
@@ -95,17 +92,15 @@ class TestKernelNumeric:
 
 
 class TestFdPartial:
-    """Single partial derivatives read off the fd_derivatives matrix."""
+    """Single partial derivatives read off the cauchy_derivatives matrix."""
 
     def test_mixed_of_product(self):
         f = lambda a, b: a * b
-        assert fd_derivatives(f, (0.0, 0.0), 1, *C_STENCIL)[1, 1] == pytest.approx(
-            1.0, abs=1e-8)
+        assert cauchy_derivatives(f, (0.0, 0.0), 1)[1, 1] == pytest.approx(1.0, abs=1e-14)
 
     def test_first_of_exponential(self):
-        f = lambda a, b: math.exp(-a - b)
-        assert fd_derivatives(f, (0.0, 0.0), 1, *C_STENCIL)[1, 0] == pytest.approx(
-            -1.0, abs=1e-8)
+        f = lambda a, b: np.exp(-a - b)
+        assert cauchy_derivatives(f, (0.0, 0.0), 1)[1, 0] == pytest.approx(-1.0, abs=1e-14)
 
     def test_kernel_mixed_matches_jet(self):
         p4 = section_four_reference()
@@ -115,138 +110,82 @@ class TestFdPartial:
         floats = [float(mt.m_dd), float(mt.m_dp), float(mt.m_pd), float(mt.m_pp)]
         h = np.tensordot(floats, kernel_derivative_basis(1.0, 0.617, 1), 1)
         f = lambda a, b: kernel_numeric(mt, 1.0, a, b)
-        fd = fd_derivatives(f, (-0.617, -0.617), 1, *C_STENCIL)[1, 1]
-        assert h[1, 1] == pytest.approx(fd, rel=1e-6)
-
-    def test_convergence_order(self):
-        # observed order within +-0.5 of the compact stencil's: its width
-        # minus m, rounded up to even, on a smooth function; the d^m stencil
-        # is the widest row of stencil_weights(m, extra), so its width is
-        # the table's
-        f = lambda a, b: math.exp(a + 2 * b) * math.sin(a - b)
-        at = (0.3, 0.1)
-        exact = {
-            (1, 0): math.exp(0.5) * (math.sin(0.2) + math.cos(0.2)),
-            (0, 1): math.exp(0.5) * (2 * math.sin(0.2) - math.cos(0.2)),
-        }
-        for (m, n), truth in exact.items():
-            for extra in (0, 2, 4):
-                nominal = stencil_weights(m + n, extra).shape[1] - (m + n)
-                nominal += nominal % 2
-                errs = []
-                for h in (1e-1, 5e-2):
-                    est = fd_derivatives(f, at, 1, h, extra)[m, n]
-                    errs.append(abs(est - truth))
-                observed = math.log2(errs[0] / errs[1])
-                assert abs(observed - nominal) <= 0.5
+        cauchy = cauchy_derivatives(f, (-0.617, -0.617), 1)[1, 1]
+        assert h[1, 1] == pytest.approx(cauchy, rel=1e-13)
 
 
-def exact_stencil(m, half):
-    """Exact weights of d^m at 0 on the nodes -half .. half: m! times the
-    x^m coefficient of each Lagrange basis polynomial, in integers."""
-    nodes = range(-half, half + 1)
-    weights = []
-    for i in nodes:
-        poly = [1]  # prod_{j != i} (x - j)
-        for j in nodes:
-            if j != i:
-                poly = [lo - j * hi for lo, hi in zip([0] + poly, poly + [0])]
-        denom = math.prod(i - j for j in nodes if j != i)
-        weights.append(Fraction(math.factorial(m) * poly[m], denom))
-    return weights
-
-
-class TestStencilWeights:
-    def test_table_matches_exact_weights(self):
-        # row m is the compact symmetric (m + extra + 1)-point stencil, one
-        # point wider when that count is even, centred in the widest row
-        for extra in (0, 2, 4, 6, 8):
-            exact = {m: exact_stencil(m, (m + extra + 1) // 2) for m in range(13)}
-            for m, w in exact.items():  # the reference differentiates x^k exactly
-                nodes = range(-(len(w) // 2), len(w) // 2 + 1)
-                for k in range(len(w)):
-                    assert sum(wi * i ** k for wi, i in zip(w, nodes)) == (
-                        math.factorial(m) if k == m else 0)
-            for order in range(13):
-                table = stencil_weights(order, extra)
-                half = (order + extra + 1) // 2
-                assert table.shape == (order + 1, 2 * half + 1)
-                assert not table.flags.writeable
-                for m in range(order + 1):
-                    pad = half - (len(exact[m]) - 1) // 2
-                    want = [Fraction(0)] * pad + exact[m] + [Fraction(0)] * pad
-                    for got, w in zip(table[m], want):
-                        assert abs(Fraction(got) - w) <= Fraction(1e-15) * abs(w)
-
-
-class TestHighOrderFd:
-    def test_twelfth_order_mixed_of_known_function(self):
-        # f = exp(-a-b): every mixed derivative is (+-1)^(m+n) exp(-a-b)
-        f = lambda a, b: math.exp(-a - b)
-        at = (-0.7, -0.7)
-        truth = math.exp(1.4)
-        est = fd_derivatives(f, at, 6, 0.3, 6)[6, 6]
-        assert est == pytest.approx(truth, rel=1e-5)
-
+class TestCauchyDerivatives:
     def test_polynomial_exactness(self):
-        # degree-(3,2) polynomial: compact stencils reproduce derivatives
+        # degree-(3,2) polynomial: every entry, the rows and columns past its
+        # degree included, is d_a^m (a^3 + 2a) times d_b^n (b^2 - b)
         f = lambda a, b: (a ** 3 + 2 * a) * (b ** 2 - b)
-        assert fd_derivatives(f, (0.4, -0.2), 3, 0.2, 6)[3, 2] == pytest.approx(
-            12.0, rel=1e-9)
-        assert fd_derivatives(f, (0.0, 0.0), 1, 0.2, 6)[1, 1] == pytest.approx(
-            -2.0, rel=1e-9)
-        # every entry, the zero-padded lower-order rows included:
-        # d_a^m (a^3 + 2a) times d_b^n (b^2 - b)
-        a, b = 0.4, -0.2
-        da = [a ** 3 + 2 * a, 3 * a ** 2 + 2, 6 * a, 6.0]
-        db = [b ** 2 - b, 2 * b - 1, 2.0, 0.0]
-        assert fd_derivatives(f, (a, b), 3, 0.2, 6) == pytest.approx(
-            np.outer(da, db), rel=1e-9, abs=1e-9)
+        for order in (1, 3, 6):
+            for a, b in ((0.4, -0.2), (0.0, 0.0), (-3.0, 2.5)):
+                da = [a ** 3 + 2 * a, 3 * a ** 2 + 2, 6 * a, 6.0] + [0.0] * 3
+                db = [b ** 2 - b, 2 * b - 1, 2.0] + [0.0] * 4
+                want = np.outer(da[:order + 1], db[:order + 1])
+                got = cauchy_derivatives(f, (a, b), order)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * np.abs(want).max())
+
+    def test_sixteenth_order_of_exponential(self):
+        # f = exp(-a-b): every mixed derivative is (-1)^(m+n) exp(-a-b)
+        f = lambda a, b: np.exp(-a - b)
+        for R in (0.0, 0.7, 5.0):
+            m = np.arange(17)
+            want = (-1.0) ** np.add.outer(m, m) * math.exp(2 * R)
+            D = cauchy_derivatives(f, (-R, -R), 16)
+            assert np.abs(D - want).max() <= 1e-9 * math.exp(2 * R)
 
 
 class TestFdDerivatives:
     def test_reference_tables_match_closed_form(self):
-        # second derivatives in each variable take the wide c1 stencil; the
-        # 5e-3 one is tuned for first derivatives
         p4, p5 = section_four_reference(), section_five_reference()
         p1, p2 = expand_mollifier(p4.p1_shape), expand_mollifier(p4.p2_shape)
         p = expand_mollifier(p5.p_shape)
         for mt, params in ((moments(p1, p1), p4), (moments(p1, p2), p4),
                            (moments(p2, p2), p4), (moments(p, p), p5)):
             f = lambda a, b: kernel_numeric(mt, params.theta, a, b)
-            D = fd_derivatives(f, (-params.R, -params.R), 2, *C1_STENCIL)
+            D = cauchy_derivatives(f, (-params.R, -params.R), 2)
             assert D == pytest.approx(
-                kernel_matrix(mt, params.theta, params.R, 2), rel=1e-6)
+                kernel_matrix(mt, params.theta, params.R, 2), rel=1e-12)
 
     def test_c1_evaluates_one_grid(self, monkeypatch):
-        # one 15 x 15 grid for derivatives up to order 6 in each variable;
-        # a stencil per (j, l) pair took 7569 kernel calls
+        # one call on the whole complex grid: N = 4 order + 16 = 40 nodes
+        # per variable at the reference order 6
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return kernel_numeric(*args)
+        def counting(mt, theta, a, b):
+            calls.append(np.broadcast(a, b).shape)
+            assert np.iscomplexobj(a) and np.iscomplexobj(b)
+            return kernel_numeric(mt, theta, a, b)
 
         monkeypatch.setattr(oracle, "kernel_numeric", counting)
         fd_c1_value(section_five_reference())
-        assert len(calls) <= 15 ** 2
+        assert calls == [(40, 40)]
 
 
 class TestOracleRecomputation:
     def test_c_at_reference(self):
         p4 = section_four_reference()
-        assert fd_c_value(p4) == pytest.approx(c_value(p4), rel=1e-5)
+        assert fd_c_value(p4) == pytest.approx(c_value(p4), rel=1e-12)
 
     def test_c1_at_reference(self):
         p5 = section_five_reference()
-        assert fd_c1_value(p5) == pytest.approx(c1_value(p5), rel=1e-4)
+        assert fd_c1_value(p5) == pytest.approx(c1_value(p5), rel=1e-12)
 
     def test_c1_at_small_R(self):
         # small R: the base point lies close to the removable singularity
         p = SectionFiveParams(
             MollifierShape.of(["-0.37", "0.2", "0.1"]),
             section_five_reference().q_shape, 0.45, 0.13, 1.19)
-        assert fd_c1_value(p) == pytest.approx(c1_value(p), rel=1e-4)
+        assert fd_c1_value(p) == pytest.approx(c1_value(p), rel=1e-12)
+
+    @pytest.mark.parametrize("R", [1e-6, 0.1, 0.746, 5.0])
+    def test_c1_at_order_sixteen(self, R):
+        # seven q_sym entries: deg Q = 15, derivatives to order 16
+        q = TwistShape.of("-0.673", ["0.369", "-4.635", "0.1", "-0.2", "0.05", "0.3", "-0.1"])
+        p = replace(section_five_reference(), q_shape=q, R=R)
+        assert fd_c1_value(p) == pytest.approx(c1_value(p), rel=1e-9)
 
 
 class TestCrosscheckReport:
@@ -254,7 +193,8 @@ class TestCrosscheckReport:
         report = crosscheck_report(section_four_reference(), section_five_reference())
         failing = [ch.name for ch in report.checks if not ch.passed]
         assert report.all_passed, failing
-        assert len(report.checks) > 20
+        assert len(report.checks) == 34
+        assert max(ch.tolerance for ch in report.checks) <= 1e-9
 
     def test_delta_zero_degeneracy_passes(self):
         p5 = section_five_reference()
@@ -262,11 +202,24 @@ class TestCrosscheckReport:
         report = crosscheck_report(section_four_reference(), degenerate)
         assert report.all_passed
 
+    @pytest.mark.parametrize("section", ["section4", "section5"])
+    @pytest.mark.parametrize("R", [1e-6, 1e-3, 0.617, 1.0, 3.5, 5.0, 30.0, 100.0, 300.0])
+    def test_passes_across_the_R_range(self, section, R):
+        # the finite-difference oracle this route replaced failed c1 from
+        # about R = 3.5 on (1.7e-3 at R = 5 against a 1e-4 tolerance)
+        p4, p5 = section_four_reference(), section_five_reference()
+        if section == "section4":
+            report = crosscheck_report(replace(p4, R=R), p5)
+        else:
+            report = crosscheck_report(p4, replace(p5, R=R))
+        failing = [(ch.name, ch.rel_delta) for ch in report.checks if not ch.passed]
+        assert report.all_passed, failing
+
     @pytest.mark.parametrize("section, R", [("section5", 0.175), ("section5", 0.35),
                                             ("section4", 0.0025)])
     def test_stencil_on_singular_line_passes(self, section, R):
-        # 2R a multiple of the step (0.35 for c1, 5e-3 for c) puts stencil
-        # points on a + b = 0
+        # these R put nodes of the finite-difference stencils this route
+        # replaced on a + b = 0; kept as inputs near the removable line
         p4, p5 = section_four_reference(), section_five_reference()
         if section == "section4":
             report = crosscheck_report(replace(p4, R=R), p5)
@@ -274,6 +227,28 @@ class TestCrosscheckReport:
             report = crosscheck_report(p4, replace(p5, R=R))
         failing = [ch.name for ch in report.checks if not ch.passed]
         assert report.all_passed, failing
+
+    @pytest.mark.parametrize("section, order", [("section4", 1), ("section5", 6)])
+    def test_grid_node_on_singular_line_passes(self, section, order, monkeypatch):
+        # R equal to the radius cauchy_derivatives picks for the order puts
+        # the node (-R + radius, -R + radius) = (0, 0) exactly on a + b = 0,
+        # where the kernel takes its limit E(0) = 1
+        R = math.factorial(order) ** (1.0 / order)
+        sums = []
+
+        def recording(mt, theta, a, b):
+            sums.append(np.asarray(a + b))
+            return kernel_numeric(mt, theta, a, b)
+
+        monkeypatch.setattr(oracle, "kernel_numeric", recording)
+        p4, p5 = section_four_reference(), section_five_reference()
+        if section == "section4":
+            report = crosscheck_report(replace(p4, R=R), p5)
+        else:
+            report = crosscheck_report(p4, replace(p5, R=R))
+        failing = [ch.name for ch in report.checks if not ch.passed]
+        assert report.all_passed, failing
+        assert any(np.any(s == 0) for s in sums)
 
     def test_tiny_R_rejected(self):
         p4, p5 = section_four_reference(), section_five_reference()
