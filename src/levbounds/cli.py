@@ -68,7 +68,6 @@ def _pair(value: Any) -> tuple[float, float]:
 # a kind is (convert, complaint); convert raises TypeError or ValueError on a bad value
 NUMBER = (_number, "not a number")
 INTEGER = (lambda v: _exactly(int, v), "expected an integer")
-BOOLEAN = (lambda v: _exactly(bool, v), "expected true or false")
 DECIMAL = (_decimal, "expected a decimal")
 DECIMALS = (lambda v: [_decimal(x) for x in _exactly(list, v)],
             "expected an array of decimals")
@@ -84,8 +83,7 @@ SECTION_FIELDS: dict[str, Any] = {
                  "p2_poly": DECIMALS, "r": NUMBER, "R": NUMBER},
     "section5": {"p_shape": DECIMALS, "p_poly": DECIMALS, "q_linear": DECIMAL,
                  "q_sym": DECIMALS, "q_poly": DECIMALS, "R": NUMBER, "delta": NUMBER},
-    "search": {"target": TARGET, "bounds": OBJECT, "budget": INTEGER,
-               "vary_shapes": BOOLEAN},
+    "search": {"target": TARGET, "bounds": OBJECT, "budget": INTEGER},
     "search.bounds": PAIR,  # any name; SearchSpec checks it against its vector
     "constants": {"c": NUMBER, "c1": NUMBER, "R4": NUMBER, "R5": NUMBER},
 }
@@ -192,13 +190,12 @@ def _search_spec(cfg: dict) -> SearchSpec:
     bounds_sec = _get(sec, "bounds", "search", {})
     bounds = {name: _get(bounds_sec, name, "search.bounds") for name in bounds_sec}
     budget = _get(sec, "budget", "search", 2000)
-    vary_shapes = _get(sec, "vary_shapes", "search", True)
     read = {"section4": _section_four, "section5": _section_five}[SEARCH_FIELDS[target][0]]
     shape_degrees, initial = search_start(read(cfg, theta))
     try:
         return SearchSpec(target=target, shape_degrees=shape_degrees,
                           scalar_bounds=bounds, theta=theta, initial_point=initial,
-                          budget=budget, vary_shapes=vary_shapes)
+                          budget=budget)
     except ValueError as exc:
         raise ConfigError(f"search: {exc}") from exc
 

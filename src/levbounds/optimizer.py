@@ -34,17 +34,17 @@ steps all failed raises EvaluationFailureError, never returning its start
 point as a result.
 
 Fixing: SearchSpec.free_indices alone decides which entries move.  An
-entry keeps its start value when it is a shape entry and vary_shapes is
-False, a scalar without bounds, or any entry under degenerate bounds
-(lo == hi); so does the twist when delta is fixed at 0, where it cannot
-be identified.  A search is deterministic: seed and restarts change
-nothing.
+entry keeps its start value when it is a scalar without bounds or any
+entry under degenerate bounds (lo == hi), so [v, v] holds a shape entry
+at v; the twist keeps it too while delta is fixed at 0, where q cannot be
+identified.  A search is deterministic: seed and restarts change nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,7 +70,7 @@ class EvaluationFailureError(RuntimeError):
 
 
 class DimensionTooHighError(ValueError):
-    """grid_scan asked to lattice more than 3 free scalars."""
+    """grid_scan asked to lattice more than 3 free entries."""
 
 
 class IllPosedSolveError(ArithmeticError):
@@ -104,13 +104,13 @@ class SearchSpec:
     budget: int
     seed: int = 0
     restarts: int = 0
-    vary_shapes: bool = True
 
     def __post_init__(self) -> None:
         if self.target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}, got {self.target!r}")
-        if len(self.shape_degrees) != 2 or min(self.shape_degrees) < 0:
-            raise ValueError(f"shape_degrees must be two counts >= 0, "
+        if len(self.shape_degrees) != 2 or not all(
+                isinstance(n, numbers.Integral) and n >= 0 for n in self.shape_degrees):
+            raise ValueError(f"shape_degrees must be two integer counts >= 0, "
                              f"got {self.shape_degrees}")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
@@ -168,14 +168,20 @@ class SearchSpec:
     def free_indices(self) -> tuple[int, ...]:
         """The entries that move; every other entry stays at its start.
 
-        A shape entry moves when vary_shapes, a scalar when it has bounds,
-        and neither under degenerate bounds (lo == hi)."""
+        A shape entry moves unless its bounds are degenerate (lo == hi), a
+        scalar only under bounds with lo < hi.  The twist moves only while
+        delta moves or is held away from 0: the solve reads it as
+        v = delta (1, q), and at delta = 0 it cannot be identified."""
         scalars = {name for name, size in SEARCH_FIELDS[self.target][1] if size == SCALAR}
-        bounds = self.scalar_bounds
-        return tuple(i for i, name in enumerate(self.vector_names())
-                     if (name in scalars or self.vary_shapes)
-                     and (bounds[name][0] < bounds[name][1] if name in bounds
-                          else name not in scalars))
+        bounds, names = self.scalar_bounds, self.vector_names()
+
+        def moves(name: str) -> bool:
+            return bounds[name][0] < bounds[name][1] if name in bounds else name not in scalars
+
+        start = dict(zip(names, self.initial_point))
+        twist_held = "delta" in start and start["delta"] == 0.0 and not moves("delta")
+        return tuple(i for i, name in enumerate(names) if moves(name) and not (
+            twist_held and name.partition("[")[0] in ("q_linear", "q_sym")))
 
     def params_from_vector(self, v: tuple[float, ...] | np.ndarray):
         """Reassemble a params object from a full vector."""
@@ -410,8 +416,7 @@ class _Block:
             s0 = 1.0 if seg.scale is None else float(start[seg.scale])
             s0 = 1.0 / s0 if seg.inverse else s0
             s_free, s_col = seg.scale in free, col
-            # a twist scaled by delta fixed at 0 cannot be identified: it stays put
-            moving = [at for at in seg.shape if at in free and (s_free or s0 != 0.0)]
+            moving = [at for at in seg.shape if at in free]
             moving = {at: col + s_free + k for k, at in enumerate(moving)}
             col += s_free + len(moving)
             y.append((0.0, {s_col: 1.0}) if s_free else (s0, {}))
@@ -705,17 +710,20 @@ def optimize(spec: SearchSpec) -> SearchResult:
 
 
 def grid_scan(spec: SearchSpec, resolution: int) -> SearchResult:
-    """Exhaustive lattice over the free scalars (shapes frozen).
+    """Exhaustive lattice over the free entries, each within its bounds.
 
     resolution >= 2 places that many points per axis; resolution 1
     degenerates to the bound corners plus the midpoint.
     """
-    if spec.vary_shapes:
-        raise DimensionTooHighError("grid_scan requires frozen shapes")
     free = spec.free_indices()
     if len(free) > 3:
         raise DimensionTooHighError(
-            f"grid_scan supports at most 3 free scalars, got {len(free)}")
+            f"grid_scan supports at most 3 free entries, got {len(free)}")
+    names = spec.vector_names()
+    unbounded = [names[i] for i in free if i not in spec.bounds_by_index]
+    if unbounded:
+        raise ValueError(f"grid_scan needs bounds on every free entry, "
+                         f"got none on {', '.join(unbounded)}")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
 

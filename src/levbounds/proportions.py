@@ -183,6 +183,8 @@ def c1_core(p, q, theta: float, R: float, delta: float) -> float:
     """
     theta, R, delta = float(theta), float(R), float(delta)
     _check_scalars(theta, R, delta=delta)
+    if len(q) < 1:
+        raise ValueError("c1_core: the twist needs at least q_linear, got no entries")
     up = _homogeneous(p)[0]
     mt = np.einsum("i,kij,j->k", up, moment_grams(len(up) - 1), up)
     q_monomial = twist_matrix(len(q) - 1) @ _homogeneous(q)[0]

@@ -180,17 +180,17 @@ def test_criterion_7_structural_invariants():
                    f"{degeneracy:.1e} (<= 1e-12)")
 
 
-def _nu_search_spec(seed: int) -> SearchSpec:
+def _nu_search_spec() -> SearchSpec:
     p4 = section_four_reference()
     return SearchSpec(
         target="minimize_nu", shape_degrees=(2, 2),
         scalar_bounds={"r": (0.5, 2.0), "R": (0.3, 1.2)},
         theta=1.0,
         initial_point=(-0.158, 0.25, 0.492, 0.075, p4.r, p4.R),
-        budget=2000, seed=seed, restarts=4)
+        budget=2000)
 
 
-def _kappa_search_spec(seed: int) -> SearchSpec:
+def _kappa_search_spec() -> SearchSpec:
     p5 = section_five_reference()
     return SearchSpec(
         target="maximize_kappa", shape_degrees=(3, 2),
@@ -198,19 +198,19 @@ def _kappa_search_spec(seed: int) -> SearchSpec:
         theta=1.0,
         initial_point=(-0.482, -0.392, -0.262, -0.673, 0.369, -4.635,
                        p5.R, p5.delta),
-        budget=2000, seed=seed, restarts=4)
+        budget=2000)
 
 
 def test_criterion_8_optimizer_no_regression(reference_report):
-    """Budget-2000, 4-restart searches never regress from the seeds and are
-    bit-deterministic for a fixed seed."""
+    """Budget-2000 searches never regress from the start points and are
+    bit-deterministic."""
     nu_seed = reference_report.nu
     kappa_seed = reference_report.kappa
 
-    nu_a = optimize(_nu_search_spec(5))
-    nu_b = optimize(_nu_search_spec(5))
-    kappa_a = optimize(_kappa_search_spec(5))
-    kappa_b = optimize(_kappa_search_spec(5))
+    nu_a = optimize(_nu_search_spec())
+    nu_b = optimize(_nu_search_spec())
+    kappa_a = optimize(_kappa_search_spec())
+    kappa_b = optimize(_kappa_search_spec())
 
     deterministic = (nu_a == nu_b and kappa_a == kappa_b)
     no_regress = (nu_a.best_objective <= nu_seed + 1e-15
@@ -231,7 +231,7 @@ def test_criterion_9_delta_one_exploratory():
         theta=1.0,
         initial_point=(-0.482, -0.392, -0.262, -0.673, 0.369, -4.635,
                        p5.R, 1.0),
-        budget=1200, seed=9, restarts=2)
+        budget=1200)
     result = optimize(spec)
     ok = math.isfinite(result.best_objective)
     verdict(9, ok, f"delta=1 best kappa found = {result.best_objective:.5f} "

@@ -1,12 +1,18 @@
 """Command surface: exit codes, machine output, config validation, round-trip."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import levbounds
 from levbounds import reference
-from levbounds.cli import main
+from levbounds.cli import _search_spec, main
 from levbounds.proportions import kappa_bound, c1_value
+
+from search_helpers import hold_shapes
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -22,6 +28,13 @@ REFERENCE_CONFIG = {
     "section5": {"p_shape": ["-0.482", "-0.392", "-0.262"], "q_linear": "-0.673",
                  "q_sym": ["0.369", "-4.635"], "R": 0.746, "delta": 0.771},
 }
+
+
+def hold_config_shapes(cfg: dict) -> dict:
+    """cfg with every shape entry of its search held by a [v, v] bound."""
+    spec = hold_shapes(_search_spec(cfg))
+    cfg["search"]["bounds"] = {name: list(b) for name, b in spec.scalar_bounds.items()}
+    return cfg
 
 
 def machine_values(output: str) -> dict:
@@ -361,15 +374,11 @@ class TestConfigKeys:
         assert code == 2
         assert "config error: constants: expected an object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [
-        ("vary_shapes", "false"), ("vary_shapes", 0), ("budget", True),
-        ("budget", 2000.0),
-    ])
+    @pytest.mark.parametrize("key, value", [("budget", True), ("budget", 2000.0)])
     def test_search_scalar_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
-        # "false" once varied the shapes, true once meant 1, and 2000.0
-        # failed with a message naming no key
+        # true once meant 1, and 2000.0 failed with a message naming no key
         cfg = json.loads(json.dumps(REFERENCE_CONFIG))
-        cfg["search"] = {"target": "maximize_kappa", "budget": 1, "vary_shapes": False}
+        cfg["search"] = {"target": "maximize_kappa", "budget": 1}
         cfg["search"][key] = value
         code = main(["optimize", "--config", write_config(tmp_path, cfg)])
         assert code == 2
@@ -379,25 +388,28 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize("key, value", [
         ("restarts", True), ("seed", 1.5), ("seed", "7"), ("seed", -3),
-        ("seed", 0), ("restarts", 4),
+        ("seed", 0), ("restarts", 4), ("vary_shapes", True), ("vary_shapes", False),
+        ("vary_shapes", "false"), ("vary_shapes", 0),
     ])
     def test_retired_search_key_rejected(self, tmp_path, capsys, key, value):
-        # seed and restarts were once accepted and changed nothing
+        # seed and restarts were once accepted and changed nothing; a [v, v]
+        # bound now holds a shape entry, as vary_shapes: false did
         cfg = json.loads(json.dumps(REFERENCE_CONFIG))
-        cfg["search"] = {"target": "maximize_kappa", "budget": 1, "vary_shapes": False}
+        cfg["search"] = {"target": "maximize_kappa", "budget": 1}
         cfg["search"][key] = value
         code = main(["optimize", "--config", write_config(tmp_path, cfg)])
         assert code == 2
         captured = capsys.readouterr()
         assert "best objective" not in captured.out
-        assert captured.err.startswith(f"config error: search: unknown field {key!r} ")
+        assert captured.err == (f"config error: search: unknown field {key!r} "
+                                f"(allowed: target, bounds, budget)\n")
 
 
 class TestOptimize:
     def test_budget_one_echoes_seed(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(REFERENCE_CONFIG))
-        cfg["search"] = {"target": "maximize_kappa", "budget": 1, "bounds": {},
-                         "vary_shapes": False}
+        cfg["search"] = {"target": "maximize_kappa", "budget": 1}
+        hold_config_shapes(cfg)
         code = main(["optimize", "--config", write_config(tmp_path, cfg), "--machine"])
         assert code == 0
         values = machine_values(capsys.readouterr().out)
@@ -459,8 +471,9 @@ class TestOptimize:
     def test_out_file_ends_with_the_fragment(self, tmp_path, capsys):
         # --out once left the fragment out
         cfg = json.loads(json.dumps(REFERENCE_CONFIG))
-        cfg["search"] = {"target": "maximize_kappa", "budget": 5, "vary_shapes": False,
+        cfg["search"] = {"target": "maximize_kappa", "budget": 5,
                          "bounds": {"delta": [0.6, 0.95]}}
+        hold_config_shapes(cfg)
         out_file = tmp_path / "opt.txt"
         assert main(["optimize", "--config", write_config(tmp_path, cfg), "--machine",
                      "--out", str(out_file)]) == 0
@@ -523,6 +536,19 @@ class TestSelfcheck:
         assert values["all_passed"] == 1.0
 
 
+def test_reproduce_and_selfcheck_import_no_test_dependency():
+    # the runtime needs numpy only; mpmath, hypothesis and pytest are test extras
+    code = ("import contextlib, io, sys\n"
+            "from levbounds import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['reproduce']) == 0 and cli.main(['selfcheck']) == 0\n"
+            "loaded = {'mpmath', 'hypothesis', 'pytest'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n")
+    src = os.path.dirname(os.path.dirname(levbounds.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
 class TestOptimizeAccounting:
     @pytest.mark.parametrize("bounds, message", [
         ({"R": [-1, 1.2], "r": [-2, 2]}, "bounds for 'R' must be >= 1e-06, got (-1.0, 1.2)"),
@@ -564,6 +590,18 @@ class TestOptimizeAccounting:
         cfg["search"]["bounds"] = {"R": [0.3, 1.2]}
         assert main(["optimize", "--config", write_config(tmp_path, cfg)]) == 0
         assert "\npinned bounds    none\n" in capsys.readouterr().out
+
+    def test_twist_held_at_delta_zero_is_not_reported_pinned(self, tmp_path, capsys):
+        # q_sym[0] stays at its start, its lower bound, because the twist
+        # cannot move at delta = 0; it was once printed as pinned there
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["section5"]["delta"] = 0.0
+        cfg["search"] = {"target": "maximize_kappa",
+                         "bounds": {"R": [0.4, 1.2], "delta": [0.0, 0.0],
+                                    "q_sym[0]": [0.369, 1.0]}}
+        assert main(["optimize", "--config", write_config(tmp_path, cfg), "--machine"]) == 0
+        out = capsys.readouterr().out
+        assert [l for l in out.splitlines() if l.startswith("pinned.")] == ["pinned.R=1.2"]
 
     def test_machine_output_counts_failures_by_class(self, tmp_path, capsys,
                                                      fail_solves_above):

@@ -250,6 +250,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             c1_core([0.1], [-0.5, bad], 1.0, 0.6, 0.7)
 
+    def test_twist_without_entries_rejected_by_name(self):
+        # it once failed inside twist_matrix(-1) with an IndexError
+        with pytest.raises(ValueError, match=r"^c1_core: the twist needs at least "
+                                             r"q_linear, got no entries$"):
+            c1_core([0.1], [], 1.0, 0.6, 0.7)
+
     def test_tiny_R_rejected_by_evaluation(self):
         # R below MIN_BASE_R is outside the scalar domain: the params refuse
         # it when built, and the core the search evaluates through refuses it

@@ -18,6 +18,8 @@ from levbounds.proportions import (NonFiniteError, SectionFiveParams, SectionFou
                                    c1_value, c_value, kappa_bound, nu_bound)
 from levbounds.reference import section_five_reference, section_four_reference
 
+from search_helpers import hold_shapes
+
 
 def nu_spec(**overrides) -> SearchSpec:
     p4 = section_four_reference()
@@ -28,9 +30,6 @@ def nu_spec(**overrides) -> SearchSpec:
         theta=1.0,
         initial_point=(-0.158, 0.25, 0.492, 0.075, p4.r, p4.R),
         budget=300,
-        seed=7,
-        restarts=1,
-        vary_shapes=True,
     )
     fields.update(overrides)
     return SearchSpec(**fields)
@@ -46,9 +45,6 @@ def kappa_spec(**overrides) -> SearchSpec:
         initial_point=(-0.482, -0.392, -0.262, -0.673, 0.369, -4.635,
                        p5.R, p5.delta),
         budget=300,
-        seed=7,
-        restarts=1,
-        vary_shapes=True,
     )
     fields.update(overrides)
     return SearchSpec(**fields)
@@ -94,7 +90,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):
             nu_spec(seed=-3)
 
-    @pytest.mark.parametrize("degrees", [(2,), (2, 2, 2), (-1, 2)])
+    @pytest.mark.parametrize("degrees", [(2,), (2, 2, 2), (-1, 2), (2.0, 2)])
     def test_shape_degrees_must_be_two_counts(self, degrees):
         with pytest.raises(ValueError, match="shape_degrees"):
             nu_spec(shape_degrees=degrees)
@@ -139,14 +135,28 @@ class TestLayout:
         assert optimize(spec).best_objective == seed_objective(spec)
 
     def test_free_entries(self):
-        # shape entries, q_linear among them, follow vary_shapes; a scalar
-        # is free only under bounds with lo < hi
+        # a shape entry, q_linear among them, is free unless held by [v, v];
+        # a scalar is free only under bounds with lo < hi
         spec = kappa_spec(scalar_bounds={"R": (0.5, 1.0), "delta": (0.771, 0.771)})
         assert spec.free_indices() == (0, 1, 2, 3, 4, 5, 6)
-        frozen = kappa_spec(vary_shapes=False,
-                            scalar_bounds={"q_linear": (-1.0, 0.0), "R": (0.5, 1.0)})
-        assert frozen.free_indices() == (6,)
+        bounded = kappa_spec(scalar_bounds={"q_linear": (-1.0, 0.0), "R": (0.5, 1.0)})
+        assert bounded.free_indices() == (0, 1, 2, 3, 4, 5, 6)
+        assert hold_shapes(bounded).free_indices() == (6,)
         assert nu_spec(scalar_bounds={"r": (0.5, 2.0)}).free_indices() == (0, 1, 2, 3, 4)
+
+    @pytest.mark.parametrize("start, bounds, twist_free", [
+        (0.771, (0.771, 0.771), True),   # held away from 0
+        (0.0, (-0.5, 0.5), True),        # moves
+        (0.0, (0.0, 0.0), False),        # held at 0
+        (0.0, None, False),              # no bounds: stays at 0
+    ])
+    def test_twist_moves_only_with_delta_or_away_from_zero(self, start, bounds,
+                                                           twist_free):
+        point = kappa_spec().initial_point[:-1] + (start,)
+        spec = kappa_spec(initial_point=point, scalar_bounds={
+            "R": (0.5, 1.0), **({"delta": bounds} if bounds else {})})
+        twist = {3, 4, 5}
+        assert twist & set(spec.free_indices()) == (twist if twist_free else set())
 
     def test_fields_follow_the_config_section(self):
         section, fields = params_fields(layout_params("maximize_kappa", (3, 2)))
@@ -158,14 +168,14 @@ class TestLayout:
 
 class TestOptimize:
     def test_budget_one_returns_seed(self):
-        spec = nu_spec(budget=1, restarts=0)
+        spec = nu_spec(budget=1)
         result = optimize(spec)
         assert result.best_point == spec.initial_point
         assert result.evaluations_used == 1
         assert result.best_objective == pytest.approx(seed_objective(spec), abs=0)
 
     def test_determinism(self):
-        spec = kappa_spec(budget=150, restarts=2, seed=123)
+        spec = kappa_spec(budget=150)
         a = optimize(spec)
         b = optimize(spec)
         assert a.best_point == b.best_point
@@ -174,21 +184,21 @@ class TestOptimize:
         assert a.evaluations_used == b.evaluations_used
 
     def test_budget_cap_respected(self):
-        spec = nu_spec(budget=77, restarts=3)
+        spec = nu_spec(budget=77)
         assert optimize(spec).evaluations_used <= 77
 
     def test_no_regression_from_seed_nu(self):
-        spec = nu_spec(budget=250, restarts=1)
+        spec = nu_spec(budget=250)
         result = optimize(spec)
         assert result.best_objective <= seed_objective(spec)
 
     def test_no_regression_from_seed_kappa(self):
-        spec = kappa_spec(budget=250, restarts=1)
+        spec = kappa_spec(budget=250)
         result = optimize(spec)
         assert result.best_objective >= seed_objective(spec)
 
     def test_trace_is_monotone(self):
-        spec = kappa_spec(budget=250, restarts=1)
+        spec = kappa_spec(budget=250)
         result = optimize(spec)
         objectives = [v for _, v in result.trace]
         assert objectives == sorted(objectives)
@@ -196,14 +206,14 @@ class TestOptimize:
         assert indices == sorted(indices)
 
     def test_best_objective_reevaluates(self):
-        spec = kappa_spec(budget=200, restarts=1)
+        spec = kappa_spec(budget=200)
         result = optimize(spec)
         params = spec.params_from_vector(result.best_point)
         again = kappa_bound(c1_value(params), params.R)
         assert again == pytest.approx(result.best_objective, abs=1e-12)
 
     def test_best_point_feasible(self):
-        spec = nu_spec(budget=250, restarts=2)
+        spec = nu_spec(budget=250)
         result = optimize(spec)
         names = spec.vector_names()
         for name, value in zip(names, result.best_point):
@@ -215,16 +225,16 @@ class TestOptimize:
         spec = kappa_spec(scalar_bounds={"R": (0.5, 1.0), "delta": (1.0, 1.0)},
                           initial_point=(-0.482, -0.392, -0.262, -0.673, 0.369,
                                          -4.635, 0.746, 1.0),
-                          budget=120, restarts=1)
+                          budget=120)
         result = optimize(spec)
         assert result.best_point[-1] == 1.0
 
     def test_evaluation_failure_at_seed(self):
         # R pinned to an invalid value makes the objective raise immediately
-        spec = kappa_spec(scalar_bounds={},
-                          initial_point=(-0.482, -0.392, -0.262, -0.673, 0.369,
-                                         -4.635, -1.0, 0.771),
-                          vary_shapes=False, budget=10, restarts=0)
+        spec = hold_shapes(kappa_spec(scalar_bounds={},
+                                      initial_point=(-0.482, -0.392, -0.262, -0.673,
+                                                     0.369, -4.635, -1.0, 0.771),
+                                      budget=10))
         with pytest.raises(EvaluationFailureError):
             optimize(spec)
 
@@ -240,22 +250,35 @@ class TestOptimize:
 
 
 class TestGridScan:
-    def test_requires_frozen_shapes(self):
-        with pytest.raises(DimensionTooHighError):
+    def test_dimension_cap(self):
+        spec = hold_shapes(nu_spec(scalar_bounds={"r": (0.5, 2.0), "R": (0.3, 1.0)}))
+        assert grid_scan(spec, resolution=2).evaluations_used == 4
+        with pytest.raises(DimensionTooHighError,
+                           match=r"^grid_scan supports at most 3 free entries, got 8$"):
             grid_scan(kappa_spec(), resolution=3)
 
-    def test_dimension_cap(self):
-        spec = nu_spec(vary_shapes=False,
-                       scalar_bounds={"r": (0.5, 2.0), "R": (0.3, 1.0)})
-        grid_scan(spec, resolution=2)  # two free scalars: fine
-        # four would exceed the cap, but only r/R exist here; emulate via kappa
-        spec5 = kappa_spec(vary_shapes=False,
-                           scalar_bounds={"R": (0.5, 1.0), "delta": (0.5, 1.0)})
-        grid_scan(spec5, resolution=2)
+    def test_lattices_exactly_the_free_entries(self):
+        # a bounded shape entry is an axis like a scalar; held entries are not
+        spec = hold_shapes(nu_spec(scalar_bounds={"R": (0.3, 1.0)}))
+        spec = nu_spec(scalar_bounds={**spec.scalar_bounds, "p1_shape[0]": (-0.3, 0.0)})
+        assert spec.free_indices() == (0, 5)
+        result = grid_scan(spec, resolution=3)
+        assert result.evaluations_used == 9
+        assert result.best_point[0] in np.linspace(-0.3, 0.0, 3)
+        assert result.best_point[1:5] == spec.initial_point[1:5]
+
+    def test_free_entry_without_bounds_is_named(self):
+        # grid_scan once refused any spec whose shapes were not frozen
+        bounds = dict(hold_shapes(nu_spec(scalar_bounds={"R": (0.3, 1.0)})).scalar_bounds)
+        del bounds["p1_shape[1]"], bounds["p2_shape[0]"]
+        with pytest.raises(ValueError, match=r"^grid_scan needs bounds on every free "
+                                             r"entry, got none on p1_shape\[1\], "
+                                             r"p2_shape\[0\]$"):
+            grid_scan(nu_spec(scalar_bounds=bounds), resolution=3)
 
     def test_every_point_failing_keeps_the_first_cause(self):
-        spec = nu_spec(vary_shapes=False, scalar_bounds={"r": (0.5, 2.0)},
-                       initial_point=(1e200, 0.0, 0.492, 0.075, 1.154, 0.617))
+        spec = hold_shapes(nu_spec(scalar_bounds={"r": (0.5, 2.0)},
+                                   initial_point=(1e200, 0.0, 0.492, 0.075, 1.154, 0.617)))
         with pytest.raises(EvaluationFailureError,
                            match="every lattice point failed to evaluate: c evaluated "
                                  "to inf") as info:
@@ -263,28 +286,25 @@ class TestGridScan:
         assert isinstance(info.value.__cause__, NonFiniteError)
 
     def test_resolution_one_corners_and_midpoint(self):
-        spec = kappa_spec(vary_shapes=False)
+        spec = hold_shapes(kappa_spec())
         result = grid_scan(spec, resolution=1)
         assert result.evaluations_used == 9  # 3 x 3 lattice of lo/mid/hi
 
     def test_agrees_with_optimize_on_low_dimensional_slice(self):
         bounds = {"R": (0.65, 0.85), "delta": (0.65, 0.9)}
-        scan = grid_scan(kappa_spec(vary_shapes=False, scalar_bounds=bounds),
-                         resolution=21)
-        opt = optimize(kappa_spec(vary_shapes=False, scalar_bounds=bounds,
-                                  budget=400, restarts=2))
+        scan = grid_scan(hold_shapes(kappa_spec(scalar_bounds=bounds)), resolution=21)
+        opt = optimize(hold_shapes(kappa_spec(scalar_bounds=bounds, budget=400)))
         assert opt.best_objective >= scan.best_objective - 5e-4
 
     def test_nu_slice_contains_reference_point(self):
         bounds = {"r": (1.0, 1.3), "R": (0.5, 0.75)}
-        scan = grid_scan(nu_spec(vary_shapes=False, scalar_bounds=bounds),
-                         resolution=15)
+        scan = grid_scan(hold_shapes(nu_spec(scalar_bounds=bounds)), resolution=15)
         seed_nu = seed_objective(nu_spec())
         assert scan.best_objective <= seed_nu + 5e-4
 
 
 def criterion_eight_spec(target: str, **overrides) -> SearchSpec:
-    """The budget-2000 search of acceptance criterion 8 at seed 5."""
+    """The budget-2000 search of acceptance criterion 8."""
     p4, p5 = section_four_reference(), section_five_reference()
     if target == "minimize_nu":
         fields = dict(target=target, shape_degrees=(2, 2),
@@ -295,7 +315,7 @@ def criterion_eight_spec(target: str, **overrides) -> SearchSpec:
                       scalar_bounds={"R": (0.4, 1.2), "delta": (0.4, 1.2)},
                       initial_point=(-0.482, -0.392, -0.262, -0.673, 0.369, -4.635,
                                      p5.R, p5.delta))
-    fields.update(theta=1.0, budget=2000, seed=5, restarts=4)
+    fields.update(theta=1.0, budget=2000)
     fields.update(overrides)
     return SearchSpec(**fields)
 
@@ -407,8 +427,7 @@ class TestExactSolves:
         assert result.best_objective > seed_objective(spec)
 
     def test_delta_frozen_at_one(self):
-        spec = with_entry(criterion_eight_spec("maximize_kappa", budget=1200, seed=9,
-                                               restarts=2),
+        spec = with_entry(criterion_eight_spec("maximize_kappa", budget=1200),
                           "delta", 1.0, delta=(1.0, 1.0))
         result = optimize(spec)
         assert result.best_point[-1] == 1.0
@@ -422,6 +441,16 @@ class TestExactSolves:
         params = spec.params_from_vector(result.best_point)
         assert kappa_bound(c1_value(params), params.R) == result.best_objective
         assert result.best_objective > seed_objective(spec)
+
+    def test_twist_held_at_delta_zero_is_neither_free_nor_pinned(self):
+        # the twist was once listed free here, and q_sym[0], which stays at
+        # its start on its lower bound, was reported pinned
+        spec = with_entry(criterion_eight_spec("maximize_kappa"), "delta", 0.0,
+                          delta=(0.0, 0.0), **{"q_sym[0]": (0.369, 1.0)})
+        assert not {3, 4, 5} & set(spec.free_indices())
+        result = optimize(spec)
+        assert result.best_point[3:6] == spec.initial_point[3:6]
+        assert result.pinned == (("R", 1.2),)
 
     @pytest.mark.parametrize("target", TARGETS)
     def test_seed_and_restarts_change_nothing(self, target):
