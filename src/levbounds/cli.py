@@ -3,11 +3,12 @@
 Config files are JSON.  Every value is read through one field table,
 SECTION_FIELDS, which gives each key of each section (the top level
 included) its kind, and one reader, _get, which converts a value by its
-kind or raises a ConfigError naming <section>.<key>.  Decimal numbers
-are kept as decimal strings all the way into exact rationals (the parser
-reads JSON floats as strings), while scalar parameters (theta, r, R,
-delta) become finite binary64; a JSON boolean is neither.  Exit codes: 0
-success, 1 quantitative failure, 2 usage or config error.
+kind or raises a ConfigError naming <section>.<key>; _section_params
+builds a params section by its row of optimizer.SEARCH_FIELDS.  Decimal
+numbers are kept as decimal strings all the way into exact rationals (the
+parser reads JSON floats as strings), while scalar parameters (theta, r,
+R, delta) become finite binary64; a JSON boolean is neither.  Exit codes:
+0 success, 1 quantitative failure, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -21,12 +22,10 @@ from typing import Any
 
 from . import reference
 from .optimizer import (SEARCH_FIELDS, TARGETS, EvaluationFailureError, SearchSpec,
-                        optimize, params_fields, search_start)
+                        optimize, params_fields, search_start, section_parts)
 from .oracle import crosscheck_report
-from .polyalg import (ConstraintViolationError, MollifierShape, Poly, TwistShape,
-                      mollifier_shape_from_poly, twist_shape_from_poly)
-from .proportions import (SectionFourParams, SectionFiveParams, bounds_table, c1_value,
-                          c_value)
+from .polyalg import ConstraintViolationError, Poly
+from .proportions import SectionFourParams, SectionFiveParams, bounds_table, c1_value, c_value
 
 MACHINE_FMT = "{key}={value:.17g}"
 
@@ -131,47 +130,29 @@ def _load_json(path: str) -> dict:
     return _section(cfg, TOP)
 
 
-MOLLIFIER = (MollifierShape.of, mollifier_shape_from_poly)
-TWIST = (TwistShape.of, twist_shape_from_poly)
-
-
-def _shape(sec: dict, where: str, family: tuple, poly_key: str, *keys: str):
-    """A shape of family (from coefficients, from a raw polynomial) given by
-    its fields keys, the first required, or by poly_key, not both."""
-    from_coeffs, from_poly = family
-    if poly_key in sec:
-        if any(key in sec for key in keys):
+def _section_params(cfg: dict, where: str, theta: float):
+    """The params of section where, built by its SEARCH_FIELDS row: a shape
+    from its fields (the first required) or its raw polynomial, not both."""
+    row = next(row for row in SEARCH_FIELDS.values() if row[0] == where)
+    sec, values = _section(cfg, where), {}
+    for name, (from_fields, from_poly, _), poly_key, keys in section_parts(row):
+        if poly_key not in sec:
+            if poly_key and keys[0] not in sec:
+                raise ConfigError(f"{where}: missing field {keys[0]!r} (or {poly_key!r})")
+            values[name] = from_fields(_get(sec, keys[0], where),
+                                       *(_get(sec, key, where, ()) for key in keys[1:]))
+        elif any(key in sec for key in keys):
             raise ConfigError(f"{where}: give {'/'.join(map(repr, keys))} or "
                               f"{poly_key!r}, not both")
-        try:
-            return from_poly(Poly.from_coeffs(_get(sec, poly_key, where)))
-        except ConstraintViolationError as exc:
-            raise ConfigError(f"{where}.{poly_key}: {exc}") from exc
-    if keys[0] not in sec:
-        raise ConfigError(f"{where}: missing field {keys[0]!r} (or {poly_key!r})")
-    return from_coeffs(*(_get(sec, key, where, ()) for key in keys))
-
-
-def _section_four(cfg: dict, theta: float) -> SectionFourParams:
-    sec = _section(cfg, "section4")
-    p1 = _shape(sec, "section4", MOLLIFIER, "p1_poly", "p1_shape")
-    p2 = _shape(sec, "section4", MOLLIFIER, "p2_poly", "p2_shape")
-    r, R = _get(sec, "r", "section4"), _get(sec, "R", "section4")
+        else:
+            try:
+                values[name] = from_poly(Poly.from_coeffs(_get(sec, poly_key, where)))
+            except ConstraintViolationError as exc:
+                raise ConfigError(f"{where}.{poly_key}: {exc}") from exc
     try:
-        return SectionFourParams(p1_shape=p1, p2_shape=p2, theta=theta, r=r, R=R)
+        return row[2](theta=theta, **values)
     except ValueError as exc:
-        raise ConfigError(f"section4: {exc}") from exc
-
-
-def _section_five(cfg: dict, theta: float) -> SectionFiveParams:
-    sec = _section(cfg, "section5")
-    p = _shape(sec, "section5", MOLLIFIER, "p_poly", "p_shape")
-    q = _shape(sec, "section5", TWIST, "q_poly", "q_linear", "q_sym")
-    R, delta = _get(sec, "R", "section5"), _get(sec, "delta", "section5")
-    try:
-        return SectionFiveParams(p_shape=p, q_shape=q, theta=theta, R=R, delta=delta)
-    except ValueError as exc:
-        raise ConfigError(f"section5: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _params(config: str | None) -> tuple[SectionFourParams, SectionFiveParams]:
@@ -180,7 +161,7 @@ def _params(config: str | None) -> tuple[SectionFourParams, SectionFiveParams]:
         return reference.section_four_reference(), reference.section_five_reference()
     cfg = _load_json(config)
     theta = _get(cfg, "theta", TOP, 1.0)
-    return _section_four(cfg, theta), _section_five(cfg, theta)
+    return _section_params(cfg, "section4", theta), _section_params(cfg, "section5", theta)
 
 
 def _search_spec(cfg: dict) -> SearchSpec:
@@ -190,8 +171,8 @@ def _search_spec(cfg: dict) -> SearchSpec:
     bounds_sec = _get(sec, "bounds", "search", {})
     bounds = {name: _get(bounds_sec, name, "search.bounds") for name in bounds_sec}
     budget = _get(sec, "budget", "search", 2000)
-    read = {"section4": _section_four, "section5": _section_five}[SEARCH_FIELDS[target][0]]
-    shape_degrees, initial = search_start(read(cfg, theta))
+    shape_degrees, initial = search_start(
+        _section_params(cfg, SEARCH_FIELDS[target][0], theta))
     try:
         return SearchSpec(target=target, shape_degrees=shape_degrees,
                           scalar_bounds=bounds, theta=theta, initial_point=initial,
@@ -276,28 +257,20 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config)
     theta = _get(cfg, "theta", TOP, 1.0)
+    consts = _section(cfg, "constants", {}) if args.which == "bounds" else {}
+    values = {}
+    for key, where, compute in (("c", "section4", c_value), ("c1", "section5", c1_value),
+                                ("R4", "section4", None), ("R5", "section5", None)):
+        if args.which in (key, "bounds"):  # a given constant, else from its section
+            values[key] = (_get(consts, key, "constants") if key in consts
+                           else compute(_section_params(cfg, where, theta)) if compute
+                           else _get(_section(cfg, where), "R", where))
+    if args.which == "bounds":
+        values = bounds_table(**values)
     em = Emitter(args.machine, args.out)
-    if args.which == "c":
-        value = c_value(_section_four(cfg, theta))
-        em.kv("c", value)
-        em.text(f"c = {value:.12f}")
-    elif args.which == "c1":
-        value = c1_value(_section_five(cfg, theta))
-        em.kv("c1", value)
-        em.text(f"c1 = {value:.12f}")
-    else:
-        consts = _section(cfg, "constants", {})
-        c = (_get(consts, "c", "constants") if "c" in consts
-             else c_value(_section_four(cfg, theta)))
-        c1 = (_get(consts, "c1", "constants") if "c1" in consts
-              else c1_value(_section_five(cfg, theta)))
-        R4 = (_get(consts, "R4", "constants") if "R4" in consts
-              else _get(_section(cfg, "section4"), "R", "section4"))
-        R5 = (_get(consts, "R5", "constants") if "R5" in consts
-              else _get(_section(cfg, "section5"), "R", "section5"))
-        for key, value in bounds_table(c, R4, c1, R5).items():
-            em.kv(key, value)
-            em.text(f"{key} = {value:.12f}")
+    for key, value in values.items():
+        em.kv(key, value)
+        em.text(f"{key} = {value:.12f}")
     em.flush()
     return 0
 

@@ -53,7 +53,8 @@ from typing import Callable
 import numpy as np
 
 from .kernel import MAX_BASE_R, MIN_BASE_R, kernel_derivative_basis, moment_grams
-from .polyalg import MollifierShape, TwistShape, twist_matrix
+from .polyalg import (MollifierShape, TwistShape, mollifier_shape_from_poly, twist_matrix,
+                      twist_shape_from_poly)
 from .proportions import (SectionFourParams, SectionFiveParams, c1_core,
                           c_core, kappa_bound, nu_bound, twist_operator_coefficients)
 
@@ -77,16 +78,26 @@ class IllPosedSolveError(ArithmeticError):
     """A free solve block is not positive definite, or too ill-conditioned."""
 
 
-# The search layout, stated once: each target's config section and that
-# section's fields in vector order.  A field's size is an index into
-# shape_degrees for a list of shape coefficients, or SHAPE or SCALAR for a
-# single shape coefficient or search scalar.
+# The search layout, stated once: each target's config section, that
+# section's fields in vector order, its params class and its shapes.  A
+# field's size is an index into shape_degrees for a list of shape
+# coefficients, or SHAPE or SCALAR for a single shape coefficient or search
+# scalar.  A shape is (params field, family, raw-polynomial config key), in
+# field order; section_parts gives each its fields.  A family is three
+# conversions: from its coefficient fields, from a raw polynomial, and back.
 SHAPE, SCALAR = "shape", "scalar"
+MOLLIFIER = (MollifierShape.of, mollifier_shape_from_poly, lambda s: (s.shape_coeffs,))
+TWIST = (TwistShape.of, twist_shape_from_poly, lambda s: (s.linear_coeff, s.sym_coeffs))
+FLOAT = (float, None, lambda x: (x,))  # a scalar: one field, no raw polynomial
 SEARCH_FIELDS = {
     "minimize_nu": ("section4", (("p1_shape", 0), ("p2_shape", 1),
-                                 ("r", SCALAR), ("R", SCALAR))),
+                                 ("r", SCALAR), ("R", SCALAR)),
+                    SectionFourParams, (("p1_shape", MOLLIFIER, "p1_poly"),
+                                        ("p2_shape", MOLLIFIER, "p2_poly"))),
     "maximize_kappa": ("section5", (("p_shape", 0), ("q_linear", SHAPE), ("q_sym", 1),
-                                    ("R", SCALAR), ("delta", SCALAR))),
+                                    ("R", SCALAR), ("delta", SCALAR)),
+                       SectionFiveParams, (("p_shape", MOLLIFIER, "p_poly"),
+                                           ("q_shape", TWIST, "q_poly"))),
 }
 TARGETS = tuple(SEARCH_FIELDS)
 
@@ -112,12 +123,12 @@ class SearchSpec:
                 isinstance(n, numbers.Integral) and n >= 0 for n in self.shape_degrees):
             raise ValueError(f"shape_degrees must be two integer counts >= 0, "
                              f"got {self.shape_degrees}")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.restarts < 0:
-            raise ValueError("restarts must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("budget", 1), ("restarts", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value!r}")
         names = self.vector_names()
         unknown = sorted(set(self.scalar_bounds) - set(names))
         if unknown:
@@ -129,6 +140,8 @@ class SearchSpec:
                 f"expected {len(names)} ({names})")
         initial = dict(zip(names, self.initial_point))
         for name, (lo, hi) in self.scalar_bounds.items():
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"bounds for {name!r} must be finite, got ({lo}, {hi})")
             if not lo <= hi:
                 raise ValueError(f"empty bounds for {name!r}: ({lo}, {hi})")
             if name == "R" and not MIN_BASE_R <= lo <= hi <= MAX_BASE_R:
@@ -187,29 +200,32 @@ class SearchSpec:
         """Reassemble a params object from a full vector."""
         v = [float(x) for x in v]
         f = {name: v[place] for name, place in self.places().items()}
-        if self.target == "minimize_nu":
-            return SectionFourParams(p1_shape=MollifierShape.of(f["p1_shape"]),
-                                     p2_shape=MollifierShape.of(f["p2_shape"]),
-                                     theta=self.theta, r=f["r"], R=f["R"])
-        return SectionFiveParams(p_shape=MollifierShape.of(f["p_shape"]),
-                                 q_shape=TwistShape.of(f["q_linear"], f["q_sym"]),
-                                 theta=self.theta, R=f["R"], delta=f["delta"])
+        row = SEARCH_FIELDS[self.target]
+        return row[2](theta=self.theta, **{name: family[0](*(f[k] for k in keys))
+                                           for name, family, _, keys in section_parts(row)})
+
+
+def section_parts(row: tuple) -> list[tuple]:
+    """How a SEARCH_FIELDS row's fields make its params: per params field,
+    in order, (name, family, raw-polynomial key, fields).  A shape takes its
+    list field and the SHAPE fields before it; a scalar takes its own."""
+    parts, run, shapes = [], (), iter(row[3])
+    for name, size in row[1]:
+        run += (name,)
+        if size != SHAPE:
+            parts.append((name, FLOAT, None, run) if size == SCALAR else (*next(shapes), run))
+            run = ()
+    return parts
 
 
 def params_fields(params: SectionFourParams | SectionFiveParams) -> tuple[str, dict]:
     """The inverse of params_from_vector: the config section of params and
     its searched fields, in vector order, as floats or lists of floats."""
-    p = params
-    if isinstance(p, SectionFourParams):
-        target, exact = "minimize_nu", dict(
-            p1_shape=p.p1_shape.shape_coeffs, p2_shape=p.p2_shape.shape_coeffs, r=p.r, R=p.R)
-    else:
-        target, exact = "maximize_kappa", dict(
-            p_shape=p.p_shape.shape_coeffs, q_linear=p.q_shape.linear_coeff,
-            q_sym=p.q_shape.sym_coeffs, R=p.R, delta=p.delta)
-    section, fields = SEARCH_FIELDS[target]
-    return section, {name: float(exact[name]) if size in (SHAPE, SCALAR)
-                     else [float(x) for x in exact[name]] for name, size in fields}
+    row = next(row for row in SEARCH_FIELDS.values() if isinstance(params, row[2]))
+    exact = {key: x for name, family, _, keys in section_parts(row)
+             for key, x in zip(keys, family[2](getattr(params, name)))}
+    return row[0], {name: float(exact[name]) if size in (SHAPE, SCALAR)
+                    else [float(x) for x in exact[name]] for name, size in row[1]}
 
 
 def search_start(params: SectionFourParams | SectionFiveParams
@@ -724,8 +740,9 @@ def grid_scan(spec: SearchSpec, resolution: int) -> SearchResult:
     if unbounded:
         raise ValueError(f"grid_scan needs bounds on every free entry, "
                          f"got none on {', '.join(unbounded)}")
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+    if (isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral)
+            or resolution < 1):
+        raise ValueError(f"resolution must be an integer >= 1, got {resolution!r}")
 
     axes = [np.array([lo, 0.5 * (lo + hi), hi]) if resolution == 1
             else np.linspace(lo, hi, resolution)

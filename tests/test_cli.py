@@ -357,6 +357,28 @@ class TestConfigKeys:
         assert f"{which} = " not in captured.out
         assert f"config error: {message}" in captured.err
 
+    @pytest.mark.parametrize("faults, command, message", [
+        (("theta", "section4.r"), ["eval", "--which", "c"], "theta: not a number"),
+        (("theta", "section4.r"), ["eval", "--which", "bounds"], "theta: not a number"),
+        (("theta", "section4.r"), ["selfcheck"], "theta: not a number"),
+        (("theta", "section4.r"), ["optimize"], "theta: not a number"),
+        (("section4.r", "section5.delta"), ["eval", "--which", "bounds"],
+         "section4.r: not a number"),
+    ])
+    def test_first_fault_in_read_order_is_reported(self, tmp_path, capsys, faults,
+                                                   command, message):
+        # each test above has one fault; this pins which of two is reported
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["search"] = {"target": "minimize_nu", "budget": 1}  # read by optimize only
+        for fault in faults:
+            section, _, key = fault.rpartition(".")
+            (cfg[section] if section else cfg)[key] = True
+        code = main([*command, "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}, got True\n"
+
     def test_unknown_constant_rejected(self, tmp_path, capsys):
         # a stray key was once ignored, and the bounds came from the sections
         cfg = json.loads(json.dumps(REFERENCE_CONFIG))
@@ -427,8 +449,8 @@ class TestOptimize:
         fragment = json.loads([l for l in out.splitlines() if l.startswith("{")][-1],
                               parse_float=str)
         sec5 = fragment["section5"]
-        from levbounds.cli import _section_five
-        params = _section_five({"section5": sec5}, 1.0)
+        from levbounds.cli import _section_params
+        params = _section_params({"section5": sec5}, "section5", 1.0)
         again = kappa_bound(c1_value(params), params.R)
         assert again == pytest.approx(values["best_objective"], abs=1e-12)
 

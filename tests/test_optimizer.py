@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -89,6 +90,17 @@ class TestSpecValidation:
         # numpy once rejected it with a message naming no key
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):
             nu_spec(seed=-3)
+
+    @pytest.mark.parametrize("setting, value", [("budget", 2.5), ("budget", True),
+                                                ("restarts", 1.5), ("seed", False)])
+    def test_integer_settings_must_be_integers(self, setting, value):
+        # budget=2.5 once ran 3 evaluations and budget=True ran 1
+        with pytest.raises(ValueError, match=rf"^{setting} must be an integer, "
+                                             rf"got {re.escape(repr(value))}$"):
+            nu_spec(**{setting: value})
+
+    def test_integer_settings_accept_numpy_integers(self):
+        assert nu_spec(budget=np.int64(5), seed=np.int32(2)).budget == 5
 
     @pytest.mark.parametrize("degrees", [(2,), (2, 2, 2), (-1, 2), (2.0, 2)])
     def test_shape_degrees_must_be_two_counts(self, degrees):
@@ -284,6 +296,14 @@ class TestGridScan:
                                  "to inf") as info:
             grid_scan(spec, resolution=3)
         assert isinstance(info.value.__cause__, NonFiniteError)
+
+    @pytest.mark.parametrize("resolution", [True, 2.5, 0])
+    def test_resolution_must_be_a_positive_integer(self, resolution):
+        # True once lattices 3 points per axis, and 2.5 raised numpy's TypeError
+        spec = hold_shapes(nu_spec(scalar_bounds={"R": (0.3, 1.0)}))
+        with pytest.raises(ValueError, match=rf"^resolution must be an integer >= 1, "
+                                             rf"got {re.escape(repr(resolution))}$"):
+            grid_scan(spec, resolution)
 
     def test_resolution_one_corners_and_midpoint(self):
         spec = hold_shapes(kappa_spec())
@@ -610,3 +630,13 @@ class TestSearchBounds:
         # they were once accepted and then scored as penalties
         with pytest.raises(ValueError, match=message):
             nu_spec(scalar_bounds=bounds)
+
+    @pytest.mark.parametrize("name, bounds", [("q_sym[0]", (-math.inf, math.inf)),
+                                              ("delta", (0.5, math.inf)),
+                                              ("R", (math.nan, 1.0))])
+    def test_non_finite_bounds_rejected_by_name(self, name, bounds):
+        # with delta free, an infinite q_sym[0] bound once reached the
+        # active-set solve, which warned of an invalid division
+        with pytest.raises(ValueError, match=rf"^bounds for {re.escape(repr(name))} "
+                                             rf"must be finite, got \("):
+            kappa_spec(scalar_bounds={"R": (0.5, 1.0), "delta": (0.5, 1.0), name: bounds})
