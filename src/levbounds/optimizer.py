@@ -65,6 +65,11 @@ GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0   # the golden-section step, as a fraction
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
+def _integer(value) -> bool:
+    """An integer, numpy's included, and not a bool: the test of every count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class EvaluationFailureError(RuntimeError):
     """No point of a search evaluated, or no step of it; chained to the
     first failure."""
@@ -120,12 +125,12 @@ class SearchSpec:
         if self.target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}, got {self.target!r}")
         if len(self.shape_degrees) != 2 or not all(
-                isinstance(n, numbers.Integral) and n >= 0 for n in self.shape_degrees):
+                _integer(n) and n >= 0 for n in self.shape_degrees):
             raise ValueError(f"shape_degrees must be two integer counts >= 0, "
                              f"got {self.shape_degrees}")
         for name, least in (("budget", 1), ("restarts", 0), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value!r}")
@@ -140,6 +145,8 @@ class SearchSpec:
                 f"expected {len(names)} ({names})")
         initial = dict(zip(names, self.initial_point))
         for name, (lo, hi) in self.scalar_bounds.items():
+            if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in (lo, hi)):
+                raise ValueError(f"bounds for {name!r} must be numbers, got ({lo!r}, {hi!r})")
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"bounds for {name!r} must be finite, got ({lo}, {hi})")
             if not lo <= hi:
@@ -198,6 +205,9 @@ class SearchSpec:
 
     def params_from_vector(self, v: tuple[float, ...] | np.ndarray):
         """Reassemble a params object from a full vector."""
+        names = self.vector_names()
+        if len(v) != len(names):
+            raise ValueError(f"vector has {len(v)} entries, expected {len(names)} ({names})")
         v = [float(x) for x in v]
         f = {name: v[place] for name, place in self.places().items()}
         row = SEARCH_FIELDS[self.target]
@@ -510,37 +520,32 @@ def _indices(place: slice | int) -> tuple[int, ...]:
 
 
 class _Solve:
-    """The exact solve of one target at fixed R: each free block in turn,
-    alternated while the constant decreases when there are two."""
+    """The exact solve of one target at fixed R on the kernel of the given
+    order: the blocks that move, alternated while the constant decreases.  A
+    held block has no coordinates (size 0), keeps y0 and is never solved."""
 
-    def __init__(self, spec: SearchSpec, blocks: tuple[_Block, ...]):
-        self.spec = spec
-        start = np.array(spec.initial_point, dtype=float)
-        self.frozen = {b.name: b.values(b.coordinates(start)) for b in blocks}
-        self.blocks = tuple(b for b in blocks if b.size)
-        self.R_at = spec.places()["R"]
-        self.solves = 0
+    def __init__(self, spec: SearchSpec, order: int, blocks: tuple[_Block, ...]):
+        self.spec, self.order, self.blocks = spec, order, blocks
+        self.R_at, self.solves = spec.places()["R"], 0
 
     def start(self, v: np.ndarray):
-        """The state of each free block at the public vector v: (x, no pins)."""
+        """The state of each block at the public vector v: (x, no pins)."""
         return tuple((b.coordinates(v), ()) for b in self.blocks)
 
-    def _values(self, states) -> dict[str, np.ndarray]:
-        return {**self.frozen, **{b.name: b.values(s[0]) for b, s in zip(self.blocks, states)}}
+    def kernel(self, R: float) -> np.ndarray:
+        return kernel_derivative_basis(self.spec.theta, R, self.order)
 
     def solve(self, R: float, states):
         """The solved states at R, warm-started from states."""
-        kernel = self.kernel(R)
-        states, values, last = list(states), self._values(states), math.inf
+        kernel, states, last = self.kernel(R), list(states), math.inf
+        values = {b.name: b.values(s[0]) for b, s in zip(self.blocks, states)}
+        moving = [(i, b) for i, b in enumerate(self.blocks) if b.size]
         for _ in range(MAX_ALTERNATIONS):
-            for i, block in enumerate(self.blocks):
+            for i, block in moving:
                 self.solves += 1
                 states[i] = block.solve(R, *self.form(block.name, kernel, values), states[i])
                 values[block.name] = block.values(states[i][0])
-            if len(self.blocks) < 2:
-                break
-            now = self.constant(kernel, values)
-            if not now < last:
+            if len(moving) < 2 or not (now := self.constant(kernel, values)) < last:
                 break
             last = now
         return tuple(states)
@@ -556,10 +561,11 @@ class _Solve:
         return out
 
     def conditions(self, v: np.ndarray) -> tuple[tuple[str, float], ...]:
-        """The condition number of each free block at the public vector v."""
-        kernel, values = self.kernel(float(v[self.R_at])), self._values(self.start(v))
+        """The condition number of each block that moves, at the public vector v."""
+        kernel = self.kernel(float(v[self.R_at]))
+        values = {b.name: b.values(b.coordinates(v)) for b in self.blocks}
         return tuple((b.name, _condition(b.quadratic(*self.form(b.name, kernel, values))[0]))
-                     for b in self.blocks)
+                     for b in self.blocks if b.size)
 
 
 class _NuSolve(_Solve):
@@ -571,11 +577,8 @@ class _NuSolve(_Solve):
         m = max(len(p1), len(p2))
         self.grams = moment_grams(m)
         self.rows = np.r_[0:len(p1) + 1, m + 1:m + 2 + len(p2)]  # z inside (u1, u2) padded
-        super().__init__(spec, (_Block("mollifier", spec, (
+        super().__init__(spec, 1, (_Block("mollifier", spec, (
             _Segment(p1, None), _Segment(p2, at["r"], inverse=True))),))
-
-    def kernel(self, R: float) -> np.ndarray:
-        return kernel_derivative_basis(self.spec.theta, R, 1)
 
     def form(self, name, kernel, values):
         n = 2 * len(self.grams[0])
@@ -595,13 +598,10 @@ class _KappaSolve(_Solve):
         twist = twist_matrix(len(q) - 1)
         self.B = np.column_stack([twist_operator_coefficients(col, 1.0) for col in twist.T])
         self.B[0, 0] -= 1.0
-        self.order = twist.shape[0]
         self.grams = moment_grams(len(p))
-        super().__init__(spec, (_Block("mollifier", spec, (_Segment(p, None),)),
-                                _Block("twist", spec, (_Segment(q, at["delta"]),))))
-
-    def kernel(self, R: float) -> np.ndarray:
-        return kernel_derivative_basis(self.spec.theta, R, self.order)
+        super().__init__(spec, twist.shape[0], (
+            _Block("mollifier", spec, (_Segment(p, None),)),
+            _Block("twist", spec, (_Segment(q, at["delta"]),))))
 
     def _operator(self, values) -> np.ndarray:
         """The twist operator's weights u = e0 + B v."""
@@ -713,7 +713,7 @@ def optimize(spec: SearchSpec) -> SearchResult:
     R_at = solver.R_at
     if R_at in spec.free_indices():
         _brent(step, *spec.scalar_bounds["R"], room)
-    elif solver.blocks and room():
+    elif any(b.size for b in solver.blocks) and room():
         step(float(start[R_at]))
     steps = record.count - 1
     if steps and sum(record.failures.values()) == steps:
@@ -740,8 +740,7 @@ def grid_scan(spec: SearchSpec, resolution: int) -> SearchResult:
     if unbounded:
         raise ValueError(f"grid_scan needs bounds on every free entry, "
                          f"got none on {', '.join(unbounded)}")
-    if (isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral)
-            or resolution < 1):
+    if not _integer(resolution) or resolution < 1:
         raise ValueError(f"resolution must be an integer >= 1, got {resolution!r}")
 
     axes = [np.array([lo, 0.5 * (lo + hi), hi]) if resolution == 1

@@ -93,6 +93,16 @@ class TestReproduce:
         err = capsys.readouterr().err
         assert f"config error: cannot write --out {str(out_file)!r}" in err
 
+    def test_module_entry_point_prints_what_main_prints(self, capsys):
+        # python -m levbounds runs __main__.py, which no other test imports
+        src = os.path.dirname(os.path.dirname(levbounds.__file__))
+        run = subprocess.run([sys.executable, "-m", "levbounds", "reproduce", "--machine"],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert main(["reproduce", "--machine"]) == 0
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == capsys.readouterr().out
+
     def test_seventeen_significant_digits(self, capsys):
         main(["reproduce", "--machine"])
         line = [l for l in capsys.readouterr().out.splitlines()

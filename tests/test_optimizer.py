@@ -102,10 +102,19 @@ class TestSpecValidation:
     def test_integer_settings_accept_numpy_integers(self):
         assert nu_spec(budget=np.int64(5), seed=np.int32(2)).budget == 5
 
-    @pytest.mark.parametrize("degrees", [(2,), (2, 2, 2), (-1, 2), (2.0, 2)])
+    @pytest.mark.parametrize("degrees", [(2,), (2, 2, 2), (-1, 2), (2.0, 2), (True, 2),
+                                         (2, False)])
     def test_shape_degrees_must_be_two_counts(self, degrees):
         with pytest.raises(ValueError, match="shape_degrees"):
             nu_spec(shape_degrees=degrees)
+
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_params_from_vector_checks_the_length(self, length):
+        # a 7-entry vector once dropped its extra entry, a 5-entry one
+        # raised a bare IndexError
+        with pytest.raises(ValueError, match=rf"^vector has {length} entries, expected 6 "
+                                             r"\(\('p1_shape\[0\]', .*'R'\)\)$"):
+            nu_spec().params_from_vector((0.1,) * length)
 
 
 def layout_params(target, degrees):
@@ -472,6 +481,27 @@ class TestExactSolves:
         assert result.best_point[3:6] == spec.initial_point[3:6]
         assert result.pinned == (("R", 1.2),)
 
+    @pytest.mark.parametrize("held, names", [("p_shape", ["twist"]), ("delta", ["mollifier"]),
+                                             ("nu_shapes", [])],
+                             ids=["p_shape", "delta", "nu_shapes"])
+    def test_held_block_is_never_solved(self, held, names):
+        # a block whose every entry is held has no coordinates: it is never
+        # solved and has no condition number, so with one block moving each
+        # step is one solve, without alternating, and with none it is none
+        spec = criterion_eight_spec("minimize_nu" if held == "nu_shapes" else "maximize_kappa")
+        if held == "p_shape":
+            spec = replace(spec, scalar_bounds={**spec.scalar_bounds, **{
+                f"p_shape[{j}]": (v, v) for j, v in enumerate(spec.initial_point[:3])}})
+        elif held == "delta":
+            spec = with_entry(spec, "delta", 0.0, delta=(0.0, 0.0))
+        else:
+            spec = with_entry(hold_shapes(spec), "r", spec.initial_point[4], r=None)
+        result = optimize(spec)
+        steps = result.evaluations_used - 1
+        assert steps > 0 and result.failures == ()
+        assert result.inner_solves == len(names) * steps
+        assert [name for name, _ in result.conditions] == names
+
     @pytest.mark.parametrize("target", TARGETS)
     def test_seed_and_restarts_change_nothing(self, target):
         a = optimize(criterion_eight_spec(target, seed=0, restarts=0))
@@ -630,6 +660,13 @@ class TestSearchBounds:
         # they were once accepted and then scored as penalties
         with pytest.raises(ValueError, match=message):
             nu_spec(scalar_bounds=bounds)
+
+    @pytest.mark.parametrize("bounds", [(True, 2.0), (0.5, False), (0.5, "2.0")])
+    def test_non_numeric_bounds_rejected_by_name(self, bounds):
+        # (True, 2.0) once made a spec whose r lay in [1, 2]
+        with pytest.raises(ValueError, match=rf"^bounds for 'r' must be numbers, "
+                                             rf"got {re.escape(repr(bounds))}$"):
+            nu_spec(scalar_bounds={"r": bounds, "R": (0.3, 1.0)})
 
     @pytest.mark.parametrize("name, bounds", [("q_sym[0]", (-math.inf, math.inf)),
                                               ("delta", (0.5, math.inf)),
