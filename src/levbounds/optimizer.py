@@ -11,6 +11,8 @@ in suitable solve coordinates, so only R needs a one-dimensional search:
          weights are affine in v.  The two solves alternate until c1
          stops decreasing, at most MAX_ALTERNATIONS times.
 
+Each target's solve class, looked up once in _SOLVES, owns its blocks,
+their forms, the objective it minimizes (nu, or -kappa) and that sign.
 nu and kappa are increasing in c and c1 at fixed R.  Brent's method
 (Brent 1973, ch. 5: parabolic interpolation with a golden-section
 fallback) searches R over its bounds; each step is one evaluation of the
@@ -144,6 +146,10 @@ class SearchSpec:
                 f"initial point has {len(self.initial_point)} entries, "
                 f"expected {len(names)} ({names})")
         initial = dict(zip(names, self.initial_point))
+        starts = [("theta", self.theta)] + [(f"initial {n}", x) for n, x in initial.items()]
+        for where, x in starts:
+            if isinstance(x, bool) or not (isinstance(x, numbers.Real) and math.isfinite(x)):
+                raise ValueError(f"{where} must be a finite number, got {x!r}")
         for name, (lo, hi) in self.scalar_bounds.items():
             if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in (lo, hi)):
                 raise ValueError(f"bounds for {name!r} must be numbers, got ({lo!r}, {hi!r})")
@@ -159,6 +165,10 @@ class SearchSpec:
             if not lo <= initial[name] <= hi:
                 raise ValueError(f"initial {name} = {initial[name]} "
                                  f"outside bounds ({lo}, {hi})")
+        try:
+            self.params_from_vector(self.initial_point)
+        except ValueError as exc:
+            raise ValueError(f"initial point: {exc}") from exc
 
     # ---- vector layout -------------------------------------------------
 
@@ -267,39 +277,12 @@ class SearchResult:
     pinned: tuple[tuple[str, float], ...] = ()
 
 
-def _objective(spec: SearchSpec):
-    """Raw target objective on the full vector; sign-flipped for maximization.
-
-    Evaluates the float core on the fields' slices of the vector directly.
-    It equals the objective of params_from_vector(vector) bit for bit,
-    because float(as_fraction(x)) == x for every float x.
-    """
-    theta, at = spec.theta, spec.places()
-    if spec.target == "minimize_nu":
-        p1, p2, r, R_at = at["p1_shape"], at["p2_shape"], at["r"], at["R"]
-
-        def f(v: np.ndarray) -> float:
-            R = float(v[R_at])
-            return nu_bound(c_core(v[p1], v[p2], theta, v[r], R), R)
-    else:
-        # c1_core takes the twist as one run (q_linear, q_sym[0], ..)
-        p, q, R_at, delta = (at["p_shape"], slice(at["q_linear"], at["q_sym"].stop),
-                             at["R"], at["delta"])
-
-        def f(v: np.ndarray) -> float:
-            R = float(v[R_at])
-            return -kappa_bound(c1_core(v[p], v[q], theta, R, v[delta]), R)
-
-    return f
-
-
 class _Record:
-    """Counts evaluations and their failures; keeps the best point and the
-    improvements."""
+    """Counts the evaluations of a solve's objective and their failures;
+    keeps the best point and the improvements."""
 
-    def __init__(self, spec: SearchSpec):
-        self.spec = spec
-        self.raw = _objective(spec)
+    def __init__(self, solve: _Solve):
+        self.solve = solve
         self.count = 0
         self.best = math.inf
         self.best_vector: np.ndarray | None = None
@@ -313,7 +296,7 @@ class _Record:
         self.count += 1
         try:
             v = point() if callable(point) else point
-            val = self.raw(v)
+            val = self.solve.objective(v)
         except (ArithmeticError, ValueError) as exc:
             self.failure = self.failure or exc
             self.failures[type(exc).__name__] += 1
@@ -325,14 +308,14 @@ class _Record:
         return val
 
     def result(self, failed: str, **extra) -> SearchResult:
-        """The best point and trace, maximize-by-negation undone; if nothing
-        evaluated, EvaluationFailureError(failed) from the first failure."""
+        """The best point and trace, times solve.sign; if nothing evaluated,
+        EvaluationFailureError(failed) from the first failure."""
         if self.best_vector is None:
             raise EvaluationFailureError(f"{failed}: {self.failure}") from self.failure
-        sign = -1.0 if self.spec.target == "maximize_kappa" else 1.0
+        spec, sign = self.solve.spec, self.solve.sign
         best = tuple(float(x) for x in self.best_vector)
-        names, free = self.spec.vector_names(), self.spec.free_indices()
-        pinned = sorted((names[i], best[i]) for i, (lo, hi) in self.spec.bounds_by_index.items()
+        names, free = spec.vector_names(), spec.free_indices()
+        pinned = sorted((names[i], best[i]) for i, (lo, hi) in spec.bounds_by_index.items()
                         if i in free and best[i] in (lo, hi))
         return SearchResult(best_point=best,
                             best_objective=sign * self.best,
@@ -515,14 +498,11 @@ class _Block:
             out[at] = value
 
 
-def _indices(place: slice | int) -> tuple[int, ...]:
-    return tuple(range(place.start, place.stop)) if isinstance(place, slice) else (place,)
-
-
 class _Solve:
     """The exact solve of one target at fixed R on the kernel of the given
     order: the blocks that move, alternated while the constant decreases.  A
-    held block has no coordinates (size 0), keeps y0 and is never solved."""
+    held block has no coordinates (size 0), keeps y0 and is never solved.
+    A subclass gives the target's forms, objective (minimized) and sign."""
 
     def __init__(self, spec: SearchSpec, order: int, blocks: tuple[_Block, ...]):
         self.spec, self.order, self.blocks = spec, order, blocks
@@ -571,9 +551,12 @@ class _Solve:
 class _NuSolve(_Solve):
     """c = z'M(R)z over z = (1, p1, t, t p2), t = 1/r: one block."""
 
+    sign = 1.0  # nu is minimized as it is
+
     def __init__(self, spec: SearchSpec):
         at = spec.places()
-        p1, p2 = _indices(at["p1_shape"]), _indices(at["p2_shape"])
+        self.core = at["p1_shape"], at["p2_shape"], at["r"]  # c_core's slices of v
+        p1, p2 = (tuple(range(s.start, s.stop)) for s in self.core[:2])
         m = max(len(p1), len(p2))
         self.grams = moment_grams(m)
         self.rows = np.r_[0:len(p1) + 1, m + 1:m + 2 + len(p2)]  # z inside (u1, u2) padded
@@ -586,15 +569,21 @@ class _NuSolve(_Solve):
         H = H[np.ix_(self.rows, self.rows)]
         return 0.5 * (H + H.T), np.zeros(len(H))
 
+    def objective(self, v: np.ndarray) -> float:
+        (p1, p2, r), R = self.core, float(v[self.R_at])
+        return nu_bound(c_core(v[p1], v[p2], self.spec.theta, v[r], R), R)
+
 
 class _KappaSolve(_Solve):
     """c1 = sum_k (u_P' G_k u_P)(u' K_k u) with u = e0 + B v: a mollifier
     block u_P = (1, p) and a twist block v = delta (1, q)."""
 
+    sign = -1.0  # kappa is maximized as -kappa
+
     def __init__(self, spec: SearchSpec):
-        at = spec.places()
-        p = _indices(at["p_shape"])
-        q = _indices(at["q_linear"]) + _indices(at["q_sym"])
+        at = spec.places()  # c1_core takes the twist as one run (q_linear, q_sym[0], ..)
+        self.core = at["p_shape"], slice(at["q_linear"], at["q_sym"].stop), at["delta"]
+        p, q = (tuple(range(s.start, s.stop)) for s in self.core[:2])
         twist = twist_matrix(len(q) - 1)
         self.B = np.column_stack([twist_operator_coefficients(col, 1.0) for col in twist.T])
         self.B[0, 0] -= 1.0
@@ -628,6 +617,13 @@ class _KappaSolve(_Solve):
     def constant(self, kernel, values) -> float:
         u = self._operator(values)
         return float(u @ self._twist_kernel(kernel, values) @ u)
+
+    def objective(self, v: np.ndarray) -> float:
+        (p, q, delta), R = self.core, float(v[self.R_at])
+        return -kappa_bound(c1_core(v[p], v[q], self.spec.theta, R, v[delta]), R)
+
+
+_SOLVES = {"minimize_nu": _NuSolve, "maximize_kappa": _KappaSolve}  # one per target
 
 
 # --------------------------------------------------------------------------
@@ -692,12 +688,12 @@ def _brent(f: Callable[[float], float], lo: float, hi: float,
 def optimize(spec: SearchSpec) -> SearchResult:
     """Brent's method over R with an exact solve at each step; see the
     module docstring.  Deterministic."""
-    record = _Record(spec)
+    solver = _SOLVES[spec.target](spec)
+    record = _Record(solver)
     start = np.array(spec.initial_point, dtype=float)
     record(start)
     if record.best_vector is None:
         return record.result("objective failed at the initial point")
-    solver = (_NuSolve if spec.target == "minimize_nu" else _KappaSolve)(spec)
     state = solver.start(start)
 
     def step(R: float) -> float:
@@ -747,7 +743,7 @@ def grid_scan(spec: SearchSpec, resolution: int) -> SearchResult:
             else np.linspace(lo, hi, resolution)
             for lo, hi in (spec.bounds_by_index[i] for i in free)]
 
-    record = _Record(spec)
+    record = _Record(_SOLVES[spec.target](spec))
     base = np.array(spec.initial_point, dtype=float)
     for point in itertools.product(*axes):  # last axis fastest; one point if none
         v = base.copy()

@@ -108,6 +108,27 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="shape_degrees"):
             nu_spec(shape_degrees=degrees)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("theta", True, "theta must be a finite number, got True"),
+        ("theta", math.nan, "theta must be a finite number, got nan"),
+        ("r", True, "initial r must be a finite number, got True"),
+        ("r", "1.154", "initial r must be a finite number, got '1.154'"),
+        ("p1_shape[0]", math.nan, "initial p1_shape[0] must be a finite number, got nan"),
+        ("R", math.inf, "initial R must be a finite number, got inf"),
+        ("theta", 1.5, "initial point: theta must lie in (0, 1], got 1.5"),
+        ("r", 0.0, "initial point: r must be positive, got 0.0"),
+        ("R", 400.0, "initial point: R must be <= 300.0, got 400.0"),
+    ])
+    def test_start_point_checked_by_name(self, field, value, message):
+        # each once built a spec: theta = True and a start r of True were
+        # searched as 1.0, and the others failed only in optimize, at the start
+        spec = nu_spec(scalar_bounds={"R": (0.3, 1.0)})
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            if field == "theta":
+                replace(spec, theta=value)
+            else:
+                with_entry(spec, field, value, R=None)
+
     @pytest.mark.parametrize("length", [5, 7])
     def test_params_from_vector_checks_the_length(self, length):
         # a 7-entry vector once dropped its extra entry, a 5-entry one
@@ -251,13 +272,12 @@ class TestOptimize:
         assert result.best_point[-1] == 1.0
 
     def test_evaluation_failure_at_seed(self):
-        # R pinned to an invalid value makes the objective raise immediately
-        spec = hold_shapes(kappa_spec(scalar_bounds={},
-                                      initial_point=(-0.482, -0.392, -0.262, -0.673,
-                                                     0.369, -4.635, -1.0, 0.771),
-                                      budget=10))
-        with pytest.raises(EvaluationFailureError):
-            optimize(spec)
+        # a start at R = -1 once failed only in optimize, at its first
+        # evaluation; the spec now refuses it, and names R
+        with pytest.raises(ValueError, match=r"^initial point: R must be >= 1e-06, "
+                                             r"got -1\.0$"):
+            kappa_spec(scalar_bounds={}, initial_point=(-0.482, -0.392, -0.262, -0.673,
+                                                        0.369, -4.635, -1.0, 0.771))
 
     def test_evaluation_failure_keeps_its_cause(self):
         # the cause was once dropped, and the error named no reason
@@ -355,6 +375,25 @@ def with_entry(spec: SearchSpec, name: str, value: float, **bounds) -> SearchSpe
     point[spec.vector_names().index(name)] = value
     merged = {k: v for k, v in {**spec.scalar_bounds, **bounds}.items() if v is not None}
     return replace(spec, initial_point=tuple(point), scalar_bounds=merged)
+
+
+class TestSolveTable:
+    def test_one_solve_class_per_target(self):
+        assert set(optimizer._SOLVES) == set(TARGETS)
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_both_routes_report_the_start_bound_in_its_sign(self, target):
+        # with every entry held, optimize and grid_scan evaluate the start
+        # only, and each undoes the solve's sign on the bound and the trace
+        spec = criterion_eight_spec(target, budget=1)
+        held = {name: (x, x) for name, x in zip(spec.vector_names(), spec.initial_point)}
+        spec = replace(spec, scalar_bounds=held)
+        assert spec.free_indices() == ()
+        bound = seed_objective(spec)
+        for result in optimize(spec), grid_scan(spec, resolution=1):
+            assert result.best_objective == bound
+            assert result.trace == ((1, bound),)
+            assert result.best_point == spec.initial_point
 
 
 class TestExactSolves:
