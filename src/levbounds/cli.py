@@ -294,6 +294,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     em.kv("best_objective", result.best_objective)
     em.kv("evaluations_used", float(result.evaluations_used))
     em.kv("inner_solves", float(result.inner_solves))
+    em.kv("fallbacks", float(result.fallbacks))
     for name, count in result.failures:
         em.kv(f"failures.{name}", float(count))
     for name, cond in result.conditions:
@@ -306,6 +307,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     em.text(f"improvements     {len(result.trace)} "
             f"(last at evaluation {result.trace[-1][0] if result.trace else 0})")
     em.text(f"inner solves     {result.inner_solves}")
+    em.text(f"fallbacks        {result.fallbacks}")
     em.text("failures         " + (", ".join(f"{name} {count}" for name, count
                                              in result.failures) or "none"))
     em.text("block condition  " + (", ".join(f"{name} {cond:.3g}" for name, cond

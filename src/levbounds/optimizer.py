@@ -8,8 +8,17 @@ in suitable solve coordinates, so only R needs a one-dimensional search:
          minimum over (P1, P2, r) is one linear solve.
   c1   is quadratic in u = (1, p) when the twist is fixed, and in
          v = (delta, delta q) when P is fixed, because the operator
-         weights are affine in v.  The two solves alternate until c1
-         stops decreasing, at most MAX_ALTERNATIONS times.
+         weights are affine in v.  Its gradient and Hessian in both
+         blocks' coordinates are therefore exact and closed form, and the
+         solve takes Newton steps on them jointly, each kept only when c1
+         strictly falls.  A step is replaced by one sweep of the two block
+         solves (a fallback) when the joint Hessian is not positive
+         definite within MAX_CONDITION, when the step leaves the bounds, or
+         when it fails to lower c1 while it predicts a decrease of more
+         than sqrt(eps) c1.  The solve stops after a step predicting less
+         (the next would predict about its square), or after a sweep that
+         does not lower c1; at most MAX_STEPS steps and sweeps.  With one
+         block held, a step is one solve of the other.
 
 Each target's solve class, looked up once in _SOLVES, owns its blocks,
 their forms, the objective it minimizes (nu, or -kappa) and that sign.
@@ -61,7 +70,7 @@ from .proportions import (SectionFourParams, SectionFiveParams, c1_core,
                           c_core, kappa_bound, nu_bound, twist_operator_coefficients)
 
 MAX_CONDITION = 1e12       # a free solve block conditioned worse than this is ill-posed
-MAX_ALTERNATIONS = 50      # P solve, then twist solve: at most this many per R step
+MAX_STEPS = 50             # Newton steps or fallback sweeps: at most this many per R step
 R_TOLERANCE = 1e-9         # R search tolerance: sqrt(eps) |R| plus this fraction of the bounds
 GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0   # the golden-section step, as a fraction of a bracket
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -260,9 +269,11 @@ def search_start(params: SectionFourParams | SectionFiveParams
 class SearchResult:
     """The best point found and how the search got there.
 
-    inner_solves counts the quadratic solves, failures the evaluations
-    that failed by exception class, and conditions the condition number
-    of each free solve block at the best point; grid_scan solves nothing.
+    inner_solves counts the block solves and the Newton steps' Hessian
+    factorizations, fallbacks the sweeps of block solves that replaced a
+    Newton step, failures the evaluations that failed by exception class,
+    and conditions the condition number of each free solve block at the
+    best point; grid_scan solves nothing.
     pinned names each free entry of best_point that sits exactly on one of
     its bounds (lo < hi), with that bound, sorted by name.
     """
@@ -272,6 +283,7 @@ class SearchResult:
     evaluations_used: int
     trace: tuple[tuple[int, float], ...]
     inner_solves: int = 0
+    fallbacks: int = 0
     failures: tuple[tuple[str, int], ...] = ()
     conditions: tuple[tuple[str, float], ...] = ()
     pinned: tuple[tuple[str, float], ...] = ()
@@ -500,13 +512,13 @@ class _Block:
 
 class _Solve:
     """The exact solve of one target at fixed R on the kernel of the given
-    order: the blocks that move, alternated while the constant decreases.  A
-    held block has no coordinates (size 0), keeps y0 and is never solved.
-    A subclass gives the target's forms, objective (minimized) and sign."""
+    order: one solve of each block that moves.  A held block has no
+    coordinates (size 0), keeps y0 and is never solved.  A subclass gives
+    the target's forms, objective (minimized) and sign."""
 
     def __init__(self, spec: SearchSpec, order: int, blocks: tuple[_Block, ...]):
         self.spec, self.order, self.blocks = spec, order, blocks
-        self.R_at, self.solves = spec.places()["R"], 0
+        self.R_at, self.solves, self.fallbacks = spec.places()["R"], 0, 0
 
     def start(self, v: np.ndarray):
         """The state of each block at the public vector v: (x, no pins)."""
@@ -515,19 +527,23 @@ class _Solve:
     def kernel(self, R: float) -> np.ndarray:
         return kernel_derivative_basis(self.spec.theta, R, self.order)
 
+    def values(self, states) -> dict[str, np.ndarray]:
+        """Each block's solve vector y at states, by block name."""
+        return {b.name: b.values(s[0]) for b, s in zip(self.blocks, states)}
+
     def solve(self, R: float, states):
         """The solved states at R, warm-started from states."""
-        kernel, states, last = self.kernel(R), list(states), math.inf
-        values = {b.name: b.values(s[0]) for b, s in zip(self.blocks, states)}
-        moving = [(i, b) for i, b in enumerate(self.blocks) if b.size]
-        for _ in range(MAX_ALTERNATIONS):
-            for i, block in moving:
+        return self.sweep(R, self.kernel(R), states)
+
+    def sweep(self, R: float, kernel: np.ndarray, states):
+        """One exact solve of each block that moves, in order, each at the
+        values the blocks before it reached."""
+        states, values = list(states), self.values(states)
+        for i, block in enumerate(self.blocks):
+            if block.size:
                 self.solves += 1
                 states[i] = block.solve(R, *self.form(block.name, kernel, values), states[i])
                 values[block.name] = block.values(states[i][0])
-            if len(moving) < 2 or not (now := self.constant(kernel, values)) < last:
-                break
-            last = now
         return tuple(states)
 
     def vector(self, states, R: float) -> np.ndarray:
@@ -543,7 +559,7 @@ class _Solve:
     def conditions(self, v: np.ndarray) -> tuple[tuple[str, float], ...]:
         """The condition number of each block that moves, at the public vector v."""
         kernel = self.kernel(float(v[self.R_at]))
-        values = {b.name: b.values(b.coordinates(v)) for b in self.blocks}
+        values = self.values(self.start(v))
         return tuple((b.name, _condition(b.quadratic(*self.form(b.name, kernel, values))[0]))
                      for b in self.blocks if b.size)
 
@@ -576,7 +592,8 @@ class _NuSolve(_Solve):
 
 class _KappaSolve(_Solve):
     """c1 = sum_k (u_P' G_k u_P)(u' K_k u) with u = e0 + B v: a mollifier
-    block u_P = (1, p) and a twist block v = delta (1, q)."""
+    block u_P = (1, p) and a twist block v = delta (1, q).  With both blocks
+    moving, the solve takes Newton steps on their joint coordinates."""
 
     sign = -1.0  # kappa is maximized as -kappa
 
@@ -591,6 +608,66 @@ class _KappaSolve(_Solve):
         super().__init__(spec, twist.shape[0], (
             _Block("mollifier", spec, (_Segment(p, None),)),
             _Block("twist", spec, (_Segment(q, at["delta"]),))))
+        self.sym_grams = 0.5 * (self.grams + self.grams.transpose(0, 2, 1))
+        self.jacobians = self.blocks[0].N, self.B @ self.blocks[1].N  # of u_P and u in x
+
+    def solve(self, R: float, states):
+        """With both blocks moving, Newton steps while c1 falls, and one sweep
+        in place of a step that fails; see the module docstring.  With a
+        block held, one sweep."""
+        if not all(b.size for b in self.blocks):
+            return super().solve(R, states)
+        kernel = self.kernel(R)
+        last = self.constant(kernel, self.values(states))
+        for _ in range(MAX_STEPS):
+            trial, gain = self.newton(kernel, states)
+            if trial is not None:
+                now = self.constant(kernel, self.values(trial))
+                kept = now < last
+                if kept:
+                    states, last = trial, now
+                if gain <= SQRT_EPS * abs(last):  # the next would predict about gain^2 / c1
+                    break
+                if kept:
+                    continue
+            self.fallbacks += 1
+            states = self.sweep(R, kernel, states)
+            now = self.constant(kernel, self.values(states))
+            if not now < last:
+                break
+            last = now
+        return states
+
+    def newton(self, kernel, states):
+        """The Newton step of c1 from states: the states it reaches and the
+        decrease it predicts, or (None, 0.0) when the joint Hessian is not
+        positive definite within MAX_CONDITION or the step leaves A x >= b.
+        Each call factors the Hessian once and counts as one solve."""
+        self.solves += 1
+        g, H = self.derivatives(kernel, self.values(states))
+        w, V = np.linalg.eigh(H)
+        if not (w[0] > 0.0 and w[-1] / w[0] <= MAX_CONDITION):
+            return None, 0.0
+        gV = V.T @ g
+        x = np.concatenate([s[0] for s in states]) - V @ (gV / w)
+        parts = np.split(x, [self.blocks[0].size])
+        if any(np.any(b.A @ part < b.b) for b, part in zip(self.blocks, parts)):
+            return None, 0.0
+        return tuple((part, ()) for part in parts), 0.5 * float(gV @ (gV / w))
+
+    def derivatives(self, kernel, values) -> tuple[np.ndarray, np.ndarray]:
+        """The gradient and Hessian of c1 in the joint coordinates
+        (mollifier, twist); exact, since u_P and u are affine in them."""
+        G, K = self.sym_grams, 0.5 * (kernel + kernel.transpose(0, 2, 1))
+        up, u = values["mollifier"], self._operator(values)
+        Gu, Ku = G @ up, K @ u                  # rows G_k u_P and K_k u
+        moments, weights = Gu @ up, Ku @ u      # u_P' G_k u_P and u' K_k u
+        JP, Jv = self.jacobians
+        gradient = 2.0 * np.r_[JP.T @ (weights @ Gu), Jv.T @ (moments @ Ku)]
+        PP = JP.T @ np.tensordot(weights, G, 1) @ JP
+        vv = Jv.T @ np.tensordot(moments, K, 1) @ Jv
+        Pv = 2.0 * (Gu @ JP).T @ (Ku @ Jv)
+        return gradient, 2.0 * np.block([[PP, Pv], [Pv.T, vv]])
 
     def _operator(self, values) -> np.ndarray:
         """The twist operator's weights u = e0 + B v."""
@@ -717,7 +794,7 @@ def optimize(spec: SearchSpec) -> SearchResult:
         raise EvaluationFailureError(f"all {steps} search steps failed, the first with "
                                      f"{type(first).__name__}: {first}") from first
     return record.result("objective failed at the initial point",
-                         inner_solves=solver.solves,
+                         inner_solves=solver.solves, fallbacks=solver.fallbacks,
                          conditions=solver.conditions(record.best_vector))
 
 

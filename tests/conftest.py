@@ -13,15 +13,17 @@ def fail_solves_above(monkeypatch):
 
     def install(R_max: float) -> list[float]:
         failed = []
-        solve = optimizer._Solve.solve
 
-        def solve_or_fail(self, R, states):
-            if R > R_max:
-                failed.append(R)
-                raise IllPosedSolveError(f"no solve above R = {R_max}")
-            return solve(self, R, states)
+        def failing(solve):
+            def solve_or_fail(self, R, states):
+                if R > R_max:
+                    failed.append(R)
+                    raise IllPosedSolveError(f"no solve above R = {R_max}")
+                return solve(self, R, states)
+            return solve_or_fail
 
-        monkeypatch.setattr(optimizer._Solve, "solve", solve_or_fail)
+        for cls in optimizer._SOLVES.values():
+            monkeypatch.setattr(cls, "solve", failing(cls.solve))
         return failed
 
     return install

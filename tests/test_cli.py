@@ -606,8 +606,23 @@ class TestOptimizeAccounting:
         assert main(["optimize", "--config", write_config(tmp_path, cfg), "--machine"]) == 0
         values = machine_values(capsys.readouterr().out)
         assert values["inner_solves"] >= values["evaluations_used"] - 1
+        assert values["fallbacks"] == 0.0
         assert {k for k in values if k.startswith("cond.")} == blocks
         assert not any(k.startswith("failures.") for k in values)
+
+    def test_fallbacks_printed(self, tmp_path, capsys):
+        # delta pinned on its upper bound: Newton steps leave the bounds, and
+        # the block sweeps that replace them are counted in both outputs
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["section5"]["delta"] = 0.6
+        cfg["search"] = {"target": "maximize_kappa",
+                         "bounds": {"R": [0.4, 1.2], "delta": [0.4, 0.6]}}
+        path = write_config(tmp_path, cfg)
+        assert main(["optimize", "--config", path, "--machine"]) == 0
+        values = machine_values(capsys.readouterr().out)
+        assert values["fallbacks"] > 0 and values["pinned.delta"] == 0.6
+        assert main(["optimize", "--config", path]) == 0
+        assert f"\nfallbacks        {values['fallbacks']:.0f}\n" in capsys.readouterr().out
 
     def test_pinned_bounds_printed(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(REFERENCE_CONFIG))

@@ -16,7 +16,7 @@ from levbounds.optimizer import (MAX_CONDITION, TARGETS, DimensionTooHighError,
                                  search_start)
 from levbounds.polyalg import MollifierShape, TwistShape
 from levbounds.proportions import (NonFiniteError, SectionFiveParams, SectionFourParams,
-                                   c1_value, c_value, kappa_bound, nu_bound)
+                                   c1_core, c1_value, c_value, kappa_bound, nu_bound)
 from levbounds.reference import section_five_reference, section_four_reference
 
 from search_helpers import hold_shapes
@@ -407,11 +407,13 @@ class TestExactSolves:
         assert nu.evaluations_used < 100 and kappa.evaluations_used < 100
 
     def test_criterion_eight_searches_take_few_steps(self):
-        # golden section took 47 evaluations each and 666 kappa solves
+        # golden section took 47 evaluations each and 666 kappa solves, and
+        # the block alternation 262 kappa solves; Newton needs no sweep here
         nu = optimize(criterion_eight_spec("minimize_nu"))
         kappa = optimize(criterion_eight_spec("maximize_kappa"))
         assert nu.evaluations_used <= 25 and kappa.evaluations_used <= 25
-        assert kappa.inner_solves <= 400
+        assert kappa.inner_solves <= 60
+        assert nu.fallbacks == kappa.fallbacks == 0
 
     @pytest.mark.parametrize("target", TARGETS)
     def test_criterion_eight_optima_pin_no_bound(self, target):
@@ -554,6 +556,70 @@ class TestExactSolves:
         names = ["mollifier"] + (["twist"] if target == "maximize_kappa" else [])
         assert [name for name, _ in result.conditions] == names
         assert all(1.0 <= cond < MAX_CONDITION for _, cond in result.conditions)
+
+
+class TestNewtonSolve:
+    def test_gradient_and_hessian_match_central_differences_of_c1(self):
+        # c1 is quadratic in each block, so every central difference below
+        # is exact up to rounding, whatever the step
+        spec = criterion_eight_spec("maximize_kappa")
+        solver = optimizer._KappaSolve(spec)
+        mollifier, twist = solver.blocks
+        rng = np.random.default_rng(8)
+        for _ in range(6):
+            v = np.array(spec.initial_point) + np.r_[rng.normal(scale=0.3, size=6), 0.0, 0.0]
+            v[6:] = rng.uniform(0.4, 1.2, size=2)  # R and delta inside their bounds
+            kernel = solver.kernel(v[6])
+            x = np.r_[mollifier.coordinates(v), twist.coordinates(v)]
+
+            def values(x):
+                return solver.values([(part, ()) for part in np.split(x, [mollifier.size])])
+
+            def c1(x):
+                return solver.constant(kernel, values(x))
+
+            assert c1(x) == pytest.approx(c1_core(v[:3], v[3:6], 1.0, v[6], v[7]), rel=1e-13)
+            gradient, hessian = solver.derivatives(kernel, values(x))
+            E = np.diag(1e-2 * (1.0 + np.abs(x)))
+            fd_gradient = [(c1(x + e) - c1(x - e)) / (2.0 * e[i]) for i, e in enumerate(E)]
+            fd_hessian = [[(c1(x + a + b) - c1(x + a - b) - c1(x - a + b) + c1(x - a - b))
+                           / (4.0 * a[i] * b[j]) for j, b in enumerate(E)]
+                          for i, a in enumerate(E)]
+            np.testing.assert_allclose(fd_gradient, gradient, rtol=1e-6, atol=0.0)
+            np.testing.assert_allclose(fd_hessian, hessian, rtol=1e-6, atol=0.0)
+
+    def test_pinned_delta_falls_back_to_sweeps_and_matches_a_frozen_delta(self):
+        # a Newton step off the pinned bound leaves A x >= b, so each step
+        # sweeps the blocks, with delta pinned, as a frozen delta solves it
+        spec = with_entry(criterion_eight_spec("maximize_kappa"), "delta", 0.6,
+                          delta=(0.4, 0.6))
+        result = optimize(spec)
+        assert result.pinned == (("delta", 0.6),)
+        assert result.fallbacks > 0 and result.failures == ()
+        frozen = optimize(with_entry(spec, "delta", 0.6, delta=None))
+        assert frozen.fallbacks == 0
+        assert result.best_objective == pytest.approx(frozen.best_objective, abs=1e-12)
+
+    def test_every_step_ill_posed_still_fails_the_search(self):
+        # degree (6, 5) at delta = 1: the joint Hessian fails the condition
+        # gate, and the sweep in its place raises on the twist block
+        spec = SearchSpec(target="maximize_kappa", shape_degrees=(6, 5),
+                          scalar_bounds={"R": (0.3, 1.5)}, theta=1.0, budget=2000,
+                          initial_point=(-0.482, -0.392, -0.262, 0.0, 0.0, 0.0,
+                                         -0.673, 0.369, -4.635, 0.0, 0.0, 0.0, 0.746, 1.0))
+        with pytest.raises(EvaluationFailureError, match=r"^all \d+ search steps failed, "
+                           r"the first with IllPosedSolveError: twist block at R = ") as info:
+            optimize(spec)
+        assert isinstance(info.value.__cause__, IllPosedSolveError)
+
+    def test_criterion_nine_needs_fewer_solves_than_the_alternation(self):
+        # the block alternation reached 0.8429568946949437 in 144 solves;
+        # the float core is good to about 3.5e-12 here
+        spec = with_entry(criterion_eight_spec("maximize_kappa", budget=1200),
+                          "delta", 1.0, delta=(1.0, 1.0))
+        result = optimize(spec)
+        assert result.best_objective == pytest.approx(0.8429568946949437, abs=1e-11)
+        assert result.inner_solves < 144
 
 
 PROFILES = {"parabola": lambda k, m: lambda x: k * (x - m) ** 2,
