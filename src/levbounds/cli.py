@@ -295,6 +295,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     em.kv("evaluations_used", float(result.evaluations_used))
     em.kv("inner_solves", float(result.inner_solves))
     em.kv("fallbacks", float(result.fallbacks))
+    em.kv(f"dR.{spec.target}", result.slope)
     for name, count in result.failures:
         em.kv(f"failures.{name}", float(count))
     for name, cond in result.conditions:
@@ -308,6 +309,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             f"(last at evaluation {result.trace[-1][0] if result.trace else 0})")
     em.text(f"inner solves     {result.inner_solves}")
     em.text(f"fallbacks        {result.fallbacks}")
+    em.text(f"R slope          {result.slope:.3e}")
     em.text("failures         " + (", ".join(f"{name} {count}" for name, count
                                              in result.failures) or "none"))
     em.text("block condition  " + (", ".join(f"{name} {cond:.3g}" for name, cond

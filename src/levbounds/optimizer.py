@@ -22,13 +22,20 @@ in suitable solve coordinates, so only R needs a one-dimensional search:
 
 Each target's solve class, looked up once in _SOLVES, owns its blocks,
 their forms, the objective it minimizes (nu, or -kappa) and that sign.
-nu and kappa are increasing in c and c1 at fixed R.  Brent's method
-(Brent 1973, ch. 5: parabolic interpolation with a golden-section
-fallback) searches R over its bounds; each step is one evaluation of the
-budget, as is the start point, and warm-starts from the previous step's
-solution.  The search returns the better of the start and the best
-step, and its objective is the float core at the returned public vector,
-so it re-evaluates bit for bit.
+nu and kappa are increasing in c and c1 at fixed R.  The objective's R
+slope at a solved point is its partial derivative at fixed shapes (the
+envelope theorem), and the forms are linear in the kernel, so the slope
+is one more kernel read: c' = z' form(K') z and c1' = c1(K'), with K'
+the kernel's R derivative.  A safeguarded search on (objective, slope)
+runs over R from the start's R: a small probe step downhill, then the
+minimizer of the cubic Hermite interpolant of the last two steps, kept
+inside the bracket the slopes' signs set, with bisection as the fallback
+(Nocedal & Wright 2006, sec. 3.5); a bound that cuts the optimum is
+reached exactly.  Each step is one evaluation of the budget, as is the
+start point, and warm-starts from the previous step's solution.  The
+search returns the better of the start and the best step, and its
+objective is the float core at the returned public vector, so it
+re-evaluates bit for bit.
 
 Structural constraints (P(0)=0, P(1)=1, Q(0)=1, Q'(x)=Q'(1-x)) hold by
 construction through the shape bases.  A fixed entry is a constant of
@@ -71,8 +78,8 @@ from .proportions import (SectionFourParams, SectionFiveParams, c1_core,
 
 MAX_CONDITION = 1e12       # a free solve block conditioned worse than this is ill-posed
 MAX_STEPS = 50             # Newton steps or fallback sweeps: at most this many per R step
-R_TOLERANCE = 1e-9         # R search tolerance: sqrt(eps) |R| plus this fraction of the bounds
-GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0   # the golden-section step, as a fraction of a bracket
+R_TOLERANCE = 1e-9         # R search stop: a step below sqrt(eps) |R| plus this fraction of the bounds
+PROBE = 2e-3               # R search: the step from a first good point, as a fraction of the bounds
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
@@ -273,7 +280,8 @@ class SearchResult:
     factorizations, fallbacks the sweeps of block solves that replaced a
     Newton step, failures the evaluations that failed by exception class,
     and conditions the condition number of each free solve block at the
-    best point; grid_scan solves nothing.
+    best point; slope is d best_objective / dR there with the shapes held,
+    near 0 at an interior optimum; grid_scan solves nothing and has no slope.
     pinned names each free entry of best_point that sits exactly on one of
     its bounds (lo < hi), with that bound, sorted by name.
     """
@@ -287,6 +295,7 @@ class SearchResult:
     failures: tuple[tuple[str, int], ...] = ()
     conditions: tuple[tuple[str, float], ...] = ()
     pinned: tuple[tuple[str, float], ...] = ()
+    slope: float | None = None
 
 
 class _Record:
@@ -302,22 +311,25 @@ class _Record:
         self.failures: Counter[str] = Counter()
         self.failure: Exception | None = None  # the first evaluation error
 
-    def __call__(self, point: np.ndarray | Callable[[], np.ndarray]) -> float:
-        """One evaluation at point, or at the vector point() builds; inf if
-        building or evaluating it fails."""
+    def __call__(self, point: np.ndarray | Callable[[], np.ndarray],
+                 slope: bool = False) -> tuple[float, float]:
+        """One evaluation at point, or at the vector point() builds: the
+        objective and, if slope, its R slope (else nan); (inf, nan) if
+        building or evaluating either fails."""
         self.count += 1
         try:
             v = point() if callable(point) else point
             val = self.solve.objective(v)
+            rate = self.solve.slope(v) if slope else math.nan
         except (ArithmeticError, ValueError) as exc:
             self.failure = self.failure or exc
             self.failures[type(exc).__name__] += 1
-            return math.inf
+            return math.inf, math.nan
         if val < self.best:
             self.best = val
             self.best_vector = np.array(v, dtype=float)
             self.trace.append((self.count, val))
-        return val
+        return val, rate
 
     def result(self, failed: str, **extra) -> SearchResult:
         """The best point and trace, times solve.sign; if nothing evaluated,
@@ -514,7 +526,9 @@ class _Solve:
     """The exact solve of one target at fixed R on the kernel of the given
     order: one solve of each block that moves.  A held block has no
     coordinates (size 0), keeps y0 and is never solved.  A subclass gives
-    the target's forms, objective (minimized) and sign."""
+    the target's forms, its constant (c or c1) as a function of the
+    kernel, its objective (minimized), the objective's sign and per_log,
+    the objective being per_log ln(constant) / R up to a constant term."""
 
     def __init__(self, spec: SearchSpec, order: int, blocks: tuple[_Block, ...]):
         self.spec, self.order, self.blocks = spec, order, blocks
@@ -556,6 +570,19 @@ class _Solve:
         out[self.R_at] = R
         return out
 
+    def slope(self, v: np.ndarray) -> float:
+        """d(objective)/dR at the public vector v with the shapes held: at a
+        solved point, the slope of the solved profile (the envelope
+        theorem; active bound rows do not depend on R).  The forms are
+        linear in the kernel, and d/dR of the order-n kernel at a = b = -R
+        is minus the sum of its two shifted reads at order n + 1."""
+        R = float(v[self.R_at])
+        K = kernel_derivative_basis(self.spec.theta, R, self.order + 1)
+        values = self.values(self.start(v))
+        c = self.constant(K[:, :-1, :-1], values)
+        rate = self.constant(-(K[:, 1:, :-1] + K[:, :-1, 1:]), values)
+        return self.per_log * (rate / c - math.log(c) / R) / R
+
     def conditions(self, v: np.ndarray) -> tuple[tuple[str, float], ...]:
         """The condition number of each block that moves, at the public vector v."""
         kernel = self.kernel(float(v[self.R_at]))
@@ -567,7 +594,8 @@ class _Solve:
 class _NuSolve(_Solve):
     """c = z'M(R)z over z = (1, p1, t, t p2), t = 1/r: one block."""
 
-    sign = 1.0  # nu is minimized as it is
+    sign = 1.0     # nu is minimized as it is
+    per_log = 0.5  # nu = ln(c) / (2R)
 
     def __init__(self, spec: SearchSpec):
         at = spec.places()
@@ -585,6 +613,10 @@ class _NuSolve(_Solve):
         H = H[np.ix_(self.rows, self.rows)]
         return 0.5 * (H + H.T), np.zeros(len(H))
 
+    def constant(self, kernel, values) -> float:
+        z = values["mollifier"]
+        return float(z @ self.form("mollifier", kernel, values)[0] @ z)
+
     def objective(self, v: np.ndarray) -> float:
         (p1, p2, r), R = self.core, float(v[self.R_at])
         return nu_bound(c_core(v[p1], v[p2], self.spec.theta, v[r], R), R)
@@ -595,7 +627,8 @@ class _KappaSolve(_Solve):
     block u_P = (1, p) and a twist block v = delta (1, q).  With both blocks
     moving, the solve takes Newton steps on their joint coordinates."""
 
-    sign = -1.0  # kappa is maximized as -kappa
+    sign = -1.0    # kappa is maximized as -kappa
+    per_log = 1.0  # -kappa = ln(c1) / R - 1
 
     def __init__(self, spec: SearchSpec):
         at = spec.places()  # c1_core takes the twist as one run (q_linear, q_sym[0], ..)
@@ -707,64 +740,82 @@ _SOLVES = {"minimize_nu": _NuSolve, "maximize_kappa": _KappaSolve}  # one per ta
 # the outer search
 # --------------------------------------------------------------------------
 
-def _brent(f: Callable[[float], float], lo: float, hi: float,
-           room: Callable[[], bool]) -> None:
-    """Brent's bounded minimization of f on [lo, hi] while room().
+def _hermite(older: tuple[float, float, float], newer: tuple[float, float, float]
+             ) -> float | None:
+    """The minimizer of the cubic that matches value and slope at two points
+    (Nocedal & Wright 2006, eq. 3.59), each (x, f, f'); None when the cubic
+    has no local minimizer."""
+    (x0, f0, g0), (x1, f1, g1) = older, newer
+    d1 = g0 + g1 - 3.0 * (f0 - f1) / (x0 - x1)
+    root = d1 * d1 - g0 * g1
+    if not root >= 0.0:
+        return None
+    d2 = math.copysign(math.sqrt(root), x1 - x0)
+    denominator = g1 - g0 + 2.0 * d2
+    if denominator == 0.0:
+        return None
+    return x1 - (x1 - x0) * (g1 + d2 - d1) / denominator
 
-    Each step goes to the vertex of the parabola through the best three
-    points when that lands inside the bracket and moves less than half the
-    step before last, and takes a golden-section step into the larger side
-    otherwise.  It stops once the bracket lies within 2 tol of the best
-    point x, tol = sqrt(eps) |x| + R_TOLERANCE (hi - lo).  An end of
-    [lo, hi] within 2 tol + sqrt(eps) (1 + |end|) of x is then tried too,
-    so a bound that cuts the minimum is evaluated even when f ties in
-    binary64 next to it and the bracket closes just off the end.
+
+def _search(f: Callable[[float], tuple[float, float]], lo: float, hi: float, x: float,
+            room: Callable[[], bool]) -> None:
+    """Minimize f on [lo, hi] from x while room(), from its values and slopes.
+
+    f(x) is (f, f'), or (inf, nan) for a failed step.  Each step closes one
+    side of the bracket [a, b] at its x: the upper side when f' > 0, the
+    lower when f' < 0, and for a failed step the side away from the best
+    good step, or the upper side before any, since the blocks' condition
+    numbers grow with R.  After one good step the next is a probe of
+    PROBE (hi - lo) downhill, after two the minimizer of the cubic Hermite
+    interpolant of the last two good steps.  A step that leaves the
+    bracket, or a cubic without a minimizer, goes to the bound downhill of
+    the last good step while no step has closed that side, so a minimum
+    cut by a bound is evaluated exactly there.  Otherwise, after a failed
+    step, and whenever the bracket, closed on both sides, has not halved
+    in two steps, the step bisects the bracket.  The search stops at
+    f' = 0, at a bound where f' points out, or when the next step would
+    move less than tol = sqrt(eps) |x| + R_TOLERANCE (hi - lo); a step to
+    a bound is taken however short.
     """
-    if not room():
-        return
-    a, b = lo, hi
-    x = w = v = a + GOLDEN * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
+    a, b, closed = lo, hi, [False, False]
+    good: list[tuple[float, float, float]] = []  # the last two good steps
+    best = (math.inf, None)                        # (f, x) of the best good step
+    widths: list[float] = []                       # of the bracket, once closed
     while room():
-        mid = 0.5 * (a + b)
+        fx, gx = f(x)
+        failed = not (fx < math.inf and math.isfinite(gx))
+        if not failed:
+            if gx == 0.0:
+                return
+            good = good[-1:] + [(x, fx, gx)]
+            best = min(best, (fx, x))
+            upper = gx > 0.0
+        else:
+            upper = best[1] is None or best[1] < x
+        if upper:
+            b, closed[1] = x, True
+        else:
+            a, closed[0] = x, True
+        if all(closed):
+            widths.append(b - a)
+        u, to_end = None, False
+        if good and not failed:
+            u = (_hermite(*good) if len(good) == 2
+                 else x - math.copysign(PROBE * (hi - lo), gx))
+            if u is None or not a <= u <= b:  # downhill to its bound, if still open
+                end = int(good[-1][2] < 0.0)
+                u, to_end = (None, False) if closed[end] else ((a, b)[end], True)
         tol = SQRT_EPS * abs(x) + R_TOLERANCE * (hi - lo)
-        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
-            break
-        p = q = 0.0
-        if abs(e) > tol:  # the parabola through (v, w, x): its vertex is x + p / q
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            p, q = (-p, q) if q > 0.0 else (p, -q)
-        if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-            e, d = d, p / q
-            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
-                d = tol if x < mid else -tol
-        else:
-            e = (b if x < mid else a) - x
-            d = GOLDEN * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = f(u)
-        if fu <= fx:
-            a, b = (a, x) if u < x else (x, b)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v in (x, w):
-                v, fv = u, fu
-    tol = SQRT_EPS * abs(x) + R_TOLERANCE * (hi - lo)
-    for end in (lo, hi):
-        if abs(x - end) <= 2.0 * tol + SQRT_EPS * (1.0 + abs(end)) and room():
-            f(end)
+        if u is None or abs(u - x) > tol and len(widths) > 2 and widths[-1] > 0.5 * widths[-3]:
+            u, to_end = 0.5 * (a + b), False
+        if u == x or abs(u - x) <= tol and not to_end:
+            return
+        x = u
 
 
 def optimize(spec: SearchSpec) -> SearchResult:
-    """Brent's method over R with an exact solve at each step; see the
-    module docstring.  Deterministic."""
+    """A search over R on the objective's R slope with an exact solve at
+    each step; see the module docstring.  Deterministic."""
     solver = _SOLVES[spec.target](spec)
     record = _Record(solver)
     start = np.array(spec.initial_point, dtype=float)
@@ -773,19 +824,19 @@ def optimize(spec: SearchSpec) -> SearchResult:
         return record.result("objective failed at the initial point")
     state = solver.start(start)
 
-    def step(R: float) -> float:
+    def step(R: float) -> tuple[float, float]:
         def point() -> np.ndarray:
             nonlocal state
             state = solver.solve(R, state)
             return solver.vector(state, R)
-        return record(point)
+        return record(point, slope=True)
 
     def room() -> bool:
         return record.count < spec.budget
 
     R_at = solver.R_at
     if R_at in spec.free_indices():
-        _brent(step, *spec.scalar_bounds["R"], room)
+        _search(step, *spec.scalar_bounds["R"], float(start[R_at]), room)
     elif any(b.size for b in solver.blocks) and room():
         step(float(start[R_at]))
     steps = record.count - 1
@@ -795,7 +846,8 @@ def optimize(spec: SearchSpec) -> SearchResult:
                                      f"{type(first).__name__}: {first}") from first
     return record.result("objective failed at the initial point",
                          inner_solves=solver.solves, fallbacks=solver.fallbacks,
-                         conditions=solver.conditions(record.best_vector))
+                         conditions=solver.conditions(record.best_vector),
+                         slope=solver.sign * solver.slope(record.best_vector))
 
 
 def grid_scan(spec: SearchSpec, resolution: int) -> SearchResult:

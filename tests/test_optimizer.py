@@ -407,17 +407,21 @@ class TestExactSolves:
         assert nu.evaluations_used < 100 and kappa.evaluations_used < 100
 
     def test_criterion_eight_searches_take_few_steps(self):
-        # golden section took 47 evaluations each and 666 kappa solves, and
-        # the block alternation 262 kappa solves; Newton needs no sweep here
+        # golden section took 47 evaluations each and 666 kappa solves, the
+        # block alternation 262 kappa solves, and Brent's method 15
+        # evaluations each; Newton needs no sweep here
         nu = optimize(criterion_eight_spec("minimize_nu"))
         kappa = optimize(criterion_eight_spec("maximize_kappa"))
-        assert nu.evaluations_used <= 25 and kappa.evaluations_used <= 25
-        assert kappa.inner_solves <= 60
+        assert nu.evaluations_used <= 8 and kappa.evaluations_used <= 8
+        assert kappa.inner_solves <= 15
         assert nu.fallbacks == kappa.fallbacks == 0
 
     @pytest.mark.parametrize("target", TARGETS)
     def test_criterion_eight_optima_pin_no_bound(self, target):
-        assert optimize(criterion_eight_spec(target)).pinned == ()
+        # and are stationary in R: the slope there is about 1e-10
+        result = optimize(criterion_eight_spec(target))
+        assert result.pinned == ()
+        assert abs(result.slope) <= 1e-6
 
     def test_r_bound_that_cuts_the_optimum_is_reported_pinned(self):
         spec = with_entry(criterion_eight_spec("minimize_nu"), "r", 0.7, r=(0.5, 1.0))
@@ -439,6 +443,8 @@ class TestExactSolves:
         spec = with_entry(criterion_eight_spec(target), "R", bounds[0], R=bounds)
         result = optimize(spec)
         assert result.best_point[spec.vector_names().index("R")] == bounds[1]
+        # the R slope points out of the bounds: the target improves past hi
+        assert (-result.slope if target == "minimize_nu" else result.slope) > 1e-3
         at_end = optimize(with_entry(spec, "R", bounds[1], R=None))
         assert result.best_objective == pytest.approx(at_end.best_objective, abs=1e-12)
 
@@ -558,6 +564,64 @@ class TestExactSolves:
         assert all(1.0 <= cond < MAX_CONDITION for _, cond in result.conditions)
 
 
+END_CUTS = {"minimize_nu": [(0.3, 0.5, 0.5), (0.9, 1.5, 0.9), (0.4, 0.6, 0.6),
+                            (0.7, 0.72, 0.7)],
+            "maximize_kappa": [(0.3, 0.5, 0.5), (0.9, 1.5, 0.9), (0.4, 0.6, 0.6),
+                               (0.7, 0.72, 0.72)]}  # (lo, hi, the end that cuts)
+
+
+def solved_profile(spec: SearchSpec):
+    """The solve of spec and its solved public vector at a given R, each
+    solve started from the start point."""
+    solver = optimizer._SOLVES[spec.target](spec)
+    start = solver.start(np.array(spec.initial_point))
+    return solver, lambda R: solver.vector(solver.solve(R, start), R)
+
+
+class TestRSlope:
+    @pytest.mark.parametrize("case", ["nu", "kappa", "nu, r on its bound",
+                                      "kappa, delta on its bound"])
+    def test_slope_matches_central_differences_of_the_solved_profile(self, case):
+        # at a solved point the slope at fixed shapes is the slope of the
+        # solved profile (the envelope theorem), active bound rows included;
+        # Richardson's extrapolation of central differences measures it
+        target = "minimize_nu" if case.startswith("nu") else "maximize_kappa"
+        spec = criterion_eight_spec(target)
+        if case == "nu, r on its bound":
+            spec, held = with_entry(spec, "r", 0.7, r=(0.5, 1.0)), ("r", 1.0)
+        elif case == "kappa, delta on its bound":
+            spec, held = with_entry(spec, "delta", 0.6, delta=(0.4, 0.6)), ("delta", 0.6)
+        else:
+            held = None
+        solver, at = solved_profile(spec)
+
+        def difference(R, h):
+            return (solver.objective(at(R + h)) - solver.objective(at(R - h))) / (2.0 * h)
+
+        # each R at least 0.05 from the profile's optimum, where the slope is
+        # not small; at most 5.3e-7 off (kappa at 0.8: the solve's own
+        # convergence, as a warm-started solve there moves the slope as much)
+        for R in (0.42, 0.5, 0.8, 0.9, 1.0, 1.1):
+            v = at(R)
+            if held:
+                assert v[spec.vector_names().index(held[0])] == held[1]
+            h = 2e-3
+            measured = (4.0 * difference(R, h / 2.0) - difference(R, h)) / 3.0
+            assert solver.slope(v) == pytest.approx(measured, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("target, lo, hi, end",
+                             [(t, *cut) for t, cuts in END_CUTS.items() for cut in cuts])
+    @pytest.mark.parametrize("start", ["lo", "mid", "hi"])
+    def test_a_bound_that_cuts_the_optimum_is_reached_in_few_evaluations(
+            self, target, lo, hi, end, start):
+        # Brent's method took 31 to 38 evaluations on each of these; the
+        # slope sends a step past a bound to that bound, where it stops
+        R = {"lo": lo, "mid": 0.5 * (lo + hi), "hi": hi}[start]
+        result = optimize(with_entry(criterion_eight_spec(target), "R", R, R=(lo, hi)))
+        assert result.pinned == (("R", end),)
+        assert result.evaluations_used <= 8
+
+
 class TestNewtonSolve:
     def test_gradient_and_hessian_match_central_differences_of_c1(self):
         # c1 is quadratic in each block, so every central difference below
@@ -622,64 +686,66 @@ class TestNewtonSolve:
         assert result.inner_solves < 144
 
 
-PROFILES = {"parabola": lambda k, m: lambda x: k * (x - m) ** 2,
-            "cosh": lambda k, m: lambda x: k * math.cosh(x - m)}
+PROFILES = {"parabola": lambda k, m: (lambda x: k * (x - m) ** 2, lambda x: 2.0 * k * (x - m)),
+            "cosh": lambda k, m: (lambda x: k * math.cosh(x - m), lambda x: k * math.sinh(x - m))}
 
 
-def run_brent(profile: str, k: float, m: float, lo: float, hi: float,
-              budget: int) -> list[float]:
-    """The points _brent evaluates on the profile over [lo, hi], in order."""
-    f, points = PROFILES[profile](k, m), []
+def run_search(profile: str, k: float, m: float, lo: float, hi: float, start: float,
+               budget: int) -> list[float]:
+    """The points _search evaluates on the profile over [lo, hi] from
+    lo + start (hi - lo), in order."""
+    (f, slope), points = PROFILES[profile](k, m), []
 
-    def step(x: float) -> float:
+    def step(x: float) -> tuple[float, float]:
         points.append(x)
-        return f(x)
-    optimizer._brent(step, lo, hi, lambda: len(points) < budget)
+        return f(x), slope(x)
+    optimizer._search(step, lo, hi, min(lo + start * (hi - lo), hi),
+                      lambda: len(points) < budget)
     return points
 
 
 # the minimizer at lo + at (hi - lo): at < 0 or at > 1 puts it outside
-brent_cases = dict(profile=st.sampled_from(sorted(PROFILES)), k=st.floats(0.1, 10.0),
-                   at=st.floats(-1.0, 2.0), lo=st.floats(1e-3, 1.0),
-                   width=st.floats(0.5, 2.0))
-brent_settings = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+search_cases = dict(profile=st.sampled_from(sorted(PROFILES)), k=st.floats(0.1, 10.0),
+                    at=st.floats(-1.0, 2.0), lo=st.floats(1e-3, 1.0),
+                    width=st.floats(0.5, 2.0), start=st.floats(0.0, 1.0))
+search_settings = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 
-class TestBrent:
-    @brent_settings
-    @given(**brent_cases)
-    def test_finds_the_minimizer_clipped_to_the_bounds(self, profile, k, at, lo, width):
-        # cosh(x - m) == cosh(0) in binary64 for |x - m| < 1.1e-8, so no
-        # search locates it closer; widths >= 0.5 keep that under 1e-7 (hi - lo)
+class TestRSearch:
+    @search_settings
+    @given(**search_cases)
+    def test_finds_the_minimizer_clipped_to_the_bounds(self, profile, k, at, lo, width,
+                                                       start):
+        # cosh(x - m) == cosh(0) in binary64 for |x - m| < 1.1e-8, so the best
+        # value ties there; widths >= 0.5 keep that under 1e-7 (hi - lo)
         hi = lo + width
         m = lo + at * width
-        points = run_brent(profile, k, m, lo, hi, budget=1000)
+        points = run_search(profile, k, m, lo, hi, start, budget=1000)
         assert len(points) < 1000
         assert all(lo <= x <= hi for x in points)
-        f = PROFILES[profile](k, m)
+        f = PROFILES[profile](k, m)[0]
         best = min(points, key=f)
         target = min(max(m, lo), hi)
         assert abs(best - target) <= 1e-7 * (hi - lo)
-        # nearer than this, cosh(x - m) ties in binary64 next to the end and the
-        # best point can stay more than 2 tol + sqrt(eps) off it (seen up to
-        # 2.2e-9 (hi - lo) in 20000 random draws); best is still within the
-        # tolerance above
+        # an end that is the minimizer is evaluated: the slope there points
+        # out of the bounds, and a step past an end goes to it
         if abs(m - target) > 1e-8 * (hi - lo):
             assert target in points
 
     def test_end_tried_when_the_bracket_closes_just_off_it(self):
-        # the minimum 6e-8 below lo ties cosh in binary64 for the last points,
-        # and the bracket once closed at lo + 2.6e-9 without evaluating lo
+        # the minimum 6e-8 below lo ties cosh in binary64 next to lo, and
+        # Brent's bracket once closed at lo + 2.6e-9 without evaluating lo;
+        # the slope there still points out of the bounds
         lo = 0.015625
-        points = run_brent("cosh", 1.0, lo - 6e-8, lo, lo + 1.0, budget=1000)
+        points = run_search("cosh", 1.0, lo - 6e-8, lo, lo + 1.0, 0.5, budget=1000)
         assert lo in points
 
-    @brent_settings
-    @given(budget=st.integers(0, 60), **brent_cases)
+    @search_settings
+    @given(budget=st.integers(0, 60), **search_cases)
     def test_never_evaluates_past_the_budget_or_the_bounds(self, budget, profile, k, at,
-                                                          lo, width):
+                                                          lo, width, start):
         hi = lo + width
-        points = run_brent(profile, k, lo + at * width, lo, hi, budget)
+        points = run_search(profile, k, lo + at * width, lo, hi, start, budget)
         assert len(points) <= budget
         assert all(lo <= x <= hi for x in points)
 
@@ -736,11 +802,14 @@ class TestIllPosedSolves:
             block.solve(0.5, H, np.zeros(6), state)
 
     def test_failed_steps_are_counted_and_never_returned(self, fail_solves_above):
-        failed = fail_solves_above(0.8)
-        result = optimize(criterion_eight_spec("minimize_nu"))
+        # the cut lies below the optimum (R = 0.6165), which the search would
+        # otherwise reach without a step above 0.6; the start lies below it
+        # too, since unsolved at R = 0.617 it beats every step below 0.6
+        failed = fail_solves_above(0.6)
+        result = optimize(with_entry(criterion_eight_spec("minimize_nu"), "R", 0.5))
         assert 0 < len(failed) < result.evaluations_used - 1
         assert result.failures == (("IllPosedSolveError", len(failed)),)
-        assert result.best_point[-1] <= 0.8
+        assert result.best_point[-1] <= 0.6
 
     def test_search_whose_steps_all_failed_raises(self, monkeypatch):
         # it once returned its start point, the failures only counted
