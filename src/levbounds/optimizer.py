@@ -5,51 +5,60 @@ in suitable solve coordinates, so only R needs a one-dimensional search:
 
   c    = z^T M(R) z with z = (u1, u2 / r), u = (1, c_1, .., c_m) the
          homogeneous shape coefficients.  z[0] = 1 is pinned, so the
-         minimum over (P1, P2, r) is one linear solve.
+         minimum over (P1, P2, r) is one step.
   c1   is quadratic in u = (1, p) when the twist is fixed, and in
          v = (delta, delta q) when P is fixed, because the operator
-         weights are affine in v.  Its gradient and Hessian in both
-         blocks' coordinates are therefore exact and closed form, and the
-         solve takes Newton steps on them jointly, each kept only when c1
-         strictly falls.  A step is replaced by one sweep of the two block
-         solves (a fallback) when the joint Hessian is not positive
-         definite within MAX_CONDITION, when the step leaves the bounds, or
-         when it fails to lower c1 while it predicts a decrease of more
-         than sqrt(eps) c1.  The solve stops after a step predicting less
-         (the next would predict about its square), or after a sweep that
-         does not lower c1; at most MAX_STEPS steps and sweeps.  With one
-         block held, a step is one solve of the other.
+         weights are affine in v.
+
+Each solve has one coordinate vector x over its blocks, each block's
+columns a slice of it, and one state (x, pinned bound rows).  Its model
+is the constant's gradient and Hessian in x, exact and closed form since
+every solve vector is affine in x.  A step minimizes that quadratic
+model under the bound rows A x >= b, over every coordinate or over one
+block's, with one eigendecomposition of the Hessian (or of the block's
+diagonal block) for the condition gate and the inverse.  With one block
+moving, the solve is one step of that block, exact since the constant
+is quadratic in each block.  With both c1 blocks moving it takes joint
+steps, each kept when c1 does not rise by more than sqrt(eps) c1, a
+margin above c1's own rounding (about 1e-12 c1 at the reference
+degrees), which can hide the decrease of a small last step.  A joint
+step that is ill-posed or not kept is replaced by one sweep, a step of
+each block in turn (a fallback), and the solve stops after a sweep that
+does not lower c1, or after a kept joint step predicting a decrease of
+at most sqrt(eps) c1, since the next would predict about its square.
+At most MAX_STEPS joint steps and sweeps.
 
 Each target's solve class, looked up once in _SOLVES, owns its blocks,
-their forms, the objective it minimizes (nu, or -kappa) and that sign.
-nu and kappa are increasing in c and c1 at fixed R.  The objective's R
-slope at a solved point is its partial derivative at fixed shapes (the
-envelope theorem), and the forms are linear in the kernel, so the slope
-is one more kernel read: c' = z' form(K') z and c1' = c1(K'), with K'
-the kernel's R derivative.  A safeguarded search on (objective, slope)
-runs over R from the start's R: a small probe step downhill, then the
-minimizer of the cubic Hermite interpolant of the last two steps, kept
-inside the bracket the slopes' signs set, with bisection as the fallback
-(Nocedal & Wright 2006, sec. 3.5); a bound that cuts the optimum is
-reached exactly.  Each step is one evaluation of the budget, as is the
-start point, and warm-starts from the previous step's solution.  The
-search returns the better of the start and the best step, and its
-objective is the float core at the returned public vector, so it
-re-evaluates bit for bit.
+its constant and model, the objective it minimizes (nu, or -kappa) and
+that sign.  nu and kappa are increasing in c and c1 at fixed R.  The
+objective's R slope at a solved point is its partial derivative at fixed
+shapes (the envelope theorem), and the constants are linear in the
+kernel, so the slope is one more kernel read: c' = z'M'z and
+c1' = c1(K'), with M' and K' the R derivatives.  A safeguarded search on
+(objective, slope) runs over R from the start's R: a small probe step
+downhill, then the minimizer of the cubic Hermite interpolant of the
+last two steps, kept inside the bracket the slopes' signs set, with
+bisection as the fallback (Nocedal & Wright 2006, sec. 3.5); a bound
+that cuts the optimum is reached exactly.  Each step is one evaluation
+of the budget, as is the start point, and warm-starts from the previous
+step's solution.  The search returns the better of the start and the
+best step, and its objective is the float core at the returned public
+vector, so it re-evaluates bit for bit.
 
 Structural constraints (P(0)=0, P(1)=1, Q(0)=1, Q'(x)=Q'(1-x)) hold by
 construction through the shape bases.  A fixed entry is a constant of
 the quadratic: fixed shapes leave a quadratic in 1/r or in delta alone.
-A bound is a linear inequality in the solve coordinates (p2_shape[j] >= b
-is z2[j+1] >= b z2[0]), and each box-bounded quadratic is solved exactly
-by a primal active-set loop that pins the bound a step would cross and
-releases a pin whose multiplier has the wrong sign.  With the twist free,
-delta is searched on the side of zero that holds its start value, since
-q = v / delta.  A free block that is not positive definite, or whose
-condition number exceeds MAX_CONDITION, fails the step with
-IllPosedSolveError; the step then counts as a failure.  A search whose
-steps all failed raises EvaluationFailureError, never returning its start
-point as a result.
+A bound is a linear inequality in the solve coordinates
+(p2_shape[j] >= b is z2[j+1] >= b z2[0]), and each box-bounded quadratic
+is solved exactly by a primal active-set loop that pins the bound a step
+would cross and releases a pin whose multiplier has the wrong sign.  With
+the twist free, delta is searched on the side of zero that holds its
+start value, since q = v / delta.  A model Hessian that is not positive
+definite, or whose condition number exceeds MAX_CONDITION, raises
+IllPosedSolveError: a joint step then falls back to a sweep, and a
+block's step fails the R step, which counts as a failure.  A search
+whose steps all failed raises EvaluationFailureError, never returning
+its start point as a result.
 
 Fixing: SearchSpec.free_indices alone decides which entries move.  An
 entry keeps its start value when it is a scalar without bounds or any
@@ -77,7 +86,7 @@ from .proportions import (SectionFourParams, SectionFiveParams, c1_core,
                           c_core, kappa_bound, nu_bound, twist_operator_coefficients)
 
 MAX_CONDITION = 1e12       # a free solve block conditioned worse than this is ill-posed
-MAX_STEPS = 50             # Newton steps or fallback sweeps: at most this many per R step
+MAX_STEPS = 50             # joint steps or fallback sweeps: at most this many per R step
 R_TOLERANCE = 1e-9         # R search stop: a step below sqrt(eps) |R| plus this fraction of the bounds
 PROBE = 2e-3               # R search: the step from a first good point, as a fraction of the bounds
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -276,12 +285,13 @@ def search_start(params: SectionFourParams | SectionFiveParams
 class SearchResult:
     """The best point found and how the search got there.
 
-    inner_solves counts the block solves and the Newton steps' Hessian
-    factorizations, fallbacks the sweeps of block solves that replaced a
-    Newton step, failures the evaluations that failed by exception class,
-    and conditions the condition number of each free solve block at the
-    best point; slope is d best_objective / dR there with the shapes held,
-    near 0 at an interior optimum; grid_scan solves nothing and has no slope.
+    inner_solves counts the model steps, joint or of one block, each one
+    factorization; fallbacks the sweeps, a step of each block, that
+    followed a failed joint step; failures the evaluations that failed by
+    exception class; conditions the condition number of each free solve
+    block's model Hessian at the best point; slope is d best_objective / dR
+    there with the shapes held, near 0 at an interior optimum; grid_scan
+    solves nothing and has no slope.
     pinned names each free entry of best_point that sits exactly on one of
     its bounds (lo < hi), with that bound, sorted by name.
     """
@@ -353,23 +363,23 @@ class _Record:
 # the inner solve: one convex quadratic under pins and bounds
 # --------------------------------------------------------------------------
 
-def _condition(Q: np.ndarray) -> float:
-    """The 2-norm condition number of a block; inf unless its smallest
-    eigenvalue is positive."""
-    w = np.linalg.eigvalsh(Q)
+def _condition(w: np.ndarray) -> float:
+    """The 2-norm condition number from a symmetric matrix's ascending
+    eigenvalues w; inf unless the smallest is positive."""
     return float(w[-1] / w[0]) if w[0] > 0.0 else math.inf
 
 
 def _inverse(where: str, Q: np.ndarray) -> np.ndarray:
-    """Q^-1 of a free block that is positive definite with a condition
-    number of at most MAX_CONDITION."""
-    cond = _condition(Q)
+    """Q^-1 of a symmetric Q that is positive definite with a condition
+    number of at most MAX_CONDITION, from one eigendecomposition."""
+    w, V = np.linalg.eigh(Q)
+    cond = _condition(w)
     if cond == math.inf:
         raise IllPosedSolveError(f"{where} is not positive definite")
     if not cond <= MAX_CONDITION:
         raise IllPosedSolveError(f"{where} has condition number {cond:.3g} "
                                  f"> {MAX_CONDITION:.0e}")
-    return np.linalg.inv(Q)
+    return (V / w) @ V.T
 
 
 def _minimize(Q_inv: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
@@ -495,21 +505,8 @@ class _Block:
     def values(self, x: np.ndarray) -> np.ndarray:
         return self.y0 + self.N @ x
 
-    def quadratic(self, H: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """y'Hy + 2h'y in the coordinates, halved: (Q, g) of x'Qx/2 + g'x."""
-        Q = self.N.T @ H @ self.N
-        return 0.5 * (Q + Q.T), self.N.T @ (H @ self.y0 + h)
-
-    def solve(self, R: float, H: np.ndarray, h: np.ndarray, state):
-        """Minimize y'Hy + 2h'y from state (x, pinned rows)."""
-        Q, g = self.quadratic(H, h)
-        where = f"{self.name} block at R = {R!r}"
-        return _minimize(_inverse(where, Q), g, self.A, self.b, state[0], where)
-
-    def write(self, state, out: np.ndarray) -> None:
-        """Write the public entries of state into the vector out; an entry a
-        row pins lands on its bound exactly."""
-        x, pinned = state
+    def write(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write the public entries of the coordinates x into the vector out."""
         for seg, s_col, moving in self.parts:
             s = 1.0 if s_col is None else x[s_col]
             if s_col is not None:
@@ -517,54 +514,106 @@ class _Block:
             if s != 0.0:
                 for at, k in moving.items():
                     out[at] = x[k] / s
-        for i in pinned:
-            at, value = self.pins[i]
-            out[at] = value
 
 
 class _Solve:
     """The exact solve of one target at fixed R on the kernel of the given
-    order: one solve of each block that moves.  A held block has no
-    coordinates (size 0), keeps y0 and is never solved.  A subclass gives
-    the target's forms, its constant (c or c1) as a function of the
-    kernel, its objective (minimized), the objective's sign and per_log,
-    the objective being per_log ln(constant) / R up to a constant term."""
+    order, in one coordinate vector x over all its blocks, each block's
+    columns one slice of it, and one state (x, pinned rows).  A held block
+    has no coordinates (size 0) and keeps y0.  The blocks' bound rows are
+    stacked once, block-diagonal, as A x >= b, with the pins they name.
+
+    A subclass gives the target's constant (c or c1) as a function of the
+    kernel and the blocks' solve vectors, its model (the constant's gradient
+    and Hessian in x), its objective (minimized), the objective's sign and
+    per_log, the objective being per_log ln(constant) / R up to a constant
+    term."""
 
     def __init__(self, spec: SearchSpec, order: int, blocks: tuple[_Block, ...]):
         self.spec, self.order, self.blocks = spec, order, blocks
         self.R_at, self.solves, self.fallbacks = spec.places()["R"], 0, 0
+        self.slices, col, row = [], 0, 0  # each block's (columns, rows)
+        for block in blocks:
+            self.slices.append((slice(col, col + block.size), slice(row, row + len(block.b))))
+            col, row = col + block.size, row + len(block.b)
+        self.A = np.zeros((row, col))
+        for block, (cols, rows) in zip(blocks, self.slices):
+            self.A[rows, cols] = block.A
+        self.b = np.concatenate([block.b for block in blocks])
+        self.pins = [pin for block in blocks for pin in block.pins]
 
     def start(self, v: np.ndarray):
-        """The state of each block at the public vector v: (x, no pins)."""
-        return tuple((b.coordinates(v), ()) for b in self.blocks)
+        """The state at the public vector v: its coordinates, no row pinned."""
+        return np.concatenate([block.coordinates(v) for block in self.blocks]), ()
 
     def kernel(self, R: float) -> np.ndarray:
         return kernel_derivative_basis(self.spec.theta, R, self.order)
 
-    def values(self, states) -> dict[str, np.ndarray]:
-        """Each block's solve vector y at states, by block name."""
-        return {b.name: b.values(s[0]) for b, s in zip(self.blocks, states)}
+    def values(self, state) -> dict[str, np.ndarray]:
+        """Each block's solve vector y at state, by block name."""
+        return {block.name: block.values(state[0][cols])
+                for block, (cols, _) in zip(self.blocks, self.slices)}
 
-    def solve(self, R: float, states):
-        """The solved states at R, warm-started from states."""
-        return self.sweep(R, self.kernel(R), states)
+    def solve(self, R: float, state):
+        """The solved state at R, warm-started from state; see the module
+        docstring."""
+        kernel = self.kernel(R)
+        moving = [i for i, block in enumerate(self.blocks) if block.size]
+        if len(moving) < 2:  # exact: the constant is quadratic in each block
+            return self.step(R, kernel, state, moving[0])[0] if moving else state
+        last = self.constant(kernel, self.values(state))
+        for _ in range(MAX_STEPS):
+            margin = SQRT_EPS * abs(last)  # see the module docstring
+            try:
+                trial, gain = self.step(R, kernel, state)
+                now = self.constant(kernel, self.values(trial))
+            except IllPosedSolveError:
+                now = math.inf
+            if now < last + margin:
+                state, last = trial, now
+                if gain <= margin:
+                    break
+                continue
+            self.fallbacks += 1
+            for i in moving:  # a sweep
+                state = self.step(R, kernel, state, i)[0]
+            now = self.constant(kernel, self.values(state))
+            if not now < last:
+                break
+            last = now
+        return state
 
-    def sweep(self, R: float, kernel: np.ndarray, states):
-        """One exact solve of each block that moves, in order, each at the
-        values the blocks before it reached."""
-        states, values = list(states), self.values(states)
-        for i, block in enumerate(self.blocks):
-            if block.size:
-                self.solves += 1
-                states[i] = block.solve(R, *self.form(block.name, kernel, values), states[i])
-                values[block.name] = block.values(states[i][0])
-        return tuple(states)
+    def step(self, R: float, kernel: np.ndarray, state, block: int | None = None):
+        """Minimize the model at state under the bound rows, over every
+        coordinate or over one block's: the state reached and the decrease
+        the model predicts.  Each step factors the model Hessian once and
+        counts as one solve."""
+        self.solves += 1
+        x, pinned = state
+        g, H = self.model(kernel, self.values(state))
+        cols, rows = (slice(None), slice(None)) if block is None else self.slices[block]
+        name = "joint step" if block is None else f"{self.blocks[block].name} block"
+        where = f"{name} at R = {R!r}"
+        Q, A = H[cols, cols], self.A[rows, cols]
+        d, active = _minimize(_inverse(where, Q), g[cols], A, self.b[rows] - A @ x[cols],
+                              np.zeros(len(Q)), where)
+        x = x.copy()
+        x[cols] += d
+        if block is not None:  # the other blocks' rows keep their pins
+            pinned = tuple(i for i in pinned if not rows.start <= i < rows.stop)
+            active = pinned + tuple(rows.start + i for i in active)
+        return (x, active), -float(g[cols] @ d + 0.5 * d @ Q @ d)
 
-    def vector(self, states, R: float) -> np.ndarray:
-        """The public vector of states at R, inside the bounds."""
+    def vector(self, state, R: float) -> np.ndarray:
+        """The public vector of state at R, inside the bounds; an entry a row
+        pins lands on its bound exactly."""
+        x, pinned = state
         out = np.array(self.spec.initial_point, dtype=float)
-        for block, state in zip(self.blocks, states):
-            block.write(state, out)
+        for block, (cols, _) in zip(self.blocks, self.slices):
+            block.write(x[cols], out)
+        for i in pinned:
+            at, value = self.pins[i]
+            out[at] = value
         for i, (lo, hi) in self.spec.bounds_by_index.items():
             out[i] = min(max(out[i], lo), hi)
         out[self.R_at] = R
@@ -573,7 +622,7 @@ class _Solve:
     def slope(self, v: np.ndarray) -> float:
         """d(objective)/dR at the public vector v with the shapes held: at a
         solved point, the slope of the solved profile (the envelope
-        theorem; active bound rows do not depend on R).  The forms are
+        theorem; active bound rows do not depend on R).  The constant is
         linear in the kernel, and d/dR of the order-n kernel at a = b = -R
         is minus the sum of its two shifted reads at order n + 1."""
         R = float(v[self.R_at])
@@ -584,11 +633,11 @@ class _Solve:
         return self.per_log * (rate / c - math.log(c) / R) / R
 
     def conditions(self, v: np.ndarray) -> tuple[tuple[str, float], ...]:
-        """The condition number of each block that moves, at the public vector v."""
-        kernel = self.kernel(float(v[self.R_at]))
-        values = self.values(self.start(v))
-        return tuple((b.name, _condition(b.quadratic(*self.form(b.name, kernel, values))[0]))
-                     for b in self.blocks if b.size)
+        """The condition number of each block that moves, at the public
+        vector v: of its diagonal block of the model Hessian."""
+        H = self.model(self.kernel(float(v[self.R_at])), self.values(self.start(v)))[1]
+        return tuple((block.name, _condition(np.linalg.eigvalsh(H[cols, cols])))
+                     for block, (cols, _) in zip(self.blocks, self.slices) if block.size)
 
 
 class _NuSolve(_Solve):
@@ -607,15 +656,21 @@ class _NuSolve(_Solve):
         super().__init__(spec, 1, (_Block("mollifier", spec, (
             _Segment(p1, None), _Segment(p2, at["r"], inverse=True))),))
 
-    def form(self, name, kernel, values):
+    def matrix(self, kernel) -> np.ndarray:
+        """M(R), symmetric."""
         n = 2 * len(self.grams[0])
-        H = np.einsum("kab,kij->aibj", kernel, self.grams).reshape(n, n)
-        H = H[np.ix_(self.rows, self.rows)]
-        return 0.5 * (H + H.T), np.zeros(len(H))
+        M = np.einsum("kab,kij->aibj", kernel, self.grams).reshape(n, n)
+        M = M[np.ix_(self.rows, self.rows)]
+        return 0.5 * (M + M.T)
+
+    def model(self, kernel, values) -> tuple[np.ndarray, np.ndarray]:
+        """The gradient 2 N'Mz and Hessian 2 N'MN of c in the coordinates."""
+        M, N = self.matrix(kernel), self.blocks[0].N
+        return 2.0 * N.T @ (M @ values["mollifier"]), 2.0 * N.T @ M @ N
 
     def constant(self, kernel, values) -> float:
         z = values["mollifier"]
-        return float(z @ self.form("mollifier", kernel, values)[0] @ z)
+        return float(z @ self.matrix(kernel) @ z)
 
     def objective(self, v: np.ndarray) -> float:
         (p1, p2, r), R = self.core, float(v[self.R_at])
@@ -624,8 +679,7 @@ class _NuSolve(_Solve):
 
 class _KappaSolve(_Solve):
     """c1 = sum_k (u_P' G_k u_P)(u' K_k u) with u = e0 + B v: a mollifier
-    block u_P = (1, p) and a twist block v = delta (1, q).  With both blocks
-    moving, the solve takes Newton steps on their joint coordinates."""
+    block u_P = (1, p) and a twist block v = delta (1, q)."""
 
     sign = -1.0    # kappa is maximized as -kappa
     per_log = 1.0  # -kappa = ln(c1) / R - 1
@@ -644,53 +698,9 @@ class _KappaSolve(_Solve):
         self.sym_grams = 0.5 * (self.grams + self.grams.transpose(0, 2, 1))
         self.jacobians = self.blocks[0].N, self.B @ self.blocks[1].N  # of u_P and u in x
 
-    def solve(self, R: float, states):
-        """With both blocks moving, Newton steps while c1 falls, and one sweep
-        in place of a step that fails; see the module docstring.  With a
-        block held, one sweep."""
-        if not all(b.size for b in self.blocks):
-            return super().solve(R, states)
-        kernel = self.kernel(R)
-        last = self.constant(kernel, self.values(states))
-        for _ in range(MAX_STEPS):
-            trial, gain = self.newton(kernel, states)
-            if trial is not None:
-                now = self.constant(kernel, self.values(trial))
-                kept = now < last
-                if kept:
-                    states, last = trial, now
-                if gain <= SQRT_EPS * abs(last):  # the next would predict about gain^2 / c1
-                    break
-                if kept:
-                    continue
-            self.fallbacks += 1
-            states = self.sweep(R, kernel, states)
-            now = self.constant(kernel, self.values(states))
-            if not now < last:
-                break
-            last = now
-        return states
-
-    def newton(self, kernel, states):
-        """The Newton step of c1 from states: the states it reaches and the
-        decrease it predicts, or (None, 0.0) when the joint Hessian is not
-        positive definite within MAX_CONDITION or the step leaves A x >= b.
-        Each call factors the Hessian once and counts as one solve."""
-        self.solves += 1
-        g, H = self.derivatives(kernel, self.values(states))
-        w, V = np.linalg.eigh(H)
-        if not (w[0] > 0.0 and w[-1] / w[0] <= MAX_CONDITION):
-            return None, 0.0
-        gV = V.T @ g
-        x = np.concatenate([s[0] for s in states]) - V @ (gV / w)
-        parts = np.split(x, [self.blocks[0].size])
-        if any(np.any(b.A @ part < b.b) for b, part in zip(self.blocks, parts)):
-            return None, 0.0
-        return tuple((part, ()) for part in parts), 0.5 * float(gV @ (gV / w))
-
-    def derivatives(self, kernel, values) -> tuple[np.ndarray, np.ndarray]:
-        """The gradient and Hessian of c1 in the joint coordinates
-        (mollifier, twist); exact, since u_P and u are affine in them."""
+    def model(self, kernel, values) -> tuple[np.ndarray, np.ndarray]:
+        """The gradient and Hessian of c1 in the coordinates (mollifier,
+        twist); exact, since u_P and u are affine in them."""
         G, K = self.sym_grams, 0.5 * (kernel + kernel.transpose(0, 2, 1))
         up, u = values["mollifier"], self._operator(values)
         Gu, Ku = G @ up, K @ u                  # rows G_k u_P and K_k u
@@ -708,25 +718,10 @@ class _KappaSolve(_Solve):
         u[0] += 1.0
         return u
 
-    def _twist_kernel(self, kernel, values) -> np.ndarray:
-        """sum_k m_k K_k over the moments m_k of (P, P), symmetrized."""
-        up = values["mollifier"]
-        moments = np.einsum("i,kij,j->k", up, self.grams, up)
-        K = (moments @ kernel.reshape(4, -1)).reshape(kernel.shape[1:])
-        return 0.5 * (K + K.T)
-
-    def form(self, name, kernel, values):
-        if name == "mollifier":
-            u = self._operator(values)
-            weights = np.einsum("m,kmn,n->k", u, kernel, u)
-            H = (weights @ self.grams.reshape(4, -1)).reshape(self.grams.shape[1:])
-            return 0.5 * (H + H.T), np.zeros(len(H))
-        K = self._twist_kernel(kernel, values)
-        return self.B.T @ K @ self.B, self.B.T @ K[:, 0]
-
     def constant(self, kernel, values) -> float:
-        u = self._operator(values)
-        return float(u @ self._twist_kernel(kernel, values) @ u)
+        up, u = values["mollifier"], self._operator(values)
+        moments = np.einsum("i,kij,j->k", up, self.grams, up)
+        return float(moments @ np.einsum("m,kmn,n->k", u, kernel, u))
 
     def objective(self, v: np.ndarray) -> float:
         (p, q, delta), R = self.core, float(v[self.R_at])

@@ -15,11 +15,11 @@ def fail_solves_above(monkeypatch):
         failed = []
 
         def failing(solve):
-            def solve_or_fail(self, R, states):
+            def solve_or_fail(self, R, state):
                 if R > R_max:
                     failed.append(R)
                     raise IllPosedSolveError(f"no solve above R = {R_max}")
-                return solve(self, R, states)
+                return solve(self, R, state)
             return solve_or_fail
 
         for cls in optimizer._SOLVES.values():

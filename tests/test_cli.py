@@ -611,18 +611,24 @@ class TestOptimizeAccounting:
         assert not any(k.startswith("failures.") for k in values)
 
     def test_fallbacks_printed(self, tmp_path, capsys):
-        # delta pinned on its upper bound: Newton steps leave the bounds, and
-        # the block sweeps that replace them are counted in both outputs
-        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
-        cfg["section5"]["delta"] = 0.6
-        cfg["search"] = {"target": "maximize_kappa",
-                         "bounds": {"R": [0.4, 1.2], "delta": [0.4, 0.6]}}
+        # degrees (5, 4) at delta = 1: the joint Hessian fails the condition
+        # gate on some steps, and the per-block sweeps that replace them are
+        # counted in both outputs; the core's rounding here is about 5e-7,
+        # so the objective is not checked
+        cfg = {"section5": {"p_shape": ["-0.482", "-0.392", "-0.262", "0", "0"],
+                            "q_linear": "-0.673", "q_sym": ["0.369", "-4.635", "0", "0"],
+                            "R": 0.746, "delta": 1.0},
+               "search": {"target": "maximize_kappa", "budget": 2000,
+                          "bounds": {"R": [0.3, 1.5]}}}
         path = write_config(tmp_path, cfg)
         assert main(["optimize", "--config", path, "--machine"]) == 0
         values = machine_values(capsys.readouterr().out)
-        assert values["fallbacks"] > 0 and values["pinned.delta"] == 0.6
+        assert values["fallbacks"] > 0
+        assert not any(k.startswith("failures.") for k in values)
         assert main(["optimize", "--config", path]) == 0
-        assert f"\nfallbacks        {values['fallbacks']:.0f}\n" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"\nfallbacks        {values['fallbacks']:.0f}\n" in out
+        assert "\nfailures         none\n" in out
 
     @pytest.mark.parametrize("target, bounds", [
         ("minimize_nu", {"r": [0.5, 2.0], "R": [0.3, 1.2]}),

@@ -16,7 +16,7 @@ from levbounds.optimizer import (MAX_CONDITION, TARGETS, DimensionTooHighError,
                                  search_start)
 from levbounds.polyalg import MollifierShape, TwistShape
 from levbounds.proportions import (NonFiniteError, SectionFiveParams, SectionFourParams,
-                                   c1_core, c1_value, c_value, kappa_bound, nu_bound)
+                                   c1_core, c1_value, c_core, c_value, kappa_bound, nu_bound)
 from levbounds.reference import section_five_reference, section_four_reference
 
 from search_helpers import hold_shapes
@@ -623,46 +623,104 @@ class TestRSlope:
 
 
 class TestNewtonSolve:
-    def test_gradient_and_hessian_match_central_differences_of_c1(self):
-        # c1 is quadratic in each block, so every central difference below
-        # is exact up to rounding, whatever the step
-        spec = criterion_eight_spec("maximize_kappa")
-        solver = optimizer._KappaSolve(spec)
-        mollifier, twist = solver.blocks
+    @staticmethod
+    def check_model(target, core, draw):
+        """The solve's constant matches the float core at six drawn vectors,
+        and its model the central differences of the constant there; the
+        constant is quadratic in each block, so every central difference is
+        exact up to rounding, whatever the step."""
+        spec = criterion_eight_spec(target)
+        solver = optimizer._SOLVES[target](spec)
         rng = np.random.default_rng(8)
         for _ in range(6):
-            v = np.array(spec.initial_point) + np.r_[rng.normal(scale=0.3, size=6), 0.0, 0.0]
-            v[6:] = rng.uniform(0.4, 1.2, size=2)  # R and delta inside their bounds
-            kernel = solver.kernel(v[6])
-            x = np.r_[mollifier.coordinates(v), twist.coordinates(v)]
+            v = draw(rng, np.array(spec.initial_point))
+            kernel = solver.kernel(v[spec.places()["R"]])
+            x = solver.start(v)[0]
 
-            def values(x):
-                return solver.values([(part, ()) for part in np.split(x, [mollifier.size])])
+            def constant(x):
+                return solver.constant(kernel, solver.values((x, ())))
 
-            def c1(x):
-                return solver.constant(kernel, values(x))
-
-            assert c1(x) == pytest.approx(c1_core(v[:3], v[3:6], 1.0, v[6], v[7]), rel=1e-13)
-            gradient, hessian = solver.derivatives(kernel, values(x))
+            assert constant(x) == pytest.approx(core(v), rel=1e-13)
+            gradient, hessian = solver.model(kernel, solver.values((x, ())))
             E = np.diag(1e-2 * (1.0 + np.abs(x)))
-            fd_gradient = [(c1(x + e) - c1(x - e)) / (2.0 * e[i]) for i, e in enumerate(E)]
-            fd_hessian = [[(c1(x + a + b) - c1(x + a - b) - c1(x - a + b) + c1(x - a - b))
-                           / (4.0 * a[i] * b[j]) for j, b in enumerate(E)]
-                          for i, a in enumerate(E)]
+            fd_gradient = [(constant(x + e) - constant(x - e)) / (2.0 * e[i])
+                           for i, e in enumerate(E)]
+            fd_hessian = [[(constant(x + a + b) - constant(x + a - b) - constant(x - a + b)
+                            + constant(x - a - b)) / (4.0 * a[i] * b[j])
+                           for j, b in enumerate(E)] for i, a in enumerate(E)]
             np.testing.assert_allclose(fd_gradient, gradient, rtol=1e-6, atol=0.0)
             np.testing.assert_allclose(fd_hessian, hessian, rtol=1e-6, atol=0.0)
 
-    def test_pinned_delta_falls_back_to_sweeps_and_matches_a_frozen_delta(self):
-        # a Newton step off the pinned bound leaves A x >= b, so each step
-        # sweeps the blocks, with delta pinned, as a frozen delta solves it
+    def test_gradient_and_hessian_match_central_differences_of_c1(self):
+        def draw(rng, v):
+            v = v + np.r_[rng.normal(scale=0.3, size=6), 0.0, 0.0]
+            v[6:] = rng.uniform(0.4, 1.2, size=2)  # R and delta inside their bounds
+            return v
+
+        self.check_model("maximize_kappa",
+                         lambda v: c1_core(v[:3], v[3:6], 1.0, v[6], v[7]), draw)
+
+    def test_gradient_and_hessian_match_central_differences_of_c(self):
+        def draw(rng, v):
+            v = v + np.r_[rng.normal(scale=0.3, size=4), 0.0, 0.0]
+            v[4:] = rng.uniform(0.5, 2.0), rng.uniform(0.3, 1.2)  # r and R inside their bounds
+            return v
+
+        self.check_model("minimize_nu",
+                         lambda v: c_core(v[:2], v[2:4], 1.0, v[4], v[5]), draw)
+
+    def test_pinned_delta_takes_no_fallback(self):
+        # the steps minimize the model under the bound rows, so delta stays
+        # pinned on its bound; a Newton step that ignored the rows left them
+        # and fell back to a sweep of the blocks: 93 solves, 31 fallbacks
         spec = with_entry(criterion_eight_spec("maximize_kappa"), "delta", 0.6,
                           delta=(0.4, 0.6))
         result = optimize(spec)
         assert result.pinned == (("delta", 0.6),)
-        assert result.fallbacks > 0 and result.failures == ()
+        assert result.fallbacks == 0 and result.failures == ()
+        assert result.inner_solves <= 20
+        # with delta frozen at 0.6 and q free, both blocks move and take
+        # joint steps, which likewise need no sweep
         frozen = optimize(with_entry(spec, "delta", 0.6, delta=None))
-        assert frozen.fallbacks == 0
+        assert frozen.fallbacks == 0 and frozen.failures == ()
+
+    def test_pinned_delta_matches_a_frozen_delta(self):
+        # at 0.74 both searches agree to about 2e-14; at 0.6 the objective's
+        # rounding there moves either search by about 1e-12
+        spec = with_entry(criterion_eight_spec("maximize_kappa"), "delta", 0.74,
+                          delta=(0.4, 0.74))
+        result = optimize(spec)
+        assert result.pinned == (("delta", 0.74),)
+        frozen = optimize(with_entry(spec, "delta", 0.74, delta=None))
+        assert result.fallbacks == 0 and frozen.fallbacks == 0
         assert result.best_objective == pytest.approx(frozen.best_objective, abs=1e-12)
+
+    def test_shape_bound_that_cuts_the_kappa_optimum_is_pinned(self):
+        # q_sym[1] would move below -4.635; with its row active from the
+        # first step no step falls back, where Newton steps off the rows
+        # took 105 solves, 35 of them in fallbacks
+        spec = criterion_eight_spec("maximize_kappa")
+        spec = replace(spec, scalar_bounds={**spec.scalar_bounds, "q_sym[1]": (-4.7, -4.635)})
+        result = optimize(spec)
+        assert result.pinned == (("q_sym[1]", -4.635),)
+        assert result.fallbacks == 0 and result.failures == ()
+        assert result.inner_solves <= 15
+        held = replace(spec, scalar_bounds={**spec.scalar_bounds, "q_sym[1]": (-4.635, -4.635)})
+        assert result.best_objective == pytest.approx(optimize(held).best_objective, abs=1e-12)
+
+    def test_a_block_step_keeps_the_other_blocks_pins(self):
+        # in a sweep, the twist step leaves the mollifier's pinned row, so
+        # p_shape[0] is still written exactly on its bound
+        spec = criterion_eight_spec("maximize_kappa")
+        spec = replace(spec, scalar_bounds={**spec.scalar_bounds, "p_shape[0]": (-0.6, -0.482)})
+        solver = optimizer._KappaSolve(spec)
+        R = spec.initial_point[6]
+        kernel = solver.kernel(R)
+        mollifier, _ = solver.step(R, kernel, solver.start(np.array(spec.initial_point)), 0)
+        assert [solver.pins[i] for i in mollifier[1]] == [(0, -0.482)]
+        twist, _ = solver.step(R, kernel, mollifier, 1)
+        assert twist[1] == mollifier[1]
+        assert solver.vector(twist, R)[0] == -0.482
 
     def test_every_step_ill_posed_still_fails_the_search(self):
         # degree (6, 5) at delta = 1: the joint Hessian fails the condition
@@ -783,23 +841,22 @@ class TestActiveSet:
 
 
 class TestIllPosedSolves:
-    def block_and_state(self):
+    def step_with_hessian(self, H):
+        """One step of the nu solve at R = 0.5 on a model whose Hessian is H."""
         spec = criterion_eight_spec("minimize_nu")
-        block = _NuSolve(spec).blocks[0]
-        return block, (block.coordinates(np.array(spec.initial_point)), ())
+        solver = _NuSolve(spec)
+        solver.model = lambda kernel, values: (np.zeros(len(H)), H)
+        state = solver.start(np.array(spec.initial_point))
+        return solver.step(0.5, solver.kernel(0.5), state, 0)
 
     def test_indefinite_block_fails_loudly(self):
-        block, state = self.block_and_state()
-        H = np.diag([1.0, 2.0, 3.0, -1.0, 1.0, 1.0])
         with pytest.raises(IllPosedSolveError,
                            match=r"^mollifier block at R = 0\.5 is not positive definite$"):
-            block.solve(0.5, H, np.zeros(6), state)
+            self.step_with_hessian(np.diag([1.0, 2.0, -1.0, 1.0, 1.0]))
 
     def test_ill_conditioned_block_fails_loudly(self):
-        block, state = self.block_and_state()
-        H = np.diag([1.0, 1.0, 1.0, 1e-14, 1.0, 1.0])
         with pytest.raises(IllPosedSolveError, match=r"condition number 1e\+14 > 1e\+12"):
-            block.solve(0.5, H, np.zeros(6), state)
+            self.step_with_hessian(np.diag([1.0, 1.0, 1e-14, 1.0, 1.0]))
 
     def test_failed_steps_are_counted_and_never_returned(self, fail_solves_above):
         # the cut lies below the optimum (R = 0.6165), which the search would
