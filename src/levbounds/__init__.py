@@ -1,10 +1,10 @@
 """Mollified-moment bound constants for zero proportions of the Dirichlet
-L-function family: exact polynomial algebra, the closed-form derivatives
-of the singular moment kernel, the bound combiners, an oracle that
-recomputes them by Cauchy integrals of the kernel's definition, and an
-exact search over the constrained polynomial shapes."""
+L-function family: exact polynomial algebra, both constants as 1 plus a
+Gauss-Legendre sum of squares over cached node rows, the bound combiners,
+an oracle that recomputes them by Cauchy integrals of the moment kernel's
+definition, and an exact search over the constrained polynomial shapes."""
 
-from .kernel import MomentTable, kernel_derivative_basis, moment_grams, moments
+from .kernel import MomentTable, moments
 from .optimizer import (DimensionTooHighError, EvaluationFailureError,
                         IllPosedSolveError, SearchResult, SearchSpec, grid_scan,
                         optimize)
@@ -25,7 +25,7 @@ from .reference import (REFERENCE_CONSTANTS, REMARK_DELTA1_KAPPA,
 __version__ = "0.1.0"
 
 __all__ = [
-    "MomentTable", "kernel_derivative_basis", "moment_grams", "moments",
+    "MomentTable", "moments",
     "DimensionTooHighError", "EvaluationFailureError", "IllPosedSolveError",
     "SearchResult",
     "SearchSpec", "grid_scan", "optimize",

@@ -1,49 +1,39 @@
-"""Moment tables and the derivatives of the singular mollifier kernel.
+"""Moment tables, and the node rows of the integral-of-squares form.
 
-For a polynomial pair (P_1, P_2) and length exponent theta, the bilinear
-moment function is
+moments() gives the four exact integrals over [0,1] of P1'P2', P1'P2,
+P1 P2' and P1 P2 of a polynomial pair, from which the oracle builds the
+moment kernel h(a, b).  The engine does not use the kernel: with
+E(s) = (1 - e^{-s})/s = int_0^1 e^{-st} dt, every derivative of h at
+a = b = -R is an integral against e^{2Rt}, and each bound constant is 1
+plus the integral of a square (the classical form of Levinson's method;
+Conrey, J. reine angew. Math. 399, 1989):
 
-    g(a, b) = m_dd + a theta m_pd + b theta m_dp + a b theta^2 m_pp,
+    c  = 1 + (1/theta) int int e^{2Rt} [A1(x) - (t A2(x) + theta P2(x)) / r]^2
+    c1 = 1 + (1/theta) int int e^{2Rt} [U(t) A(x) + theta U'(t) P(x)]^2
 
-built from the four exact integrals over [0,1] of P_1'P_2', P_1'P_2,
-P_1 P_2', P_1 P_2.  The kernel is
-
-    h(a, b) = [ g(b, a) - e^{-a-b} g(-a, -b) ] / (theta (a + b)),
-
-and this module gives its derivatives at a = b = -R.  The numerator
-vanishes identically on the line a + b = 0 (there e^{-a-b} = 1 and both g
-values coincide), so the singularity is removable and h is entire.  With
-s = a + b,
-
-    g(b,a) - g(-a,-b) = theta s (m_pd + m_dp)        (exact identity)
-    h(a,b) = (m_pd + m_dp) + E(s) g(-a,-b) / theta,  E(s) = (1 - e^{-s})/s,
-
-which contains no division by s.  g is bilinear, so with G = g(-a,-b) at
-the base point
-
-    d_a^m d_b^n h = [m=n=0] (m_pd + m_dp)
-                    + (E^(m+n) G + m E^(m+n-1) G_a + n E^(m+n-1) G_b
-                       + m n E^(m+n-2) G_ab) / theta.
-
-kernel_derivative_basis evaluates that in binary64, per unit moment (h is
-linear in its moment table); moment_grams holds, per shape degree, the
-four Gram matrices of the mollifier basis (exact rationals rounded once),
-so a shape's moments are small quadratic forms in its float coefficients.
-Rounding enters at two places only: the cached Gram matrices and the
-single float conversion of the shape coefficients.  The exact moments()
-and a high-precision evaluation of the definition of h are the references
-the tests compare against.
+with A = P' + R theta P and U = (1 - delta) + delta (1 - 2t) Q(t) =
+1 + Psi v, v = delta (1, q), over the twist directions
+Psi_j = (1 - 2t) b_j - [j = 0] of the twist basis b.  node_rows holds
+what these Gauss-Legendre sums read at one (theta, R): the weights, and
+the rows of the mollifier basis, its derivative and Psi at the nodes,
+exact values rounded once and cached per degree and node count; nothing
+is built at import.  The m + 3 x-nodes integrate the degree-2m+2 square
+in x exactly; the t-nodes follow t_count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from .polyalg import Poly, integrate01_product, mollifier_basis, poly_derivative
+from .polyalg import (ONE, ZERO, Poly, integrate01_product, mollifier_basis,
+                      poly_derivative, twist_basis)
 
 
 @dataclass(frozen=True)
@@ -77,106 +67,114 @@ def moments(p1: Poly, p2: Poly) -> MomentTable:
     )
 
 
-@lru_cache(maxsize=None)
-def moment_grams(m: int) -> np.ndarray:
-    """Float Gram matrices of the four moments over degree-m mollifier shapes.
-
-    Entry [k, i, j] is moment k (m_dd, m_dp, m_pd, m_pp) of the pair
-    (b_i, b_j) of mollifier_basis(m), computed exactly and rounded once.
-    By bilinearity, moment k of (P1, P2) is u1 @ grams[k] @ u2 with
-    u = (1, c_1, .., c_m).  The array is read-only.
-    """
-    basis = mollifier_basis(m)
-    grams = np.empty((4, m + 1, m + 1))
-    for i, bi in enumerate(basis):
-        for j in range(i, m + 1):
-            mt = moments(bi, basis[j])
-            for (a, b), table in (((i, j), mt), ((j, i), mt.transpose())):
-                grams[:, a, b] = table.floats
-    grams.setflags(write=False)
-    return grams
-
-
-MIN_BASE_R = 1e-6  # smallest contour offset R a kernel is evaluated at
-# largest R: E^(d)(-2R) grows like e^{2R} and sums int(6R) + 36 terms; the
-# engine, and the Cauchy-integral oracle whose grid reaches e^{2R + 2 rho}
-# (rho < 7 up to order 16), stay finite up to here, not past 350
+MIN_BASE_R = 1e-6  # smallest contour offset R a constant is evaluated at
+# largest R: the Cauchy-integral oracle, whose grid reaches e^{2R + 2 rho}
+# (rho < 7 up to order 16), stays finite up to here and not past 350; the
+# engine's t-node rule is tested up to here
 MAX_BASE_R = 300.0
 
 
-@lru_cache(maxsize=64)
-def _series_tables(dmax: int, nterms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only tables of the E^(d) series: (-1)^d / (d+j+1) for d <= dmax
-    and j < nterms, and 1/j for 0 < j < nterms (entry 0 unused)."""
-    d = np.arange(dmax + 1)[:, None]
-    weights = np.where(d % 2 == 0, 1.0, -1.0) / (d + np.arange(nterms) + 1.0)
-    inverses = 1.0 / np.maximum(np.arange(nterms), 1)
-    for table in (weights, inverses):
-        table.setflags(write=False)
-    return weights, inverses
-
-
-def _expm1_ratio_derivatives(s0: float, dmax: int) -> np.ndarray:
-    """Derivatives E^(d)(s0), d = 0..dmax, of E(s) = (1 - e^{-s})/s.
-
-    Summed from the entire-series form E^(d)(s) = sum_j (-1)^{d+j} s^j /
-    (j! (d+j+1)), every d in one matrix-vector product over a shared
-    term vector.  For s0 <= 0 (every kernel base point) all terms share
-    one sign, so the sum is exact to rounding; for s0 > 0 the alternating
-    cancellation is bounded by e^{s0}, fine for the moderate synthetic
-    bases the tests use.
-    """
-    nterms = max(36, int(3 * abs(s0)) + 36)
-    weights, inverses = _series_tables(dmax, nterms)
-    ratios = -s0 * inverses
-    ratios[0] = 1.0
-    return weights @ np.cumprod(ratios)  # cumprod: (-s0)^j / j!
+def t_count(R: float, degree: int) -> int:
+    """The t-nodes for a square whose root has the given degree in t: the
+    weight e^{2Rt} needs about sqrt(20 R) nodes beyond the polynomial's, as
+    an n-node rule on it errs like e^{-2 n^2 / R}, and 2 spare nodes cover
+    small R.  Against 60-digit sums, R in [MIN_BASE_R, MAX_BASE_R] and
+    degrees 1 to 18, it is within 3e-14 of the rounding floor."""
+    return degree + 3 + math.ceil(math.sqrt(20.0 * R))
 
 
 @lru_cache(maxsize=None)
-def _leibniz_tables(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only tables for kernel_derivative_basis at one order.
-
-    index[i, m, n] = m + n + 2 - i picks E^(m+n-i) out of the padded
-    derivative vector; grids[k, i] is the integer grid multiplying it in
-    the unit-moment matrix k: 1 | 1, -n | 1, -m | 1, -(m+n), m n.
-    """
-    m = np.arange(order + 1)[:, None]
-    n = np.arange(order + 1)[None, :]
-    one, zero = np.ones_like(m + n), np.zeros_like(m + n)
-    index = np.array([m + n + 2 - i for i in range(3)])
-    grids = np.array([[one, zero, zero],
-                      [one, -n * one, zero],
-                      [one, -m * one, zero],
-                      [one, -(m + n), m * n]], dtype=float)
-    for table in (index, grids):
+def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [0, 1], read-only.  Under
+    e^{2Rt} a weight's relative error is the sum's, and numpy's leggauss
+    weights drift as n grows (3e-13 at 80 nodes, 2e-12 at 120, at R = 300),
+    so they are recomputed as 2 / ((1 - x^2) P_n'(x)^2) at its nodes, P_n'
+    from the three-term recurrence."""
+    x = leggauss(n)[0]
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    dp = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+    tables = 0.5 * (x + 1.0), 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    for table in tables:
         table.setflags(write=False)
-    return index, grids
+    return tables
 
 
-def kernel_derivative_basis(theta: float, R: float, order: int) -> np.ndarray:
-    """d_a^m d_b^n h at a = b = -R, m, n <= order, per unit moment.
+@lru_cache(maxsize=None)
+def _rows(n: int, m: int, twist: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rows of a basis and its derivative at the n nodes: the
+    degree-m mollifier basis, (n, m + 1), or the twist directions Psi_j of
+    the twist basis with m symmetric terms, (n, m + 2).  Each value is
+    exact and rounded once: at x = num / den, sum_k (a_k / D) x^k of degree
+    at most d is the integer ratio sum_k a_k num^k den^(d-k) / (D den^d)."""
+    if twist:  # Psi_j = (1 - 2t) b_j - [j = 0]
+        basis = tuple(b - Poly.from_coeffs((0,) + b.coeffs).scale(2) - (ONE if j == 0 else ZERO)
+                      for j, b in enumerate(twist_basis(m)))
+    else:
+        basis = mollifier_basis(m)
+    d = max(len(b.coeffs) for b in basis) - 1
+    powers = [([num**k * den**(d - k) for k in range(d + 1)], den**d)
+              for num, den in (float(x).as_integer_ratio() for x in _gauss(n)[0])]
 
-    h is linear in its moment table, so out[k] is the derivative matrix of
-    the kernel of the table whose moment k (in the order m_dd, m_dp, m_pd,
-    m_pp) is 1 and whose others are 0; any table mt has the derivative
-    matrix sum_k mt[k] out[k].  From the Leibniz form in the module
-    docstring, with E_i = E^(m+n-i)(-2R) (zero when m+n < i):
+    def values(polys: tuple[Poly, ...]) -> np.ndarray:
+        out = np.zeros((n, len(polys)))
+        for j, p in enumerate(polys):
+            D = math.lcm(*(c.denominator for c in p.coeffs))
+            a = [int(c * D) for c in p.coeffs]
+            for i, (power, scale) in enumerate(powers):
+                out[i, j] = sum(map(mul, a, power)) / (D * scale)
+        out.setflags(write=False)
+        return out
 
-        out[m_dd] = E_0 / theta
-        out[m_dp] = [m=n=0] + R E_0 - n E_1
-        out[m_pd] = [m=n=0] + R E_0 - m E_1
-        out[m_pp] = theta (R^2 E_0 - R (m+n) E_1 + m n E_2)
+    return values(basis), values(tuple(poly_derivative(b) for b in basis))
 
-    Inputs are not validated: the callers in proportions check theta and R.
-    """
-    index, grids = _leibniz_tables(order)
-    e = np.zeros(2 * order + 3)  # e[d + 2] = E^(d)(-2R)
-    e[2:] = _expm1_ratio_derivatives(-2.0 * R, 2 * order)
-    scale = np.array([[1.0 / theta, 0.0, 0.0],
-                      [R, 1.0, 0.0],
-                      [R, 1.0, 0.0],
-                      [theta * R * R, theta * R, theta]])
-    out = np.einsum("ki,kimn,imn->kmn", scale, grids, e[index])
-    out[1:3, 0, 0] += 1.0
-    return out
+
+@dataclass(frozen=True)
+class NodeRows:
+    """What both squares read at one (theta, R): the t-nodes, the weights
+    W = wt wx' as their two factors, and the mollifier (A, P) and twist
+    (psi, dpsi) rows."""
+
+    theta: float
+    t: np.ndarray                # (n_t,)
+    wt: np.ndarray               # e^{2Rt} w_t, (n_t,)
+    wx: np.ndarray               # w_x / theta, (n_x,)
+    A: np.ndarray                # b_i' + R theta b_i at the x-nodes, (n_x, m + 1)
+    P: np.ndarray                # b_i at the x-nodes, (n_x, m + 1)
+    psi: np.ndarray | None       # Psi_j at the t-nodes, (n_t, k + 2); None for c
+    dpsi: np.ndarray | None      # Psi_j'
+
+    @property
+    def W(self) -> np.ndarray:
+        """The weight of each node pair, (n_t, n_x)."""
+        return np.outer(self.wt, self.wx)
+
+    def square(self, L: np.ndarray) -> float:
+        """1 + sum W L^2: the constant whose root L holds at the nodes; an
+        overflow reads inf, for the caller's finiteness check."""
+        return 1.0 + float(np.einsum("t,tx,tx,x->", self.wt, L, L, self.wx))
+
+    def rate(self, L: np.ndarray, dL: np.ndarray) -> float:
+        """d/dR of square(L), given the root's own R derivative dL: the
+        weights contribute 2t W."""
+        grown = self.t[:, None] * L + dL  # d/dR of W L^2 is 2 W L (t L + dL)
+        return 2.0 * float(np.einsum("t,tx,tx,x->", self.wt, L, grown, self.wx))
+
+    def d_dR(self) -> "NodeRows":
+        """The rows whose root is the R derivative of this one's.  Both
+        roots are linear in (A, P) together, and only A moves with R, by
+        theta P."""
+        return replace(self, A=self.theta * self.P, P=np.zeros_like(self.P))
+
+
+def node_rows(theta: float, R: float, m: int, k: int | None = None) -> NodeRows:
+    """The node rows at (theta, R) for mollifier degree m and, for c1, a
+    twist with k symmetric terms (U of degree 2k + 2 in t); for c, whose
+    root is linear in t, k is None.  Inputs are not validated: the callers
+    in proportions check theta and R."""
+    (_, wx), (P, D) = _gauss(m + 3), _rows(m + 3, m, False)
+    t, wt = _gauss(t_count(R, 1 if k is None else 2 * k + 2))
+    psi, dpsi = (None, None) if k is None else _rows(len(t), k, True)
+    return NodeRows(theta, t, wt * np.exp(2.0 * R * t), wx / theta, D + (R * theta) * P, P,
+                    psi, dpsi)

@@ -1,26 +1,27 @@
 """Exact search over constrained shape coefficients and scalars.
 
-At a fixed contour offset R both bound constants are convex quadratics
-in suitable solve coordinates, so only R needs a one-dimensional search:
+At a fixed contour offset R both bound constants are 1 + sum W L^2 over
+the node rows (kernel.node_rows), with a root L affine in each block of
+suitable solve coordinates, so only R needs a one-dimensional search:
 
-  c    = z^T M(R) z with z = (u1, u2 / r), u = (1, c_1, .., c_m) the
-         homogeneous shape coefficients.  z[0] = 1 is pinned, so the
-         minimum over (P1, P2, r) is one step.
-  c1   is quadratic in u = (1, p) when the twist is fixed, and in
-         v = (delta, delta q) when P is fixed, because the operator
-         weights are affine in v.
+  c    L is linear in z = (u1, u2 / r), u = (1, c_1, .., c_m) the
+       homogeneous shape coefficients; z[0] = 1 is pinned, so the
+       minimum over (P1, P2, r) is one step.
+  c1   L = U A + theta U' P is bilinear in u = (1, p) and the twist
+       v = delta (1, q), so c1 is quadratic in each with the other fixed.
 
 Each solve has one coordinate vector x over its blocks, each block's
 columns a slice of it, and one state (x, pinned bound rows).  Its model
-is the constant's gradient and Hessian in x, exact and closed form since
-every solve vector is affine in x.  A step minimizes that quadratic
+is the constant's gradient 2 J'WL and Hessian 2 J'WJ in x, with J the
+root's Jacobian and, for c1, the cross term 2 sum W L d^2 L / du dv;
+exact, since every solve vector is affine in x.  A step minimizes that
 model under the bound rows A x >= b, over every coordinate or over one
 block's, with one eigendecomposition of the Hessian (or of the block's
 diagonal block) for the condition gate and the inverse.  With one block
 moving, the solve is one step of that block, exact since the constant
 is quadratic in each block.  With both c1 blocks moving it takes joint
 steps, each kept when c1 does not rise by more than sqrt(eps) c1, a
-margin above c1's own rounding (about 1e-12 c1 at the reference
+margin above c1's own rounding (about 1e-15 c1 at the reference
 degrees), which can hide the decrease of a small last step.  A joint
 step that is ill-posed or not kept is replaced by one sweep, a step of
 each block in turn (a fallback), and the solve stops after a sweep that
@@ -29,12 +30,11 @@ at most sqrt(eps) c1, since the next would predict about its square.
 At most MAX_STEPS joint steps and sweeps.
 
 Each target's solve class, looked up once in _SOLVES, owns its blocks,
-its constant and model, the objective it minimizes (nu, or -kappa) and
-that sign.  nu and kappa are increasing in c and c1 at fixed R.  The
-objective's R slope at a solved point is its partial derivative at fixed
-shapes (the envelope theorem), and the constants are linear in the
-kernel, so the slope is one more kernel read: c' = z'M'z and
-c1' = c1(K'), with M' and K' the R derivatives.  A safeguarded search on
+its root, the objective it minimizes (nu, or -kappa) and that sign.  nu
+and kappa are increasing in c and c1 at fixed R.  The objective's R
+slope at a solved point is its partial derivative at fixed shapes (the
+envelope theorem): one more weighted sum on the same nodes, in which W
+moves by 2t W and L as its rows' d_dR give.  A safeguarded search on
 (objective, slope) runs over R from the start's R: a small probe step
 downhill, then the minimizer of the cubic Hermite interpolant of the
 last two steps, kept inside the bracket the slopes' signs set, with
@@ -79,11 +79,11 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import MAX_BASE_R, MIN_BASE_R, kernel_derivative_basis, moment_grams
-from .polyalg import (MollifierShape, TwistShape, mollifier_shape_from_poly, twist_matrix,
+from .kernel import MAX_BASE_R, MIN_BASE_R, NodeRows, node_rows
+from .polyalg import (MollifierShape, TwistShape, mollifier_shape_from_poly,
                       twist_shape_from_poly)
-from .proportions import (SectionFourParams, SectionFiveParams, c1_core,
-                          c_core, kappa_bound, nu_bound, twist_operator_coefficients)
+from .proportions import (SectionFourParams, SectionFiveParams, c1_core, c1_root,
+                          c_core, c_root, kappa_bound, nu_bound)
 
 MAX_CONDITION = 1e12       # a free solve block conditioned worse than this is ill-posed
 MAX_STEPS = 50             # joint steps or fallback sweeps: at most this many per R step
@@ -517,20 +517,20 @@ class _Block:
 
 
 class _Solve:
-    """The exact solve of one target at fixed R on the kernel of the given
-    order, in one coordinate vector x over all its blocks, each block's
-    columns one slice of it, and one state (x, pinned rows).  A held block
-    has no coordinates (size 0) and keeps y0.  The blocks' bound rows are
-    stacked once, block-diagonal, as A x >= b, with the pins they name.
+    """The exact solve of one target at fixed R on the node rows of the
+    given degrees, in one coordinate vector x over all its blocks, each
+    block's columns one slice of it, and one state (x, pinned rows).  A held
+    block has no coordinates (size 0) and keeps y0.  The blocks' bound rows
+    are stacked once, block-diagonal, as A x >= b, with the pins they name.
 
-    A subclass gives the target's constant (c or c1) as a function of the
-    kernel and the blocks' solve vectors, its model (the constant's gradient
-    and Hessian in x), its objective (minimized), the objective's sign and
-    per_log, the objective being per_log ln(constant) / R up to a constant
-    term."""
+    The constant is 1 + sum W L^2 over the nodes.  A subclass gives its
+    root L and the root's Jacobian in x from the blocks' solve vectors, the
+    cross term of a root bilinear in two blocks, its objective (minimized),
+    the objective's sign and per_log, the objective being
+    per_log ln(constant) / R up to a constant term."""
 
-    def __init__(self, spec: SearchSpec, order: int, blocks: tuple[_Block, ...]):
-        self.spec, self.order, self.blocks = spec, order, blocks
+    def __init__(self, spec: SearchSpec, degrees: tuple, blocks: tuple[_Block, ...]):
+        self.spec, self.degrees, self.blocks = spec, degrees, blocks
         self.R_at, self.solves, self.fallbacks = spec.places()["R"], 0, 0
         self.slices, col, row = [], 0, 0  # each block's (columns, rows)
         for block in blocks:
@@ -546,27 +546,41 @@ class _Solve:
         """The state at the public vector v: its coordinates, no row pinned."""
         return np.concatenate([block.coordinates(v) for block in self.blocks]), ()
 
-    def kernel(self, R: float) -> np.ndarray:
-        return kernel_derivative_basis(self.spec.theta, R, self.order)
+    def nodes(self, R: float) -> NodeRows:
+        return node_rows(self.spec.theta, R, *self.degrees)
 
     def values(self, state) -> dict[str, np.ndarray]:
         """Each block's solve vector y at state, by block name."""
         return {block.name: block.values(state[0][cols])
                 for block, (cols, _) in zip(self.blocks, self.slices)}
 
+    def constant(self, rows: NodeRows, values) -> float:
+        return rows.square(self.root(rows, values))
+
+    def cross(self, rows: NodeRows, values, WL: np.ndarray) -> np.ndarray | float:
+        return 0.0  # none for a root linear in x
+
+    def model(self, rows: NodeRows, values) -> tuple[np.ndarray, np.ndarray]:
+        """The gradient 2 J'WL and Hessian 2 J'WJ + cross of the constant in x."""
+        L, J = self.root(rows, values), self.jacobian(rows, values)
+        root_w = np.sqrt(rows.W).ravel()
+        S = root_w[:, None] * J.reshape(len(root_w), -1)
+        H = 2.0 * S.T @ S
+        return 2.0 * S.T @ (root_w * L.ravel()), H + self.cross(rows, values, rows.W * L)
+
     def solve(self, R: float, state):
         """The solved state at R, warm-started from state; see the module
         docstring."""
-        kernel = self.kernel(R)
+        rows = self.nodes(R)
         moving = [i for i, block in enumerate(self.blocks) if block.size]
         if len(moving) < 2:  # exact: the constant is quadratic in each block
-            return self.step(R, kernel, state, moving[0])[0] if moving else state
-        last = self.constant(kernel, self.values(state))
+            return self.step(R, rows, state, moving[0])[0] if moving else state
+        last = self.constant(rows, self.values(state))
         for _ in range(MAX_STEPS):
             margin = SQRT_EPS * abs(last)  # see the module docstring
             try:
-                trial, gain = self.step(R, kernel, state)
-                now = self.constant(kernel, self.values(trial))
+                trial, gain = self.step(R, rows, state)
+                now = self.constant(rows, self.values(trial))
             except IllPosedSolveError:
                 now = math.inf
             if now < last + margin:
@@ -576,32 +590,32 @@ class _Solve:
                 continue
             self.fallbacks += 1
             for i in moving:  # a sweep
-                state = self.step(R, kernel, state, i)[0]
-            now = self.constant(kernel, self.values(state))
+                state = self.step(R, rows, state, i)[0]
+            now = self.constant(rows, self.values(state))
             if not now < last:
                 break
             last = now
         return state
 
-    def step(self, R: float, kernel: np.ndarray, state, block: int | None = None):
+    def step(self, R: float, rows: NodeRows, state, block: int | None = None):
         """Minimize the model at state under the bound rows, over every
         coordinate or over one block's: the state reached and the decrease
         the model predicts.  Each step factors the model Hessian once and
         counts as one solve."""
         self.solves += 1
         x, pinned = state
-        g, H = self.model(kernel, self.values(state))
-        cols, rows = (slice(None), slice(None)) if block is None else self.slices[block]
+        g, H = self.model(rows, self.values(state))
+        cols, bounds = (slice(None), slice(None)) if block is None else self.slices[block]
         name = "joint step" if block is None else f"{self.blocks[block].name} block"
         where = f"{name} at R = {R!r}"
-        Q, A = H[cols, cols], self.A[rows, cols]
-        d, active = _minimize(_inverse(where, Q), g[cols], A, self.b[rows] - A @ x[cols],
+        Q, A = H[cols, cols], self.A[bounds, cols]
+        d, active = _minimize(_inverse(where, Q), g[cols], A, self.b[bounds] - A @ x[cols],
                               np.zeros(len(Q)), where)
         x = x.copy()
         x[cols] += d
         if block is not None:  # the other blocks' rows keep their pins
-            pinned = tuple(i for i in pinned if not rows.start <= i < rows.stop)
-            active = pinned + tuple(rows.start + i for i in active)
+            pinned = tuple(i for i in pinned if not bounds.start <= i < bounds.stop)
+            active = pinned + tuple(bounds.start + i for i in active)
         return (x, active), -float(g[cols] @ d + 0.5 * d @ Q @ d)
 
     def vector(self, state, R: float) -> np.ndarray:
@@ -622,26 +636,26 @@ class _Solve:
     def slope(self, v: np.ndarray) -> float:
         """d(objective)/dR at the public vector v with the shapes held: at a
         solved point, the slope of the solved profile (the envelope
-        theorem; active bound rows do not depend on R).  The constant is
-        linear in the kernel, and d/dR of the order-n kernel at a = b = -R
-        is minus the sum of its two shifted reads at order n + 1."""
+        theorem; active bound rows do not depend on R).  One more weighted
+        sum on the same nodes: d/dR of 1 + sum W L^2, with L's own R
+        derivative read from the rows' d_dR."""
         R = float(v[self.R_at])
-        K = kernel_derivative_basis(self.spec.theta, R, self.order + 1)
-        values = self.values(self.start(v))
-        c = self.constant(K[:, :-1, :-1], values)
-        rate = self.constant(-(K[:, 1:, :-1] + K[:, :-1, 1:]), values)
+        rows, values = self.nodes(R), self.values(self.start(v))
+        L = self.root(rows, values)
+        c, rate = rows.square(L), rows.rate(L, self.root(rows.d_dR(), values))
         return self.per_log * (rate / c - math.log(c) / R) / R
 
     def conditions(self, v: np.ndarray) -> tuple[tuple[str, float], ...]:
         """The condition number of each block that moves, at the public
         vector v: of its diagonal block of the model Hessian."""
-        H = self.model(self.kernel(float(v[self.R_at])), self.values(self.start(v)))[1]
+        H = self.model(self.nodes(float(v[self.R_at])), self.values(self.start(v)))[1]
         return tuple((block.name, _condition(np.linalg.eigvalsh(H[cols, cols])))
                      for block, (cols, _) in zip(self.blocks, self.slices) if block.size)
 
 
 class _NuSolve(_Solve):
-    """c = z'M(R)z over z = (1, p1, t, t p2), t = 1/r: one block."""
+    """c = 1 + sum W L^2 with the root L linear in z = (1, p1, t, t p2),
+    t = 1/r: one block."""
 
     sign = 1.0     # nu is minimized as it is
     per_log = 0.5  # nu = ln(c) / (2R)
@@ -650,27 +664,17 @@ class _NuSolve(_Solve):
         at = spec.places()
         self.core = at["p1_shape"], at["p2_shape"], at["r"]  # c_core's slices of v
         p1, p2 = (tuple(range(s.start, s.stop)) for s in self.core[:2])
-        m = max(len(p1), len(p2))
-        self.grams = moment_grams(m)
-        self.rows = np.r_[0:len(p1) + 1, m + 1:m + 2 + len(p2)]  # z inside (u1, u2) padded
-        super().__init__(spec, 1, (_Block("mollifier", spec, (
+        self.split = len(p1) + 1  # z = (z1, z2)
+        super().__init__(spec, (max(len(p1), len(p2)),), (_Block("mollifier", spec, (
             _Segment(p1, None), _Segment(p2, at["r"], inverse=True))),))
 
-    def matrix(self, kernel) -> np.ndarray:
-        """M(R), symmetric."""
-        n = 2 * len(self.grams[0])
-        M = np.einsum("kab,kij->aibj", kernel, self.grams).reshape(n, n)
-        M = M[np.ix_(self.rows, self.rows)]
-        return 0.5 * (M + M.T)
-
-    def model(self, kernel, values) -> tuple[np.ndarray, np.ndarray]:
-        """The gradient 2 N'Mz and Hessian 2 N'MN of c in the coordinates."""
-        M, N = self.matrix(kernel), self.blocks[0].N
-        return 2.0 * N.T @ (M @ values["mollifier"]), 2.0 * N.T @ M @ N
-
-    def constant(self, kernel, values) -> float:
+    def root(self, rows, values) -> np.ndarray:
         z = values["mollifier"]
-        return float(z @ self.matrix(kernel) @ z)
+        return c_root(rows, z[:self.split], z[self.split:])
+
+    def jacobian(self, rows, values) -> np.ndarray:
+        N = self.blocks[0].N
+        return c_root(rows, N[:self.split], N[self.split:])
 
     def objective(self, v: np.ndarray) -> float:
         (p1, p2, r), R = self.core, float(v[self.R_at])
@@ -678,8 +682,9 @@ class _NuSolve(_Solve):
 
 
 class _KappaSolve(_Solve):
-    """c1 = sum_k (u_P' G_k u_P)(u' K_k u) with u = e0 + B v: a mollifier
-    block u_P = (1, p) and a twist block v = delta (1, q)."""
+    """c1 = 1 + sum W L^2 with the root L = U A + theta U' P bilinear in a
+    mollifier block u_P = (1, p) and a twist block v = delta (1, q), since
+    A and P are linear in u_P and U = 1 + Psi v."""
 
     sign = -1.0    # kappa is maximized as -kappa
     per_log = 1.0  # -kappa = ln(c1) / R - 1
@@ -688,40 +693,27 @@ class _KappaSolve(_Solve):
         at = spec.places()  # c1_core takes the twist as one run (q_linear, q_sym[0], ..)
         self.core = at["p_shape"], slice(at["q_linear"], at["q_sym"].stop), at["delta"]
         p, q = (tuple(range(s.start, s.stop)) for s in self.core[:2])
-        twist = twist_matrix(len(q) - 1)
-        self.B = np.column_stack([twist_operator_coefficients(col, 1.0) for col in twist.T])
-        self.B[0, 0] -= 1.0
-        self.grams = moment_grams(len(p))
-        super().__init__(spec, twist.shape[0], (
+        super().__init__(spec, (len(p), len(q) - 1), (
             _Block("mollifier", spec, (_Segment(p, None),)),
             _Block("twist", spec, (_Segment(q, at["delta"]),))))
-        self.sym_grams = 0.5 * (self.grams + self.grams.transpose(0, 2, 1))
-        self.jacobians = self.blocks[0].N, self.B @ self.blocks[1].N  # of u_P and u in x
 
-    def model(self, kernel, values) -> tuple[np.ndarray, np.ndarray]:
-        """The gradient and Hessian of c1 in the coordinates (mollifier,
-        twist); exact, since u_P and u are affine in them."""
-        G, K = self.sym_grams, 0.5 * (kernel + kernel.transpose(0, 2, 1))
-        up, u = values["mollifier"], self._operator(values)
-        Gu, Ku = G @ up, K @ u                  # rows G_k u_P and K_k u
-        moments, weights = Gu @ up, Ku @ u      # u_P' G_k u_P and u' K_k u
-        JP, Jv = self.jacobians
-        gradient = 2.0 * np.r_[JP.T @ (weights @ Gu), Jv.T @ (moments @ Ku)]
-        PP = JP.T @ np.tensordot(weights, G, 1) @ JP
-        vv = Jv.T @ np.tensordot(moments, K, 1) @ Jv
-        Pv = 2.0 * (Gu @ JP).T @ (Ku @ Jv)
-        return gradient, 2.0 * np.block([[PP, Pv], [Pv.T, vv]])
+    def root(self, rows, values) -> np.ndarray:
+        return c1_root(rows, values["mollifier"], values["twist"])
 
-    def _operator(self, values) -> np.ndarray:
-        """The twist operator's weights u = e0 + B v."""
-        u = self.B @ values["twist"]
-        u[0] += 1.0
-        return u
+    def jacobian(self, rows, values) -> np.ndarray:
+        """(d L / d x) at the nodes: (n_t, n_x, columns), mollifier first."""
+        (NP, Nv), up = (block.N for block in self.blocks), values["mollifier"]
+        JP = c1_root(rows, NP, values["twist"])
+        Jv = (np.multiply.outer(rows.A @ up, rows.psi @ Nv)
+              + rows.theta * np.multiply.outer(rows.P @ up, rows.dpsi @ Nv))
+        return np.concatenate([JP, Jv.transpose(1, 0, 2)], axis=2)
 
-    def constant(self, kernel, values) -> float:
-        up, u = values["mollifier"], self._operator(values)
-        moments = np.einsum("i,kij,j->k", up, self.grams, up)
-        return float(moments @ np.einsum("m,kmn,n->k", u, kernel, u))
+    def cross(self, rows, values, WL) -> np.ndarray:
+        """2 sum W L d^2 L / du_P dv in x, the mollifier-twist blocks."""
+        NP, Nv = (block.N for block in self.blocks)
+        C = 2.0 * NP.T @ (rows.A.T @ WL.T @ rows.psi
+                          + rows.theta * rows.P.T @ WL.T @ rows.dpsi) @ Nv
+        return np.block([[np.zeros((len(C), len(C))), C], [C.T, np.zeros((C.shape[1],) * 2)]])
 
     def objective(self, v: np.ndarray) -> float:
         (p, q, delta), R = self.core, float(v[self.R_at])

@@ -3,17 +3,18 @@
 Everything here recomputes a quantity the engine produces, by a route
 that shares nothing with it beyond polynomial evaluation and the moment
 data itself: Gauss-Legendre quadrature against exact moment integrals,
-and Cauchy integrals of the definition-form kernel against the
-closed-form kernel derivatives and against c and c1 from the float core.
+and Cauchy integrals of the definition-form kernel against c and c1 from
+the float core.
 
 kernel_numeric is that kernel, evaluated on real or complex arrays, and
 cauchy_derivatives is the one derivative route: one grid of kernel values
 on a torus about the base point gives the whole table of mixed partials
 d_a^m d_b^n by the trapezoidal rule, with radius (order!)^(1/order) and
 N x N nodes, N = 4 order + 16, both fixed by the order alone.  c1 is then the
-quadratic form u^T D u of the twist operator's weights u, as in the float
-core.  Against a 40-digit mpmath evaluation over random shapes, c from
-this route is good to 2e-14 (relative) at R <= 5 and 2e-11 up to R = 300;
+quadratic form u^T D u of the twist operator's weights u, exact from the
+twist polynomial and rounded once.  Against a 40-digit mpmath evaluation
+over random shapes, c from this route is good to 2e-14 (relative) at
+R <= 5 and 2e-11 up to R = 300;
 c1 to 1e-12 up to order 8 and 1e-10 up to order 16 at R <= 5, and to
 2e-11 up to order 8 but only 3e-9 at orders 10 to 16 for 5 < R <= 300.
 The route is checked only up to order 16 at R <= 5.
@@ -23,15 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .kernel import MomentTable, kernel_derivative_basis, moments
+from .kernel import MomentTable, moments
 from .polyalg import Poly, expand_mollifier, expand_twist, poly_derivative
-from .proportions import (SectionFourParams, SectionFiveParams,
-                          c1_value, c_value, twist_operator_coefficients)
+from .proportions import SectionFourParams, SectionFiveParams, c1_value, c_value
 
 
 def quad_integrate01(p: Poly, q: Poly, nodes: int) -> float:
@@ -114,10 +115,16 @@ def fd_c_value(p: SectionFourParams) -> float:
 
 def fd_c1_value(p: SectionFiveParams) -> float:
     """c1 recomputed as u^T D u: the twist operator's weights u against the
-    Cauchy-integral derivative matrix D of the definition-form kernel."""
+    Cauchy-integral derivative matrix D of the definition-form kernel.
+
+    The operator (1-delta) Id + delta (Id + 2 d) Q(-d) puts the weight
+    u_j = (1-delta) [j=0] + delta (-1)^j (q_j - 2 q_{j-1}) on d^j in each
+    variable, for Q(x) = sum_j q_j x^j; u is exact and rounded once.
+    """
     poly = expand_mollifier(p.p_shape)
-    q_monomial = expand_twist(p.q_shape).float_coeffs()
-    u = twist_operator_coefficients(q_monomial, p.delta)
+    q, delta = (0,) + expand_twist(p.q_shape).coeffs + (0,), Fraction(p.delta)  # q[j+1]: q_j
+    u = np.array([float(delta * (-1) ** j * (q[j + 1] - 2 * q[j]) + (1 - delta) * (j == 0))
+                  for j in range(len(q) - 1)])
     mt = moments(poly, poly)
     D = cauchy_derivatives(lambda a, b: kernel_numeric(mt, p.theta, a, b),
                            (-p.R, -p.R), len(u) - 1)
@@ -167,9 +174,8 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
     pairs = {"m11": (poly1, poly1), "m21": (poly2, poly1),
              "m12": (poly1, poly2), "m22": (poly2, poly2),
              "m55": (poly5, poly5)}
-    tables: dict[str, MomentTable] = {}
     for name, (pa, pb) in pairs.items():
-        mt = tables[name] = moments(pa, pb)
+        mt = moments(pa, pb)
         nodes = (max(pa.degree, 0) + max(pb.degree, 0)) // 2 + 1
         for part, exact, qa, qb in (
             ("dd", mt.m_dd, poly_derivative(pa), poly_derivative(pb)),
@@ -180,22 +186,6 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
             num = quad_integrate01(qa, qb, nodes)
             checks.append(CheckResult(f"moment[{name}.{part}] vs quadrature",
                                       float(exact), num, _rel(float(exact), num), 1e-12))
-
-    # closed-form kernel derivatives vs Cauchy integrals of the definition
-    for tag, params in (("11", p4), ("22", p4), ("55", p5)):
-        mt = tables[f"m{tag}"]
-        h = np.tensordot(mt.floats, kernel_derivative_basis(params.theta, params.R, 2), 1)
-        at = (-params.R, -params.R)
-        scalar = lambda a, b, mt=mt, th=params.theta: kernel_numeric(mt, th, a, b)
-        value, direct = float(h[0, 0]), float(scalar(*at))
-        checks.append(CheckResult(f"kernel[{tag}] value vs direct", value, direct,
-                                  _rel(value, direct), 1e-10))
-        cauchy = cauchy_derivatives(scalar, at, 1)
-        for (m, n, label) in ((1, 0, "d_a"), (0, 1, "d_b"), (1, 1, "d_ab")):
-            ex = float(h[m, n])
-            num = float(cauchy[m, n])
-            checks.append(CheckResult(f"kernel[{tag}] {label} vs Cauchy integral",
-                                      ex, num, _rel(ex, num), 1e-10))
 
     c_cauchy = fd_c_value(p4)
     checks.append(CheckResult("c vs Cauchy integrals", c_exact, c_cauchy,

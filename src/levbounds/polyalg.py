@@ -19,7 +19,7 @@ exact affine basis, defined once and cached per degree: mollifier_basis
 (x, x^j - x^{j+1}) and twist_basis (1, x, I_1, .., I_m).  Expansion is
 the affine combination of a basis, recovery from a raw polynomial peels
 the coordinates off by leading degree, and the float evaluation core
-reads the basis through moment_grams and twist_matrix.
+reads the bases at its quadrature nodes (kernel.node_rows).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-import numpy as np
 
 MAX_DEGREE = 64
 
@@ -215,21 +214,6 @@ def expand_twist(shape: TwistShape) -> Poly:
     """Expand Q(x) = 1 + q0 x + sum_k q_k I_k(x) to canonical form."""
     return _combine(twist_basis(len(shape.sym_coeffs)),
                     (shape.linear_coeff, *shape.sym_coeffs))
-
-
-@lru_cache(maxsize=None)
-def twist_matrix(m: int) -> np.ndarray:
-    """Float map from (1, q0, q_1, .., q_m) to the monomial coefficients of Q.
-
-    Column k is twist_basis(m)[k] with each exact coefficient rounded to
-    binary64 once.  Rows run over degrees 0 .. max(1, 2m+1).  The array is
-    read-only.
-    """
-    out = np.zeros((max(2, 2 * m + 2), m + 2))
-    for col, poly in enumerate(twist_basis(m)):
-        out[:len(poly.coeffs), col] = poly.float_coeffs()
-    out.setflags(write=False)
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -1,14 +1,11 @@
 """Bound constants and the distinct/simple zero proportion combiners.
 
-Two independent constants are computed from kernel derivatives at a
-base point:
+Two independent constants, each 1 plus a weighted sum of squares of its
+root over the node rows (kernel.node_rows):
 
-  c(theta, r, R)   one kernel per mollifier pair, combined as
-                   h11 + (1/r) d_a h21 + (1/r) d_b h12 + (1/r^2) d_ab h22,
-                   all at a = b = -R;
-  c1(theta, R)     a single kernel for the pair (P, P), hit on each side by
-                   the twist operator D = (1-delta) Id + delta (Id + 2 d) Q(-d)
-                   and extracted at (0,0).
+  c(theta, r, R)   root A1 - (t A2 + theta P2) / r, from the two mollifiers;
+  c1(theta, R)     root U A + theta U' P, from one mollifier and the twist
+                   operator's U = (1 - delta) + delta (1 - 2t) Q(t).
 
 From them the bound coefficients are nu = ln(c)/(2R) and
 kappa = 1 - ln(c1)/R (natural logarithm: the only base consistent with the
@@ -28,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import MAX_BASE_R, MIN_BASE_R, kernel_derivative_basis, moment_grams
-from .polyalg import MollifierShape, TwistShape, twist_matrix
+from .kernel import MAX_BASE_R, MIN_BASE_R, NodeRows, node_rows
+from .polyalg import MollifierShape, TwistShape
 
 
 class NonFiniteError(ArithmeticError):
@@ -97,39 +94,43 @@ class BoundReport:
     params5: SectionFiveParams
 
 
-def _homogeneous(*shapes) -> np.ndarray:
-    """Rows (1, c_1, .., c_m), zero-padded to the longest shape.
-
-    Rejects non-finite coefficients with ValueError, as building the exact
-    shape from them does.
-    """
-    m = max(len(c) for c in shapes)
-    u = np.zeros((len(shapes), m + 1))
-    u[:, 0] = 1.0
-    for row, c in zip(u, shapes):
-        row[1:len(c) + 1] = c
+def _homogeneous(coeffs) -> np.ndarray:
+    """The row (1, c_1, .., c_m); non-finite coefficients raise ValueError,
+    as they do when the exact shape is built from them."""
+    u = np.empty(len(coeffs) + 1)
+    u[0], u[1:] = 1.0, coeffs
     if not np.isfinite(u).all():
         raise ValueError("shape coefficients must be finite")
     return u
 
 
+def c_root(rows: NodeRows, z1, z2) -> np.ndarray:
+    """A1 - (t A2 + theta P2) / r at the nodes, from z1 = (1, p1) and
+    z2 = (1, p2) / r; linear in (z1, z2), so columns of z1 and z2 give
+    the columns of its Jacobian."""
+    n = len(z2)
+    a2 = rows.A[:, :n] @ z2
+    return (rows.A[:, :len(z1)] @ z1 - rows.theta * (rows.P[:, :n] @ z2)
+            - np.multiply.outer(rows.t, a2))
+
+
+def c1_root(rows: NodeRows, up, v) -> np.ndarray:
+    """U A + theta U' P at the nodes, with U = 1 + Psi v, from up = (1, p)
+    and v = delta (1, q); linear in up, so columns of up give the columns
+    of its Jacobian."""
+    return (np.multiply.outer(1.0 + rows.psi @ v, rows.A @ up)
+            + rows.theta * np.multiply.outer(rows.dpsi @ v, rows.P @ up))
+
+
 def c_core(p1, p2, theta: float, r: float, R: float) -> float:
     """c from float shape coefficients; c_value and the search objective
-    both evaluate through here.
-
-    The kernels of the pairs (P_a, P_b) at a = b = -R enter through their
-    derivative d_a^a d_b^b with weight r^-(a+b), a, b in {0, 1}: the value
-    of (P1,P1), d_a of (P2,P1), d_b of (P1,P2) and d_ab of (P2,P2).  Both
-    the moments and the kernel are linear, so c is one contraction of the
-    shapes with the moment Gram matrices and the kernel's unit-moment
-    derivatives.
-    """
+    both evaluate through here, as 1 plus the weighted sum of c_root's
+    squares at the node rows of the longer shape's degree."""
     theta, r, R = float(theta), float(r), float(R)
     _check_scalars(theta, R, r=r)
-    u = _homogeneous(p1, p2)
-    weight = np.array([1.0, 1.0 / r])
-    kernel = kernel_derivative_basis(theta, R, 1) * np.multiply.outer(weight, weight)
-    c = float(np.einsum("ai,kij,bj,kab->", u, moment_grams(u.shape[1] - 1), u, kernel))
+    z1, z2 = _homogeneous(p1), _homogeneous(p2) / r
+    rows = node_rows(theta, R, max(len(z1), len(z2)) - 1)
+    c = rows.square(c_root(rows, z1, z2))
     if not math.isfinite(c):
         raise NonFiniteError(f"c evaluated to {c!r}")
     return c
@@ -150,47 +151,20 @@ def nu_bound(c: float, R: float) -> float:
     return math.log(c) / (2.0 * R)
 
 
-def twist_operator_coefficients(q_monomial, delta: float) -> np.ndarray:
-    """Expansion of (1-delta) Id + delta (Id + 2 d) Q(-d) over powers of d.
-
-    With Q(x) = sum_k q_k x^k the derivative-power coefficients are
-
-        u_j = (1-delta) [j=0] + delta (-1)^j (q_j - 2 q_{j-1}),
-
-    one entry per j = 0 .. deg(Q)+1.  These are the weights the operator
-    puts on the kernel derivatives d^j in each variable.
-    """
-    q = np.asarray(q_monomial, dtype=float)
-    w = np.zeros(len(q) + 1)
-    w[:-1] = q
-    w[1:] -= 2.0 * q
-    w[1::2] *= -1.0
-    u = delta * w
-    u[0] += 1.0 - delta
-    return u
-
-
 def c1_core(p, q, theta: float, R: float, delta: float) -> float:
     """c1 from float coefficients; c1_value and the search objective both
-    evaluate through here.
+    evaluate through here, as 1 plus the weighted sum of c1_root's squares.
 
-    p holds the mollifier shape, q the twist shape (q0, q_1, .., q_m).  The
-    kernel of (P, P) is taken to order deg(Q)+1 per variable (the Id + 2d
-    factor needs one derivative beyond Q's degree), and the operator acts
-    in a and in b as the quadratic form u^T H u over its derivative matrix
-    H, itself the moments of (P, P) contracted with the unit-moment
-    derivative matrices.
+    p holds the mollifier shape, q the twist shape (q0, q_1, .., q_m), and
+    the twist enters as v = delta (1, q0, q_1, .., q_m).
     """
     theta, R, delta = float(theta), float(R), float(delta)
     _check_scalars(theta, R, delta=delta)
     if len(q) < 1:
         raise ValueError("c1_core: the twist needs at least q_linear, got no entries")
-    up = _homogeneous(p)[0]
-    mt = np.einsum("i,kij,j->k", up, moment_grams(len(up) - 1), up)
-    q_monomial = twist_matrix(len(q) - 1) @ _homogeneous(q)[0]
-    u = twist_operator_coefficients(q_monomial, delta)
-    kernel = kernel_derivative_basis(theta, R, len(q_monomial))
-    c1 = float(np.einsum("k,kmn,m,n->", mt, kernel, u, u))
+    up, v = _homogeneous(p), delta * _homogeneous(q)
+    rows = node_rows(theta, R, len(up) - 1, len(v) - 2)
+    c1 = rows.square(c1_root(rows, up, v))
     if not math.isfinite(c1):
         raise NonFiniteError(f"c1 evaluated to {c1!r}")
     return c1

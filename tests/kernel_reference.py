@@ -1,19 +1,155 @@
-"""Kernel helpers shared by the tests: the closed-form derivative table of
-a moment table, the definition of the kernel, and an mpmath anchor that
-differentiates the definition.
+"""The kernel as the tests' reference: the closed-form (Leibniz) derivative
+table of a moment table, the definition of the kernel, an mpmath anchor
+that differentiates the definition, and c and c1 from the derivatives at
+40 digits with exact moments and exact operator weights.
 
 The kernel of a moment table at length exponent theta is
 
     h(a, b) = [ g(b, a) - e^{-a-b} g(-a, -b) ] / (theta (a + b)),
     g(a, b) = m_dd + a theta m_pd + b theta m_dp + a b theta^2 m_pp.
+
+The numerator vanishes identically on the line a + b = 0, so h is
+entire.  With s = a + b, g(b,a) - g(-a,-b) = theta s (m_pd + m_dp), so
+
+    h(a,b) = (m_pd + m_dp) + E(s) g(-a,-b) / theta,  E(s) = (1 - e^{-s})/s,
+
+and, g being bilinear, with G = g(-a,-b) at the base point,
+
+    d_a^m d_b^n h = [m=n=0] (m_pd + m_dp)
+                    + (E^(m+n) G + m E^(m+n-1) G_a + n E^(m+n-1) G_b
+                       + m n E^(m+n-2) G_ab) / theta.
+
+c is h11 + (1/r) d_a h21 + (1/r) d_b h12 + (1/r^2) d_ab h22 at
+a = b = -R, and c1 the form u^T D u of the twist operator's weights u
+(twist_operator_coefficients) over the derivative matrix D of (P, P).
 """
+
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from mpmath import mp
 
-from levbounds.kernel import MomentTable, kernel_derivative_basis
+from levbounds.kernel import MomentTable, moments
+from levbounds.polyalg import expand_mollifier, expand_twist, mollifier_basis
 
 ANCHOR_DPS = 20
+CONSTANT_DPS = 40
+
+
+@lru_cache(maxsize=64)
+def _series_tables(dmax: int, nterms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables of the E^(d) series: (-1)^d / (d+j+1) for d <= dmax
+    and j < nterms, and 1/j for 0 < j < nterms (entry 0 unused)."""
+    d = np.arange(dmax + 1)[:, None]
+    weights = np.where(d % 2 == 0, 1.0, -1.0) / (d + np.arange(nterms) + 1.0)
+    inverses = 1.0 / np.maximum(np.arange(nterms), 1)
+    for table in (weights, inverses):
+        table.setflags(write=False)
+    return weights, inverses
+
+
+def _expm1_ratio_derivatives(s0: float, dmax: int) -> np.ndarray:
+    """Derivatives E^(d)(s0), d = 0..dmax, of E(s) = (1 - e^{-s})/s.
+
+    Summed from the entire-series form E^(d)(s) = sum_j (-1)^{d+j} s^j /
+    (j! (d+j+1)), every d in one matrix-vector product over a shared
+    term vector.  For s0 <= 0 (every kernel base point) all terms share
+    one sign, so the sum is exact to rounding; for s0 > 0 the alternating
+    cancellation is bounded by e^{s0}, fine for the moderate synthetic
+    bases the tests use.
+    """
+    nterms = max(36, int(3 * abs(s0)) + 36)
+    weights, inverses = _series_tables(dmax, nterms)
+    ratios = -s0 * inverses
+    ratios[0] = 1.0
+    return weights @ np.cumprod(ratios)  # cumprod: (-s0)^j / j!
+
+
+@lru_cache(maxsize=None)
+def _leibniz_tables(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables for kernel_derivative_basis at one order.
+
+    index[i, m, n] = m + n + 2 - i picks E^(m+n-i) out of the padded
+    derivative vector; grids[k, i] is the integer grid multiplying it in
+    the unit-moment matrix k: 1 | 1, -n | 1, -m | 1, -(m+n), m n.
+    """
+    m = np.arange(order + 1)[:, None]
+    n = np.arange(order + 1)[None, :]
+    one, zero = np.ones_like(m + n), np.zeros_like(m + n)
+    index = np.array([m + n + 2 - i for i in range(3)])
+    grids = np.array([[one, zero, zero],
+                      [one, -n * one, zero],
+                      [one, -m * one, zero],
+                      [one, -(m + n), m * n]], dtype=float)
+    for table in (index, grids):
+        table.setflags(write=False)
+    return index, grids
+
+
+def kernel_derivative_basis(theta: float, R: float, order: int) -> np.ndarray:
+    """d_a^m d_b^n h at a = b = -R, m, n <= order, per unit moment.
+
+    h is linear in its moment table, so out[k] is the derivative matrix of
+    the kernel of the table whose moment k (in the order m_dd, m_dp, m_pd,
+    m_pp) is 1 and whose others are 0; any table mt has the derivative
+    matrix sum_k mt[k] out[k].  From the Leibniz form in the module
+    docstring, with E_i = E^(m+n-i)(-2R) (zero when m+n < i):
+
+        out[m_dd] = E_0 / theta
+        out[m_dp] = [m=n=0] + R E_0 - n E_1
+        out[m_pd] = [m=n=0] + R E_0 - m E_1
+        out[m_pp] = theta (R^2 E_0 - R (m+n) E_1 + m n E_2)
+    """
+    index, grids = _leibniz_tables(order)
+    e = np.zeros(2 * order + 3)  # e[d + 2] = E^(d)(-2R)
+    e[2:] = _expm1_ratio_derivatives(-2.0 * R, 2 * order)
+    scale = np.array([[1.0 / theta, 0.0, 0.0],
+                      [R, 1.0, 0.0],
+                      [R, 1.0, 0.0],
+                      [theta * R * R, theta * R, theta]])
+    out = np.einsum("ki,kimn,imn->kmn", scale, grids, e[index])
+    out[1:3, 0, 0] += 1.0
+    return out
+
+
+@lru_cache(maxsize=None)
+def moment_grams(m: int) -> np.ndarray:
+    """Float Gram matrices of the four moments over degree-m mollifier shapes.
+
+    Entry [k, i, j] is moment k (m_dd, m_dp, m_pd, m_pp) of the pair
+    (b_i, b_j) of mollifier_basis(m), computed exactly and rounded once.
+    By bilinearity, moment k of (P1, P2) is u1 @ grams[k] @ u2 with
+    u = (1, c_1, .., c_m).  The array is read-only.
+    """
+    basis = mollifier_basis(m)
+    grams = np.empty((4, m + 1, m + 1))
+    for i, bi in enumerate(basis):
+        for j in range(i, m + 1):
+            mt = moments(bi, basis[j])
+            for (a, b), table in (((i, j), mt), ((j, i), mt.transpose())):
+                grams[:, a, b] = table.floats
+    grams.setflags(write=False)
+    return grams
+
+
+def twist_operator_coefficients(q_monomial, delta: float) -> np.ndarray:
+    """Expansion of (1-delta) Id + delta (Id + 2 d) Q(-d) over powers of d.
+
+    With Q(x) = sum_k q_k x^k the derivative-power coefficients are
+
+        u_j = (1-delta) [j=0] + delta (-1)^j (q_j - 2 q_{j-1}),
+
+    one entry per j = 0 .. deg(Q)+1, in binary64.
+    """
+    q = np.asarray(q_monomial, dtype=float)
+    w = np.zeros(len(q) + 1)
+    w[:-1] = q
+    w[1:] -= 2.0 * q
+    w[1::2] *= -1.0
+    u = delta * w
+    u[0] += 1.0 - delta
+    return u
 
 
 def kernel_matrix(mt: MomentTable, theta: float, R: float, order: int) -> np.ndarray:
@@ -39,6 +175,11 @@ def division_form(mt: MomentTable, theta: float, a, b):
     return numerator(mt, theta, a, b) / (theta * (a + b))
 
 
+def _mp(x) -> "mp.mpf":
+    x = Fraction(x)
+    return mp.mpf(x.numerator) / x.denominator
+
+
 def anchor_matrix(mt: MomentTable, theta: float, R: float, order: int) -> np.ndarray:
     """d_a^m d_b^n h at a = b = -R by mpmath, from the definition of h.
 
@@ -48,8 +189,7 @@ def anchor_matrix(mt: MomentTable, theta: float, R: float, order: int) -> np.nda
     rounding.
     """
     with mp.workdps(ANCHOR_DPS):
-        mdd, mdp, mpd, mpp = (mp.mpf(x.numerator) / x.denominator
-                              for x in (mt.m_dd, mt.m_dp, mt.m_pd, mt.m_pp))
+        mdd, mdp, mpd, mpp = (_mp(x) for x in (mt.m_dd, mt.m_dp, mt.m_pd, mt.m_pp))
         th = mp.mpf(theta)
 
         def g(x, y):
@@ -61,3 +201,50 @@ def anchor_matrix(mt: MomentTable, theta: float, R: float, order: int) -> np.nda
         base = (mp.mpf(-R), mp.mpf(-R))
         return np.array([[float(mp.diff(h, base, (m, n))) for n in range(order + 1)]
                          for m in range(order + 1)])
+
+
+def _mp_derivatives(mt: MomentTable, theta: float, R: float, order: int) -> list:
+    """d_a^m d_b^n h at a = b = -R, m, n <= order, as mpf at the working
+    precision: the Leibniz form with exact moments, and
+    E^(d)(-2R) = (-1)^d sum_j (2R)^j / (j! (d+j+1)), every term positive."""
+    th, c = _mp(theta), 2 * _mp(R)
+    mdd, mdp, mpd, mpp = (_mp(x) for x in (mt.m_dd, mt.m_dp, mt.m_pd, mt.m_pp))
+    sums, term, j = [mp.mpf(0)] * (2 * order + 1), mp.mpf(1), 0
+    while j <= c or term > sums[0] * mp.mpf(10) ** (-mp.dps - 5):
+        sums = [s + term / (d + j + 1) for d, s in enumerate(sums)]
+        j += 1
+        term *= c / j
+    E = [(-1) ** d * s for d, s in enumerate(sums)] + [mp.mpf(0)] * 2  # E[-1] = E[-2] = 0
+    G = mdd + c / 2 * th * (mpd + mdp) + (c / 2 * th) ** 2 * mpp
+    Ga, Gb = -th * mpd - c / 2 * th * th * mpp, -th * mdp - c / 2 * th * th * mpp
+    return [[(E[m + n] * G + m * E[m + n - 1] * Ga + n * E[m + n - 1] * Gb
+              + m * n * E[m + n - 2] * th * th * mpp) / th + (mpd + mdp) * (m == n == 0)
+             for n in range(order + 1)] for m in range(order + 1)]
+
+
+def mp_c(p) -> float:
+    """c of SectionFourParams p from the kernel's derivatives, at
+    CONSTANT_DPS digits with exact moments, rounded once."""
+    with mp.workdps(CONSTANT_DPS):
+        P1, P2 = expand_mollifier(p.p1_shape), expand_mollifier(p.p2_shape)
+
+        def d(pa, pb):
+            return _mp_derivatives(moments(pa, pb), p.theta, p.R, 1)
+
+        inv_r = 1 / _mp(p.r)
+        return float(d(P1, P1)[0][0] + inv_r * (d(P2, P1)[1][0] + d(P1, P2)[0][1])
+                     + inv_r * inv_r * d(P2, P2)[1][1])
+
+
+def mp_c1(p) -> float:
+    """c1 of SectionFiveParams p as u^T D u, at CONSTANT_DPS digits: the
+    operator weights u exact from the twist polynomial and delta, D from
+    exact moments; rounded once."""
+    with mp.workdps(CONSTANT_DPS):
+        q, delta = (0,) + expand_twist(p.q_shape).coeffs + (0,), Fraction(p.delta)
+        u = [_mp(delta * (-1) ** j * (q[j + 1] - 2 * q[j]) + (1 - delta) * (j == 0))
+             for j in range(len(q) - 1)]
+        poly = expand_mollifier(p.p_shape)
+        D = _mp_derivatives(moments(poly, poly), p.theta, p.R, len(u) - 1)
+        return float(mp.fsum(u[m] * u[n] * D[m][n]
+                             for m in range(len(u)) for n in range(len(u))))

@@ -611,12 +611,11 @@ class TestOptimizeAccounting:
         assert not any(k.startswith("failures.") for k in values)
 
     def test_fallbacks_printed(self, tmp_path, capsys):
-        # degrees (5, 4) at delta = 1: the joint Hessian fails the condition
-        # gate on some steps, and the per-block sweeps that replace them are
-        # counted in both outputs; the core's rounding here is about 5e-7,
-        # so the objective is not checked
-        cfg = {"section5": {"p_shape": ["-0.482", "-0.392", "-0.262", "0", "0"],
-                            "q_linear": "-0.673", "q_sym": ["0.369", "-4.635", "0", "0"],
+        # degrees (9, 3) at delta = 1: the joint Hessian fails the condition
+        # gate (the mollifier block alone reaches 5e10), and the per-block
+        # sweeps that replace it are counted in both outputs
+        cfg = {"section5": {"p_shape": ["-0.482", "-0.392", "-0.262"] + ["0"] * 6,
+                            "q_linear": "-0.673", "q_sym": ["0.369", "-4.635", "0"],
                             "R": 0.746, "delta": 1.0},
                "search": {"target": "maximize_kappa", "budget": 2000,
                           "bounds": {"R": [0.3, 1.5]}}}

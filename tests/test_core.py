@@ -1,35 +1,40 @@
 """The float evaluation core against its references.
 
 The reference route keeps the moments exact: exact rational moments(),
-rounded once into the closed-form kernel derivatives, and the extraction
-sums that define c and c1.  The core evaluates the same quantities from
-cached Gram matrices.  The closed-form derivatives themselves are checked
-against an mpmath evaluation of the definition of the kernel, which shares
-no code with them.
+rounded once into the tests' closed-form kernel derivatives, and the
+extraction sums that define c and c1.  The core evaluates the same
+quantities as sums of squares over cached node rows.  The closed-form
+derivatives themselves are checked against an mpmath evaluation of the
+definition of the kernel, which shares no code with them, and the core
+against the same derivatives at 40 digits.
 """
 
 import math
 import os
+from dataclasses import replace
 from fractions import Fraction
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import levbounds
-from levbounds.kernel import (MomentTable, kernel_derivative_basis, moment_grams,
-                              moments, _expm1_ratio_derivatives)
+from levbounds import kernel
+from levbounds.kernel import MIN_BASE_R, MomentTable, moments, node_rows
 from levbounds.optimizer import SearchSpec, _SOLVES
 from levbounds.polyalg import (MollifierShape, Poly, TwistShape, expand_mollifier,
-                               expand_twist, mollifier_basis, twist_basis,
-                               twist_matrix)
+                               expand_twist, mollifier_basis, poly_derivative,
+                               poly_eval, twist_basis)
 from levbounds.proportions import (SectionFiveParams, SectionFourParams, c1_core,
                                    c1_value, c_core, c_value, kappa_bound,
-                                   nu_bound, twist_operator_coefficients)
+                                   nu_bound)
 from levbounds.reference import section_five_reference, section_four_reference
 
-from kernel_reference import anchor_matrix, kernel_matrix
+from kernel_reference import (_expm1_ratio_derivatives, _mp_derivatives, anchor_matrix,
+                              kernel_derivative_basis, kernel_matrix, mp_c, mp_c1,
+                              twist_operator_coefficients)
 
 AGREEMENT = 1e-13
 
@@ -164,19 +169,21 @@ class TestKernelDerivativeBasis:
 
 
 class TestCachedData:
-    def test_grams_reproduce_exact_moments(self):
+    def test_x_rows_reproduce_exact_moments(self):
+        # the m + 3 x-nodes integrate every product of the basis exactly
         rng = np.random.default_rng(7)
         for m in (0, 1, 3):
-            grams = moment_grams(m)
-            assert grams.shape == (4, m + 1, m + 1) and not grams.flags.writeable
+            w, (P, D) = kernel._gauss(m + 3)[1], kernel._rows(m + 3, m, False)
+            assert P.shape == D.shape == (m + 3, m + 1)
             for _ in range(5):
                 c1, c2 = rng.uniform(-1, 1, m), rng.uniform(-1, 1, m)
                 u1, u2 = np.append(1.0, c1), np.append(1.0, c2)
                 mt = moments(expand_mollifier(MollifierShape.of(list(c1))),
                              expand_mollifier(MollifierShape.of(list(c2))))
-                for k, exact in enumerate((mt.m_dd, mt.m_dp, mt.m_pd, mt.m_pp)):
-                    assert u1 @ grams[k] @ u2 == pytest.approx(float(exact),
-                                                               rel=1e-13, abs=1e-14)
+                for (a, b), exact in zip(((D, D), (D, P), (P, D), (P, P)),
+                                         (mt.m_dd, mt.m_dp, mt.m_pd, mt.m_pp)):
+                    assert w @ ((a @ u1) * (b @ u2)) == pytest.approx(
+                        float(exact), rel=1e-13, abs=1e-14)
 
     def test_mollifier_basis_is_affine_expansion(self):
         basis = mollifier_basis(2)
@@ -184,18 +191,27 @@ class TestCachedData:
         assert (basis[0] + basis[1].scale(shape.shape_coeffs[0])
                 + basis[2].scale(shape.shape_coeffs[1])) == expand_mollifier(shape)
 
-    def test_twist_matrix_expands_twist(self):
+    def test_twist_rows_expand_twist(self):
+        # 1 + psi v and dpsi v, v = delta (1, q), are U = (1 - delta)
+        # + delta (1 - 2t) Q(t) and U' at the t-nodes, U exact and rounded once
         for q in (TwistShape.of("-0.673", ["0.369", "-4.635"]), TwistShape.of("0.5"),
                   TwistShape.of("0", ["1", "0", "-2"])):
-            coeffs = [float(q.linear_coeff)] + [float(c) for c in q.sym_coeffs]
-            got = twist_matrix(len(q.sym_coeffs)) @ np.append(1.0, coeffs)
-            exact = expand_twist(q).float_coeffs()
-            exact += [0.0] * (len(got) - len(exact))
-            assert got == pytest.approx(exact, rel=1e-15, abs=1e-15)
-            assert not twist_matrix(len(q.sym_coeffs)).flags.writeable
+            k, delta = len(q.sym_coeffs), Fraction(3, 4)
+            rows = node_rows(1.0, 0.746, 1, k)
+            v = float(delta) * np.append(1.0, [float(q.linear_coeff)]
+                                         + [float(c) for c in q.sym_coeffs])
+            c = expand_twist(q).coeffs + (0,)
+            U = Poly.from_coeffs([delta * (c[j] - 2 * (c[j - 1] if j else 0))
+                                  + (1 - delta) * (j == 0) for j in range(len(c))])
+            for got, poly in ((1.0 + rows.psi @ v, U), (rows.dpsi @ v, poly_derivative(U))):
+                exact = [float(poly_eval(poly, Fraction(float(t)))) for t in rows.t]
+                scale = max(map(abs, exact))
+                assert got == pytest.approx(exact, rel=1e-15, abs=1e-15 * scale)
 
     def test_tables_are_read_only(self):
-        for table in (moment_grams(3), twist_matrix(3)):
+        rows = node_rows(1.0, 0.746, 3, 3)
+        for table in (*kernel._rows(6, 3, False), *kernel._rows(len(rows.t), 3, True),
+                      *kernel._gauss(len(rows.t))):
             assert not table.flags.writeable
         for basis in (mollifier_basis(3), twist_basis(3)):
             assert isinstance(basis, tuple) and all(isinstance(b, Poly) for b in basis)
@@ -205,12 +221,68 @@ class TestCachedData:
     def test_nothing_built_at_import(self):
         code = ("import levbounds\n"
                 "from levbounds import kernel, polyalg\n"
-                "for f in (kernel.moment_grams, polyalg.mollifier_basis, "
-                "polyalg.twist_basis, polyalg.twist_matrix):\n"
+                "for f in (kernel._gauss, kernel._rows, "
+                "polyalg.mollifier_basis, polyalg.twist_basis):\n"
                 "    assert f.cache_info().currsize == 0, f\n")
         src = os.path.dirname(os.path.dirname(levbounds.__file__))
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})
+
+
+# optima that optimize returned at delta = 1 (theta = 1, R in [0.3, 1.5],
+# zero-padded criterion-8 starts) on the earlier Leibniz-table core, whose
+# c1 there was 3.8e-10 and 5.0e-7 low: (p_shape, q_linear, q_sym, R)
+DELTA_ONE_OPTIMA = {
+    (4, 3): (["-0.7700846284312355", "-0.8998779259026605", "0.08352587023719855",
+              "-0.84943959775302"], "-0.2759379347878414",
+             ["-9.86975322794689", "126.40873488930389", "-461.0478028086345"],
+             1.0513435280539989),
+    (5, 4): (["-0.7780118267208841", "-0.7469853362726127", "-0.5064414481627862",
+              "0.04001035936887132", "-0.43676197084130725"], "-0.5142219945371983",
+             ["11.867337246129816", "-295.5867249259549", "2318.8012932246775",
+              "-5779.928707940161"], 1.050827767977905),
+}
+
+
+class TestSquareFormAccuracy:
+    """c and c1 against the kernel's derivatives at 40 digits, with exact
+    moments and exact operator weights (kernel_reference.mp_c, mp_c1)."""
+
+    @pytest.mark.parametrize("degrees", sorted(DELTA_ONE_OPTIMA))
+    def test_c1_at_the_delta_one_optima(self, degrees):
+        p, q_linear, q_sym, R = DELTA_ONE_OPTIMA[degrees]
+        params = SectionFiveParams(MollifierShape.of(p), TwistShape.of(q_linear, q_sym),
+                                   1.0, R, 1.0)
+        assert rel(c1_value(params), mp_c1(params)) <= 1e-11
+
+    @pytest.mark.parametrize("R", [MIN_BASE_R, 0.7, 5.0, 30.0, 100.0, 300.0])
+    def test_reference_shapes_across_the_R_range(self, R):
+        # the t-node count grows with R; too few nodes at R = 300 miss by
+        # 2e-4 (40 nodes), and numpy's unrefined nodes by 3e-13 (80)
+        p4 = replace(section_four_reference(), R=R)
+        p5 = replace(section_five_reference(), R=R)
+        assert rel(c_value(p4), mp_c(p4)) <= 1e-12
+        assert rel(c1_value(p5), mp_c1(p5)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [80, 100, 120, 150])
+    def test_t_nodes_reach_the_rounding_floor_of_the_weight(self, n):
+        # under e^{2Rt} a weight's relative error is the sum's: at R = 300
+        # numpy's leggauss weights miss by 3e-13 (80 and 100 nodes) to 2e-12 (120)
+        t, w = kernel._gauss(n)
+        with mp.workdps(30):
+            exact = float(mp.expm1(600) / 600)
+        assert rel(float(w @ np.exp(600.0 * t)), exact) <= 1e-13
+
+    def test_anchor_derivatives_match_the_definition(self):
+        # the 40-digit Leibniz form against mpmath's differentiation of the
+        # division form of h
+        pa = expand_mollifier(MollifierShape.of(["-0.482", "-0.392", "-0.262"]))
+        mt = moments(pa, pa)
+        for theta, R in ((1.0, 0.746), (0.6, 3.0)):
+            with mp.workdps(40):
+                leibniz = np.array(_mp_derivatives(mt, theta, R, 3), dtype=float)
+            assert leibniz == pytest.approx(anchor_matrix(mt, theta, R, 3),
+                                            rel=1e-15, abs=1e-15)
 
 
 BAD_SCALARS = [
@@ -271,9 +343,9 @@ class TestValidation:
 
     @pytest.mark.parametrize("R", [400.0, math.inf])
     def test_huge_R_rejected_by_evaluation(self, R):
-        # past R = 300 the kernel series overflows binary64 (c and c1 became
-        # NaN from R = 354), and its term count, int(6R) + 36, grows with R:
-        # R is refused by name before any kernel is built
+        # past R = 300 the oracle's Cauchy grid overflows binary64 (from
+        # about 350), and the t-node rule is tested up to 300: R is refused
+        # by name before any node row is built
         shape = MollifierShape.of(["0.1"])
         message = rf"^R must be <= 300\.0, got {R}$"
         with pytest.raises(ValueError, match=message):

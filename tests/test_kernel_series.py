@@ -1,5 +1,5 @@
-"""Kernel series: the derivative tables of h at the base point, and the
-E(s) series they are built from.
+"""Kernel series: the tests' reference derivative tables of h at the base
+point, and the E(s) series they are built from.
 
 The derivative table of the kernel h at a = b = -R holds every
 d_a^m d_b^n h there (its jet); kernel_derivative_basis gives it per unit
@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from levbounds.kernel import (MomentTable, _expm1_ratio_derivatives,
-                              kernel_derivative_basis, moments)
+from levbounds.kernel import MomentTable, moments
 from levbounds.oracle import cauchy_derivatives, kernel_numeric
 from levbounds.polyalg import MollifierShape, X, expand_mollifier
 
-from kernel_reference import division_form, kernel_matrix
+from kernel_reference import (_expm1_ratio_derivatives, division_form,
+                              kernel_derivative_basis, kernel_matrix)
 
 F = Fraction
 

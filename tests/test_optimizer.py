@@ -634,14 +634,14 @@ class TestNewtonSolve:
         rng = np.random.default_rng(8)
         for _ in range(6):
             v = draw(rng, np.array(spec.initial_point))
-            kernel = solver.kernel(v[spec.places()["R"]])
+            rows = solver.nodes(v[spec.places()["R"]])
             x = solver.start(v)[0]
 
             def constant(x):
-                return solver.constant(kernel, solver.values((x, ())))
+                return solver.constant(rows, solver.values((x, ())))
 
             assert constant(x) == pytest.approx(core(v), rel=1e-13)
-            gradient, hessian = solver.model(kernel, solver.values((x, ())))
+            gradient, hessian = solver.model(rows, solver.values((x, ())))
             E = np.diag(1e-2 * (1.0 + np.abs(x)))
             fd_gradient = [(constant(x + e) - constant(x - e)) / (2.0 * e[i])
                            for i, e in enumerate(E)]
@@ -715,10 +715,10 @@ class TestNewtonSolve:
         spec = replace(spec, scalar_bounds={**spec.scalar_bounds, "p_shape[0]": (-0.6, -0.482)})
         solver = optimizer._KappaSolve(spec)
         R = spec.initial_point[6]
-        kernel = solver.kernel(R)
-        mollifier, _ = solver.step(R, kernel, solver.start(np.array(spec.initial_point)), 0)
+        rows = solver.nodes(R)
+        mollifier, _ = solver.step(R, rows, solver.start(np.array(spec.initial_point)), 0)
         assert [solver.pins[i] for i in mollifier[1]] == [(0, -0.482)]
-        twist, _ = solver.step(R, kernel, mollifier, 1)
+        twist, _ = solver.step(R, rows, mollifier, 1)
         assert twist[1] == mollifier[1]
         assert solver.vector(twist, R)[0] == -0.482
 
@@ -735,12 +735,13 @@ class TestNewtonSolve:
         assert isinstance(info.value.__cause__, IllPosedSolveError)
 
     def test_criterion_nine_needs_fewer_solves_than_the_alternation(self):
-        # the block alternation reached 0.8429568946949437 in 144 solves;
-        # the float core is good to about 3.5e-12 here
+        # the block alternation took 144 solves; 0.8429568946914794 is kappa
+        # at the 40-digit c1 of the returned point (the earlier Leibniz-table
+        # core, off by about 3.5e-12 here, read 0.8429568946949437)
         spec = with_entry(criterion_eight_spec("maximize_kappa", budget=1200),
                           "delta", 1.0, delta=(1.0, 1.0))
         result = optimize(spec)
-        assert result.best_objective == pytest.approx(0.8429568946949437, abs=1e-11)
+        assert result.best_objective == pytest.approx(0.8429568946914794, abs=1e-12)
         assert result.inner_solves < 144
 
 
@@ -845,9 +846,9 @@ class TestIllPosedSolves:
         """One step of the nu solve at R = 0.5 on a model whose Hessian is H."""
         spec = criterion_eight_spec("minimize_nu")
         solver = _NuSolve(spec)
-        solver.model = lambda kernel, values: (np.zeros(len(H)), H)
+        solver.model = lambda rows, values: (np.zeros(len(H)), H)
         state = solver.start(np.array(spec.initial_point))
-        return solver.step(0.5, solver.kernel(0.5), state, 0)
+        return solver.step(0.5, solver.nodes(0.5), state, 0)
 
     def test_indefinite_block_fails_loudly(self):
         with pytest.raises(IllPosedSolveError,

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from levbounds import oracle
-from levbounds.kernel import kernel_derivative_basis, moments
+from levbounds.kernel import moments
 from levbounds.oracle import (cauchy_derivatives, crosscheck_report, fd_c1_value,
                               fd_c_value, kernel_numeric, quad_integrate01)
 from levbounds.polyalg import MollifierShape, Poly, TwistShape, X, expand_mollifier
 from levbounds.proportions import SectionFiveParams, c1_value, c_value
 from levbounds.reference import section_five_reference, section_four_reference
 
-from kernel_reference import kernel_matrix
+from kernel_reference import kernel_derivative_basis, kernel_matrix
 
 
 class TestQuadrature:
@@ -193,7 +193,7 @@ class TestCrosscheckReport:
         report = crosscheck_report(section_four_reference(), section_five_reference())
         failing = [ch.name for ch in report.checks if not ch.passed]
         assert report.all_passed, failing
-        assert len(report.checks) == 34
+        assert len(report.checks) == 22
         assert max(ch.tolerance for ch in report.checks) <= 1e-9
 
     def test_delta_zero_degeneracy_passes(self):

@@ -8,10 +8,10 @@ delta, are parabolas to rounding."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from levbounds.kernel import kernel_derivative_basis, moment_grams, moments
+from levbounds.kernel import moments, node_rows
 from levbounds.oracle import cauchy_derivatives, fd_c1_value, kernel_numeric
-from levbounds.polyalg import MollifierShape, TwistShape, expand_mollifier, twist_matrix
-from levbounds.proportions import SectionFiveParams, c1_core, c_core, twist_operator_coefficients
+from levbounds.polyalg import MollifierShape, TwistShape, expand_mollifier
+from levbounds.proportions import SectionFiveParams, c1_core, c_core
 
 property_settings = settings(derandomize=True, database=None, deadline=None,
                              max_examples=100)
@@ -48,18 +48,22 @@ def test_c1_at_delta_zero_is_the_kernel_value(shape, q_linear, q_sym, theta, R):
 
 
 # Rounding bound.  Along a line x(t) = x0 + t d every other input is fixed,
-# so the engine's tables (moment Grams, kernel basis, twist map) are the same
+# so the engine's node rows (weights, basis and twist rows) are the same
 # floats at every probe, and the exact value at the rounded probe inputs is a
-# quadratic in t.  Each probe sums N products of k factors; rounded, it is
-# off that quadratic by at most gamma_n S(t) (Higham, Accuracy and Stability
-# of Numerical Algorithms, 2nd ed., sec. 3.1), where S(t) is the same sum
-# over absolute values and n counts the roundings on one product's path:
-# N - 1 + k - 1 for the sum of products, plus 2 for each factor fl(x0 + t d)
-# and the roundings of any factor built from it.  Extrapolating from the
-# probes t = -1, 0, 1 to t* with the Lagrange weights L_i(t*) then misses
-# the value at t* by at most gamma_n (S(t*) + sum_i |L_i(t*)| S(t_i)), plus
-# at most 8 roundings of the weights and the combination, each relative to
-# a term no larger than |L_i| S(t_i).
+# quadratic in t.  Each constant is 1 + sum_{t,x} wt L^2 wx over N node
+# pairs, and expanding each root L into its products of rows and inputs
+# makes it a sum of products; rounded, it is off that quadratic by at most
+# gamma_n S(t) (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+# ed., sec. 3.1), where S(t) = 1 + sum wt |L|^2 wx is the same sum over
+# absolute values, |L| the root's running sum of absolute terms, and n
+# counts the roundings on one product's path: N - 1 for the sum over the
+# nodes, 3 for wt L L wx, twice a root's own path, 1 for adding the 1, and
+# 2 for each factor fl(x0 + t d) (3 where a division or the delta factor
+# rounds it again).  Extrapolating from the probes t = -1, 0, 1 to t* with
+# the Lagrange weights L_i(t*) then misses the value at t* by at most
+# gamma_n (S(t*) + sum_i |L_i(t*)| S(t_i)), plus at most 8 roundings of the
+# weights and the combination, each relative to a term no larger than
+# |L_i| S(t_i).
 U = np.finfo(float).eps / 2.0  # unit roundoff, 2^-53
 NODES = (-1.0, 0.0, 1.0)
 
@@ -95,16 +99,27 @@ def on_line(line, t: float) -> np.ndarray:
     return x0 + t * d
 
 
-def abs_twist_weights(q, delta: float) -> np.ndarray:
-    """twist_operator_coefficients(twist_matrix @ (1, q), delta) with every
-    input and every sign made positive."""
-    qm = np.abs(twist_matrix(len(q) - 1)) @ np.abs(np.r_[1.0, q])
-    w = np.zeros(len(qm) + 1)
-    w[:-1] = qm
-    w[1:] += 2.0 * qm
-    w = abs(delta) * w
-    w[0] += abs(1.0 - delta)
-    return w
+def square_sum(rows, abs_root: np.ndarray) -> float:
+    """S = 1 + sum W |L|^2 over the node rows, from the root's running sum
+    of absolute terms at every node pair."""
+    return 1.0 + float(np.abs(rows.wt) @ abs_root ** 2 @ np.abs(rows.wx))
+
+
+def abs_c1_root(rows, up: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|U||A| + theta |U'||P| at the nodes, every term made positive:
+    |U| = 1 + |psi| |v|, |A| = |A rows| |up| and so on."""
+    U = 1.0 + np.abs(rows.psi) @ np.abs(v)
+    dU = np.abs(rows.dpsi) @ np.abs(v)
+    return (np.multiply.outer(U, np.abs(rows.A) @ np.abs(up))
+            + rows.theta * np.multiply.outer(dU, np.abs(rows.P) @ np.abs(up)))
+
+
+def c1_roundings(rows, m: int, K: int, per_input: int) -> int:
+    """n for c1 over mollifier degree m and K twist entries: the root's path
+    is K + 1 for U, m + 1 for A, 2 for the products and theta, 1 for the
+    sum; per_input roundings of each of its two input factors."""
+    N = rows.wt.size * rows.wx.size
+    return N - 1 + 3 + 2 * (K + m + 4) + 1 + 2 * per_input
 
 
 @property_settings
@@ -113,19 +128,20 @@ def abs_twist_weights(q, delta: float) -> np.ndarray:
 def test_c_along_a_line_in_the_mollifiers_is_a_parabola(line1, line2, theta, r, R,
                                                         t_star):
     m = max(len(line1[0]), len(line2[0]))
-    grams = np.abs(moment_grams(m))
-    weight = np.array([1.0, 1.0 / r])
-    kernel = np.abs(kernel_derivative_basis(theta, R, 1) * np.multiply.outer(weight, weight))
+    rows = node_rows(theta, R, m)
+    n1, n2 = len(line1[0]) + 1, len(line2[0]) + 1
 
     def S(t):
-        u = np.zeros((2, m + 1))
-        u[:, 0] = 1.0
-        for row, line in zip(u, (line1, line2)):
-            row[1:len(line[0]) + 1] = np.abs(on_line(line, t))
-        return np.einsum("ai,kij,bj,kab->", u, grams, u, kernel)
+        z1 = np.r_[1.0, np.abs(on_line(line1, t))]
+        z2 = np.r_[1.0, np.abs(on_line(line2, t))] / r
+        a1, a2 = np.abs(rows.A[:, :n1]) @ z1, np.abs(rows.A[:, :n2]) @ z2
+        root = a1 + np.multiply.outer(rows.t, a2) + theta * (np.abs(rows.P[:, :n2]) @ z2)
+        return square_sum(rows, root)
 
-    # N = 2 (m+1) 4 (m+1) 2 products of k = 4 factors, two of them fl(x0 + t d)
-    n = 16 * (m + 1) ** 2 + 2 + 2 * 2
+    # the root's path: max(n1, n2) for a row sum, 1 for t or theta, 2 for
+    # the two subtractions; z2 = fl(x0 + t d) / r rounds 3 times
+    N = rows.wt.size * rows.wx.size
+    n = N - 1 + 3 + 2 * (max(n1, n2) + 3) + 1 + 2 * 3
     assert_parabola(lambda t: c_core(on_line(line1, t), on_line(line2, t), theta, r, R),
                     S, n, t_star)
 
@@ -135,18 +151,13 @@ def test_c_along_a_line_in_the_mollifiers_is_a_parabola(line1, line2, theta, r, 
        delta=st.floats(-2.0, 2.0), t_star=line_targets)
 def test_c1_along_a_line_in_the_mollifier_is_a_parabola(line, q, theta, R, delta, t_star):
     m = len(line[0])
-    grams = np.abs(moment_grams(m))
-    u = np.abs(twist_operator_coefficients(twist_matrix(len(q) - 1) @ np.r_[1.0, q], delta))
-    kernel = np.abs(kernel_derivative_basis(theta, R, len(u) - 1))
+    rows = node_rows(theta, R, m, len(q) - 1)
+    v = delta * np.r_[1.0, q]
 
     def S(t):
-        up = np.r_[1.0, np.abs(on_line(line, t))]
-        return np.einsum("i,kij,j,kmn,m,n->", up, grams, up, kernel, u, u)
+        return square_sum(rows, abs_c1_root(rows, np.r_[1.0, on_line(line, t)], v))
 
-    # moments: (m+1)^2 products of 3 factors, two of them fl(x0 + t d);
-    # c1: 4 M^2 products of 4 factors, one of them a moment
-    M = len(u)
-    n = (m + 1) ** 2 + 1 + 2 * 2 + 4 * M * M + 2
+    n = c1_roundings(rows, m, len(v), per_input=2)
     assert_parabola(lambda t: c1_core(on_line(line, t), q, theta, R, delta), S, n, t_star)
 
 
@@ -155,18 +166,12 @@ def test_c1_along_a_line_in_the_mollifier_is_a_parabola(line, q, theta, R, delta
        delta=st.floats(-2.0, 2.0), t_star=line_targets)
 def test_c1_along_a_line_in_the_twist_is_a_parabola(shape, line, theta, R, delta, t_star):
     p = [float(c) for c in shape]
-    up = np.r_[1.0, np.abs(p)]
-    mt = np.einsum("i,kij,j->k", up, np.abs(moment_grams(len(p))), up)
-    L = len(line[0]) + 1
-    M = len(abs_twist_weights(line[0], delta))
-    kernel = np.abs(kernel_derivative_basis(theta, R, M - 1))
+    rows = node_rows(theta, R, len(p), len(line[0]) - 1)
 
     def S(t):
-        u = abs_twist_weights(on_line(line, t), delta)
-        return np.einsum("k,kmn,m,n->", mt, kernel, u, u)
+        return square_sum(rows, abs_c1_root(rows, np.r_[1.0, p],
+                                            delta * np.r_[1.0, on_line(line, t)]))
 
-    # each weight: fl(x0 + t d) 2, the twist map's L-term sum L, then
-    # q_j - 2 q_(j-1), delta w and (1 - delta) + one each; c1: 4 M^2
-    # products of 4 factors, two of them weights
-    n = 4 * M * M + 2 + 2 * (2 + L + 3)
+    # each twist entry: fl(x0 + t d), then times delta
+    n = c1_roundings(rows, len(p), len(line[0]) + 1, per_input=3)
     assert_parabola(lambda t: c1_core(p, on_line(line, t), theta, R, delta), S, n, t_star)

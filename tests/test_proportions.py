@@ -12,12 +12,11 @@ from levbounds.polyalg import MollifierShape, TwistShape, expand_mollifier, expa
 from levbounds.proportions import (BoundReport, NonPositiveConstantError,
                                    SectionFiveParams, SectionFourParams, bounds_table,
                                    c1_value, c_value, full_report, grh_bounds, kappa_bound,
-                                   nu_bound, twist_operator_coefficients,
-                                   unconditional_bounds)
+                                   nu_bound, unconditional_bounds)
 from levbounds.reference import (REFERENCE_CONSTANTS, section_five_reference,
                                  section_four_reference)
 
-from kernel_reference import kernel_matrix
+from kernel_reference import kernel_matrix, twist_operator_coefficients
 
 X_SHAPE = MollifierShape.of([])
 
@@ -67,7 +66,8 @@ class TestCValue:
                                    float("inf"), p4.R)
         poly1 = expand_mollifier(p4.p1_shape)
         h11 = kernel_matrix(moments(poly1, poly1), p4.theta, p4.R, 2)
-        assert c_value(params) == h11[0, 0]
+        # to rounding: the square form sums in another order than the kernel
+        assert c_value(params) == pytest.approx(h11[0, 0], rel=1e-15)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -158,8 +158,8 @@ def exact_twist_operator(q, delta):
 
 
 class TestTwistOperator:
-    """twist_operator_coefficients is shared by the engine, the oracle and
-    the test reference; this checks it against the operator itself."""
+    """twist_operator_coefficients is the test reference's operator
+    weights; this checks it against the operator itself."""
 
     def test_dyadic_twists_match_exactly(self):
         # dyadic rationals with short numerators: every float step is exact
