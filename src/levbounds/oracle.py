@@ -3,8 +3,9 @@
 Everything here recomputes a quantity the engine produces, by a route
 that shares nothing with it beyond polynomial evaluation and the moment
 data itself: Gauss-Legendre quadrature against exact moment integrals,
-and Cauchy integrals of the definition-form kernel against c and c1 from
-the float core.
+the engine's own x-rows (kernel.node_rows) against the same exact
+moments, and Cauchy integrals of the definition-form kernel against c
+and c1 from the float core.
 
 kernel_numeric is that kernel, evaluated on real or complex arrays, and
 cauchy_derivatives is the one derivative route: one grid of kernel values
@@ -18,6 +19,13 @@ R <= 5 and 2e-11 up to R = 300;
 c1 to 1e-12 up to order 8 and 1e-10 up to order 16 at R <= 5, and to
 2e-11 up to order 8 but only 3e-9 at orders 10 to 16 for 5 < R <= 300.
 The route is checked only up to order 16 at R <= 5.
+
+The exact data is summed in integers and divided once: each moment over
+one common denominator (polyalg.integrate01_product), each shape
+coefficient (expand_mollifier, expand_twist), and each twist weight u_j
+over the twist's common denominator.  The torus nodes and weight matrix
+are cached here per order, apart from the engine's node tables,
+read-only and built on first use.
 """
 
 from __future__ import annotations
@@ -25,13 +33,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .kernel import MomentTable, moments
-from .polyalg import Poly, expand_mollifier, expand_twist, poly_derivative
+from .kernel import MomentTable, NodeRows, moments, node_rows
+from .polyalg import Poly, _scaled, expand_mollifier, expand_twist, poly_derivative
 from .proportions import SectionFourParams, SectionFiveParams, c1_value, c_value
 
 
@@ -67,6 +76,21 @@ def kernel_numeric(mt: MomentTable, theta: float, a, b):
     return (mpd + mdp) + ratio * g_reflected / theta
 
 
+@lru_cache(maxsize=None)
+def _torus(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The torus nodes rho w^j and the matrix W of cauchy_derivatives for
+    one order, read-only."""
+    radius = math.factorial(order) ** (1.0 / max(order, 1))
+    size = 4 * order + 16
+    m = np.arange(order + 1)
+    nodes = radius * np.exp(2j * np.pi * np.arange(size) / size)
+    scale = np.cumprod(np.maximum(m, 1)) / radius ** m / size  # m! rho^-m / N
+    W = scale[:, None] * np.exp(-2j * np.pi * (np.outer(m, np.arange(size)) % size) / size)
+    for table in (nodes, W):
+        table.setflags(write=False)
+    return nodes, W
+
+
 def cauchy_derivatives(f: Callable, at: tuple[float, float], order: int) -> np.ndarray:
     """Matrix D[m, n] of d_a^m d_b^n f at `at`, m, n <= order, f entire.
 
@@ -84,12 +108,7 @@ def cauchy_derivatives(f: Callable, at: tuple[float, float], order: int) -> np.n
     whole amplification is e^{2 rho}, about e^{2 order/e}.  Aliasing falls
     like rho^N / N!, far below that with N = 4 order + 16.
     """
-    radius = math.factorial(order) ** (1.0 / max(order, 1))
-    size = 4 * order + 16
-    m = np.arange(order + 1)
-    nodes = radius * np.exp(2j * np.pi * np.arange(size) / size)
-    scale = np.cumprod(np.maximum(m, 1)) / radius ** m / size  # m! rho^-m / N
-    W = scale[:, None] * np.exp(-2j * np.pi * (np.outer(m, np.arange(size)) % size) / size)
+    nodes, W = _torus(order)
     a0, b0 = at
     F = f(a0 + nodes[:, None], b0 + nodes[None, :])
     return (W @ F @ W.T).real
@@ -119,12 +138,14 @@ def fd_c1_value(p: SectionFiveParams) -> float:
 
     The operator (1-delta) Id + delta (Id + 2 d) Q(-d) puts the weight
     u_j = (1-delta) [j=0] + delta (-1)^j (q_j - 2 q_{j-1}) on d^j in each
-    variable, for Q(x) = sum_j q_j x^j; u is exact and rounded once.
+    variable, for Q(x) = sum_j q_j x^j; u is exact, an integer ratio over
+    the denominator of delta times that of Q, and rounded once.
     """
     poly = expand_mollifier(p.p_shape)
-    q, delta = (0,) + expand_twist(p.q_shape).coeffs + (0,), Fraction(p.delta)  # q[j+1]: q_j
-    u = np.array([float(delta * (-1) ** j * (q[j + 1] - 2 * q[j]) + (1 - delta) * (j == 0))
-                  for j in range(len(q) - 1)])
+    (q, Dq), (num, den) = _scaled(expand_twist(p.q_shape)), Fraction(p.delta).as_integer_ratio()
+    q = (0, *q, 0)  # q[j+1]: the numerator of q_j over Dq; delta = num / den
+    u = np.array([(num * (-1) ** j * (q[j + 1] - 2 * q[j]) + (den - num) * Dq * (j == 0))
+                  / (den * Dq) for j in range(len(q) - 1)])
     mt = moments(poly, poly)
     D = cauchy_derivatives(lambda a, b: kernel_numeric(mt, p.theta, a, b),
                            (-p.R, -p.R), len(u) - 1)
@@ -162,19 +183,48 @@ def _rel(exact: float, numeric: float) -> float:
     return abs(exact - numeric) / scale
 
 
+def _row_checks(name: str, mt: MomentTable, rows: NodeRows, R: float,
+                ua: np.ndarray, ub: np.ndarray) -> list[CheckResult]:
+    """The engine's x-rows at (theta, R) against the exact moments of a
+    pair with homogeneous shape rows ua, ub: with A = P' + rho P and
+    rho = R theta as node_rows rounds it, the weighted sums of A_a A_b,
+    A_a P_b, P_a A_b and P_a P_b over the x-nodes are m_dd + rho (m_dp +
+    m_pd) + rho^2 m_pp, m_dp + rho m_pp, m_pd + rho m_pp and m_pp, each
+    over theta.  A sum that cancels keeps the rounding of its terms, so
+    each error is relative to the same sum over absolute values, or to
+    the exact value if that is larger."""
+    rho, theta = Fraction(R * rows.theta), Fraction(rows.theta)
+    def combine(u: np.ndarray, f=np.asarray) -> dict[str, np.ndarray]:
+        return {"A": f(rows.A[:, :len(u)]) @ f(u), "P": f(rows.P[:, :len(u)]) @ f(u)}
+
+    a, b, size_a, size_b = combine(ua), combine(ub), combine(ua, abs), combine(ub, abs)
+    exact = {"AA": mt.m_dd + rho * (mt.m_dp + mt.m_pd) + rho * rho * mt.m_pp,
+             "AP": mt.m_dp + rho * mt.m_pp, "PA": mt.m_pd + rho * mt.m_pp, "PP": mt.m_pp}
+    checks = []
+    for part, value in exact.items():
+        value = float(value / theta)
+        num = float(rows.wx @ (a[part[0]] * b[part[1]]))
+        size = float(rows.wx @ (size_a[part[0]] * size_b[part[1]]))
+        checks.append(CheckResult(f"node rows[{name}.{part}] vs exact moments", value, num,
+                                  abs(value - num) / max(abs(value), size, 1e-300), 1e-12))
+    return checks
+
+
 def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> CrosscheckReport:
     """Run every exact-vs-numeric comparison; failures are data, not errors."""
     checks: list[CheckResult] = []
     c_exact = c_value(p4)
     c1_exact = c1_value(p5)
 
-    poly1 = expand_mollifier(p4.p1_shape)
-    poly2 = expand_mollifier(p4.p2_shape)
-    poly5 = expand_mollifier(p5.p_shape)
-    pairs = {"m11": (poly1, poly1), "m21": (poly2, poly1),
-             "m12": (poly1, poly2), "m22": (poly2, poly2),
-             "m55": (poly5, poly5)}
-    for name, (pa, pb) in pairs.items():
+    shapes = {"1": p4.p1_shape, "2": p4.p2_shape, "5": p5.p_shape}
+    polys = {k: expand_mollifier(s) for k, s in shapes.items()}
+    homogeneous = {k: np.array([1.0, *map(float, s.shape_coeffs)]) for k, s in shapes.items()}
+    rows4 = node_rows(p4.theta, p4.R, max(len(homogeneous["1"]), len(homogeneous["2"])) - 1)
+    rows5 = node_rows(p5.theta, p5.R, len(homogeneous["5"]) - 1)
+    pairs = {"m11": (rows4, p4.R), "m21": (rows4, p4.R), "m12": (rows4, p4.R),
+             "m22": (rows4, p4.R), "m55": (rows5, p5.R)}
+    for name, (rows, R) in pairs.items():  # the pair (P_a, P_b) is m<a><b>
+        pa, pb = polys[name[1]], polys[name[2]]
         mt = moments(pa, pb)
         nodes = (max(pa.degree, 0) + max(pb.degree, 0)) // 2 + 1
         for part, exact, qa, qb in (
@@ -186,6 +236,7 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
             num = quad_integrate01(qa, qb, nodes)
             checks.append(CheckResult(f"moment[{name}.{part}] vs quadrature",
                                       float(exact), num, _rel(float(exact), num), 1e-12))
+        checks += _row_checks(name, mt, rows, R, homogeneous[name[1]], homogeneous[name[2]])
 
     c_cauchy = fd_c_value(p4)
     checks.append(CheckResult("c vs Cauchy integrals", c_exact, c_cauchy,

@@ -3,7 +3,9 @@
 Polynomials are kept in canonical ascending-coefficient form with
 ``fractions.Fraction`` entries, so moment integrals and constraint
 identities are bit-reproducible and independent of evaluation order.
-Decimal literals ("0.158") parse to exact rationals (79/500).
+Decimal literals ("0.158") parse to exact rationals (79/500).  The hot
+exact sums, integrate01_product and the shape expansions, run on integer
+numerators over one common denominator and build each Fraction once.
 
 Two constrained construction bases are provided:
 
@@ -27,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 
 MAX_DEGREE = 64
@@ -131,13 +134,31 @@ def poly_reflect(p: Poly) -> Poly:
     return Poly.from_coeffs(out)
 
 
+def _scaled(p: Poly) -> tuple[tuple[int, ...], int]:
+    """p as integer numerators over their least common denominator."""
+    D = lcm(*(c.denominator for c in p.coeffs))
+    return tuple(c.numerator * (D // c.denominator) for c in p.coeffs), D
+
+
+@lru_cache(maxsize=None)
+def _integral_weights(n: int) -> tuple[int, tuple[int, ...]]:
+    """L = lcm(1..n) and the integers L / (s + 1), s < n: integral_0^1 t^s
+    dt = 1 / (s + 1) over the common denominator L."""
+    L = lcm(*range(1, n + 1))
+    return L, tuple(L // (s + 1) for s in range(n))
+
+
 def integrate01_product(p: Poly, q: Poly) -> Fraction:
-    """Exact integral over [0,1] of p(t)q(t): sum_{j,k} p_j q_k / (j+k+1)."""
-    total = Fraction(0)
-    for j, a in enumerate(p.coeffs):
-        for k, b in enumerate(q.coeffs):
-            total += a * b / (j + k + 1)
-    return total
+    """Exact integral over [0,1] of p(t)q(t): sum_{j,k} p_j q_k / (j+k+1).
+
+    Summed in integers: with p = a / Dp and q = b / Dq, integer numerators
+    over their common denominators, it is sum_{j,k} a_j b_k (L / (j+k+1))
+    over Dp Dq L, L = lcm(1..deg p + deg q + 1), one Fraction at the end.
+    """
+    (a, Dp), (b, Dq) = _scaled(p), _scaled(q)
+    L, weights = _integral_weights(len(a) + len(b) - 1)
+    total = sum(x * sum(map(mul, b, weights[j:])) for j, x in enumerate(a))
+    return Fraction(total, Dp * Dq * L)
 
 
 # --------------------------------------------------------------------------
@@ -197,22 +218,35 @@ def twist_basis(m: int) -> tuple[Poly, ...]:
     return (ONE, X) + tuple(sym_basis_integral(k) for k in range(1, m + 1))
 
 
-def _combine(basis: tuple[Poly, ...], coeffs) -> Poly:
-    """The affine combination basis[0] + sum_i coeffs[i] basis[i+1]."""
-    out = basis[0]
-    for c, b in zip(coeffs, basis[1:]):
-        out = out + b.scale(c)
-    return out
+@lru_cache(maxsize=None)
+def _scaled_basis(family, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each polynomial of family(m), a basis above, scaled to integers."""
+    return tuple(_scaled(b) for b in family(m))
+
+
+def _combine(basis: tuple[tuple[tuple[int, ...], int], ...], coeffs) -> Poly:
+    """The affine combination basis[0] + sum_i coeffs[i] basis[i+1] of a
+    scaled basis, summed in integers over the common denominator of every
+    term and divided once per coefficient."""
+    terms = [(Fraction(1), basis[0])] + [(as_fraction(c), b) for c, b in zip(coeffs, basis[1:])]
+    den = lcm(*(c.denominator * D for c, (_, D) in terms))
+    out = [0] * max(len(a) for _, (a, _) in terms)
+    for c, (a, D) in terms:
+        s = c.numerator * (den // (c.denominator * D))
+        for i, x in enumerate(a):
+            out[i] += s * x
+    return Poly.from_coeffs(Fraction(x, den) for x in out)
 
 
 def expand_mollifier(shape: MollifierShape) -> Poly:
     """Expand P(x) = x + sum_j c_j x^j (1-x) to canonical form."""
-    return _combine(mollifier_basis(len(shape.shape_coeffs)), shape.shape_coeffs)
+    return _combine(_scaled_basis(mollifier_basis, len(shape.shape_coeffs)),
+                    shape.shape_coeffs)
 
 
 def expand_twist(shape: TwistShape) -> Poly:
     """Expand Q(x) = 1 + q0 x + sum_k q_k I_k(x) to canonical form."""
-    return _combine(twist_basis(len(shape.sym_coeffs)),
+    return _combine(_scaled_basis(twist_basis, len(shape.sym_coeffs)),
                     (shape.linear_coeff, *shape.sym_coeffs))
 
 

@@ -22,6 +22,10 @@ and, g being bilinear, with G = g(-a,-b) at the base point,
 c is h11 + (1/r) d_a h21 + (1/r) d_b h12 + (1/r^2) d_ab h22 at
 a = b = -R, and c1 the form u^T D u of the twist operator's weights u
 (twist_operator_coefficients) over the derivative matrix D of (P, P).
+
+The exact sums also keep their per-term Fraction forms here, as the
+references of the integer sums in polyalg: integrate01_product_naive and
+combine_naive.
 """
 
 from fractions import Fraction
@@ -31,10 +35,27 @@ import numpy as np
 from mpmath import mp
 
 from levbounds.kernel import MomentTable, moments
-from levbounds.polyalg import expand_mollifier, expand_twist, mollifier_basis
+from levbounds.polyalg import Poly, expand_mollifier, expand_twist, mollifier_basis
 
 ANCHOR_DPS = 20
 CONSTANT_DPS = 40
+
+
+def integrate01_product_naive(p: Poly, q: Poly) -> Fraction:
+    """sum_{j,k} p_j q_k / (j+k+1), one Fraction operation per term."""
+    total = Fraction(0)
+    for j, a in enumerate(p.coeffs):
+        for k, b in enumerate(q.coeffs):
+            total += a * b / (j + k + 1)
+    return total
+
+
+def combine_naive(basis: tuple[Poly, ...], coeffs) -> Poly:
+    """basis[0] + sum_i coeffs[i] basis[i+1] through Poly.__add__ and scale."""
+    out = basis[0]
+    for c, b in zip(coeffs, basis[1:]):
+        out = out + b.scale(c)
+    return out
 
 
 @lru_cache(maxsize=64)

@@ -21,12 +21,12 @@ import pytest
 from mpmath import mp
 
 import levbounds
-from levbounds import kernel
+from levbounds import kernel, oracle
 from levbounds.kernel import MIN_BASE_R, MomentTable, moments, node_rows
 from levbounds.optimizer import SearchSpec, _SOLVES
-from levbounds.polyalg import (MollifierShape, Poly, TwistShape, expand_mollifier,
-                               expand_twist, mollifier_basis, poly_derivative,
-                               poly_eval, twist_basis)
+from levbounds.polyalg import (ONE, ZERO, MollifierShape, Poly, TwistShape,
+                               expand_mollifier, expand_twist, mollifier_basis,
+                               poly_derivative, poly_eval, twist_basis)
 from levbounds.proportions import (SectionFiveParams, SectionFourParams, c1_core,
                                    c1_value, c_core, c_value, kappa_bound,
                                    nu_bound)
@@ -185,6 +185,19 @@ class TestCachedData:
                     assert w @ ((a @ u1) * (b @ u2)) == pytest.approx(
                         float(exact), rel=1e-13, abs=1e-14)
 
+    @pytest.mark.parametrize("n, m, twist", [(4, 1, False), (6, 3, False), (14, 2, True),
+                                             (87, 2, True), (30, 7, True)])
+    def test_rows_are_exact_values_rounded_once(self, n, m, twist):
+        # every entry is the basis polynomial's exact value at the binary64
+        # node, rounded once
+        basis = ([b - Poly.from_coeffs((0,) + b.coeffs).scale(2) - (ONE if j == 0 else ZERO)
+                  for j, b in enumerate(twist_basis(m))] if twist else mollifier_basis(m))
+        x = [Fraction(float(t)) for t in kernel._gauss(n)[0]]
+        P, D = kernel._rows(n, m, twist)
+        assert P.tolist() == [[float(poly_eval(b, t)) for b in basis] for t in x]
+        assert D.tolist() == [[float(poly_eval(poly_derivative(b), t)) for b in basis]
+                              for t in x]
+
     def test_mollifier_basis_is_affine_expansion(self):
         basis = mollifier_basis(2)
         shape = MollifierShape.of(["-0.158", "0.25"])
@@ -211,7 +224,7 @@ class TestCachedData:
     def test_tables_are_read_only(self):
         rows = node_rows(1.0, 0.746, 3, 3)
         for table in (*kernel._rows(6, 3, False), *kernel._rows(len(rows.t), 3, True),
-                      *kernel._gauss(len(rows.t))):
+                      *kernel._gauss(len(rows.t)), *oracle._torus(6)):
             assert not table.flags.writeable
         for basis in (mollifier_basis(3), twist_basis(3)):
             assert isinstance(basis, tuple) and all(isinstance(b, Poly) for b in basis)
@@ -220,9 +233,10 @@ class TestCachedData:
 
     def test_nothing_built_at_import(self):
         code = ("import levbounds\n"
-                "from levbounds import kernel, polyalg\n"
-                "for f in (kernel._gauss, kernel._rows, "
-                "polyalg.mollifier_basis, polyalg.twist_basis):\n"
+                "from levbounds import kernel, oracle, polyalg\n"
+                "for f in (kernel._gauss, kernel._rows, polyalg.mollifier_basis, "
+                "polyalg.twist_basis, polyalg._scaled_basis, polyalg._integral_weights, "
+                "oracle._torus):\n"
                 "    assert f.cache_info().currsize == 0, f\n")
         src = os.path.dirname(os.path.dirname(levbounds.__file__))
         subprocess.run([sys.executable, "-c", code], check=True,

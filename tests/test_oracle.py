@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from levbounds import oracle
-from levbounds.kernel import moments
+from levbounds.kernel import moments, node_rows
 from levbounds.oracle import (cauchy_derivatives, crosscheck_report, fd_c1_value,
                               fd_c_value, kernel_numeric, quad_integrate01)
 from levbounds.polyalg import MollifierShape, Poly, TwistShape, X, expand_mollifier
-from levbounds.proportions import SectionFiveParams, c1_value, c_value
+from levbounds.proportions import SectionFiveParams, SectionFourParams, c1_value, c_value
 from levbounds.reference import section_five_reference, section_four_reference
 
 from kernel_reference import kernel_derivative_basis, kernel_matrix
@@ -188,13 +188,54 @@ class TestOracleRecomputation:
         assert fd_c1_value(p) == pytest.approx(c1_value(p), rel=1e-9)
 
 
+class TestFrozenOracleValues:
+    """fd_c_value and fd_c1_value to the bit, as the per-term Fraction sums
+    returned them: exact moments and weights, rounded once, make them
+    independent of how the exact sums are formed."""
+
+    # one criterion-6 draw (numpy default_rng(6)), its floats by repr
+    DRAW = (SectionFourParams(MollifierShape.of([0.07632870294388638, -0.31345826037332314]),
+                              MollifierShape.of([-0.2618655204092435, -0.2510064688242353]),
+                              0.3362104623886426, 1.154, 1.7153635589366953),
+            SectionFiveParams(MollifierShape.of([0.9748899803729332, 0.26551254521429213,
+                                                 0.34864786100898715]),
+                              TwistShape.of(-0.3400730892290833,
+                                            [0.3598353223280446, -0.7540552502256199]),
+                              0.3362104623886426, 0.1169020305173259, 1.174521074622356))
+
+    def test_reference_point(self):
+        assert repr(fd_c_value(section_four_reference())) == "1.2301085737954223"
+        assert repr(fd_c1_value(section_five_reference())) == "1.0471158196302588"
+
+    def test_criterion_six_draw(self):
+        p4, p5 = self.DRAW
+        assert repr(fd_c_value(p4)) == "6.248115789063178"
+        assert repr(fd_c1_value(p5)) == "3.8124126848650532"
+
+
 class TestCrosscheckReport:
     def test_reference_parameters_all_pass(self):
         report = crosscheck_report(section_four_reference(), section_five_reference())
         failing = [ch.name for ch in report.checks if not ch.passed]
         assert report.all_passed, failing
-        assert len(report.checks) == 22
+        assert len(report.checks) == 42
         assert max(ch.tolerance for ch in report.checks) <= 1e-9
+
+    def test_node_row_checks_catch_a_perturbed_row(self, monkeypatch):
+        # every pair's x-rows are checked; A off by 1e-10 fails each sum it enters
+        p4, p5 = section_four_reference(), section_five_reference()
+        names = [ch.name for ch in crosscheck_report(p4, p5).checks]
+        assert sum(n.startswith("node rows[") for n in names) == 20
+
+        def perturbed(*args):
+            rows = node_rows(*args)
+            return replace(rows, A=rows.A * (1 + 1e-10))
+
+        monkeypatch.setattr(oracle, "node_rows", perturbed)
+        failing = {ch.name for ch in crosscheck_report(p4, p5).checks if not ch.passed}
+        assert failing == {f"node rows[{pair}.{part}] vs exact moments"
+                           for pair in ("m11", "m21", "m12", "m22", "m55")
+                           for part in ("AA", "AP", "PA")}
 
     def test_delta_zero_degeneracy_passes(self):
         p5 = section_five_reference()

@@ -1,17 +1,24 @@
-"""Structural properties over generated inputs: the transpose law of the
-exact moment tables, the symmetry of the Cauchy-integral derivative
-matrix of a diagonal pair, the delta = 0 degeneracy of c1, and the
-quadratic structure the exact solves rely on: c along any line in
-(p1, p2), and c1 along any line in p at a fixed twist or in q at a fixed
-delta, are parabolas to rounding."""
+"""Structural properties over generated inputs: the integer sums of the
+exact integrals and shape expansions against their per-term Fraction
+references, the transpose law of the exact moment tables, the symmetry
+of the Cauchy-integral derivative matrix of a diagonal pair, the
+delta = 0 degeneracy of c1, selfcheck's node-row checks on correct
+rows, and the quadratic structure the exact solves
+rely on: c along any line in (p1, p2), and c1 along any line in p at a
+fixed twist or in q at a fixed delta, are parabolas to rounding."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from levbounds.kernel import moments, node_rows
-from levbounds.oracle import cauchy_derivatives, fd_c1_value, kernel_numeric
-from levbounds.polyalg import MollifierShape, TwistShape, expand_mollifier
-from levbounds.proportions import SectionFiveParams, c1_core, c_core
+from levbounds.oracle import (cauchy_derivatives, crosscheck_report, fd_c1_value,
+                              kernel_numeric)
+from levbounds.polyalg import (MAX_DEGREE, MollifierShape, Poly, TwistShape, as_fraction,
+                               expand_mollifier, expand_twist, integrate01_product,
+                               mollifier_basis, twist_basis)
+from levbounds.proportions import SectionFiveParams, SectionFourParams, c1_core, c_core
+
+from kernel_reference import combine_naive, integrate01_product_naive
 
 property_settings = settings(derandomize=True, database=None, deadline=None,
                              max_examples=100)
@@ -19,6 +26,45 @@ coeffs = st.lists(st.floats(-2.0, 2.0), max_size=4)
 shapes = coeffs.map(MollifierShape.of)
 thetas = st.floats(0.3, 1.0)
 offsets = st.floats(1e-6, 5.0)
+
+# coefficient literals of every kind as_fraction reads: zeros, integers,
+# decimal strings and floats through their repr
+literals = st.one_of(st.just(0), st.integers(-10**12, 10**12),
+                     st.decimals(-1000, 1000, places=6).map(str),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+def literal_lists(max_size: int):
+    return st.lists(literals, max_size=max_size).map(lambda cs: [as_fraction(c) for c in cs])
+
+
+# MAX_DEGREE + 1 literals of every kind, the last nonzero
+FULL = [as_fraction(c) for c in [0, 7, "-0.158", 0.1, -3] * 13]
+
+
+@property_settings
+@given(p=literal_lists(MAX_DEGREE + 1).map(Poly.from_coeffs),
+       q=literal_lists(MAX_DEGREE + 1).map(Poly.from_coeffs))
+@example(p=Poly.from_coeffs(FULL), q=Poly.from_coeffs(FULL[1:]))
+def test_integer_product_integral_is_the_per_term_sum(p, q):
+    assert integrate01_product(p, q) == integrate01_product_naive(p, q)
+
+
+@property_settings
+@given(coeffs=literal_lists(MAX_DEGREE - 1))
+@example(coeffs=FULL[:MAX_DEGREE - 1])
+def test_integer_mollifier_expansion_is_the_poly_chain(coeffs):
+    shape = MollifierShape.of(coeffs)
+    assert expand_mollifier(shape) == combine_naive(mollifier_basis(len(coeffs)), coeffs)
+
+
+@property_settings
+@given(linear=literals, sym=literal_lists((MAX_DEGREE - 1) // 2))
+@example(linear="0.25", sym=FULL[:(MAX_DEGREE - 1) // 2])
+def test_integer_twist_expansion_is_the_poly_chain(linear, sym):
+    shape = TwistShape.of(linear, sym)
+    assert expand_twist(shape) == combine_naive(twist_basis(len(sym)),
+                                                (as_fraction(linear), *sym))
 
 
 @property_settings
@@ -45,6 +91,24 @@ def test_c1_at_delta_zero_is_the_kernel_value(shape, q_linear, q_sym, theta, R):
     poly = expand_mollifier(shape)
     value = kernel_numeric(moments(poly, poly), theta, -R, -R)
     assert abs(fd_c1_value(p) - value) <= 1e-13 * abs(value)
+
+
+@property_settings
+@given(shape1=shapes, shape2=shapes, shape5=shapes, theta=thetas,
+       R4=st.floats(1e-6, 300.0), R5=st.floats(1e-6, 300.0))
+@example(shape1=MollifierShape.of([-0.4141294468909389, 0.28479851780149534]),
+         shape2=MollifierShape.of([1.724042120439416, 1.764750197772658]),
+         shape5=MollifierShape.of([0.5]), theta=0.6950768278536537,
+         R4=1.0914026348574048e-05, R5=1.0)
+def test_node_row_checks_pass_on_correct_rows(shape1, shape2, shape5, theta, R4, R5):
+    # criterion-6 shapes and wider, over the whole R range; in the example
+    # m21.AP nearly cancels, and its error is 5e-12 of its own value but
+    # 2e-16 of the same sum over absolute values, which the check reads
+    p4 = SectionFourParams(shape1, shape2, theta, 1.154, R4)
+    p5 = SectionFiveParams(shape5, TwistShape.of(0.5), theta, R5, 0.5)
+    checks = [ch for ch in crosscheck_report(p4, p5).checks if ch.name.startswith("node rows[")]
+    assert len(checks) == 20
+    assert all(ch.passed for ch in checks), [(ch.name, ch.rel_delta) for ch in checks]
 
 
 # Rounding bound.  Along a line x(t) = x0 + t d every other input is fixed,
