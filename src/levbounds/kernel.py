@@ -27,13 +27,12 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .polyalg import (ONE, ZERO, Poly, integrate01_product, mollifier_basis,
-                      poly_derivative, twist_basis)
+                      poly_derivative, poly_eval, twist_basis)
 
 
 @dataclass(frozen=True)
@@ -57,14 +56,9 @@ class MomentTable:
 
 
 def moments(p1: Poly, p2: Poly) -> MomentTable:
-    d1 = poly_derivative(p1)
-    d2 = poly_derivative(p2)
-    return MomentTable(
-        m_dd=integrate01_product(d1, d2),
-        m_dp=integrate01_product(d1, p2),
-        m_pd=integrate01_product(p1, d2),
-        m_pp=integrate01_product(p1, p2),
-    )
+    d1, d2 = poly_derivative(p1), poly_derivative(p2)
+    return MomentTable(m_dd=integrate01_product(d1, d2), m_dp=integrate01_product(d1, p2),
+                       m_pd=integrate01_product(p1, d2), m_pp=integrate01_product(p1, p2))
 
 
 MIN_BASE_R = 1e-6  # smallest contour offset R a constant is evaluated at
@@ -105,29 +99,19 @@ def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _rows(n: int, m: int, twist: bool) -> tuple[np.ndarray, np.ndarray]:
     """Read-only rows of a basis and its derivative at the n nodes: the
     degree-m mollifier basis, (n, m + 1), or the twist directions Psi_j of
-    the twist basis with m symmetric terms, (n, m + 2).  Each value is
-    exact and rounded once: at x = num / den, sum_k (a_k / D) x^k of degree
-    at most d is the integer ratio sum_k a_k num^k den^(d-k) / (D den^d)."""
+    the twist basis with m symmetric terms, (n, m + 2).  Each value is the
+    exact value at the binary64 node, rounded once."""
     if twist:  # Psi_j = (1 - 2t) b_j - [j = 0]
-        basis = tuple(b - Poly.from_coeffs((0,) + b.coeffs).scale(2) - (ONE if j == 0 else ZERO)
+        basis = tuple(b - Poly.of((0, *b.nums), b.den).scale(2) - (ONE if j == 0 else ZERO)
                       for j, b in enumerate(twist_basis(m)))
     else:
         basis = mollifier_basis(m)
-    d = max(len(b.coeffs) for b in basis) - 1
-    powers = [([num**k * den**(d - k) for k in range(d + 1)], den**d)
-              for num, den in (float(x).as_integer_ratio() for x in _gauss(n)[0])]
-
-    def values(polys: tuple[Poly, ...]) -> np.ndarray:
-        out = np.zeros((n, len(polys)))
-        for j, p in enumerate(polys):
-            D = math.lcm(*(c.denominator for c in p.coeffs))
-            a = [int(c * D) for c in p.coeffs]
-            for i, (power, scale) in enumerate(powers):
-                out[i, j] = sum(map(mul, a, power)) / (D * scale)
-        out.setflags(write=False)
-        return out
-
-    return values(basis), values(tuple(poly_derivative(b) for b in basis))
+    nodes = [Fraction(float(x)) for x in _gauss(n)[0]]
+    tables = tuple(np.array([[float(poly_eval(p, x)) for p in polys] for x in nodes])
+                   for polys in (basis, tuple(map(poly_derivative, basis))))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 @dataclass(frozen=True)

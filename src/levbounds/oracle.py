@@ -23,9 +23,10 @@ The route is checked only up to order 16 at R <= 5.
 The exact data is summed in integers and divided once: each moment over
 one common denominator (polyalg.integrate01_product), each shape
 coefficient (expand_mollifier, expand_twist), and each twist weight u_j
-over the twist's common denominator.  The torus nodes and weight matrix
-are cached here per order, apart from the engine's node tables,
-read-only and built on first use.
+over the twist's common denominator.  The Gauss-Legendre nodes and
+weights are cached here per node count, and the torus nodes and weight
+matrix per order, apart from the engine's node tables, read-only and
+built on first use.
 """
 
 from __future__ import annotations
@@ -40,8 +41,19 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .kernel import MomentTable, NodeRows, moments, node_rows
-from .polyalg import Poly, _scaled, expand_mollifier, expand_twist, poly_derivative
+from .polyalg import Poly, expand_mollifier, expand_twist, poly_derivative
 from .proportions import SectionFourParams, SectionFiveParams, c1_value, c_value
+
+
+@lru_cache(maxsize=None)
+def _legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Gauss-Legendre nodes mapped to [0, 1], and its weights on
+    [-1, 1], for one node count, read-only."""
+    x, w = leggauss(nodes)
+    tables = 0.5 * (x + 1.0), w
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def quad_integrate01(p: Poly, q: Poly, nodes: int) -> float:
@@ -52,12 +64,16 @@ def quad_integrate01(p: Poly, q: Poly, nodes: int) -> float:
     degsum = max(p.degree, 0) + max(q.degree, 0)
     if nodes < degsum // 2 + 1:
         raise ValueError(f"{nodes} nodes cannot integrate degree {degsum} exactly")
-    x, w = leggauss(nodes)
-    t = 0.5 * (x + 1.0)
+    t, w = _legendre(nodes)
     pc = np.array(p.float_coeffs() or [0.0])
     qc = np.array(q.float_coeffs() or [0.0])
     vals = np.polynomial.polynomial.polyval(t, pc) * np.polynomial.polynomial.polyval(t, qc)
     return float(0.5 * np.dot(w, vals))
+
+
+def _absolute(p: Poly) -> Poly:
+    """p with each coefficient replaced by its absolute value."""
+    return Poly(tuple(map(abs, p.nums)), p.den)
 
 
 def kernel_numeric(mt: MomentTable, theta: float, a, b):
@@ -142,8 +158,8 @@ def fd_c1_value(p: SectionFiveParams) -> float:
     the denominator of delta times that of Q, and rounded once.
     """
     poly = expand_mollifier(p.p_shape)
-    (q, Dq), (num, den) = _scaled(expand_twist(p.q_shape)), Fraction(p.delta).as_integer_ratio()
-    q = (0, *q, 0)  # q[j+1]: the numerator of q_j over Dq; delta = num / den
+    twist, (num, den) = expand_twist(p.q_shape), Fraction(p.delta).as_integer_ratio()
+    q, Dq = (0, *twist.nums, 0), twist.den  # q[j+1]: the numerator of q_j; delta = num / den
     u = np.array([(num * (-1) ** j * (q[j + 1] - 2 * q[j]) + (den - num) * Dq * (j == 0))
                   / (den * Dq) for j in range(len(q) - 1)])
     mt = moments(poly, poly)
@@ -233,9 +249,13 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
             ("pd", mt.m_pd, pa, poly_derivative(pb)),
             ("pp", mt.m_pp, pa, pb),
         ):
-            num = quad_integrate01(qa, qb, nodes)
-            checks.append(CheckResult(f"moment[{name}.{part}] vs quadrature",
-                                      float(exact), num, _rel(float(exact), num), 1e-12))
+            # Horner at t in [0, 1] and the positive weights err by a few
+            # eps times the same sum over absolute coefficients, however
+            # much the moment cancels: each error is relative to that sum
+            value, num = float(exact), quad_integrate01(qa, qb, nodes)
+            size = quad_integrate01(_absolute(qa), _absolute(qb), nodes)
+            checks.append(CheckResult(f"moment[{name}.{part}] vs quadrature", value, num,
+                                      abs(value - num) / max(abs(value), size, 1e-300), 1e-12))
         checks += _row_checks(name, mt, rows, R, homogeneous[name[1]], homogeneous[name[2]])
 
     c_cauchy = fd_c_value(p4)

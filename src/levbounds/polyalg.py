@@ -1,11 +1,10 @@
 """Exact univariate polynomial algebra over the rationals.
 
-Polynomials are kept in canonical ascending-coefficient form with
-``fractions.Fraction`` entries, so moment integrals and constraint
+A polynomial has one exact form, integer numerators over one positive
+denominator, kept canonical, so moment integrals and constraint
 identities are bit-reproducible and independent of evaluation order.
-Decimal literals ("0.158") parse to exact rationals (79/500).  The hot
-exact sums, integrate01_product and the shape expansions, run on integer
-numerators over one common denominator and build each Fraction once.
+Every operation runs in integers and builds a Fraction only for a value
+it returns.  Decimal literals ("0.158") parse to exact rationals (79/500).
 
 Two constrained construction bases are provided:
 
@@ -29,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from itertools import zip_longest
+from math import comb, gcd, lcm
 from operator import mul
 
 
@@ -54,90 +54,114 @@ def as_fraction(value: int | str | float | Fraction) -> Fraction:
     return Fraction(value)
 
 
+def _require_integers(nums, den) -> None:
+    if not all(type(a) is int for a in (*nums, den)):
+        raise ValueError("Poly is integer numerators over one integer denominator, "
+                         f"not {tuple(nums)!r} / {den!r}")
+
+
 @dataclass(frozen=True)
 class Poly:
-    """Univariate polynomial; ``coeffs[k]`` is the exact coefficient of x^k.
+    """Univariate polynomial sum_k nums[k] x^k / den, exactly.
 
-    Canonical form: no trailing zero coefficients; the zero polynomial is
-    the empty tuple.
+    Canonical form: den > 0, gcd(den, *nums) = 1 and no trailing zero
+    numerator; the zero polynomial is ((), 1).  Poly.of canonicalises; the
+    constructor takes only the canonical form and fails naming it.
     """
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("Poly not in canonical form (trailing zero coefficient)")
-        if len(self.coeffs) - 1 > MAX_DEGREE:
-            raise ValueError(f"degree {len(self.coeffs) - 1} exceeds MAX_DEGREE={MAX_DEGREE}")
+        _require_integers(self.nums, self.den)
+        if self.den <= 0:
+            raise ValueError(f"Poly not in canonical form (denominator {self.den} is not positive)")
+        if gcd(self.den, *self.nums) != 1:
+            raise ValueError("Poly not in canonical form (numerators and denominator share a factor)")
+        if self.nums and self.nums[-1] == 0:
+            raise ValueError("Poly not in canonical form (trailing zero numerator)")
+        if len(self.nums) - 1 > MAX_DEGREE:
+            raise ValueError(f"degree {len(self.nums) - 1} exceeds MAX_DEGREE={MAX_DEGREE}")
+
+    @staticmethod
+    def of(nums, den: int) -> "Poly":
+        """sum_k nums[k] x^k / den in canonical form, for integers nums and
+        den != 0: trailing zeros dropped, the common factor divided out
+        and the sign of den moved to the numerators."""
+        nums = list(nums)
+        _require_integers(nums, den)
+        if den == 0:
+            raise ValueError("Poly denominator is zero")
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        return Poly(tuple(a // g for a in nums), den // g)
 
     @staticmethod
     def from_coeffs(coeffs) -> "Poly":
-        """Build from any iterable of coefficient literals, canonicalizing."""
+        """Build from any iterable of coefficient literals (as_fraction),
+        over their least common denominator."""
         cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Poly(tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        return Poly.of([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The exact coefficients: coeffs[k] is that of x^k."""
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] += c
-        return Poly.from_coeffs(out)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return Poly.of([a * s + b * t for a, b in zip_longest(self.nums, other.nums, fillvalue=0)],
+                       den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + other.scale(-1)
 
     def scale(self, s) -> "Poly":
         s = as_fraction(s)
-        if s == 0:
-            return Poly(())
-        return Poly(tuple(c * s for c in self.coeffs))
+        return Poly.of([a * s.numerator for a in self.nums], self.den * s.denominator)
 
     def float_coeffs(self) -> list[float]:
-        return [float(c) for c in self.coeffs]
+        return [a / self.den for a in self.nums]
 
 
 ZERO = Poly(())
-ONE = Poly((Fraction(1),))
-X = Poly((Fraction(0), Fraction(1)))
+ONE = Poly((1,))
+X = Poly((0, 1))
 
 
 def poly_eval(p: Poly, x) -> Fraction:
-    """Evaluate exactly at a rational point (Horner)."""
+    """Evaluate exactly at a rational point x = n / d: Horner in integers
+    on sum_k nums[k] n^k d^(deg - k), over den d^deg."""
     x = as_fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
+    n, d = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for a in reversed(p.nums):
+        acc = acc * n + a * scale
+        scale *= d
+    return Fraction(acc * d, p.den * scale)
 
 
 def poly_derivative(p: Poly) -> Poly:
     """Exact formal derivative in canonical form."""
-    return Poly.from_coeffs(k * c for k, c in enumerate(p.coeffs) if k >= 1)
+    return Poly.of([k * a for k, a in enumerate(p.nums)][1:], p.den)
 
 
 def poly_reflect(p: Poly) -> Poly:
     """p(1 - x), expanded exactly."""
-    out = [Fraction(0)] * max(len(p.coeffs), 1)
-    for k, c in enumerate(p.coeffs):
+    out = [0] * len(p.nums)
+    for k, a in enumerate(p.nums):
         # (1-x)^k = sum_i C(k,i) (-1)^i x^i
         for i in range(k + 1):
-            out[i] += c * comb(k, i) * (-1) ** i
-    return Poly.from_coeffs(out)
-
-
-def _scaled(p: Poly) -> tuple[tuple[int, ...], int]:
-    """p as integer numerators over their least common denominator."""
-    D = lcm(*(c.denominator for c in p.coeffs))
-    return tuple(c.numerator * (D // c.denominator) for c in p.coeffs), D
+            out[i] += a * comb(k, i) * (-1) ** i
+    return Poly.of(out, p.den)
 
 
 @lru_cache(maxsize=None)
@@ -151,14 +175,14 @@ def _integral_weights(n: int) -> tuple[int, tuple[int, ...]]:
 def integrate01_product(p: Poly, q: Poly) -> Fraction:
     """Exact integral over [0,1] of p(t)q(t): sum_{j,k} p_j q_k / (j+k+1).
 
-    Summed in integers: with p = a / Dp and q = b / Dq, integer numerators
-    over their common denominators, it is sum_{j,k} a_j b_k (L / (j+k+1))
-    over Dp Dq L, L = lcm(1..deg p + deg q + 1), one Fraction at the end.
+    Summed in integers: with p = a / Dp and q = b / Dq, it is
+    sum_{j,k} a_j b_k (L / (j+k+1)) over Dp Dq L, L = lcm(1..deg p + deg q
+    + 1), one Fraction at the end.
     """
-    (a, Dp), (b, Dq) = _scaled(p), _scaled(q)
+    a, b = p.nums, q.nums
     L, weights = _integral_weights(len(a) + len(b) - 1)
     total = sum(x * sum(map(mul, b, weights[j:])) for j, x in enumerate(a))
-    return Fraction(total, Dp * Dq * L)
+    return Fraction(total, p.den * q.den * L)
 
 
 # --------------------------------------------------------------------------
@@ -218,36 +242,27 @@ def twist_basis(m: int) -> tuple[Poly, ...]:
     return (ONE, X) + tuple(sym_basis_integral(k) for k in range(1, m + 1))
 
 
-@lru_cache(maxsize=None)
-def _scaled_basis(family, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Each polynomial of family(m), a basis above, scaled to integers."""
-    return tuple(_scaled(b) for b in family(m))
-
-
-def _combine(basis: tuple[tuple[tuple[int, ...], int], ...], coeffs) -> Poly:
-    """The affine combination basis[0] + sum_i coeffs[i] basis[i+1] of a
-    scaled basis, summed in integers over the common denominator of every
-    term and divided once per coefficient."""
+def _combine(basis: tuple[Poly, ...], coeffs) -> Poly:
+    """The affine combination basis[0] + sum_i coeffs[i] basis[i+1],
+    summed in integers over the common denominator of every term."""
     terms = [(Fraction(1), basis[0])] + [(as_fraction(c), b) for c, b in zip(coeffs, basis[1:])]
-    den = lcm(*(c.denominator * D for c, (_, D) in terms))
-    out = [0] * max(len(a) for _, (a, _) in terms)
-    for c, (a, D) in terms:
-        s = c.numerator * (den // (c.denominator * D))
-        for i, x in enumerate(a):
+    den = lcm(*(c.denominator * b.den for c, b in terms))
+    out = [0] * max(len(b.nums) for _, b in terms)
+    for c, b in terms:
+        s = c.numerator * (den // (c.denominator * b.den))
+        for i, x in enumerate(b.nums):
             out[i] += s * x
-    return Poly.from_coeffs(Fraction(x, den) for x in out)
+    return Poly.of(out, den)
 
 
 def expand_mollifier(shape: MollifierShape) -> Poly:
     """Expand P(x) = x + sum_j c_j x^j (1-x) to canonical form."""
-    return _combine(_scaled_basis(mollifier_basis, len(shape.shape_coeffs)),
-                    shape.shape_coeffs)
+    return _combine(mollifier_basis(len(shape.shape_coeffs)), shape.shape_coeffs)
 
 
 def expand_twist(shape: TwistShape) -> Poly:
     """Expand Q(x) = 1 + q0 x + sum_k q_k I_k(x) to canonical form."""
-    return _combine(_scaled_basis(twist_basis, len(shape.sym_coeffs)),
-                    (shape.linear_coeff, *shape.sym_coeffs))
+    return _combine(twist_basis(len(shape.sym_coeffs)), (shape.linear_coeff, *shape.sym_coeffs))
 
 
 # --------------------------------------------------------------------------
@@ -261,7 +276,8 @@ def _coordinates(p: Poly, basis: tuple[Poly, ...], family: str) -> tuple[Fractio
     rem = p - basis[0]
     coords: list[Fraction] = []
     for b in reversed(basis[1:]):
-        c = rem.coeffs[-1] / b.coeffs[-1] if rem.degree == b.degree else Fraction(0)
+        c = (Fraction(rem.nums[-1] * b.den, rem.den * b.nums[-1])
+             if rem.degree == b.degree else Fraction(0))
         rem = rem - b.scale(c)
         coords.append(c)
     if rem != ZERO:
@@ -287,6 +303,5 @@ def twist_shape_from_poly(q: Poly) -> TwistShape:
     if (dq - poly_reflect(dq)) != ZERO:
         raise ConstraintViolationError("twist polynomial violates Q'(x) = Q'(1-x)")
     basis = twist_basis(max(0, (q.degree - 1) // 2))
-    linear, *sym = _coordinates(
-        q, basis, "in the twist basis 1 + q0 x + sum_k q_k I_k")
+    linear, *sym = _coordinates(q, basis, "in the twist basis 1 + q0 x + sum_k q_k I_k")
     return TwistShape(linear, tuple(sym))

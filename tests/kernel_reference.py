@@ -23,13 +23,15 @@ c is h11 + (1/r) d_a h21 + (1/r) d_b h12 + (1/r^2) d_ab h22 at
 a = b = -R, and c1 the form u^T D u of the twist operator's weights u
 (twist_operator_coefficients) over the derivative matrix D of (P, P).
 
-The exact sums also keep their per-term Fraction forms here, as the
-references of the integer sums in polyalg: integrate01_product_naive and
-combine_naive.
+The exact polynomial operations also keep their per-term Fraction forms
+here, on the exact coefficients Poly.coeffs, as the references of the
+integer form in polyalg: integrate01_product_naive, combine_naive and the
+other *_naive functions.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 from mpmath import mp
@@ -50,11 +52,46 @@ def integrate01_product_naive(p: Poly, q: Poly) -> Fraction:
     return total
 
 
-def combine_naive(basis: tuple[Poly, ...], coeffs) -> Poly:
-    """basis[0] + sum_i coeffs[i] basis[i+1] through Poly.__add__ and scale."""
-    out = basis[0]
+def _trimmed(cs) -> tuple[Fraction, ...]:
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def add_naive(a, b) -> tuple[Fraction, ...]:
+    """Coefficients of a + b, Fraction by Fraction."""
+    n = max(len(a), len(b))
+    return _trimmed((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def scale_naive(a, s: Fraction) -> tuple[Fraction, ...]:
+    return _trimmed(s * c for c in a)
+
+
+def derivative_naive(a) -> tuple[Fraction, ...]:
+    return _trimmed(k * c for k, c in enumerate(a) if k >= 1)
+
+
+def reflect_naive(a) -> tuple[Fraction, ...]:
+    """Coefficients of p(1 - x): sum_k a_k sum_i C(k,i) (-1)^i x^i."""
+    out = [Fraction(0)] * len(a)
+    for k, c in enumerate(a):
+        for i in range(k + 1):
+            out[i] += c * comb(k, i) * (-1) ** i
+    return _trimmed(out)
+
+
+def eval_naive(a, x: Fraction) -> Fraction:
+    return sum((c * x**k for k, c in enumerate(a)), Fraction(0))
+
+
+def combine_naive(basis: tuple[Poly, ...], coeffs) -> tuple[Fraction, ...]:
+    """Coefficients of basis[0] + sum_i coeffs[i] basis[i+1], Fraction by
+    Fraction."""
+    out = basis[0].coeffs
     for c, b in zip(coeffs, basis[1:]):
-        out = out + b.scale(c)
+        out = add_naive(out, scale_naive(b.coeffs, c))
     return out
 
 

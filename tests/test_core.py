@@ -24,17 +24,18 @@ import levbounds
 from levbounds import kernel, oracle
 from levbounds.kernel import MIN_BASE_R, MomentTable, moments, node_rows
 from levbounds.optimizer import SearchSpec, _SOLVES
-from levbounds.polyalg import (ONE, ZERO, MollifierShape, Poly, TwistShape,
-                               expand_mollifier, expand_twist, mollifier_basis,
-                               poly_derivative, poly_eval, twist_basis)
+from levbounds.polyalg import (MollifierShape, Poly, TwistShape, expand_mollifier,
+                               expand_twist, mollifier_basis, poly_derivative, poly_eval,
+                               twist_basis)
 from levbounds.proportions import (SectionFiveParams, SectionFourParams, c1_core,
                                    c1_value, c_core, c_value, kappa_bound,
                                    nu_bound)
 from levbounds.reference import section_five_reference, section_four_reference
 
-from kernel_reference import (_expm1_ratio_derivatives, _mp_derivatives, anchor_matrix,
+from kernel_reference import (_expm1_ratio_derivatives, _mp_derivatives, add_naive,
+                              anchor_matrix, derivative_naive, eval_naive,
                               kernel_derivative_basis, kernel_matrix, mp_c, mp_c1,
-                              twist_operator_coefficients)
+                              scale_naive, twist_operator_coefficients)
 
 AGREEMENT = 1e-13
 
@@ -189,13 +190,17 @@ class TestCachedData:
                                              (87, 2, True), (30, 7, True)])
     def test_rows_are_exact_values_rounded_once(self, n, m, twist):
         # every entry is the basis polynomial's exact value at the binary64
-        # node, rounded once
-        basis = ([b - Poly.from_coeffs((0,) + b.coeffs).scale(2) - (ONE if j == 0 else ZERO)
-                  for j, b in enumerate(twist_basis(m))] if twist else mollifier_basis(m))
+        # node, rounded once; here summed Fraction by Fraction
+        if twist:  # Psi_j = (1 - 2t) b_j - [j = 0]
+            basis = [add_naive(add_naive(b.coeffs, scale_naive((0,) + b.coeffs, -2)),
+                               (-1,) if j == 0 else ())
+                     for j, b in enumerate(twist_basis(m))]
+        else:
+            basis = [b.coeffs for b in mollifier_basis(m)]
         x = [Fraction(float(t)) for t in kernel._gauss(n)[0]]
         P, D = kernel._rows(n, m, twist)
-        assert P.tolist() == [[float(poly_eval(b, t)) for b in basis] for t in x]
-        assert D.tolist() == [[float(poly_eval(poly_derivative(b), t)) for b in basis]
+        assert P.tolist() == [[float(eval_naive(b, t)) for b in basis] for t in x]
+        assert D.tolist() == [[float(eval_naive(derivative_naive(b), t)) for b in basis]
                               for t in x]
 
     def test_mollifier_basis_is_affine_expansion(self):
@@ -224,7 +229,7 @@ class TestCachedData:
     def test_tables_are_read_only(self):
         rows = node_rows(1.0, 0.746, 3, 3)
         for table in (*kernel._rows(6, 3, False), *kernel._rows(len(rows.t), 3, True),
-                      *kernel._gauss(len(rows.t)), *oracle._torus(6)):
+                      *kernel._gauss(len(rows.t)), *oracle._torus(6), *oracle._legendre(5)):
             assert not table.flags.writeable
         for basis in (mollifier_basis(3), twist_basis(3)):
             assert isinstance(basis, tuple) and all(isinstance(b, Poly) for b in basis)
@@ -235,8 +240,8 @@ class TestCachedData:
         code = ("import levbounds\n"
                 "from levbounds import kernel, oracle, polyalg\n"
                 "for f in (kernel._gauss, kernel._rows, polyalg.mollifier_basis, "
-                "polyalg.twist_basis, polyalg._scaled_basis, polyalg._integral_weights, "
-                "oracle._torus):\n"
+                "polyalg.twist_basis, polyalg._integral_weights, oracle._torus, "
+                "oracle._legendre):\n"
                 "    assert f.cache_info().currsize == 0, f\n")
         src = os.path.dirname(os.path.dirname(levbounds.__file__))
         subprocess.run([sys.executable, "-c", code], check=True,

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from levbounds.proportions import SectionFiveParams, SectionFourParams, c1_value
 from levbounds.reference import section_five_reference, section_four_reference
 
 from kernel_reference import kernel_derivative_basis, kernel_matrix
+
+# section-4 shapes whose cross moments m12.dp and m21.pd nearly cancel
+CANCELLING = (["1.545", "1.483"], ["-0.921", "0.996"])
 
 
 class TestQuadrature:
@@ -236,6 +240,30 @@ class TestCrosscheckReport:
         assert failing == {f"node rows[{pair}.{part}] vs exact moments"
                            for pair in ("m11", "m21", "m12", "m22", "m55")
                            for part in ("AA", "AP", "PA")}
+
+    def test_cancelling_cross_moments_pass(self):
+        # m12.dp and m21.pd nearly cancel here: against their own value the
+        # quadrature's rounding read 7.8e-11, over the 1e-12 tolerance
+        p4 = replace(section_four_reference(), p1_shape=MollifierShape.of(CANCELLING[0]),
+                     p2_shape=MollifierShape.of(CANCELLING[1]))
+        report = crosscheck_report(p4, section_five_reference())
+        failing = [(ch.name, ch.rel_delta) for ch in report.checks if not ch.passed]
+        assert report.all_passed and len(report.checks) == 42, failing
+
+    def test_moment_checks_catch_a_perturbed_moment(self, monkeypatch):
+        # the square moments m_pp of the diagonal pairs do not cancel, and
+        # each off by 1e-10 still fails its check on the cancelling config
+        p4 = replace(section_four_reference(), p1_shape=MollifierShape.of(CANCELLING[0]),
+                     p2_shape=MollifierShape.of(CANCELLING[1]))
+
+        def perturbed(p1, p2):
+            mt = moments(p1, p2)
+            return replace(mt, m_pp=mt.m_pp * (1 + Fraction(1, 10**10))) if p1 == p2 else mt
+
+        monkeypatch.setattr(oracle, "moments", perturbed)
+        failing = {ch.name for ch in crosscheck_report(p4, section_five_reference()).checks
+                   if not ch.passed and ch.name.startswith("moment[")}
+        assert failing == {f"moment[{pair}.pp] vs quadrature" for pair in ("m11", "m22", "m55")}
 
     def test_delta_zero_degeneracy_passes(self):
         p5 = section_five_reference()

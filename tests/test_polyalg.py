@@ -56,6 +56,44 @@ class TestPolyBasics:
             Poly.from_coeffs([0] * (MAX_DEGREE + 1) + [1])
 
 
+class TestIntegerForm:
+    def test_integer_numerators_over_one_denominator(self):
+        p = Poly.from_coeffs(["0.5", "-0.25", 3])
+        assert (p.nums, p.den) == ((2, -1, 12), 4)
+        assert p.coeffs == (F(1, 2), F(-1, 4), F(3))
+        assert ZERO == Poly((), 1) and X == Poly((0, 1))
+
+    def test_of_canonicalises(self):
+        assert Poly.of([4, -6, 0, 0], -8) == Poly((-2, 3), 4)
+        assert Poly.of([0, 0], 7) == ZERO
+        assert Poly.of([5], 1) == Poly((5,))
+
+    @pytest.mark.parametrize("nums, den, named", [
+        ((1, 2), 0, "denominator 0 is not positive"),
+        ((1, 2), -3, "denominator -3 is not positive"),
+        ((2, 4), 6, "share a factor"),
+        ((1, 0), 3, "trailing zero numerator"),
+        ((F(1, 2), 1), 3, "integer numerators over one integer denominator"),
+        ((1.0,), 1, "integer numerators over one integer denominator"),
+        ((1,), F(3), "integer numerators over one integer denominator"),
+    ])
+    def test_constructor_rejects_each_bad_form_by_name(self, nums, den, named):
+        with pytest.raises(ValueError, match=named):
+            Poly(nums, den)
+
+    def test_of_rejects_what_it_cannot_canonicalise(self):
+        with pytest.raises(ValueError, match="denominator is zero"):
+            Poly.of([1], 0)
+        with pytest.raises(ValueError, match="integer numerators over one integer denominator"):
+            Poly.of([F(1, 2)], 3)
+        with pytest.raises(ValueError, match="integer numerators over one integer denominator"):
+            Poly.of([1, 2.0], 3)
+
+    def test_coeffs_is_read_only(self):
+        with pytest.raises(AttributeError):
+            X.coeffs = (F(1),)
+
+
 class TestDerivative:
     def test_power_rule(self):
         assert poly_derivative(Poly.from_coeffs([0, 0, 0, 1])).coeffs == (F(0), F(0), F(3))

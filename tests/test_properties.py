@@ -1,11 +1,14 @@
-"""Structural properties over generated inputs: the integer sums of the
-exact integrals and shape expansions against their per-term Fraction
-references, the transpose law of the exact moment tables, the symmetry
-of the Cauchy-integral derivative matrix of a diagonal pair, the
-delta = 0 degeneracy of c1, selfcheck's node-row checks on correct
-rows, and the quadratic structure the exact solves
-rely on: c along any line in (p1, p2), and c1 along any line in p at a
-fixed twist or in q at a fixed delta, are parabolas to rounding."""
+"""Structural properties over generated inputs: the integer form of the
+exact polynomials, its operations, integrals and shape expansions,
+against per-term Fraction references on the exact coefficients, the
+transpose law of the exact moment tables, the symmetry of the
+Cauchy-integral derivative matrix of a diagonal pair, the delta = 0
+degeneracy of c1, selfcheck's node-row checks on correct rows, and the
+quadratic structure the exact solves rely on: c along any line in
+(p1, p2), and c1 along any line in p at a fixed twist or in q at a fixed
+delta, are parabolas to rounding."""
+
+from math import gcd
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -15,10 +18,12 @@ from levbounds.oracle import (cauchy_derivatives, crosscheck_report, fd_c1_value
                               kernel_numeric)
 from levbounds.polyalg import (MAX_DEGREE, MollifierShape, Poly, TwistShape, as_fraction,
                                expand_mollifier, expand_twist, integrate01_product,
-                               mollifier_basis, twist_basis)
+                               mollifier_basis, poly_derivative, poly_eval, poly_reflect,
+                               twist_basis)
 from levbounds.proportions import SectionFiveParams, SectionFourParams, c1_core, c_core
 
-from kernel_reference import combine_naive, integrate01_product_naive
+from kernel_reference import (add_naive, combine_naive, derivative_naive, eval_naive,
+                              integrate01_product_naive, reflect_naive, scale_naive)
 
 property_settings = settings(derandomize=True, database=None, deadline=None,
                              max_examples=100)
@@ -51,11 +56,27 @@ def test_integer_product_integral_is_the_per_term_sum(p, q):
 
 
 @property_settings
+@given(p=literal_lists(MAX_DEGREE + 1).map(Poly.from_coeffs),
+       q=literal_lists(MAX_DEGREE + 1).map(Poly.from_coeffs), s=literals, x=literals)
+@example(p=Poly.from_coeffs(FULL), q=Poly.from_coeffs(FULL[1:]), s="-0.158", x=0.1)
+def test_integer_operations_are_the_fraction_operations(p, q, s, x):
+    a, b, s, x = p.coeffs, q.coeffs, as_fraction(s), as_fraction(x)
+    assert p.den > 0 and gcd(p.den, *p.nums) == 1 and p.nums[-1:] != (0,)
+    assert p == Poly.from_coeffs(a) and p.float_coeffs() == [float(c) for c in a]
+    assert (p + q).coeffs == add_naive(a, b)
+    assert (p - q).coeffs == add_naive(a, scale_naive(b, -1))
+    assert p.scale(s).coeffs == scale_naive(a, s)
+    assert poly_derivative(p).coeffs == derivative_naive(a)
+    assert poly_reflect(p).coeffs == reflect_naive(a)
+    assert poly_eval(p, x) == eval_naive(a, x)
+
+
+@property_settings
 @given(coeffs=literal_lists(MAX_DEGREE - 1))
 @example(coeffs=FULL[:MAX_DEGREE - 1])
 def test_integer_mollifier_expansion_is_the_poly_chain(coeffs):
     shape = MollifierShape.of(coeffs)
-    assert expand_mollifier(shape) == combine_naive(mollifier_basis(len(coeffs)), coeffs)
+    assert expand_mollifier(shape).coeffs == combine_naive(mollifier_basis(len(coeffs)), coeffs)
 
 
 @property_settings
@@ -63,7 +84,7 @@ def test_integer_mollifier_expansion_is_the_poly_chain(coeffs):
 @example(linear="0.25", sym=FULL[:(MAX_DEGREE - 1) // 2])
 def test_integer_twist_expansion_is_the_poly_chain(linear, sym):
     shape = TwistShape.of(linear, sym)
-    assert expand_twist(shape) == combine_naive(twist_basis(len(sym)),
+    assert expand_twist(shape).coeffs == combine_naive(twist_basis(len(sym)),
                                                 (as_fraction(linear), *sym))
 
 
