@@ -10,13 +10,15 @@ suitable solve coordinates, so only R needs a one-dimensional search:
   c1   L = U A + theta U' P is bilinear in u = (1, p) and the twist
        v = delta (1, q), so c1 is quadratic in each with the other fixed.
 
-Each solve has one coordinate vector x over its blocks, each block's
-columns a slice of it, and one state (x, pinned bound rows).  Its model
-is the constant's gradient 2 J'WL and Hessian 2 J'WJ in x, with J the
-root's Jacobian and, for c1, the cross term 2 sum W L d^2 L / du dv;
-exact, since every solve vector is affine in x.  A step minimizes that
-model under the bound rows A x >= b, over every coordinate or over one
-block's, with one eigendecomposition of the Hessian (or of the block's
+Each solve has one affine map y = y0 + N x (_Map) from its coordinates x
+to its solve vector y (z for c; u then v for c1), with the bound rows
+A x >= b; each block is one slice of y, of x and of the rows.  The
+solve's state is (x, pinned bound rows).  Its model is the constant's
+gradient 2 J'WL and Hessian 2 J'WJ in x, with J the root's Jacobian,
+read from y and from N's columns, and, for c1, the cross term
+2 sum W L d^2 L / du dv; exact, since y is affine in x.  A step
+minimizes that model under the bound rows, over every coordinate or over
+one block's, with one eigendecomposition of the Hessian (or of the block's
 diagonal block) for the condition gate and the inverse.  With one block
 moving, the solve is one step of that block, exact since the constant
 is quadratic in each block.  With both c1 blocks moving it takes joint
@@ -436,55 +438,63 @@ def _matrix(rows: list[dict[int, float]], ncols: int) -> np.ndarray:
     return out
 
 
-class _Block:
-    """One block of solve coordinates x, its solve vector y = y0 + N x, and
-    its bounds as rows A x >= b.
+class _Map:
+    """The affine map of one solve: its solve vector y = y0 + N x in its
+    coordinates x, and its bounds as rows A x >= b, built once from the
+    target's segments by block name, each block one slice of y, of x and
+    of the rows.
 
     A segment s (1, c) holds the solve entries s and y_j = s c_j, each
     mapped on its own from the start values s0, c0: s is the coordinate s
     when free and the constant s0 when not; y_j is the coordinate s c_j
     when s and c_j are both free, s0 times the coordinate c_j when only c_j
     is, c0_j times the coordinate s when only s is, and the constant s0 c0_j
-    when neither is.  Each row names the public entry it pins when active,
-    and the value it pins it to.
+    when neither is.  So each row of N has at most one nonzero, and a block
+    whose entries are all held has no columns and keeps y0.  Each bound row
+    names the public entry it pins when active, and the value it pins it to.
     """
 
-    def __init__(self, name: str, spec: SearchSpec, segments: tuple[_Segment, ...]):
-        self.name = name
+    def __init__(self, spec: SearchSpec, blocks: dict[str, tuple[_Segment, ...]]):
         start = np.array(spec.initial_point, dtype=float)
         free = set(spec.free_indices())
         bounds = spec.bounds_by_index
         self.parts, y, rows, col = [], [], [], 0  # y: per solve entry, (constant, {col: a})
-        for seg in segments:
-            s0 = 1.0 if seg.scale is None else float(start[seg.scale])
-            s0 = 1.0 / s0 if seg.inverse else s0
-            s_free, s_col = seg.scale in free, col
-            moving = [at for at in seg.shape if at in free]
-            moving = {at: col + s_free + k for k, at in enumerate(moving)}
-            col += s_free + len(moving)
-            y.append((0.0, {s_col: 1.0}) if s_free else (s0, {}))
-            for at in seg.shape:
-                c0 = float(start[at])
-                y.append((0.0, {moving[at]: 1.0 if s_free else s0}) if at in moving
-                         else (0.0, {s_col: c0}) if s_free else (s0 * c0, {}))
-            sign = 1.0
-            if s_free:
-                lo, hi = bounds[seg.scale]
-                if moving and not seg.inverse:  # q = v / delta: delta keeps its side of 0
-                    sign = 1.0 if s0 > 0.0 or (s0 == 0.0 and hi > 0.0) else -1.0
-                    lo, hi = (max(lo, 0.0), hi) if sign > 0.0 else (lo, min(hi, 0.0))
-                # s_lo <= s <= s_hi; for s = 1/r the row at 1/hi pins r at hi
-                (s_lo, at_lo), (s_hi, at_hi) = (((1.0 / hi, hi), (1.0 / lo, lo)) if seg.inverse
-                                                else ((lo, lo), (hi, hi)))
-                rows += [({s_col: 1.0}, s_lo, (seg.scale, at_lo)),
-                         ({s_col: -1.0}, -s_hi, (seg.scale, at_hi))]
-            for at, k in moving.items():
-                # lo <= c_j <= hi as side (c_j - bound) >= 0, times s when s is free
-                for bound, side in zip(bounds.get(at, ()), (sign, -sign)):
-                    rows.append(({k: side, s_col: -side * bound} if s_free else {k: side},
-                                 0.0 if s_free else side * bound, (at, bound)))
-            self.parts.append((seg, s_col if s_free else None, moving))
-        self.size = col
+        self.blocks = {}  # each block's (y, x, rows) slices, by name
+        for name, segments in blocks.items():
+            first = len(y), col, len(rows)
+            for seg in segments:
+                s0 = 1.0 if seg.scale is None else float(start[seg.scale])
+                s0 = 1.0 / s0 if seg.inverse else s0
+                s_free, s_col = seg.scale in free, col
+                moving = [at for at in seg.shape if at in free]
+                moving = {at: col + s_free + k for k, at in enumerate(moving)}
+                col += s_free + len(moving)
+                y.append((0.0, {s_col: 1.0}) if s_free else (s0, {}))
+                for at in seg.shape:
+                    c0 = float(start[at])
+                    y.append((0.0, {moving[at]: 1.0 if s_free else s0}) if at in moving
+                             else (0.0, {s_col: c0}) if s_free else (s0 * c0, {}))
+                sign = 1.0
+                if s_free:
+                    lo, hi = bounds[seg.scale]
+                    if moving and not seg.inverse:  # q = v / delta: delta keeps its side of 0
+                        sign = 1.0 if s0 > 0.0 or (s0 == 0.0 and hi > 0.0) else -1.0
+                        lo, hi = (max(lo, 0.0), hi) if sign > 0.0 else (lo, min(hi, 0.0))
+                    # s_lo <= s <= s_hi; for s = 1/r the row at 1/hi pins r at hi
+                    (s_lo, at_lo), (s_hi, at_hi) = (((1.0 / hi, hi), (1.0 / lo, lo))
+                                                    if seg.inverse else ((lo, lo), (hi, hi)))
+                    rows += [({s_col: 1.0}, s_lo, (seg.scale, at_lo)),
+                             ({s_col: -1.0}, -s_hi, (seg.scale, at_hi))]
+                for at, k in moving.items():
+                    # lo <= c_j <= hi as side (c_j - bound) >= 0, times s when s is free
+                    for bound, side in zip(bounds.get(at, ()), (sign, -sign)):
+                        rows.append(({k: side, s_col: -side * bound} if s_free else {k: side},
+                                     0.0 if s_free else side * bound, (at, bound)))
+                self.parts.append((seg, s_col if s_free else None, moving))
+            last = len(y), col, len(rows)
+            self.blocks[name] = tuple(slice(a, b) for a, b in zip(first, last))
+        self.moving = {name: cols for name, (_, cols, _) in self.blocks.items()
+                       if cols.stop > cols.start}  # the columns of each block that has any
         self.y0 = np.array([constant for constant, _ in y])
         self.N = _matrix([entry for _, entry in y], col)
         self.A = _matrix([row for row, _, _ in rows], col)
@@ -492,7 +502,7 @@ class _Block:
         self.pins = [pin for _, _, pin in rows]
 
     def coordinates(self, v: np.ndarray) -> np.ndarray:
-        """The solve coordinates of a public vector."""
+        """The coordinates x of a public vector."""
         x = []
         for seg, s_col, moving in self.parts:
             s = 1.0 if seg.scale is None else float(v[seg.scale])
@@ -502,7 +512,8 @@ class _Block:
             x += [s * v[at] if s_col is not None else v[at] for at in moving]
         return np.array(x, dtype=float)
 
-    def values(self, x: np.ndarray) -> np.ndarray:
+    def y(self, x: np.ndarray) -> np.ndarray:
+        """The solve vector y0 + N x."""
         return self.y0 + self.N @ x
 
     def write(self, x: np.ndarray, out: np.ndarray) -> None:
@@ -518,69 +529,52 @@ class _Block:
 
 class _Solve:
     """The exact solve of one target at fixed R on the node rows of the
-    given degrees, in one coordinate vector x over all its blocks, each
-    block's columns one slice of it, and one state (x, pinned rows).  A held
-    block has no coordinates (size 0) and keeps y0.  The blocks' bound rows
-    are stacked once, block-diagonal, as A x >= b, with the pins they name.
+    given degrees, over the coordinates x of one map (_Map) and one state
+    (x, pinned rows of the map's A x >= b).
 
     The constant is 1 + sum W L^2 over the nodes.  A subclass gives its
-    root L and the root's Jacobian in x from the blocks' solve vectors, the
-    cross term of a root bilinear in two blocks, its objective (minimized),
-    the objective's sign and per_log, the objective being
-    per_log ln(constant) / R up to a constant term."""
+    root L and the root's Jacobian in x from the solve vector y, the cross
+    term of a root bilinear in two blocks, its objective (minimized), the
+    objective's sign and per_log, the objective being per_log ln(constant)
+    / R up to a constant term."""
 
-    def __init__(self, spec: SearchSpec, degrees: tuple, blocks: tuple[_Block, ...]):
-        self.spec, self.degrees, self.blocks = spec, degrees, blocks
+    def __init__(self, spec: SearchSpec, degrees: tuple, blocks: dict[str, tuple[_Segment, ...]]):
+        self.spec, self.degrees, self.map = spec, degrees, _Map(spec, blocks)
         self.R_at, self.solves, self.fallbacks = spec.places()["R"], 0, 0
-        self.slices, col, row = [], 0, 0  # each block's (columns, rows)
-        for block in blocks:
-            self.slices.append((slice(col, col + block.size), slice(row, row + len(block.b))))
-            col, row = col + block.size, row + len(block.b)
-        self.A = np.zeros((row, col))
-        for block, (cols, rows) in zip(blocks, self.slices):
-            self.A[rows, cols] = block.A
-        self.b = np.concatenate([block.b for block in blocks])
-        self.pins = [pin for block in blocks for pin in block.pins]
 
     def start(self, v: np.ndarray):
         """The state at the public vector v: its coordinates, no row pinned."""
-        return np.concatenate([block.coordinates(v) for block in self.blocks]), ()
+        return self.map.coordinates(v), ()
 
     def nodes(self, R: float) -> NodeRows:
         return node_rows(self.spec.theta, R, *self.degrees)
 
-    def values(self, state) -> dict[str, np.ndarray]:
-        """Each block's solve vector y at state, by block name."""
-        return {block.name: block.values(state[0][cols])
-                for block, (cols, _) in zip(self.blocks, self.slices)}
+    def constant(self, rows: NodeRows, y: np.ndarray) -> float:
+        return rows.square(self.root(rows, y))
 
-    def constant(self, rows: NodeRows, values) -> float:
-        return rows.square(self.root(rows, values))
-
-    def cross(self, rows: NodeRows, values, WL: np.ndarray) -> np.ndarray | float:
+    def cross(self, rows: NodeRows, y: np.ndarray, WL: np.ndarray) -> np.ndarray | float:
         return 0.0  # none for a root linear in x
 
-    def model(self, rows: NodeRows, values) -> tuple[np.ndarray, np.ndarray]:
+    def model(self, rows: NodeRows, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The gradient 2 J'WL and Hessian 2 J'WJ + cross of the constant in x."""
-        L, J = self.root(rows, values), self.jacobian(rows, values)
+        L, J = self.root(rows, y), self.jacobian(rows, y)
         root_w = np.sqrt(rows.W).ravel()
         S = root_w[:, None] * J.reshape(len(root_w), -1)
         H = 2.0 * S.T @ S
-        return 2.0 * S.T @ (root_w * L.ravel()), H + self.cross(rows, values, rows.W * L)
+        return 2.0 * S.T @ (root_w * L.ravel()), H + self.cross(rows, y, rows.W * L)
 
     def solve(self, R: float, state):
         """The solved state at R, warm-started from state; see the module
         docstring."""
-        rows = self.nodes(R)
-        moving = [i for i, block in enumerate(self.blocks) if block.size]
+        rows, moving = self.nodes(R), list(self.map.moving)
         if len(moving) < 2:  # exact: the constant is quadratic in each block
             return self.step(R, rows, state, moving[0])[0] if moving else state
-        last = self.constant(rows, self.values(state))
+        last = self.constant(rows, self.map.y(state[0]))
         for _ in range(MAX_STEPS):
             margin = SQRT_EPS * abs(last)  # see the module docstring
             try:
                 trial, gain = self.step(R, rows, state)
-                now = self.constant(rows, self.values(trial))
+                now = self.constant(rows, self.map.y(trial[0]))
             except IllPosedSolveError:
                 now = math.inf
             if now < last + margin:
@@ -589,27 +583,26 @@ class _Solve:
                     break
                 continue
             self.fallbacks += 1
-            for i in moving:  # a sweep
-                state = self.step(R, rows, state, i)[0]
-            now = self.constant(rows, self.values(state))
+            for name in moving:  # a sweep
+                state = self.step(R, rows, state, name)[0]
+            now = self.constant(rows, self.map.y(state[0]))
             if not now < last:
                 break
             last = now
         return state
 
-    def step(self, R: float, rows: NodeRows, state, block: int | None = None):
+    def step(self, R: float, rows: NodeRows, state, block: str | None = None):
         """Minimize the model at state under the bound rows, over every
-        coordinate or over one block's: the state reached and the decrease
-        the model predicts.  Each step factors the model Hessian once and
-        counts as one solve."""
+        coordinate or over the named block's: the state reached and the
+        decrease the model predicts.  Each step factors the model Hessian
+        once and counts as one solve."""
         self.solves += 1
         x, pinned = state
-        g, H = self.model(rows, self.values(state))
-        cols, bounds = (slice(None), slice(None)) if block is None else self.slices[block]
-        name = "joint step" if block is None else f"{self.blocks[block].name} block"
-        where = f"{name} at R = {R!r}"
-        Q, A = H[cols, cols], self.A[bounds, cols]
-        d, active = _minimize(_inverse(where, Q), g[cols], A, self.b[bounds] - A @ x[cols],
+        g, H = self.model(rows, self.map.y(x))
+        cols, bounds = (slice(None), slice(None)) if block is None else self.map.blocks[block][1:]
+        where = f"{'joint step' if block is None else f'{block} block'} at R = {R!r}"
+        Q, A = H[cols, cols], self.map.A[bounds, cols]
+        d, active = _minimize(_inverse(where, Q), g[cols], A, self.map.b[bounds] - A @ x[cols],
                               np.zeros(len(Q)), where)
         x = x.copy()
         x[cols] += d
@@ -623,10 +616,9 @@ class _Solve:
         pins lands on its bound exactly."""
         x, pinned = state
         out = np.array(self.spec.initial_point, dtype=float)
-        for block, (cols, _) in zip(self.blocks, self.slices):
-            block.write(x[cols], out)
+        self.map.write(x, out)
         for i in pinned:
-            at, value = self.pins[i]
+            at, value = self.map.pins[i]
             out[at] = value
         for i, (lo, hi) in self.spec.bounds_by_index.items():
             out[i] = min(max(out[i], lo), hi)
@@ -640,17 +632,17 @@ class _Solve:
         sum on the same nodes: d/dR of 1 + sum W L^2, with L's own R
         derivative read from the rows' d_dR."""
         R = float(v[self.R_at])
-        rows, values = self.nodes(R), self.values(self.start(v))
-        L = self.root(rows, values)
-        c, rate = rows.square(L), rows.rate(L, self.root(rows.d_dR(), values))
+        rows, y = self.nodes(R), self.map.y(self.map.coordinates(v))
+        L = self.root(rows, y)
+        c, rate = rows.square(L), rows.rate(L, self.root(rows.d_dR(), y))
         return self.per_log * (rate / c - math.log(c) / R) / R
 
     def conditions(self, v: np.ndarray) -> tuple[tuple[str, float], ...]:
         """The condition number of each block that moves, at the public
         vector v: of its diagonal block of the model Hessian."""
-        H = self.model(self.nodes(float(v[self.R_at])), self.values(self.start(v)))[1]
-        return tuple((block.name, _condition(np.linalg.eigvalsh(H[cols, cols])))
-                     for block, (cols, _) in zip(self.blocks, self.slices) if block.size)
+        H = self.model(self.nodes(float(v[self.R_at])), self.map.y(self.map.coordinates(v)))[1]
+        return tuple((name, _condition(np.linalg.eigvalsh(H[cols, cols])))
+                     for name, cols in self.map.moving.items())
 
 
 class _NuSolve(_Solve):
@@ -665,15 +657,14 @@ class _NuSolve(_Solve):
         self.core = at["p1_shape"], at["p2_shape"], at["r"]  # c_core's slices of v
         p1, p2 = (tuple(range(s.start, s.stop)) for s in self.core[:2])
         self.split = len(p1) + 1  # z = (z1, z2)
-        super().__init__(spec, (max(len(p1), len(p2)),), (_Block("mollifier", spec, (
-            _Segment(p1, None), _Segment(p2, at["r"], inverse=True))),))
+        super().__init__(spec, (max(len(p1), len(p2)),), {"mollifier": (
+            _Segment(p1, None), _Segment(p2, at["r"], inverse=True))})
 
-    def root(self, rows, values) -> np.ndarray:
-        z = values["mollifier"]
-        return c_root(rows, z[:self.split], z[self.split:])
+    def root(self, rows, y) -> np.ndarray:
+        return c_root(rows, y[:self.split], y[self.split:])
 
-    def jacobian(self, rows, values) -> np.ndarray:
-        N = self.blocks[0].N
+    def jacobian(self, rows, y) -> np.ndarray:
+        N = self.map.N
         return c_root(rows, N[:self.split], N[self.split:])
 
     def objective(self, v: np.ndarray) -> float:
@@ -693,27 +684,28 @@ class _KappaSolve(_Solve):
         at = spec.places()  # c1_core takes the twist as one run (q_linear, q_sym[0], ..)
         self.core = at["p_shape"], slice(at["q_linear"], at["q_sym"].stop), at["delta"]
         p, q = (tuple(range(s.start, s.stop)) for s in self.core[:2])
-        super().__init__(spec, (len(p), len(q) - 1), (
-            _Block("mollifier", spec, (_Segment(p, None),)),
-            _Block("twist", spec, (_Segment(q, at["delta"]),))))
+        super().__init__(spec, (len(p), len(q) - 1), {
+            "mollifier": (_Segment(p, None),), "twist": (_Segment(q, at["delta"]),)})
+        self.u, self.v = (self.map.blocks[name][0] for name in ("mollifier", "twist"))
 
-    def root(self, rows, values) -> np.ndarray:
-        return c1_root(rows, values["mollifier"], values["twist"])
+    def root(self, rows, y) -> np.ndarray:
+        return c1_root(rows, y[self.u], y[self.v])
 
-    def jacobian(self, rows, values) -> np.ndarray:
-        """(d L / d x) at the nodes: (n_t, n_x, columns), mollifier first."""
-        (NP, Nv), up = (block.N for block in self.blocks), values["mollifier"]
-        JP = c1_root(rows, NP, values["twist"])
-        Jv = (np.multiply.outer(rows.A @ up, rows.psi @ Nv)
-              + rows.theta * np.multiply.outer(rows.P @ up, rows.dpsi @ Nv))
-        return np.concatenate([JP, Jv.transpose(1, 0, 2)], axis=2)
+    def jacobian(self, rows, y) -> np.ndarray:
+        """(d L / d x) at the nodes, (n_t, n_x, columns): the mollifier's
+        part, linear in u_P, plus the twist's, linear in v."""
+        (NP, Nv), up = (self.map.N[self.u], self.map.N[self.v]), y[self.u]
+        return c1_root(rows, NP, y[self.v]) + (
+            (rows.psi @ Nv)[:, None] * (rows.A @ up)[:, None]
+            + rows.theta * ((rows.dpsi @ Nv)[:, None] * (rows.P @ up)[:, None]))
 
-    def cross(self, rows, values, WL) -> np.ndarray:
-        """2 sum W L d^2 L / du_P dv in x, the mollifier-twist blocks."""
-        NP, Nv = (block.N for block in self.blocks)
+    def cross(self, rows, y, WL) -> np.ndarray:
+        """2 sum W L d^2 L / du_P dv in x: C + C', with C the mollifier rows
+        of N against the twist rows."""
+        NP, Nv = self.map.N[self.u], self.map.N[self.v]
         C = 2.0 * NP.T @ (rows.A.T @ WL.T @ rows.psi
                           + rows.theta * rows.P.T @ WL.T @ rows.dpsi) @ Nv
-        return np.block([[np.zeros((len(C), len(C))), C], [C.T, np.zeros((C.shape[1],) * 2)]])
+        return C + C.T
 
     def objective(self, v: np.ndarray) -> float:
         (p, q, delta), R = self.core, float(v[self.R_at])
@@ -824,7 +816,7 @@ def optimize(spec: SearchSpec) -> SearchResult:
     R_at = solver.R_at
     if R_at in spec.free_indices():
         _search(step, *spec.scalar_bounds["R"], float(start[R_at]), room)
-    elif any(b.size for b in solver.blocks) and room():
+    elif solver.map.moving and room():
         step(float(start[R_at]))
     steps = record.count - 1
     if steps and sum(record.failures.values()) == steps:

@@ -59,7 +59,7 @@ def _legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def quad_integrate01(p: Poly, q: Poly, nodes: int) -> float:
     """Gauss-Legendre value of the [0,1] product integral.
 
-    Exact (up to rounding) for node count >= ceil((deg p + deg q)/2) + 1.
+    Exact (up to rounding) for nodes >= (deg p + deg q) // 2 + 1.
     """
     degsum = max(p.degree, 0) + max(q.degree, 0)
     if nodes < degsum // 2 + 1:

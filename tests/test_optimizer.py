@@ -485,7 +485,7 @@ class TestExactSolves:
         spec = with_entry(criterion_eight_spec("minimize_nu"), "p1_shape[0]", -0.1,
                           **{"p1_shape[0]": (-0.1, -0.1)})
         assert 0 not in spec.free_indices()
-        assert _NuSolve(spec).blocks[0].size == 4
+        assert _NuSolve(spec).map.N.shape[1] == 4
         result = optimize(spec)
         assert result.best_point[0] == -0.1
         assert dict(result.conditions)["mollifier"] < 500.0
@@ -638,10 +638,10 @@ class TestNewtonSolve:
             x = solver.start(v)[0]
 
             def constant(x):
-                return solver.constant(rows, solver.values((x, ())))
+                return solver.constant(rows, solver.map.y(x))
 
             assert constant(x) == pytest.approx(core(v), rel=1e-13)
-            gradient, hessian = solver.model(rows, solver.values((x, ())))
+            gradient, hessian = solver.model(rows, solver.map.y(x))
             E = np.diag(1e-2 * (1.0 + np.abs(x)))
             fd_gradient = [(constant(x + e) - constant(x - e)) / (2.0 * e[i])
                            for i, e in enumerate(E)]
@@ -716,9 +716,10 @@ class TestNewtonSolve:
         solver = optimizer._KappaSolve(spec)
         R = spec.initial_point[6]
         rows = solver.nodes(R)
-        mollifier, _ = solver.step(R, rows, solver.start(np.array(spec.initial_point)), 0)
-        assert [solver.pins[i] for i in mollifier[1]] == [(0, -0.482)]
-        twist, _ = solver.step(R, rows, mollifier, 1)
+        mollifier, _ = solver.step(R, rows, solver.start(np.array(spec.initial_point)),
+                                   "mollifier")
+        assert [solver.map.pins[i] for i in mollifier[1]] == [(0, -0.482)]
+        twist, _ = solver.step(R, rows, mollifier, "twist")
         assert twist[1] == mollifier[1]
         assert solver.vector(twist, R)[0] == -0.482
 
@@ -809,6 +810,91 @@ class TestRSearch:
         assert all(lo <= x <= hi for x in points)
 
 
+@st.composite
+def map_specs(draw):
+    """A search spec for the solve map: shape degrees 0-4 (q_sym 0-3), each
+    shape entry free, held by [v, v] or boxed, r and delta each free or
+    held, delta starting at 0, below it or above it, R always bounded."""
+    target = draw(st.sampled_from(TARGETS))
+    degrees = (draw(st.integers(0, 4)), draw(st.integers(0, 4 if target == "minimize_nu" else 3)))
+
+    def signed(top):  # 0 or at least 1e-3 in size: no product s c underflows
+        return st.just(0.0) | st.floats(1e-3, top) | st.floats(-top, -1e-3)
+
+    scalar = {"r": st.floats(0.5, 2.0), "R": st.floats(0.3, 1.2), "delta": signed(1.5)}
+    widths = st.sampled_from([0.0, 0.25, 1.0])
+    size = sum(degrees) + (2 if target == "minimize_nu" else 3)  # (r, R) or (q_linear, R, delta)
+    layout = SearchSpec(target=target, shape_degrees=degrees, scalar_bounds={}, theta=1.0,
+                        initial_point=(1.0,) * size, budget=1)
+    start, bounds = [], {}
+    for name in layout.vector_names():
+        if name in scalar:
+            v = draw(scalar[name])
+            if name == "R" or draw(st.booleans()):  # free: v inside, possibly on a bound
+                lo, hi = v - draw(widths) * abs(v) / 2.0, v + draw(widths) * abs(v)
+                bounds[name] = ((0.3, 1.2) if name == "R" else (lo, hi) if lo < hi
+                                else (lo, v + 1.0))
+            elif draw(st.booleans()):
+                bounds[name] = (v, v)
+        else:
+            v = draw(signed(2.0))
+            kind = draw(st.sampled_from(["free", "held", "boxed"]))
+            if kind != "free":
+                bounds[name] = (v, v) if kind == "held" else (v - draw(widths), v + draw(widths))
+        start.append(v)
+    return replace(layout, scalar_bounds=bounds, initial_point=tuple(start))
+
+
+class TestMap:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(spec=map_specs())
+    def test_the_map_at_the_start_state(self, spec):
+        solver = optimizer._SOLVES[spec.target](spec)
+        m, v0 = solver.map, np.array(spec.initial_point)
+        x, pinned = solver.start(v0)
+        y, at = m.y(x), spec.places()
+        # the start state round-trips to v0, bit for bit but for the entries
+        # held as 1/r or as s c with s a free 1/r or delta: each comes back
+        # through one quotient, within an ulp
+        v = solver.vector((x, pinned), v0[solver.R_at])
+        quotients = set()
+        for seg, s_col, moving in m.parts:
+            if s_col is not None:
+                quotients |= set(moving) | ({seg.scale} if seg.inverse else set())
+        for i, (got, want) in enumerate(zip(v, v0)):
+            assert got == want if i not in quotients else abs(got - want) <= np.spacing(abs(want))
+        # each segment's slice of y is s (1, c), as binary64 products, with s
+        # 1, 1.0 / r or delta; a block whose entries are all held has no
+        # columns and no conditions entry
+        if spec.target == "minimize_nu":
+            blocks = {"mollifier": [(None, at["p1_shape"]), (at["r"], at["p2_shape"])]}
+        else:
+            blocks = {"mollifier": [(None, at["p_shape"])],
+                      "twist": [(at["delta"], slice(at["q_linear"], at["q_sym"].stop))]}
+        expected, free, conditions = [], set(spec.free_indices()), dict(solver.conditions(v0))
+        for name, segments in blocks.items():
+            entries = set()
+            for scale, shape in segments:
+                s = (1.0 if scale is None else 1.0 / v0[scale] if scale == at.get("r")
+                     else v0[scale])
+                expected.append(s * np.r_[1.0, v0[shape]])
+                entries |= {scale, *range(shape.start, shape.stop)} - {None}
+            cols = m.blocks[name][1]
+            assert (not entries & free) == (cols.stop == cols.start) == (name not in conditions)
+        assert np.array_equal(y, np.concatenate(expected))
+        assert list(conditions) == list(m.moving)
+        # every bound row holds, to the rounding of s c: an entry that starts
+        # on its bound under a free r or delta reads s c - s bound, which
+        # is the rounding of s c, or 0
+        assert np.all(m.A @ x - m.b >= -np.finfo(float).eps * (np.abs(m.A) @ np.abs(x)))
+        assert np.all(np.count_nonzero(m.N, axis=1) <= 1)
+        # the blocks tile y, x and the rows in order
+        for k, total in enumerate((len(y), len(x), len(m.b))):
+            ends = [(part[k].start, part[k].stop) for part in m.blocks.values()]
+            assert [a for a, _ in ends] == [0] + [b for _, b in ends[:-1]]
+            assert ends[-1][1] == total
+
+
 def brute_force_box_minimum(Q, g, lo, hi) -> float:
     """min x'Qx/2 + g'x over the box [lo, hi]^n, from every face's minimizer."""
     n, best = len(g), math.inf
@@ -846,9 +932,9 @@ class TestIllPosedSolves:
         """One step of the nu solve at R = 0.5 on a model whose Hessian is H."""
         spec = criterion_eight_spec("minimize_nu")
         solver = _NuSolve(spec)
-        solver.model = lambda rows, values: (np.zeros(len(H)), H)
+        solver.model = lambda rows, y: (np.zeros(len(H)), H)
         state = solver.start(np.array(spec.initial_point))
-        return solver.step(0.5, solver.nodes(0.5), state, 0)
+        return solver.step(0.5, solver.nodes(0.5), state, "mollifier")
 
     def test_indefinite_block_fails_loudly(self):
         with pytest.raises(IllPosedSolveError,
