@@ -330,6 +330,8 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     for check in report.checks:
         key = check.name.replace(" ", "_")
         em.kv(f"check[{key}].rel_delta", check.rel_delta)
+        em.kv(f"check[{key}].margin",
+              check.tolerance / check.rel_delta if check.rel_delta else math.inf)
         em.text(f"{'PASS' if check.passed else 'FAIL'}  {check.name:<46} "
                 f"rel delta {check.rel_delta:.3e} (tol {check.tolerance:.0e})")
     em.kv("all_passed", 1.0 if report.all_passed else 0.0)

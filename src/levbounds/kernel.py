@@ -1,8 +1,9 @@
 """Moment tables, and the node rows of the integral-of-squares form.
 
 moments() gives the four exact integrals over [0,1] of P1'P2', P1'P2,
-P1 P2' and P1 P2 of a polynomial pair, from which the oracle builds the
-moment kernel h(a, b).  The engine does not use the kernel: with
+P1 P2' and P1 P2 of a polynomial pair, in one integer pass with no
+derivative polynomial built, from which the oracle builds the moment
+kernel h(a, b).  The engine does not use the kernel: with
 E(s) = (1 - e^{-s})/s = int_0^1 e^{-st} dt, every derivative of h at
 a = b = -R is an integral against e^{2Rt}, and each bound constant is 1
 plus the integral of a square (the classical form of Levinson's method;
@@ -27,12 +28,13 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .polyalg import (ONE, ZERO, Poly, integrate01_product, mollifier_basis,
-                      poly_derivative, poly_eval, twist_basis)
+from .polyalg import (ONE, ZERO, Poly, _integral_weights, mollifier_basis, poly_derivative,
+                      poly_eval, twist_basis)
 
 
 @dataclass(frozen=True)
@@ -56,9 +58,23 @@ class MomentTable:
 
 
 def moments(p1: Poly, p2: Poly) -> MomentTable:
-    d1, d2 = poly_derivative(p1), poly_derivative(p2)
-    return MomentTable(m_dd=integrate01_product(d1, d2), m_dp=integrate01_product(d1, p2),
-                       m_pd=integrate01_product(p1, d2), m_pp=integrate01_product(p1, p2))
+    """The four moments of (p1, p2) in one integer pass.  With p1 = a / D1,
+    p2 = b / D2 and the cached weights w_s = L / (s + 1), L = lcm(1..deg p1
+    + deg p2 + 1) (polyalg._integral_weights), each pair (a_j, b_k) enters
+    m_pp with weight w_{j+k}, m_pd with k w_{j+k-1}, m_dp with j w_{j+k-1}
+    and m_dd with jk w_{j+k-2}.  So with the inner sums
+    r_j = sum_k b_k w_{j+k} and r'_j = sum_k (k+1) b_{k+1} w_{j+k}:
+    m_pp = sum_j a_j r_j, m_pd = sum_j a_j r'_j, m_dp = sum_j j a_j r_{j-1}
+    and m_dd = sum_j j a_j r'_{j-1}, each one Fraction over D1 D2 L."""
+    a, b = p1.nums, p2.nums
+    da = [j * x for j, x in enumerate(a)][1:]
+    db = [k * y for k, y in enumerate(b)][1:]
+    L, w = _integral_weights(len(a) + len(b) - 1)
+    r = [sum(map(mul, b, w[j:])) for j in range(len(a))]
+    dr = [sum(map(mul, db, w[j:])) for j in range(len(a))]
+    den = p1.den * p2.den * L
+    return MomentTable(*(Fraction(sum(map(mul, u, v)), den)
+                         for u, v in ((da, dr), (da, r), (a, dr), (a, r))))
 
 
 MIN_BASE_R = 1e-6  # smallest contour offset R a constant is evaluated at

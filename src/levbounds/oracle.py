@@ -7,11 +7,14 @@ the engine's own x-rows (kernel.node_rows) against the same exact
 moments, and Cauchy integrals of the definition-form kernel against c
 and c1 from the float core.
 
-kernel_numeric is that kernel, evaluated on real or complex arrays, and
+kernel_numeric is that kernel, evaluated on real or complex arrays, for
+one moment table or a stack of tables on one grid, and
 cauchy_derivatives is the one derivative route: one grid of kernel values
 on a torus about the base point gives the whole table of mixed partials
 d_a^m d_b^n by the trapezoidal rule, with radius (order!)^(1/order) and
-N x N nodes, N = 4 order + 16, both fixed by the order alone.  c1 is then the
+N x N nodes, N = 4 order + 16, both fixed by the order alone; a stacked
+grid gives one table per moment table.  c reads its value at the centre
+and its three derivative tables from one stacked grid; c1 is the
 quadratic form u^T D u of the twist operator's weights u, exact from the
 twist polynomial and rounded once.  Against a 40-digit mpmath evaluation
 over random shapes, c from this route is good to 2e-14 (relative) at
@@ -20,13 +23,13 @@ c1 to 1e-12 up to order 8 and 1e-10 up to order 16 at R <= 5, and to
 2e-11 up to order 8 but only 3e-9 at orders 10 to 16 for 5 < R <= 300.
 The route is checked only up to order 16 at R <= 5.
 
-The exact data is summed in integers and divided once: each moment over
-one common denominator (polyalg.integrate01_product), each shape
-coefficient (expand_mollifier, expand_twist), and each twist weight u_j
-over the twist's common denominator.  The Gauss-Legendre nodes and
-weights are cached here per node count, and the torus nodes and weight
-matrix per order, apart from the engine's node tables, read-only and
-built on first use.
+The exact data is summed in integers and divided once: the four moments
+of a pair in one pass over one common denominator (kernel.moments),
+each shape coefficient (expand_mollifier, expand_twist), and each twist
+weight u_j over the twist's common denominator.  The Gauss-Legendre
+nodes and weights are cached here per node count, and the torus nodes
+and weight matrix per order, apart from the engine's node tables,
+read-only and built on first use.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -76,18 +79,24 @@ def _absolute(p: Poly) -> Poly:
     return Poly(tuple(map(abs, p.nums)), p.den)
 
 
-def kernel_numeric(mt: MomentTable, theta: float, a, b):
+def kernel_numeric(mt: MomentTable | Sequence[MomentTable], theta: float, a, b):
     """Direct kernel evaluation from its definition, total on the plane.
 
     a and b are scalars or numpy arrays, real or complex, that broadcast
     together.  Evaluated as (m_pd + m_dp) + E(s) g(-a,-b)/theta with
     s = a + b and E(s) = (1 - e^{-s})/s = -expm1(-s)/s, which keeps full
-    precision at any s != 0; on the removable line E(0) = 1.
+    precision at any s != 0; on the removable line E(0) = 1.  Given a
+    sequence of tables, the kernel is linear in their moments: the grid
+    terms and E(s) are formed once, and the values of each table stack
+    along a new first axis, each bit for bit its own evaluation.
     """
-    mdd, mdp, mpd, mpp = mt.floats
     s = np.asarray(a + b)
-    on_line = s == 0
-    ratio = np.where(on_line, 1.0, -np.expm1(-s) / np.where(on_line, 1.0, s))
+    if isinstance(mt, MomentTable):
+        mdd, mdp, mpd, mpp = mt.floats
+    else:
+        mdd, mdp, mpd, mpp = np.array([t.floats for t in mt]).T.reshape(4, -1, *(1,) * s.ndim)
+    ratio = np.divide(-np.expm1(-s), s, out=np.ones_like(s, np.result_type(s, 1.0)),
+                      where=s != 0)
     g_reflected = mdd - a * theta * mpd - b * theta * mdp + a * b * theta * theta * mpp
     return (mpd + mdp) + ratio * g_reflected / theta
 
@@ -115,7 +124,9 @@ def cauchy_derivatives(f: Callable, at: tuple[float, float], order: int) -> np.n
     N x N nodes, exponentially accurate for an entire f (Lyness & Moler
     1967; Bornemann 2011), gives them all at once.  f is called once, on
     the complex grid (a0 + rho w^j, b0 + rho w^k) with w = e^{2 pi i/N},
-    and D = Re(W F W^T) with W[m, j] = m! rho^-m w^-jm / N.
+    and D = Re(W F W^T) with W[m, j] = m! rho^-m w^-jm / N.  An f that
+    stacks several functions along a first axis gets one D per function,
+    each the one its own grid would give.
 
     Rounding in D[m, n] is about eps max|F| m! n! / rho^(m+n), and for the
     kernel, which grows like e^{-a-b}, max|F| is about e^{2 rho} times the
@@ -132,20 +143,18 @@ def cauchy_derivatives(f: Callable, at: tuple[float, float], order: int) -> np.n
 
 def fd_c_value(p: SectionFourParams) -> float:
     """c recomputed from the definition-form kernel alone, its derivatives
-    by Cauchy integrals."""
+    by Cauchy integrals: the three derivative tables share one grid."""
     poly1 = expand_mollifier(p.p1_shape)
     poly2 = expand_mollifier(p.p2_shape)
     at = (-p.R, -p.R)
-
-    def d(mt: MomentTable) -> np.ndarray:
-        return cauchy_derivatives(lambda a, b: kernel_numeric(mt, p.theta, a, b), at, 1)
-
     m11, m12, m22 = moments(poly1, poly1), moments(poly1, poly2), moments(poly2, poly2)
+    stack = (m12.transpose(), m12, m22)
+    D21, D12, D22 = cauchy_derivatives(lambda a, b: kernel_numeric(stack, p.theta, a, b), at, 1)
     inv_r = 1.0 / p.r
     return float(kernel_numeric(m11, p.theta, *at)
-                 + inv_r * d(m12.transpose())[1, 0]
-                 + inv_r * d(m12)[0, 1]
-                 + inv_r * inv_r * d(m22)[1, 1])
+                 + inv_r * D21[1, 0]
+                 + inv_r * D12[0, 1]
+                 + inv_r * inv_r * D22[1, 1])
 
 
 def fd_c1_value(p: SectionFiveParams) -> float:

@@ -1,6 +1,7 @@
 """Command surface: exit codes, machine output, config validation, round-trip."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 import levbounds
 from levbounds import reference
 from levbounds.cli import _search_spec, main
+from levbounds.oracle import crosscheck_report
 from levbounds.proportions import kappa_bound, c1_value
 
 from search_helpers import hold_shapes
@@ -566,6 +568,28 @@ class TestSelfcheck:
         assert main(["selfcheck", "--machine"]) == 0
         values = machine_values(capsys.readouterr().out)
         assert values["all_passed"] == 1.0
+
+    def test_machine_mode_prints_each_margin_after_its_rel_delta(self, capsys):
+        # margin = tolerance / rel_delta, inf for an exact match; >= 1 passes
+        report = crosscheck_report(reference.section_four_reference(),
+                                   reference.section_five_reference())
+        assert main(["selfcheck", "--machine"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        values = machine_values("\n".join(lines))
+        keys = [line.partition("=")[0] for line in lines]
+        assert len(keys) == 2 * len(report.checks) + 1
+        zero = 0
+        for i, check in enumerate(report.checks):
+            key = f"check[{check.name.replace(' ', '_')}]"
+            assert keys[2 * i:2 * i + 2] == [f"{key}.rel_delta", f"{key}.margin"]
+            margin = values[f"{key}.margin"]
+            if check.rel_delta == 0:
+                zero += 1
+                assert margin == math.inf
+            else:
+                assert margin == check.tolerance / check.rel_delta
+            assert (margin >= 1) == check.passed
+        assert zero >= 1
 
 
 def test_reproduce_and_selfcheck_import_no_test_dependency():

@@ -11,7 +11,8 @@ from levbounds import oracle
 from levbounds.kernel import moments, node_rows
 from levbounds.oracle import (cauchy_derivatives, crosscheck_report, fd_c1_value,
                               fd_c_value, kernel_numeric, quad_integrate01)
-from levbounds.polyalg import MollifierShape, Poly, TwistShape, X, expand_mollifier
+from levbounds.polyalg import (MollifierShape, Poly, TwistShape, X, expand_mollifier,
+                               integrate01_product, poly_derivative)
 from levbounds.proportions import SectionFiveParams, SectionFourParams, c1_value, c_value
 from levbounds.reference import section_five_reference, section_four_reference
 
@@ -167,6 +168,43 @@ class TestFdDerivatives:
         fd_c1_value(section_five_reference())
         assert calls == [(40, 40)]
 
+    def test_c_evaluates_one_grid(self, monkeypatch):
+        # the value at the centre, then the three derivative tables m12^T,
+        # m12 and m22 stacked on one N = 20 grid
+        calls = []
+
+        def counting(mt, theta, a, b):
+            calls.append((len(mt) if isinstance(mt, (list, tuple)) else None,
+                           np.broadcast(a, b).shape))
+            return kernel_numeric(mt, theta, a, b)
+
+        monkeypatch.setattr(oracle, "kernel_numeric", counting)
+        fd_c_value(section_four_reference())
+        assert calls == [(3, (20, 20)), (None, ())]
+
+    def test_stacked_grid_transforms_each_slice_bit_for_bit(self):
+        p4 = section_four_reference()
+        p1, p2 = expand_mollifier(p4.p1_shape), expand_mollifier(p4.p2_shape)
+        tables = (moments(p1, p2).transpose(), moments(p1, p2), moments(p2, p2))
+        for order, R in ((1, 0.617), (1, 1.0), (6, 0.746), (16, 5.0)):
+            stacked = cauchy_derivatives(lambda a, b: kernel_numeric(tables, 1.0, a, b),
+                                         (-R, -R), order)
+            each = [cauchy_derivatives(lambda a, b: kernel_numeric(mt, 1.0, a, b),
+                                       (-R, -R), order) for mt in tables]
+            assert stacked.tobytes() == np.stack(each).tobytes()
+
+    def test_moments_build_no_polynomial(self, monkeypatch):
+        # one integer pass: no derivative Poly, nor any other
+        p4 = section_four_reference()
+        p1, p2 = expand_mollifier(p4.p1_shape), expand_mollifier(p4.p2_shape)
+        built = []
+        monkeypatch.setattr(Poly, "__post_init__", lambda self: built.append(self))
+        mt = moments(p1, p2)
+        assert built == []
+        # the patch does see construction: the reference builds two derivatives
+        assert mt.m_dd == integrate01_product(poly_derivative(p1), poly_derivative(p2))
+        assert len(built) == 2
+
 
 class TestOracleRecomputation:
     def test_c_at_reference(self):
@@ -215,6 +253,31 @@ class TestFrozenOracleValues:
         p4, p5 = self.DRAW
         assert repr(fd_c_value(p4)) == "6.248115789063178"
         assert repr(fd_c1_value(p5)) == "3.8124126848650532"
+
+    def test_order_sixteen_twist(self):
+        # seven q_sym entries: the N = 80 grid, the largest the oracle reads
+        q = TwistShape.of("-0.673", ["0.369", "-4.635", "0.1", "-0.2", "0.05", "0.3", "-0.1"])
+        p = replace(section_five_reference(), q_shape=q, R=5.0)
+        assert repr(fd_c1_value(p)) == "66.10161810881063"
+
+    def test_largest_R(self):
+        assert repr(fd_c_value(replace(section_four_reference(), R=300.0))) \
+            == "2.0184048954998207e+260"
+        assert repr(fd_c1_value(replace(section_five_reference(), R=300.0))) \
+            == "2.957613132201694e+259"
+
+    @pytest.mark.parametrize("order, c, c1", [(1, "1.4558636583972966", "1.0681817616230567"),
+                                              (6, "15.534000707054702", "2.5223629862267214")])
+    def test_grid_node_on_singular_line(self, order, c, c1):
+        # R = (order!)^(1/order) puts the torus node (0, 0) of that order on a + b = 0
+        R = math.factorial(order) ** (1.0 / order)
+        assert repr(fd_c_value(replace(section_four_reference(), R=R))) == c
+        assert repr(fd_c1_value(replace(section_five_reference(), R=R))) == c1
+
+    def test_cancelling_cross_moments(self):
+        p4 = replace(section_four_reference(), p1_shape=MollifierShape.of(CANCELLING[0]),
+                     p2_shape=MollifierShape.of(CANCELLING[1]))
+        assert repr(fd_c_value(p4)) == "7.159659632211357"
 
 
 class TestCrosscheckReport:

@@ -1,22 +1,23 @@
 """Structural properties over generated inputs: the integer form of the
 exact polynomials, its operations, integrals and shape expansions,
 against per-term Fraction references on the exact coefficients, the
-transpose law of the exact moment tables, the symmetry of the
-Cauchy-integral derivative matrix of a diagonal pair, the delta = 0
-degeneracy of c1, selfcheck's node-row checks on correct rows, and the
-quadratic structure the exact solves rely on: c along any line in
-(p1, p2), and c1 along any line in p at a fixed twist or in q at a fixed
-delta, are parabolas to rounding."""
+one-pass moment tables against the four product integrals, their
+transpose law, a stacked kernel evaluation against each table's, the
+symmetry of the Cauchy-integral derivative matrix of a diagonal pair,
+the delta = 0 degeneracy of c1, selfcheck's node-row checks on correct
+rows, and the quadratic structure the exact solves rely on: c along any
+line in (p1, p2), and c1 along any line in p at a fixed twist or in q at
+a fixed delta, are parabolas to rounding."""
 
 from math import gcd
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from levbounds.kernel import moments, node_rows
-from levbounds.oracle import (cauchy_derivatives, crosscheck_report, fd_c1_value,
+from levbounds.kernel import MomentTable, moments, node_rows
+from levbounds.oracle import (_torus, cauchy_derivatives, crosscheck_report, fd_c1_value,
                               kernel_numeric)
-from levbounds.polyalg import (MAX_DEGREE, MollifierShape, Poly, TwistShape, as_fraction,
+from levbounds.polyalg import (MAX_DEGREE, ZERO, MollifierShape, Poly, TwistShape, as_fraction,
                                expand_mollifier, expand_twist, integrate01_product,
                                mollifier_basis, poly_derivative, poly_eval, poly_reflect,
                                twist_basis)
@@ -93,6 +94,36 @@ def test_integer_twist_expansion_is_the_poly_chain(linear, sym):
 def test_moment_tables_transpose_exactly(shape1, shape2):
     p1, p2 = expand_mollifier(shape1), expand_mollifier(shape2)
     assert moments(p1, p2).transpose() == moments(p2, p1)
+
+
+@property_settings
+@given(p=literal_lists(MAX_DEGREE + 1).map(Poly.from_coeffs),
+       q=literal_lists(MAX_DEGREE + 1).map(Poly.from_coeffs))
+@example(p=ZERO, q=ZERO)  # no weights
+@example(p=ZERO, q=Poly.from_coeffs(["-0.158"]))
+@example(p=Poly.from_coeffs([3]), q=Poly.from_coeffs(["0.25"]))  # one weight
+@example(p=Poly.from_coeffs(["0.5"]), q=Poly.from_coeffs(FULL))
+def test_one_pass_moments_are_the_four_product_integrals(p, q):
+    dp, dq = poly_derivative(p), poly_derivative(q)
+    assert moments(p, q) == MomentTable(integrate01_product(dp, dq), integrate01_product(dp, q),
+                                        integrate01_product(p, dq), integrate01_product(p, q))
+
+
+@property_settings
+@given(pairs=st.lists(st.tuples(shapes, shapes), min_size=1, max_size=4), theta=thetas,
+       R=offsets, order=st.integers(1, 16), on_line=st.booleans())
+def test_stacked_kernel_is_each_table_bit_for_bit(pairs, theta, R, order, on_line):
+    # R = (order!)^(1/order) puts the torus node (0, 0) on a + b = 0
+    nodes, _ = _torus(order)
+    if on_line:
+        R = abs(nodes[0])
+    a, b = -R + nodes[:, None], -R + nodes[None, :]
+    assert np.any(a + b == 0) or not on_line
+    tables = [moments(expand_mollifier(s1), expand_mollifier(s2)) for s1, s2 in pairs]
+    stacked = kernel_numeric(tables, theta, a, b)
+    assert stacked.shape == (len(tables), *nodes.shape, *nodes.shape)
+    assert stacked.tobytes() == np.stack([kernel_numeric(mt, theta, a, b)
+                                          for mt in tables]).tobytes()
 
 
 @property_settings
