@@ -39,22 +39,50 @@ from .polyalg import (ONE, ZERO, Poly, _integral_weights, mollifier_basis, poly_
 
 @dataclass(frozen=True)
 class MomentTable:
-    """The four exact moments of a polynomial pair."""
+    """The four exact moments of a polynomial pair, as integer numerators
+    over one denominator: nums is (m_dd, m_dp, m_pd, m_pp) times den.
 
-    m_dd: Fraction  # integral of P1' P2'
-    m_dp: Fraction  # integral of P1' P2
-    m_pd: Fraction  # integral of P1  P2'
-    m_pp: Fraction  # integral of P1  P2
+    Canonical form: den > 0 and gcd(den, *nums) = 1, so the zero table is
+    ((0, 0, 0, 0), 1) and equal tables compare equal.  MomentTable.of
+    builds one from four rationals; the constructor takes only the
+    canonical form and fails naming it.
+    """
+
+    nums: tuple[int, int, int, int]
+    den: int = 1
+
+    def __post_init__(self) -> None:
+        if len(self.nums) != 4 or not all(type(x) is int for x in (*self.nums, self.den)):
+            raise ValueError("MomentTable is four integer numerators over one integer "
+                             f"denominator, not {self.nums!r} / {self.den!r}")
+        if self.den <= 0 or math.gcd(self.den, *self.nums) != 1:
+            raise ValueError("MomentTable not in canonical form (denominator not positive, "
+                             "or a factor shared with the numerators)")
+
+    @staticmethod
+    def of(m_dd, m_dp, m_pd, m_pp) -> "MomentTable":
+        """The table of four rationals (ints or Fractions), over their
+        least common denominator."""
+        ms = [Fraction(m) for m in (m_dd, m_dp, m_pd, m_pp)]
+        den = math.lcm(*(m.denominator for m in ms))
+        return MomentTable(tuple(m.numerator * (den // m.denominator) for m in ms), den)
+
+    m_dd = property(lambda self: Fraction(self.nums[0], self.den), doc="integral of P1' P2'")
+    m_dp = property(lambda self: Fraction(self.nums[1], self.den), doc="integral of P1' P2")
+    m_pd = property(lambda self: Fraction(self.nums[2], self.den), doc="integral of P1 P2'")
+    m_pp = property(lambda self: Fraction(self.nums[3], self.den), doc="integral of P1 P2")
 
     @cached_property
     def floats(self) -> tuple[float, float, float, float]:
         """The four moments, in field order, each rounded to binary64 once
-        per table."""
-        return float(self.m_dd), float(self.m_dp), float(self.m_pd), float(self.m_pp)
+        per table: an integer quotient is correctly rounded, as float() of
+        the exact moment is."""
+        return tuple(n / self.den for n in self.nums)
 
     def transpose(self) -> "MomentTable":
         """Moment table of the reversed pair (P2, P1)."""
-        return MomentTable(self.m_dd, self.m_pd, self.m_dp, self.m_pp)
+        dd, dp, pd, pp = self.nums
+        return MomentTable((dd, pd, dp, pp), self.den)
 
 
 def moments(p1: Poly, p2: Poly) -> MomentTable:
@@ -65,16 +93,18 @@ def moments(p1: Poly, p2: Poly) -> MomentTable:
     and m_dd with jk w_{j+k-2}.  So with the inner sums
     r_j = sum_k b_k w_{j+k} and r'_j = sum_k (k+1) b_{k+1} w_{j+k}:
     m_pp = sum_j a_j r_j, m_pd = sum_j a_j r'_j, m_dp = sum_j j a_j r_{j-1}
-    and m_dd = sum_j j a_j r'_{j-1}, each one Fraction over D1 D2 L."""
+    and m_dd = sum_j j a_j r'_{j-1}, four integers over D1 D2 L, reduced
+    by one gcd."""
     a, b = p1.nums, p2.nums
     da = [j * x for j, x in enumerate(a)][1:]
     db = [k * y for k, y in enumerate(b)][1:]
     L, w = _integral_weights(len(a) + len(b) - 1)
     r = [sum(map(mul, b, w[j:])) for j in range(len(a))]
     dr = [sum(map(mul, db, w[j:])) for j in range(len(a))]
+    nums = [sum(map(mul, u, v)) for u, v in ((da, dr), (da, r), (a, dr), (a, r))]
     den = p1.den * p2.den * L
-    return MomentTable(*(Fraction(sum(map(mul, u, v)), den)
-                         for u, v in ((da, dr), (da, r), (a, dr), (a, r))))
+    g = math.gcd(den, *nums)
+    return MomentTable(tuple(n // g for n in nums), den // g)
 
 
 MIN_BASE_R = 1e-6  # smallest contour offset R a constant is evaluated at

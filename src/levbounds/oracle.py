@@ -8,23 +8,27 @@ moments, and Cauchy integrals of the definition-form kernel against c
 and c1 from the float core.
 
 kernel_numeric is that kernel, evaluated on real or complex arrays, for
-one moment table or a stack of tables on one grid, and
-cauchy_derivatives is the one derivative route: one grid of kernel values
-on a torus about the base point gives the whole table of mixed partials
-d_a^m d_b^n by the trapezoidal rule, with radius (order!)^(1/order) and
-N x N nodes, N = 4 order + 16, both fixed by the order alone; a stacked
-grid gives one table per moment table.  c reads its value at the centre
-and its three derivative tables from one stacked grid; c1 is the
-quadratic form u^T D u of the twist operator's weights u, exact from the
-twist polynomial and rounded once.  Against a 40-digit mpmath evaluation
-over random shapes, c from this route is good to 2e-14 (relative) at
-R <= 5 and 2e-11 up to R = 300;
-c1 to 1e-12 up to order 8 and 1e-10 up to order 16 at R <= 5, and to
-2e-11 up to order 8 but only 3e-9 at orders 10 to 16 for 5 < R <= 300.
-The route is checked only up to order 16 at R <= 5.
+one moment table or a stack of tables on one grid, its e^{-a-b} formed
+as e^{-a} e^{-b} (one exp per grid node) away from the removable line
+and its bilinear part as per-node brackets,
+and cauchy_derivatives is the one derivative route: one grid of kernel
+values on a torus about the base point gives the whole table of mixed
+partials d_a^m d_b^n by the trapezoidal rule, with radius
+(order!)^(1/order) and N x N nodes, N = 4 order + 16, both fixed by the
+order alone; a stacked grid gives one table per moment table.  c reads
+its value at the centre and its three derivative tables from one stacked
+grid; c1 is the quadratic form u^T D u of the twist operator's weights
+u, exact from the twist polynomial and rounded once.  Against a 40-digit
+mpmath evaluation over 960 random draws per cell (README), c from this
+route is good to 3e-14 (relative) at R <= 5 and 1e-11 up to R = 300; c1
+to 7e-12 up to order 8 and 6e-11 up to order 16 at R <= 5, and to 7e-10
+up to order 8 but only 1e-8 at orders 10 to 16 for 5 < R <= 300, where
+90% of draws are within 5e-12.  The route is checked only up to order 16
+at R <= 5, and at order 16, R = 100.
 
 The exact data is summed in integers and divided once: the four moments
-of a pair in one pass over one common denominator (kernel.moments),
+of a pair in one pass over one common denominator (kernel.moments, a
+table that stays integer numerators until its floats are read),
 each shape coefficient (expand_mollifier, expand_twist), and each twist
 weight u_j over the twist's common denominator.  The Gauss-Legendre
 nodes and weights are cached here per node count, and the torus nodes
@@ -84,21 +88,50 @@ def kernel_numeric(mt: MomentTable | Sequence[MomentTable], theta: float, a, b):
 
     a and b are scalars or numpy arrays, real or complex, that broadcast
     together.  Evaluated as (m_pd + m_dp) + E(s) g(-a,-b)/theta with
-    s = a + b and E(s) = (1 - e^{-s})/s = -expm1(-s)/s, which keeps full
-    precision at any s != 0; on the removable line E(0) = 1.  Given a
-    sequence of tables, the kernel is linear in their moments: the grid
-    terms and E(s) are formed once, and the values of each table stack
-    along a new first axis, each bit for bit its own evaluation.
+    g(-a,-b)/theta = (m_dd/theta - b m_dp) - a (m_pd - b theta m_pp), its
+    two brackets per node in b and one product per entry, s = a + b and
+    E(s) = (1 - e^{-s})/s, whose numerator has two forms (_exp_ratio):
+
+    - 1 - e^{-a} e^{-b} where |s| >= 1: on a grid (a_j, b_k), one exp per
+      node and an outer product, where expm1 would take one call per entry;
+    - -expm1(-s) where |s| < 1, which keeps full relative precision as
+      s -> 0, and wherever the product is not finite (e^{-a} = 0 times
+      e^{-b} = inf, as at a = 800, b = -795), so no input that expm1 takes
+      to a finite value reads inf or nan.  On the removable line E(0) = 1.
+
+    The product errs by a few eps |e^{-s}|, so a kernel value by a few eps
+    |e^{-s} g / (theta s)|.  On a torus about (-R, -R), |e^{-s}| peaks
+    where the kernel does, and there |1 - e^{-s}| is about |e^{-s}|: each
+    value errs by a few eps times the grid's largest, the per-entry
+    rounding that the bound of cauchy_derivatives assumes.  That rounding
+    comes mostly per node, from e^{-a_j}, e^{-b_k} and the brackets of g,
+    not independently per entry.
+
+    Given a sequence of tables, the kernel is linear in their moments:
+    the grid terms and E(s) are formed once, and the values of each table
+    stack along a new first axis, each bit for bit its own evaluation.
     """
-    s = np.asarray(a + b)
+    ratio = _exp_ratio(a, b)
     if isinstance(mt, MomentTable):
         mdd, mdp, mpd, mpp = mt.floats
     else:
-        mdd, mdp, mpd, mpp = np.array([t.floats for t in mt]).T.reshape(4, -1, *(1,) * s.ndim)
-    ratio = np.divide(-np.expm1(-s), s, out=np.ones_like(s, np.result_type(s, 1.0)),
-                      where=s != 0)
-    g_reflected = mdd - a * theta * mpd - b * theta * mdp + a * b * theta * theta * mpp
-    return (mpd + mdp) + ratio * g_reflected / theta
+        mdd, mdp, mpd, mpp = np.array([t.floats for t in mt]).T.reshape(4, -1, *(1,) * ratio.ndim)
+    g_over_theta = (mdd / theta - b * mdp) - a * (mpd - b * theta * mpp)
+    return (mpd + mdp) + ratio * g_over_theta
+
+
+def _exp_ratio(a, b) -> np.ndarray:
+    """E(a + b) = (1 - e^{-a-b}) / (a + b), by the two forms of kernel_numeric."""
+    s = np.asarray(a + b)
+    # an overflow, an inf times 0 and s = 0 are all in `near`, redone below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        numerator = np.asarray(1.0 - np.exp(-a) * np.exp(-b))
+        ratio = np.asarray(numerator / s)
+    near = (np.abs(s) < 1) | ~np.isfinite(numerator)
+    if near.any():
+        s = s[near]
+        ratio[near] = np.divide(-np.expm1(-s), s, out=np.ones(s.shape, ratio.dtype), where=s != 0)
+    return ratio
 
 
 @lru_cache(maxsize=None)
@@ -146,8 +179,12 @@ def fd_c_value(p: SectionFourParams) -> float:
     by Cauchy integrals: the three derivative tables share one grid."""
     poly1 = expand_mollifier(p.p1_shape)
     poly2 = expand_mollifier(p.p2_shape)
+    return _fd_c(p, moments(poly1, poly1), moments(poly1, poly2), moments(poly2, poly2))
+
+
+def _fd_c(p: SectionFourParams, m11: MomentTable, m12: MomentTable, m22: MomentTable) -> float:
+    """fd_c_value from the moment tables of (P1, P1), (P1, P2) and (P2, P2)."""
     at = (-p.R, -p.R)
-    m11, m12, m22 = moments(poly1, poly1), moments(poly1, poly2), moments(poly2, poly2)
     stack = (m12.transpose(), m12, m22)
     D21, D12, D22 = cauchy_derivatives(lambda a, b: kernel_numeric(stack, p.theta, a, b), at, 1)
     inv_r = 1.0 / p.r
@@ -167,11 +204,15 @@ def fd_c1_value(p: SectionFiveParams) -> float:
     the denominator of delta times that of Q, and rounded once.
     """
     poly = expand_mollifier(p.p_shape)
+    return _fd_c1(p, moments(poly, poly))
+
+
+def _fd_c1(p: SectionFiveParams, mt: MomentTable) -> float:
+    """fd_c1_value from the moment table of (P, P)."""
     twist, (num, den) = expand_twist(p.q_shape), Fraction(p.delta).as_integer_ratio()
     q, Dq = (0, *twist.nums, 0), twist.den  # q[j+1]: the numerator of q_j; delta = num / den
     u = np.array([(num * (-1) ** j * (q[j + 1] - 2 * q[j]) + (den - num) * Dq * (j == 0))
                   / (den * Dq) for j in range(len(q) - 1)])
-    mt = moments(poly, poly)
     D = cauchy_derivatives(lambda a, b: kernel_numeric(mt, p.theta, a, b),
                            (-p.R, -p.R), len(u) - 1)
     return float(u @ D @ u)
@@ -248,9 +289,10 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
     rows5 = node_rows(p5.theta, p5.R, len(homogeneous["5"]) - 1)
     pairs = {"m11": (rows4, p4.R), "m21": (rows4, p4.R), "m12": (rows4, p4.R),
              "m22": (rows4, p4.R), "m55": (rows5, p5.R)}
+    tables = {}
     for name, (rows, R) in pairs.items():  # the pair (P_a, P_b) is m<a><b>
         pa, pb = polys[name[1]], polys[name[2]]
-        mt = moments(pa, pb)
+        mt = tables[name] = moments(pa, pb)
         nodes = (max(pa.degree, 0) + max(pb.degree, 0)) // 2 + 1
         for part, exact, qa, qb in (
             ("dd", mt.m_dd, poly_derivative(pa), poly_derivative(pb)),
@@ -267,10 +309,12 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
                                       abs(value - num) / max(abs(value), size, 1e-300), 1e-12))
         checks += _row_checks(name, mt, rows, R, homogeneous[name[1]], homogeneous[name[2]])
 
-    c_cauchy = fd_c_value(p4)
+    # the Cauchy checks read the report's own tables, as fd_c_value and
+    # fd_c1_value would form them
+    c_cauchy = _fd_c(p4, tables["m11"], tables["m12"], tables["m22"])
     checks.append(CheckResult("c vs Cauchy integrals", c_exact, c_cauchy,
                               _rel(c_exact, c_cauchy), 1e-9))
-    c1_cauchy = fd_c1_value(p5)
+    c1_cauchy = _fd_c1(p5, tables["m55"])
     checks.append(CheckResult("c1 vs Cauchy integrals", c1_exact, c1_cauchy,
                               _rel(c1_exact, c1_cauchy), 1e-9))
     return CrosscheckReport(tuple(checks))

@@ -217,19 +217,25 @@ def kernel_matrix(mt: MomentTable, theta: float, R: float, order: int) -> np.nda
 
 
 def numerator(mt: MomentTable, theta: float, a, b):
-    """The kernel's numerator g(b,a) - e^{-a-b} g(-a,-b), from its definition;
-    a and b may be numpy arrays, real or complex."""
+    """The kernel's numerator g(b,a) - e^{-a-b} g(-a,-b), from its definition
+    and the rounded moments; a and b may be numpy arrays, real or complex,
+    or object arrays of mpmath numbers, evaluated at the working precision."""
     mdd, mdp, mpd, mpp = (float(mt.m_dd), float(mt.m_dp),
                           float(mt.m_pd), float(mt.m_pp))
+    s, exp = np.asarray(a + b), np.exp
+    if s.dtype == object:  # mpmath entries: the constants at the working precision too
+        mdd, mdp, mpd, mpp, theta = map(mp.mpf, (mdd, mdp, mpd, mpp, theta))
+        exp = np.frompyfunc(mp.exp, 1, 1)
 
     def g(x, y):
         return mdd + x * theta * mpd + y * theta * mdp + x * y * theta * theta * mpp
 
-    return g(b, a) - np.exp(-a - b) * g(-a, -b)
+    return g(b, a) - exp(-s) * g(-a, -b)
 
 
 def division_form(mt: MomentTable, theta: float, a, b):
-    """h(a, b) in binary64 from its definition; undefined on a + b = 0."""
+    """h(a, b) from its definition, in binary64, or at mpmath's working
+    precision for mpmath inputs; undefined on a + b = 0."""
     return numerator(mt, theta, a, b) / (theta * (a + b))
 
 

@@ -140,7 +140,7 @@ def test_criterion_7_structural_invariants():
     # 1e-8 to either side
     sing = 0.0
     for _ in range(50):
-        mt = MomentTable(*(Fraction(float(x)) for x in rng.uniform(-3, 3, 4)))
+        mt = MomentTable.of(*(Fraction(float(x)) for x in rng.uniform(-3, 3, 4)))
         a0 = float(rng.uniform(-2, 2))
         th = float(rng.uniform(0.3, 1.0))
         on_line = kernel_numeric(mt, th, a0, -a0)

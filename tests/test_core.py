@@ -153,7 +153,7 @@ class TestKernelDerivativeBasis:
         for theta, R in ((0.7, 0.9), (0.45, 0.05)):
             basis = kernel_derivative_basis(theta, R, 3)
             for k in range(4):
-                unit = MomentTable(*[Fraction(int(i == k)) for i in range(4)])
+                unit = MomentTable(tuple(int(i == k) for i in range(4)))
                 assert basis[k] == pytest.approx(anchor_matrix(unit, theta, R, 3),
                                                  rel=1e-13, abs=1e-14)
 
@@ -320,7 +320,7 @@ def delta_one_optimum(degrees) -> SectionFiveParams:
 class TestSelfcheckAtTheDeltaOneOptima:
     """selfcheck at the delta = 1 optima, where q reaches 5.8e3: c1 is
     within 4e-16 of mp_c1 there, but the Cauchy route's u^T D u cancels,
-    and fd_c1_value reads 1.35e-9 (4,3) and 4.5e-7 (5,4) from mp_c1,
+    and fd_c1_value reads 1.8e-9 (4,3) and 2.1e-7 (5,4) from mp_c1,
     against the check's 1e-9."""
 
     @pytest.mark.parametrize("degrees", sorted(DELTA_ONE_OPTIMA))

@@ -22,7 +22,7 @@ P2 = expand_mollifier(MollifierShape.of(["0.492", "0.075"]))
 
 def random_moment_table(rng) -> MomentTable:
     vals = [F(int(rng.integers(-40, 41)), int(rng.integers(1, 12))) for _ in range(4)]
-    return MomentTable(*vals)
+    return MomentTable.of(*vals)
 
 
 class TestMoments:
@@ -56,6 +56,30 @@ class TestMoments:
         # integral of (P1 P2)' over [0,1] with P(0)=0, P(1)=1 endpoints
         mt = moments(P1, P2)
         assert mt.m_dp + mt.m_pd == 1
+
+
+class TestMomentTableForm:
+    """Integer numerators over one denominator, canonical like Poly."""
+
+    def test_moments_are_canonical(self):
+        for mt in (moments(P1, P2), moments(P2, P1), moments(X, X), moments(ZERO, P1)):
+            assert mt.den > 0 and math.gcd(mt.den, *mt.nums) == 1
+        assert moments(X, X) == MomentTable((6, 3, 3, 2), 6)
+        assert moments(ZERO, P1) == MomentTable((0, 0, 0, 0), 1)
+
+    def test_of_builds_the_canonical_table(self):
+        assert MomentTable.of(F(1, 2), F(1, 3), 0, 2) == MomentTable((3, 2, 0, 12), 6)
+        assert MomentTable.of(0, 0, 0, 0) == MomentTable((0, 0, 0, 0))
+        mt = moments(P1, P2)
+        assert MomentTable.of(mt.m_dd, mt.m_dp, mt.m_pd, mt.m_pp) == mt
+        assert mt.transpose() == MomentTable.of(mt.m_dd, mt.m_pd, mt.m_dp, mt.m_pp)
+
+    @pytest.mark.parametrize("nums, den", [((2, 4, 6, 8), 2), ((1, 0, 0, 0), -1),
+                                           ((0, 0, 0, 0), 0), ((1, 0, 0), 1),
+                                           ((1.0, 0, 0, 0), 1), ((1, 0, 0, 0), F(1))])
+    def test_constructor_takes_only_the_canonical_form(self, nums, den):
+        with pytest.raises(ValueError):
+            MomentTable(nums, den)
 
 
 class TestKernelJet:

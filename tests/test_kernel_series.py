@@ -47,8 +47,8 @@ class TestRingOps:
         rng = np.random.default_rng(23)
         for _ in range(20):
             mt1, mt2 = random_pair_moments(rng), random_pair_moments(rng)
-            total = MomentTable(mt1.m_dd + mt2.m_dd, mt1.m_dp + mt2.m_dp,
-                                mt1.m_pd + mt2.m_pd, mt1.m_pp + mt2.m_pp)
+            total = MomentTable.of(mt1.m_dd + mt2.m_dd, mt1.m_dp + mt2.m_dp,
+                                   mt1.m_pd + mt2.m_pd, mt1.m_pp + mt2.m_pp)
             theta = float(rng.uniform(0.3, 1.0))
             a, b = (float(x) for x in rng.uniform(-2.0, -0.1, 2))
             lhs = kernel_numeric(total, theta, a, b)

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from levbounds import oracle
-from levbounds.kernel import moments, node_rows
+from levbounds.kernel import MomentTable, moments, node_rows
 from levbounds.oracle import (cauchy_derivatives, crosscheck_report, fd_c1_value,
                               fd_c_value, kernel_numeric, quad_integrate01)
 from levbounds.polyalg import (MollifierShape, Poly, TwistShape, X, expand_mollifier,
@@ -16,10 +17,26 @@ from levbounds.polyalg import (MollifierShape, Poly, TwistShape, X, expand_molli
 from levbounds.proportions import SectionFiveParams, SectionFourParams, c1_value, c_value
 from levbounds.reference import section_five_reference, section_four_reference
 
-from kernel_reference import kernel_derivative_basis, kernel_matrix
+from kernel_reference import (division_form, kernel_derivative_basis, kernel_matrix, mp_c,
+                              mp_c1)
 
 # section-4 shapes whose cross moments m12.dp and m21.pd nearly cancel
 CANCELLING = (["1.545", "1.483"], ["-0.921", "0.996"])
+# seven q_sym entries: deg Q = 15, derivatives to order 16, the N = 80 grid
+ORDER16_TWIST = TwistShape.of("-0.673", ["0.369", "-4.635", "0.1", "-0.2", "0.05", "0.3", "-0.1"])
+# the README's bound on the oracle's relative error against 40 digits, by
+# quantity (c, or c1 by its order) and by R <= 5 or 5 < R <= 300
+PUBLISHED_BOUNDS = {("c", False): 3e-14, ("c", True): 1e-11,
+                    ("c1 order <= 8", False): 7e-12, ("c1 order <= 8", True): 7e-10,
+                    ("c1 order 10-16", False): 6e-11, ("c1 order 10-16", True): 1e-8}
+
+
+def torus_grid(order: int, R) -> tuple[np.ndarray, np.ndarray]:
+    """The grid cauchy_derivatives reads about (-R, -R); R = "rho" puts its
+    node (0, 0) on a + b = 0."""
+    nodes, _ = oracle._torus(order)
+    R = abs(nodes[0]) if R == "rho" else R
+    return -R + nodes[:, None], -R + nodes[None, :]
 
 
 class TestQuadrature:
@@ -94,6 +111,48 @@ class TestKernelNumeric:
             floats = [float(mt.m_dd), float(mt.m_dp), float(mt.m_pd), float(mt.m_pp)]
             value = np.tensordot(floats, kernel_derivative_basis(theta, R, 0), 1)[0, 0]
             assert value == pytest.approx(kernel_numeric(mt, theta, -R, -R), rel=1e-10)
+
+
+class TestGridNumerator:
+    """The numerator of E(s): -expm1(-s) where |s| < 1 or the product is not
+    finite, 1 - e^{-a} e^{-b} elsewhere."""
+
+    @pytest.mark.parametrize("order", [1, 6, 16])
+    @pytest.mark.parametrize("R", [1e-6, "rho"])
+    def test_near_entries_are_the_expm1_ratio_bit_for_bit(self, order, R):
+        a, b = torus_grid(order, R)
+        s = a + b
+        near = np.abs(s) < 1
+        assert near.any()
+        expm1_ratio = np.divide(-np.expm1(-s), s, out=np.ones_like(s), where=s != 0)
+        assert oracle._exp_ratio(a, b)[near].tobytes() == expm1_ratio[near].tobytes()
+
+    @pytest.mark.parametrize("order", [1, 6, 16])
+    @pytest.mark.parametrize("R", [1e-6, "rho", 5.0, 100.0, 300.0])
+    def test_entries_match_the_definition_at_40_digits(self, order, R):
+        # the same rounded moments and nodes, the kernel's definition at 40
+        # digits: every entry within 4 eps max|F|, the per-entry rounding
+        # cauchy_derivatives assumes (the expm1 form read up to 250 eps max|F|
+        # at R = 300)
+        p5 = section_five_reference()
+        poly = expand_mollifier(p5.p_shape)
+        mt = moments(poly, poly)
+        a, b = np.broadcast_arrays(*torus_grid(order, R))
+        F = kernel_numeric(mt, p5.theta, a, b)
+        off_line = a + b != 0  # division_form is undefined on the line
+        to_mp = np.frompyfunc(lambda z: mp.mpc(z.real, z.imag), 1, 1)
+        with mp.workdps(40):
+            exact = division_form(mt, p5.theta, to_mp(a[off_line]), to_mp(b[off_line]))
+            error = np.array([float(abs(x - y)) for x, y in zip(exact, F[off_line])])
+        assert error.max() <= 4 * np.finfo(float).eps * np.abs(F).max()
+
+    def test_off_grid_pair_stays_finite(self):
+        # e^{-800} = 0 and e^{795} = inf: the product is nan, so expm1 takes it
+        mt = moments(X, X)
+        for a, b in ((800.0, -795.0), (-795.0, 800.0)):
+            value = kernel_numeric(mt, 0.8, a, b)
+            assert np.isfinite(value)
+            assert value == pytest.approx(-33690.69715330427, rel=1e-12)
 
 
 class TestFdPartial:
@@ -224,16 +283,14 @@ class TestOracleRecomputation:
 
     @pytest.mark.parametrize("R", [1e-6, 0.1, 0.746, 5.0])
     def test_c1_at_order_sixteen(self, R):
-        # seven q_sym entries: deg Q = 15, derivatives to order 16
-        q = TwistShape.of("-0.673", ["0.369", "-4.635", "0.1", "-0.2", "0.05", "0.3", "-0.1"])
-        p = replace(section_five_reference(), q_shape=q, R=R)
+        p = replace(section_five_reference(), q_shape=ORDER16_TWIST, R=R)
         assert fd_c1_value(p) == pytest.approx(c1_value(p), rel=1e-9)
 
 
 class TestFrozenOracleValues:
-    """fd_c_value and fd_c1_value to the bit, as the per-term Fraction sums
-    returned them: exact moments and weights, rounded once, make them
-    independent of how the exact sums are formed."""
+    """fd_c_value and fd_c1_value to the bit: exact moments and weights,
+    rounded once, make them independent of how the exact sums are formed,
+    and the grid reads e^{-a} e^{-b} where |a + b| >= 1 and g per node."""
 
     # one criterion-6 draw (numpy default_rng(6)), its floats by repr
     DRAW = (SectionFourParams(MollifierShape.of([0.07632870294388638, -0.31345826037332314]),
@@ -246,28 +303,27 @@ class TestFrozenOracleValues:
                               0.3362104623886426, 0.1169020305173259, 1.174521074622356))
 
     def test_reference_point(self):
-        assert repr(fd_c_value(section_four_reference())) == "1.2301085737954223"
-        assert repr(fd_c1_value(section_five_reference())) == "1.0471158196302588"
+        assert repr(fd_c_value(section_four_reference())) == "1.2301085737954227"
+        assert repr(fd_c1_value(section_five_reference())) == "1.0471158196303127"
 
     def test_criterion_six_draw(self):
         p4, p5 = self.DRAW
-        assert repr(fd_c_value(p4)) == "6.248115789063178"
-        assert repr(fd_c1_value(p5)) == "3.8124126848650532"
+        assert repr(fd_c_value(p4)) == "6.248115789063199"
+        assert repr(fd_c1_value(p5)) == "3.8124126848650577"
 
     def test_order_sixteen_twist(self):
-        # seven q_sym entries: the N = 80 grid, the largest the oracle reads
-        q = TwistShape.of("-0.673", ["0.369", "-4.635", "0.1", "-0.2", "0.05", "0.3", "-0.1"])
-        p = replace(section_five_reference(), q_shape=q, R=5.0)
-        assert repr(fd_c1_value(p)) == "66.10161810881063"
+        # the N = 80 grid, the largest the oracle reads
+        p = replace(section_five_reference(), q_shape=ORDER16_TWIST, R=5.0)
+        assert repr(fd_c1_value(p)) == "66.10161809296991"
 
     def test_largest_R(self):
         assert repr(fd_c_value(replace(section_four_reference(), R=300.0))) \
-            == "2.0184048954998207e+260"
+            == "2.0184048955005899e+260"
         assert repr(fd_c1_value(replace(section_five_reference(), R=300.0))) \
-            == "2.957613132201694e+259"
+            == "2.9576131322371777e+259"
 
-    @pytest.mark.parametrize("order, c, c1", [(1, "1.4558636583972966", "1.0681817616230567"),
-                                              (6, "15.534000707054702", "2.5223629862267214")])
+    @pytest.mark.parametrize("order, c, c1", [(1, "1.4558636583972948", "1.0681817616229354"),
+                                              (6, "15.534000707054417", "2.5223629862294947")])
     def test_grid_node_on_singular_line(self, order, c, c1):
         # R = (order!)^(1/order) puts the torus node (0, 0) of that order on a + b = 0
         R = math.factorial(order) ** (1.0 / order)
@@ -277,7 +333,29 @@ class TestFrozenOracleValues:
     def test_cancelling_cross_moments(self):
         p4 = replace(section_four_reference(), p1_shape=MollifierShape.of(CANCELLING[0]),
                      p2_shape=MollifierShape.of(CANCELLING[1]))
-        assert repr(fd_c_value(p4)) == "7.159659632211357"
+        assert repr(fd_c_value(p4)) == "7.159659632211359"
+
+    def test_each_point_is_within_its_published_bound(self):
+        # every point pinned above, against its 40-digit value
+        p4, p5 = section_four_reference(), section_five_reference()
+        points = [(fd_c_value, p4), (fd_c1_value, p5), (fd_c_value, self.DRAW[0]),
+                  (fd_c1_value, self.DRAW[1]),
+                  (fd_c1_value, replace(p5, q_shape=ORDER16_TWIST, R=5.0)),
+                  (fd_c_value, replace(p4, R=300.0)), (fd_c1_value, replace(p5, R=300.0)),
+                  (fd_c_value, replace(p4, p1_shape=MollifierShape.of(CANCELLING[0]),
+                                       p2_shape=MollifierShape.of(CANCELLING[1])))]
+        for order in (1, 6):
+            R = math.factorial(order) ** (1.0 / order)
+            points += [(fd_c_value, replace(p4, R=R)), (fd_c1_value, replace(p5, R=R))]
+        for fd, p in points:
+            if fd is fd_c_value:
+                quantity, exact = "c", mp_c(p)
+            else:
+                order = 2 * len(p.q_shape.sym_coeffs) + 2
+                quantity = "c1 order <= 8" if order <= 8 else "c1 order 10-16"
+                exact = mp_c1(p)
+            bound = PUBLISHED_BOUNDS[quantity, p.R > 5]
+            assert abs(fd(p) / exact - 1) <= bound, (quantity, p.R)
 
 
 class TestCrosscheckReport:
@@ -321,12 +399,34 @@ class TestCrosscheckReport:
 
         def perturbed(p1, p2):
             mt = moments(p1, p2)
-            return replace(mt, m_pp=mt.m_pp * (1 + Fraction(1, 10**10))) if p1 == p2 else mt
+            if p1 != p2:
+                return mt
+            return MomentTable.of(mt.m_dd, mt.m_dp, mt.m_pd, mt.m_pp * (1 + Fraction(1, 10**10)))
 
         monkeypatch.setattr(oracle, "moments", perturbed)
         failing = {ch.name for ch in crosscheck_report(p4, section_five_reference()).checks
                    if not ch.passed and ch.name.startswith("moment[")}
         assert failing == {f"moment[{pair}.pp] vs quadrature" for pair in ("m11", "m22", "m55")}
+
+    def test_cauchy_checks_read_the_reports_own_tables(self, monkeypatch):
+        # each pair's moments are formed once, 5 tables in all, and the two
+        # Cauchy checks read fd_c_value and fd_c1_value bit for bit
+        reference = section_four_reference(), section_five_reference()
+        order16 = replace(reference[1], q_shape=ORDER16_TWIST, R=100.0)
+        for p4, p5 in (reference, TestFrozenOracleValues.DRAW, (reference[0], order16)):
+            calls = []
+
+            def counting(p1, p2):
+                calls.append((p1, p2))
+                return moments(p1, p2)
+
+            monkeypatch.setattr(oracle, "moments", counting)
+            report = crosscheck_report(p4, p5)
+            monkeypatch.undo()
+            assert len(calls) <= 5
+            numeric = {ch.name: ch.numeric for ch in report.checks}
+            assert repr(numeric["c vs Cauchy integrals"]) == repr(fd_c_value(p4))
+            assert repr(numeric["c1 vs Cauchy integrals"]) == repr(fd_c1_value(p5))
 
     def test_delta_zero_degeneracy_passes(self):
         p5 = section_five_reference()

@@ -12,6 +12,7 @@ a fixed delta, are parabolas to rounding."""
 from math import gcd
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from levbounds.kernel import MomentTable, moments, node_rows
@@ -105,8 +106,27 @@ def test_moment_tables_transpose_exactly(shape1, shape2):
 @example(p=Poly.from_coeffs(["0.5"]), q=Poly.from_coeffs(FULL))
 def test_one_pass_moments_are_the_four_product_integrals(p, q):
     dp, dq = poly_derivative(p), poly_derivative(q)
-    assert moments(p, q) == MomentTable(integrate01_product(dp, dq), integrate01_product(dp, q),
-                                        integrate01_product(p, dq), integrate01_product(p, q))
+    assert moments(p, q) == MomentTable.of(integrate01_product(dp, dq), integrate01_product(dp, q),
+                                           integrate01_product(p, dq), integrate01_product(p, q))
+
+
+@property_settings
+@given(p=literal_lists(MAX_DEGREE + 1).map(Poly.from_coeffs),
+       q=literal_lists(MAX_DEGREE + 1).map(Poly.from_coeffs))
+@example(p=ZERO, q=ZERO)
+@example(p=Poly.from_coeffs(FULL), q=Poly.from_coeffs(FULL[1:]))
+def test_table_is_canonical_and_its_floats_are_each_moment_rounded_once(p, q):
+    mt = moments(p, q)
+    exact = (mt.m_dd, mt.m_dp, mt.m_pd, mt.m_pp)
+    assert mt.den > 0 and gcd(mt.den, *mt.nums) == 1
+    assert MomentTable.of(*exact) == mt
+    try:
+        rounded = tuple(map(float, exact))
+    except OverflowError:  # a moment past binary64 fails alike both ways
+        with pytest.raises(OverflowError):
+            mt.floats
+        return
+    assert repr(mt.floats) == repr(rounded)
 
 
 @property_settings
