@@ -13,28 +13,36 @@ Conrey, J. reine angew. Math. 399, 1989):
     c1 = 1 + (1/theta) int int e^{2Rt} [U(t) A(x) + theta U'(t) P(x)]^2
 
 with A = P' + R theta P and U = (1 - delta) + delta (1 - 2t) Q(t) =
-1 + Psi v, v = delta (1, q), over the twist directions
-Psi_j = (1 - 2t) b_j - [j = 0] of the twist basis b.  node_rows holds
-what these Gauss-Legendre sums read at one (theta, R): the weights, and
-the rows of the mollifier basis, its derivative and Psi at the nodes,
-exact values rounded once and cached per degree and node count; nothing
-is built at import.  The m + 3 x-nodes integrate the degree-2m+2 square
-in x exactly; the t-nodes follow t_count.
+1 + delta Psi w, w = (1, q), over the twist directions
+Psi_j = (1 - 2t) b_j - [j = 0] of the twist basis b.  Each root is
+linear in each shape's homogeneous row, so it reads a shape only through
+the row's products with the basis rows at the nodes (basis_products):
+(P u, D u) for a mollifier row u, D the derivative rows, with
+A u = D u + R theta P u, and (Psi w, Psi' w) for a twist row w.  The
+basis rows are exact values at the nodes rounded once, cached per degree
+and node count; an exact shape's products are formed once per node count
+and kept on the shape (shape_products), so a shape that recurs at other
+(theta, R, r, delta) is not read again.  node_rows holds the rest of what
+these Gauss-Legendre sums read at one (theta, R): R theta, the t-nodes
+and the weights.  Nothing is built at import.  The m + 3 x-nodes
+integrate the degree-2m+2 square in x exactly; the t-nodes follow
+t_count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .polyalg import (ONE, ZERO, Poly, _integral_weights, mollifier_basis, poly_derivative,
-                      poly_eval, twist_basis)
+from .polyalg import (ONE, ZERO, MollifierShape, Poly, TwistShape, _integral_weights,
+                      mollifier_basis, poly_derivative, poly_eval, twist_basis)
 
 
 @dataclass(frozen=True)
@@ -142,43 +150,76 @@ def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _rows(n: int, m: int, twist: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only rows of a basis and its derivative at the n nodes: the
-    degree-m mollifier basis, (n, m + 1), or the twist directions Psi_j of
-    the twist basis with m symmetric terms, (n, m + 2).  Each value is the
-    exact value at the binary64 node, rounded once."""
+def _rows(n: int, m: int, twist: bool) -> np.ndarray:
+    """The rows of a basis and of its derivative at the n nodes, stacked
+    and read-only: the degree-m mollifier basis, (2, n, m + 1), or the
+    twist directions Psi_j of the twist basis with m symmetric terms,
+    (2, n, m + 2).  Each value is the exact value at the binary64 node,
+    rounded once."""
     if twist:  # Psi_j = (1 - 2t) b_j - [j = 0]
         basis = tuple(b - Poly.of((0, *b.nums), b.den).scale(2) - (ONE if j == 0 else ZERO)
                       for j, b in enumerate(twist_basis(m)))
     else:
         basis = mollifier_basis(m)
     nodes = [Fraction(float(x)) for x in _gauss(n)[0]]
-    tables = tuple(np.array([[float(poly_eval(p, x)) for p in polys] for x in nodes])
-                   for polys in (basis, tuple(map(poly_derivative, basis))))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    table = np.array([[[float(poly_eval(p, x)) for p in polys] for x in nodes]
+                      for polys in (basis, tuple(map(poly_derivative, basis)))])
+    table.setflags(write=False)
+    return table
 
 
-@dataclass(frozen=True)
-class NodeRows:
-    """What both squares read at one (theta, R): the t-nodes, the weights
-    W = wt wx' as their two factors, and the mollifier (A, P) and twist
-    (psi, dpsi) rows."""
+def basis_products(n: int, u: np.ndarray, twist: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(B u, B' u) at the n nodes for a homogeneous row u, or for each
+    column of a matrix u: B is the mollifier basis of degree len(u) - 1
+    (P u and D u at the x-nodes, D the derivative rows), or the twist
+    directions Psi of len(u) - 2 symmetric terms (Psi w and Psi' w at the
+    t-nodes).  The float core reads every shape through these products,
+    both from one matrix product with the stacked rows."""
+    products = _rows(n, len(u) - 1 - twist, twist) @ u
+    return products[0], products[1]
+
+
+def shape_products(n: int, shape: MollifierShape | TwistShape,
+                   twist: bool) -> tuple[np.ndarray, np.ndarray]:
+    """basis_products of the shape's float row at n nodes, formed once per
+    shape and node count and kept on the shape (its node_products),
+    read-only; twist says which family the shape is, as for
+    basis_products."""
+    cache = shape.node_products
+    products = cache.get(n)
+    if products is None:
+        products = cache[n] = basis_products(n, shape.row, twist)
+        for table in products:
+            table.setflags(write=False)
+    return products
+
+
+class NodeRows(NamedTuple):
+    """What both squares read at one (theta, R): rho = R theta, the t-nodes
+    and the weights W = wt wx' as their two factors.  A root reads each
+    shape through its products with the basis rows at these node counts
+    (basis_products), the mollifier's as (P u, D u), with A u = D u +
+    rho P u.  A named tuple: immutable, and cheaper to build than a frozen
+    dataclass, as every evaluation builds one."""
 
     theta: float
+    rho: float                   # R theta
     t: np.ndarray                # (n_t,)
     wt: np.ndarray               # e^{2Rt} w_t, (n_t,)
     wx: np.ndarray               # w_x / theta, (n_x,)
-    A: np.ndarray                # b_i' + R theta b_i at the x-nodes, (n_x, m + 1)
-    P: np.ndarray                # b_i at the x-nodes, (n_x, m + 1)
-    psi: np.ndarray | None       # Psi_j at the t-nodes, (n_t, k + 2); None for c
-    dpsi: np.ndarray | None      # Psi_j'
 
     @property
     def W(self) -> np.ndarray:
         """The weight of each node pair, (n_t, n_x)."""
         return np.outer(self.wt, self.wx)
+
+    def mollifier(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(P u, D u) at the x-nodes."""
+        return basis_products(len(self.wx), u, False)
+
+    def twist(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Psi v, Psi' v) at the t-nodes."""
+        return basis_products(len(self.t), v, True)
 
     def square(self, L: np.ndarray) -> float:
         """1 + sum W L^2: the constant whose root L holds at the nodes; an
@@ -191,20 +232,20 @@ class NodeRows:
         grown = self.t[:, None] * L + dL  # d/dR of W L^2 is 2 W L (t L + dL)
         return 2.0 * float(np.einsum("t,tx,tx,x->", self.wt, L, grown, self.wx))
 
-    def d_dR(self) -> "NodeRows":
-        """The rows whose root is the R derivative of this one's.  Both
-        roots are linear in (A, P) together, and only A moves with R, by
-        theta P."""
-        return replace(self, A=self.theta * self.P, P=np.zeros_like(self.P))
+    def d_dR(self, products: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """The mollifier products whose root is the R derivative of the root
+        of these: both roots are linear in (A u, P u) together, and only
+        A u = D u + rho P u moves with R, by theta P u, so (P u, D u) maps
+        to (0, theta P u)."""
+        values = products[0]
+        return np.zeros_like(values), self.theta * values
 
 
 def node_rows(theta: float, R: float, m: int, k: int | None = None) -> NodeRows:
-    """The node rows at (theta, R) for mollifier degree m and, for c1, a
-    twist with k symmetric terms (U of degree 2k + 2 in t); for c, whose
-    root is linear in t, k is None.  Inputs are not validated: the callers
-    in proportions check theta and R."""
-    (_, wx), (P, D) = _gauss(m + 3), _rows(m + 3, m, False)
+    """The node rows at (theta, R) for mollifier degree m, on m + 3
+    x-nodes, and, for c1, a twist with k symmetric terms (U of degree
+    2k + 2 in t); for c, whose root is linear in t, k is None.  Inputs
+    are not validated: the callers in proportions check theta and R."""
+    wx = _gauss(m + 3)[1]
     t, wt = _gauss(t_count(R, 1 if k is None else 2 * k + 2))
-    psi, dpsi = (None, None) if k is None else _rows(len(t), k, True)
-    return NodeRows(theta, t, wt * np.exp(2.0 * R * t), wx / theta, D + (R * theta) * P, P,
-                    psi, dpsi)
+    return NodeRows(theta, R * theta, t, wt * np.exp(2.0 * R * t), wx / theta)

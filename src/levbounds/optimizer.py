@@ -312,13 +312,15 @@ class SearchResult:
 
 class _Record:
     """Counts the evaluations of a solve's objective and their failures;
-    keeps the best point and the improvements."""
+    keeps the best point, its R slope when it was evaluated with one, and
+    the improvements."""
 
     def __init__(self, solve: _Solve):
         self.solve = solve
         self.count = 0
         self.best = math.inf
         self.best_vector: np.ndarray | None = None
+        self.best_rate: float | None = None
         self.trace: list[tuple[int, float]] = []
         self.failures: Counter[str] = Counter()
         self.failure: Exception | None = None  # the first evaluation error
@@ -340,6 +342,7 @@ class _Record:
         if val < self.best:
             self.best = val
             self.best_vector = np.array(v, dtype=float)
+            self.best_rate = rate if slope else None
             self.trace.append((self.count, val))
         return val, rate
 
@@ -532,11 +535,14 @@ class _Solve:
     given degrees, over the coordinates x of one map (_Map) and one state
     (x, pinned rows of the map's A x >= b).
 
-    The constant is 1 + sum W L^2 over the nodes.  A subclass gives its
-    root L and the root's Jacobian in x from the solve vector y, the cross
-    term of a root bilinear in two blocks, its objective (minimized), the
-    objective's sign and per_log, the objective being per_log ln(constant)
-    / R up to a constant term."""
+    The constant is 1 + sum W L^2 over the nodes.  A subclass gives
+    parts, the products of each block's rows of the solve vector y, or of
+    N's columns, with the basis rows at the nodes; from them its root L
+    (with d_dR, its R derivative, through the rows' d_dR of the mollifier
+    products), the root's Jacobian in x and the cross term of a root
+    bilinear in two blocks; its objective (minimized), the objective's
+    sign and per_log, the objective being per_log ln(constant) / R up to
+    a constant term."""
 
     def __init__(self, spec: SearchSpec, degrees: tuple, blocks: dict[str, tuple[_Segment, ...]]):
         self.spec, self.degrees, self.map = spec, degrees, _Map(spec, blocks)
@@ -550,18 +556,19 @@ class _Solve:
         return node_rows(self.spec.theta, R, *self.degrees)
 
     def constant(self, rows: NodeRows, y: np.ndarray) -> float:
-        return rows.square(self.root(rows, y))
+        return rows.square(self.root(rows, self.parts(rows, y)))
 
-    def cross(self, rows: NodeRows, y: np.ndarray, WL: np.ndarray) -> np.ndarray | float:
+    def cross(self, rows: NodeRows, columns, WL: np.ndarray) -> np.ndarray | float:
         return 0.0  # none for a root linear in x
 
     def model(self, rows: NodeRows, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The gradient 2 J'WL and Hessian 2 J'WJ + cross of the constant in x."""
-        L, J = self.root(rows, y), self.jacobian(rows, y)
+        at, columns = self.parts(rows, y), self.parts(rows, self.map.N)
+        L, J = self.root(rows, at), self.jacobian(rows, at, columns)
         root_w = np.sqrt(rows.W).ravel()
         S = root_w[:, None] * J.reshape(len(root_w), -1)
         H = 2.0 * S.T @ S
-        return 2.0 * S.T @ (root_w * L.ravel()), H + self.cross(rows, y, rows.W * L)
+        return 2.0 * S.T @ (root_w * L.ravel()), H + self.cross(rows, columns, rows.W * L)
 
     def solve(self, R: float, state):
         """The solved state at R, warm-started from state; see the module
@@ -632,9 +639,10 @@ class _Solve:
         sum on the same nodes: d/dR of 1 + sum W L^2, with L's own R
         derivative read from the rows' d_dR."""
         R = float(v[self.R_at])
-        rows, y = self.nodes(R), self.map.y(self.map.coordinates(v))
-        L = self.root(rows, y)
-        c, rate = rows.square(L), rows.rate(L, self.root(rows.d_dR(), y))
+        rows = self.nodes(R)
+        at = self.parts(rows, self.map.y(self.map.coordinates(v)))
+        L = self.root(rows, at)
+        c, rate = rows.square(L), rows.rate(L, self.root(rows, at, d_dR=True))
         return self.per_log * (rate / c - math.log(c) / R) / R
 
     def conditions(self, v: np.ndarray) -> tuple[tuple[str, float], ...]:
@@ -660,12 +668,14 @@ class _NuSolve(_Solve):
         super().__init__(spec, (max(len(p1), len(p2)),), {"mollifier": (
             _Segment(p1, None), _Segment(p2, at["r"], inverse=True))})
 
-    def root(self, rows, y) -> np.ndarray:
-        return c_root(rows, y[:self.split], y[self.split:])
+    def parts(self, rows, Y):
+        return rows.mollifier(Y[:self.split]), rows.mollifier(Y[self.split:])
 
-    def jacobian(self, rows, y) -> np.ndarray:
-        N = self.map.N
-        return c_root(rows, N[:self.split], N[self.split:])
+    def root(self, rows, at, d_dR=False) -> np.ndarray:
+        return c_root(rows, *(map(rows.d_dR, at) if d_dR else at), 1.0)
+
+    def jacobian(self, rows, at, columns) -> np.ndarray:
+        return c_root(rows, *columns, 1.0)
 
     def objective(self, v: np.ndarray) -> float:
         (p1, p2, r), R = self.core, float(v[self.R_at])
@@ -688,23 +698,25 @@ class _KappaSolve(_Solve):
             "mollifier": (_Segment(p, None),), "twist": (_Segment(q, at["delta"]),)})
         self.u, self.v = (self.map.blocks[name][0] for name in ("mollifier", "twist"))
 
-    def root(self, rows, y) -> np.ndarray:
-        return c1_root(rows, y[self.u], y[self.v])
+    def parts(self, rows, Y):
+        return rows.mollifier(Y[self.u]), rows.twist(Y[self.v])
 
-    def jacobian(self, rows, y) -> np.ndarray:
+    def root(self, rows, at, d_dR=False) -> np.ndarray:
+        up, (psi, dpsi) = at  # U = 1 + Psi v
+        return c1_root(rows, rows.d_dR(up) if d_dR else up, (1.0 + psi, dpsi))
+
+    def jacobian(self, rows, at, columns) -> np.ndarray:
         """(d L / d x) at the nodes, (n_t, n_x, columns): the mollifier's
-        part, linear in u_P, plus the twist's, linear in v."""
-        (NP, Nv), up = (self.map.N[self.u], self.map.N[self.v]), y[self.u]
-        return c1_root(rows, NP, y[self.v]) + (
-            (rows.psi @ Nv)[:, None] * (rows.A @ up)[:, None]
-            + rows.theta * ((rows.dpsi @ Nv)[:, None] * (rows.P @ up)[:, None]))
+        part, linear in u_P, plus the twist's, linear in (U, U'), whose
+        column axis c1_root puts second."""
+        (up, (psi, dpsi)), (NP, Nv) = at, columns
+        return c1_root(rows, NP, (1.0 + psi, dpsi)) + np.moveaxis(c1_root(rows, up, Nv), 1, -1)
 
-    def cross(self, rows, y, WL) -> np.ndarray:
-        """2 sum W L d^2 L / du_P dv in x: C + C', with C the mollifier rows
-        of N against the twist rows."""
-        NP, Nv = self.map.N[self.u], self.map.N[self.v]
-        C = 2.0 * NP.T @ (rows.A.T @ WL.T @ rows.psi
-                          + rows.theta * rows.P.T @ WL.T @ rows.dpsi) @ Nv
+    def cross(self, rows, columns, WL) -> np.ndarray:
+        """2 sum W L d^2 L / du_P dv in x: C + C', with C the products of
+        the mollifier rows of N against those of its twist rows."""
+        (p, d), (psi, dpsi) = columns
+        C = 2.0 * ((d + rows.rho * p).T @ WL.T @ psi + rows.theta * p.T @ WL.T @ dpsi)
         return C + C.T
 
     def objective(self, v: np.ndarray) -> float:
@@ -823,10 +835,13 @@ def optimize(spec: SearchSpec) -> SearchResult:
         first = record.failure
         raise EvaluationFailureError(f"all {steps} search steps failed, the first with "
                                      f"{type(first).__name__}: {first}") from first
+    rate = record.best_rate  # None when the best point is the start
+    if rate is None:
+        rate = solver.slope(record.best_vector)
     return record.result("objective failed at the initial point",
                          inner_solves=solver.solves, fallbacks=solver.fallbacks,
                          conditions=solver.conditions(record.best_vector),
-                         slope=solver.sign * solver.slope(record.best_vector))
+                         slope=solver.sign * rate)
 
 
 def grid_scan(spec: SearchSpec, resolution: int) -> SearchResult:

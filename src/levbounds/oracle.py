@@ -3,9 +3,9 @@
 Everything here recomputes a quantity the engine produces, by a route
 that shares nothing with it beyond polynomial evaluation and the moment
 data itself: Gauss-Legendre quadrature against exact moment integrals,
-the engine's own x-rows (kernel.node_rows) against the same exact
-moments, and Cauchy integrals of the definition-form kernel against c
-and c1 from the float core.
+the x-products the engine keeps on each shape (kernel.shape_products)
+against the same exact moments, and Cauchy integrals of the
+definition-form kernel against c and c1 from the float core.
 
 kernel_numeric is that kernel, evaluated on real or complex arrays, for
 one moment table or a stack of tables on one grid, its e^{-a-b} formed
@@ -47,8 +47,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .kernel import MomentTable, NodeRows, moments, node_rows
-from .polyalg import Poly, expand_mollifier, expand_twist, poly_derivative
+from .kernel import MomentTable, NodeRows, _rows, moments, node_rows, shape_products
+from .polyalg import MollifierShape, Poly, expand_mollifier, expand_twist, poly_derivative
 from .proportions import SectionFourParams, SectionFiveParams, c1_value, c_value
 
 
@@ -249,27 +249,34 @@ def _rel(exact: float, numeric: float) -> float:
     return abs(exact - numeric) / scale
 
 
-def _row_checks(name: str, mt: MomentTable, rows: NodeRows, R: float,
-                ua: np.ndarray, ub: np.ndarray) -> list[CheckResult]:
-    """The engine's x-rows at (theta, R) against the exact moments of a
-    pair with homogeneous shape rows ua, ub: with A = P' + rho P and
-    rho = R theta as node_rows rounds it, the weighted sums of A_a A_b,
-    A_a P_b, P_a A_b and P_a P_b over the x-nodes are m_dd + rho (m_dp +
-    m_pd) + rho^2 m_pp, m_dp + rho m_pp, m_pd + rho m_pp and m_pp, each
-    over theta.  A sum that cancels keeps the rounding of its terms, so
-    each error is relative to the same sum over absolute values, or to
+def _row_checks(name: str, mt: MomentTable, rows: NodeRows, a: MollifierShape,
+                b: MollifierShape) -> list[CheckResult]:
+    """The engine's x-products of a pair of shapes at (theta, R) against
+    their exact moments: with the products (P u, D u) the engine keeps on
+    each shape (shape_products) and A u = D u + rho P u as the root forms
+    it, rho = R theta as node_rows rounds it, the weighted sums of
+    A_a A_b, A_a P_b, P_a A_b and P_a P_b over the x-nodes are m_dd +
+    rho (m_dp + m_pd) + rho^2 m_pp, m_dp + rho m_pp, m_pd + rho m_pp and
+    m_pp, each over theta.  A sum that cancels keeps the rounding of its
+    terms, so each error is relative to the same sum over absolute values,
+    with |A| = |D + rho P| and |P| the rows' and |u| the shape's, or to
     the exact value if that is larger."""
-    rho, theta = Fraction(R * rows.theta), Fraction(rows.theta)
-    def combine(u: np.ndarray, f=np.asarray) -> dict[str, np.ndarray]:
-        return {"A": f(rows.A[:, :len(u)]) @ f(u), "P": f(rows.P[:, :len(u)]) @ f(u)}
+    rho, theta, n = rows.rho, rows.theta, len(rows.wx)
 
-    a, b, size_a, size_b = combine(ua), combine(ub), combine(ua, abs), combine(ub, abs)
-    exact = {"AA": mt.m_dd + rho * (mt.m_dp + mt.m_pd) + rho * rho * mt.m_pp,
-             "AP": mt.m_dp + rho * mt.m_pp, "PA": mt.m_pd + rho * mt.m_pp, "PP": mt.m_pp}
+    def combine(shape: MollifierShape) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        (pu, du), u = shape_products(n, shape, False), np.abs(shape.row)
+        P, D = _rows(n, len(u) - 1, False)
+        return {"A": du + rho * pu, "P": pu}, {"A": np.abs(D + rho * P) @ u, "P": np.abs(P) @ u}
+
+    (va, size_a), (vb, size_b) = combine(a), combine(b)
+    exact_rho, exact_theta = Fraction(rho), Fraction(theta)
+    exact = {"AA": mt.m_dd + exact_rho * (mt.m_dp + mt.m_pd) + exact_rho ** 2 * mt.m_pp,
+             "AP": mt.m_dp + exact_rho * mt.m_pp, "PA": mt.m_pd + exact_rho * mt.m_pp,
+             "PP": mt.m_pp}
     checks = []
     for part, value in exact.items():
-        value = float(value / theta)
-        num = float(rows.wx @ (a[part[0]] * b[part[1]]))
+        value = float(value / exact_theta)
+        num = float(rows.wx @ (va[part[0]] * vb[part[1]]))
         size = float(rows.wx @ (size_a[part[0]] * size_b[part[1]]))
         checks.append(CheckResult(f"node rows[{name}.{part}] vs exact moments", value, num,
                                   abs(value - num) / max(abs(value), size, 1e-300), 1e-12))
@@ -284,13 +291,12 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
 
     shapes = {"1": p4.p1_shape, "2": p4.p2_shape, "5": p5.p_shape}
     polys = {k: expand_mollifier(s) for k, s in shapes.items()}
-    homogeneous = {k: np.array([1.0, *map(float, s.shape_coeffs)]) for k, s in shapes.items()}
-    rows4 = node_rows(p4.theta, p4.R, max(len(homogeneous["1"]), len(homogeneous["2"])) - 1)
-    rows5 = node_rows(p5.theta, p5.R, len(homogeneous["5"]) - 1)
-    pairs = {"m11": (rows4, p4.R), "m21": (rows4, p4.R), "m12": (rows4, p4.R),
-             "m22": (rows4, p4.R), "m55": (rows5, p5.R)}
+    rows4 = node_rows(p4.theta, p4.R, max(len(p4.p1_shape.shape_coeffs),
+                                          len(p4.p2_shape.shape_coeffs)))
+    rows5 = node_rows(p5.theta, p5.R, len(p5.p_shape.shape_coeffs))
+    pairs = {"m11": rows4, "m21": rows4, "m12": rows4, "m22": rows4, "m55": rows5}
     tables = {}
-    for name, (rows, R) in pairs.items():  # the pair (P_a, P_b) is m<a><b>
+    for name, rows in pairs.items():  # the pair (P_a, P_b) is m<a><b>
         pa, pb = polys[name[1]], polys[name[2]]
         mt = tables[name] = moments(pa, pb)
         nodes = (max(pa.degree, 0) + max(pb.degree, 0)) // 2 + 1
@@ -307,7 +313,7 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
             size = quad_integrate01(_absolute(qa), _absolute(qb), nodes)
             checks.append(CheckResult(f"moment[{name}.{part}] vs quadrature", value, num,
                                       abs(value - num) / max(abs(value), size, 1e-300), 1e-12))
-        checks += _row_checks(name, mt, rows, R, homogeneous[name[1]], homogeneous[name[2]])
+        checks += _row_checks(name, mt, rows, shapes[name[1]], shapes[name[2]])
 
     # the Cauchy checks read the report's own tables, as fd_c_value and
     # fd_c1_value would form them

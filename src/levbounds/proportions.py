@@ -7,6 +7,13 @@ root over the node rows (kernel.node_rows):
   c1(theta, R)     root U A + theta U' P, from one mollifier and the twist
                    operator's U = (1 - delta) + delta (1 - 2t) Q(t).
 
+Each root reads a shape only through its row's products with the basis
+rows (kernel.basis_products), and forms A = D + R theta P and
+U = 1 + delta Psi w on those short vectors.  c_value and c1_value read
+the products an exact shape keeps per node count (kernel.shape_products);
+c_core and c1_core, fed float coefficients, form them on each call
+through the same helper, so both give the same bits.
+
 From them the bound coefficients are nu = ln(c)/(2R) and
 kappa = 1 - ln(c1)/R (natural logarithm: the only base consistent with the
 reference constants), and the four proportions
@@ -25,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import MAX_BASE_R, MIN_BASE_R, NodeRows, node_rows
+from .kernel import (MAX_BASE_R, MIN_BASE_R, NodeRows, basis_products, node_rows,
+                     shape_products)
 from .polyalg import MollifierShape, TwistShape
 
 
@@ -104,42 +112,54 @@ def _homogeneous(coeffs) -> np.ndarray:
     return u
 
 
-def c_root(rows: NodeRows, z1, z2) -> np.ndarray:
-    """A1 - (t A2 + theta P2) / r at the nodes, from z1 = (1, p1) and
-    z2 = (1, p2) / r; linear in (z1, z2), so columns of z1 and z2 give
-    the columns of its Jacobian."""
-    n = len(z2)
-    a2 = rows.A[:, :n] @ z2
-    return (rows.A[:, :len(z1)] @ z1 - rows.theta * (rows.P[:, :n] @ z2)
-            - np.multiply.outer(rows.t, a2))
-
-
-def c1_root(rows: NodeRows, up, v) -> np.ndarray:
-    """U A + theta U' P at the nodes, with U = 1 + Psi v, from up = (1, p)
-    and v = delta (1, q); linear in up, so columns of up give the columns
+def c_root(rows: NodeRows, z1, z2, r: float) -> np.ndarray:
+    """A1 - (t A2 + theta P2) / r at the nodes, from the products (P z, D z)
+    of z1 = (1, p1) and z2 = (1, p2), with A z = D z + R theta P z; linear
+    in (z1, z2), so the products of columns of z1 and z2 give the columns
     of its Jacobian."""
-    return (np.multiply.outer(1.0 + rows.psi @ v, rows.A @ up)
-            + rows.theta * np.multiply.outer(rows.dpsi @ v, rows.P @ up))
+    (p1, d1), (p2, d2) = z1, z2
+    a2 = (d2 + rows.rho * p2) / r
+    return (d1 + rows.rho * p1) - (rows.theta / r) * p2 - np.multiply.outer(rows.t, a2)
 
 
-def c_core(p1, p2, theta: float, r: float, R: float) -> float:
-    """c from float shape coefficients; c_value and the search objective
-    both evaluate through here, as 1 plus the weighted sum of c_root's
-    squares at the node rows of the longer shape's degree."""
+def c1_root(rows: NodeRows, up, U) -> np.ndarray:
+    """U A + theta U' P at the nodes, from the products (P u, D u) of
+    up = (1, p), with A u = D u + R theta P u, and U = (U, U') at the
+    t-nodes, 1 + Psi v and Psi' v for the twist v = delta (1, q).  Linear
+    in up, so the products of columns of up give the columns of its
+    Jacobian; linear in U too, where columns come second."""
+    (p, d), (u, du) = up, U
+    return np.multiply.outer(u, d + rows.rho * p) + rows.theta * np.multiply.outer(du, p)
+
+
+def _c(products, z1, z2, m: int, theta: float, r: float, R: float) -> float:
+    """c at mollifier degree m from the mollifier rows z1 = (1, p1) and
+    z2 = (1, p2), read as products(n, z, False) at the n x-nodes: c_core
+    and c_value both evaluate through here, as 1 plus the weighted sum of
+    c_root's squares."""
     theta, r, R = float(theta), float(r), float(R)
     _check_scalars(theta, R, r=r)
-    z1, z2 = _homogeneous(p1), _homogeneous(p2) / r
-    rows = node_rows(theta, R, max(len(z1), len(z2)) - 1)
-    c = rows.square(c_root(rows, z1, z2))
+    rows = node_rows(theta, R, m)
+    n = len(rows.wx)
+    c = rows.square(c_root(rows, products(n, z1, False), products(n, z2, False), r))
     if not math.isfinite(c):
         raise NonFiniteError(f"c evaluated to {c!r}")
     return c
 
 
+def c_core(p1, p2, theta: float, r: float, R: float) -> float:
+    """c from float shape coefficients, their products formed on each call;
+    the search objective evaluates through here, and c_value is the same
+    evaluation on the shapes' cached products, bit for bit."""
+    z1, z2 = _homogeneous(p1), _homogeneous(p2)
+    return _c(basis_products, z1, z2, max(len(z1), len(z2)) - 1, theta, r, R)
+
+
 def c_value(p: SectionFourParams) -> float:
     """The mollified second-moment constant of the two-mollifier detector."""
-    return c_core([float(c) for c in p.p1_shape.shape_coeffs],
-                  [float(c) for c in p.p2_shape.shape_coeffs], p.theta, p.r, p.R)
+    s1, s2 = p.p1_shape, p.p2_shape
+    return _c(shape_products, s1, s2, max(len(s1.shape_coeffs), len(s2.shape_coeffs)),
+              p.theta, p.r, p.R)
 
 
 def nu_bound(c: float, R: float) -> float:
@@ -151,31 +171,41 @@ def nu_bound(c: float, R: float) -> float:
     return math.log(c) / (2.0 * R)
 
 
-def c1_core(p, q, theta: float, R: float, delta: float) -> float:
-    """c1 from float coefficients; c1_value and the search objective both
-    evaluate through here, as 1 plus the weighted sum of c1_root's squares.
-
-    p holds the mollifier shape, q the twist shape (q0, q_1, .., q_m), and
-    the twist enters as v = delta (1, q0, q_1, .., q_m).
-    """
+def _c1(products, up, w, m: int, k: int, theta: float, R: float, delta: float) -> float:
+    """c1 at mollifier degree m and k symmetric twist terms from the
+    mollifier row up = (1, p) and the twist row w = (1, q), read as
+    products(n, up, False) and products(n, w, True) at n x- and t-nodes:
+    c1_core and c1_value both evaluate through here, as 1 plus the
+    weighted sum of c1_root's squares, with U = 1 + delta Psi w."""
     theta, R, delta = float(theta), float(R), float(delta)
     _check_scalars(theta, R, delta=delta)
-    if len(q) < 1:
-        raise ValueError("c1_core: the twist needs at least q_linear, got no entries")
-    up, v = _homogeneous(p), delta * _homogeneous(q)
-    rows = node_rows(theta, R, len(up) - 1, len(v) - 2)
-    c1 = rows.square(c1_root(rows, up, v))
+    rows = node_rows(theta, R, m, k)
+    psi, dpsi = products(len(rows.t), w, True)
+    c1 = rows.square(c1_root(rows, products(len(rows.wx), up, False),
+                             (1.0 + delta * psi, delta * dpsi)))
     if not math.isfinite(c1):
         raise NonFiniteError(f"c1 evaluated to {c1!r}")
     return c1
 
 
+def c1_core(p, q, theta: float, R: float, delta: float) -> float:
+    """c1 from float coefficients, their products formed on each call; the
+    search objective evaluates through here, and c1_value is the same
+    evaluation on the shapes' cached products, bit for bit.
+
+    p holds the mollifier shape, q the twist shape (q0, q_1, .., q_m), and
+    the twist enters as v = delta (1, q0, q_1, .., q_m).
+    """
+    if len(q) < 1:
+        raise ValueError("c1_core: the twist needs at least q_linear, got no entries")
+    up, w = _homogeneous(p), _homogeneous(q)
+    return _c1(basis_products, up, w, len(up) - 1, len(w) - 2, theta, R, delta)
+
+
 def c1_value(p: SectionFiveParams) -> float:
     """The twisted second-moment constant of the critical-line detector."""
-    q = p.q_shape
-    return c1_core([float(c) for c in p.p_shape.shape_coeffs],
-                   [float(q.linear_coeff)] + [float(c) for c in q.sym_coeffs],
-                   p.theta, p.R, p.delta)
+    return _c1(shape_products, p.p_shape, p.q_shape, len(p.p_shape.shape_coeffs),
+               len(p.q_shape.sym_coeffs), p.theta, p.R, p.delta)
 
 
 def kappa_bound(c1: float, R: float) -> float:

@@ -210,18 +210,19 @@ class TestCachedData:
                 + basis[2].scale(shape.shape_coeffs[1])) == expand_mollifier(shape)
 
     def test_twist_rows_expand_twist(self):
-        # 1 + psi v and dpsi v, v = delta (1, q), are U = (1 - delta)
-        # + delta (1 - 2t) Q(t) and U' at the t-nodes, U exact and rounded once
+        # 1 + delta Psi w and delta Psi' w, w = (1, q), from the products
+        # the shape keeps, are U = (1 - delta) + delta (1 - 2t) Q(t) and U'
+        # at the t-nodes, U exact and rounded once
         for q in (TwistShape.of("-0.673", ["0.369", "-4.635"]), TwistShape.of("0.5"),
                   TwistShape.of("0", ["1", "0", "-2"])):
             k, delta = len(q.sym_coeffs), Fraction(3, 4)
             rows = node_rows(1.0, 0.746, 1, k)
-            v = float(delta) * np.append(1.0, [float(q.linear_coeff)]
-                                         + [float(c) for c in q.sym_coeffs])
+            psi, dpsi = kernel.shape_products(len(rows.t), q, True)
             c = expand_twist(q).coeffs + (0,)
             U = Poly.from_coeffs([delta * (c[j] - 2 * (c[j - 1] if j else 0))
                                   + (1 - delta) * (j == 0) for j in range(len(c))])
-            for got, poly in ((1.0 + rows.psi @ v, U), (rows.dpsi @ v, poly_derivative(U))):
+            for got, poly in ((1.0 + float(delta) * psi, U),
+                              (float(delta) * dpsi, poly_derivative(U))):
                 exact = [float(poly_eval(poly, Fraction(float(t)))) for t in rows.t]
                 scale = max(map(abs, exact))
                 assert got == pytest.approx(exact, rel=1e-15, abs=1e-15 * scale)
@@ -369,6 +370,23 @@ class TestValidation:
             c_core([0.1, bad], [0.1], 1.0, 1.0, 0.6)
         with pytest.raises(ValueError):
             c1_core([0.1], [-0.5, bad], 1.0, 0.6, 0.7)
+
+    def test_coefficient_outside_binary64_named(self):
+        # it once escaped c_value as a bare OverflowError ("integer division
+        # result too large for a float"); the shape's float row names it
+        huge = Fraction(10) ** 400
+        p4, p5 = section_four_reference(), section_five_reference()
+        cases = (
+            (c_value, replace(p4, p2_shape=MollifierShape.of(["0.1", -huge])),
+             r"MollifierShape\.shape_coeffs\[1\] = -1\.000000e\+400"),
+            (c1_value, replace(p5, q_shape=TwistShape.of(huge, ["0.3"])),
+             r"TwistShape\.linear_coeff = 1\.000000e\+400"),
+            (c1_value, replace(p5, q_shape=TwistShape.of("-0.5", ["0.3", "0", huge / 3])),
+             r"TwistShape\.sym_coeffs\[2\] = 3\.333333e\+399"),
+        )
+        for value, params, named in cases:
+            with pytest.raises(ValueError, match=rf"^{named} is outside binary64$"):
+                value(params)
 
     def test_twist_without_entries_rejected_by_name(self):
         # it once failed inside twist_matrix(-1) with an IndexError

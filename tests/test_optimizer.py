@@ -377,6 +377,56 @@ def with_entry(spec: SearchSpec, name: str, value: float, **bounds) -> SearchSpe
     return replace(spec, initial_point=tuple(point), scalar_bounds=merged)
 
 
+def criterion_nine_spec() -> SearchSpec:
+    """The delta = 1 search of acceptance criterion 9."""
+    return criterion_eight_spec("maximize_kappa", budget=1200,
+                                scalar_bounds={"R": (0.4, 1.2), "delta": (1.0, 1.0)},
+                                initial_point=(-0.482, -0.392, -0.262, -0.673, 0.369, -4.635,
+                                               section_five_reference().R, 1.0))
+
+
+class TestResultSlope:
+    @pytest.mark.parametrize("spec", [criterion_eight_spec("minimize_nu"),
+                                      criterion_eight_spec("maximize_kappa"),
+                                      criterion_nine_spec()],
+                             ids=["criterion-8 nu", "criterion-8 kappa", "criterion-9"])
+    def test_best_step_slope_is_reused(self, monkeypatch, spec):
+        # the best step was evaluated with its R slope, which the result
+        # keeps: the slope at the best point, bit for bit, and no call to
+        # slope beyond one per search step
+        calls = []
+        slope = optimizer._Solve.slope
+
+        def counting(self, v):
+            calls.append(tuple(v))
+            return slope(self, v)
+
+        monkeypatch.setattr(optimizer._Solve, "slope", counting)
+        result = optimize(spec)
+        solver = optimizer._SOLVES[spec.target](spec)
+        assert result.best_point != spec.initial_point and not result.failures
+        assert result.slope == solver.sign * slope(solver, np.array(result.best_point))
+        assert len(calls) == result.evaluations_used - 1
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_start_slope_is_computed_once(self, monkeypatch, target):
+        # the start is evaluated without a slope: when it stays the best
+        # point, the result's slope is computed there, once
+        calls = []
+        slope = optimizer._Solve.slope
+
+        def counting(self, v):
+            calls.append(tuple(v))
+            return slope(self, v)
+
+        monkeypatch.setattr(optimizer._Solve, "slope", counting)
+        spec = criterion_eight_spec(target, budget=1)
+        result = optimize(spec)
+        solver = optimizer._SOLVES[target](spec)
+        assert calls == [spec.initial_point]
+        assert result.slope == solver.sign * slope(solver, np.array(spec.initial_point))
+
+
 class TestSolveTable:
     def test_one_solve_class_per_target(self):
         assert set(optimizer._SOLVES) == set(TARGETS)

@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp
 
 from levbounds import oracle
-from levbounds.kernel import MomentTable, moments, node_rows
+from levbounds.kernel import MomentTable, moments, shape_products
 from levbounds.oracle import (cauchy_derivatives, crosscheck_report, fd_c1_value,
                               fd_c_value, kernel_numeric, quad_integrate01)
 from levbounds.polyalg import (MollifierShape, Poly, TwistShape, X, expand_mollifier,
@@ -366,21 +366,34 @@ class TestCrosscheckReport:
         assert len(report.checks) == 42
         assert max(ch.tolerance for ch in report.checks) <= 1e-9
 
-    def test_node_row_checks_catch_a_perturbed_row(self, monkeypatch):
-        # every pair's x-rows are checked; A off by 1e-10 fails each sum it enters
+    @staticmethod
+    def failing_with_perturbed_products(monkeypatch, which: int) -> set[str]:
+        """The checks that fail when one of the products (P u, D u) the
+        engine keeps on each shape is off by 1e-10."""
         p4, p5 = section_four_reference(), section_five_reference()
         names = [ch.name for ch in crosscheck_report(p4, p5).checks]
         assert sum(n.startswith("node rows[") for n in names) == 20
 
         def perturbed(*args):
-            rows = node_rows(*args)
-            return replace(rows, A=rows.A * (1 + 1e-10))
+            products = list(shape_products(*args))
+            products[which] = products[which] * (1 + 1e-10)
+            return tuple(products)
 
-        monkeypatch.setattr(oracle, "node_rows", perturbed)
-        failing = {ch.name for ch in crosscheck_report(p4, p5).checks if not ch.passed}
-        assert failing == {f"node rows[{pair}.{part}] vs exact moments"
-                           for pair in ("m11", "m21", "m12", "m22", "m55")
-                           for part in ("AA", "AP", "PA")}
+        monkeypatch.setattr(oracle, "shape_products", perturbed)
+        return {ch.name for ch in crosscheck_report(p4, p5).checks if not ch.passed}
+
+    def test_node_row_checks_catch_a_perturbed_row(self, monkeypatch):
+        # every pair's x-products are checked; D u off by 1e-10 fails each
+        # sum A u = D u + rho P u enters
+        assert self.failing_with_perturbed_products(monkeypatch, 1) == {
+            f"node rows[{pair}.{part}] vs exact moments"
+            for pair in ("m11", "m21", "m12", "m22", "m55") for part in ("AA", "AP", "PA")}
+
+    def test_node_row_checks_catch_a_perturbed_value_row(self, monkeypatch):
+        # P u off by 1e-10 fails every sum, A u's through rho P u
+        assert self.failing_with_perturbed_products(monkeypatch, 0) == {
+            f"node rows[{pair}.{part}] vs exact moments"
+            for pair in ("m11", "m21", "m12", "m22", "m55") for part in ("AA", "AP", "PA", "PP")}
 
     def test_cancelling_cross_moments_pass(self):
         # m12.dp and m21.pd nearly cancel here: against their own value the

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from levbounds import kernel
 from levbounds.kernel import MomentTable, moments, node_rows
 from levbounds.oracle import (_torus, cauchy_derivatives, crosscheck_report, fd_c1_value,
                               kernel_numeric)
@@ -194,8 +195,10 @@ def test_node_row_checks_pass_on_correct_rows(shape1, shape2, shape5, theta, R4,
 # absolute values, |L| the root's running sum of absolute terms, and n
 # counts the roundings on one product's path: N - 1 for the sum over the
 # nodes, 3 for wt L L wx, twice a root's own path, 1 for adding the 1, and
-# 2 for each factor fl(x0 + t d) (3 where a division or the delta factor
-# rounds it again).  Extrapolating from the probes t = -1, 0, 1 to t* with
+# 2 for each factor fl(x0 + t d).  A root reads each row u through its
+# products (P u, D u) or (Psi w, Psi' w), so 1/r and delta round on the
+# root's path, after the sums over the row, and |A| is |D| |u| + rho |P| |u|,
+# not |D + rho P| |u|.  Extrapolating from the probes t = -1, 0, 1 to t* with
 # the Lagrange weights L_i(t*) then misses the value at t* by at most
 # gamma_n (S(t*) + sum_i |L_i(t*)| S(t_i)), plus at most 8 roundings of the
 # weights and the combination, each relative to a term no larger than
@@ -241,21 +244,30 @@ def square_sum(rows, abs_root: np.ndarray) -> float:
     return 1.0 + float(np.abs(rows.wt) @ abs_root ** 2 @ np.abs(rows.wx))
 
 
-def abs_c1_root(rows, up: np.ndarray, v: np.ndarray) -> np.ndarray:
+def abs_mollifier(rows, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|A| = |D| |u| + rho |P| |u| and |P| = |P| |u| at the x-nodes."""
+    P, D = kernel._rows(rows.wx.size, len(u) - 1, False)
+    pu = np.abs(P) @ np.abs(u)
+    return np.abs(D) @ np.abs(u) + rows.rho * pu, pu
+
+
+def abs_c1_root(rows, up: np.ndarray, w: np.ndarray, delta: float) -> np.ndarray:
     """|U||A| + theta |U'||P| at the nodes, every term made positive:
-    |U| = 1 + |psi| |v|, |A| = |A rows| |up| and so on."""
-    U = 1.0 + np.abs(rows.psi) @ np.abs(v)
-    dU = np.abs(rows.dpsi) @ np.abs(v)
-    return (np.multiply.outer(U, np.abs(rows.A) @ np.abs(up))
-            + rows.theta * np.multiply.outer(dU, np.abs(rows.P) @ np.abs(up)))
+    |U| = 1 + |delta| |Psi| |w|, |U'| = |delta| |Psi'| |w| and |A|, |P| as
+    abs_mollifier gives them."""
+    psi, dpsi = kernel._rows(rows.t.size, len(w) - 2, True)
+    A, P = abs_mollifier(rows, up)
+    U = 1.0 + abs(delta) * (np.abs(psi) @ np.abs(w))
+    dU = abs(delta) * (np.abs(dpsi) @ np.abs(w))
+    return np.multiply.outer(U, A) + rows.theta * np.multiply.outer(dU, P)
 
 
-def c1_roundings(rows, m: int, K: int, per_input: int) -> int:
+def c1_roundings(rows, m: int, K: int) -> int:
     """n for c1 over mollifier degree m and K twist entries: the root's path
-    is K + 1 for U, m + 1 for A, 2 for the products and theta, 1 for the
-    sum; per_input roundings of each of its two input factors."""
+    is K + 2 for U, m + 3 for A, 1 for the product and 1 for the sum of the
+    two products, and 2 roundings of each of its two input factors."""
     N = rows.wt.size * rows.wx.size
-    return N - 1 + 3 + 2 * (K + m + 4) + 1 + 2 * per_input
+    return N - 1 + 3 + 2 * (K + m + 7) + 1 + 2 * 2
 
 
 @property_settings
@@ -268,16 +280,14 @@ def test_c_along_a_line_in_the_mollifiers_is_a_parabola(line1, line2, theta, r, 
     n1, n2 = len(line1[0]) + 1, len(line2[0]) + 1
 
     def S(t):
-        z1 = np.r_[1.0, np.abs(on_line(line1, t))]
-        z2 = np.r_[1.0, np.abs(on_line(line2, t))] / r
-        a1, a2 = np.abs(rows.A[:, :n1]) @ z1, np.abs(rows.A[:, :n2]) @ z2
-        root = a1 + np.multiply.outer(rows.t, a2) + theta * (np.abs(rows.P[:, :n2]) @ z2)
-        return square_sum(rows, root)
+        (a1, _), (a2, p2) = (abs_mollifier(rows, np.r_[1.0, on_line(line, t)])
+                             for line in (line1, line2))
+        return square_sum(rows, a1 + (np.multiply.outer(rows.t, a2) + theta * p2) / r)
 
-    # the root's path: max(n1, n2) for a row sum, 1 for t or theta, 2 for
-    # the two subtractions; z2 = fl(x0 + t d) / r rounds 3 times
+    # the root's path: max(n1, n2) + 2 for A, 1 for 1/r, 1 for t and 1 for
+    # the last subtraction, or 2 for the two subtractions of A1
     N = rows.wt.size * rows.wx.size
-    n = N - 1 + 3 + 2 * (max(n1, n2) + 3) + 1 + 2 * 3
+    n = N - 1 + 3 + 2 * (max(n1, n2) + 5) + 1 + 2 * 2
     assert_parabola(lambda t: c_core(on_line(line1, t), on_line(line2, t), theta, r, R),
                     S, n, t_star)
 
@@ -288,12 +298,12 @@ def test_c_along_a_line_in_the_mollifiers_is_a_parabola(line1, line2, theta, r, 
 def test_c1_along_a_line_in_the_mollifier_is_a_parabola(line, q, theta, R, delta, t_star):
     m = len(line[0])
     rows = node_rows(theta, R, m, len(q) - 1)
-    v = delta * np.r_[1.0, q]
+    w = np.r_[1.0, q]
 
     def S(t):
-        return square_sum(rows, abs_c1_root(rows, np.r_[1.0, on_line(line, t)], v))
+        return square_sum(rows, abs_c1_root(rows, np.r_[1.0, on_line(line, t)], w, delta))
 
-    n = c1_roundings(rows, m, len(v), per_input=2)
+    n = c1_roundings(rows, m, len(w))
     assert_parabola(lambda t: c1_core(on_line(line, t), q, theta, R, delta), S, n, t_star)
 
 
@@ -305,9 +315,8 @@ def test_c1_along_a_line_in_the_twist_is_a_parabola(shape, line, theta, R, delta
     rows = node_rows(theta, R, len(p), len(line[0]) - 1)
 
     def S(t):
-        return square_sum(rows, abs_c1_root(rows, np.r_[1.0, p],
-                                            delta * np.r_[1.0, on_line(line, t)]))
+        return square_sum(rows, abs_c1_root(rows, np.r_[1.0, p], np.r_[1.0, on_line(line, t)],
+                                            delta))
 
-    # each twist entry: fl(x0 + t d), then times delta
-    n = c1_roundings(rows, len(p), len(line[0]) + 1, per_input=3)
+    n = c1_roundings(rows, len(p), len(line[0]) + 1)
     assert_parabola(lambda t: c1_core(p, on_line(line, t), theta, R, delta), S, n, t_star)

@@ -1,18 +1,20 @@
 """Bound constants and combiners: reference values, degeneracies, properties."""
 
+import itertools
 import math
-from dataclasses import fields
+from dataclasses import astuple, fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from levbounds.kernel import moments
+from levbounds import kernel
+from levbounds.kernel import basis_products, moments
 from levbounds.polyalg import MollifierShape, TwistShape, expand_mollifier, expand_twist
 from levbounds.proportions import (BoundReport, NonPositiveConstantError,
                                    SectionFiveParams, SectionFourParams, bounds_table,
-                                   c1_value, c_value, full_report, grh_bounds, kappa_bound,
-                                   nu_bound, unconditional_bounds)
+                                   c1_core, c1_value, c_core, c_value, full_report,
+                                   grh_bounds, kappa_bound, nu_bound, unconditional_bounds)
 from levbounds.reference import (REFERENCE_CONSTANTS, section_five_reference,
                                  section_four_reference)
 
@@ -276,3 +278,69 @@ class TestFullReport:
             c1 = c1_value(SectionFiveParams(sp, q, theta, R5, delta))
             assert math.isfinite(c) and c > 0
             assert math.isfinite(c1) and c1 > 0
+
+
+class TestShapeProducts:
+    """The float core reads each exact shape through its products with the
+    basis rows, formed once per node count and kept on the shape."""
+
+    def test_values_are_the_float_core_bit_for_bit(self):
+        # c_value and c1_value read the shapes' cached products; c_core and
+        # c1_core, the search objective, form them from floats on each call.
+        # The search's re-evaluation of its best point relies on both
+        # routes giving the same bits.
+        rng = np.random.default_rng(2029)
+        for _ in range(300):
+            def shape(m):
+                return MollifierShape.of(list(rng.uniform(-2.0, 2.0, m)))
+            s1, s2, sp = (shape(int(rng.integers(1, 9))) for _ in range(3))
+            q = TwistShape.of(float(rng.uniform(-2.0, 2.0)),
+                              list(rng.uniform(-2.0, 2.0, int(rng.integers(0, 8)))))
+            theta, r = float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.3, 3.0))
+            R4, R5 = (float(np.exp(rng.uniform(np.log(1e-6), np.log(300.0)))) for _ in "45")
+            delta = float(rng.uniform(-1.2, 1.2))
+            floats = lambda xs: [float(x) for x in xs]
+            p4 = SectionFourParams(s1, s2, theta, r, R4)
+            p5 = SectionFiveParams(sp, q, theta, R5, delta)
+            assert c_value(p4) == c_core(floats(s1.shape_coeffs), floats(s2.shape_coeffs),
+                                         theta, r, R4)
+            assert c1_value(p5) == c1_core(floats(sp.shape_coeffs),
+                                           floats((q.linear_coeff, *q.sym_coeffs)),
+                                           theta, R5, delta)
+
+    def test_cache_is_transparent(self, monkeypatch):
+        # over a 3^4 (r, R4, R5, delta) lattice on shared shapes, each
+        # (shape, node count) product is formed once, and every report is
+        # bit for bit the one that fresh, equal shapes give
+        p4, p5 = section_four_reference(), section_five_reference()
+        shapes = (p4.p1_shape, p4.p2_shape, p5.p_shape, p5.q_shape)
+        formed = []
+
+        def counting(n, u, twist):
+            formed.append((n, tuple(u)))
+            return basis_products(n, u, twist)
+
+        monkeypatch.setattr(kernel, "basis_products", counting)
+        axes = [np.linspace(0.8, 1.6, 3), np.linspace(0.4, 0.9, 3), np.linspace(0.5, 12.0, 3),
+                np.linspace(0.5, 1.0, 3)]
+        points = [(replace(p4, r=float(r), R=float(R4)), replace(p5, R=float(R5), delta=float(d)))
+                  for r, R4, R5, d in itertools.product(*axes)]
+        reports = [full_report(a, b) for a, b in points]
+        assert sorted(formed) == sorted((n, tuple(s.row)) for s in shapes for n in s.node_products)
+        assert [len(s.node_products) for s in shapes] == [1, 1, 1, 3]  # R5 spans 3 t counts
+        monkeypatch.undo()
+
+        def fresh(shape):
+            return (TwistShape(shape.linear_coeff, shape.sym_coeffs)
+                    if isinstance(shape, TwistShape) else MollifierShape(shape.shape_coeffs))
+
+        for report, (a, b) in zip(reports, points):
+            again = full_report(replace(a, p1_shape=fresh(a.p1_shape), p2_shape=fresh(a.p2_shape)),
+                                replace(b, p_shape=fresh(b.p_shape), q_shape=fresh(b.q_shape)))
+            assert ([x.hex() for x in astuple(report)[:8]]
+                    == [x.hex() for x in astuple(again)[:8]])
+        for shape in shapes:
+            assert not any(table.flags.writeable for products in shape.node_products.values()
+                           for table in products)
+            assert shape == fresh(shape) and hash(shape) == hash(fresh(shape))
+            assert repr(shape) == repr(fresh(shape))
