@@ -13,26 +13,29 @@ Conrey, J. reine angew. Math. 399, 1989):
     c1 = 1 + (1/theta) int int e^{2Rt} [U(t) A(x) + theta U'(t) P(x)]^2
 
 with A = P' + R theta P and U = (1 - delta) + delta (1 - 2t) Q(t) =
-1 + delta Psi w, w = (1, q), over the twist directions
+1 + Psi v, v = delta (1, q), over the twist directions
 Psi_j = (1 - 2t) b_j - [j = 0] of the twist basis b.  Each root is
 linear in each shape's homogeneous row, so it reads a shape only through
 the row's products with the basis rows at the nodes (basis_products):
 (P u, D u) for a mollifier row u, D the derivative rows, with
-A u = D u + R theta P u, and (Psi w, Psi' w) for a twist row w.  The
-basis rows are exact values at the nodes rounded once, cached per degree
-and node count; an exact shape's products are formed once per node count
-and kept on the shape (shape_products), so a shape that recurs at other
-(theta, R, r, delta) is not read again.  node_rows holds the rest of what
-these Gauss-Legendre sums read at one (theta, R): R theta, the t-nodes
-and the weights.  Nothing is built at import.  The m + 3 x-nodes
-integrate the degree-2m+2 square in x exactly; the t-nodes follow
-t_count.
+A u = D u + R theta P u (NodeRows.A), and (Psi v, Psi' v) for a twist.
+The basis rows are exact values at the nodes rounded once, cached per
+degree and node count.  An exact shape keeps what the core forms from
+it: its float row (shape_row), and a mollifier its products per node
+count (shape_products), so a mollifier that recurs at other
+(theta, R, r, delta) is not read again; a twist's products are those of
+v = delta w, w its row, and move with delta.  node_rows holds the rest
+of what these Gauss-Legendre sums read at one (theta, R): R theta, the
+t-nodes and the weights.  Nothing is built at import.  The m + 3
+x-nodes integrate the degree-2m+2 square in x exactly; the t-nodes
+follow t_count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
@@ -150,6 +153,19 @@ def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
+def _t_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n t-nodes, each less 1, and their weights, read-only.  node_rows
+    forms each weight e^{2Rt} w_t as (w_t e^{2R}) e^{2R (t - 1)}: t - 1 is
+    exact for t >= 1/2, where the weights are largest, so the exponent is
+    off by about 2R |t - 1| u, not the 2Rt u that rounding 2Rt would give
+    (up to 6.7e-14 of a weight at R = 300)."""
+    t, wt = _gauss(n)
+    less_1 = t - 1.0
+    less_1.setflags(write=False)
+    return t, less_1, wt
+
+
+@lru_cache(maxsize=None)
 def _rows(n: int, m: int, twist: bool) -> np.ndarray:
     """The rows of a basis and of its derivative at the n nodes, stacked
     and read-only: the degree-m mollifier basis, (2, n, m + 1), or the
@@ -168,27 +184,60 @@ def _rows(n: int, m: int, twist: bool) -> np.ndarray:
     return table
 
 
-def basis_products(n: int, u: np.ndarray, twist: bool) -> tuple[np.ndarray, np.ndarray]:
+def basis_products(n: int, u: np.ndarray, twist: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(B u, B' u) at the n nodes for a homogeneous row u, or for each
     column of a matrix u: B is the mollifier basis of degree len(u) - 1
-    (P u and D u at the x-nodes, D the derivative rows), or the twist
-    directions Psi of len(u) - 2 symmetric terms (Psi w and Psi' w at the
+    (P u and D u at the x-nodes, D the derivative rows), or with twist the
+    directions Psi of len(u) - 2 symmetric terms (Psi v and Psi' v at the
     t-nodes).  The float core reads every shape through these products,
     both from one matrix product with the stacked rows."""
     products = _rows(n, len(u) - 1 - twist, twist) @ u
     return products[0], products[1]
 
 
-def shape_products(n: int, shape: MollifierShape | TwistShape,
-                   twist: bool) -> tuple[np.ndarray, np.ndarray]:
-    """basis_products of the shape's float row at n nodes, formed once per
-    shape and node count and kept on the shape (its node_products),
-    read-only; twist says which family the shape is, as for
-    basis_products."""
-    cache = shape.node_products
-    products = cache.get(n)
+def shape_row(shape: MollifierShape | TwistShape) -> np.ndarray:
+    """The homogeneous row of an exact shape in binary64, each entry
+    rounded once: (1, shape_coeffs) for a mollifier, (1, linear_coeff,
+    sym_coeffs) for a twist.  Formed on the first read and kept on the
+    shape (its kept["row"]), read-only; an entry outside binary64 raises
+    ValueError naming the shape's field, the index and the value."""
+    kept = shape.kept
+    row = kept.get("row")
+    if row is None:
+        twist = isinstance(shape, TwistShape)
+        entries = (shape.linear_coeff, *shape.sym_coeffs) if twist else shape.shape_coeffs
+        try:
+            row = np.array([1.0, *map(float, entries)])
+        except OverflowError:  # an entry past the binary64 range
+            i, x = next((i, x) for i, x in enumerate(entries) if _overflows(x))
+            name = (f"shape_coeffs[{i}]" if not twist else
+                    "linear_coeff" if i == 0 else f"sym_coeffs[{i - 1}]")
+            shown = f"{Decimal(x.numerator) / x.denominator:.6e}"
+            raise ValueError(f"{type(shape).__name__}.{name} = {shown} is outside binary64"
+                             ) from None
+        row.setflags(write=False)
+        kept["row"] = row
+    return row
+
+
+def _overflows(x: Fraction) -> bool:
+    try:
+        float(x)
+    except OverflowError:
+        return True
+    return False
+
+
+def shape_products(n: int, shape: MollifierShape) -> tuple[np.ndarray, np.ndarray]:
+    """(P u, D u) at n x-nodes for the row u of a mollifier shape, formed
+    once per node count and kept on the shape (its kept[n]), read-only.
+    A twist keeps only its row: c1 reads the products of delta times it."""
+    kept = shape.kept
+    products = kept.get(n)
     if products is None:
-        products = cache[n] = basis_products(n, shape.row, twist)
+        if not isinstance(shape, MollifierShape):
+            raise TypeError(f"shape_products takes a MollifierShape, got {type(shape).__name__}")
+        products = kept[n] = basis_products(n, shape_row(shape))
         for table in products:
             table.setflags(write=False)
     return products
@@ -198,8 +247,8 @@ class NodeRows(NamedTuple):
     """What both squares read at one (theta, R): rho = R theta, the t-nodes
     and the weights W = wt wx' as their two factors.  A root reads each
     shape through its products with the basis rows at these node counts
-    (basis_products), the mollifier's as (P u, D u), with A u = D u +
-    rho P u.  A named tuple: immutable, and cheaper to build than a frozen
+    (basis_products), the mollifier's as (P u, D u), from which A forms
+    A u.  A named tuple: immutable, and cheaper to build than a frozen
     dataclass, as every evaluation builds one."""
 
     theta: float
@@ -213,9 +262,15 @@ class NodeRows(NamedTuple):
         """The weight of each node pair, (n_t, n_x)."""
         return np.outer(self.wt, self.wx)
 
+    def A(self, products: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """A u = D u + rho P u at the x-nodes from the products (P u, D u):
+        the one place both roots, and the oracle's node-row checks, form it."""
+        values, slopes = products
+        return slopes + self.rho * values
+
     def mollifier(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(P u, D u) at the x-nodes."""
-        return basis_products(len(self.wx), u, False)
+        return basis_products(len(self.wx), u)
 
     def twist(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Psi v, Psi' v) at the t-nodes."""
@@ -247,5 +302,6 @@ def node_rows(theta: float, R: float, m: int, k: int | None = None) -> NodeRows:
     2k + 2 in t); for c, whose root is linear in t, k is None.  Inputs
     are not validated: the callers in proportions check theta and R."""
     wx = _gauss(m + 3)[1]
-    t, wt = _gauss(t_count(R, 1 if k is None else 2 * k + 2))
-    return NodeRows(theta, R * theta, t, wt * np.exp(2.0 * R * t), wx / theta)
+    t, t_less_1, wt = _t_rule(t_count(R, 1 if k is None else 2 * k + 2))
+    return NodeRows(theta, R * theta, t, (wt * math.exp(2.0 * R)) * np.exp((2.0 * R) * t_less_1),
+                    wx / theta)

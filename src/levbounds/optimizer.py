@@ -715,8 +715,8 @@ class _KappaSolve(_Solve):
     def cross(self, rows, columns, WL) -> np.ndarray:
         """2 sum W L d^2 L / du_P dv in x: C + C', with C the products of
         the mollifier rows of N against those of its twist rows."""
-        (p, d), (psi, dpsi) = columns
-        C = 2.0 * ((d + rows.rho * p).T @ WL.T @ psi + rows.theta * p.T @ WL.T @ dpsi)
+        up, (psi, dpsi) = columns
+        C = 2.0 * (rows.A(up).T @ WL.T @ psi + rows.theta * up[0].T @ WL.T @ dpsi)
         return C + C.T
 
     def objective(self, v: np.ndarray) -> float:

@@ -47,7 +47,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .kernel import MomentTable, NodeRows, _rows, moments, node_rows, shape_products
+from .kernel import (MomentTable, NodeRows, _rows, moments, node_rows, shape_products,
+                     shape_row)
 from .polyalg import MollifierShape, Poly, expand_mollifier, expand_twist, poly_derivative
 from .proportions import SectionFourParams, SectionFiveParams, c1_value, c_value
 
@@ -249,33 +250,33 @@ def _rel(exact: float, numeric: float) -> float:
     return abs(exact - numeric) / scale
 
 
-def _row_checks(name: str, mt: MomentTable, rows: NodeRows, a: MollifierShape,
+def _row_checks(name: str, mt: MomentTable, rows: NodeRows, R: float, a: MollifierShape,
                 b: MollifierShape) -> list[CheckResult]:
     """The engine's x-products of a pair of shapes at (theta, R) against
-    their exact moments: with the products (P u, D u) the engine keeps on
-    each shape (shape_products) and A u = D u + rho P u as the root forms
-    it, rho = R theta as node_rows rounds it, the weighted sums of
-    A_a A_b, A_a P_b, P_a A_b and P_a P_b over the x-nodes are m_dd +
-    rho (m_dp + m_pd) + rho^2 m_pp, m_dp + rho m_pp, m_pd + rho m_pp and
-    m_pp, each over theta.  A sum that cancels keeps the rounding of its
-    terms, so each error is relative to the same sum over absolute values,
-    with |A| = |D + rho P| and |P| the rows' and |u| the shape's, or to
-    the exact value if that is larger."""
-    rho, theta, n = rows.rho, rows.theta, len(rows.wx)
+    their exact moments: with A u as the roots form it (NodeRows.A) from
+    the products (P u, D u) the engine keeps on each shape
+    (shape_products), the weighted sums of A_a A_b, A_a P_b, P_a A_b and
+    P_a P_b over the x-nodes are m_dd + rho (m_dp + m_pd) + rho^2 m_pp,
+    m_dp + rho m_pp, m_pd + rho m_pp and m_pp, each over theta, with
+    rho = R theta rounded once from the caller's R, as node_rows should
+    round it.  A sum that cancels keeps the rounding of its terms, so each
+    error is relative to the same sum over absolute values, with
+    |A| = |D + rho P| and |P| the rows' and |u| the shape's, or to the
+    exact value if that is larger."""
+    rho, theta, n = Fraction(R * rows.theta), Fraction(rows.theta), len(rows.wx)
 
     def combine(shape: MollifierShape) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        (pu, du), u = shape_products(n, shape, False), np.abs(shape.row)
+        products, u = shape_products(n, shape), np.abs(shape_row(shape))
         P, D = _rows(n, len(u) - 1, False)
-        return {"A": du + rho * pu, "P": pu}, {"A": np.abs(D + rho * P) @ u, "P": np.abs(P) @ u}
+        return ({"A": rows.A(products), "P": products[0]},
+                {"A": np.abs(D + rows.rho * P) @ u, "P": np.abs(P) @ u})
 
     (va, size_a), (vb, size_b) = combine(a), combine(b)
-    exact_rho, exact_theta = Fraction(rho), Fraction(theta)
-    exact = {"AA": mt.m_dd + exact_rho * (mt.m_dp + mt.m_pd) + exact_rho ** 2 * mt.m_pp,
-             "AP": mt.m_dp + exact_rho * mt.m_pp, "PA": mt.m_pd + exact_rho * mt.m_pp,
-             "PP": mt.m_pp}
+    exact = {"AA": mt.m_dd + rho * (mt.m_dp + mt.m_pd) + rho * rho * mt.m_pp,
+             "AP": mt.m_dp + rho * mt.m_pp, "PA": mt.m_pd + rho * mt.m_pp, "PP": mt.m_pp}
     checks = []
     for part, value in exact.items():
-        value = float(value / exact_theta)
+        value = float(value / theta)
         num = float(rows.wx @ (va[part[0]] * vb[part[1]]))
         size = float(rows.wx @ (size_a[part[0]] * size_b[part[1]]))
         checks.append(CheckResult(f"node rows[{name}.{part}] vs exact moments", value, num,
@@ -294,9 +295,10 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
     rows4 = node_rows(p4.theta, p4.R, max(len(p4.p1_shape.shape_coeffs),
                                           len(p4.p2_shape.shape_coeffs)))
     rows5 = node_rows(p5.theta, p5.R, len(p5.p_shape.shape_coeffs))
-    pairs = {"m11": rows4, "m21": rows4, "m12": rows4, "m22": rows4, "m55": rows5}
+    pairs = {"m11": (rows4, p4.R), "m21": (rows4, p4.R), "m12": (rows4, p4.R),
+             "m22": (rows4, p4.R), "m55": (rows5, p5.R)}
     tables = {}
-    for name, rows in pairs.items():  # the pair (P_a, P_b) is m<a><b>
+    for name, (rows, R) in pairs.items():  # the pair (P_a, P_b) is m<a><b>
         pa, pb = polys[name[1]], polys[name[2]]
         mt = tables[name] = moments(pa, pb)
         nodes = (max(pa.degree, 0) + max(pb.degree, 0)) // 2 + 1
@@ -313,7 +315,7 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
             size = quad_integrate01(_absolute(qa), _absolute(qb), nodes)
             checks.append(CheckResult(f"moment[{name}.{part}] vs quadrature", value, num,
                                       abs(value - num) / max(abs(value), size, 1e-300), 1e-12))
-        checks += _row_checks(name, mt, rows, shapes[name[1]], shapes[name[2]])
+        checks += _row_checks(name, mt, rows, R, shapes[name[1]], shapes[name[2]])
 
     # the Cauchy checks read the report's own tables, as fd_c_value and
     # fd_c1_value would form them

@@ -20,21 +20,19 @@ exact affine basis, defined once and cached per degree: mollifier_basis
 (x, x^j - x^{j+1}) and twist_basis (1, x, I_1, .., I_m).  Expansion is
 the affine combination of a basis, recovery from a raw polynomial peels
 the coordinates off by leading degree, and the float evaluation core
-reads a shape through its float row's products with the bases at its
-quadrature nodes, which the shape keeps (kernel.shape_products).
+reads the bases at its quadrature nodes (kernel.node_rows) and keeps
+what it forms from a shape on the shape (kernel.shape_row).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import zip_longest
-from math import comb, gcd, inf, isfinite, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
-import numpy as np
 
 MAX_DEGREE = 64
 
@@ -192,55 +190,23 @@ def integrate01_product(p: Poly, q: Poly) -> Fraction:
 # constrained shape bases
 # --------------------------------------------------------------------------
 
-class _FloatRow:
-    """What the float core reads of an exact shape: its homogeneous row
-    (1, entries) in binary64, each entry rounded once, and node_products,
-    that row's products with the basis rows by node count, which
-    kernel.shape_products forms once and keeps here, read-only.  The
-    cache is an attribute, not a field: it takes no part in ==, hash or
-    repr, and a shape built by dataclasses.replace starts with its own."""
+class _Shape:
+    """The storage slot every exact shape carries for the float core."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "node_products", {})
-
-    def entries(self) -> tuple[Fraction, ...]:
-        """The exact entries after the leading 1, in row order."""
-        raise NotImplementedError
-
-    def entry_name(self, i: int) -> str:
-        """The field and index of entry i."""
-        raise NotImplementedError
-
-    @property
-    def row(self) -> np.ndarray:
-        """(1, entries) in binary64, a new array on each read; an entry
-        outside binary64 raises ValueError naming its field, its index and
-        its value."""
-        values = [1.0]
-        for i, x in enumerate(self.entries()):
-            try:
-                values.append(float(x))
-            except OverflowError:  # a Fraction past the binary64 range
-                values.append(inf)
-            if not isfinite(values[-1]):
-                shown = (f"{Decimal(x.numerator) / x.denominator:.6e}"
-                         if isinstance(x, Fraction) else repr(x))
-                raise ValueError(f"{type(self).__name__}.{self.entry_name(i)} = {shown} "
-                                 "is outside binary64")
-        return np.array(values)
+    @cached_property
+    def kept(self) -> dict:
+        """What the float core keeps of this shape (kernel.shape_row and
+        kernel.shape_products), empty until it first reads the shape.  Not
+        a field: it takes no part in ==, hash or repr, and a shape built by
+        dataclasses.replace starts with an empty one."""
+        return {}
 
 
 @dataclass(frozen=True)
-class MollifierShape(_FloatRow):
+class MollifierShape(_Shape):
     """Coefficients c_1..c_m of P(x) = x + sum_j c_j x^j (1-x)."""
 
     shape_coeffs: tuple[Fraction, ...]
-
-    def entries(self) -> tuple[Fraction, ...]:
-        return self.shape_coeffs
-
-    def entry_name(self, i: int) -> str:
-        return f"shape_coeffs[{i}]"
 
     @staticmethod
     def of(coeffs) -> "MollifierShape":
@@ -248,7 +214,7 @@ class MollifierShape(_FloatRow):
 
 
 @dataclass(frozen=True)
-class TwistShape(_FloatRow):
+class TwistShape(_Shape):
     """Coefficients of Q(x) = 1 + q0 x + sum_k q_k I_k(x).
 
     I_k(x) = integral_0^x t^k (1-t)^k dt, whose derivative x^k(1-x)^k is
@@ -258,12 +224,6 @@ class TwistShape(_FloatRow):
 
     linear_coeff: Fraction
     sym_coeffs: tuple[Fraction, ...]
-
-    def entries(self) -> tuple[Fraction, ...]:
-        return (self.linear_coeff, *self.sym_coeffs)
-
-    def entry_name(self, i: int) -> str:
-        return "linear_coeff" if i == 0 else f"sym_coeffs[{i - 1}]"
 
     @staticmethod
     def of(linear_coeff, sym_coeffs=()) -> "TwistShape":

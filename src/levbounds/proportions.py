@@ -8,11 +8,13 @@ root over the node rows (kernel.node_rows):
                    operator's U = (1 - delta) + delta (1 - 2t) Q(t).
 
 Each root reads a shape only through its row's products with the basis
-rows (kernel.basis_products), and forms A = D + R theta P and
-U = 1 + delta Psi w on those short vectors.  c_value and c1_value read
-the products an exact shape keeps per node count (kernel.shape_products);
-c_core and c1_core, fed float coefficients, form them on each call
-through the same helper, so both give the same bits.
+rows (kernel.basis_products), and forms A u = D u + R theta P u and
+U = 1 + Psi v, v = delta (1, q), on those short vectors.  c_value and
+c1_value read the float rows and the mollifier products an exact shape
+keeps (kernel.shape_row, kernel.shape_products); c_core and c1_core, fed
+float coefficients, form them on each call through the same helpers, so
+both give the same bits.  The twist's products are formed on each call:
+they are those of v, which moves with delta.
 
 From them the bound coefficients are nu = ln(c)/(2R) and
 kappa = 1 - ln(c1)/R (natural logarithm: the only base consistent with the
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import (MAX_BASE_R, MIN_BASE_R, NodeRows, basis_products, node_rows,
-                     shape_products)
+                     shape_products, shape_row)
 from .polyalg import MollifierShape, TwistShape
 
 
@@ -117,9 +119,8 @@ def c_root(rows: NodeRows, z1, z2, r: float) -> np.ndarray:
     of z1 = (1, p1) and z2 = (1, p2), with A z = D z + R theta P z; linear
     in (z1, z2), so the products of columns of z1 and z2 give the columns
     of its Jacobian."""
-    (p1, d1), (p2, d2) = z1, z2
-    a2 = (d2 + rows.rho * p2) / r
-    return (d1 + rows.rho * p1) - (rows.theta / r) * p2 - np.multiply.outer(rows.t, a2)
+    a2 = rows.A(z2) / r
+    return rows.A(z1) - (rows.theta / r) * z2[0] - np.multiply.outer(rows.t, a2)
 
 
 def c1_root(rows: NodeRows, up, U) -> np.ndarray:
@@ -128,20 +129,20 @@ def c1_root(rows: NodeRows, up, U) -> np.ndarray:
     t-nodes, 1 + Psi v and Psi' v for the twist v = delta (1, q).  Linear
     in up, so the products of columns of up give the columns of its
     Jacobian; linear in U too, where columns come second."""
-    (p, d), (u, du) = up, U
-    return np.multiply.outer(u, d + rows.rho * p) + rows.theta * np.multiply.outer(du, p)
+    u, du = U
+    return np.multiply.outer(u, rows.A(up)) + rows.theta * np.multiply.outer(du, up[0])
 
 
 def _c(products, z1, z2, m: int, theta: float, r: float, R: float) -> float:
     """c at mollifier degree m from the mollifier rows z1 = (1, p1) and
-    z2 = (1, p2), read as products(n, z, False) at the n x-nodes: c_core
+    z2 = (1, p2), read as products(n, z) at the n x-nodes: c_core
     and c_value both evaluate through here, as 1 plus the weighted sum of
     c_root's squares."""
     theta, r, R = float(theta), float(r), float(R)
     _check_scalars(theta, R, r=r)
     rows = node_rows(theta, R, m)
     n = len(rows.wx)
-    c = rows.square(c_root(rows, products(n, z1, False), products(n, z2, False), r))
+    c = rows.square(c_root(rows, products(n, z1), products(n, z2), r))
     if not math.isfinite(c):
         raise NonFiniteError(f"c evaluated to {c!r}")
     return c
@@ -150,7 +151,7 @@ def _c(products, z1, z2, m: int, theta: float, r: float, R: float) -> float:
 def c_core(p1, p2, theta: float, r: float, R: float) -> float:
     """c from float shape coefficients, their products formed on each call;
     the search objective evaluates through here, and c_value is the same
-    evaluation on the shapes' cached products, bit for bit."""
+    evaluation on the shapes' kept products, bit for bit."""
     z1, z2 = _homogeneous(p1), _homogeneous(p2)
     return _c(basis_products, z1, z2, max(len(z1), len(z2)) - 1, theta, r, R)
 
@@ -173,16 +174,15 @@ def nu_bound(c: float, R: float) -> float:
 
 def _c1(products, up, w, m: int, k: int, theta: float, R: float, delta: float) -> float:
     """c1 at mollifier degree m and k symmetric twist terms from the
-    mollifier row up = (1, p) and the twist row w = (1, q), read as
-    products(n, up, False) and products(n, w, True) at n x- and t-nodes:
-    c1_core and c1_value both evaluate through here, as 1 plus the
-    weighted sum of c1_root's squares, with U = 1 + delta Psi w."""
+    mollifier row up = (1, p), read as products(n, up) at the n x-nodes,
+    and the float twist row w = (1, q): c1_core and c1_value both evaluate
+    through here, as 1 plus the weighted sum of c1_root's squares, with
+    U = 1 + Psi v and U' = Psi' v for v = delta w."""
     theta, R, delta = float(theta), float(R), float(delta)
     _check_scalars(theta, R, delta=delta)
     rows = node_rows(theta, R, m, k)
-    psi, dpsi = products(len(rows.t), w, True)
-    c1 = rows.square(c1_root(rows, products(len(rows.wx), up, False),
-                             (1.0 + delta * psi, delta * dpsi)))
+    psi, dpsi = basis_products(len(rows.t), delta * w, True)
+    c1 = rows.square(c1_root(rows, products(len(rows.wx), up), (1.0 + psi, dpsi)))
     if not math.isfinite(c1):
         raise NonFiniteError(f"c1 evaluated to {c1!r}")
     return c1
@@ -191,7 +191,7 @@ def _c1(products, up, w, m: int, k: int, theta: float, R: float, delta: float) -
 def c1_core(p, q, theta: float, R: float, delta: float) -> float:
     """c1 from float coefficients, their products formed on each call; the
     search objective evaluates through here, and c1_value is the same
-    evaluation on the shapes' cached products, bit for bit.
+    evaluation on the shapes' kept row and products, bit for bit.
 
     p holds the mollifier shape, q the twist shape (q0, q_1, .., q_m), and
     the twist enters as v = delta (1, q0, q_1, .., q_m).
@@ -204,7 +204,7 @@ def c1_core(p, q, theta: float, R: float, delta: float) -> float:
 
 def c1_value(p: SectionFiveParams) -> float:
     """The twisted second-moment constant of the critical-line detector."""
-    return _c1(shape_products, p.p_shape, p.q_shape, len(p.p_shape.shape_coeffs),
+    return _c1(shape_products, p.p_shape, shape_row(p.q_shape), len(p.p_shape.shape_coeffs),
                len(p.q_shape.sym_coeffs), p.theta, p.R, p.delta)
 
 

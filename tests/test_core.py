@@ -210,19 +210,19 @@ class TestCachedData:
                 + basis[2].scale(shape.shape_coeffs[1])) == expand_mollifier(shape)
 
     def test_twist_rows_expand_twist(self):
-        # 1 + delta Psi w and delta Psi' w, w = (1, q), from the products
-        # the shape keeps, are U = (1 - delta) + delta (1 - 2t) Q(t) and U'
-        # at the t-nodes, U exact and rounded once
+        # 1 + Psi v and Psi' v, v = delta w for the row w = (1, q) the
+        # shape keeps, are U = (1 - delta) + delta (1 - 2t) Q(t) and U' at
+        # the t-nodes, U exact and rounded once
         for q in (TwistShape.of("-0.673", ["0.369", "-4.635"]), TwistShape.of("0.5"),
                   TwistShape.of("0", ["1", "0", "-2"])):
             k, delta = len(q.sym_coeffs), Fraction(3, 4)
             rows = node_rows(1.0, 0.746, 1, k)
-            psi, dpsi = kernel.shape_products(len(rows.t), q, True)
+            psi, dpsi = kernel.basis_products(len(rows.t), float(delta) * kernel.shape_row(q),
+                                              True)
             c = expand_twist(q).coeffs + (0,)
             U = Poly.from_coeffs([delta * (c[j] - 2 * (c[j - 1] if j else 0))
                                   + (1 - delta) * (j == 0) for j in range(len(c))])
-            for got, poly in ((1.0 + float(delta) * psi, U),
-                              (float(delta) * dpsi, poly_derivative(U))):
+            for got, poly in ((1.0 + psi, U), (dpsi, poly_derivative(U))):
                 exact = [float(poly_eval(poly, Fraction(float(t)))) for t in rows.t]
                 scale = max(map(abs, exact))
                 assert got == pytest.approx(exact, rel=1e-15, abs=1e-15 * scale)

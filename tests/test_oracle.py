@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp
 
 from levbounds import oracle
-from levbounds.kernel import MomentTable, moments, shape_products
+from levbounds.kernel import MomentTable, NodeRows, moments, shape_products
 from levbounds.oracle import (cauchy_derivatives, crosscheck_report, fd_c1_value,
                               fd_c_value, kernel_numeric, quad_integrate01)
 from levbounds.polyalg import (MollifierShape, Poly, TwistShape, X, expand_mollifier,
@@ -388,6 +388,32 @@ class TestCrosscheckReport:
         assert self.failing_with_perturbed_products(monkeypatch, 1) == {
             f"node rows[{pair}.{part}] vs exact moments"
             for pair in ("m11", "m21", "m12", "m22", "m55") for part in ("AA", "AP", "PA")}
+
+    @staticmethod
+    def failing_with(monkeypatch, target, name: str, perturbed) -> set[str]:
+        """The checks that fail with target.name replaced by perturbed, given
+        the original."""
+        monkeypatch.setattr(target, name, perturbed(getattr(target, name)))
+        p4, p5 = section_four_reference(), section_five_reference()
+        return {ch.name for ch in crosscheck_report(p4, p5).checks if not ch.passed}
+
+    def test_node_row_checks_catch_a_perturbed_A(self, monkeypatch):
+        # the checks read A u as the roots form it: off by 1e-10, it fails
+        # each sum it enters
+        failing = self.failing_with(monkeypatch, NodeRows, "A", lambda A: (
+            lambda rows, products: A(rows, products) * (1 + 1e-10)))
+        assert failing == {f"node rows[{pair}.{part}] vs exact moments"
+                           for pair in ("m11", "m21", "m12", "m22", "m55")
+                           for part in ("AA", "AP", "PA")}
+
+    def test_node_row_checks_catch_a_wrong_rho(self, monkeypatch):
+        # rho = R theta on the exact side comes from the params' R, so node
+        # rows whose rho is off by 1e-10 fail each sum A u enters
+        failing = self.failing_with(monkeypatch, oracle, "node_rows", lambda node_rows: (
+            lambda *args: (rows := node_rows(*args))._replace(rho=rows.rho * (1 + 1e-10))))
+        assert failing == {f"node rows[{pair}.{part}] vs exact moments"
+                           for pair in ("m11", "m21", "m12", "m22", "m55")
+                           for part in ("AA", "AP", "PA")}
 
     def test_node_row_checks_catch_a_perturbed_value_row(self, monkeypatch):
         # P u off by 1e-10 fails every sum, A u's through rho P u

@@ -195,11 +195,12 @@ def test_node_row_checks_pass_on_correct_rows(shape1, shape2, shape5, theta, R4,
 # absolute values, |L| the root's running sum of absolute terms, and n
 # counts the roundings on one product's path: N - 1 for the sum over the
 # nodes, 3 for wt L L wx, twice a root's own path, 1 for adding the 1, and
-# 2 for each factor fl(x0 + t d).  A root reads each row u through its
-# products (P u, D u) or (Psi w, Psi' w), so 1/r and delta round on the
-# root's path, after the sums over the row, and |A| is |D| |u| + rho |P| |u|,
-# not |D + rho P| |u|.  Extrapolating from the probes t = -1, 0, 1 to t* with
-# the Lagrange weights L_i(t*) then misses the value at t* by at most
+# 2 for each factor fl(x0 + t d) (3 where the delta factor rounds it
+# again).  A root reads each mollifier row u through its products
+# (P u, D u), so 1/r rounds on the root's path, after the sums over the
+# row, and |A| is |D| |u| + rho |P| |u|, not |D + rho P| |u|.
+# Extrapolating from the probes t = -1, 0, 1 to t* with the Lagrange
+# weights L_i(t*) then misses the value at t* by at most
 # gamma_n (S(t*) + sum_i |L_i(t*)| S(t_i)), plus at most 8 roundings of the
 # weights and the combination, each relative to a term no larger than
 # |L_i| S(t_i).
@@ -251,23 +252,23 @@ def abs_mollifier(rows, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(D) @ np.abs(u) + rows.rho * pu, pu
 
 
-def abs_c1_root(rows, up: np.ndarray, w: np.ndarray, delta: float) -> np.ndarray:
+def abs_c1_root(rows, up: np.ndarray, v: np.ndarray) -> np.ndarray:
     """|U||A| + theta |U'||P| at the nodes, every term made positive:
-    |U| = 1 + |delta| |Psi| |w|, |U'| = |delta| |Psi'| |w| and |A|, |P| as
-    abs_mollifier gives them."""
-    psi, dpsi = kernel._rows(rows.t.size, len(w) - 2, True)
+    |U| = 1 + |Psi| |v|, |U'| = |Psi'| |v| and |A|, |P| as abs_mollifier
+    gives them."""
+    psi, dpsi = kernel._rows(rows.t.size, len(v) - 2, True)
     A, P = abs_mollifier(rows, up)
-    U = 1.0 + abs(delta) * (np.abs(psi) @ np.abs(w))
-    dU = abs(delta) * (np.abs(dpsi) @ np.abs(w))
+    U = 1.0 + np.abs(psi) @ np.abs(v)
+    dU = np.abs(dpsi) @ np.abs(v)
     return np.multiply.outer(U, A) + rows.theta * np.multiply.outer(dU, P)
 
 
-def c1_roundings(rows, m: int, K: int) -> int:
+def c1_roundings(rows, m: int, K: int, per_input: int) -> int:
     """n for c1 over mollifier degree m and K twist entries: the root's path
-    is K + 2 for U, m + 3 for A, 1 for the product and 1 for the sum of the
-    two products, and 2 roundings of each of its two input factors."""
+    is K + 1 for U, m + 3 for A, 2 for the products and theta, 1 for the
+    sum; per_input roundings of each of its two input factors."""
     N = rows.wt.size * rows.wx.size
-    return N - 1 + 3 + 2 * (K + m + 7) + 1 + 2 * 2
+    return N - 1 + 3 + 2 * (K + m + 7) + 1 + 2 * per_input
 
 
 @property_settings
@@ -298,12 +299,12 @@ def test_c_along_a_line_in_the_mollifiers_is_a_parabola(line1, line2, theta, r, 
 def test_c1_along_a_line_in_the_mollifier_is_a_parabola(line, q, theta, R, delta, t_star):
     m = len(line[0])
     rows = node_rows(theta, R, m, len(q) - 1)
-    w = np.r_[1.0, q]
+    v = delta * np.r_[1.0, q]
 
     def S(t):
-        return square_sum(rows, abs_c1_root(rows, np.r_[1.0, on_line(line, t)], w, delta))
+        return square_sum(rows, abs_c1_root(rows, np.r_[1.0, on_line(line, t)], v))
 
-    n = c1_roundings(rows, m, len(w))
+    n = c1_roundings(rows, m, len(v), per_input=2)
     assert_parabola(lambda t: c1_core(on_line(line, t), q, theta, R, delta), S, n, t_star)
 
 
@@ -315,8 +316,9 @@ def test_c1_along_a_line_in_the_twist_is_a_parabola(shape, line, theta, R, delta
     rows = node_rows(theta, R, len(p), len(line[0]) - 1)
 
     def S(t):
-        return square_sum(rows, abs_c1_root(rows, np.r_[1.0, p], np.r_[1.0, on_line(line, t)],
-                                            delta))
+        return square_sum(rows, abs_c1_root(rows, np.r_[1.0, p],
+                                            delta * np.r_[1.0, on_line(line, t)]))
 
-    n = c1_roundings(rows, len(p), len(line[0]) + 1)
+    # each twist entry: fl(x0 + t d), then times delta
+    n = c1_roundings(rows, len(p), len(line[0]) + 1, per_input=3)
     assert_parabola(lambda t: c1_core(p, on_line(line, t), theta, R, delta), S, n, t_star)

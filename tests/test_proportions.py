@@ -281,12 +281,14 @@ class TestFullReport:
 
 
 class TestShapeProducts:
-    """The float core reads each exact shape through its products with the
-    basis rows, formed once per node count and kept on the shape."""
+    """The float core reads each exact shape through its float row, kept on
+    the shape, and a mollifier through its products with the basis rows,
+    formed once per node count and kept on the shape too."""
 
     def test_values_are_the_float_core_bit_for_bit(self):
-        # c_value and c1_value read the shapes' cached products; c_core and
-        # c1_core, the search objective, form them from floats on each call.
+        # c_value and c1_value read the shapes' kept rows and products;
+        # c_core and c1_core, the search objective, form them from floats on
+        # each call.
         # The search's re-evaluation of its best point relies on both
         # routes giving the same bits.
         rng = np.random.default_rng(2029)
@@ -310,14 +312,15 @@ class TestShapeProducts:
 
     def test_cache_is_transparent(self, monkeypatch):
         # over a 3^4 (r, R4, R5, delta) lattice on shared shapes, each
-        # (shape, node count) product is formed once, and every report is
-        # bit for bit the one that fresh, equal shapes give
+        # (mollifier shape, node count) product is formed once, the twist
+        # keeps only its row (its products move with delta), and every
+        # report is bit for bit the one that fresh, equal shapes give
         p4, p5 = section_four_reference(), section_five_reference()
         shapes = (p4.p1_shape, p4.p2_shape, p5.p_shape, p5.q_shape)
         formed = []
 
-        def counting(n, u, twist):
-            formed.append((n, tuple(u)))
+        def counting(n, u, twist=False):
+            formed.append((n, tuple(u), twist))
             return basis_products(n, u, twist)
 
         monkeypatch.setattr(kernel, "basis_products", counting)
@@ -326,8 +329,11 @@ class TestShapeProducts:
         points = [(replace(p4, r=float(r), R=float(R4)), replace(p5, R=float(R5), delta=float(d)))
                   for r, R4, R5, d in itertools.product(*axes)]
         reports = [full_report(a, b) for a, b in points]
-        assert sorted(formed) == sorted((n, tuple(s.row)) for s in shapes for n in s.node_products)
-        assert [len(s.node_products) for s in shapes] == [1, 1, 1, 3]  # R5 spans 3 t counts
+        assert sorted(formed) == sorted((n, tuple(kernel.shape_row(s)), False)
+                                        for s in shapes for n in s.kept if n != "row")
+        n4 = max(len(p4.p1_shape.shape_coeffs), len(p4.p2_shape.shape_coeffs)) + 3
+        n5 = len(p5.p_shape.shape_coeffs) + 3  # one x count per mollifier: m + 3
+        assert [s.kept.keys() for s in shapes] == [{"row", n4}, {"row", n4}, {"row", n5}, {"row"}]
         monkeypatch.undo()
 
         def fresh(shape):
@@ -340,7 +346,7 @@ class TestShapeProducts:
             assert ([x.hex() for x in astuple(report)[:8]]
                     == [x.hex() for x in astuple(again)[:8]])
         for shape in shapes:
-            assert not any(table.flags.writeable for products in shape.node_products.values()
-                           for table in products)
+            assert not any(table.flags.writeable for kept in shape.kept.values()
+                           for table in (kept if isinstance(kept, tuple) else (kept,)))
             assert shape == fresh(shape) and hash(shape) == hash(fresh(shape))
             assert repr(shape) == repr(fresh(shape))
