@@ -4,16 +4,15 @@ Gauss-Legendre sum of squares over cached node rows, the bound combiners,
 an oracle that recomputes them by Cauchy integrals of the moment kernel's
 definition, and an exact search over the constrained polynomial shapes."""
 
-from .kernel import MomentTable, moments
 from .optimizer import (DimensionTooHighError, EvaluationFailureError,
                         IllPosedSolveError, SearchResult, SearchSpec, grid_scan,
                         optimize)
 from .oracle import (CheckResult, CrosscheckReport, cauchy_derivatives,
                      crosscheck_report, fd_c1_value, fd_c_value, kernel_numeric,
                      quad_integrate01)
-from .polyalg import (ConstraintViolationError, MollifierShape, Poly, TwistShape,
-                      expand_mollifier, expand_twist, integrate01_product,
-                      poly_derivative, poly_eval)
+from .polyalg import (ConstraintViolationError, MollifierShape, MomentTable, Poly,
+                      TwistShape, expand_mollifier, expand_twist, moments, poly_derivative,
+                      poly_eval)
 from .proportions import (BoundReport, NonFiniteError, NonPositiveConstantError,
                           SectionFiveParams, SectionFourParams, bounds_table, c1_core,
                           c1_value, c_core, c_value,
@@ -32,7 +31,7 @@ __all__ = [
     "CheckResult", "CrosscheckReport", "cauchy_derivatives", "crosscheck_report",
     "fd_c1_value", "fd_c_value", "kernel_numeric", "quad_integrate01",
     "ConstraintViolationError", "MollifierShape", "Poly", "TwistShape",
-    "expand_mollifier", "expand_twist", "integrate01_product",
+    "expand_mollifier", "expand_twist",
     "poly_derivative", "poly_eval",
     "BoundReport", "NonFiniteError", "NonPositiveConstantError",
     "SectionFiveParams", "SectionFourParams", "bounds_table", "c1_core", "c1_value", "c_core",

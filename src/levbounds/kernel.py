@@ -1,13 +1,12 @@
-"""Moment tables, and the node rows of the integral-of-squares form.
+"""The float engine: node rows of the integral-of-squares form.
 
-moments() gives the four exact integrals over [0,1] of P1'P2', P1'P2,
-P1 P2' and P1 P2 of a polynomial pair, in one integer pass with no
-derivative polynomial built, from which the oracle builds the moment
-kernel h(a, b).  The engine does not use the kernel: with
-E(s) = (1 - e^{-s})/s = int_0^1 e^{-st} dt, every derivative of h at
-a = b = -R is an integral against e^{2Rt}, and each bound constant is 1
-plus the integral of a square (the classical form of Levinson's method;
-Conrey, J. reine angew. Math. 399, 1989):
+The exact x-integrals of a polynomial pair live in polyalg, the one
+exact layer, and serve only the oracle, which builds from them the
+moment kernel h(a, b) as its definition-form check.  The engine reads
+neither: with E(s) = (1 - e^{-s})/s = int_0^1 e^{-st} dt, every
+derivative of h at a = b = -R is an integral against e^{2Rt}, and each
+bound constant is 1 plus the integral of a square (the classical form
+of Levinson's method; Conrey, J. reine angew. Math. 399, 1989):
 
     c  = 1 + (1/theta) int int e^{2Rt} [A1(x) - (t A2(x) + theta P2(x)) / r]^2
     c1 = 1 + (1/theta) int int e^{2Rt} [U(t) A(x) + theta U'(t) P(x)]^2
@@ -34,88 +33,16 @@ follow t_count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from operator import mul
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .polyalg import (ONE, ZERO, MollifierShape, Poly, TwistShape, _integral_weights,
-                      mollifier_basis, poly_derivative, poly_eval, twist_basis)
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """The four exact moments of a polynomial pair, as integer numerators
-    over one denominator: nums is (m_dd, m_dp, m_pd, m_pp) times den.
-
-    Canonical form: den > 0 and gcd(den, *nums) = 1, so the zero table is
-    ((0, 0, 0, 0), 1) and equal tables compare equal.  MomentTable.of
-    builds one from four rationals; the constructor takes only the
-    canonical form and fails naming it.
-    """
-
-    nums: tuple[int, int, int, int]
-    den: int = 1
-
-    def __post_init__(self) -> None:
-        if len(self.nums) != 4 or not all(type(x) is int for x in (*self.nums, self.den)):
-            raise ValueError("MomentTable is four integer numerators over one integer "
-                             f"denominator, not {self.nums!r} / {self.den!r}")
-        if self.den <= 0 or math.gcd(self.den, *self.nums) != 1:
-            raise ValueError("MomentTable not in canonical form (denominator not positive, "
-                             "or a factor shared with the numerators)")
-
-    @staticmethod
-    def of(m_dd, m_dp, m_pd, m_pp) -> "MomentTable":
-        """The table of four rationals (ints or Fractions), over their
-        least common denominator."""
-        ms = [Fraction(m) for m in (m_dd, m_dp, m_pd, m_pp)]
-        den = math.lcm(*(m.denominator for m in ms))
-        return MomentTable(tuple(m.numerator * (den // m.denominator) for m in ms), den)
-
-    m_dd = property(lambda self: Fraction(self.nums[0], self.den), doc="integral of P1' P2'")
-    m_dp = property(lambda self: Fraction(self.nums[1], self.den), doc="integral of P1' P2")
-    m_pd = property(lambda self: Fraction(self.nums[2], self.den), doc="integral of P1 P2'")
-    m_pp = property(lambda self: Fraction(self.nums[3], self.den), doc="integral of P1 P2")
-
-    @cached_property
-    def floats(self) -> tuple[float, float, float, float]:
-        """The four moments, in field order, each rounded to binary64 once
-        per table: an integer quotient is correctly rounded, as float() of
-        the exact moment is."""
-        return tuple(n / self.den for n in self.nums)
-
-    def transpose(self) -> "MomentTable":
-        """Moment table of the reversed pair (P2, P1)."""
-        dd, dp, pd, pp = self.nums
-        return MomentTable((dd, pd, dp, pp), self.den)
-
-
-def moments(p1: Poly, p2: Poly) -> MomentTable:
-    """The four moments of (p1, p2) in one integer pass.  With p1 = a / D1,
-    p2 = b / D2 and the cached weights w_s = L / (s + 1), L = lcm(1..deg p1
-    + deg p2 + 1) (polyalg._integral_weights), each pair (a_j, b_k) enters
-    m_pp with weight w_{j+k}, m_pd with k w_{j+k-1}, m_dp with j w_{j+k-1}
-    and m_dd with jk w_{j+k-2}.  So with the inner sums
-    r_j = sum_k b_k w_{j+k} and r'_j = sum_k (k+1) b_{k+1} w_{j+k}:
-    m_pp = sum_j a_j r_j, m_pd = sum_j a_j r'_j, m_dp = sum_j j a_j r_{j-1}
-    and m_dd = sum_j j a_j r'_{j-1}, four integers over D1 D2 L, reduced
-    by one gcd."""
-    a, b = p1.nums, p2.nums
-    da = [j * x for j, x in enumerate(a)][1:]
-    db = [k * y for k, y in enumerate(b)][1:]
-    L, w = _integral_weights(len(a) + len(b) - 1)
-    r = [sum(map(mul, b, w[j:])) for j in range(len(a))]
-    dr = [sum(map(mul, db, w[j:])) for j in range(len(a))]
-    nums = [sum(map(mul, u, v)) for u, v in ((da, dr), (da, r), (a, dr), (a, r))]
-    den = p1.den * p2.den * L
-    g = math.gcd(den, *nums)
-    return MomentTable(tuple(n // g for n in nums), den // g)
+from .polyalg import (ONE, ZERO, MollifierShape, Poly, TwistShape, mollifier_basis,
+                      poly_derivative, poly_eval, twist_basis)
 
 
 MIN_BASE_R = 1e-6  # smallest contour offset R a constant is evaluated at
@@ -267,14 +194,6 @@ class NodeRows(NamedTuple):
         the one place both roots, and the oracle's node-row checks, form it."""
         values, slopes = products
         return slopes + self.rho * values
-
-    def mollifier(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(P u, D u) at the x-nodes."""
-        return basis_products(len(self.wx), u)
-
-    def twist(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Psi v, Psi' v) at the t-nodes."""
-        return basis_products(len(self.t), v, True)
 
     def square(self, L: np.ndarray) -> float:
         """1 + sum W L^2: the constant whose root L holds at the nodes; an

@@ -81,7 +81,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import MAX_BASE_R, MIN_BASE_R, NodeRows, node_rows
+from .kernel import MAX_BASE_R, MIN_BASE_R, NodeRows, basis_products, node_rows
 from .polyalg import (MollifierShape, TwistShape, mollifier_shape_from_poly,
                       twist_shape_from_poly)
 from .proportions import (SectionFourParams, SectionFiveParams, c1_core, c1_root,
@@ -669,7 +669,8 @@ class _NuSolve(_Solve):
             _Segment(p1, None), _Segment(p2, at["r"], inverse=True))})
 
     def parts(self, rows, Y):
-        return rows.mollifier(Y[:self.split]), rows.mollifier(Y[self.split:])
+        n = len(rows.wx)
+        return basis_products(n, Y[:self.split]), basis_products(n, Y[self.split:])
 
     def root(self, rows, at, d_dR=False) -> np.ndarray:
         return c_root(rows, *(map(rows.d_dR, at) if d_dR else at), 1.0)
@@ -699,7 +700,8 @@ class _KappaSolve(_Solve):
         self.u, self.v = (self.map.blocks[name][0] for name in ("mollifier", "twist"))
 
     def parts(self, rows, Y):
-        return rows.mollifier(Y[self.u]), rows.twist(Y[self.v])
+        return (basis_products(len(rows.wx), Y[self.u]),
+                basis_products(len(rows.t), Y[self.v], True))
 
     def root(self, rows, at, d_dR=False) -> np.ndarray:
         up, (psi, dpsi) = at  # U = 1 + Psi v

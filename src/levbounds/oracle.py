@@ -27,7 +27,7 @@ up to order 8 but only 1e-8 at orders 10 to 16 for 5 < R <= 300, where
 at R <= 5, and at order 16, R = 100.
 
 The exact data is summed in integers and divided once: the four moments
-of a pair in one pass over one common denominator (kernel.moments, a
+of a pair in one pass over one common denominator (polyalg.moments, a
 table that stays integer numerators until its floats are read),
 each shape coefficient (expand_mollifier, expand_twist), and each twist
 weight u_j over the twist's common denominator.  The Gauss-Legendre
@@ -47,9 +47,9 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .kernel import (MomentTable, NodeRows, _rows, moments, node_rows, shape_products,
-                     shape_row)
-from .polyalg import MollifierShape, Poly, expand_mollifier, expand_twist, poly_derivative
+from .kernel import NodeRows, _rows, node_rows, shape_products, shape_row
+from .polyalg import (MollifierShape, MomentTable, Poly, expand_mollifier, expand_twist,
+                      moments, poly_derivative)
 from .proportions import SectionFourParams, SectionFiveParams, c1_value, c_value
 
 

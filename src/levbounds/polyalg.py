@@ -1,10 +1,17 @@
-"""Exact univariate polynomial algebra over the rationals.
+"""Exact univariate polynomial algebra over the rationals: the one exact
+layer.
 
 A polynomial has one exact form, integer numerators over one positive
 denominator, kept canonical, so moment integrals and constraint
 identities are bit-reproducible and independent of evaluation order.
 Every operation runs in integers and builds a Fraction only for a value
 it returns.  Decimal literals ("0.158") parse to exact rationals (79/500).
+
+moments() gives the four exact integrals over [0,1] of P1'P2', P1'P2,
+P1 P2' and P1 P2 of a polynomial pair, in one integer pass with no
+derivative polynomial built, as a MomentTable in the same integer form.
+The oracle builds the moment kernel h(a, b) from these tables; the float
+engine (kernel, proportions, optimizer) reads none of them.
 
 Two constrained construction bases are provided:
 
@@ -55,10 +62,18 @@ def as_fraction(value: int | str | float | Fraction) -> Fraction:
     return Fraction(value)
 
 
-def _require_integers(nums, den) -> None:
-    if not all(type(a) is int for a in (*nums, den)):
-        raise ValueError("Poly is integer numerators over one integer denominator, "
-                         f"not {tuple(nums)!r} / {den!r}")
+def _require_integers(name: str, nums, den) -> None:
+    """Fail naming the form unless nums is a tuple of ints and den an int."""
+    if type(nums) is not tuple or not all(type(a) is int for a in (*nums, den)):
+        raise ValueError(f"{name} is a tuple of integer numerators over one integer "
+                         f"denominator, not {nums!r} / {den!r}")
+
+
+def _over_common_denominator(values) -> tuple[tuple[int, ...], int]:
+    """Rationals (ints or Fractions) as integer numerators over their least
+    common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 @dataclass(frozen=True)
@@ -74,7 +89,7 @@ class Poly:
     den: int = 1
 
     def __post_init__(self) -> None:
-        _require_integers(self.nums, self.den)
+        _require_integers("Poly", self.nums, self.den)
         if self.den <= 0:
             raise ValueError(f"Poly not in canonical form (denominator {self.den} is not positive)")
         if gcd(self.den, *self.nums) != 1:
@@ -89,12 +104,12 @@ class Poly:
         """sum_k nums[k] x^k / den in canonical form, for integers nums and
         den != 0: trailing zeros dropped, the common factor divided out
         and the sign of den moved to the numerators."""
-        nums = list(nums)
-        _require_integers(nums, den)
+        nums = tuple(nums)
+        _require_integers("Poly", nums, den)
         if den == 0:
             raise ValueError("Poly denominator is zero")
         while nums and nums[-1] == 0:
-            nums.pop()
+            nums = nums[:-1]
         g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
         return Poly(tuple(a // g for a in nums), den // g)
 
@@ -102,9 +117,7 @@ class Poly:
     def from_coeffs(coeffs) -> "Poly":
         """Build from any iterable of coefficient literals (as_fraction),
         over their least common denominator."""
-        cs = [as_fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        return Poly.of([c.numerator * (den // c.denominator) for c in cs], den)
+        return Poly.of(*_over_common_denominator([as_fraction(c) for c in coeffs]))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -165,6 +178,10 @@ def poly_reflect(p: Poly) -> Poly:
     return Poly.of(out, p.den)
 
 
+# --------------------------------------------------------------------------
+# exact moments of a polynomial pair
+# --------------------------------------------------------------------------
+
 @lru_cache(maxsize=None)
 def _integral_weights(n: int) -> tuple[int, tuple[int, ...]]:
     """L = lcm(1..n) and the integers L / (s + 1), s < n: integral_0^1 t^s
@@ -173,17 +190,73 @@ def _integral_weights(n: int) -> tuple[int, tuple[int, ...]]:
     return L, tuple(L // (s + 1) for s in range(n))
 
 
-def integrate01_product(p: Poly, q: Poly) -> Fraction:
-    """Exact integral over [0,1] of p(t)q(t): sum_{j,k} p_j q_k / (j+k+1).
+@dataclass(frozen=True)
+class MomentTable:
+    """The four exact moments of a polynomial pair, as integer numerators
+    over one denominator: nums is (m_dd, m_dp, m_pd, m_pp) times den.
 
-    Summed in integers: with p = a / Dp and q = b / Dq, it is
-    sum_{j,k} a_j b_k (L / (j+k+1)) over Dp Dq L, L = lcm(1..deg p + deg q
-    + 1), one Fraction at the end.
+    Canonical form: den > 0 and gcd(den, *nums) = 1, so the zero table is
+    ((0, 0, 0, 0), 1) and equal tables compare equal.  MomentTable.of
+    builds one from four rationals; the constructor takes only the
+    canonical form and fails naming it.
     """
-    a, b = p.nums, q.nums
-    L, weights = _integral_weights(len(a) + len(b) - 1)
-    total = sum(x * sum(map(mul, b, weights[j:])) for j, x in enumerate(a))
-    return Fraction(total, p.den * q.den * L)
+
+    nums: tuple[int, int, int, int]
+    den: int = 1
+
+    def __post_init__(self) -> None:
+        _require_integers("MomentTable", self.nums, self.den)
+        if len(self.nums) != 4:
+            raise ValueError(f"MomentTable has four numerators, not {len(self.nums)}")
+        if self.den <= 0 or gcd(self.den, *self.nums) != 1:
+            raise ValueError("MomentTable not in canonical form (denominator not positive, "
+                             "or a factor shared with the numerators)")
+
+    @staticmethod
+    def of(m_dd, m_dp, m_pd, m_pp) -> "MomentTable":
+        """The table of four rationals (ints or Fractions), over their
+        least common denominator."""
+        ms = (m_dd, m_dp, m_pd, m_pp)
+        return MomentTable(*_over_common_denominator([Fraction(m) for m in ms]))
+
+    m_dd = property(lambda self: Fraction(self.nums[0], self.den), doc="integral of P1' P2'")
+    m_dp = property(lambda self: Fraction(self.nums[1], self.den), doc="integral of P1' P2")
+    m_pd = property(lambda self: Fraction(self.nums[2], self.den), doc="integral of P1 P2'")
+    m_pp = property(lambda self: Fraction(self.nums[3], self.den), doc="integral of P1 P2")
+
+    @cached_property
+    def floats(self) -> tuple[float, float, float, float]:
+        """The four moments, in field order, each rounded to binary64 once
+        per table: an integer quotient is correctly rounded, as float() of
+        the exact moment is."""
+        return tuple(n / self.den for n in self.nums)
+
+    def transpose(self) -> "MomentTable":
+        """Moment table of the reversed pair (P2, P1)."""
+        dd, dp, pd, pp = self.nums
+        return MomentTable((dd, pd, dp, pp), self.den)
+
+
+def moments(p1: Poly, p2: Poly) -> MomentTable:
+    """The four moments of (p1, p2) in one integer pass.  With p1 = a / D1,
+    p2 = b / D2 and the cached weights w_s = L / (s + 1), L = lcm(1..deg p1
+    + deg p2 + 1) (_integral_weights), each pair (a_j, b_k) enters m_pp
+    with weight w_{j+k}, m_pd with k w_{j+k-1}, m_dp with j w_{j+k-1} and
+    m_dd with jk w_{j+k-2}.  So with the inner sums
+    r_j = sum_k b_k w_{j+k} and r'_j = sum_k (k+1) b_{k+1} w_{j+k}:
+    m_pp = sum_j a_j r_j, m_pd = sum_j a_j r'_j, m_dp = sum_j j a_j r_{j-1}
+    and m_dd = sum_j j a_j r'_{j-1}, four integers over D1 D2 L, reduced
+    by one gcd."""
+    a, b = p1.nums, p2.nums
+    da = [j * x for j, x in enumerate(a)][1:]
+    db = [k * y for k, y in enumerate(b)][1:]
+    L, w = _integral_weights(len(a) + len(b) - 1)
+    r = [sum(map(mul, b, w[j:])) for j in range(len(a))]
+    dr = [sum(map(mul, db, w[j:])) for j in range(len(a))]
+    nums = [sum(map(mul, u, v)) for u, v in ((da, dr), (da, r), (a, dr), (a, r))]
+    den = p1.den * p2.den * L
+    g = gcd(den, *nums)
+    return MomentTable(tuple(n // g for n in nums), den // g)
 
 
 # --------------------------------------------------------------------------

@@ -25,8 +25,9 @@ a = b = -R, and c1 the form u^T D u of the twist operator's weights u
 
 The exact polynomial operations also keep their per-term Fraction forms
 here, on the exact coefficients Poly.coeffs, as the references of the
-integer form in polyalg: integrate01_product_naive, combine_naive and the
-other *_naive functions.
+integer form in polyalg: integrate01_product_naive (each of the four
+integrals polyalg.moments gives), combine_naive and the other *_naive
+functions.
 """
 
 from fractions import Fraction
@@ -36,8 +37,8 @@ from math import comb
 import numpy as np
 from mpmath import mp
 
-from levbounds.kernel import MomentTable, moments
-from levbounds.polyalg import Poly, expand_mollifier, expand_twist, mollifier_basis
+from levbounds.polyalg import (MomentTable, Poly, expand_mollifier, expand_twist, mollifier_basis,
+                               moments)
 
 ANCHOR_DPS = 20
 CONSTANT_DPS = 40

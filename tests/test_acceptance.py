@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 import levbounds as lb
-from levbounds.kernel import MomentTable, moments
 from levbounds.optimizer import SearchSpec, optimize
 from levbounds.oracle import fd_c1_value, fd_c_value, kernel_numeric
-from levbounds.polyalg import (MollifierShape, TwistShape, ZERO,
-                               expand_mollifier, expand_twist, poly_derivative,
+from levbounds.polyalg import (MollifierShape, MomentTable, TwistShape, ZERO,
+                               expand_mollifier, expand_twist, moments, poly_derivative,
                                poly_eval, poly_reflect)
 from levbounds.proportions import (SectionFiveParams, SectionFourParams, c1_value,
                                    c_value, grh_bounds, nu_bound,

@@ -22,11 +22,11 @@ from mpmath import mp
 
 import levbounds
 from levbounds import kernel, oracle
-from levbounds.kernel import MIN_BASE_R, MomentTable, moments, node_rows
+from levbounds.kernel import MIN_BASE_R, node_rows
 from levbounds.optimizer import SearchSpec, _SOLVES
-from levbounds.polyalg import (MollifierShape, Poly, TwistShape, expand_mollifier,
-                               expand_twist, mollifier_basis, poly_derivative, poly_eval,
-                               twist_basis)
+from levbounds.polyalg import (MollifierShape, MomentTable, Poly, TwistShape, expand_mollifier,
+                               expand_twist, mollifier_basis, moments, poly_derivative,
+                               poly_eval, twist_basis)
 from levbounds.proportions import (SectionFiveParams, SectionFourParams, c1_core,
                                    c1_value, c_core, c_value, kappa_bound,
                                    nu_bound)

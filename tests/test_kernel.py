@@ -7,9 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from levbounds.kernel import MomentTable, moments
 from levbounds.oracle import cauchy_derivatives, kernel_numeric, quad_integrate01
-from levbounds.polyalg import MollifierShape, X, ZERO, expand_mollifier
+from levbounds.polyalg import MollifierShape, MomentTable, X, ZERO, expand_mollifier, moments
 from levbounds.proportions import c1_core, c_core
 
 from kernel_reference import anchor_matrix, kernel_matrix, numerator
@@ -76,7 +75,8 @@ class TestMomentTableForm:
 
     @pytest.mark.parametrize("nums, den", [((2, 4, 6, 8), 2), ((1, 0, 0, 0), -1),
                                            ((0, 0, 0, 0), 0), ((1, 0, 0), 1),
-                                           ((1.0, 0, 0, 0), 1), ((1, 0, 0, 0), F(1))])
+                                           ((1.0, 0, 0, 0), 1), ((1, 0, 0, 0), F(1)),
+                                           ([1, 0, 0, 1], 3)])
     def test_constructor_takes_only_the_canonical_form(self, nums, den):
         with pytest.raises(ValueError):
             MomentTable(nums, den)

@@ -16,9 +16,8 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from levbounds.kernel import MomentTable, moments
 from levbounds.oracle import cauchy_derivatives, kernel_numeric
-from levbounds.polyalg import MollifierShape, X, expand_mollifier
+from levbounds.polyalg import MollifierShape, MomentTable, X, expand_mollifier, moments
 
 from kernel_reference import (_expm1_ratio_derivatives, division_form,
                               kernel_derivative_basis, kernel_matrix)

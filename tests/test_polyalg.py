@@ -7,8 +7,8 @@ import pytest
 
 from levbounds.polyalg import (MAX_DEGREE, ConstraintViolationError, MollifierShape,
                                Poly, TwistShape, X, ZERO, expand_mollifier,
-                               expand_twist, integrate01_product,
-                               mollifier_shape_from_poly, poly_derivative,
+                               expand_twist, mollifier_shape_from_poly, moments,
+                               poly_derivative,
                                poly_eval, poly_reflect, sym_basis_integral,
                                twist_shape_from_poly)
 from levbounds.oracle import quad_integrate01
@@ -76,6 +76,7 @@ class TestIntegerForm:
         ((F(1, 2), 1), 3, "integer numerators over one integer denominator"),
         ((1.0,), 1, "integer numerators over one integer denominator"),
         ((1,), F(3), "integer numerators over one integer denominator"),
+        ([0, 1], 1, "a tuple of integer numerators"),
     ])
     def test_constructor_rejects_each_bad_form_by_name(self, nums, den, named):
         with pytest.raises(ValueError, match=named):
@@ -107,38 +108,40 @@ class TestDerivative:
         assert poly_derivative(p1).coeffs == (F("0.842"), F("0.816"), F("-0.75"))
 
 
-class TestIntegrate01Product:
+class TestProductIntegral:
+    """The exact integral over [0,1] of p q, read as the m_pp of moments."""
+
     def test_x_times_x(self):
-        assert integrate01_product(X, X) == F(1, 3)
+        assert moments(X, X).m_pp == F(1, 3)
 
     def test_ones(self):
         one = Poly.from_coeffs([1])
-        assert integrate01_product(one, one) == 1
+        assert moments(one, one).m_pp == 1
 
     def test_mixed_powers(self):
         x2 = Poly.from_coeffs([0, 0, 1])
         x3 = Poly.from_coeffs([0, 0, 0, 1])
-        assert integrate01_product(x2, x3) == F(1, 6)
+        assert moments(x2, x3).m_pp == F(1, 6)
 
     def test_symmetry_property(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             p, q = random_poly(rng), random_poly(rng)
-            assert integrate01_product(p, q) == integrate01_product(q, p)
+            assert moments(p, q).m_pp == moments(q, p).m_pp
 
     def test_fundamental_theorem_property(self):
         one = Poly.from_coeffs([1])
         rng = np.random.default_rng(12)
         for _ in range(50):
             p = random_poly(rng)
-            lhs = integrate01_product(poly_derivative(p), one)
+            lhs = moments(poly_derivative(p), one).m_pp
             assert lhs == poly_eval(p, 1) - poly_eval(p, 0)
 
     def test_agrees_with_quadrature(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
             p, q = random_poly(rng), random_poly(rng)
-            exact = float(integrate01_product(p, q))
+            exact = float(moments(p, q).m_pp)
             nodes = (max(p.degree, 0) + max(q.degree, 0)) // 2 + 1
             approx = quad_integrate01(p, q, nodes)
             assert approx == pytest.approx(exact, rel=1e-12, abs=1e-12)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from levbounds import kernel
-from levbounds.kernel import basis_products, moments
-from levbounds.polyalg import MollifierShape, TwistShape, expand_mollifier, expand_twist
+from levbounds.kernel import basis_products
+from levbounds.polyalg import (MollifierShape, TwistShape, expand_mollifier, expand_twist,
+                               moments)
 from levbounds.proportions import (BoundReport, NonPositiveConstantError,
                                    SectionFiveParams, SectionFourParams, bounds_table,
                                    c1_core, c1_value, c_core, c_value, full_report,
