@@ -2,6 +2,7 @@
 once; a stale entry breaks `from levbounds import *`."""
 
 import levbounds
+from levbounds import kernel, optimizer, polyalg, proportions
 
 
 def test_every_exported_name_resolves():
@@ -13,11 +14,9 @@ def test_no_duplicate_exports():
     assert len(levbounds.__all__) == len(set(levbounds.__all__))
 
 
-
 def test_the_exact_layer_lives_in_polyalg():
     # the float engine reads no exact moments: kernel defines neither name,
     # and none of the engine's modules binds one
-    from levbounds import kernel, optimizer, polyalg, proportions
     assert levbounds.moments is polyalg.moments
     assert levbounds.MomentTable is polyalg.MomentTable
     for module in (kernel, proportions, optimizer):
