@@ -25,9 +25,11 @@ count (shape_products), so a mollifier that recurs at other
 (theta, R, r, delta) is not read again; a twist's products are those of
 v = delta w, w its row, and move with delta.  node_rows holds the rest
 of what these Gauss-Legendre sums read at one (theta, R): R theta, the
-t-nodes and the weights.  Nothing is built at import.  The m + 3
-x-nodes integrate the degree-2m+2 square in x exactly; the t-nodes
-follow t_count.
+t-nodes and the weights, built once per point and degrees and shared,
+read-only, by every later read of that point while it is among the last
+_NODE_ROWS_KEPT read.  Nothing is built at import.  The m + 3 x-nodes
+integrate the degree-2m+2 square in x exactly; the t-nodes follow
+t_count.
 """
 
 from __future__ import annotations
@@ -175,8 +177,8 @@ class NodeRows(NamedTuple):
     and the weights W = wt wx' as their two factors.  A root reads each
     shape through its products with the basis rows at these node counts
     (basis_products), the mollifier's as (P u, D u), from which A forms
-    A u.  A named tuple: immutable, and cheaper to build than a frozen
-    dataclass, as every evaluation builds one."""
+    A u.  A named tuple of floats and read-only arrays: node_rows hands
+    one object per point to every caller, so no caller can change it."""
 
     theta: float
     rho: float                   # R theta
@@ -215,12 +217,30 @@ class NodeRows(NamedTuple):
         return np.zeros_like(values), self.theta * values
 
 
+# node_rows keeps the rows of this many points, the least recently read
+# dropped first: a sweep pass reads 10 points and a search operation 6, so
+# each is built once, and a point that does not recur costs one build
+_NODE_ROWS_KEPT = 64
+
+
 def node_rows(theta: float, R: float, m: int, k: int | None = None) -> NodeRows:
     """The node rows at (theta, R) for mollifier degree m, on m + 3
     x-nodes, and, for c1, a twist with k symmetric terms (U of degree
-    2k + 2 in t); for c, whose root is linear in t, k is None.  Inputs
-    are not validated: the callers in proportions check theta and R."""
-    wx = _gauss(m + 3)[1]
+    2k + 2 in t); for c, whose root is linear in t, k is None.
+
+    One shared, read-only object per point: theta and R are read as
+    floats, so an int, a float and a numpy float of one value are one
+    point, and a later call returns the object the first call built.
+    Inputs are not validated: the callers in proportions check theta
+    and R."""
+    return _node_rows(float(theta), float(R), m, k)
+
+
+@lru_cache(maxsize=_NODE_ROWS_KEPT)
+def _node_rows(theta: float, R: float, m: int, k: int | None) -> NodeRows:
+    wx = _gauss(m + 3)[1] / theta
     t, t_less_1, wt = _t_rule(t_count(R, 1 if k is None else 2 * k + 2))
-    return NodeRows(theta, R * theta, t, (wt * math.exp(2.0 * R)) * np.exp((2.0 * R) * t_less_1),
-                    wx / theta)
+    wt = (wt * math.exp(2.0 * R)) * np.exp((2.0 * R) * t_less_1)
+    for table in (wt, wx):
+        table.setflags(write=False)
+    return NodeRows(theta, R * theta, t, wt, wx)

@@ -199,8 +199,11 @@ class SearchSpec:
 
     # ---- vector layout -------------------------------------------------
 
-    def places(self) -> dict[str, slice | int]:
-        """Each field's place in the vector: a slice, or an index for one number."""
+    # The layout is formed once per spec, on its first read, like
+    # bounds_by_index; the methods hand it out.
+
+    @cached_property
+    def _places(self) -> dict[str, slice | int]:
         places, i = {}, 0
         for name, size in SEARCH_FIELDS[self.target][1]:
             n = 1 if size in (SHAPE, SCALAR) else self.shape_degrees[size]
@@ -208,13 +211,22 @@ class SearchSpec:
             i += n
         return places
 
-    def vector_names(self) -> tuple[str, ...]:
-        """Names of the full parameter vector entries, shapes included."""
+    def places(self) -> dict[str, slice | int]:
+        """Each field's place in the vector: a slice, or an index for one
+        number.  A copy: the spec keeps its own."""
+        return dict(self._places)
+
+    @cached_property
+    def _vector_names(self) -> tuple[str, ...]:
         names: list[str] = []
-        for name, at in self.places().items():
+        for name, at in self._places.items():
             names += ([name] if isinstance(at, int)
                       else [f"{name}[{j}]" for j in range(at.stop - at.start)])
         return tuple(names)
+
+    def vector_names(self) -> tuple[str, ...]:
+        """Names of the full parameter vector entries, shapes included."""
+        return self._vector_names
 
     @cached_property
     def bounds_by_index(self) -> dict[int, tuple[float, float]]:
@@ -229,8 +241,12 @@ class SearchSpec:
         scalar only under bounds with lo < hi.  The twist moves only while
         delta moves or is held away from 0: the solve reads it as
         v = delta (1, q), and at delta = 0 it cannot be identified."""
+        return self._free_indices
+
+    @cached_property
+    def _free_indices(self) -> tuple[int, ...]:
         scalars = {name for name, size in SEARCH_FIELDS[self.target][1] if size == SCALAR}
-        bounds, names = self.scalar_bounds, self.vector_names()
+        bounds, names = self.scalar_bounds, self._vector_names
 
         def moves(name: str) -> bool:
             return bounds[name][0] < bounds[name][1] if name in bounds else name not in scalars
@@ -246,7 +262,7 @@ class SearchSpec:
         if len(v) != len(names):
             raise ValueError(f"vector has {len(v)} entries, expected {len(names)} ({names})")
         v = [float(x) for x in v]
-        f = {name: v[place] for name, place in self.places().items()}
+        f = {name: v[place] for name, place in self._places.items()}
         row = SEARCH_FIELDS[self.target]
         return row[2](theta=self.theta, **{name: family[0](*(f[k] for k in keys))
                                            for name, family, _, keys in section_parts(row)})

@@ -240,9 +240,9 @@ class TestCachedData:
     def test_nothing_built_at_import(self):
         code = ("import levbounds\n"
                 "from levbounds import kernel, oracle, polyalg\n"
-                "for f in (kernel._gauss, kernel._rows, polyalg.mollifier_basis, "
-                "polyalg.twist_basis, polyalg._integral_weights, oracle._torus, "
-                "oracle._legendre):\n"
+                "for f in (kernel._gauss, kernel._rows, kernel._node_rows, "
+                "polyalg.mollifier_basis, polyalg.twist_basis, polyalg._integral_weights, "
+                "oracle._torus, oracle._legendre):\n"
                 "    assert f.cache_info().currsize == 0, f\n")
         src = os.path.dirname(os.path.dirname(levbounds.__file__))
         subprocess.run([sys.executable, "-c", code], check=True,

@@ -1,12 +1,15 @@
 """Moment tables and kernel derivatives: examples, exactness, singularity,
-transpose."""
+transpose; the node rows kept per point."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from levbounds import kernel
+from levbounds.kernel import MAX_BASE_R, MIN_BASE_R, node_rows
 from levbounds.oracle import cauchy_derivatives, kernel_numeric, quad_integrate01
 from levbounds.polyalg import MollifierShape, MomentTable, X, ZERO, expand_mollifier, moments
 from levbounds.proportions import c1_core, c_core
@@ -161,3 +164,50 @@ class TestKernelJet:
         assert h[0, 0] == pytest.approx(scalar(0.0, 0.0), rel=1e-13)
         cauchy = cauchy_derivatives(scalar, (0.0, 0.0), 3)
         assert h == pytest.approx(cauchy, rel=1e-13, abs=1e-14)
+
+
+class TestNodeRowsCache:
+    """node_rows hands one read-only object per point, the one a build
+    there gives, bit for bit."""
+
+    def test_one_point_is_one_object(self):
+        assert node_rows(0.8, 0.746, 3, 2) is node_rows(0.8, 0.746, 3, 2)
+        assert node_rows(0.8, 0.617, 2) is node_rows(0.8, 0.617, 2, None)
+        assert node_rows(0.8, 0.617, 2) is not node_rows(0.8, 0.617, 2, 0)
+
+    def test_number_types_are_one_entry_of_floats(self):
+        kernel._node_rows.cache_clear()
+        spellings = [(1, 2), (1.0, 2.0), (np.float64(1.0), np.float64(2.0)), (1, 2.0)]
+        rows = [node_rows(theta, R, 3, 1) for theta, R in spellings]
+        assert all(row is rows[0] for row in rows)
+        assert kernel._node_rows.cache_info().currsize == 1
+        assert type(rows[0].theta) is float and type(rows[0].rho) is float
+
+    def test_tables_are_read_only(self):
+        rows = node_rows(0.9, 1.3, 4, 3)
+        for table in (rows.t, rows.wt, rows.wx):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+            with pytest.raises(ValueError):
+                table += 1.0
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(theta=st.floats(0.05, 1.0), R=st.floats(MIN_BASE_R, MAX_BASE_R),
+           m=st.integers(0, 8), k=st.none() | st.integers(0, 7))
+    def test_cached_rows_are_a_fresh_build(self, theta, R, m, k):
+        cached = node_rows(theta, R, m, k)
+        fresh = kernel._node_rows.__wrapped__(theta, R, m, k)
+        assert fresh is not cached
+        assert (cached.theta, cached.rho) == (fresh.theta, fresh.rho) == (theta, R * theta)
+        for a, b in zip(cached[2:], fresh[2:]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert node_rows(theta, R, m, k) is cached
+
+    def test_keeps_at_most_its_size(self):
+        kernel._node_rows.cache_clear()
+        kept = kernel._NODE_ROWS_KEPT
+        first = node_rows(1.0, 0.5, 2)
+        for i in range(kept + 8):
+            node_rows(1.0, 1.0 + i / 64, 2)
+        assert kernel._node_rows.cache_info().currsize == kept
+        assert node_rows(1.0, 0.5, 2) is not first  # the oldest point was dropped

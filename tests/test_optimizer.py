@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levbounds import optimizer
+from levbounds import kernel, optimizer, proportions
 from levbounds.optimizer import (MAX_CONDITION, TARGETS, DimensionTooHighError,
                                  EvaluationFailureError, IllPosedSolveError, SearchSpec,
                                  _NuSolve, grid_scan, optimize, params_fields,
@@ -175,6 +175,25 @@ class TestLayout:
         spec = SearchSpec(target=target, shape_degrees=shape_degrees, scalar_bounds={},
                           theta=params.theta, initial_point=initial, budget=1)
         assert optimize(spec).best_objective == seed_objective(spec)
+
+    @pytest.mark.parametrize("target, degrees", list(NAMES))
+    def test_layout_is_kept_and_repeats(self, target, degrees):
+        # the layout is formed once per spec: repeated calls agree with the
+        # first and with a fresh spec's, and a caller that changes the dict
+        # places() hands out changes nothing the spec reads
+        params = layout_params(target, degrees)
+        shape_degrees, initial = search_start(params)
+        fields = dict(target=target, shape_degrees=shape_degrees, scalar_bounds={"R": (0.3, 1.2)},
+                      theta=params.theta, initial_point=initial, budget=1)
+        spec = SearchSpec(**fields)
+        layout = spec.places(), spec.vector_names(), spec.free_indices()
+        spec.places()["R"] = spec.places()["R"] + 1
+        spec.places().clear()
+        for _ in range(3):
+            assert (spec.places(), spec.vector_names(), spec.free_indices()) == layout
+        fresh = SearchSpec(**fields)
+        assert (fresh.places(), fresh.vector_names(), fresh.free_indices()) == layout
+        assert spec.params_from_vector(initial) == params
 
     def test_free_entries(self):
         # a shape entry, q_linear among them, is free unless held by [v, v];
@@ -407,6 +426,33 @@ class TestResultSlope:
         assert result.best_point != spec.initial_point and not result.failures
         assert result.slope == solver.sign * slope(solver, np.array(result.best_point))
         assert len(calls) == result.evaluations_used - 1
+
+    @pytest.mark.parametrize("spec", [criterion_eight_spec("minimize_nu"),
+                                      criterion_eight_spec("maximize_kappa"),
+                                      criterion_nine_spec()],
+                             ids=["criterion-8 nu", "criterion-8 kappa", "criterion-9"])
+    def test_node_row_reuse_changes_no_bit(self, monkeypatch, spec):
+        # the search reads each R's node rows several times (solve,
+        # objective, slope, conditions), from node_rows' cache: with every
+        # point already kept, and with the cache cleared before every read,
+        # the result is the same, bit for bit
+        def keys(result):
+            return (result.best_point, result.best_objective, result.slope, result.conditions,
+                    result.inner_solves)
+
+        optimize(spec)
+        warm = optimize(spec)
+
+        def cleared(node_rows):
+            def rebuilt(*args):
+                kernel._node_rows.cache_clear()
+                return node_rows(*args)
+            return rebuilt
+
+        for module in (optimizer, proportions):
+            monkeypatch.setattr(module, "node_rows", cleared(module.node_rows))
+        assert keys(optimize(spec)) == keys(warm)
+        assert kernel._node_rows.cache_info().hits == 0
 
     @pytest.mark.parametrize("target", TARGETS)
     def test_start_slope_is_computed_once(self, monkeypatch, target):

@@ -351,3 +351,22 @@ class TestShapeProducts:
                            for table in (kept if isinstance(kept, tuple) else (kept,)))
             assert shape == fresh(shape) and hash(shape) == hash(fresh(shape))
             assert repr(shape) == repr(fresh(shape))
+
+    def test_node_row_reuse_changes_no_bit(self):
+        # over a 3^4 (r, R4, R5, delta) lattice at the reference shapes the
+        # reports read 6 points' node rows, each built once and then reused,
+        # and every field is bit for bit the one computed with the cache
+        # cleared before the point
+        p4, p5 = section_four_reference(), section_five_reference()
+        axes = [np.linspace(0.8, 1.6, 3), np.linspace(0.4, 0.9, 3), np.linspace(0.5, 12.0, 3),
+                np.linspace(0.5, 1.0, 3)]
+        points = [(replace(p4, r=float(r), R=float(R4)), replace(p5, R=float(R5), delta=float(d)))
+                  for r, R4, R5, d in itertools.product(*axes)]
+        kernel._node_rows.cache_clear()
+        reports = [full_report(a, b) for a, b in points]
+        assert kernel._node_rows.cache_info().misses == 6
+        for report, (a, b) in zip(reports, points):
+            kernel._node_rows.cache_clear()
+            again = full_report(a, b)
+            assert ([x.hex() for x in astuple(report)[:8]]
+                    == [x.hex() for x in astuple(again)[:8]])
