@@ -15,21 +15,24 @@ with A = P' + R theta P and U = (1 - delta) + delta (1 - 2t) Q(t) =
 1 + Psi v, v = delta (1, q), over the twist directions
 Psi_j = (1 - 2t) b_j - [j = 0] of the twist basis b.  Each root is
 linear in each shape's homogeneous row, so it reads a shape only through
-the row's products with the basis rows at the nodes (basis_products):
-(P u, D u) for a mollifier row u, D the derivative rows, with
-A u = D u + R theta P u (NodeRows.A), and (Psi v, Psi' v) for a twist.
-The basis rows are exact values at the nodes rounded once, cached per
-degree and node count.  An exact shape keeps what the core forms from
-it: its float row (shape_row), and a mollifier its products per node
-count (shape_products), so a mollifier that recurs at other
-(theta, R, r, delta) is not read again; a twist's products are those of
-v = delta w, w its row, and move with delta.  node_rows holds the rest
-of what these Gauss-Legendre sums read at one (theta, R): R theta, the
-t-nodes and the weights, built once per point and degrees and shared,
-read-only, by every later read of that point while it is among the last
-_NODE_ROWS_KEPT read.  Nothing is built at import.  The m + 3 x-nodes
-integrate the degree-2m+2 square in x exactly; the t-nodes follow
-t_count.
+its root factors, formed from the row's products with the basis rows at
+the nodes (basis_products, NodeRows.factors): (A u, P u) at the x-nodes
+for a mollifier row u, with A u = D u + R theta P u and D the derivative
+rows, and (U, U') = (1 + Psi v, Psi' v) at the t-nodes for a twist
+v = delta w, w its row.  The basis rows are exact values at the nodes
+rounded once, cached per degree and node count.  An exact shape keeps
+what the core forms from it: its float row (shape_row) and its root
+factors per point (kept_factors), a mollifier's keyed by (x-node count,
+rho = R theta) and a twist's by (t-node count, delta), so reports that
+revisit a shape at a point it has seen form nothing; each shape keeps at
+most _NODE_ROWS_KEPT points, the oldest dropped first.  The constants
+are not kept: each call forms its root from the factors and its own r.
+node_rows holds the rest of what these Gauss-Legendre sums read at one
+(theta, R): R theta, the t-nodes and the weights, built once per point
+and degrees and shared, read-only, by every later read of that point
+while it is among the last _NODE_ROWS_KEPT read.  Nothing is built at
+import.  The m + 3 x-nodes integrate the degree-2m+2 square in x
+exactly; the t-nodes follow t_count.
 """
 
 from __future__ import annotations
@@ -157,28 +160,13 @@ def _overflows(x: Fraction) -> bool:
     return False
 
 
-def shape_products(n: int, shape: MollifierShape) -> tuple[np.ndarray, np.ndarray]:
-    """(P u, D u) at n x-nodes for the row u of a mollifier shape, formed
-    once per node count and kept on the shape (its kept[n]), read-only.
-    A twist keeps only its row: c1 reads the products of delta times it."""
-    kept = shape.kept
-    products = kept.get(n)
-    if products is None:
-        if not isinstance(shape, MollifierShape):
-            raise TypeError(f"shape_products takes a MollifierShape, got {type(shape).__name__}")
-        products = kept[n] = basis_products(n, shape_row(shape))
-        for table in products:
-            table.setflags(write=False)
-    return products
-
-
 class NodeRows(NamedTuple):
     """What both squares read at one (theta, R): rho = R theta, the t-nodes
     and the weights W = wt wx' as their two factors.  A root reads each
-    shape through its products with the basis rows at these node counts
-    (basis_products), the mollifier's as (P u, D u), from which A forms
-    A u.  A named tuple of floats and read-only arrays: node_rows hands
-    one object per point to every caller, so no caller can change it."""
+    shape through its root factors at these node counts (factors): a
+    mollifier's (A u, P u), a twist's (U, U').  A named tuple of floats and
+    read-only arrays: node_rows hands one object per point to every caller,
+    so no caller can change it."""
 
     theta: float
     rho: float                   # R theta
@@ -193,9 +181,22 @@ class NodeRows(NamedTuple):
 
     def A(self, products: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """A u = D u + rho P u at the x-nodes from the products (P u, D u):
-        the one place both roots, and the oracle's node-row checks, form it."""
+        the one place A u is formed."""
         values, slopes = products
         return slopes + self.rho * values
+
+    def factors(self, u: np.ndarray, delta: float | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """The root factors of a homogeneous row u, formed from its products
+        with the basis rows (basis_products): for a mollifier row (delta
+        None) (A u, P u) at the x-nodes, or for each column of a matrix u;
+        for a twist row w (U, U') = (1 + Psi v, Psi' v) at the t-nodes,
+        v = delta w."""
+        if delta is None:
+            products = basis_products(len(self.wx), u)
+            return self.A(products), products[0]
+        psi, dpsi = basis_products(len(self.t), delta * u, True)
+        return 1.0 + psi, dpsi
 
     def square(self, L: np.ndarray) -> float:
         """1 + sum W L^2: the constant whose root L holds at the nodes; an
@@ -208,19 +209,47 @@ class NodeRows(NamedTuple):
         grown = self.t[:, None] * L + dL  # d/dR of W L^2 is 2 W L (t L + dL)
         return 2.0 * float(np.einsum("t,tx,tx,x->", self.wt, L, grown, self.wx))
 
-    def d_dR(self, products: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """The mollifier products whose root is the R derivative of the root
-        of these: both roots are linear in (A u, P u) together, and only
-        A u = D u + rho P u moves with R, by theta P u, so (P u, D u) maps
-        to (0, theta P u)."""
-        values = products[0]
-        return np.zeros_like(values), self.theta * values
+    def d_dR(self, factors: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """The mollifier factors whose root is the R derivative of the root
+        of these: both roots are linear in (A u, P u), and only
+        A u = D u + rho P u moves with R, by theta P u, so (A u, P u) maps
+        to (theta P u, 0)."""
+        values = factors[1]
+        return self.theta * values, np.zeros_like(values)
 
 
 # node_rows keeps the rows of this many points, the least recently read
-# dropped first: a sweep pass reads 10 points and a search operation 6, so
-# each is built once, and a point that does not recur costs one build
+# dropped first, and each exact shape its root factors at this many
+# points, the oldest formed dropped first: a sweep pass reads 10 points'
+# rows and each shape at 5 to 10 points, and a search operation 6 points'
+# rows, so each is formed once, and a point that does not recur costs one
+# build
 _NODE_ROWS_KEPT = 64
+
+
+def kept_factors(rows: NodeRows, shape: MollifierShape | TwistShape,
+                 delta: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """rows.factors of an exact shape's float row (shape_row): a
+    mollifier's (A u, P u), delta None, or a twist's (U, U') at delta.
+    Formed on the first read of a point and kept on the shape (its
+    kept["factors"]), read-only, keyed by what fixes them besides the
+    shape: (x-node count, rho) or (t-node count, delta).  A shape keeps
+    _NODE_ROWS_KEPT points, the oldest formed dropped first."""
+    twist = delta is not None
+    if isinstance(shape, TwistShape) != twist:
+        raise TypeError(f"kept_factors: a {type(shape).__name__} "
+                        f"{'takes no' if twist else 'needs a'} delta")
+    kept = shape.kept.setdefault("factors", {})
+    key = (len(rows.t), delta) if twist else (len(rows.wx), rows.rho)
+    factors = kept.get(key)
+    if factors is None:
+        factors = rows.factors(shape_row(shape), delta)
+        for table in factors:
+            table.setflags(write=False)
+        if len(kept) == _NODE_ROWS_KEPT:
+            del kept[next(iter(kept))]
+        kept[key] = factors
+    return factors
 
 
 def node_rows(theta: float, R: float, m: int, k: int | None = None) -> NodeRows:

@@ -552,13 +552,15 @@ class _Solve:
     (x, pinned rows of the map's A x >= b).
 
     The constant is 1 + sum W L^2 over the nodes.  A subclass gives
-    parts, the products of each block's rows of the solve vector y, or of
-    N's columns, with the basis rows at the nodes; from them its root L
-    (with d_dR, its R derivative, through the rows' d_dR of the mollifier
-    products), the root's Jacobian in x and the cross term of a root
-    bilinear in two blocks; its objective (minimized), the objective's
-    sign and per_log, the objective being per_log ln(constant) / R up to
-    a constant term."""
+    parts, what its root reads of each block's rows of the solve vector
+    y, or of N's columns, at the nodes: a mollifier's root factors
+    (A u, P u) (NodeRows.factors, formed with the operations c_core and
+    c1_core use) and the twist's products (Psi v, Psi' v), linear in v;
+    from them its root L (with d_dR, its R derivative, through the rows'
+    d_dR of the mollifier factors), the root's Jacobian in x and the cross
+    term of a root bilinear in two blocks; its objective (minimized), the
+    objective's sign and per_log, the objective being per_log
+    ln(constant) / R up to a constant term."""
 
     def __init__(self, spec: SearchSpec, degrees: tuple, blocks: dict[str, tuple[_Segment, ...]]):
         self.spec, self.degrees, self.map = spec, degrees, _Map(spec, blocks)
@@ -581,10 +583,11 @@ class _Solve:
         """The gradient 2 J'WL and Hessian 2 J'WJ + cross of the constant in x."""
         at, columns = self.parts(rows, y), self.parts(rows, self.map.N)
         L, J = self.root(rows, at), self.jacobian(rows, at, columns)
-        root_w = np.sqrt(rows.W).ravel()
+        W = rows.W
+        root_w = np.sqrt(W).ravel()
         S = root_w[:, None] * J.reshape(len(root_w), -1)
         H = 2.0 * S.T @ S
-        return 2.0 * S.T @ (root_w * L.ravel()), H + self.cross(rows, columns, rows.W * L)
+        return 2.0 * S.T @ (root_w * L.ravel()), H + self.cross(rows, columns, W * L)
 
     def solve(self, R: float, state):
         """The solved state at R, warm-started from state; see the module
@@ -685,8 +688,7 @@ class _NuSolve(_Solve):
             _Segment(p1, None), _Segment(p2, at["r"], inverse=True))})
 
     def parts(self, rows, Y):
-        n = len(rows.wx)
-        return basis_products(n, Y[:self.split]), basis_products(n, Y[self.split:])
+        return rows.factors(Y[:self.split]), rows.factors(Y[self.split:])
 
     def root(self, rows, at, d_dR=False) -> np.ndarray:
         return c_root(rows, *(map(rows.d_dR, at) if d_dR else at), 1.0)
@@ -716,8 +718,7 @@ class _KappaSolve(_Solve):
         self.u, self.v = (self.map.blocks[name][0] for name in ("mollifier", "twist"))
 
     def parts(self, rows, Y):
-        return (basis_products(len(rows.wx), Y[self.u]),
-                basis_products(len(rows.t), Y[self.v], True))
+        return rows.factors(Y[self.u]), basis_products(len(rows.t), Y[self.v], True)
 
     def root(self, rows, at, d_dR=False) -> np.ndarray:
         up, (psi, dpsi) = at  # U = 1 + Psi v
@@ -731,10 +732,10 @@ class _KappaSolve(_Solve):
         return c1_root(rows, NP, (1.0 + psi, dpsi)) + np.moveaxis(c1_root(rows, up, Nv), 1, -1)
 
     def cross(self, rows, columns, WL) -> np.ndarray:
-        """2 sum W L d^2 L / du_P dv in x: C + C', with C the products of
-        the mollifier rows of N against those of its twist rows."""
+        """2 sum W L d^2 L / du_P dv in x: C + C', with C the factors of
+        the mollifier rows of N against the products of its twist rows."""
         up, (psi, dpsi) = columns
-        C = 2.0 * (rows.A(up).T @ WL.T @ psi + rows.theta * up[0].T @ WL.T @ dpsi)
+        C = 2.0 * (up[0].T @ WL.T @ psi + rows.theta * up[1].T @ WL.T @ dpsi)
         return C + C.T
 
     def objective(self, v: np.ndarray) -> float:

@@ -3,9 +3,10 @@
 Everything here recomputes a quantity the engine produces, by a route
 that shares nothing with it beyond polynomial evaluation and the moment
 data itself: Gauss-Legendre quadrature against exact moment integrals,
-the x-products the engine keeps on each shape (kernel.shape_products)
-against the same exact moments, and Cauchy integrals of the
-definition-form kernel against c and c1 from the float core.
+the root factors the engine keeps on each mollifier shape
+(kernel.kept_factors) against the same exact moments, and Cauchy
+integrals of the definition-form kernel against c and c1 from the float
+core.
 
 kernel_numeric is that kernel, evaluated on real or complex arrays, for
 one moment table or a stack of tables on one grid, its e^{-a-b} formed
@@ -47,7 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .kernel import NodeRows, _rows, node_rows, shape_products, shape_row
+from .kernel import NodeRows, _rows, kept_factors, node_rows, shape_row
 from .polyalg import (MollifierShape, MomentTable, Poly, expand_mollifier, expand_twist,
                       moments, poly_derivative)
 from .proportions import SectionFourParams, SectionFiveParams, c1_value, c_value
@@ -252,10 +253,10 @@ def _rel(exact: float, numeric: float) -> float:
 
 def _row_checks(name: str, mt: MomentTable, rows: NodeRows, R: float, a: MollifierShape,
                 b: MollifierShape) -> list[CheckResult]:
-    """The engine's x-products of a pair of shapes at (theta, R) against
-    their exact moments: with A u as the roots form it (NodeRows.A) from
-    the products (P u, D u) the engine keeps on each shape
-    (shape_products), the weighted sums of A_a A_b, A_a P_b, P_a A_b and
+    """The engine's x-factors of a pair of shapes at (theta, R) against
+    their exact moments: with the root factors (A u, P u) the engine
+    keeps on each shape at these rows (kept_factors), A u as the roots
+    read it, the weighted sums of A_a A_b, A_a P_b, P_a A_b and
     P_a P_b over the x-nodes are m_dd + rho (m_dp + m_pd) + rho^2 m_pp,
     m_dp + rho m_pp, m_pd + rho m_pp and m_pp, each over theta, with
     rho = R theta rounded once from the caller's R, as node_rows should
@@ -266,10 +267,10 @@ def _row_checks(name: str, mt: MomentTable, rows: NodeRows, R: float, a: Mollifi
     rho, theta, n = Fraction(R * rows.theta), Fraction(rows.theta), len(rows.wx)
 
     def combine(shape: MollifierShape) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        products, u = shape_products(n, shape), np.abs(shape_row(shape))
-        P, D = _rows(n, len(u) - 1, False)
-        return ({"A": rows.A(products), "P": products[0]},
-                {"A": np.abs(D + rows.rho * P) @ u, "P": np.abs(P) @ u})
+        (A, P), u = kept_factors(rows, shape), np.abs(shape_row(shape))
+        values, slopes = _rows(n, len(u) - 1, False)
+        return ({"A": A, "P": P},
+                {"A": np.abs(slopes + rows.rho * values) @ u, "P": np.abs(values) @ u})
 
     (va, size_a), (vb, size_b) = combine(a), combine(b)
     exact = {"AA": mt.m_dd + rho * (mt.m_dp + mt.m_pd) + rho * rho * mt.m_pp,

@@ -7,14 +7,14 @@ root over the node rows (kernel.node_rows):
   c1(theta, R)     root U A + theta U' P, from one mollifier and the twist
                    operator's U = (1 - delta) + delta (1 - 2t) Q(t).
 
-Each root reads a shape only through its row's products with the basis
-rows (kernel.basis_products), and forms A u = D u + R theta P u and
-U = 1 + Psi v, v = delta (1, q), on those short vectors.  c_value and
-c1_value read the float rows and the mollifier products an exact shape
-keeps (kernel.shape_row, kernel.shape_products); c_core and c1_core, fed
-float coefficients, form them on each call through the same helpers, so
-both give the same bits.  The twist's products are formed on each call:
-they are those of v, which moves with delta.
+Each root reads a shape only through its root factors (NodeRows.factors):
+(A u, P u) at the x-nodes for a mollifier row u, A u = D u + R theta P u,
+and (U, U') = (1 + Psi v, Psi' v) at the t-nodes for the twist
+v = delta (1, q).  c_value and c1_value read the factors an exact shape
+keeps per point (kernel.kept_factors); c_core and c1_core, fed float
+coefficients, form the same factors on each call with the same
+operations, so both give the same bits.  Neither keeps a constant: each
+call forms its root from the factors and its own r, and sums its square.
 
 From them the bound coefficients are nu = ln(c)/(2R) and
 kappa = 1 - ln(c1)/R (natural logarithm: the only base consistent with the
@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import (MAX_BASE_R, MIN_BASE_R, NodeRows, basis_products, node_rows,
-                     shape_products, shape_row)
+from .kernel import MAX_BASE_R, MIN_BASE_R, NodeRows, kept_factors, node_rows
 from .polyalg import MollifierShape, TwistShape
 
 
@@ -53,6 +52,8 @@ def _check_scalars(theta: float, R: float, r: float = 1.0, delta: float = 0.0) -
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     if not r > 0:
         raise ValueError(f"r must be positive, got {r}")
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
     if not MIN_BASE_R <= R <= MAX_BASE_R:
         side = f"<= {MAX_BASE_R}" if R >= MIN_BASE_R else f">= {MIN_BASE_R}"
         raise ValueError(f"R must be {side}, got {R}")
@@ -115,51 +116,48 @@ def _homogeneous(coeffs) -> np.ndarray:
 
 
 def c_root(rows: NodeRows, z1, z2, r: float) -> np.ndarray:
-    """A1 - (t A2 + theta P2) / r at the nodes, from the products (P z, D z)
-    of z1 = (1, p1) and z2 = (1, p2), with A z = D z + R theta P z; linear
-    in (z1, z2), so the products of columns of z1 and z2 give the columns
-    of its Jacobian."""
-    a2 = rows.A(z2) / r
-    return rows.A(z1) - (rows.theta / r) * z2[0] - np.multiply.outer(rows.t, a2)
+    """A1 - (t A2 + theta P2) / r at the nodes, from the factors (A z, P z)
+    of z1 = (1, p1) and z2 = (1, p2); linear in (z1, z2), so the factors
+    of columns of z1 and z2 give the columns of its Jacobian."""
+    a2 = z2[0] / r
+    return z1[0] - (rows.theta / r) * z2[1] - np.multiply.outer(rows.t, a2)
 
 
 def c1_root(rows: NodeRows, up, U) -> np.ndarray:
-    """U A + theta U' P at the nodes, from the products (P u, D u) of
-    up = (1, p), with A u = D u + R theta P u, and U = (U, U') at the
-    t-nodes, 1 + Psi v and Psi' v for the twist v = delta (1, q).  Linear
-    in up, so the products of columns of up give the columns of its
-    Jacobian; linear in U too, where columns come second."""
+    """U A + theta U' P at the nodes, from the factors (A u, P u) of
+    up = (1, p) and (U, U') at the t-nodes, 1 + Psi v and Psi' v for the
+    twist v = delta (1, q).  Linear in up, so the factors of columns of up
+    give the columns of its Jacobian; linear in U too, where columns come
+    second."""
     u, du = U
-    return np.multiply.outer(u, rows.A(up)) + rows.theta * np.multiply.outer(du, up[0])
+    return np.multiply.outer(u, up[0]) + rows.theta * np.multiply.outer(du, up[1])
 
 
-def _c(products, z1, z2, m: int, theta: float, r: float, R: float) -> float:
-    """c at mollifier degree m from the mollifier rows z1 = (1, p1) and
-    z2 = (1, p2), read as products(n, z) at the n x-nodes: c_core
-    and c_value both evaluate through here, as 1 plus the weighted sum of
-    c_root's squares."""
+def _c(factors, z1, z2, m: int, theta: float, r: float, R: float) -> float:
+    """c at mollifier degree m from the mollifiers z1 and z2, read as
+    factors(rows, z): c_core and c_value both evaluate through here, as 1
+    plus the weighted sum of c_root's squares."""
     theta, r, R = float(theta), float(r), float(R)
     _check_scalars(theta, R, r=r)
     rows = node_rows(theta, R, m)
-    n = len(rows.wx)
-    c = rows.square(c_root(rows, products(n, z1), products(n, z2), r))
+    c = rows.square(c_root(rows, factors(rows, z1), factors(rows, z2), r))
     if not math.isfinite(c):
         raise NonFiniteError(f"c evaluated to {c!r}")
     return c
 
 
 def c_core(p1, p2, theta: float, r: float, R: float) -> float:
-    """c from float shape coefficients, their products formed on each call;
+    """c from float shape coefficients, their factors formed on each call;
     the search objective evaluates through here, and c_value is the same
-    evaluation on the shapes' kept products, bit for bit."""
+    evaluation on the shapes' kept factors, bit for bit."""
     z1, z2 = _homogeneous(p1), _homogeneous(p2)
-    return _c(basis_products, z1, z2, max(len(z1), len(z2)) - 1, theta, r, R)
+    return _c(NodeRows.factors, z1, z2, max(len(z1), len(z2)) - 1, theta, r, R)
 
 
 def c_value(p: SectionFourParams) -> float:
     """The mollified second-moment constant of the two-mollifier detector."""
     s1, s2 = p.p1_shape, p.p2_shape
-    return _c(shape_products, s1, s2, max(len(s1.shape_coeffs), len(s2.shape_coeffs)),
+    return _c(kept_factors, s1, s2, max(len(s1.shape_coeffs), len(s2.shape_coeffs)),
               p.theta, p.r, p.R)
 
 
@@ -172,26 +170,24 @@ def nu_bound(c: float, R: float) -> float:
     return math.log(c) / (2.0 * R)
 
 
-def _c1(products, up, w, m: int, k: int, theta: float, R: float, delta: float) -> float:
+def _c1(factors, up, w, m: int, k: int, theta: float, R: float, delta: float) -> float:
     """c1 at mollifier degree m and k symmetric twist terms from the
-    mollifier row up = (1, p), read as products(n, up) at the n x-nodes,
-    and the float twist row w = (1, q): c1_core and c1_value both evaluate
-    through here, as 1 plus the weighted sum of c1_root's squares, with
-    U = 1 + Psi v and U' = Psi' v for v = delta w."""
+    mollifier up and the twist w, read as factors(rows, up) and
+    factors(rows, w, delta): c1_core and c1_value both evaluate through
+    here, as 1 plus the weighted sum of c1_root's squares."""
     theta, R, delta = float(theta), float(R), float(delta)
     _check_scalars(theta, R, delta=delta)
     rows = node_rows(theta, R, m, k)
-    psi, dpsi = basis_products(len(rows.t), delta * w, True)
-    c1 = rows.square(c1_root(rows, products(len(rows.wx), up), (1.0 + psi, dpsi)))
+    c1 = rows.square(c1_root(rows, factors(rows, up), factors(rows, w, delta)))
     if not math.isfinite(c1):
         raise NonFiniteError(f"c1 evaluated to {c1!r}")
     return c1
 
 
 def c1_core(p, q, theta: float, R: float, delta: float) -> float:
-    """c1 from float coefficients, their products formed on each call; the
+    """c1 from float coefficients, their factors formed on each call; the
     search objective evaluates through here, and c1_value is the same
-    evaluation on the shapes' kept row and products, bit for bit.
+    evaluation on the shapes' kept factors, bit for bit.
 
     p holds the mollifier shape, q the twist shape (q0, q_1, .., q_m), and
     the twist enters as v = delta (1, q0, q_1, .., q_m).
@@ -199,12 +195,12 @@ def c1_core(p, q, theta: float, R: float, delta: float) -> float:
     if len(q) < 1:
         raise ValueError("c1_core: the twist needs at least q_linear, got no entries")
     up, w = _homogeneous(p), _homogeneous(q)
-    return _c1(basis_products, up, w, len(up) - 1, len(w) - 2, theta, R, delta)
+    return _c1(NodeRows.factors, up, w, len(up) - 1, len(w) - 2, theta, R, delta)
 
 
 def c1_value(p: SectionFiveParams) -> float:
     """The twisted second-moment constant of the critical-line detector."""
-    return _c1(shape_products, p.p_shape, shape_row(p.q_shape), len(p.p_shape.shape_coeffs),
+    return _c1(kept_factors, p.p_shape, p.q_shape, len(p.p_shape.shape_coeffs),
                len(p.q_shape.sym_coeffs), p.theta, p.R, p.delta)
 
 

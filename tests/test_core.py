@@ -307,7 +307,7 @@ class TestSquareFormAccuracy:
 
 BAD_SCALARS = [
     dict(theta=0.0), dict(theta=1.5), dict(theta=math.nan),
-    dict(r=0.0), dict(r=-1.0), dict(r=math.nan),
+    dict(r=0.0), dict(r=-1.0), dict(r=math.nan), dict(r=math.inf),
     dict(R=0.0), dict(R=-0.5), dict(R=math.nan),
     dict(delta=math.nan), dict(delta=math.inf), dict(delta=-math.inf),
 ]

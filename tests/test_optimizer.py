@@ -765,6 +765,25 @@ class TestNewtonSolve:
         self.check_model("minimize_nu",
                          lambda v: c_core(v[:2], v[2:4], 1.0, v[4], v[5]), draw)
 
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_model_forms_the_weights_once(self, target, monkeypatch):
+        # W = wt wx' is an outer product: one model call forms it once and
+        # reads it for both the gradient's square root and the cross term
+        spec = criterion_eight_spec(target)
+        solver = optimizer._SOLVES[target](spec)
+        v = np.array(spec.initial_point)
+        rows, y = solver.nodes(v[spec.places()["R"]]), solver.map.y(solver.start(v)[0])
+        formed = []
+        W = kernel.NodeRows.W
+
+        def counting(self):
+            formed.append(self)
+            return W.fget(self)
+
+        monkeypatch.setattr(kernel.NodeRows, "W", property(counting))
+        solver.model(rows, y)
+        assert formed == [rows]
+
     def test_pinned_delta_takes_no_fallback(self):
         # the steps minimize the model under the bound rows, so delta stays
         # pinned on its bound; a Newton step that ignored the rows left them

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from levbounds import oracle
-from levbounds.kernel import NodeRows, shape_products
+from levbounds import kernel, oracle
+from levbounds.kernel import NodeRows, kept_factors
 from levbounds.oracle import (cauchy_derivatives, crosscheck_report, fd_c1_value,
                               fd_c_value, kernel_numeric, quad_integrate01)
 from levbounds.polyalg import (MollifierShape, MomentTable, Poly, TwistShape, X,
@@ -368,26 +368,33 @@ class TestCrosscheckReport:
 
     @staticmethod
     def failing_with_perturbed_products(monkeypatch, which: int) -> set[str]:
-        """The checks that fail when one of the products (P u, D u) the
-        engine keeps on each shape is off by 1e-10."""
+        """The checks that fail when one of the root factors (A u, P u) the
+        engine keeps on each shape reads off by 1e-10."""
         p4, p5 = section_four_reference(), section_five_reference()
         names = [ch.name for ch in crosscheck_report(p4, p5).checks]
         assert sum(n.startswith("node rows[") for n in names) == 20
 
         def perturbed(*args):
-            products = list(shape_products(*args))
-            products[which] = products[which] * (1 + 1e-10)
-            return tuple(products)
+            factors = list(kept_factors(*args))
+            factors[which] = factors[which] * (1 + 1e-10)
+            return tuple(factors)
 
-        monkeypatch.setattr(oracle, "shape_products", perturbed)
+        monkeypatch.setattr(oracle, "kept_factors", perturbed)
         return {ch.name for ch in crosscheck_report(p4, p5).checks if not ch.passed}
 
     def test_node_row_checks_catch_a_perturbed_row(self, monkeypatch):
-        # every pair's x-products are checked; D u off by 1e-10 fails each
-        # sum A u = D u + rho P u enters
-        assert self.failing_with_perturbed_products(monkeypatch, 1) == {
+        # every pair's kept x-factors are checked; A u off by 1e-10 fails
+        # each sum it enters
+        assert self.failing_with_perturbed_products(monkeypatch, 0) == {
             f"node rows[{pair}.{part}] vs exact moments"
             for pair in ("m11", "m21", "m12", "m22", "m55") for part in ("AA", "AP", "PA")}
+
+    def test_node_row_checks_read_the_kept_value_row(self, monkeypatch):
+        # the kept P u is read as it is kept: off by 1e-10, with A u as
+        # kept, it fails each sum it enters
+        assert self.failing_with_perturbed_products(monkeypatch, 1) == {
+            f"node rows[{pair}.{part}] vs exact moments"
+            for pair in ("m11", "m21", "m12", "m22", "m55") for part in ("AP", "PA", "PP")}
 
     @staticmethod
     def failing_with(monkeypatch, target, name: str, perturbed) -> set[str]:
@@ -416,8 +423,14 @@ class TestCrosscheckReport:
                            for part in ("AA", "AP", "PA")}
 
     def test_node_row_checks_catch_a_perturbed_value_row(self, monkeypatch):
-        # P u off by 1e-10 fails every sum, A u's through rho P u
-        assert self.failing_with_perturbed_products(monkeypatch, 0) == {
+        # P u formed off by 1e-10 fails every sum, A u's through rho P u
+        def perturbed(basis_products):
+            def products(n, u, twist=False):
+                values, slopes = basis_products(n, u, twist)
+                return (values if twist else values * (1 + 1e-10)), slopes
+            return products
+
+        assert self.failing_with(monkeypatch, kernel, "basis_products", perturbed) == {
             f"node rows[{pair}.{part}] vs exact moments"
             for pair in ("m11", "m21", "m12", "m22", "m55") for part in ("AA", "AP", "PA", "PP")}
 

@@ -64,13 +64,19 @@ class TestCValue:
             assert h21[0, 1] == pytest.approx(h12[1, 0], rel=1e-12)
 
     def test_infinite_r_reduces_to_kernel_value(self):
+        # as r grows the P2 terms vanish and c tends to h11; r = inf itself
+        # is refused by name, as the CLI and SearchSpec refuse it, since it
+        # would drop those terms silently
         p4 = section_four_reference()
-        params = SectionFourParams(p4.p1_shape, p4.p2_shape, p4.theta,
-                                   float("inf"), p4.R)
+        params = SectionFourParams(p4.p1_shape, p4.p2_shape, p4.theta, 1e300, p4.R)
         poly1 = expand_mollifier(p4.p1_shape)
         h11 = kernel_matrix(moments(poly1, poly1), p4.theta, p4.R, 2)
         # to rounding: the square form sums in another order than the kernel
         assert c_value(params) == pytest.approx(h11[0, 0], rel=1e-15)
+        with pytest.raises(ValueError, match=r"^r must be finite, got inf$"):
+            SectionFourParams(p4.p1_shape, p4.p2_shape, p4.theta, math.inf, p4.R)
+        with pytest.raises(ValueError, match=r"^r must be finite, got inf$"):
+            c_core([-0.158, 0.25], [0.492, 0.075], p4.theta, math.inf, p4.R)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -313,9 +319,9 @@ class TestShapeProducts:
 
     def test_cache_is_transparent(self, monkeypatch):
         # over a 3^4 (r, R4, R5, delta) lattice on shared shapes, each
-        # (mollifier shape, node count) product is formed once, the twist
-        # keeps only its row (its products move with delta), and every
-        # report is bit for bit the one that fresh, equal shapes give
+        # (shape, point) factor is formed once, a mollifier's at each
+        # (x-node count, rho) and the twist's at each (t-node count, delta),
+        # and every report is bit for bit the one that fresh, equal shapes give
         p4, p5 = section_four_reference(), section_five_reference()
         shapes = (p4.p1_shape, p4.p2_shape, p5.p_shape, p5.q_shape)
         formed = []
@@ -330,11 +336,18 @@ class TestShapeProducts:
         points = [(replace(p4, r=float(r), R=float(R4)), replace(p5, R=float(R5), delta=float(d)))
                   for r, R4, R5, d in itertools.product(*axes)]
         reports = [full_report(a, b) for a, b in points]
-        assert sorted(formed) == sorted((n, tuple(kernel.shape_row(s)), False)
-                                        for s in shapes for n in s.kept if n != "row")
         n4 = max(len(p4.p1_shape.shape_coeffs), len(p4.p2_shape.shape_coeffs)) + 3
         n5 = len(p5.p_shape.shape_coeffs) + 3  # one x count per mollifier: m + 3
-        assert [s.kept.keys() for s in shapes] == [{"row", n4}, {"row", n4}, {"row", n5}, {"row"}]
+        k = len(p5.q_shape.sym_coeffs)
+        assert p4.theta == p5.theta == 1.0  # so rho = R
+        assert [list(s.kept["factors"]) for s in shapes] == [
+            [(n4, float(R4)) for R4 in axes[1]], [(n4, float(R4)) for R4 in axes[1]],
+            [(n5, float(R5)) for R5 in axes[2]],
+            [(kernel.t_count(R5, 2 * k + 2), float(d)) for R5 in axes[2] for d in axes[3]]]
+        row = kernel.shape_row
+        assert sorted(formed) == sorted(
+            [(n, tuple(row(s)), False) for s in shapes[:3] for n, _ in s.kept["factors"]]
+            + [(n, tuple(d * row(p5.q_shape)), True) for n, d in p5.q_shape.kept["factors"]])
         monkeypatch.undo()
 
         def fresh(shape):
@@ -347,10 +360,49 @@ class TestShapeProducts:
             assert ([x.hex() for x in astuple(report)[:8]]
                     == [x.hex() for x in astuple(again)[:8]])
         for shape in shapes:
-            assert not any(table.flags.writeable for kept in shape.kept.values()
-                           for table in (kept if isinstance(kept, tuple) else (kept,)))
+            assert shape.kept.keys() == {"row", "factors"}
+            assert not shape.kept["row"].flags.writeable
+            assert not any(table.flags.writeable for factors in shape.kept["factors"].values()
+                           for table in factors)
             assert shape == fresh(shape) and hash(shape) == hash(fresh(shape))
             assert repr(shape) == repr(fresh(shape))
+
+    @pytest.mark.parametrize("twist", [False, True])
+    def test_each_shape_keeps_a_bounded_number_of_points(self, twist):
+        # read at _NODE_ROWS_KEPT + 8 points, a shape keeps the last
+        # _NODE_ROWS_KEPT formed, the oldest dropped first, and a dropped
+        # point forms again, bit for bit, the factors it first gave
+        p5, kept = section_five_reference(), kernel._NODE_ROWS_KEPT
+        m, k = len(p5.p_shape.shape_coeffs), len(p5.q_shape.sym_coeffs)
+        shape = p5.q_shape if twist else p5.p_shape
+        if twist:  # a twist's points move with delta, a mollifier's with R
+            rows = kernel.node_rows(1.0, 0.746, m, k)
+            reads = [(rows, 0.5 + i / 128) for i in range(kept + 8)]
+        else:
+            reads = [(kernel.node_rows(1.0, 0.5 + i / 128, m, k), None) for i in range(kept + 8)]
+
+        def read(rows, delta):
+            return kernel.kept_factors(rows, shape, delta)
+
+        def keys(reads):
+            return [(len(rows.t), delta) if twist else (len(rows.wx), rows.rho)
+                    for rows, delta in reads]
+
+        first = [read(*point) for point in reads]
+        assert list(shape.kept["factors"]) == keys(reads[8:])
+        again = read(*reads[0])
+        assert again is not first[0]
+        assert [a.tobytes() for a in again] == [a.tobytes() for a in first[0]]
+        assert list(shape.kept["factors"]) == keys(reads[9:] + reads[:1])
+        assert read(*reads[-1]) is first[-1]
+
+    def test_kept_factors_name_a_wrong_shape(self):
+        p5 = section_five_reference()
+        rows = kernel.node_rows(1.0, 0.746, 3, 2)
+        with pytest.raises(TypeError, match="a MollifierShape takes no delta"):
+            kernel.kept_factors(rows, p5.p_shape, 0.771)
+        with pytest.raises(TypeError, match="a TwistShape needs a delta"):
+            kernel.kept_factors(rows, p5.q_shape)
 
     def test_node_row_reuse_changes_no_bit(self):
         # over a 3^4 (r, R4, R5, delta) lattice at the reference shapes the
