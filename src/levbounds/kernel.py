@@ -13,26 +13,29 @@ of Levinson's method; Conrey, J. reine angew. Math. 399, 1989):
 
 with A = P' + R theta P and U = (1 - delta) + delta (1 - 2t) Q(t) =
 1 + Psi v, v = delta (1, q), over the twist directions
-Psi_j = (1 - 2t) b_j - [j = 0] of the twist basis b.  Each root is
-linear in each shape's homogeneous row, so it reads a shape only through
-its root factors, formed from the row's products with the basis rows at
-the nodes (basis_products, NodeRows.factors): (A u, P u) at the x-nodes
-for a mollifier row u, with A u = D u + R theta P u and D the derivative
-rows, and (U, U') = (1 + Psi v, Psi' v) at the t-nodes for a twist
-v = delta w, w its row.  The basis rows are exact values at the nodes
-rounded once, cached per degree and node count.  An exact shape keeps
-what the core forms from it: its float row (shape_row) and its root
-factors per point (kept_factors), a mollifier's keyed by (x-node count,
-rho = R theta) and a twist's by (t-node count, delta), so reports that
-revisit a shape at a point it has seen form nothing; each shape keeps at
-most _NODE_ROWS_KEPT points, the oldest dropped first.  The constants
-are not kept: each call forms its root from the factors and its own r.
-node_rows holds the rest of what these Gauss-Legendre sums read at one
-(theta, R): R theta, the t-nodes and the weights, built once per point
-and degrees and shared, read-only, by every later read of that point
-while it is among the last _NODE_ROWS_KEPT read.  Nothing is built at
-import.  The m + 3 x-nodes integrate the degree-2m+2 square in x
-exactly; the t-nodes follow t_count.
+Psi_j = (1 - 2t) b_j - [j = 0] of the twist basis b.  Each root has rank
+2 over the (t, x) nodes and is linear in each shape's homogeneous row,
+so it reads a shape only through its root factors, one stacked
+(2, nodes) array formed in place from the row's one product with the
+stacked basis rows (basis_products, NodeRows.factors): [A u; theta P u]
+at the x-nodes for a mollifier row u, with A u = D u + R theta P u and D
+the derivative rows, and [U; U'] = [1 + Psi v; Psi' v] at the t-nodes for
+a twist v = delta w, w its row.  Each root is then one matrix product of
+these factors (proportions.c_root, c1_root).  The basis rows are exact
+values at the nodes rounded once, cached per degree and node count.  An
+exact shape keeps what the core forms from it: its float row (shape_row)
+and its root factors per point (kept_factors), a mollifier's keyed by
+(x-node count, rho = R theta, theta) and a twist's by (t-node count,
+delta), so reports that revisit a shape at a point it has seen form
+nothing; each shape keeps at most _NODE_ROWS_KEPT points, the oldest
+dropped first.  The constants are not kept: each call forms its root
+from the factors and its own r.  node_rows holds the rest of what these
+Gauss-Legendre sums read at one (theta, R): R theta, the t-nodes, the
+rows [t, 1] and the weights, built once per point and degrees and
+shared, read-only, by every later read of that point while it is among
+the last _NODE_ROWS_KEPT read.  Nothing is built at import.  The m + 3
+x-nodes integrate the degree-2m+2 square in x exactly; the t-nodes
+follow t_count.
 """
 
 from __future__ import annotations
@@ -85,46 +88,50 @@ def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _t_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n t-nodes, each less 1, and their weights, read-only.  node_rows
-    forms each weight e^{2Rt} w_t as (w_t e^{2R}) e^{2R (t - 1)}: t - 1 is
-    exact for t >= 1/2, where the weights are largest, so the exponent is
-    off by about 2R |t - 1| u, not the 2Rt u that rounding 2Rt would give
-    (up to 6.7e-14 of a weight at R = 300)."""
+def _t_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The n t-nodes, each less 1, their weights, and the rows [t, 1],
+    (n, 2), that c's root reads, read-only.  node_rows forms each weight
+    e^{2Rt} w_t as (w_t e^{2R}) e^{2R (t - 1)}: t - 1 is exact for
+    t >= 1/2, where the weights are largest, so the exponent is off by
+    about 2R |t - 1| u, not the 2Rt u that rounding 2Rt would give (up to
+    6.7e-14 of a weight at R = 300)."""
     t, wt = _gauss(n)
-    less_1 = t - 1.0
-    less_1.setflags(write=False)
-    return t, less_1, wt
+    less_1, t1 = t - 1.0, np.column_stack((t, np.ones_like(t)))
+    for table in (less_1, t1):
+        table.setflags(write=False)
+    return t, less_1, wt, t1
 
 
 @lru_cache(maxsize=None)
 def _rows(n: int, m: int, twist: bool) -> np.ndarray:
-    """The rows of a basis and of its derivative at the n nodes, stacked
-    and read-only: the degree-m mollifier basis, (2, n, m + 1), or the
-    twist directions Psi_j of the twist basis with m symmetric terms,
-    (2, n, m + 2).  Each value is the exact value at the binary64 node,
-    rounded once."""
+    """Two basis rows at the n nodes, stacked and read-only, in the order
+    of the root factors' rows they become: for the degree-m mollifier
+    basis B its derivative rows D = B' and then B, (2, n, m + 1); for the
+    twist directions Psi_j of the twist basis with m symmetric terms Psi
+    and then Psi', (2, n, m + 2).  Each value is the exact value at the
+    binary64 node, rounded once."""
     if twist:  # Psi_j = (1 - 2t) b_j - [j = 0]
         basis = tuple(b - Poly.of((0, *b.nums), b.den).scale(2) - (ONE if j == 0 else ZERO)
                       for j, b in enumerate(twist_basis(m)))
+        polys = basis, tuple(map(poly_derivative, basis))
     else:
         basis = mollifier_basis(m)
+        polys = tuple(map(poly_derivative, basis)), basis
     nodes = [Fraction(float(x)) for x in _gauss(n)[0]]
-    table = np.array([[[float(poly_eval(p, x)) for p in polys] for x in nodes]
-                      for polys in (basis, tuple(map(poly_derivative, basis)))])
+    table = np.array([[[float(poly_eval(p, x)) for p in row] for x in nodes] for row in polys])
     table.setflags(write=False)
     return table
 
 
-def basis_products(n: int, u: np.ndarray, twist: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(B u, B' u) at the n nodes for a homogeneous row u, or for each
-    column of a matrix u: B is the mollifier basis of degree len(u) - 1
-    (P u and D u at the x-nodes, D the derivative rows), or with twist the
-    directions Psi of len(u) - 2 symmetric terms (Psi v and Psi' v at the
-    t-nodes).  The float core reads every shape through these products,
-    both from one matrix product with the stacked rows."""
-    products = _rows(n, len(u) - 1 - twist, twist) @ u
-    return products[0], products[1]
+def basis_products(n: int, u: np.ndarray, twist: bool = False) -> np.ndarray:
+    """The stacked products [D u; P u] at the n x-nodes of a homogeneous
+    row u with the derivative rows D and the rows P of the mollifier basis
+    of degree len(u) - 1, or with twist [Psi v; Psi' v] at the n t-nodes
+    with the twist directions of len(u) - 2 symmetric terms: (2, n), from
+    one matrix product with the stacked rows (_rows); for the k columns of
+    a matrix u, (2, n, k).  The float core reads every shape through these
+    products."""
+    return _rows(n, len(u) - 1 - twist, twist) @ u
 
 
 def shape_row(shape: MollifierShape | TwistShape) -> np.ndarray:
@@ -161,16 +168,17 @@ def _overflows(x: Fraction) -> bool:
 
 
 class NodeRows(NamedTuple):
-    """What both squares read at one (theta, R): rho = R theta, the t-nodes
-    and the weights W = wt wx' as their two factors.  A root reads each
-    shape through its root factors at these node counts (factors): a
-    mollifier's (A u, P u), a twist's (U, U').  A named tuple of floats and
-    read-only arrays: node_rows hands one object per point to every caller,
-    so no caller can change it."""
+    """What both squares read at one (theta, R): rho = R theta, the t-nodes,
+    the rows [t, 1] and the weights W = wt wx' as their two factors.  A
+    root reads each shape through its root factors at these node counts
+    (factors): a mollifier's [A u; theta P u], a twist's [U; U'].  A named
+    tuple of floats and read-only arrays: node_rows hands one object per
+    point to every caller, so no caller can change it."""
 
     theta: float
     rho: float                   # R theta
     t: np.ndarray                # (n_t,)
+    t1: np.ndarray               # [t, 1] at each t-node, (n_t, 2); cached per n_t
     wt: np.ndarray               # e^{2Rt} w_t, (n_t,)
     wx: np.ndarray               # w_x / theta, (n_x,)
 
@@ -179,28 +187,24 @@ class NodeRows(NamedTuple):
         """The weight of each node pair, (n_t, n_x)."""
         return np.outer(self.wt, self.wx)
 
-    def A(self, products: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """A u = D u + rho P u at the x-nodes from the products (P u, D u):
-        the one place A u is formed."""
-        values, slopes = products
-        return slopes + self.rho * values
-
-    def factors(self, u: np.ndarray, delta: float | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """The root factors of a homogeneous row u, formed from its products
-        with the basis rows (basis_products): for a mollifier row (delta
-        None) (A u, P u) at the x-nodes, or for each column of a matrix u;
-        for a twist row w (U, U') = (1 + Psi v, Psi' v) at the t-nodes,
-        v = delta w."""
-        if delta is None:
-            products = basis_products(len(self.wx), u)
-            return self.A(products), products[0]
-        psi, dpsi = basis_products(len(self.t), delta * u, True)
-        return 1.0 + psi, dpsi
+    def factors(self, u: np.ndarray, delta: float | None = None) -> np.ndarray:
+        """The root factors of a homogeneous row u, formed in place from its
+        products with the basis rows (basis_products): for a mollifier row
+        (delta None) [A u; theta P u] at the x-nodes, A u = D u + rho P u,
+        or for the k columns of a matrix u, (2, n_x, k); for a twist row w
+        [U; U'] = [1 + Psi v; Psi' v] at the t-nodes, v = delta w."""
+        if delta is not None:
+            U = basis_products(len(self.t), delta * u, True)
+            U[0] += 1.0
+            return U
+        up = basis_products(len(self.wx), u)
+        up[0] += self.rho * up[1]
+        up[1] *= self.theta
+        return up
 
     def square(self, L: np.ndarray) -> float:
         """1 + sum W L^2: the constant whose root L holds at the nodes; an
-        overflow reads inf, for the caller's finiteness check."""
+        overflow reads inf, silently, for the caller's finiteness check."""
         return 1.0 + float(np.einsum("t,tx,tx,x->", self.wt, L, L, self.wx))
 
     def rate(self, L: np.ndarray, dL: np.ndarray) -> float:
@@ -209,13 +213,15 @@ class NodeRows(NamedTuple):
         grown = self.t[:, None] * L + dL  # d/dR of W L^2 is 2 W L (t L + dL)
         return 2.0 * float(np.einsum("t,tx,tx,x->", self.wt, L, grown, self.wx))
 
-    def d_dR(self, factors: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def d_dR(factors: np.ndarray) -> np.ndarray:
         """The mollifier factors whose root is the R derivative of the root
-        of these: both roots are linear in (A u, P u), and only
-        A u = D u + rho P u moves with R, by theta P u, so (A u, P u) maps
-        to (theta P u, 0)."""
-        values = factors[1]
-        return self.theta * values, np.zeros_like(values)
+        of these: both roots are linear in [A u; theta P u], and only
+        A u = D u + rho P u moves with R, by theta P u, so the rows map to
+        [theta P u; 0], a row copy."""
+        moved = np.zeros_like(factors)
+        moved[0] = factors[1]
+        return moved
 
 
 # node_rows keeps the rows of this many points, the least recently read
@@ -228,24 +234,23 @@ _NODE_ROWS_KEPT = 64
 
 
 def kept_factors(rows: NodeRows, shape: MollifierShape | TwistShape,
-                 delta: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 delta: float | None = None) -> np.ndarray:
     """rows.factors of an exact shape's float row (shape_row): a
-    mollifier's (A u, P u), delta None, or a twist's (U, U') at delta.
-    Formed on the first read of a point and kept on the shape (its
+    mollifier's [A u; theta P u], delta None, or a twist's [U; U'] at
+    delta.  Formed on the first read of a point and kept on the shape (its
     kept["factors"]), read-only, keyed by what fixes them besides the
-    shape: (x-node count, rho) or (t-node count, delta).  A shape keeps
-    _NODE_ROWS_KEPT points, the oldest formed dropped first."""
+    shape: (x-node count, rho, theta) or (t-node count, delta).  A shape
+    keeps _NODE_ROWS_KEPT points, the oldest formed dropped first."""
     twist = delta is not None
     if isinstance(shape, TwistShape) != twist:
         raise TypeError(f"kept_factors: a {type(shape).__name__} "
                         f"{'takes no' if twist else 'needs a'} delta")
     kept = shape.kept.setdefault("factors", {})
-    key = (len(rows.t), delta) if twist else (len(rows.wx), rows.rho)
+    key = (len(rows.t), delta) if twist else (len(rows.wx), rows.rho, rows.theta)
     factors = kept.get(key)
     if factors is None:
         factors = rows.factors(shape_row(shape), delta)
-        for table in factors:
-            table.setflags(write=False)
+        factors.setflags(write=False)
         if len(kept) == _NODE_ROWS_KEPT:
             del kept[next(iter(kept))]
         kept[key] = factors
@@ -268,8 +273,8 @@ def node_rows(theta: float, R: float, m: int, k: int | None = None) -> NodeRows:
 @lru_cache(maxsize=_NODE_ROWS_KEPT)
 def _node_rows(theta: float, R: float, m: int, k: int | None) -> NodeRows:
     wx = _gauss(m + 3)[1] / theta
-    t, t_less_1, wt = _t_rule(t_count(R, 1 if k is None else 2 * k + 2))
+    t, t_less_1, wt, t1 = _t_rule(t_count(R, 1 if k is None else 2 * k + 2))
     wt = (wt * math.exp(2.0 * R)) * np.exp((2.0 * R) * t_less_1)
     for table in (wt, wx):
         table.setflags(write=False)
-    return NodeRows(theta, R * theta, t, wt, wx)
+    return NodeRows(theta, R * theta, t, t1, wt, wx)

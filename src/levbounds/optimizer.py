@@ -554,11 +554,13 @@ class _Solve:
     The constant is 1 + sum W L^2 over the nodes.  A subclass gives
     parts, what its root reads of each block's rows of the solve vector
     y, or of N's columns, at the nodes: a mollifier's root factors
-    (A u, P u) (NodeRows.factors, formed with the operations c_core and
-    c1_core use) and the twist's products (Psi v, Psi' v), linear in v;
-    from them its root L (with d_dR, its R derivative, through the rows'
-    d_dR of the mollifier factors), the root's Jacobian in x and the cross
-    term of a root bilinear in two blocks; its objective (minimized), the
+    [A u; theta P u] (NodeRows.factors, formed with the operations c_core
+    and c1_core use) and the twist's products [Psi v; Psi' v], linear in
+    v; for N's k columns, model moves the column axis first, (k, 2, n).
+    From them its root L (with d_dR, its R derivative, through the rows'
+    d_dR of the mollifier factors), the root's Jacobian in x,
+    (k, n_t, n_x), from the same root functions, and the cross term of a
+    root bilinear in two blocks; its objective (minimized), the
     objective's sign and per_log, the objective being per_log
     ln(constant) / R up to a constant term."""
 
@@ -580,14 +582,17 @@ class _Solve:
         return 0.0  # none for a root linear in x
 
     def model(self, rows: NodeRows, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The gradient 2 J'WL and Hessian 2 J'WJ + cross of the constant in x."""
-        at, columns = self.parts(rows, y), self.parts(rows, self.map.N)
+        """The gradient 2 J'WL and Hessian 2 J'WJ + cross of the constant in
+        x, as 2 S sqrt(W) L and 2 S S' with S the Jacobian's k columns
+        times sqrt(W), (k, n_t n_x)."""
+        at = self.parts(rows, y)
+        columns = [part.transpose(2, 0, 1) for part in self.parts(rows, self.map.N)]
         L, J = self.root(rows, at), self.jacobian(rows, at, columns)
         W = rows.W
-        root_w = np.sqrt(W).ravel()
-        S = root_w[:, None] * J.reshape(len(root_w), -1)
-        H = 2.0 * S.T @ S
-        return 2.0 * S.T @ (root_w * L.ravel()), H + self.cross(rows, columns, W * L)
+        root_w = np.sqrt(W)
+        S = J.reshape(len(J), L.size) * root_w.ravel()
+        H = 2.0 * S @ S.T
+        return 2.0 * S @ (root_w * L).ravel(), H + self.cross(rows, columns, W * L)
 
     def solve(self, R: float, state):
         """The solved state at R, warm-started from state; see the module
@@ -701,6 +706,11 @@ class _NuSolve(_Solve):
         return nu_bound(c_core(v[p1], v[p2], self.spec.theta, v[r], R), R)
 
 
+# the twist's constant factor rows: [U; U'] = [1; 0] + [Psi v; Psi' v]
+_U0 = np.array([[1.0], [0.0]])
+_U0.setflags(write=False)
+
+
 class _KappaSolve(_Solve):
     """c1 = 1 + sum W L^2 with the root L = U A + theta U' P bilinear in a
     mollifier block u_P = (1, p) and a twist block v = delta (1, q), since
@@ -721,21 +731,22 @@ class _KappaSolve(_Solve):
         return rows.factors(Y[self.u]), basis_products(len(rows.t), Y[self.v], True)
 
     def root(self, rows, at, d_dR=False) -> np.ndarray:
-        up, (psi, dpsi) = at  # U = 1 + Psi v
-        return c1_root(rows, rows.d_dR(up) if d_dR else up, (1.0 + psi, dpsi))
+        up, psi = at
+        return c1_root(rows.d_dR(up) if d_dR else up, _U0 + psi)
 
     def jacobian(self, rows, at, columns) -> np.ndarray:
-        """(d L / d x) at the nodes, (n_t, n_x, columns): the mollifier's
-        part, linear in u_P, plus the twist's, linear in (U, U'), whose
-        column axis c1_root puts second."""
-        (up, (psi, dpsi)), (NP, Nv) = at, columns
-        return c1_root(rows, NP, (1.0 + psi, dpsi)) + np.moveaxis(c1_root(rows, up, Nv), 1, -1)
+        """(d L / d x) at the nodes, (k, n_t, n_x): the mollifier's part,
+        linear in u_P, plus the twist's, linear in [U; U']."""
+        (up, psi), (NP, Npsi) = at, columns
+        return c1_root(NP, _U0 + psi) + c1_root(up, Npsi)
 
     def cross(self, rows, columns, WL) -> np.ndarray:
-        """2 sum W L d^2 L / du_P dv in x: C + C', with C the factors of
-        the mollifier rows of N against the products of its twist rows."""
-        up, (psi, dpsi) = columns
-        C = 2.0 * (up[0].T @ WL.T @ psi + rows.theta * up[1].T @ WL.T @ dpsi)
+        """2 sum W L d^2 L / du_P dv in x: C + C', with C the products of
+        the twist rows of N, through W L, against the factors of its
+        mollifier rows."""
+        NP, Npsi = columns
+        shape = len(NP), 2 * WL.shape[1]  # k stacks of x-factors, each flattened
+        C = 2.0 * (Npsi @ WL).reshape(shape) @ NP.reshape(shape).T
         return C + C.T
 
     def objective(self, v: np.ndarray) -> float:

@@ -3,8 +3,8 @@
 Everything here recomputes a quantity the engine produces, by a route
 that shares nothing with it beyond polynomial evaluation and the moment
 data itself: Gauss-Legendre quadrature against exact moment integrals,
-the root factors the engine keeps on each mollifier shape
-(kernel.kept_factors) against the same exact moments, and Cauchy
+the root factors [A u; theta P u] the engine keeps on each mollifier
+shape (kernel.kept_factors) against the same exact moments, and Cauchy
 integrals of the definition-form kernel against c and c1 from the float
 core.
 
@@ -254,30 +254,31 @@ def _rel(exact: float, numeric: float) -> float:
 def _row_checks(name: str, mt: MomentTable, rows: NodeRows, R: float, a: MollifierShape,
                 b: MollifierShape) -> list[CheckResult]:
     """The engine's x-factors of a pair of shapes at (theta, R) against
-    their exact moments: with the root factors (A u, P u) the engine
-    keeps on each shape at these rows (kept_factors), A u as the roots
-    read it, the weighted sums of A_a A_b, A_a P_b, P_a A_b and
-    P_a P_b over the x-nodes are m_dd + rho (m_dp + m_pd) + rho^2 m_pp,
-    m_dp + rho m_pp, m_pd + rho m_pp and m_pp, each over theta, with
-    rho = R theta rounded once from the caller's R, as node_rows should
-    round it.  A sum that cancels keeps the rounding of its terms, so each
-    error is relative to the same sum over absolute values, with
-    |A| = |D + rho P| and |P| the rows' and |u| the shape's, or to the
-    exact value if that is larger."""
+    their exact moments: with the root factors [A u; theta P u] the engine
+    keeps on each shape at these rows (kept_factors), as the roots read
+    them, the weighted sums of A_a A_b, A_a (theta P_b), (theta P_a) A_b
+    and (theta P_a)(theta P_b) over the x-nodes are m_dd + rho (m_dp + m_pd)
+    + rho^2 m_pp, m_dp + rho m_pp, m_pd + rho m_pp and m_pp, each times
+    theta once per P and over theta, with theta and rho = R theta rounded
+    once from the caller's R, as node_rows should round it, read exactly.
+    A sum that cancels keeps the rounding of its terms, so each error is
+    relative to the same sum over absolute values, with |A| = |D + rho P|
+    and |theta P| the rows' and |u| the shape's, or to the exact value if
+    that is larger."""
     rho, theta, n = Fraction(R * rows.theta), Fraction(rows.theta), len(rows.wx)
 
     def combine(shape: MollifierShape) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
         (A, P), u = kept_factors(rows, shape), np.abs(shape_row(shape))
-        values, slopes = _rows(n, len(u) - 1, False)
-        return ({"A": A, "P": P},
-                {"A": np.abs(slopes + rows.rho * values) @ u, "P": np.abs(values) @ u})
+        slopes, values = _rows(n, len(u) - 1, False)
+        return ({"A": A, "P": P}, {"A": np.abs(slopes + rows.rho * values) @ u,
+                                   "P": np.abs(rows.theta * values) @ u})
 
     (va, size_a), (vb, size_b) = combine(a), combine(b)
     exact = {"AA": mt.m_dd + rho * (mt.m_dp + mt.m_pd) + rho * rho * mt.m_pp,
              "AP": mt.m_dp + rho * mt.m_pp, "PA": mt.m_pd + rho * mt.m_pp, "PP": mt.m_pp}
     checks = []
     for part, value in exact.items():
-        value = float(value / theta)
+        value = float(value * theta ** part.count("P") / theta)
         num = float(rows.wx @ (va[part[0]] * vb[part[1]]))
         size = float(rows.wx @ (size_a[part[0]] * size_b[part[1]]))
         checks.append(CheckResult(f"node rows[{name}.{part}] vs exact moments", value, num,

@@ -7,12 +7,14 @@ root over the node rows (kernel.node_rows):
   c1(theta, R)     root U A + theta U' P, from one mollifier and the twist
                    operator's U = (1 - delta) + delta (1 - 2t) Q(t).
 
-Each root reads a shape only through its root factors (NodeRows.factors):
-(A u, P u) at the x-nodes for a mollifier row u, A u = D u + R theta P u,
-and (U, U') = (1 + Psi v, Psi' v) at the t-nodes for the twist
-v = delta (1, q).  c_value and c1_value read the factors an exact shape
-keeps per point (kernel.kept_factors); c_core and c1_core, fed float
-coefficients, form the same factors on each call with the same
+Each root reads a shape only through its root factors (NodeRows.factors),
+one stacked array per shape: [A u; theta P u] at the x-nodes for a
+mollifier row u, A u = D u + R theta P u, and [U; U'] = [1 + Psi v; Psi' v]
+at the t-nodes for the twist v = delta (1, q).  Each root is one matrix
+product of them: c's is A1 - [t, 1] [A2; theta P2] / r, c1's
+[U; U']' [A; theta P].  c_value and c1_value read the factors an exact
+shape keeps per point (kernel.kept_factors); c_core and c1_core, fed
+float coefficients, form the same factors on each call with the same
 operations, so both give the same bits.  Neither keeps a constant: each
 call forms its root from the factors and its own r, and sums its square.
 
@@ -115,22 +117,22 @@ def _homogeneous(coeffs) -> np.ndarray:
     return u
 
 
-def c_root(rows: NodeRows, z1, z2, r: float) -> np.ndarray:
-    """A1 - (t A2 + theta P2) / r at the nodes, from the factors (A z, P z)
-    of z1 = (1, p1) and z2 = (1, p2); linear in (z1, z2), so the factors
-    of columns of z1 and z2 give the columns of its Jacobian."""
-    a2 = z2[0] / r
-    return z1[0] - (rows.theta / r) * z2[1] - np.multiply.outer(rows.t, a2)
+def c_root(rows: NodeRows, z1: np.ndarray, z2: np.ndarray, r: float) -> np.ndarray:
+    """A1 - (t A2 + theta P2) / r at the nodes, (n_t, n_x), from the
+    factors [A z; theta P z] of z1 = (1, p1) and z2 = (1, p2), as
+    A1 - [t, 1] [A2; theta P2] / r.  Linear in (z1, z2): the factors of a
+    stack of k rows, (k, 2, n_x), give the k columns of its Jacobian,
+    (k, n_t, n_x)."""
+    return z1[..., :1, :] - (rows.t1 @ z2) / r
 
 
-def c1_root(rows: NodeRows, up, U) -> np.ndarray:
-    """U A + theta U' P at the nodes, from the factors (A u, P u) of
-    up = (1, p) and (U, U') at the t-nodes, 1 + Psi v and Psi' v for the
-    twist v = delta (1, q).  Linear in up, so the factors of columns of up
-    give the columns of its Jacobian; linear in U too, where columns come
-    second."""
-    u, du = U
-    return np.multiply.outer(u, up[0]) + rows.theta * np.multiply.outer(du, up[1])
+def c1_root(up: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """U A + theta U' P at the nodes, (n_t, n_x), as [U; U']' [A; theta P],
+    from the factors [A u; theta P u] of up = (1, p) and [U; U'] at the
+    t-nodes, 1 + Psi v and Psi' v for the twist v = delta (1, q).  Linear
+    in each: the factors of a stack of k rows of either, (k, 2, n), give k
+    columns of its Jacobian, (k, n_t, n_x)."""
+    return U.swapaxes(-1, -2) @ up
 
 
 def _c(factors, z1, z2, m: int, theta: float, r: float, R: float) -> float:
@@ -178,7 +180,7 @@ def _c1(factors, up, w, m: int, k: int, theta: float, R: float, delta: float) ->
     theta, R, delta = float(theta), float(R), float(delta)
     _check_scalars(theta, R, delta=delta)
     rows = node_rows(theta, R, m, k)
-    c1 = rows.square(c1_root(rows, factors(rows, up), factors(rows, w, delta)))
+    c1 = rows.square(c1_root(factors(rows, up), factors(rows, w, delta)))
     if not math.isfinite(c1):
         raise NonFiniteError(f"c1 evaluated to {c1!r}")
     return c1

@@ -174,7 +174,7 @@ class TestCachedData:
         # the m + 3 x-nodes integrate every product of the basis exactly
         rng = np.random.default_rng(7)
         for m in (0, 1, 3):
-            w, (P, D) = kernel._gauss(m + 3)[1], kernel._rows(m + 3, m, False)
+            w, (D, P) = kernel._gauss(m + 3)[1], kernel._rows(m + 3, m, False)
             assert P.shape == D.shape == (m + 3, m + 1)
             for _ in range(5):
                 c1, c2 = rng.uniform(-1, 1, m), rng.uniform(-1, 1, m)
@@ -190,7 +190,8 @@ class TestCachedData:
                                              (87, 2, True), (30, 7, True)])
     def test_rows_are_exact_values_rounded_once(self, n, m, twist):
         # every entry is the basis polynomial's exact value at the binary64
-        # node, rounded once; here summed Fraction by Fraction
+        # node, rounded once; here summed Fraction by Fraction.  The twist's
+        # rows stack Psi then Psi', the mollifier's D = P' then P
         if twist:  # Psi_j = (1 - 2t) b_j - [j = 0]
             basis = [add_naive(add_naive(b.coeffs, scale_naive((0,) + b.coeffs, -2)),
                                (-1,) if j == 0 else ())
@@ -198,7 +199,7 @@ class TestCachedData:
         else:
             basis = [b.coeffs for b in mollifier_basis(m)]
         x = [Fraction(float(t)) for t in kernel._gauss(n)[0]]
-        P, D = kernel._rows(n, m, twist)
+        P, D = kernel._rows(n, m, twist)[::1 if twist else -1]
         assert P.tolist() == [[float(eval_naive(b, t)) for b in basis] for t in x]
         assert D.tolist() == [[float(eval_naive(derivative_naive(b), t)) for b in basis]
                               for t in x]

@@ -368,8 +368,8 @@ class TestCrosscheckReport:
 
     @staticmethod
     def failing_with_perturbed_products(monkeypatch, which: int) -> set[str]:
-        """The checks that fail when one of the root factors (A u, P u) the
-        engine keeps on each shape reads off by 1e-10."""
+        """The checks that fail when one row of the root factors
+        [A u; theta P u] the engine keeps on each shape reads off by 1e-10."""
         p4, p5 = section_four_reference(), section_five_reference()
         names = [ch.name for ch in crosscheck_report(p4, p5).checks]
         assert sum(n.startswith("node rows[") for n in names) == 20
@@ -390,8 +390,8 @@ class TestCrosscheckReport:
             for pair in ("m11", "m21", "m12", "m22", "m55") for part in ("AA", "AP", "PA")}
 
     def test_node_row_checks_read_the_kept_value_row(self, monkeypatch):
-        # the kept P u is read as it is kept: off by 1e-10, with A u as
-        # kept, it fails each sum it enters
+        # the kept theta P u is read as it is kept: off by 1e-10, with A u
+        # as kept, it fails each sum it enters
         assert self.failing_with_perturbed_products(monkeypatch, 1) == {
             f"node rows[{pair}.{part}] vs exact moments"
             for pair in ("m11", "m21", "m12", "m22", "m55") for part in ("AP", "PA", "PP")}
@@ -405,10 +405,18 @@ class TestCrosscheckReport:
         return {ch.name for ch in crosscheck_report(p4, p5).checks if not ch.passed}
 
     def test_node_row_checks_catch_a_perturbed_A(self, monkeypatch):
-        # the checks read A u as the roots form it: off by 1e-10, it fails
+        # the checks read A u as the roots read it, the first row of the
+        # mollifier factors NodeRows.factors forms: off by 1e-10, it fails
         # each sum it enters
-        failing = self.failing_with(monkeypatch, NodeRows, "A", lambda A: (
-            lambda rows, products: A(rows, products) * (1 + 1e-10)))
+        def perturbed(factors):
+            def formed(rows, u, delta=None):
+                rows_of_u = factors(rows, u, delta)
+                if delta is None:
+                    rows_of_u[0] *= 1 + 1e-10
+                return rows_of_u
+            return formed
+
+        failing = self.failing_with(monkeypatch, NodeRows, "factors", perturbed)
         assert failing == {f"node rows[{pair}.{part}] vs exact moments"
                            for pair in ("m11", "m21", "m12", "m22", "m55")
                            for part in ("AA", "AP", "PA")}
@@ -426,8 +434,10 @@ class TestCrosscheckReport:
         # P u formed off by 1e-10 fails every sum, A u's through rho P u
         def perturbed(basis_products):
             def products(n, u, twist=False):
-                values, slopes = basis_products(n, u, twist)
-                return (values if twist else values * (1 + 1e-10)), slopes
+                stacked = basis_products(n, u, twist)  # [D u; P u] of a mollifier
+                if not twist:
+                    stacked[1] *= 1 + 1e-10
+                return stacked
             return products
 
         assert self.failing_with(monkeypatch, kernel, "basis_products", perturbed) == {

@@ -4,10 +4,11 @@ against per-term Fraction references on the exact coefficients, the
 one-pass moment tables against the four product integrals, their
 transpose law, a stacked kernel evaluation against each table's, the
 symmetry of the Cauchy-integral derivative matrix of a diagonal pair,
-the delta = 0 degeneracy of c1, selfcheck's node-row checks on correct
-rows, and the quadratic structure the exact solves rely on: c along any
-line in (p1, p2), and c1 along any line in p at a fixed twist or in q at
-a fixed delta, are parabolas to rounding."""
+the delta = 0 degeneracy of c1, the root factors a shape keeps against
+the basis products they are formed from, selfcheck's node-row checks on
+correct rows, and the quadratic structure the exact solves rely on: c
+along any line in (p1, p2), and c1 along any line in p at a fixed twist
+or in q at a fixed delta, are parabolas to rounding."""
 
 from math import gcd
 
@@ -159,6 +160,28 @@ def test_c1_at_delta_zero_is_the_kernel_value(shape, q_linear, q_sym, theta, R):
 
 
 @property_settings
+@given(shape=shapes, q_linear=st.floats(-2.0, 2.0), q_sym=coeffs, theta=thetas,
+       R=st.floats(1e-6, 300.0), delta=st.floats(-2.0, 2.0))
+def test_kept_factors_are_the_basis_products_combined(shape, q_linear, q_sym, theta, R, delta):
+    # the stacked factors a shape keeps are, row for row and bit for bit,
+    # D u + rho (P u) and theta (P u) for a mollifier row u and 1 + Psi v
+    # and Psi' v for a twist v = delta w, each product one matrix-vector
+    # product with the basis rows: only the roots and the square can
+    # round differently from these
+    q = TwistShape.of(q_linear, q_sym)
+    rows = node_rows(theta, R, len(shape.shape_coeffs), len(q_sym))
+    u, w = kernel.shape_row(shape), kernel.shape_row(q)
+    D, P = kernel._rows(len(rows.wx), len(u) - 1, False)
+    Psi, dPsi = kernel._rows(len(rows.t), len(w) - 2, True)
+    v = delta * w
+    for kept, expected in ((kernel.kept_factors(rows, shape),
+                            (D @ u + rows.rho * (P @ u), rows.theta * (P @ u))),
+                           (kernel.kept_factors(rows, q, delta), (1.0 + Psi @ v, dPsi @ v))):
+        assert kept.shape == (2, len(expected[0]))
+        assert [row.tobytes() for row in kept] == [row.tobytes() for row in expected]
+
+
+@property_settings
 @given(shape1=shapes, shape2=shapes, shape5=shapes, theta=thetas,
        R4=st.floats(1e-6, 300.0), R5=st.floats(1e-6, 300.0))
 @example(shape1=MollifierShape.of([-0.4141294468909389, 0.28479851780149534]),
@@ -239,7 +262,7 @@ def square_sum(rows, abs_root: np.ndarray) -> float:
 
 def abs_mollifier(rows, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|A| = |D| |u| + rho |P| |u| and |P| = |P| |u| at the x-nodes."""
-    P, D = kernel._rows(rows.wx.size, len(u) - 1, False)
+    D, P = kernel._rows(rows.wx.size, len(u) - 1, False)
     pu = np.abs(P) @ np.abs(u)
     return np.abs(D) @ np.abs(u) + rows.rho * pu, pu
 

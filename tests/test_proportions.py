@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from dataclasses import astuple, fields, replace
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from levbounds import kernel
 from levbounds.kernel import basis_products
 from levbounds.polyalg import (MollifierShape, TwistShape, expand_mollifier, expand_twist,
                                moments)
-from levbounds.proportions import (BoundReport, NonPositiveConstantError,
+from levbounds.proportions import (BoundReport, NonFiniteError, NonPositiveConstantError,
                                    SectionFiveParams, SectionFourParams, bounds_table,
                                    c1_core, c1_value, c_core, c_value, full_report,
                                    grh_bounds, kappa_bound, nu_bound, unconditional_bounds)
@@ -286,6 +287,39 @@ class TestFullReport:
             assert math.isfinite(c) and c > 0
             assert math.isfinite(c1) and c1 > 0
 
+    @pytest.mark.parametrize("R", [None, 300.0])
+    @pytest.mark.parametrize("coeff", ["1e50", "1e100", "1e200"])
+    def test_an_overflowing_square_raises_without_a_warning(self, R, coeff):
+        # a leading shape coefficient of coeff puts the root near coeff and
+        # its square near coeff^2 e^{2R}: past binary64 at the reference R
+        # (0.617, 0.746) for 1e200 only, and at R = 300 for all three.  Each
+        # evaluation route then raises NonFiniteError; a finite square is
+        # returned as it is; neither warns
+        p4, p5 = section_four_reference(), section_five_reference()
+        if R is not None:
+            p4, p5 = replace(p4, R=R), replace(p5, R=R)
+        p4 = replace(p4, p1_shape=MollifierShape.of([coeff, *p4.p1_shape.shape_coeffs[1:]]))
+        p5 = replace(p5, p_shape=MollifierShape.of([coeff, *p5.p_shape.shape_coeffs[1:]]))
+        floats = lambda xs: [float(x) for x in xs]
+        routes = {
+            "c": (lambda: c_value(p4), lambda: c_core(
+                floats(p4.p1_shape.shape_coeffs), floats(p4.p2_shape.shape_coeffs),
+                p4.theta, p4.r, p4.R)),
+            "c1": (lambda: c1_value(p5), lambda: c1_core(
+                floats(p5.p_shape.shape_coeffs),
+                floats((p5.q_shape.linear_coeff, *p5.q_shape.sym_coeffs)),
+                p5.theta, p5.R, p5.delta))}
+        overflows = R is not None or coeff == "1e200"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, evaluations in routes.items():
+                for evaluate in evaluations:
+                    if overflows:
+                        with pytest.raises(NonFiniteError, match=f"^{name} evaluated to inf$"):
+                            evaluate()
+                    else:
+                        assert math.isfinite(evaluate())
+
 
 class TestShapeProducts:
     """The float core reads each exact shape through its float row, kept on
@@ -320,8 +354,9 @@ class TestShapeProducts:
     def test_cache_is_transparent(self, monkeypatch):
         # over a 3^4 (r, R4, R5, delta) lattice on shared shapes, each
         # (shape, point) factor is formed once, a mollifier's at each
-        # (x-node count, rho) and the twist's at each (t-node count, delta),
-        # and every report is bit for bit the one that fresh, equal shapes give
+        # (x-node count, rho, theta) and the twist's at each (t-node count,
+        # delta), and every report is bit for bit the one that fresh, equal
+        # shapes give
         p4, p5 = section_four_reference(), section_five_reference()
         shapes = (p4.p1_shape, p4.p2_shape, p5.p_shape, p5.q_shape)
         formed = []
@@ -341,12 +376,12 @@ class TestShapeProducts:
         k = len(p5.q_shape.sym_coeffs)
         assert p4.theta == p5.theta == 1.0  # so rho = R
         assert [list(s.kept["factors"]) for s in shapes] == [
-            [(n4, float(R4)) for R4 in axes[1]], [(n4, float(R4)) for R4 in axes[1]],
-            [(n5, float(R5)) for R5 in axes[2]],
+            [(n4, float(R4), 1.0) for R4 in axes[1]], [(n4, float(R4), 1.0) for R4 in axes[1]],
+            [(n5, float(R5), 1.0) for R5 in axes[2]],
             [(kernel.t_count(R5, 2 * k + 2), float(d)) for R5 in axes[2] for d in axes[3]]]
         row = kernel.shape_row
         assert sorted(formed) == sorted(
-            [(n, tuple(row(s)), False) for s in shapes[:3] for n, _ in s.kept["factors"]]
+            [(n, tuple(row(s)), False) for s in shapes[:3] for n, *_ in s.kept["factors"]]
             + [(n, tuple(d * row(p5.q_shape)), True) for n, d in p5.q_shape.kept["factors"]])
         monkeypatch.undo()
 
@@ -362,8 +397,7 @@ class TestShapeProducts:
         for shape in shapes:
             assert shape.kept.keys() == {"row", "factors"}
             assert not shape.kept["row"].flags.writeable
-            assert not any(table.flags.writeable for factors in shape.kept["factors"].values()
-                           for table in factors)
+            assert not any(factors.flags.writeable for factors in shape.kept["factors"].values())
             assert shape == fresh(shape) and hash(shape) == hash(fresh(shape))
             assert repr(shape) == repr(fresh(shape))
 
@@ -385,7 +419,7 @@ class TestShapeProducts:
             return kernel.kept_factors(rows, shape, delta)
 
         def keys(reads):
-            return [(len(rows.t), delta) if twist else (len(rows.wx), rows.rho)
+            return [(len(rows.t), delta) if twist else (len(rows.wx), rows.rho, rows.theta)
                     for rows, delta in reads]
 
         first = [read(*point) for point in reads]
@@ -403,6 +437,24 @@ class TestShapeProducts:
             kernel.kept_factors(rows, p5.p_shape, 0.771)
         with pytest.raises(TypeError, match="a TwistShape needs a delta"):
             kernel.kept_factors(rows, p5.q_shape)
+
+    def test_a_mollifier_keeps_two_points_that_share_rho(self):
+        # (theta, R) = (0.5, 1.0) and (1.0, 0.5) have rho = R theta = 0.5
+        # exactly, but theta P u differs: each mollifier keeps both points,
+        # and each constant is bit for bit the one fresh, equal shapes give
+        p4, p5 = section_four_reference(), section_five_reference()
+        points = [(0.5, 1.0), (1.0, 0.5)]
+
+        def constants(p4, p5, theta, R):
+            return (c_value(replace(p4, theta=theta, R=R)).hex(),
+                    c1_value(replace(p5, theta=theta, R=R)).hex())
+
+        kept = [constants(p4, p5, *point) for point in points]
+        for shape in (p4.p1_shape, p4.p2_shape, p5.p_shape):
+            assert [key[1:] for key in shape.kept["factors"]] == [(0.5, 0.5), (0.5, 1.0)]
+        for point, values in zip(points, kept):
+            assert values == constants(section_four_reference(), section_five_reference(),
+                                       *point)
 
     def test_node_row_reuse_changes_no_bit(self):
         # over a 3^4 (r, R4, R5, delta) lattice at the reference shapes the
