@@ -302,6 +302,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         em.kv(f"cond.{name}", cond)
     for name, bound in result.pinned:
         em.kv(f"pinned.{name}", bound)
+    for name, price in result.shadow:
+        em.kv(f"shadow.{name}", price)
     em.text(f"target           {spec.target}")
     em.text(f"best objective   {result.best_objective:.12f}")
     em.text(f"evaluations      {result.evaluations_used}")

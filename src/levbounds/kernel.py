@@ -1,41 +1,27 @@
-"""The float engine: node rows of the integral-of-squares form.
+"""The float engine: node rows and the Grams of the integral-of-squares form.
 
-The exact x-integrals of a polynomial pair live in polyalg, the one
-exact layer, and serve only the oracle, which builds from them the
-moment kernel h(a, b) as its definition-form check.  The engine reads
-neither: with E(s) = (1 - e^{-s})/s = int_0^1 e^{-st} dt, every
-derivative of h at a = b = -R is an integral against e^{2Rt}, and each
-bound constant is 1 plus the integral of a square (the classical form
-of Levinson's method; Conrey, J. reine angew. Math. 399, 1989):
+Each bound constant is 1 plus the integral of a square (Levinson's
+method in its classical form; Conrey, J. reine angew. Math. 399, 1989):
 
     c  = 1 + (1/theta) int int e^{2Rt} [A1(x) - (t A2(x) + theta P2(x)) / r]^2
     c1 = 1 + (1/theta) int int e^{2Rt} [U(t) A(x) + theta U'(t) P(x)]^2
 
-with A = P' + R theta P and U = (1 - delta) + delta (1 - 2t) Q(t) =
-1 + Psi v, v = delta (1, q), over the twist directions
-Psi_j = (1 - 2t) b_j - [j = 0] of the twist basis b.  Each root has rank
-2 over the (t, x) nodes and is linear in each shape's homogeneous row,
-so it reads a shape only through its root factors, one stacked
-(2, nodes) array formed in place from the row's one product with the
-stacked basis rows (basis_products, NodeRows.factors): [A u; theta P u]
-at the x-nodes for a mollifier row u, with A u = D u + R theta P u and D
-the derivative rows, and [U; U'] = [1 + Psi v; Psi' v] at the t-nodes for
-a twist v = delta w, w its row.  Each root is then one matrix product of
-these factors (proportions.c_root, c1_root).  The basis rows are exact
-values at the nodes rounded once, cached per degree and node count.  An
-exact shape keeps what the core forms from it: its float row (shape_row)
-and its root factors per point (kept_factors), a mollifier's keyed by
-(x-node count, rho = R theta, theta) and a twist's by (t-node count,
-delta), so reports that revisit a shape at a point it has seen form
-nothing; each shape keeps at most _NODE_ROWS_KEPT points, the oldest
-dropped first.  The constants are not kept: each call forms its root
-from the factors and its own r.  node_rows holds the rest of what these
-Gauss-Legendre sums read at one (theta, R): R theta, the t-nodes, the
-rows [t, 1] and the weights, built once per point and degrees and
-shared, read-only, by every later read of that point while it is among
-the last _NODE_ROWS_KEPT read.  Nothing is built at import.  The m + 3
-x-nodes integrate the degree-2m+2 square in x exactly; the t-nodes
-follow t_count.
+with A = P' + R theta P and U = 1 + Psi v, v = delta (1, q), over the
+twist directions Psi_j = (1 - 2t) b_j - [j = 0].  Each root has rank 2,
+sum_a U_a(t) F_a(x), so its square summed over the Gauss-Legendre nodes
+is exactly 1 + sum_ab T_ab X_ab: a 2x2 t-Gram of the t-factors U against
+a 2x2 x-Gram of the x-factors F (gram).  A shape is read through its root
+factors, formed in place from its row's one product with the stacked
+basis rows (exact values at the nodes rounded once): [A u; theta P u] at
+the x-nodes for a mollifier, [U; U'] = [1 + Psi v; Psi' v] at the
+t-nodes for a twist (NodeRows.factors).  c's root is centred at t = 1,
+where the weights pile up, so its t-factors are [1; t - 1] and its T
+three numbers per point (NodeRows.Tc).  node_rows builds what the sums
+read at one (theta, R) once and shares it, read-only; an exact shape
+keeps its float row, a mollifier's factors and x-Gram, and a twist's
+t-Gram per point (shape_row, kept_factors, kept_gram).  Nothing is built
+at import.  The m + 3 x-nodes integrate the degree-2m+2 square in x
+exactly; the t-nodes follow t_count.
 """
 
 from __future__ import annotations
@@ -88,18 +74,15 @@ def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _t_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The n t-nodes, each less 1, their weights, and the rows [t, 1],
-    (n, 2), that c's root reads, read-only.  node_rows forms each weight
-    e^{2Rt} w_t as (w_t e^{2R}) e^{2R (t - 1)}: t - 1 is exact for
-    t >= 1/2, where the weights are largest, so the exponent is off by
-    about 2R |t - 1| u, not the 2Rt u that rounding 2Rt would give (up to
-    6.7e-14 of a weight at R = 300)."""
+def _t_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n t-nodes, c's centred t-factors [1; t - 1], (2, n), and the
+    weights, read-only.  node_rows forms e^{2Rt} w_t as (w_t e^{2R})
+    e^{2R (t - 1)}: t - 1 is exact for t >= 1/2, where the weights are
+    largest, so the exponent is off by about 2R |t - 1| u, not 2Rt u."""
     t, wt = _gauss(n)
-    less_1, t1 = t - 1.0, np.column_stack((t, np.ones_like(t)))
-    for table in (less_1, t1):
-        table.setflags(write=False)
-    return t, less_1, wt, t1
+    centred = np.stack((np.ones_like(t), t - 1.0))
+    centred.setflags(write=False)
+    return t, centred, wt
 
 
 @lru_cache(maxsize=None)
@@ -124,13 +107,9 @@ def _rows(n: int, m: int, twist: bool) -> np.ndarray:
 
 
 def basis_products(n: int, u: np.ndarray, twist: bool = False) -> np.ndarray:
-    """The stacked products [D u; P u] at the n x-nodes of a homogeneous
-    row u with the derivative rows D and the rows P of the mollifier basis
-    of degree len(u) - 1, or with twist [Psi v; Psi' v] at the n t-nodes
-    with the twist directions of len(u) - 2 symmetric terms: (2, n), from
-    one matrix product with the stacked rows (_rows); for the k columns of
-    a matrix u, (2, n, k).  The float core reads every shape through these
-    products."""
+    """[D u; P u] at the n x-nodes of a mollifier row u of degree
+    len(u) - 1, or with twist [Psi v; Psi' v] at the n t-nodes, (2, n), from
+    one product with the stacked rows (_rows); (2, n, k) for a matrix u."""
     return _rows(n, len(u) - 1 - twist, twist) @ u
 
 
@@ -167,25 +146,27 @@ def _overflows(x: Fraction) -> bool:
     return False
 
 
+def gram(F: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
+    """(G00, G01, G11) of sum_i w_i F_i F_i', F (2, n), as floats: one
+    einsum, which checks no floating-point flag, so an overflow reads inf
+    or nan without a warning (matmul warns; np.errstate costs half a Gram)."""
+    (g00, g01), (_, g11) = np.einsum("ai,bi,i->ab", F, F, w).tolist()
+    return g00, g01, g11
+
+
 class NodeRows(NamedTuple):
-    """What both squares read at one (theta, R): rho = R theta, the t-nodes,
-    the rows [t, 1] and the weights W = wt wx' as their two factors.  A
-    root reads each shape through its root factors at these node counts
-    (factors): a mollifier's [A u; theta P u], a twist's [U; U'].  A named
-    tuple of floats and read-only arrays: node_rows hands one object per
-    point to every caller, so no caller can change it."""
+    """What both constants read at one (theta, R), and how a shape's row
+    becomes its root factors and their Gram there.  A named tuple of floats
+    and read-only arrays: node_rows hands one object per point to every
+    caller, so no caller can change it."""
 
     theta: float
-    rho: float                   # R theta
-    t: np.ndarray                # (n_t,)
-    t1: np.ndarray               # [t, 1] at each t-node, (n_t, 2); cached per n_t
-    wt: np.ndarray               # e^{2Rt} w_t, (n_t,)
-    wx: np.ndarray               # w_x / theta, (n_x,)
-
-    @property
-    def W(self) -> np.ndarray:
-        """The weight of each node pair, (n_t, n_x)."""
-        return np.outer(self.wt, self.wx)
+    R: float
+    rho: float                    # R theta
+    t: np.ndarray                 # (n_t,)
+    wt: np.ndarray                # e^{2Rt} w_t, (n_t,)
+    wx: np.ndarray                # w_x / theta, (n_x,)
+    Tc: tuple[float, float, float]  # the t-Gram of c's [1; t - 1] under wt
 
     def factors(self, u: np.ndarray, delta: float | None = None) -> np.ndarray:
         """The root factors of a homogeneous row u, formed in place from its
@@ -202,79 +183,84 @@ class NodeRows(NamedTuple):
         up[1] *= self.theta
         return up
 
-    def square(self, L: np.ndarray) -> float:
-        """1 + sum W L^2: the constant whose root L holds at the nodes; an
-        overflow reads inf, silently, for the caller's finiteness check."""
-        return 1.0 + float(np.einsum("t,tx,tx,x->", self.wt, L, L, self.wx))
+    def gram_of(self, u: np.ndarray, delta: float | None = None) -> tuple[float, float, float]:
+        """The Gram of factors(u, delta) under their weights: X or T."""
+        return gram(self.factors(u, delta), self.wx if delta is None else self.wt)
 
-    def rate(self, L: np.ndarray, dL: np.ndarray) -> float:
-        """d/dR of square(L), given the root's own R derivative dL: the
-        weights contribute 2t W."""
-        grown = self.t[:, None] * L + dL  # d/dR of W L^2 is 2 W L (t L + dL)
-        return 2.0 * float(np.einsum("t,tx,tx,x->", self.wt, L, grown, self.wx))
+    def dT_dR(self, U: np.ndarray | None = None) -> tuple[float, float, float]:
+        """d/dR of the t-Gram of U (c's [1; t - 1] when None): wt moves by 2t wt."""
+        return gram(_t_rule(len(self.t))[1] if U is None else U, 2.0 * self.t * self.wt)
 
     @staticmethod
     def d_dR(factors: np.ndarray) -> np.ndarray:
-        """The mollifier factors whose root is the R derivative of the root
-        of these: both roots are linear in [A u; theta P u], and only
-        A u = D u + rho P u moves with R, by theta P u, so the rows map to
-        [theta P u; 0], a row copy."""
+        """The R derivative of mollifier factors: only A u = D u + rho P u
+        moves with R, by theta P u, so [A u; theta P u] maps to [theta P u; 0]."""
         moved = np.zeros_like(factors)
         moved[0] = factors[1]
         return moved
 
 
-# node_rows keeps the rows of this many points, the least recently read
-# dropped first, and each exact shape its root factors at this many
-# points, the oldest formed dropped first: a sweep pass reads 10 points'
-# rows and each shape at 5 to 10 points, and a search operation 6 points'
-# rows, so each is formed once, and a point that does not recur costs one
-# build
+# node_rows keeps this many points, the least recently read dropped first,
+# and each shape this many per slot, the oldest formed dropped first: a
+# sweep pass reads 10 points' rows, each mollifier at 5 points and the
+# twist at 25 (R5, delta), a search operation 6 points' rows
 _NODE_ROWS_KEPT = 64
 
 
-def kept_factors(rows: NodeRows, shape: MollifierShape | TwistShape,
-                 delta: float | None = None) -> np.ndarray:
-    """rows.factors of an exact shape's float row (shape_row): a
-    mollifier's [A u; theta P u], delta None, or a twist's [U; U'] at
-    delta.  Formed on the first read of a point and kept on the shape (its
-    kept["factors"]), read-only, keyed by what fixes them besides the
-    shape: (x-node count, rho, theta) or (t-node count, delta).  A shape
-    keeps _NODE_ROWS_KEPT points, the oldest formed dropped first."""
+def _keep(shape: MollifierShape | TwistShape, slot: str, key: tuple, value):
+    """value, kept at key in shape.kept[slot], a dict in insertion order
+    whose oldest key goes once it holds _NODE_ROWS_KEPT."""
+    kept = shape.kept.setdefault(slot, {})
+    if len(kept) == _NODE_ROWS_KEPT:
+        del kept[next(iter(kept))]
+    kept[key] = value
+    return value
+
+
+def kept_factors(rows: NodeRows, shape: MollifierShape) -> np.ndarray:
+    """rows.factors of a mollifier's row, [A u; theta P u], read-only, kept
+    in kept["factors"] per (x-node count, rho, theta): c reads them."""
+    if not isinstance(shape, MollifierShape):
+        raise TypeError(f"kept_factors: a {type(shape).__name__} keeps no factors")
+    key = len(rows.wx), rows.rho, rows.theta
+    try:
+        return shape.kept["factors"][key]
+    except KeyError:
+        factors = rows.factors(shape_row(shape))
+        factors.setflags(write=False)
+        return _keep(shape, "factors", key, factors)
+
+
+def kept_gram(rows: NodeRows, shape: MollifierShape | TwistShape,
+              delta: float | None = None) -> tuple[float, float, float]:
+    """rows.gram_of a shape's row, kept in kept["grams"]: a mollifier's X
+    (delta None) per (x-node count, rho, theta), a twist's T at delta per
+    (t-node count, delta, R).  c1 reads them."""
     twist = delta is not None
     if isinstance(shape, TwistShape) != twist:
-        raise TypeError(f"kept_factors: a {type(shape).__name__} "
+        raise TypeError(f"kept_gram: a {type(shape).__name__} "
                         f"{'takes no' if twist else 'needs a'} delta")
-    kept = shape.kept.setdefault("factors", {})
-    key = (len(rows.t), delta) if twist else (len(rows.wx), rows.rho, rows.theta)
-    factors = kept.get(key)
-    if factors is None:
-        factors = rows.factors(shape_row(shape), delta)
-        factors.setflags(write=False)
-        if len(kept) == _NODE_ROWS_KEPT:
-            del kept[next(iter(kept))]
-        kept[key] = factors
-    return factors
+    key = (len(rows.t), delta, rows.R) if twist else (len(rows.wx), rows.rho, rows.theta)
+    try:
+        return shape.kept["grams"][key]
+    except KeyError:
+        return _keep(shape, "grams", key, rows.gram_of(shape_row(shape), delta))
 
 
 def node_rows(theta: float, R: float, m: int, k: int | None = None) -> NodeRows:
     """The node rows at (theta, R) for mollifier degree m, on m + 3
-    x-nodes, and, for c1, a twist with k symmetric terms (U of degree
-    2k + 2 in t); for c, whose root is linear in t, k is None.
-
-    One shared, read-only object per point: theta and R are read as
-    floats, so an int, a float and a numpy float of one value are one
-    point, and a later call returns the object the first call built.
-    Inputs are not validated: the callers in proportions check theta
-    and R."""
+    x-nodes, and, for c1, a twist with k symmetric terms (k None for c).
+    One shared object per point, theta and R read as floats, so an int, a
+    float and a numpy float of one value are one point.  Inputs are not
+    validated: the callers in proportions check theta and R."""
     return _node_rows(float(theta), float(R), m, k)
 
 
 @lru_cache(maxsize=_NODE_ROWS_KEPT)
 def _node_rows(theta: float, R: float, m: int, k: int | None) -> NodeRows:
     wx = _gauss(m + 3)[1] / theta
-    t, t_less_1, wt, t1 = _t_rule(t_count(R, 1 if k is None else 2 * k + 2))
-    wt = (wt * math.exp(2.0 * R)) * np.exp((2.0 * R) * t_less_1)
+    t, centred, wt = _t_rule(t_count(R, 1 if k is None else 2 * k + 2))
+    wt = (wt * math.exp(2.0 * R)) * np.exp((2.0 * R) * centred[1])
     for table in (wt, wx):
         table.setflags(write=False)
-    return NodeRows(theta, R * theta, t, t1, wt, wx)
+    return NodeRows(theta, R, R * theta, t, wt, wx, gram(centred, wt))

@@ -1,72 +1,43 @@
 """Exact search over constrained shape coefficients and scalars.
 
-At a fixed contour offset R both bound constants are 1 + sum W L^2 over
-the node rows (kernel.node_rows), with a root L affine in each block of
-suitable solve coordinates, so only R needs a one-dimensional search:
-
-  c    L is linear in z = (u1, u2 / r), u = (1, c_1, .., c_m) the
-       homogeneous shape coefficients; z[0] = 1 is pinned, so the
-       minimum over (P1, P2, r) is one step.
-  c1   L = U A + theta U' P is bilinear in u = (1, p) and the twist
-       v = delta (1, q), so c1 is quadratic in each with the other fixed.
+At a fixed contour offset R each constant is 1 + sum_ab T_ab X_ab, a
+t-Gram contracted with an x-Gram (proportions.contract), so only R needs
+a one-dimensional search.  c's T is fixed per point and its x-factors
+are linear in z = (u1, u2 / r), u = (1, c_1, .., c_m) a homogeneous shape
+row, z[0] = 1: the minimum over (P1, P2, r) is one step.  c1's X is
+quadratic in the mollifier u = (1, p) and its T in the twist
+v = delta (1, q): c1 is quadratic in each with the other fixed.
 
 Each solve has one affine map y = y0 + N x (_Map) from its coordinates x
-to its solve vector y (z for c; u then v for c1), with the bound rows
-A x >= b; each block is one slice of y, of x and of the rows.  The
-solve's state is (x, pinned bound rows).  Its model is the constant's
-gradient 2 J'WL and Hessian 2 J'WJ in x, with J the root's Jacobian,
-read from y and from N's columns, and, for c1, the cross term
-2 sum W L d^2 L / du dv; exact, since y is affine in x.  A step
-minimizes that model under the bound rows, over every coordinate or over
-one block's, with one eigendecomposition of the Hessian (or of the block's
-diagonal block) for the condition gate and the inverse.  With one block
-moving, the solve is one step of that block, exact since the constant
-is quadratic in each block.  With both c1 blocks moving it takes joint
-steps, each kept when c1 does not rise by more than sqrt(eps) c1, a
-margin above c1's own rounding (about 1e-15 c1 at the reference
-degrees), which can hide the decrease of a small last step.  A joint
-step that is ill-posed or not kept is replaced by one sweep, a step of
-each block in turn (a fallback), and the solve stops after a sweep that
-does not lower c1, or after a kept joint step predicting a decrease of
-at most sqrt(eps) c1, since the next would predict about its square.
-At most MAX_STEPS joint steps and sweeps.
+to its solve vector y, with bound rows A x >= b, one slice of each per
+block; the state is (x, pinned rows).  The model is the constant's exact
+gradient 2 N'My and Hessian 2 N'MN, M its quadratic form in y, read
+through the factors of y and of N's columns (formed once per point).  A
+step minimizes it under the bound rows by a primal active-set loop, over
+every coordinate or one block's, with one eigendecomposition for the
+condition gate (MAX_CONDITION; worse raises IllPosedSolveError) and the
+inverse.  With one block moving the solve is one step.  With both c1
+blocks moving it takes joint steps, each kept when c1 rises by at most
+sqrt(eps) c1 (a margin above its rounding), until one predicts a
+decrease of at most that; an ill-posed or rejected joint step is
+replaced by a sweep, a step of each block (a fallback), and a sweep that
+does not lower c1 ends it.  At most MAX_STEPS joint steps and sweeps.
 
-Each target's solve class, looked up once in _SOLVES, owns its blocks,
-its root, the objective it minimizes (nu, or -kappa) and that sign.  nu
-and kappa are increasing in c and c1 at fixed R.  The objective's R
-slope at a solved point is its partial derivative at fixed shapes (the
-envelope theorem): one more weighted sum on the same nodes, in which W
-moves by 2t W and L as its rows' d_dR give.  A safeguarded search on
-(objective, slope) runs over R from the start's R: a small probe step
-downhill, then the minimizer of the cubic Hermite interpolant of the
-last two steps, kept inside the bracket the slopes' signs set, with
-bisection as the fallback (Nocedal & Wright 2006, sec. 3.5); a bound
-that cuts the optimum is reached exactly.  Each step is one evaluation
-of the budget, as is the start point, and warm-starts from the previous
-step's solution.  The search returns the better of the start and the
-best step, and its objective is the float core at the returned public
-vector, so it re-evaluates bit for bit.
-
-Structural constraints (P(0)=0, P(1)=1, Q(0)=1, Q'(x)=Q'(1-x)) hold by
-construction through the shape bases.  A fixed entry is a constant of
-the quadratic: fixed shapes leave a quadratic in 1/r or in delta alone.
-A bound is a linear inequality in the solve coordinates
-(p2_shape[j] >= b is z2[j+1] >= b z2[0]), and each box-bounded quadratic
-is solved exactly by a primal active-set loop that pins the bound a step
-would cross and releases a pin whose multiplier has the wrong sign.  With
-the twist free, delta is searched on the side of zero that holds its
-start value, since q = v / delta.  A model Hessian that is not positive
-definite, or whose condition number exceeds MAX_CONDITION, raises
-IllPosedSolveError: a joint step then falls back to a sweep, and a
-block's step fails the R step, which counts as a failure.  A search
-whose steps all failed raises EvaluationFailureError, never returning
-its start point as a result.
-
-Fixing: SearchSpec.free_indices alone decides which entries move.  An
-entry keeps its start value when it is a scalar without bounds or any
-entry under degenerate bounds (lo == hi), so [v, v] holds a shape entry
-at v; the twist keeps it too while delta is fixed at 0, where q cannot be
-identified.  A search is deterministic: seed and restarts change nothing.
+Each target's solve class (_SOLVES) owns its blocks, its factors, the
+objective it minimizes (nu, or -kappa) and that sign.  The R slope at a
+solved point is the partial derivative at fixed shapes (the envelope
+theorem), and a pinned bound's shadow price its row's multiplier
+(Nocedal & Wright 2006, sec. 12.8).  A safeguarded search on
+(objective, slope) runs over R from the start's R: a probe step
+downhill, then cubic Hermite steps inside the bracket the slopes' signs
+set, bisection as the fallback (sec. 3.5); a bound that cuts the optimum
+is reached exactly.  Each step is one evaluation, as is the start, and
+warm-starts from the previous one.  The result is the better of the
+start and the best step, its objective the float core at the returned
+vector, so it re-evaluates bit for bit; a search whose steps all failed
+raises EvaluationFailureError.  SearchSpec.free_indices alone decides
+which entries move; delta keeps the side of zero of its start, since
+q = v / delta.  Seed and restarts change nothing.
 """
 
 from __future__ import annotations
@@ -75,17 +46,17 @@ import itertools
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .kernel import MAX_BASE_R, MIN_BASE_R, NodeRows, basis_products, node_rows
+from .kernel import MAX_BASE_R, MIN_BASE_R, NodeRows, basis_products, gram, node_rows
 from .polyalg import (MollifierShape, TwistShape, mollifier_shape_from_poly,
                       twist_shape_from_poly)
-from .proportions import (SectionFourParams, SectionFiveParams, c1_core, c1_root,
-                          c_core, c_root, kappa_bound, nu_bound)
+from .proportions import (SectionFourParams, SectionFiveParams, c1_core, c_core, c_factors,
+                          contract, kappa_bound, nu_bound)
 
 MAX_CONDITION = 1e12       # a free solve block conditioned worse than this is ill-posed
 MAX_STEPS = 50             # joint steps or fallback sweeps: at most this many per R step
@@ -301,18 +272,15 @@ def search_start(params: SectionFourParams | SectionFiveParams
 
 @dataclass(frozen=True)
 class SearchResult:
-    """The best point found and how the search got there.
-
-    inner_solves counts the model steps, joint or of one block, each one
-    factorization; fallbacks the sweeps, a step of each block, that
-    followed a failed joint step; failures the evaluations that failed by
-    exception class; conditions the condition number of each free solve
-    block's model Hessian at the best point; slope is d best_objective / dR
-    there with the shapes held, near 0 at an interior optimum; grid_scan
-    solves nothing and has no slope.
-    pinned names each free entry of best_point that sits exactly on one of
-    its bounds (lo < hi), with that bound, sorted by name.
-    """
+    """The best point found and how the search got there: inner_solves
+    counts the model steps, each one factorization; fallbacks the sweeps
+    after a failed joint step; failures the failed evaluations by class;
+    conditions each free block's model Hessian condition number at the
+    best point; slope d best_objective / dR there with the shapes held
+    (grid_scan has none); pinned each free entry of best_point exactly on
+    one of its bounds (lo < hi), with that bound, sorted by name, and
+    shadow its price, d best_objective / d bound (R's is slope; 0 when a
+    step from there releases its row)."""
 
     best_point: tuple[float, ...]
     best_objective: float
@@ -324,6 +292,7 @@ class SearchResult:
     conditions: tuple[tuple[str, float], ...] = ()
     pinned: tuple[tuple[str, float], ...] = ()
     slope: float | None = None
+    shadow: tuple[tuple[str, float], ...] = ()
 
 
 class _Record:
@@ -403,10 +372,10 @@ def _inverse(where: str, Q: np.ndarray) -> np.ndarray:
     return (V / w) @ V.T
 
 
-def _minimize(Q_inv: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
-              x: np.ndarray, where: str) -> tuple[np.ndarray, tuple[int, ...]]:
+def _minimize(Q_inv: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray, x: np.ndarray,
+              where: str) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
     """Minimize x'Qx/2 + g'x subject to A x >= b from a feasible x; returns
-    x and the rows pinned at it.
+    x, the rows pinned at it and their multipliers, Q x + g = A_pinned' lam.
 
     Primal active set: step towards the minimizer on the pinned rows,
     stopping at the first row the step would cross and pinning it; at the
@@ -434,7 +403,7 @@ def _minimize(Q_inv: np.ndarray, g: np.ndarray, A: np.ndarray, b: np.ndarray,
             continue
         worst = int(np.argmin(lam)) if pinned else None
         if worst is None or lam[worst] >= -tol:
-            return x, tuple(pinned)
+            return x, tuple(pinned), lam
         del pinned[worst]
     raise IllPosedSolveError(f"{where}: the active set did not settle")
 
@@ -452,26 +421,25 @@ class _Segment:
 def _matrix(rows: list[dict[int, float]], ncols: int) -> np.ndarray:
     """The matrix whose row i holds the entries rows[i], {column: value}."""
     out = np.zeros((len(rows), ncols))
-    for i, row in enumerate(rows):
-        out[i, list(row)] = list(row.values())
+    entries = [(i, col, a) for i, row in enumerate(rows) for col, a in row.items()]
+    if entries:
+        at_i, at_col, values = zip(*entries)
+        out[at_i, at_col] = values
     return out
 
 
 class _Map:
     """The affine map of one solve: its solve vector y = y0 + N x in its
     coordinates x, and its bounds as rows A x >= b, built once from the
-    target's segments by block name, each block one slice of y, of x and
-    of the rows.
-
-    A segment s (1, c) holds the solve entries s and y_j = s c_j, each
-    mapped on its own from the start values s0, c0: s is the coordinate s
-    when free and the constant s0 when not; y_j is the coordinate s c_j
-    when s and c_j are both free, s0 times the coordinate c_j when only c_j
-    is, c0_j times the coordinate s when only s is, and the constant s0 c0_j
-    when neither is.  So each row of N has at most one nonzero, and a block
-    whose entries are all held has no columns and keeps y0.  Each bound row
-    names the public entry it pins when active, and the value it pins it to.
-    """
+    target's segments by block name, each block one slice of y, x and rows.
+    A segment s (1, c) holds the entries s and y_j = s c_j, each mapped on
+    its own from the start values s0, c0: s is the coordinate s or the
+    constant s0; y_j is the coordinate s c_j when s and c_j are both free,
+    s0 times the coordinate c_j, c0_j times the coordinate s, or the
+    constant s0 c0_j.  So each row of N has at most one nonzero, and a
+    block whose entries are all held has no columns and keeps y0.  Each
+    bound row names the public entry it pins, the value it pins it to, and
+    how the row moves with that bound (moved)."""
 
     def __init__(self, spec: SearchSpec, blocks: dict[str, tuple[_Segment, ...]]):
         start = np.array(spec.initial_point, dtype=float)
@@ -502,13 +470,17 @@ class _Map:
                     # s_lo <= s <= s_hi; for s = 1/r the row at 1/hi pins r at hi
                     (s_lo, at_lo), (s_hi, at_hi) = (((1.0 / hi, hi), (1.0 / lo, lo))
                                                     if seg.inverse else ((lo, lo), (hi, hi)))
-                    rows += [({s_col: 1.0}, s_lo, (seg.scale, at_lo)),
-                             ({s_col: -1.0}, -s_hi, (seg.scale, at_hi))]
+                    # each row's last entry: d/d bound of its coefficients and of its b
+                    rows += [({s_col: 1.0}, s_lo, (seg.scale, at_lo),
+                              ({}, -1.0 / hi ** 2 if seg.inverse else 1.0)),
+                             ({s_col: -1.0}, -s_hi, (seg.scale, at_hi),
+                              ({}, 1.0 / lo ** 2 if seg.inverse else -1.0))]
                 for at, k in moving.items():
                     # lo <= c_j <= hi as side (c_j - bound) >= 0, times s when s is free
                     for bound, side in zip(bounds.get(at, ()), (sign, -sign)):
-                        rows.append(({k: side, s_col: -side * bound} if s_free else {k: side},
-                                     0.0 if s_free else side * bound, (at, bound)))
+                        rows.append(({k: side, s_col: -side * bound}, 0.0, (at, bound),
+                                     ({s_col: -side}, 0.0)) if s_free else
+                                    ({k: side}, side * bound, (at, bound), ({}, side)))
                 self.parts.append((seg, s_col if s_free else None, moving))
             last = len(y), col, len(rows)
             self.blocks[name] = tuple(slice(a, b) for a, b in zip(first, last))
@@ -516,9 +488,15 @@ class _Map:
                        if cols.stop > cols.start}  # the columns of each block that has any
         self.y0 = np.array([constant for constant, _ in y])
         self.N = _matrix([entry for _, entry in y], col)
-        self.A = _matrix([row for row, _, _ in rows], col)
-        self.b = np.array([rhs for _, rhs, _ in rows])
-        self.pins = [pin for _, _, pin in rows]
+        self.A = _matrix([row for row, *_ in rows], col)
+        self.b = np.array([rhs for _, rhs, *_ in rows])
+        self.pins = [pin for *_, pin, _ in rows]
+        self.moves = [move for *_, move in rows]
+
+    def moved(self, i: int, x: np.ndarray) -> float:
+        """d (b_i - A_i x) / d bound at x, for row i's bound."""
+        d_row, d_b = self.moves[i]
+        return d_b - sum(a * x[col] for col, a in d_row.items())
 
     def coordinates(self, v: np.ndarray) -> np.ndarray:
         """The coordinates x of a public vector."""
@@ -546,27 +524,26 @@ class _Map:
                     out[at] = x[k] / s
 
 
-class _Solve:
-    """The exact solve of one target at fixed R on the node rows of the
-    given degrees, over the coordinates x of one map (_Map) and one state
-    (x, pinned rows of the map's A x >= b).
+def _hessian(G: np.ndarray, wC: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """sum_ab G_ab sum_n w_n C_ian C_jbn of column factors C, (k, 2, n), and
+    wC = C w, for a symmetric 2x2 G flattened."""
+    k, n = len(C), C.shape[1] * C.shape[2]
+    return wC.reshape(k, n) @ (G.reshape(2, 2) @ C).reshape(k, n).T
 
-    The constant is 1 + sum W L^2 over the nodes.  A subclass gives
-    parts, what its root reads of each block's rows of the solve vector
-    y, or of N's columns, at the nodes: a mollifier's root factors
-    [A u; theta P u] (NodeRows.factors, formed with the operations c_core
-    and c1_core use) and the twist's products [Psi v; Psi' v], linear in
-    v; for N's k columns, model moves the column axis first, (k, 2, n).
-    From them its root L (with d_dR, its R derivative, through the rows'
-    d_dR of the mollifier factors), the root's Jacobian in x,
-    (k, n_t, n_x), from the same root functions, and the cross term of a
-    root bilinear in two blocks; its objective (minimized), the
-    objective's sign and per_log, the objective being per_log
-    ln(constant) / R up to a constant term."""
+
+class _Solve:
+    """The exact solve of one target at fixed R over the coordinates x of
+    one map (_Map) and one state (x, pinned rows).  A subclass gives
+    parts, what its factors read of y or of N's columns (a mollifier's
+    factors as c_core and c1_core form them, the twist's [Psi v; Psi' v]),
+    its x-factors (or their R derivative) and, for c1, the linear part of
+    its t-factors; its objective (minimized), sign and per_log, the
+    objective being per_log ln(constant) / R up to a constant."""
 
     def __init__(self, spec: SearchSpec, degrees: tuple, blocks: dict[str, tuple[_Segment, ...]]):
         self.spec, self.degrees, self.map = spec, degrees, _Map(spec, blocks)
         self.R_at, self.solves, self.fallbacks = spec.places()["R"], 0, 0
+        self.kept = None, None  # the last node rows read, and N's column factors there
 
     def start(self, v: np.ndarray):
         """The state at the public vector v: its coordinates, no row pinned."""
@@ -575,24 +552,54 @@ class _Solve:
     def nodes(self, R: float) -> NodeRows:
         return node_rows(self.spec.theta, R, *self.degrees)
 
-    def constant(self, rows: NodeRows, y: np.ndarray) -> float:
-        return rows.square(self.root(rows, self.parts(rows, y)))
+    def factors(self, rows: NodeRows, y: np.ndarray):
+        """y's parts, its x-factors F and its t-factors U (None for c)."""
+        at = self.parts(rows, y)
+        psi = self.t_part(at)
+        return at, self.x_factors(at), None if psi is None else _U0 + psi
 
-    def cross(self, rows: NodeRows, columns, WL: np.ndarray) -> np.ndarray | float:
-        return 0.0  # none for a root linear in x
+    @staticmethod
+    def grams(rows: NodeRows, F: np.ndarray, U: np.ndarray | None):
+        """The t- and x-Gram of the factors U (c's Tc when None) and F."""
+        return rows.Tc if U is None else gram(U, rows.wt), gram(F, rows.wx)
+
+    def constant(self, rows: NodeRows, y: np.ndarray) -> float:
+        return contract(*self.grams(rows, *self.factors(rows, y)[1:]))
+
+    def columns(self, rows: NodeRows):
+        """N's columns' x-factors FX and t-factors FT (None when no column
+        moves them), column axis first, and each times its weights; formed
+        once per point, kept for the last rows read."""
+        kept_rows, columns = self.kept
+        if kept_rows is not rows:
+            at = [part.transpose(2, 0, 1) for part in self.parts(rows, self.map.N)]
+            FX, FT = self.x_factors(at), self.t_part(at)
+            columns = FX, FX * rows.wx, FT, None if FT is None else FT * rows.wt
+            self.kept = rows, columns
+        return columns
 
     def model(self, rows: NodeRows, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The gradient 2 J'WL and Hessian 2 J'WJ + cross of the constant in
-        x, as 2 S sqrt(W) L and 2 S S' with S the Jacobian's k columns
-        times sqrt(W), (k, n_t n_x)."""
-        at = self.parts(rows, y)
-        columns = [part.transpose(2, 0, 1) for part in self.parts(rows, self.map.N)]
-        L, J = self.root(rows, at), self.jacobian(rows, at, columns)
-        W = rows.W
-        root_w = np.sqrt(W)
-        S = J.reshape(len(J), L.size) * root_w.ravel()
-        H = 2.0 * S @ S.T
-        return 2.0 * S @ (root_w * L).ravel(), H + self.cross(rows, columns, W * L)
+        """The gradient 2 N'My and Hessian 2 N'MN of the constant in x from
+        y's factors F, U and N's columns' FX, FT, 2x2 matrices flattened:
+        with p_i = (FX_i wx) F', dX/dx_i = p_i + p_i', the gradient is
+        2 sum_ab T_ab p_iab and the Hessian 2 sum_ab T_ab sum_x wx FX_ia FX_jb;
+        c1's t-factors add the same with X, q_i = (FT_i wt) U', and the
+        cross term C + C', C = 2 q (p + p')'."""
+        _, F, U = self.factors(rows, y)
+        FX, wFX, FT, wFT = self.columns(rows)
+        k = len(wFX)
+        p3 = wFX @ F.T  # (k, 2, 2)
+        p = p3.reshape(k, 4)
+        # T flattened: (T00, T01, T01, T11)
+        T = np.array(rows.Tc[:2] + rows.Tc[1:]) if U is None else ((U * rows.wt) @ U.T).ravel()
+        g, H = p @ T, _hessian(T, wFX, FX)
+        if FT is not None:
+            X = ((F * rows.wx) @ F.T).ravel()
+            q = (wFT @ U.T).reshape(k, 4)
+            g += q @ X
+            C = q @ (p3 + p3.transpose(0, 2, 1)).reshape(k, 4).T
+            H += _hessian(X, wFT, FT) + C + C.T
+        return 2.0 * g, 2.0 * H
 
     def solve(self, R: float, state):
         """The solved state at R, warm-started from state; see the module
@@ -633,8 +640,8 @@ class _Solve:
         cols, bounds = (slice(None), slice(None)) if block is None else self.map.blocks[block][1:]
         where = f"{'joint step' if block is None else f'{block} block'} at R = {R!r}"
         Q, A = H[cols, cols], self.map.A[bounds, cols]
-        d, active = _minimize(_inverse(where, Q), g[cols], A, self.map.b[bounds] - A @ x[cols],
-                              np.zeros(len(Q)), where)
+        d, active, _ = _minimize(_inverse(where, Q), g[cols], A, self.map.b[bounds] - A @ x[cols],
+                                 np.zeros(len(Q)), where)
         x = x.copy()
         x[cols] += d
         if block is not None:  # the other blocks' rows keep their pins
@@ -658,15 +665,17 @@ class _Solve:
 
     def slope(self, v: np.ndarray) -> float:
         """d(objective)/dR at the public vector v with the shapes held: at a
-        solved point, the slope of the solved profile (the envelope
-        theorem; active bound rows do not depend on R).  One more weighted
-        sum on the same nodes: d/dR of 1 + sum W L^2, with L's own R
-        derivative read from the rows' d_dR."""
+        solved point, the slope of the solved profile (the envelope theorem;
+        active bound rows do not depend on R).  T moves with its weights,
+        X with the x-factors' R derivative dF: dX = K + K', K = (dF wx) F'."""
         R = float(v[self.R_at])
         rows = self.nodes(R)
-        at = self.parts(rows, self.map.y(self.map.coordinates(v)))
-        L = self.root(rows, at)
-        c, rate = rows.square(L), rows.rate(L, self.root(rows, at, d_dR=True))
+        at, F, U = self.factors(rows, self.map.y(self.map.coordinates(v)))
+        (T, X), dF = self.grams(rows, F, U), self.x_factors(at, d_dR=True)
+        dT, ((K00, K01), (K10, K11)) = rows.dT_dR(U), ((dF * rows.wx) @ F.T).tolist()
+        rate = (dT[0] * X[0] + 2.0 * dT[1] * X[1] + dT[2] * X[2]
+                + 2.0 * (T[0] * K00 + T[1] * (K01 + K10) + T[2] * K11))
+        c = contract(T, X)
         return self.per_log * (rate / c - math.log(c) / R) / R
 
     def conditions(self, v: np.ndarray) -> tuple[tuple[str, float], ...]:
@@ -676,10 +685,28 @@ class _Solve:
         return tuple((name, _condition(np.linalg.eigvalsh(H[cols, cols])))
                      for name, cols in self.map.moving.items())
 
+    def prices(self, v: np.ndarray) -> dict[str, float]:
+        """d objective / d bound for each entry a bound row pins in a step of
+        its block from the public vector v (each row holds one block's
+        columns), from the row's multiplier: d constant / d b = lam."""
+        R, x, names = float(v[self.R_at]), self.map.coordinates(v), self.spec.vector_names()
+        rows, y = self.nodes(R), self.map.y(x)
+        g, H = self.model(rows, y)
+        scale, prices = self.sign * self.per_log / (R * self.constant(rows, y)), {}
+        for name, cols in self.map.moving.items():
+            at = self.map.blocks[name][2]
+            A, where = self.map.A[at, cols], f"{name} block at R = {R!r}"
+            _, active, lam = _minimize(_inverse(where, H[cols, cols]), g[cols], A,
+                                       self.map.b[at] - A @ x[cols], 0.0 * g[cols], where)
+            for i, price in zip(active, lam):
+                entry = names[self.map.pins[at.start + i][0]]
+                prices[entry] = scale * float(price) * self.map.moved(at.start + i, x)
+        return prices
+
 
 class _NuSolve(_Solve):
-    """c = 1 + sum W L^2 with the root L linear in z = (1, p1, t, t p2),
-    t = 1/r: one block."""
+    """c = Tc contracted with the x-Gram of c's x-factors, linear in
+    z = (1, p1, t, t p2), t = 1/r: one block."""
 
     sign = 1.0     # nu is minimized as it is
     per_log = 0.5  # nu = ln(c) / (2R)
@@ -695,11 +722,11 @@ class _NuSolve(_Solve):
     def parts(self, rows, Y):
         return rows.factors(Y[:self.split]), rows.factors(Y[self.split:])
 
-    def root(self, rows, at, d_dR=False) -> np.ndarray:
-        return c_root(rows, *(map(rows.d_dR, at) if d_dR else at), 1.0)
+    def x_factors(self, at, d_dR=False) -> np.ndarray:
+        return c_factors(*(map(NodeRows.d_dR, at) if d_dR else at), 1.0)
 
-    def jacobian(self, rows, at, columns) -> np.ndarray:
-        return c_root(rows, *columns, 1.0)
+    def t_part(self, at) -> None:
+        return None  # c's t-factors are fixed: its T is the rows' Tc
 
     def objective(self, v: np.ndarray) -> float:
         (p1, p2, r), R = self.core, float(v[self.R_at])
@@ -712,9 +739,9 @@ _U0.setflags(write=False)
 
 
 class _KappaSolve(_Solve):
-    """c1 = 1 + sum W L^2 with the root L = U A + theta U' P bilinear in a
-    mollifier block u_P = (1, p) and a twist block v = delta (1, q), since
-    A and P are linear in u_P and U = 1 + Psi v."""
+    """c1 = T contracted with X, T the t-Gram of [U; U'] = [1 + Psi v;
+    Psi' v], affine in the twist block v = delta (1, q), and X the x-Gram
+    of [A u; theta P u], linear in the mollifier block u_P = (1, p)."""
 
     sign = -1.0    # kappa is maximized as -kappa
     per_log = 1.0  # -kappa = ln(c1) / R - 1
@@ -730,24 +757,11 @@ class _KappaSolve(_Solve):
     def parts(self, rows, Y):
         return rows.factors(Y[self.u]), basis_products(len(rows.t), Y[self.v], True)
 
-    def root(self, rows, at, d_dR=False) -> np.ndarray:
-        up, psi = at
-        return c1_root(rows.d_dR(up) if d_dR else up, _U0 + psi)
+    def x_factors(self, at, d_dR=False) -> np.ndarray:
+        return NodeRows.d_dR(at[0]) if d_dR else at[0]
 
-    def jacobian(self, rows, at, columns) -> np.ndarray:
-        """(d L / d x) at the nodes, (k, n_t, n_x): the mollifier's part,
-        linear in u_P, plus the twist's, linear in [U; U']."""
-        (up, psi), (NP, Npsi) = at, columns
-        return c1_root(NP, _U0 + psi) + c1_root(up, Npsi)
-
-    def cross(self, rows, columns, WL) -> np.ndarray:
-        """2 sum W L d^2 L / du_P dv in x: C + C', with C the products of
-        the twist rows of N, through W L, against the factors of its
-        mollifier rows."""
-        NP, Npsi = columns
-        shape = len(NP), 2 * WL.shape[1]  # k stacks of x-factors, each flattened
-        C = 2.0 * (Npsi @ WL).reshape(shape) @ NP.reshape(shape).T
-        return C + C.T
+    def t_part(self, at) -> np.ndarray:
+        return at[1]
 
     def objective(self, v: np.ndarray) -> float:
         (p, q, delta), R = self.core, float(v[self.R_at])
@@ -780,24 +794,20 @@ def _hermite(older: tuple[float, float, float], newer: tuple[float, float, float
 
 def _search(f: Callable[[float], tuple[float, float]], lo: float, hi: float, x: float,
             room: Callable[[], bool]) -> None:
-    """Minimize f on [lo, hi] from x while room(), from its values and slopes.
-
-    f(x) is (f, f'), or (inf, nan) for a failed step.  Each step closes one
-    side of the bracket [a, b] at its x: the upper side when f' > 0, the
-    lower when f' < 0, and for a failed step the side away from the best
-    good step, or the upper side before any, since the blocks' condition
+    """Minimize f on [lo, hi] from x while room(), from its values and
+    slopes.  f(x) is (f, f'), or (inf, nan) for a failed step.  Each step
+    closes one side of the bracket [a, b] at its x: the upper when f' > 0,
+    the lower when f' < 0, and for a failed step the side away from the
+    best good step, or the upper before any, since the blocks' condition
     numbers grow with R.  After one good step the next is a probe of
     PROBE (hi - lo) downhill, after two the minimizer of the cubic Hermite
-    interpolant of the last two good steps.  A step that leaves the
-    bracket, or a cubic without a minimizer, goes to the bound downhill of
-    the last good step while no step has closed that side, so a minimum
-    cut by a bound is evaluated exactly there.  Otherwise, after a failed
-    step, and whenever the bracket, closed on both sides, has not halved
-    in two steps, the step bisects the bracket.  The search stops at
-    f' = 0, at a bound where f' points out, or when the next step would
-    move less than tol = sqrt(eps) |x| + R_TOLERANCE (hi - lo); a step to
-    a bound is taken however short.
-    """
+    interpolant of the last two good steps; one that leaves the bracket,
+    or a cubic without a minimizer, goes to the bound downhill while no
+    step has closed that side, so a minimum cut by a bound is evaluated
+    there.  After a failed step, or a closed bracket that has not halved in
+    two steps, it bisects.  It stops at f' = 0, at a bound where f' points
+    out, or when the next step would move less than sqrt(eps) |x| +
+    R_TOLERANCE (hi - lo); a step to a bound is taken however short."""
     a, b, closed = lo, hi, [False, False]
     good: list[tuple[float, float, float]] = []  # the last two good steps
     best = (math.inf, None)                        # (f, x) of the best good step
@@ -868,10 +878,15 @@ def optimize(spec: SearchSpec) -> SearchResult:
     rate = record.best_rate  # None when the best point is the start
     if rate is None:
         rate = solver.slope(record.best_vector)
-    return record.result("objective failed at the initial point",
-                         inner_solves=solver.solves, fallbacks=solver.fallbacks,
-                         conditions=solver.conditions(record.best_vector),
-                         slope=solver.sign * rate)
+    result = record.result("objective failed at the initial point",
+                           inner_solves=solver.solves, fallbacks=solver.fallbacks,
+                           conditions=solver.conditions(record.best_vector),
+                           slope=solver.sign * rate)
+    if not result.pinned:
+        return result
+    prices = {**solver.prices(record.best_vector), "R": result.slope}
+    return replace(result, shadow=tuple((name, prices.get(name, 0.0))
+                                        for name, _ in result.pinned))
 
 
 def grid_scan(spec: SearchSpec, resolution: int) -> SearchResult:

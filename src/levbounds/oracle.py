@@ -3,20 +3,20 @@
 Everything here recomputes a quantity the engine produces, by a route
 that shares nothing with it beyond polynomial evaluation and the moment
 data itself: Gauss-Legendre quadrature against exact moment integrals,
-the root factors [A u; theta P u] the engine keeps on each mollifier
-shape (kernel.kept_factors) against the same exact moments, and Cauchy
-integrals of the definition-form kernel against c and c1 from the float
-core.
+the root factors [A u; theta P u] and x-Gram the engine keeps on each
+mollifier shape (kernel.kept_factors, kernel.kept_gram) against the same
+exact moments, and Cauchy integrals of the definition-form kernel
+against c and c1 from the float core.
 
 kernel_numeric is that kernel, evaluated on real or complex arrays, for
 one moment table or a stack of tables on one grid, its e^{-a-b} formed
-as e^{-a} e^{-b} (one exp per grid node) away from the removable line
-and its bilinear part as per-node brackets,
-and cauchy_derivatives is the one derivative route: one grid of kernel
-values on a torus about the base point gives the whole table of mixed
-partials d_a^m d_b^n by the trapezoidal rule, with radius
-(order!)^(1/order) and N x N nodes, N = 4 order + 16, both fixed by the
-order alone; a stacked grid gives one table per moment table.  c reads
+as e^{-a} e^{-b} (one exp per grid node) away from the removable line and
+its bilinear part as per-node brackets, and cauchy_derivatives is the
+one derivative route: one grid of kernel values on a torus about the
+base point gives the whole table of mixed partials d_a^m d_b^n by the
+trapezoidal rule, with radius (order!)^(1/order) and N x N nodes,
+N = 4 order + 16, both fixed by the order alone; a stacked grid gives one
+table per moment table.  c reads
 its value at the centre and its three derivative tables from one stacked
 grid; c1 is the quadratic form u^T D u of the twist operator's weights
 u, exact from the twist polynomial and rounded once.  Against a 40-digit
@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .kernel import NodeRows, _rows, kept_factors, node_rows, shape_row
+from .kernel import NodeRows, _rows, kept_factors, kept_gram, node_rows, shape_row
 from .polyalg import (MollifierShape, MomentTable, Poly, expand_mollifier, expand_twist,
                       moments, poly_derivative)
 from .proportions import SectionFourParams, SectionFiveParams, c1_value, c_value
@@ -253,33 +253,37 @@ def _rel(exact: float, numeric: float) -> float:
 
 def _row_checks(name: str, mt: MomentTable, rows: NodeRows, R: float, a: MollifierShape,
                 b: MollifierShape) -> list[CheckResult]:
-    """The engine's x-factors of a pair of shapes at (theta, R) against
-    their exact moments: with the root factors [A u; theta P u] the engine
-    keeps on each shape at these rows (kept_factors), as the roots read
-    them, the weighted sums of A_a A_b, A_a (theta P_b), (theta P_a) A_b
-    and (theta P_a)(theta P_b) over the x-nodes are m_dd + rho (m_dp + m_pd)
-    + rho^2 m_pp, m_dp + rho m_pp, m_pd + rho m_pp and m_pp, each times
-    theta once per P and over theta, with theta and rho = R theta rounded
-    once from the caller's R, as node_rows should round it, read exactly.
-    A sum that cancels keeps the rounding of its terms, so each error is
-    relative to the same sum over absolute values, with |A| = |D + rho P|
-    and |theta P| the rows' and |u| the shape's, or to the exact value if
-    that is larger."""
+    """What the engine keeps of a pair of shapes at (theta, R) against their
+    exact moments: with [A u; theta P u] each shape's root factors, the
+    sums of A_a A_b, A_a (theta P_b), (theta P_a) A_b and (theta P_a)
+    (theta P_b) over the x-nodes are m_dd + rho (m_dp + m_pd) + rho^2 m_pp,
+    m_dp + rho m_pp, m_pd + rho m_pp and m_pp, times theta once per P and
+    over theta, with theta and rho = R theta rounded once from the caller's
+    R.  A pair of one shape reads its kept x-Gram (kept_gram, as c1 does;
+    AP and PA its off-diagonal entry), a pair of two its kept factors
+    (kept_factors, as c does).  Each error is relative to the same sum over
+    absolute values (|D + rho P| |u| and |theta P| |u|), or to the exact
+    value if that is larger."""
     rho, theta, n = Fraction(R * rows.theta), Fraction(rows.theta), len(rows.wx)
 
-    def combine(shape: MollifierShape) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        (A, P), u = kept_factors(rows, shape), np.abs(shape_row(shape))
+    def sizes(shape: MollifierShape) -> dict[str, np.ndarray]:
+        u = np.abs(shape_row(shape))
         slopes, values = _rows(n, len(u) - 1, False)
-        return ({"A": A, "P": P}, {"A": np.abs(slopes + rows.rho * values) @ u,
-                                   "P": np.abs(rows.theta * values) @ u})
+        return {"A": np.abs(slopes + rows.rho * values) @ u, "P": np.abs(rows.theta * values) @ u}
 
-    (va, size_a), (vb, size_b) = combine(a), combine(b)
+    if a is b:
+        x00, x01, x11 = kept_gram(rows, a)
+        nums = {"AA": x00, "AP": x01, "PA": x01, "PP": x11}
+    else:  # row 0 of the factors is A, row 1 theta P
+        fa, fb = kept_factors(rows, a), kept_factors(rows, b)
+        nums = {ab: float(rows.wx @ (fa["AP".index(ab[0])] * fb["AP".index(ab[1])]))
+                for ab in ("AA", "AP", "PA", "PP")}
+    size_a, size_b = sizes(a), sizes(b)
     exact = {"AA": mt.m_dd + rho * (mt.m_dp + mt.m_pd) + rho * rho * mt.m_pp,
              "AP": mt.m_dp + rho * mt.m_pp, "PA": mt.m_pd + rho * mt.m_pp, "PP": mt.m_pp}
     checks = []
     for part, value in exact.items():
-        value = float(value * theta ** part.count("P") / theta)
-        num = float(rows.wx @ (va[part[0]] * vb[part[1]]))
+        value, num = float(value * theta ** part.count("P") / theta), nums[part]
         size = float(rows.wx @ (size_a[part[0]] * size_b[part[1]]))
         checks.append(CheckResult(f"node rows[{name}.{part}] vs exact moments", value, num,
                                   abs(value - num) / max(abs(value), size, 1e-300), 1e-12))

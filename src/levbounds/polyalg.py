@@ -268,10 +268,10 @@ class _Shape:
 
     @cached_property
     def kept(self) -> dict:
-        """What the float core keeps of this shape (kernel.shape_row and
-        kernel.kept_factors: its float row, and its stacked root factors,
-        [A u; theta P u] or [U; U'], at the last points formed, keyed per
-        point), empty until it first reads the shape.  Not a
+        """What the float core keeps of this shape (kernel.shape_row,
+        kernel.kept_factors, kernel.kept_gram: its float row, and per point
+        a mollifier's root factors and x-Gram, a twist's t-Gram), empty
+        until it first reads the shape.  Not a
         field: it takes no part in ==, hash or repr, and a shape built by
         dataclasses.replace starts with an empty one."""
         return {}

@@ -1,33 +1,26 @@
 """Bound constants and the distinct/simple zero proportion combiners.
 
-Two independent constants, each 1 plus a weighted sum of squares of its
-root over the node rows (kernel.node_rows):
+Two independent constants over the node rows (kernel.node_rows), each 1
+plus a weighted sum of squares of its root: c(theta, r, R), root
+A1 - (t A2 + theta P2) / r from two mollifiers, and c1(theta, R), root
+U A + theta U' P from a mollifier and the twist operator's
+U = (1 - delta) + delta (1 - 2t) Q(t).  Each root has rank 2, so each
+constant is one 2x2 contraction of a t-Gram with an x-Gram (contract):
+for c1 the Grams of the twist's [U; U'] and the mollifier's
+[A u; theta P u]; for c, whose root is centred at t = 1, the rows' Tc
+and the Gram of c_factors, formed on each call from the mollifiers'
+factors and r (an expansion in 1/r would cancel).  c_value and c1_value
+read what an exact shape keeps per point (kernel.kept_factors,
+kernel.kept_gram); c_core and c1_core form the same on each call with
+the same operations, so both give the same bits.
 
-  c(theta, r, R)   root A1 - (t A2 + theta P2) / r, from the two mollifiers;
-  c1(theta, R)     root U A + theta U' P, from one mollifier and the twist
-                   operator's U = (1 - delta) + delta (1 - 2t) Q(t).
-
-Each root reads a shape only through its root factors (NodeRows.factors),
-one stacked array per shape: [A u; theta P u] at the x-nodes for a
-mollifier row u, A u = D u + R theta P u, and [U; U'] = [1 + Psi v; Psi' v]
-at the t-nodes for the twist v = delta (1, q).  Each root is one matrix
-product of them: c's is A1 - [t, 1] [A2; theta P2] / r, c1's
-[U; U']' [A; theta P].  c_value and c1_value read the factors an exact
-shape keeps per point (kernel.kept_factors); c_core and c1_core, fed
-float coefficients, form the same factors on each call with the same
-operations, so both give the same bits.  Neither keeps a constant: each
-call forms its root from the factors and its own r, and sums its square.
-
-From them the bound coefficients are nu = ln(c)/(2R) and
-kappa = 1 - ln(c1)/R (natural logarithm: the only base consistent with the
-reference constants), and the four proportions
-
-  d        = 1/2 + kappa/2 - nu        s        = kappa - 2 nu
-  d_grh    = 1 - nu                    s_grh    = 1 - 2 nu.
-
-bounds_table is the one place these are composed.  nu and kappa share
-no parameters, so a report evaluates its two halves independently.
+From them nu = ln(c)/(2R) and kappa = 1 - ln(c1)/R (natural logarithm:
+the only base consistent with the reference constants), and the four
+proportions d = 1/2 + kappa/2 - nu, s = kappa - 2 nu, d_grh = 1 - nu and
+s_grh = 1 - 2 nu, composed in bounds_table only.  nu and kappa share no
+parameters, so a report evaluates its two halves independently.
 """
+
 
 from __future__ import annotations
 
@@ -36,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import MAX_BASE_R, MIN_BASE_R, NodeRows, kept_factors, node_rows
+from .kernel import (MAX_BASE_R, MIN_BASE_R, NodeRows, gram, kept_factors, kept_gram,
+                     node_rows)
 from .polyalg import MollifierShape, TwistShape
 
 
@@ -117,32 +111,35 @@ def _homogeneous(coeffs) -> np.ndarray:
     return u
 
 
-def c_root(rows: NodeRows, z1: np.ndarray, z2: np.ndarray, r: float) -> np.ndarray:
-    """A1 - (t A2 + theta P2) / r at the nodes, (n_t, n_x), from the
-    factors [A z; theta P z] of z1 = (1, p1) and z2 = (1, p2), as
-    A1 - [t, 1] [A2; theta P2] / r.  Linear in (z1, z2): the factors of a
-    stack of k rows, (k, 2, n_x), give the k columns of its Jacobian,
-    (k, n_t, n_x)."""
-    return z1[..., :1, :] - (rows.t1 @ z2) / r
+# [1, 1; 1, 0]: the rows A2 + theta P2 and A2 of the factors [A2; theta P2]
+_CENTRE = np.array([[1.0, 1.0], [1.0, 0.0]])
+_CENTRE.setflags(write=False)
 
 
-def c1_root(up: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """U A + theta U' P at the nodes, (n_t, n_x), as [U; U']' [A; theta P],
-    from the factors [A u; theta P u] of up = (1, p) and [U; U'] at the
-    t-nodes, 1 + Psi v and Psi' v for the twist v = delta (1, q).  Linear
-    in each: the factors of a stack of k rows of either, (k, 2, n), give k
-    columns of its Jacobian, (k, n_t, n_x)."""
-    return U.swapaxes(-1, -2) @ up
+def c_factors(z1: np.ndarray, z2: np.ndarray, r: float) -> np.ndarray:
+    """c's x-factors [F0; F1] = [A1 - (A2 + theta P2) / r; -A2 / r], its
+    root being F0 + (t - 1) F1, from the factors [A z; theta P z] of
+    z1 = (1, p1) and z2 = (1, p2), (2, n_x), or of k stacked rows of each."""
+    F = (_CENTRE @ z2) / -r
+    F[..., 0, :] += z1[..., 0, :]
+    return F
+
+
+def contract(T: tuple[float, float, float], X: tuple[float, float, float]) -> float:
+    """1 + sum_ab T_ab X_ab of two Grams (G00, G01, G11).  Every input is
+    finite and the exact sum is at least 1, so a sum that is not finite
+    comes from an overflow, inf - inf included, and reads inf."""
+    value = 1.0 + (T[0] * X[0] + 2.0 * (T[1] * X[1]) + T[2] * X[2])
+    return value if math.isfinite(value) else math.inf
 
 
 def _c(factors, z1, z2, m: int, theta: float, r: float, R: float) -> float:
-    """c at mollifier degree m from the mollifiers z1 and z2, read as
-    factors(rows, z): c_core and c_value both evaluate through here, as 1
-    plus the weighted sum of c_root's squares."""
+    """c at mollifier degree m from z1 and z2, read as factors(rows, z): the
+    one evaluation of c_core and c_value, Tc against c_factors' x-Gram."""
     theta, r, R = float(theta), float(r), float(R)
     _check_scalars(theta, R, r=r)
     rows = node_rows(theta, R, m)
-    c = rows.square(c_root(rows, factors(rows, z1), factors(rows, z2), r))
+    c = contract(rows.Tc, gram(c_factors(factors(rows, z1), factors(rows, z2), r), rows.wx))
     if not math.isfinite(c):
         raise NonFiniteError(f"c evaluated to {c!r}")
     return c
@@ -172,37 +169,32 @@ def nu_bound(c: float, R: float) -> float:
     return math.log(c) / (2.0 * R)
 
 
-def _c1(factors, up, w, m: int, k: int, theta: float, R: float, delta: float) -> float:
-    """c1 at mollifier degree m and k symmetric twist terms from the
-    mollifier up and the twist w, read as factors(rows, up) and
-    factors(rows, w, delta): c1_core and c1_value both evaluate through
-    here, as 1 plus the weighted sum of c1_root's squares."""
+def _c1(grams, up, w, m: int, k: int, theta: float, R: float, delta: float) -> float:
+    """c1 at mollifier degree m and k symmetric twist terms, the twist's T,
+    grams(rows, w, delta), against the mollifier's X, grams(rows, up): the
+    one evaluation of c1_core and c1_value."""
     theta, R, delta = float(theta), float(R), float(delta)
     _check_scalars(theta, R, delta=delta)
     rows = node_rows(theta, R, m, k)
-    c1 = rows.square(c1_root(factors(rows, up), factors(rows, w, delta)))
+    c1 = contract(grams(rows, w, delta), grams(rows, up))
     if not math.isfinite(c1):
         raise NonFiniteError(f"c1 evaluated to {c1!r}")
     return c1
 
 
 def c1_core(p, q, theta: float, R: float, delta: float) -> float:
-    """c1 from float coefficients, their factors formed on each call; the
-    search objective evaluates through here, and c1_value is the same
-    evaluation on the shapes' kept factors, bit for bit.
-
-    p holds the mollifier shape, q the twist shape (q0, q_1, .., q_m), and
-    the twist enters as v = delta (1, q0, q_1, .., q_m).
-    """
+    """c1 from float coefficients p and q = (q0, q_1, .., q_m), the twist
+    v = delta (1, q), their Grams formed on each call: the search
+    objective, bit for bit c1_value on the shapes' kept Grams."""
     if len(q) < 1:
         raise ValueError("c1_core: the twist needs at least q_linear, got no entries")
     up, w = _homogeneous(p), _homogeneous(q)
-    return _c1(NodeRows.factors, up, w, len(up) - 1, len(w) - 2, theta, R, delta)
+    return _c1(NodeRows.gram_of, up, w, len(up) - 1, len(w) - 2, theta, R, delta)
 
 
 def c1_value(p: SectionFiveParams) -> float:
     """The twisted second-moment constant of the critical-line detector."""
-    return _c1(kept_factors, p.p_shape, p.q_shape, len(p.p_shape.shape_coeffs),
+    return _c1(kept_gram, p.p_shape, p.q_shape, len(p.p_shape.shape_coeffs),
                len(p.q_shape.sym_coeffs), p.theta, p.R, p.delta)
 
 

@@ -675,6 +675,9 @@ class TestOptimizeAccounting:
         assert main(["optimize", "--config", path, "--machine"]) == 0
         values = machine_values(capsys.readouterr().out)
         assert {k: v for k, v in values.items() if k.startswith("pinned.")} == {"pinned.r": 1.0}
+        # one shadow price per pinned entry: raising r's bound lowers nu
+        assert [k for k in values if k.startswith("shadow.")] == ["shadow.r"]
+        assert values["shadow.r"] < 0.0
         assert main(["optimize", "--config", path]) == 0
         assert "\npinned bounds    r 1.0\n" in capsys.readouterr().out
         cfg["search"]["bounds"] = {"R": [0.3, 1.2]}

@@ -198,9 +198,19 @@ class TestNodeRowsCache:
         cached = node_rows(theta, R, m, k)
         fresh = kernel._node_rows.__wrapped__(theta, R, m, k)
         assert fresh is not cached
-        assert (cached.theta, cached.rho) == (fresh.theta, fresh.rho) == (theta, R * theta)
-        for a, b in zip(cached[2:], fresh[2:]):
+        assert ((cached.theta, cached.R, cached.rho) == (fresh.theta, fresh.R, fresh.rho)
+                == (theta, R, R * theta))
+        for name in ("t", "wt", "wx"):
+            a, b = getattr(cached, name), getattr(fresh, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # c's t-Gram: three floats, each bit for bit the fresh build's, and
+        # the sums of wt, wt (t - 1) and wt (t - 1)^2, whose terms share a
+        # sign, so each is good to a few ulps
+        assert all(type(x) is float for x in cached.Tc)
+        assert [x.hex() for x in cached.Tc] == [x.hex() for x in fresh.Tc]
+        for x, p in zip(cached.Tc, range(3)):
+            exact = math.fsum(w * (t - 1.0) ** p for w, t in zip(cached.wt, cached.t))
+            assert abs(x - exact) <= 1e-13 * abs(exact)
         assert node_rows(theta, R, m, k) is cached
 
     def test_keeps_at_most_its_size(self):

@@ -718,6 +718,61 @@ class TestRSlope:
         assert result.evaluations_used <= 8
 
 
+# (target, entry, start value, bounds with "b" at the bound that cuts the
+# optimum, and that bound): each bound row kind, a scalar (r as 1/r, so
+# both of its rows, and delta) and a shape entry, under or over its row
+SHADOW_CASES = [("minimize_nu", "r", 0.7, (0.5, "b"), 1.0),
+                ("minimize_nu", "r", 1.5, ("b", 2.0), 1.3),
+                ("minimize_nu", "p1_shape[0]", -0.3, (-0.5, "b"), -0.2),
+                ("minimize_nu", "p2_shape[1]", 0.4, ("b", 0.5), 0.3),
+                ("maximize_kappa", "delta", 0.5, (0.4, "b"), 0.6),
+                ("maximize_kappa", "p_shape[1]", 0.2, ("b", 0.5), 0.0)]
+
+
+class TestShadowPrices:
+    @pytest.mark.parametrize("target, name, start, bounds, bound", SHADOW_CASES)
+    def test_price_matches_central_differences_of_the_solved_profile(
+            self, target, name, start, bounds, bound):
+        # the price of a pinned entry is d objective / d bound along the
+        # profile solved at fixed R (the envelope theorem, as for the R
+        # slope); Richardson's extrapolation of central differences
+        # measures it
+        def solved(at):
+            spec = with_entry(criterion_eight_spec(target), name, start, **{
+                name: tuple(at if b == "b" else b for b in bounds)})
+            solver, profile = solved_profile(spec)
+            return solver, profile(0.7)
+
+        def difference(h):
+            (a, va), (b, vb) = solved(bound + h), solved(bound - h)
+            return (a.sign * a.objective(va) - b.sign * b.objective(vb)) / (2.0 * h)
+
+        solver, v = solved(bound)
+        assert v[solver.spec.vector_names().index(name)] == bound
+        h = 2e-3
+        measured = (4.0 * difference(h / 2.0) - difference(h)) / 3.0
+        assert solver.prices(v) == {name: pytest.approx(measured, rel=1e-6, abs=0.0)}
+
+    def test_search_prices_each_pinned_entry(self):
+        # one price per pinned entry, by name; R's is the R slope
+        spec = with_entry(with_entry(criterion_eight_spec("minimize_nu"), "r", 0.7, r=(0.5, 1.0)),
+                          "R", 0.45, R=(0.3, 0.5))
+        result = optimize(spec)
+        assert [name for name, _ in result.pinned] == ["R", "r"]
+        prices = dict(result.shadow)
+        assert list(prices) == ["R", "r"] and prices["R"] == result.slope
+        solver = optimizer._SOLVES[spec.target](spec)
+        assert prices["r"] == solver.prices(np.array(result.best_point))["r"] < 0.0
+        assert optimize(criterion_eight_spec("minimize_nu")).shadow == ()
+
+    def test_a_row_a_step_releases_has_no_price(self):
+        # r on its lower bound, below its optimum of about 1.15: the step
+        # from there leaves the bound, so no row is priced (a search reads 0)
+        spec = criterion_eight_spec("minimize_nu")
+        solver, v = solved_profile(spec)[0], np.array(optimize(spec).best_point)
+        assert solver.prices(np.r_[v[:4], 0.5, v[5:]]) == {}
+
+
 class TestNewtonSolve:
     @staticmethod
     def check_model(target, core, draw):
@@ -766,23 +821,32 @@ class TestNewtonSolve:
                          lambda v: c_core(v[:2], v[2:4], 1.0, v[4], v[5]), draw)
 
     @pytest.mark.parametrize("target", TARGETS)
-    def test_model_forms_the_weights_once(self, target, monkeypatch):
-        # W = wt wx' is an outer product: one model call forms it once and
-        # reads it for both the gradient's square root and the cross term
+    def test_a_model_at_a_seen_point_forms_no_column_factors(self, target, monkeypatch):
+        # N's column factors are fixed per point: the first model call at a
+        # point forms them, with one basis product per block of a matrix
+        # row, and a later call there forms only the factors of y, each of
+        # one vector row, with the same gradient and Hessian, bit for bit
         spec = criterion_eight_spec(target)
         solver = optimizer._SOLVES[target](spec)
         v = np.array(spec.initial_point)
         rows, y = solver.nodes(v[spec.places()["R"]]), solver.map.y(solver.start(v)[0])
         formed = []
-        W = kernel.NodeRows.W
+        basis_products = kernel.basis_products
 
-        def counting(self):
-            formed.append(self)
-            return W.fget(self)
+        def counting(n, u, twist=False):
+            formed.append(np.ndim(u))
+            return basis_products(n, u, twist)
 
-        monkeypatch.setattr(kernel.NodeRows, "W", property(counting))
-        solver.model(rows, y)
-        assert formed == [rows]
+        monkeypatch.setattr(kernel, "basis_products", counting)
+        monkeypatch.setattr(optimizer, "basis_products", counting)
+        first = solver.model(rows, y)
+        assert sorted(formed) == [1, 1, 2, 2]
+        formed.clear()
+        again = solver.model(rows, y)
+        assert formed == [1, 1]
+        assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
+        solver.model(solver.nodes(v[spec.places()["R"]] + 0.01), y)  # a new point forms them
+        assert sorted(formed) == [1, 1, 1, 1, 2, 2]
 
     def test_pinned_delta_takes_no_fallback(self):
         # the steps minimize the model under the bound rows, so delta stays
@@ -1035,11 +1099,14 @@ class TestActiveSet:
             M = rng.normal(size=(n, n))
             Q = M @ M.T + 0.1 * np.eye(n)
             g = 3.0 * rng.normal(size=n)
-            x, pinned = optimizer._minimize(np.linalg.inv(Q), g, A, b,
-                                            rng.uniform(-1.0, 1.0, n), "test")
+            x, pinned, lam = optimizer._minimize(np.linalg.inv(Q), g, A, b,
+                                                 rng.uniform(-1.0, 1.0, n), "test")
             assert np.all(A @ x >= b - 1e-12)
             assert 0.5 * x @ Q @ x + g @ x <= brute_force_box_minimum(Q, g, -1.0, 1.0) + 1e-12
             assert all(abs(A[i] @ x - b[i]) <= 1e-12 for i in pinned)
+            # the multipliers: Q x + g = A_pinned' lam, each of the right sign
+            assert len(lam) == len(pinned) and np.all(lam >= -1e-12)
+            np.testing.assert_allclose(Q @ x + g, A[list(pinned)].T @ lam, rtol=0.0, atol=1e-10)
 
 
 class TestIllPosedSolves:

@@ -369,17 +369,21 @@ class TestCrosscheckReport:
     @staticmethod
     def failing_with_perturbed_products(monkeypatch, which: int) -> set[str]:
         """The checks that fail when one row of the root factors
-        [A u; theta P u] the engine keeps on each shape reads off by 1e-10."""
+        [A u; theta P u] the engine keeps on each shape reads off by 1e-10:
+        a pair of two shapes reads their kept factors, a pair of one its
+        kept x-Gram, here the Gram of the perturbed factors."""
         p4, p5 = section_four_reference(), section_five_reference()
         names = [ch.name for ch in crosscheck_report(p4, p5).checks]
         assert sum(n.startswith("node rows[") for n in names) == 20
 
-        def perturbed(*args):
-            factors = list(kept_factors(*args))
-            factors[which] = factors[which] * (1 + 1e-10)
-            return tuple(factors)
+        def perturbed(rows, shape):
+            factors = kept_factors(rows, shape).copy()
+            factors[which] *= 1 + 1e-10
+            return factors
 
         monkeypatch.setattr(oracle, "kept_factors", perturbed)
+        monkeypatch.setattr(oracle, "kept_gram", lambda rows, shape: kernel.gram(
+            perturbed(rows, shape), rows.wx))
         return {ch.name for ch in crosscheck_report(p4, p5).checks if not ch.passed}
 
     def test_node_row_checks_catch_a_perturbed_row(self, monkeypatch):
@@ -395,6 +399,18 @@ class TestCrosscheckReport:
         assert self.failing_with_perturbed_products(monkeypatch, 1) == {
             f"node rows[{pair}.{part}] vs exact moments"
             for pair in ("m11", "m21", "m12", "m22", "m55") for part in ("AP", "PA", "PP")}
+
+    def test_one_shape_pairs_read_the_kept_gram(self, monkeypatch):
+        # m11, m22 and m55 read the x-Gram each shape keeps, as c1 reads it:
+        # its X00 off by 1e-10 fails their AA checks and nothing else
+        def perturbed(rows, shape):
+            x00, x01, x11 = kernel.kept_gram(rows, shape)
+            return x00 * (1 + 1e-10), x01, x11
+
+        monkeypatch.setattr(oracle, "kept_gram", perturbed)
+        p4, p5 = section_four_reference(), section_five_reference()
+        assert {ch.name for ch in crosscheck_report(p4, p5).checks if not ch.passed} == {
+            f"node rows[{pair}.AA] vs exact moments" for pair in ("m11", "m22", "m55")}
 
     @staticmethod
     def failing_with(monkeypatch, target, name: str, perturbed) -> set[str]:

@@ -163,22 +163,28 @@ def test_c1_at_delta_zero_is_the_kernel_value(shape, q_linear, q_sym, theta, R):
 @given(shape=shapes, q_linear=st.floats(-2.0, 2.0), q_sym=coeffs, theta=thetas,
        R=st.floats(1e-6, 300.0), delta=st.floats(-2.0, 2.0))
 def test_kept_factors_are_the_basis_products_combined(shape, q_linear, q_sym, theta, R, delta):
-    # the stacked factors a shape keeps are, row for row and bit for bit,
-    # D u + rho (P u) and theta (P u) for a mollifier row u and 1 + Psi v
+    # the stacked factors are, row for row and bit for bit, D u + rho (P u)
+    # and theta (P u) for a mollifier row u, kept on the shape, and 1 + Psi v
     # and Psi' v for a twist v = delta w, each product one matrix-vector
-    # product with the basis rows: only the roots and the square can
-    # round differently from these
+    # product with the basis rows; the Grams each shape keeps are bit for
+    # bit those of these factors under their weights: only the contraction
+    # and, for c, its x-factors can round differently from these
     q = TwistShape.of(q_linear, q_sym)
     rows = node_rows(theta, R, len(shape.shape_coeffs), len(q_sym))
     u, w = kernel.shape_row(shape), kernel.shape_row(q)
     D, P = kernel._rows(len(rows.wx), len(u) - 1, False)
     Psi, dPsi = kernel._rows(len(rows.t), len(w) - 2, True)
     v = delta * w
-    for kept, expected in ((kernel.kept_factors(rows, shape),
-                            (D @ u + rows.rho * (P @ u), rows.theta * (P @ u))),
-                           (kernel.kept_factors(rows, q, delta), (1.0 + Psi @ v, dPsi @ v))):
-        assert kept.shape == (2, len(expected[0]))
-        assert [row.tobytes() for row in kept] == [row.tobytes() for row in expected]
+    for factors, expected in ((kernel.kept_factors(rows, shape),
+                               (D @ u + rows.rho * (P @ u), rows.theta * (P @ u))),
+                              (rows.factors(w, delta), (1.0 + Psi @ v, dPsi @ v))):
+        assert factors.shape == (2, len(expected[0]))
+        assert [row.tobytes() for row in factors] == [row.tobytes() for row in expected]
+    for kept, expected in ((kernel.kept_gram(rows, shape),
+                            kernel.gram(kernel.kept_factors(rows, shape), rows.wx)),
+                           (kernel.kept_gram(rows, q, delta),
+                            kernel.gram(rows.factors(w, delta), rows.wt))):
+        assert [x.hex() for x in kept] == [x.hex() for x in expected]
 
 
 @property_settings
@@ -200,20 +206,25 @@ def test_node_row_checks_pass_on_correct_rows(shape1, shape2, shape5, theta, R4,
 
 
 # Rounding bound.  Along a line x(t) = x0 + t d every other input is fixed,
-# so the engine's node rows (weights, basis and twist rows) are the same
-# floats at every probe, and the exact value at the rounded probe inputs is a
-# quadratic in t.  Each constant is 1 + sum_{t,x} wt L^2 wx over N node
-# pairs, and expanding each root L into its products of rows and inputs
-# makes it a sum of products; rounded, it is off that quadratic by at most
+# so the engine's node rows (weights, basis and twist rows, c's t-Gram Tc)
+# are the same floats at every probe, and so is the Gram of the side the
+# line does not move (c1's t-Gram T along a mollifier line, its x-Gram X
+# along a twist line); the exact value at the rounded probe inputs is then
+# a quadratic in t.  Each constant is 1 + sum_ab G_ab H_ab, a fixed Gram G
+# contracted with the Gram H = sum_i w_i F_a F_b of the moving factors F,
+# and expanding each factor into its products of rows and inputs makes it
+# a sum of products; rounded, it is off that quadratic by at most
 # gamma_n S(t) (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-# ed., sec. 3.1), where S(t) = 1 + sum wt |L|^2 wx is the same sum over
-# absolute values, |L| the root's running sum of absolute terms, and n
-# counts the roundings on one product's path: N - 1 for the sum over the
-# nodes, 3 for wt L L wx, twice a root's own path, 1 for adding the 1, and
-# 2 for each factor fl(x0 + t d) (3 where the delta factor rounds it
-# again).  A root reads each mollifier row u through its products
-# (P u, D u), so 1/r rounds on the root's path, after the sums over the
-# row, and |A| is |D| |u| + rho |P| |u|, not |D + rho P| |u|.
+# ed., sec. 3.1), where S(t) = 1 + sum_ab |G_ab| sum_i w_i |F_a| |F_b| is
+# the same sum over absolute values, |F| each factor's running sum of
+# absolute terms, and n counts the roundings on one product's path:
+# w_i - 1 for the sum over the i nodes, 2 for F_a F_b w_i, twice a factor's
+# own path, 1 for G_ab H_ab, 2 for the sum of the three terms (2 G01 H01
+# doubles exactly), 1 for adding the 1, and 2 for each input
+# fl(x0 + t d) (3 where the delta factor rounds it again).  A mollifier row
+# u is read through its products (D u, P u), one dot product of len(u)
+# terms each, so |A| is |D| |u| + rho |P| |u|, not |D + rho P| |u|, and 1/r
+# rounds after the sums over the row.
 # Extrapolating from the probes t = -1, 0, 1 to t* with the Lagrange
 # weights L_i(t*) then misses the value at t* by at most
 # gamma_n (S(t*) + sum_i |L_i(t*)| S(t_i)), plus at most 8 roundings of the
@@ -254,10 +265,12 @@ def on_line(line, t: float) -> np.ndarray:
     return x0 + t * d
 
 
-def square_sum(rows, abs_root: np.ndarray) -> float:
-    """S = 1 + sum W |L|^2 over the node rows, from the root's running sum
-    of absolute terms at every node pair."""
-    return 1.0 + float(np.abs(rows.wt) @ abs_root ** 2 @ np.abs(rows.wx))
+def contracted_sum(G, abs_factors: np.ndarray, w: np.ndarray) -> float:
+    """S = 1 + sum_ab |G_ab| sum_i w_i |F_a| |F_b| for a fixed Gram G,
+    (G00, G01, G11), and the moving factors' running sums of absolute
+    terms, (2, nodes), under their weights w."""
+    H = (abs_factors * w) @ abs_factors.T
+    return 1.0 + float(abs(G[0]) * H[0, 0] + 2.0 * abs(G[1]) * H[0, 1] + abs(G[2]) * H[1, 1])
 
 
 def abs_mollifier(rows, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,23 +280,10 @@ def abs_mollifier(rows, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(D) @ np.abs(u) + rows.rho * pu, pu
 
 
-def abs_c1_root(rows, up: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """|U||A| + theta |U'||P| at the nodes, every term made positive:
-    |U| = 1 + |Psi| |v|, |U'| = |Psi'| |v| and |A|, |P| as abs_mollifier
-    gives them."""
-    psi, dpsi = kernel._rows(rows.t.size, len(v) - 2, True)
-    A, P = abs_mollifier(rows, up)
-    U = 1.0 + np.abs(psi) @ np.abs(v)
-    dU = np.abs(dpsi) @ np.abs(v)
-    return np.multiply.outer(U, A) + rows.theta * np.multiply.outer(dU, P)
-
-
-def c1_roundings(rows, m: int, K: int, per_input: int) -> int:
-    """n for c1 over mollifier degree m and K twist entries: the root's path
-    is K + 1 for U, m + 3 for A, 2 for the products and theta, 1 for the
-    sum; per_input roundings of each of its two input factors."""
-    N = rows.wt.size * rows.wx.size
-    return N - 1 + 3 + 2 * (K + m + 7) + 1 + 2 * per_input
+def roundings(nodes: int, path: int, per_input: int) -> int:
+    """n for a Gram over nodes whose factors each round path times past
+    their inputs, each of which rounds per_input times (see above)."""
+    return nodes - 1 + 2 + 2 * path + 1 + 2 + 1 + 2 * per_input
 
 
 @property_settings
@@ -298,12 +298,12 @@ def test_c_along_a_line_in_the_mollifiers_is_a_parabola(line1, line2, theta, r, 
     def S(t):
         (a1, _), (a2, p2) = (abs_mollifier(rows, np.r_[1.0, on_line(line, t)])
                              for line in (line1, line2))
-        return square_sum(rows, a1 + (np.multiply.outer(rows.t, a2) + theta * p2) / r)
+        return contracted_sum(rows.Tc, np.array([a1 + (a2 + theta * p2) / r, a2 / r]), rows.wx)
 
-    # the root's path: max(n1, n2) + 2 for A, 1 for 1/r, 1 for t and 1 for
-    # the last subtraction, or 2 for the two subtractions of A1
-    N = rows.wt.size * rows.wx.size
-    n = N - 1 + 3 + 2 * (max(n1, n2) + 5) + 1 + 2 * 2
+    # F0 = A1 - (A2 + theta P2) / r: a row's products len(u), A 2 more
+    # (rho P, the sum), then 1 for A2 + theta P2, 1 for 1/r and 1 for the
+    # subtraction; F1 = -A2 / r is shorter
+    n = roundings(rows.wx.size, max(n1, n2) + 5, per_input=2)
     assert_parabola(lambda t: c_core(on_line(line1, t), on_line(line2, t), theta, r, R),
                     S, n, t_star)
 
@@ -314,12 +314,14 @@ def test_c_along_a_line_in_the_mollifiers_is_a_parabola(line1, line2, theta, r, 
 def test_c1_along_a_line_in_the_mollifier_is_a_parabola(line, q, theta, R, delta, t_star):
     m = len(line[0])
     rows = node_rows(theta, R, m, len(q) - 1)
-    v = delta * np.r_[1.0, q]
+    T = kernel.gram(rows.factors(np.r_[1.0, q], delta), rows.wt)  # the twist's, fixed
 
     def S(t):
-        return square_sum(rows, abs_c1_root(rows, np.r_[1.0, on_line(line, t)], v))
+        A, P = abs_mollifier(rows, np.r_[1.0, on_line(line, t)])
+        return contracted_sum(T, np.array([A, rows.theta * P]), rows.wx)
 
-    n = c1_roundings(rows, m, len(v), per_input=2)
+    # A: the row's m + 1 products, then rho P and the sum
+    n = roundings(rows.wx.size, m + 3, per_input=2)
     assert_parabola(lambda t: c1_core(on_line(line, t), q, theta, R, delta), S, n, t_star)
 
 
@@ -329,11 +331,14 @@ def test_c1_along_a_line_in_the_mollifier_is_a_parabola(line, q, theta, R, delta
 def test_c1_along_a_line_in_the_twist_is_a_parabola(shape, line, theta, R, delta, t_star):
     p = [float(c) for c in shape]
     rows = node_rows(theta, R, len(p), len(line[0]) - 1)
+    X = kernel.gram(rows.factors(np.r_[1.0, p]), rows.wx)  # the mollifier's, fixed
+    psi, dpsi = kernel._rows(rows.t.size, len(line[0]) - 1, True)
 
     def S(t):
-        return square_sum(rows, abs_c1_root(rows, np.r_[1.0, p],
-                                            delta * np.r_[1.0, on_line(line, t)]))
+        v = np.abs(delta * np.r_[1.0, on_line(line, t)])
+        return contracted_sum(X, np.array([1.0 + np.abs(psi) @ v, np.abs(dpsi) @ v]), rows.wt)
 
-    # each twist entry: fl(x0 + t d), then times delta
-    n = c1_roundings(rows, len(p), len(line[0]) + 1, per_input=3)
+    # U = 1 + Psi v: the row's K = len(v) products, then the 1; each twist
+    # entry: fl(x0 + t d), then times delta
+    n = roundings(rows.wt.size, len(line[0]) + 2, per_input=3)
     assert_parabola(lambda t: c1_core(p, on_line(line, t), theta, R, delta), S, n, t_star)

@@ -323,8 +323,8 @@ class TestFullReport:
 
 class TestShapeProducts:
     """The float core reads each exact shape through its float row, kept on
-    the shape, and a mollifier through its products with the basis rows,
-    formed once per node count and kept on the shape too."""
+    the shape, and what it forms from that row at a point is kept there
+    too: a mollifier's factors and x-Gram, a twist's t-Gram."""
 
     def test_values_are_the_float_core_bit_for_bit(self):
         # c_value and c1_value read the shapes' kept rows and products;
@@ -353,19 +353,28 @@ class TestShapeProducts:
 
     def test_cache_is_transparent(self, monkeypatch):
         # over a 3^4 (r, R4, R5, delta) lattice on shared shapes, each
-        # (shape, point) factor is formed once, a mollifier's at each
-        # (x-node count, rho, theta) and the twist's at each (t-node count,
-        # delta), and every report is bit for bit the one that fresh, equal
-        # shapes give
+        # (shape, point) Gram is formed once, counted on its builder
+        # NodeRows.gram_of: the c1 mollifier's X at each (x-node count, rho,
+        # theta) and the twist's T at each (t-node count, delta, R); each
+        # c mollifier forms its factors once per point and no Gram; every
+        # basis product is one of these; every report is bit for bit the
+        # one that fresh, equal shapes give
         p4, p5 = section_four_reference(), section_five_reference()
         shapes = (p4.p1_shape, p4.p2_shape, p5.p_shape, p5.q_shape)
-        formed = []
+        formed, grams = [], []
+        gram_of = kernel.NodeRows.gram_of
 
         def counting(n, u, twist=False):
             formed.append((n, tuple(u), twist))
             return basis_products(n, u, twist)
 
+        def counting_grams(rows, u, delta=None):
+            grams.append((len(rows.t) if delta is not None else len(rows.wx), tuple(u), delta,
+                          rows.R if delta is not None else rows.rho))
+            return gram_of(rows, u, delta)
+
         monkeypatch.setattr(kernel, "basis_products", counting)
+        monkeypatch.setattr(kernel.NodeRows, "gram_of", counting_grams)
         axes = [np.linspace(0.8, 1.6, 3), np.linspace(0.4, 0.9, 3), np.linspace(0.5, 12.0, 3),
                 np.linspace(0.5, 1.0, 3)]
         points = [(replace(p4, r=float(r), R=float(R4)), replace(p5, R=float(R5), delta=float(d)))
@@ -375,14 +384,20 @@ class TestShapeProducts:
         n5 = len(p5.p_shape.shape_coeffs) + 3  # one x count per mollifier: m + 3
         k = len(p5.q_shape.sym_coeffs)
         assert p4.theta == p5.theta == 1.0  # so rho = R
-        assert [list(s.kept["factors"]) for s in shapes] == [
-            [(n4, float(R4), 1.0) for R4 in axes[1]], [(n4, float(R4), 1.0) for R4 in axes[1]],
-            [(n5, float(R5), 1.0) for R5 in axes[2]],
-            [(kernel.t_count(R5, 2 * k + 2), float(d)) for R5 in axes[2] for d in axes[3]]]
+        assert [list(s.kept["factors"]) for s in shapes[:2]] == [
+            [(n4, float(R4), 1.0) for R4 in axes[1]]] * 2
+        assert list(p5.p_shape.kept["grams"]) == [(n5, float(R5), 1.0) for R5 in axes[2]]
+        t_points = [(kernel.t_count(R5, 2 * k + 2), float(d), float(R5))
+                    for R5 in axes[2] for d in axes[3]]
+        assert list(p5.q_shape.kept["grams"]) == t_points
         row = kernel.shape_row
+        assert sorted(grams, key=repr) == sorted(  # each once
+            [(n5, tuple(row(p5.p_shape)), None, float(R5)) for R5 in axes[2]]
+            + [(n, tuple(row(p5.q_shape)), d, R5) for n, d, R5 in t_points], key=repr)
         assert sorted(formed) == sorted(
-            [(n, tuple(row(s)), False) for s in shapes[:3] for n, *_ in s.kept["factors"]]
-            + [(n, tuple(d * row(p5.q_shape)), True) for n, d in p5.q_shape.kept["factors"]])
+            [(n, tuple(row(s)), False) for s in shapes[:2] for n, *_ in s.kept["factors"]]
+            + [(n5, tuple(row(p5.p_shape)), False)] * 3
+            + [(n, tuple(d * row(p5.q_shape)), True) for n, d, _ in t_points])
         monkeypatch.undo()
 
         def fresh(shape):
@@ -394,64 +409,89 @@ class TestShapeProducts:
                                 replace(b, p_shape=fresh(b.p_shape), q_shape=fresh(b.q_shape)))
             assert ([x.hex() for x in astuple(report)[:8]]
                     == [x.hex() for x in astuple(again)[:8]])
-        for shape in shapes:
-            assert shape.kept.keys() == {"row", "factors"}
+        for shape, slot in zip(shapes, ("factors", "factors", "grams", "grams")):
+            assert shape.kept.keys() == {"row", slot}
             assert not shape.kept["row"].flags.writeable
-            assert not any(factors.flags.writeable for factors in shape.kept["factors"].values())
+            if slot == "factors":
+                assert not any(f.flags.writeable for f in shape.kept["factors"].values())
+            else:
+                assert all(type(g) is tuple and len(g) == 3 and all(type(x) is float for x in g)
+                           for g in shape.kept["grams"].values())
             assert shape == fresh(shape) and hash(shape) == hash(fresh(shape))
             assert repr(shape) == repr(fresh(shape))
 
     @pytest.mark.parametrize("twist", [False, True])
     def test_each_shape_keeps_a_bounded_number_of_points(self, twist):
-        # read at _NODE_ROWS_KEPT + 8 points, a shape keeps the last
-        # _NODE_ROWS_KEPT formed, the oldest dropped first, and a dropped
-        # point forms again, bit for bit, the factors it first gave
+        # read at _NODE_ROWS_KEPT + 8 points, a shape keeps, in each slot,
+        # the last _NODE_ROWS_KEPT formed, the oldest dropped first, and a
+        # dropped point forms again, bit for bit, what it first gave: a
+        # mollifier's factors and x-Gram, a twist's t-Gram
         p5, kept = section_five_reference(), kernel._NODE_ROWS_KEPT
         m, k = len(p5.p_shape.shape_coeffs), len(p5.q_shape.sym_coeffs)
         shape = p5.q_shape if twist else p5.p_shape
-        if twist:  # a twist's points move with delta, a mollifier's with R
-            rows = kernel.node_rows(1.0, 0.746, m, k)
-            reads = [(rows, 0.5 + i / 128) for i in range(kept + 8)]
+        if twist:  # a twist's points move with delta and R, a mollifier's with R
+            reads = [(kernel.node_rows(1.0, 0.746 + (i % 2) / 64, m, k), 0.5 + i / 128)
+                     for i in range(kept + 8)]
+            slots = {"grams": lambda rows, delta: kernel.kept_gram(rows, shape, delta)}
         else:
             reads = [(kernel.node_rows(1.0, 0.5 + i / 128, m, k), None) for i in range(kept + 8)]
-
-        def read(rows, delta):
-            return kernel.kept_factors(rows, shape, delta)
+            slots = {"factors": lambda rows, _: kernel.kept_factors(rows, shape),
+                     "grams": lambda rows, _: kernel.kept_gram(rows, shape)}
 
         def keys(reads):
-            return [(len(rows.t), delta) if twist else (len(rows.wx), rows.rho, rows.theta)
+            return [(len(rows.t), delta, rows.R) if twist else (len(rows.wx), rows.rho, rows.theta)
                     for rows, delta in reads]
 
-        first = [read(*point) for point in reads]
-        assert list(shape.kept["factors"]) == keys(reads[8:])
-        again = read(*reads[0])
-        assert again is not first[0]
-        assert [a.tobytes() for a in again] == [a.tobytes() for a in first[0]]
-        assert list(shape.kept["factors"]) == keys(reads[9:] + reads[:1])
-        assert read(*reads[-1]) is first[-1]
+        def same(a, b):
+            return (a.tobytes() == b.tobytes() if isinstance(a, np.ndarray)
+                    else [x.hex() for x in a] == [x.hex() for x in b])
+
+        for slot, read in slots.items():
+            first = [read(*point) for point in reads]
+            assert list(shape.kept[slot]) == keys(reads[8:])
+            again = read(*reads[0])
+            assert again is not first[0] and same(again, first[0])
+            assert list(shape.kept[slot]) == keys(reads[9:] + reads[:1])
+            assert read(*reads[-1]) is first[-1]
 
     def test_kept_factors_name_a_wrong_shape(self):
         p5 = section_five_reference()
         rows = kernel.node_rows(1.0, 0.746, 3, 2)
         with pytest.raises(TypeError, match="a MollifierShape takes no delta"):
-            kernel.kept_factors(rows, p5.p_shape, 0.771)
+            kernel.kept_gram(rows, p5.p_shape, 0.771)
         with pytest.raises(TypeError, match="a TwistShape needs a delta"):
+            kernel.kept_gram(rows, p5.q_shape)
+        with pytest.raises(TypeError, match="a TwistShape keeps no factors"):
             kernel.kept_factors(rows, p5.q_shape)
 
-    def test_a_mollifier_keeps_two_points_that_share_rho(self):
+    def test_a_mollifier_keeps_two_points_that_share_rho(self, monkeypatch):
         # (theta, R) = (0.5, 1.0) and (1.0, 0.5) have rho = R theta = 0.5
         # exactly, but theta P u differs: each mollifier keeps both points,
+        # the c mollifiers their factors and the c1 mollifier its x-Gram,
+        # each Gram formed once (counted on its builder, NodeRows.gram_of),
         # and each constant is bit for bit the one fresh, equal shapes give
         p4, p5 = section_four_reference(), section_five_reference()
         points = [(0.5, 1.0), (1.0, 0.5)]
+        formed = []
+        gram_of = kernel.NodeRows.gram_of
+
+        def counting(rows, u, delta=None):
+            formed.append((rows.theta, rows.R, delta is not None))
+            return gram_of(rows, u, delta)
 
         def constants(p4, p5, theta, R):
             return (c_value(replace(p4, theta=theta, R=R)).hex(),
                     c1_value(replace(p5, theta=theta, R=R)).hex())
 
-        kept = [constants(p4, p5, *point) for point in points]
-        for shape in (p4.p1_shape, p4.p2_shape, p5.p_shape):
-            assert [key[1:] for key in shape.kept["factors"]] == [(0.5, 0.5), (0.5, 1.0)]
+        monkeypatch.setattr(kernel.NodeRows, "gram_of", counting)
+        kept = [constants(p4, p5, *point) for point in points * 2]
+        assert kept[:2] == kept[2:]
+        assert sorted(formed) == [(0.5, 1.0, False), (0.5, 1.0, True),
+                                  (1.0, 0.5, False), (1.0, 0.5, True)]
+        monkeypatch.undo()
+        for shape, slot in ((p4.p1_shape, "factors"), (p4.p2_shape, "factors"),
+                            (p5.p_shape, "grams")):
+            assert [key[1:] for key in shape.kept[slot]] == [(0.5, 0.5), (0.5, 1.0)]
         for point, values in zip(points, kept):
             assert values == constants(section_four_reference(), section_five_reference(),
                                        *point)
