@@ -8,33 +8,35 @@ mollifier shape (kernel.kept_factors, kernel.kept_gram) against the same
 exact moments, and Cauchy integrals of the definition-form kernel
 against c and c1 from the float core.
 
-kernel_numeric is that kernel, evaluated on real or complex arrays, for
-one moment table or a stack of tables on one grid, its e^{-a-b} formed
-as e^{-a} e^{-b} (one exp per grid node) away from the removable line and
-its bilinear part as per-node brackets, and cauchy_derivatives is the
-one derivative route: one grid of kernel values on a torus about the
-base point gives the whole table of mixed partials d_a^m d_b^n by the
-trapezoidal rule, with radius (order!)^(1/order) and N x N nodes,
-N = 4 order + 16, both fixed by the order alone; a stacked grid gives one
-table per moment table.  c reads
-its value at the centre and its three derivative tables from one stacked
-grid; c1 is the quadratic form u^T D u of the twist operator's weights
-u, exact from the twist polynomial and rounded once.  Against a 40-digit
-mpmath evaluation over 960 random draws per cell (README), c from this
-route is good to 3e-14 (relative) at R <= 5 and 1e-11 up to R = 300; c1
-to 7e-12 up to order 8 and 6e-11 up to order 16 at R <= 5, and to 7e-10
-up to order 8 but only 1e-8 at orders 10 to 16 for 5 < R <= 300, where
-90% of draws are within 5e-12.  The route is checked only up to order 16
-at R <= 5, and at order 16, R = 100.
+kernel_numeric is that kernel, evaluated on real or complex arrays, its
+e^{-a-b} formed as e^{-a} e^{-b} away from the removable line, and
+cauchy_derivatives is the one derivative route: the trapezoidal rule on a
+torus about the base point gives the whole table of mixed partials
+d_a^m d_b^n, with radius (order!)^(1/order) and N x N nodes,
+N = 4 order + 16, both fixed by the order alone.  c and c1 read that
+route with its sums reassociated, so that each contracts before it
+rounds: about (-R, -R) the kernel is C + E(s) [1, n_j] G [1, n_k]^T on the
+torus nodes n_j, so each form sum_mn u_m v_n D[m, n] is C u_0 v_0 plus
+four real entries of Phi_u E Phi_v^T, Phi_u = [u^T W; u^T W diag(n)], from
+one E grid per call and no D.  c is the kernel at the centre plus three
+such forms of one order-1 grid; c1 the form at u = v = the twist
+operator's weights, exact from the twist polynomial and rounded once.
+Against a 40-digit mpmath evaluation over 960 random draws per cell
+(README), c from this route is good to 3e-14 (relative) at R <= 5 and
+5e-13 up to R = 300; c1 to 2e-13 up to order 8 and 3e-11 up to order 16
+at R <= 5, and to 4e-12 up to order 8 and 3e-8 at orders 10 to 16 for
+5 < R <= 300, where 90% of draws are within 2e-12 and the worst is a
+draw whose u^T D u itself cancels 2.7e9-fold.  The route is checked only
+up to order 16 at R <= 5, at order 16, R = 100, and at order 22, R = 0.746.
 
 The exact data is summed in integers and divided once: the four moments
 of a pair in one pass over one common denominator (polyalg.moments, a
 table that stays integer numerators until its floats are read),
 each shape coefficient (expand_mollifier, expand_twist), and each twist
 weight u_j over the twist's common denominator.  The Gauss-Legendre
-nodes and weights are cached here per node count, and the torus nodes
-and weight matrix per order, apart from the engine's node tables,
-read-only and built on first use.
+nodes and weights are cached here per node count, and the torus nodes,
+weight matrix and grid tables per order, apart from the engine's node
+tables, read-only and built on first use.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -85,49 +87,34 @@ def _absolute(p: Poly) -> Poly:
     return Poly(tuple(map(abs, p.nums)), p.den)
 
 
-def kernel_numeric(mt: MomentTable | Sequence[MomentTable], theta: float, a, b):
+def kernel_numeric(mt: MomentTable, theta: float, a, b):
     """Direct kernel evaluation from its definition, total on the plane.
 
     a and b are scalars or numpy arrays, real or complex, that broadcast
     together.  Evaluated as (m_pd + m_dp) + E(s) g(-a,-b)/theta with
-    g(-a,-b)/theta = (m_dd/theta - b m_dp) - a (m_pd - b theta m_pp), its
-    two brackets per node in b and one product per entry, s = a + b and
-    E(s) = (1 - e^{-s})/s, whose numerator has two forms (_exp_ratio):
+    g(-a,-b)/theta = (m_dd/theta - b m_dp) - a (m_pd - b theta m_pp),
+    s = a + b and E(s) = (1 - e^{-s})/s, whose numerator has two forms
+    (_exp_ratio):
 
-    - 1 - e^{-a} e^{-b} where |s| >= 1: on a grid (a_j, b_k), one exp per
-      node and an outer product, where expm1 would take one call per entry;
+    - 1 - e^{-a} e^{-b} where |s| >= 1, one exp per node;
     - -expm1(-s) where |s| < 1, which keeps full relative precision as
       s -> 0, and wherever the product is not finite (e^{-a} = 0 times
       e^{-b} = inf, as at a = 800, b = -795), so no input that expm1 takes
       to a finite value reads inf or nan.  On the removable line E(0) = 1.
-
-    The product errs by a few eps |e^{-s}|, so a kernel value by a few eps
-    |e^{-s} g / (theta s)|.  On a torus about (-R, -R), |e^{-s}| peaks
-    where the kernel does, and there |1 - e^{-s}| is about |e^{-s}|: each
-    value errs by a few eps times the grid's largest, the per-entry
-    rounding that the bound of cauchy_derivatives assumes.  That rounding
-    comes mostly per node, from e^{-a_j}, e^{-b_k} and the brackets of g,
-    not independently per entry.
-
-    Given a sequence of tables, the kernel is linear in their moments:
-    the grid terms and E(s) are formed once, and the values of each table
-    stack along a new first axis, each bit for bit its own evaluation.
     """
-    ratio = _exp_ratio(a, b)
-    if isinstance(mt, MomentTable):
-        mdd, mdp, mpd, mpp = mt.floats
-    else:
-        mdd, mdp, mpd, mpp = np.array([t.floats for t in mt]).T.reshape(4, -1, *(1,) * ratio.ndim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = np.exp(-a) * np.exp(-b)
+    mdd, mdp, mpd, mpp = mt.floats
     g_over_theta = (mdd / theta - b * mdp) - a * (mpd - b * theta * mpp)
-    return (mpd + mdp) + ratio * g_over_theta
+    return (mpd + mdp) + _exp_ratio(np.asarray(a + b), decay) * g_over_theta
 
 
-def _exp_ratio(a, b) -> np.ndarray:
-    """E(a + b) = (1 - e^{-a-b}) / (a + b), by the two forms of kernel_numeric."""
-    s = np.asarray(a + b)
+def _exp_ratio(s: np.ndarray, decay) -> np.ndarray:
+    """E(s) = (1 - e^{-s}) / s by the two forms of kernel_numeric, given
+    e^{-s} as a product of exponentials that may read inf or nan."""
     # an overflow, an inf times 0 and s = 0 are all in `near`, redone below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        numerator = np.asarray(1.0 - np.exp(-a) * np.exp(-b))
+        numerator = np.asarray(1.0 - decay)
         ratio = np.asarray(numerator / s)
     near = (np.abs(s) < 1) | ~np.isfinite(numerator)
     if near.any():
@@ -144,11 +131,25 @@ def _torus(order: int) -> tuple[np.ndarray, np.ndarray]:
     size = 4 * order + 16
     m = np.arange(order + 1)
     nodes = radius * np.exp(2j * np.pi * np.arange(size) / size)
-    scale = np.cumprod(np.maximum(m, 1)) / radius ** m / size  # m! rho^-m / N
+    # m! rho^-m / N, each m! rounded once from the integer (int64 wraps at 21!)
+    scale = np.array([float(math.factorial(k)) for k in m]) / radius ** m / size
     W = scale[:, None] * np.exp(-2j * np.pi * (np.outer(m, np.arange(size)) % size) / size)
     for table in (nodes, W):
         table.setflags(write=False)
     return nodes, W
+
+
+@lru_cache(maxsize=None)
+def _torus_grid(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Over the torus nodes n_j of one order: the sums n_j + n_k, the
+    products e^{-n_j} e^{-n_k} and the rows [1; n_j], read-only."""
+    nodes, _ = _torus(order)
+    decay = np.exp(-nodes)
+    tables = (nodes[:, None] + nodes[None, :], np.outer(decay, decay),
+              np.stack([np.ones_like(nodes), nodes]))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def cauchy_derivatives(f: Callable, at: tuple[float, float], order: int) -> np.ndarray:
@@ -159,9 +160,7 @@ def cauchy_derivatives(f: Callable, at: tuple[float, float], order: int) -> np.n
     N x N nodes, exponentially accurate for an entire f (Lyness & Moler
     1967; Bornemann 2011), gives them all at once.  f is called once, on
     the complex grid (a0 + rho w^j, b0 + rho w^k) with w = e^{2 pi i/N},
-    and D = Re(W F W^T) with W[m, j] = m! rho^-m w^-jm / N.  An f that
-    stacks several functions along a first axis gets one D per function,
-    each the one its own grid would give.
+    and D = Re(W F W^T) with W[m, j] = m! rho^-m w^-jm / N.
 
     Rounding in D[m, n] is about eps max|F| m! n! / rho^(m+n), and for the
     kernel, which grows like e^{-a-b}, max|F| is about e^{2 rho} times the
@@ -176,29 +175,73 @@ def cauchy_derivatives(f: Callable, at: tuple[float, float], order: int) -> np.n
     return (W @ F @ W.T).real
 
 
+def _exp_grid(order: int, R: float) -> np.ndarray:
+    """E(s) on the torus grid of one order about (-R, -R)."""
+    sums, decay, _ = _torus_grid(order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _exp_ratio(sums - 2.0 * R, math.exp(2.0 * R) * decay)
+
+
+def _cauchy_forms(weights: np.ndarray, R: float) -> np.ndarray:
+    """The kernel's derivative forms sum_mn u_m v_n D[m, n] at (-R, -R),
+    before the moments enter: for weight rows u_i (k, order + 1), the
+    (2k, 2k) matrix Phi E Phi^T, Phi stacking [u_i W; u_i W diag(n)].
+
+    On the torus of cauchy_derivatives the kernel is C + E(s) [1, n_j] G
+    [1, n_k]^T (_kernel_terms), so a form is C u_0 v_0 (the trapezoidal sum
+    of a constant is exact) plus the four real entries of the 2 x 2 block
+    of u and v against G: the trapezoidal sums of D, reassociated to
+    contract the weights before they round.  One E grid: s = -2R +
+    (n_j + n_k), e^{-s} = e^{2R} e^{-n_j} e^{-n_k} from the kept node
+    tables (_torus_grid) and one scalar exp (_exp_grid)."""
+    order = weights.shape[1] - 1
+    _, W = _torus(order)
+    phi = ((weights @ W)[:, None] * _torus_grid(order)[2]).reshape(-1, W.shape[1])
+    return phi @ _exp_grid(order, R) @ phi.T
+
+
+def _kernel_terms(mt: MomentTable, theta: float, R: float) -> tuple[float, tuple]:
+    """C = m_pd + m_dp and the 2 x 2 G, rows of floats, with
+    g(-a,-b)/theta = [1, n_a] G [1, n_b]^T at a = -R + n_a, b = -R + n_b:
+    the kernel's bracket form about (-R, -R)."""
+    mdd, mdp, mpd, mpp = mt.floats
+    inner = mpd + R * theta * mpp
+    return mpd + mdp, (((mdd / theta + R * mdp) + R * inner, -(mdp + R * theta * mpp)),
+                       (-inner, theta * mpp))
+
+
+def _form(mt: MomentTable, theta: float, R: float, block: np.ndarray, u0v0: float) -> float:
+    """sum_mn u_m v_n D[m, n] of the kernel of mt, from its 2 x 2 block of
+    _cauchy_forms and u_0 v_0."""
+    C, ((g00, g01), (g10, g11)) = _kernel_terms(mt, theta, R)
+    (b00, b01), (b10, b11) = block.real.tolist()
+    return C * u0v0 + ((g00 * b00 + g01 * b01) + (g10 * b10 + g11 * b11))
+
+
 def fd_c_value(p: SectionFourParams) -> float:
     """c recomputed from the definition-form kernel alone, its derivatives
-    by Cauchy integrals: the three derivative tables share one grid."""
+    by Cauchy integrals: the three derivative forms share one grid."""
     poly1 = expand_mollifier(p.p1_shape)
     poly2 = expand_mollifier(p.p2_shape)
     return _fd_c(p, moments(poly1, poly1), moments(poly1, poly2), moments(poly2, poly2))
 
 
 def _fd_c(p: SectionFourParams, m11: MomentTable, m12: MomentTable, m22: MomentTable) -> float:
-    """fd_c_value from the moment tables of (P1, P1), (P1, P2) and (P2, P2)."""
-    at = (-p.R, -p.R)
-    stack = (m12.transpose(), m12, m22)
-    D21, D12, D22 = cauchy_derivatives(lambda a, b: kernel_numeric(stack, p.theta, a, b), at, 1)
+    """fd_c_value from the moment tables of (P1, P1), (P1, P2) and (P2, P2):
+    d_a of m21, d_b of m12 and d_a d_b of m22 from one order-1 grid, the
+    weights e_0 and e_1 in its rows [0:2] and [2:4]."""
+    M = _cauchy_forms(np.eye(2), p.R)
     inv_r = 1.0 / p.r
-    return float(kernel_numeric(m11, p.theta, *at)
-                 + inv_r * D21[1, 0]
-                 + inv_r * D12[0, 1]
-                 + inv_r * inv_r * D22[1, 1])
+    return float(kernel_numeric(m11, p.theta, -p.R, -p.R)
+                 + inv_r * _form(m12.transpose(), p.theta, p.R, M[2:, :2], 0.0)
+                 + inv_r * _form(m12, p.theta, p.R, M[:2, 2:], 0.0)
+                 + inv_r * inv_r * _form(m22, p.theta, p.R, M[2:, 2:], 0.0))
 
 
 def fd_c1_value(p: SectionFiveParams) -> float:
     """c1 recomputed as u^T D u: the twist operator's weights u against the
-    Cauchy-integral derivative matrix D of the definition-form kernel.
+    Cauchy-integral derivatives D of the definition-form kernel, contracted
+    on the grid and D never formed (_cauchy_forms).
 
     The operator (1-delta) Id + delta (Id + 2 d) Q(-d) puts the weight
     u_j = (1-delta) [j=0] + delta (-1)^j (q_j - 2 q_{j-1}) on d^j in each
@@ -215,9 +258,7 @@ def _fd_c1(p: SectionFiveParams, mt: MomentTable) -> float:
     q, Dq = (0, *twist.nums, 0), twist.den  # q[j+1]: the numerator of q_j; delta = num / den
     u = np.array([(num * (-1) ** j * (q[j + 1] - 2 * q[j]) + (den - num) * Dq * (j == 0))
                   / (den * Dq) for j in range(len(q) - 1)])
-    D = cauchy_derivatives(lambda a, b: kernel_numeric(mt, p.theta, a, b),
-                           (-p.R, -p.R), len(u) - 1)
-    return float(u @ D @ u)
+    return _form(mt, p.theta, p.R, _cauchy_forms(u[None], p.R), float(u[0]) ** 2)
 
 
 # --------------------------------------------------------------------------

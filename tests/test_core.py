@@ -231,7 +231,8 @@ class TestCachedData:
     def test_tables_are_read_only(self):
         rows = node_rows(1.0, 0.746, 3, 3)
         for table in (*kernel._rows(6, 3, False), *kernel._rows(len(rows.t), 3, True),
-                      *kernel._gauss(len(rows.t)), *oracle._torus(6), *oracle._legendre(5)):
+                      *kernel._gauss(len(rows.t)), *oracle._torus(6), *oracle._torus_grid(6),
+                      *oracle._legendre(5)):
             assert not table.flags.writeable
         for basis in (mollifier_basis(3), twist_basis(3)):
             assert isinstance(basis, tuple) and all(isinstance(b, Poly) for b in basis)
@@ -243,7 +244,7 @@ class TestCachedData:
                 "from levbounds import kernel, oracle, polyalg\n"
                 "for f in (kernel._gauss, kernel._rows, kernel._node_rows, "
                 "polyalg.mollifier_basis, polyalg.twist_basis, polyalg._integral_weights, "
-                "oracle._torus, oracle._legendre):\n"
+                "oracle._torus, oracle._torus_grid, oracle._legendre):\n"
                 "    assert f.cache_info().currsize == 0, f\n")
         src = os.path.dirname(os.path.dirname(levbounds.__file__))
         subprocess.run([sys.executable, "-c", code], check=True,
@@ -321,20 +322,18 @@ def delta_one_optimum(degrees) -> SectionFiveParams:
 
 class TestSelfcheckAtTheDeltaOneOptima:
     """selfcheck at the delta = 1 optima, where q reaches 5.8e3: c1 is
-    within 4e-16 of mp_c1 there, but the Cauchy route's u^T D u cancels,
-    and fd_c1_value reads 1.8e-9 (4,3) and 2.1e-7 (5,4) from mp_c1,
-    against the check's 1e-9."""
+    within 4e-16 of mp_c1 there.  The Cauchy route contracts the operator
+    weights on its grid before it rounds, and reads 2e-13 (4,3) and 3e-11
+    (5,4) from mp_c1 (forming D first and then u^T D u cancelled, to 1.8e-9
+    and 2.1e-7, against the check's 1e-9)."""
 
     @pytest.mark.parametrize("degrees", sorted(DELTA_ONE_OPTIMA))
     def test_every_other_check_passes(self, degrees):
         report = oracle.crosscheck_report(section_four_reference(), delta_one_optimum(degrees))
         assert len(report.checks) == 42
-        failing = [(ch.name, ch.rel_delta) for ch in report.checks
-                   if not ch.passed and ch.name != "c1 vs Cauchy integrals"]
+        failing = [(ch.name, ch.rel_delta) for ch in report.checks if not ch.passed]
         assert failing == []
 
-    @pytest.mark.xfail(strict=True, reason="the Cauchy route cancels at large q; ROADMAP "
-                                           "item 3's exact series is the referee here")
     def test_c1_vs_cauchy_integrals_passes(self):
         for degrees in sorted(DELTA_ONE_OPTIMA):
             report = oracle.crosscheck_report(section_four_reference(),

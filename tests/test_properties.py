@@ -2,9 +2,10 @@
 exact polynomials, its operations, integrals and shape expansions,
 against per-term Fraction references on the exact coefficients, the
 one-pass moment tables against the four product integrals, their
-transpose law, a stacked kernel evaluation against each table's, the
-symmetry of the Cauchy-integral derivative matrix of a diagonal pair,
-the delta = 0 degeneracy of c1, the root factors a shape keeps against
+transpose law, the oracle's one E grid and bracket form about (-R, -R)
+against the kernel's definition on the torus, the symmetry of the
+Cauchy-integral derivative matrix of a diagonal pair, the delta = 0
+degeneracy of c1, the root factors a shape keeps against
 the basis products they are formed from, selfcheck's node-row checks on
 correct rows, and the quadratic structure the exact solves rely on: c
 along any line in (p1, p2), and c1 along any line in p at a fixed twist
@@ -18,8 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from levbounds import kernel
 from levbounds.kernel import node_rows
-from levbounds.oracle import (_torus, cauchy_derivatives, crosscheck_report, fd_c1_value,
-                              kernel_numeric)
+from levbounds import oracle
+from levbounds.oracle import cauchy_derivatives, crosscheck_report, fd_c1_value, kernel_numeric
 from levbounds.polyalg import (MAX_DEGREE, ZERO, MollifierShape, MomentTable, Poly, TwistShape,
                                as_fraction, expand_mollifier, expand_twist, mollifier_basis,
                                moments, poly_derivative, poly_eval, poly_reflect, twist_basis)
@@ -126,18 +127,24 @@ def test_table_is_canonical_and_its_floats_are_each_moment_rounded_once(p, q):
 @property_settings
 @given(pairs=st.lists(st.tuples(shapes, shapes), min_size=1, max_size=4), theta=thetas,
        R=offsets, order=st.integers(1, 16), on_line=st.booleans())
-def test_stacked_kernel_is_each_table_bit_for_bit(pairs, theta, R, order, on_line):
-    # R = (order!)^(1/order) puts the torus node (0, 0) on a + b = 0
-    nodes, _ = _torus(order)
+def test_grid_terms_are_each_tables_kernel(pairs, theta, R, order, on_line):
+    # C + E(s) [1, n_j] G [1, n_k]^T, the kernel the oracle's forms contract
+    # on one E grid, is each table's kernel_numeric at the nodes (-R + n_j,
+    # -R + n_k), to the rounding of those nodes and of E; R =
+    # (order!)^(1/order) puts the torus node (0, 0) on a + b = 0
+    nodes, _ = oracle._torus(order)
     if on_line:
         R = abs(nodes[0])
     a, b = -R + nodes[:, None], -R + nodes[None, :]
     assert np.any(a + b == 0) or not on_line
-    tables = [moments(expand_mollifier(s1), expand_mollifier(s2)) for s1, s2 in pairs]
-    stacked = kernel_numeric(tables, theta, a, b)
-    assert stacked.shape == (len(tables), *nodes.shape, *nodes.shape)
-    assert stacked.tobytes() == np.stack([kernel_numeric(mt, theta, a, b)
-                                          for mt in tables]).tobytes()
+    E = oracle._exp_grid(order, R)
+    for s1, s2 in pairs:
+        mt = moments(expand_mollifier(s1), expand_mollifier(s2))
+        C, ((g00, g01), (g10, g11)) = oracle._kernel_terms(mt, theta, R)
+        n_a, n_b = nodes[:, None], nodes[None, :]
+        grid = C + E * ((g00 + g01 * n_b) + n_a * (g10 + g11 * n_b))
+        F = kernel_numeric(mt, theta, a, b)
+        assert np.abs(grid - F).max() <= 8 * np.finfo(float).eps * (1 + R) * np.abs(F).max()
 
 
 @property_settings
