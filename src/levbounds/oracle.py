@@ -29,14 +29,20 @@ at R <= 5, and to 4e-12 up to order 8 and 3e-8 at orders 10 to 16 for
 draw whose u^T D u itself cancels 2.7e9-fold.  The route is checked only
 up to order 16 at R <= 5, at order 16, R = 100, and at order 22, R = 0.746.
 
-The exact data is summed in integers and divided once: the four moments
-of a pair in one pass over one common denominator (polyalg.moments, a
-table that stays integer numerators until its floats are read),
-each shape coefficient (expand_mollifier, expand_twist), and each twist
-weight u_j over the twist's common denominator.  The Gauss-Legendre
-nodes and weights are cached here per node count, and the torus nodes,
-weight matrix and grid tables per order, apart from the engine's node
-tables, read-only and built on first use.
+The exact data is summed in integers and divided once, read straight
+from each shape's integer row (1, c_1..c_m) or (1, q0, q_1..q_m) over its
+common denominator (the shapes' numerators), and no polynomial is built
+per call: the four moments of a pair are one integer bilinear form of
+their rows with the cached basis tables G_k (polyalg.shape_moments,
+polyalg.basis_moments), a table that stays integer numerators until its
+floats are read, and each twist weight u_j is an integer ratio from one
+cached integer map of the twist row (_twist_columns) and delta's integer
+ratio.  Only crosscheck_report
+expands shapes to polynomials, for its Gauss-Legendre side.  The
+Gauss-Legendre nodes and weights are cached here per node count, the
+twist map per q_sym count, and the torus nodes, weight matrix and grid
+tables per order, apart from the engine's node tables, read-only and
+built on first use.
 """
 
 from __future__ import annotations
@@ -45,14 +51,15 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .kernel import NodeRows, _rows, kept_factors, kept_gram, node_rows, shape_row
-from .polyalg import (MollifierShape, MomentTable, Poly, expand_mollifier, expand_twist,
-                      moments, poly_derivative)
+from .polyalg import (MollifierShape, MomentTable, Poly, TwistShape, expand_mollifier,
+                      poly_derivative, shape_moments, twist_basis)
 from .proportions import SectionFourParams, SectionFiveParams, c1_value, c_value
 
 
@@ -221,9 +228,8 @@ def _form(mt: MomentTable, theta: float, R: float, block: np.ndarray, u0v0: floa
 def fd_c_value(p: SectionFourParams) -> float:
     """c recomputed from the definition-form kernel alone, its derivatives
     by Cauchy integrals: the three derivative forms share one grid."""
-    poly1 = expand_mollifier(p.p1_shape)
-    poly2 = expand_mollifier(p.p2_shape)
-    return _fd_c(p, moments(poly1, poly1), moments(poly1, poly2), moments(poly2, poly2))
+    s1, s2 = p.p1_shape, p.p2_shape
+    return _fd_c(p, shape_moments(s1, s1), shape_moments(s1, s2), shape_moments(s2, s2))
 
 
 def _fd_c(p: SectionFourParams, m11: MomentTable, m12: MomentTable, m22: MomentTable) -> float:
@@ -245,19 +251,51 @@ def fd_c1_value(p: SectionFiveParams) -> float:
 
     The operator (1-delta) Id + delta (Id + 2 d) Q(-d) puts the weight
     u_j = (1-delta) [j=0] + delta (-1)^j (q_j - 2 q_{j-1}) on d^j in each
-    variable, for Q(x) = sum_j q_j x^j; u is exact, an integer ratio over
-    the denominator of delta times that of Q, and rounded once.
+    variable, for Q(x) = sum_j q_j x^j.  The numerators of
+    (-1)^j (q_j - 2 q_{j-1}) are one integer map of the twist row
+    (1, q0, q_1..q_m) over its denominator (TwistShape.numerators,
+    _twist_columns), so each u_j is exact, an integer ratio over the
+    denominators of delta, the row and the map, rounded once
+    (_twist_weights).  u has deg Q + 2 entries, deg Q read from the exact
+    numerators, so trailing zero q_sym entries, and delta = 0, keep the
+    grid of the twist they trim to.
     """
-    poly = expand_mollifier(p.p_shape)
-    return _fd_c1(p, moments(poly, poly))
+    return _fd_c1(p, shape_moments(p.p_shape, p.p_shape))
+
+
+@lru_cache(maxsize=None)
+def _twist_columns(m: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The integer map from the twist row (1, q0, q_1..q_m) over d to the
+    numerators over d E of (-1)^j (q_j - 2 q_{j-1}), j <= 2m + 2, for
+    Q = sum_j q_j x^j: the monomial numerators of twist_basis(m) over their
+    common denominator E, differenced, one column per j."""
+    basis = twist_basis(m)
+    E, width = math.lcm(*(b.den for b in basis)), 2 * m + 3
+    rows = [(0, *(a * (E // b.den) for a in b.nums)) + (0,) * (width - len(b.nums))
+            for b in basis]  # row[j + 1]: the numerator of q_j
+    return tuple(tuple((-1) ** j * (row[j + 1] - 2 * row[j]) for row in rows)
+                 for j in range(width)), E
+
+
+def _twist_weights(shape: TwistShape, delta: float) -> np.ndarray:
+    """The operator weights u of fd_c1_value, each rounded once: with
+    v_j = (-1)^j (q_j - 2 q_{j-1}) over d E (_twist_columns) and
+    delta = num / den, u_j = (num v_j + (den - num) d E [j = 0]) / (den d E).
+    v_{deg Q + 1} = -+2 q_{deg Q} is the last nonzero v_j, so the exact
+    numerators give deg Q."""
+    (row, d), (num, den) = shape.numerators, delta.as_integer_ratio()
+    cols, E = _twist_columns(len(row) - 2)
+    v = [sum(map(mul, row, col)) for col in cols]
+    while v[-1] == 0:  # v_0 = d E, as Q(0) = 1
+        v.pop()
+    u = [num * x for x in v]
+    u[0] += (den - num) * d * E
+    return np.array([x / (den * d * E) for x in u])
 
 
 def _fd_c1(p: SectionFiveParams, mt: MomentTable) -> float:
     """fd_c1_value from the moment table of (P, P)."""
-    twist, (num, den) = expand_twist(p.q_shape), Fraction(p.delta).as_integer_ratio()
-    q, Dq = (0, *twist.nums, 0), twist.den  # q[j+1]: the numerator of q_j; delta = num / den
-    u = np.array([(num * (-1) ** j * (q[j + 1] - 2 * q[j]) + (den - num) * Dq * (j == 0))
-                  / (den * Dq) for j in range(len(q) - 1)])
+    u = _twist_weights(p.q_shape, p.delta)
     return _form(mt, p.theta, p.R, _cauchy_forms(u[None], p.R), float(u[0]) ** 2)
 
 
@@ -338,6 +376,8 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
     c1_exact = c1_value(p5)
 
     shapes = {"1": p4.p1_shape, "2": p4.p2_shape, "5": p5.p_shape}
+    # the tables come from the shape rows, as fd_c_value and fd_c1_value
+    # form them; the expanded polynomials feed only the quadrature side
     polys = {k: expand_mollifier(s) for k, s in shapes.items()}
     rows4 = node_rows(p4.theta, p4.R, max(len(p4.p1_shape.shape_coeffs),
                                           len(p4.p2_shape.shape_coeffs)))
@@ -347,7 +387,7 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
     tables = {}
     for name, (rows, R) in pairs.items():  # the pair (P_a, P_b) is m<a><b>
         pa, pb = polys[name[1]], polys[name[2]]
-        mt = tables[name] = moments(pa, pb)
+        mt = tables[name] = shape_moments(shapes[name[1]], shapes[name[2]])
         nodes = (max(pa.degree, 0) + max(pb.degree, 0)) // 2 + 1
         for part, exact, qa, qb in (
             ("dd", mt.m_dd, poly_derivative(pa), poly_derivative(pb)),
@@ -364,8 +404,8 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
                                       abs(value - num) / max(abs(value), size, 1e-300), 1e-12))
         checks += _row_checks(name, mt, rows, R, shapes[name[1]], shapes[name[2]])
 
-    # the Cauchy checks read the report's own tables, as fd_c_value and
-    # fd_c1_value would form them
+    # the Cauchy checks read the report's own tables, which fd_c_value and
+    # fd_c1_value form by the same route, from the shape rows
     c_cauchy = _fd_c(p4, tables["m11"], tables["m12"], tables["m22"])
     checks.append(CheckResult("c vs Cauchy integrals", c_exact, c_cauchy,
                               _rel(c_exact, c_cauchy), 1e-9))

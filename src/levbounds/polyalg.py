@@ -10,8 +10,13 @@ it returns.  Decimal literals ("0.158") parse to exact rationals (79/500).
 moments() gives the four exact integrals over [0,1] of P1'P2', P1'P2,
 P1 P2' and P1 P2 of a polynomial pair, in one integer pass with no
 derivative polynomial built, as a MomentTable in the same integer form.
-The oracle builds the moment kernel h(a, b) from these tables; the float
-engine (kernel, proportions, optimizer) reads none of them.
+basis_moments(m) caches, per mollifier degree, the G_k: the moments of
+every pair of the basis below, exact, over one common denominator, the
+x-Gram blocks an exact referee reads.  A pair of shapes' table is then
+one integer bilinear form of their integer rows (the shapes' numerators)
+with the G_k (shape_moments), and no polynomial is built.  The oracle
+builds the moment kernel h(a, b) from these tables; the float engine
+(kernel, proportions, optimizer) reads none of them.
 
 Two constrained construction bases are provided:
 
@@ -72,8 +77,9 @@ def _require_integers(name: str, nums, den) -> None:
 def _over_common_denominator(values) -> tuple[tuple[int, ...], int]:
     """Rationals (ints or Fractions) as integer numerators over their least
     common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
+    dens = [v.denominator for v in values]
+    den = lcm(*dens)
+    return tuple([v.numerator * (den // d) for v, d in zip(values, dens)]), den
 
 
 @dataclass(frozen=True)
@@ -287,6 +293,12 @@ class MollifierShape(_Shape):
     def of(coeffs) -> "MollifierShape":
         return MollifierShape(tuple(as_fraction(c) for c in coeffs))
 
+    @cached_property
+    def numerators(self) -> tuple[tuple[int, ...], int]:
+        """The row (1, c_1..c_m) as integer numerators over their least
+        common denominator, formed once per shape."""
+        return _over_common_denominator((1, *self.shape_coeffs))
+
 
 @dataclass(frozen=True)
 class TwistShape(_Shape):
@@ -304,6 +316,12 @@ class TwistShape(_Shape):
     def of(linear_coeff, sym_coeffs=()) -> "TwistShape":
         return TwistShape(as_fraction(linear_coeff),
                           tuple(as_fraction(c) for c in sym_coeffs))
+
+    @cached_property
+    def numerators(self) -> tuple[tuple[int, ...], int]:
+        """The row (1, q0, q_1..q_m) as integer numerators over their least
+        common denominator, formed once per shape."""
+        return _over_common_denominator((1, self.linear_coeff, *self.sym_coeffs))
 
 
 # --------------------------------------------------------------------------
@@ -341,6 +359,38 @@ def _combine(basis: tuple[Poly, ...], coeffs) -> Poly:
         for i, x in enumerate(b.nums):
             out[i] += s * x
     return Poly.of(out, den)
+
+
+@lru_cache(maxsize=None)
+def basis_moments(m: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """G_k, the exact moments of every pair of mollifier_basis(m), as
+    integer numerators over one common denominator: (G, den) with
+    G[k][i (m + 1) + j] / den the k-th moment (m_dd, m_dp, m_pd, m_pp) of
+    (b_i, b_j), each G_k row-major.  mollifier_basis(m) is a prefix of
+    mollifier_basis(m + 1), so each G_k holds every smaller degree's as its
+    leading block."""
+    basis = mollifier_basis(m)
+    tables = [moments(bi, bj) for bi in basis for bj in basis]
+    den = lcm(*(t.den for t in tables))
+    return tuple(tuple(t.nums[k] * (den // t.den) for t in tables) for k in range(4)), den
+
+
+def shape_moments(a: MollifierShape, b: MollifierShape) -> MomentTable:
+    """moments(expand_mollifier(a), expand_mollifier(b)), read from the
+    shapes' integer rows (MollifierShape.numerators): each moment is one
+    integer bilinear form of the two rows with the basis table of the
+    larger degree (basis_moments), over the product of the three
+    denominators, reduced by one gcd.  No Poly is built."""
+    (ra, da), (rb, db) = a.numerators, b.numerators
+    n = max(len(ra), len(rb))
+    grams, den = basis_moments(n - 1)
+    # each G_k is row-major with n columns: rb is padded to n, and a
+    # shorter ra reads only the leading rows
+    outer = [x * y for x in ra for y in rb + (0,) * (n - len(rb))]
+    nums = [sum(map(mul, g, outer)) for g in grams]
+    den *= da * db
+    g = gcd(den, *nums)
+    return MomentTable(tuple(x // g for x in nums), den // g)
 
 
 def expand_mollifier(shape: MollifierShape) -> Poly:

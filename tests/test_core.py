@@ -244,7 +244,8 @@ class TestCachedData:
                 "from levbounds import kernel, oracle, polyalg\n"
                 "for f in (kernel._gauss, kernel._rows, kernel._node_rows, "
                 "polyalg.mollifier_basis, polyalg.twist_basis, polyalg._integral_weights, "
-                "oracle._torus, oracle._torus_grid, oracle._legendre):\n"
+                "polyalg.basis_moments, oracle._torus, oracle._torus_grid, oracle._legendre, "
+                "oracle._twist_columns):\n"
                 "    assert f.cache_info().currsize == 0, f\n")
         src = os.path.dirname(os.path.dirname(levbounds.__file__))
         subprocess.run([sys.executable, "-c", code], check=True,

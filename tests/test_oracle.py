@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from levbounds import kernel, oracle
@@ -13,12 +14,14 @@ from levbounds.kernel import NodeRows, kept_factors
 from levbounds.oracle import (cauchy_derivatives, crosscheck_report, fd_c1_value,
                               fd_c_value, kernel_numeric, quad_integrate01)
 from levbounds.polyalg import (MollifierShape, MomentTable, Poly, TwistShape, X,
-                               expand_mollifier, moments, poly_derivative)
+                               expand_mollifier, expand_twist, moments, poly_derivative,
+                               shape_moments)
 from levbounds.proportions import SectionFiveParams, SectionFourParams, c1_value, c_value
 from levbounds.reference import section_five_reference, section_four_reference
 
 from kernel_reference import (division_form, kernel_derivative_basis, kernel_matrix, mp_c,
                               mp_c1)
+from test_polyalg import coefficients, shape_coeffs
 
 # section-4 shapes whose cross moments m12.dp and m21.pd nearly cancel
 CANCELLING = (["1.545", "1.483"], ["-0.921", "0.996"])
@@ -296,6 +299,47 @@ class TestFdDerivatives:
         assert mt.m_dd == moments(poly_derivative(p1), poly_derivative(p2)).m_pp
         assert len(built) == 2
 
+    def test_oracle_builds_no_polynomial(self, monkeypatch):
+        # with the per-degree tables built, fresh shapes of the same degrees
+        # are read from their rows: neither value builds a Poly
+        p4, p5 = TestFrozenOracleValues.DRAW
+        fd_c_value(p4), fd_c1_value(p5)
+        p4 = replace(p4, p1_shape=MollifierShape.of(["0.1", "-0.2"]),
+                     p2_shape=MollifierShape.of(["0.3", "0.4"]))
+        p5 = replace(p5, p_shape=MollifierShape.of(["0.1", "0.2", "0.3"]),
+                     q_shape=TwistShape.of("0.5", ["0.6", "-0.7"]))
+        built = []
+        monkeypatch.setattr(Poly, "__post_init__", lambda self: built.append(self))
+        fd_c_value(p4), fd_c1_value(p5)
+        assert built == []
+        # the patch does see construction: an expansion builds one
+        expand_mollifier(p4.p1_shape)
+        assert len(built) == 1
+
+
+def expanded_weights(shape: TwistShape, delta: float) -> list[float]:
+    """The operator weights of fd_c1_value formed from the expanded twist:
+    u_j = (1-delta) [j=0] + delta (-1)^j (q_j - 2 q_{j-1}) over the
+    canonical denominator of Q, one entry per j <= deg Q + 1."""
+    twist, (num, den) = expand_twist(shape), Fraction(delta).as_integer_ratio()
+    q, Dq = (0, *twist.nums, 0), twist.den
+    return [(num * (-1) ** j * (q[j + 1] - 2 * q[j]) + (den - num) * Dq * (j == 0)) / (den * Dq)
+            for j in range(len(q) - 1)]
+
+
+class TestTwistWeights:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(coefficients, shape_coeffs(8),
+           st.one_of(st.sampled_from([0.0, 1.0, -0.5, 1e-300, 5e-324]), st.floats(-2, 2)))
+    @example("-0.673", [], 1.0)
+    @example("-0.673", ["0.369", "-4.635", "0"], 0.0)
+    @example("0", ["0", "0"], 5e-324)
+    def test_equal_to_the_expanded_twist_route(self, linear, sym, delta):
+        # each weight bit for bit, and as many of them: trailing zero q_sym
+        # entries and delta = 0 keep the trimmed twist's order
+        shape = TwistShape.of(linear, sym)
+        assert oracle._twist_weights(shape, delta).tolist() == expanded_weights(shape, delta)
+
 
 class TestOracleRecomputation:
     def test_c_at_reference(self):
@@ -521,13 +565,13 @@ class TestCrosscheckReport:
         p4 = replace(section_four_reference(), p1_shape=MollifierShape.of(CANCELLING[0]),
                      p2_shape=MollifierShape.of(CANCELLING[1]))
 
-        def perturbed(p1, p2):
-            mt = moments(p1, p2)
-            if p1 != p2:
+        def perturbed(a, b):
+            mt = shape_moments(a, b)
+            if a != b:
                 return mt
             return MomentTable.of(mt.m_dd, mt.m_dp, mt.m_pd, mt.m_pp * (1 + Fraction(1, 10**10)))
 
-        monkeypatch.setattr(oracle, "moments", perturbed)
+        monkeypatch.setattr(oracle, "shape_moments", perturbed)
         failing = {ch.name for ch in crosscheck_report(p4, section_five_reference()).checks
                    if not ch.passed and ch.name.startswith("moment[")}
         assert failing == {f"moment[{pair}.pp] vs quadrature" for pair in ("m11", "m22", "m55")}
@@ -540,11 +584,11 @@ class TestCrosscheckReport:
         for p4, p5 in (reference, TestFrozenOracleValues.DRAW, (reference[0], order16)):
             calls = []
 
-            def counting(p1, p2):
-                calls.append((p1, p2))
-                return moments(p1, p2)
+            def counting(a, b):
+                calls.append((a, b))
+                return shape_moments(a, b)
 
-            monkeypatch.setattr(oracle, "moments", counting)
+            monkeypatch.setattr(oracle, "shape_moments", counting)
             report = crosscheck_report(p4, p5)
             monkeypatch.undo()
             assert len(calls) <= 5

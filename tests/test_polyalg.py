@@ -4,16 +4,30 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from levbounds.polyalg import (MAX_DEGREE, ConstraintViolationError, MollifierShape,
-                               Poly, TwistShape, X, ZERO, expand_mollifier,
-                               expand_twist, mollifier_shape_from_poly, moments,
-                               poly_derivative,
-                               poly_eval, poly_reflect, sym_basis_integral,
+                               Poly, TwistShape, X, ZERO, basis_moments, expand_mollifier,
+                               expand_twist, mollifier_basis, mollifier_shape_from_poly,
+                               moments, poly_derivative,
+                               poly_eval, poly_reflect, shape_moments, sym_basis_integral,
                                twist_shape_from_poly)
 from levbounds.oracle import quad_integrate01
 
 F = Fraction
+
+# coefficient literals: binary64 values, exact zeros, decimal strings with
+# large denominators, and magnitudes of 1e+-300
+coefficients = st.one_of(
+    st.floats(-4, 4), st.sampled_from([0, "0", 0.0]),
+    st.builds(lambda n, k: f"{n}e-{k}", st.integers(-10**25, 10**25), st.integers(0, 60)),
+    st.sampled_from([1e300, -1e300, 1e-300, "-1e-300", "1e300", 5e-324]))
+
+
+def shape_coeffs(max_size: int):
+    """Up to max_size coefficients, the last zero to two of them zeros."""
+    return st.builds(lambda cs, zeros: cs + ["0"] * zeros,
+                     st.lists(coefficients, max_size=max_size - 2), st.integers(0, 2))
 
 REFERENCE_P1 = MollifierShape.of(["-0.158", "0.25"])
 REFERENCE_Q = TwistShape.of("-0.673", ["0.369", "-4.635"])
@@ -145,6 +159,42 @@ class TestProductIntegral:
             nodes = (max(p.degree, 0) + max(q.degree, 0)) // 2 + 1
             approx = quad_integrate01(p, q, nodes)
             assert approx == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+
+class TestShapeMoments:
+    """A pair of shapes' moment table read from their integer rows and the
+    basis tables G_k, against the moments of the expanded pair."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(shape_coeffs(8), shape_coeffs(8))
+    @example([], ["-0.158", "0.25"])
+    @example(["-0.158", "0.25", "0"], ["0.492", "0", "0"])
+    @example(["1e300", "-1e-300"], [5e-324, "0.1234567890123456789012345678901234567"])
+    def test_equal_to_the_moments_of_the_expanded_pair(self, a, b):
+        sa, sb = MollifierShape.of(a), MollifierShape.of(b)
+        pa, pb = expand_mollifier(sa), expand_mollifier(sb)
+        assert shape_moments(sa, sb) == moments(pa, pb)
+        assert shape_moments(sb, sa) == moments(pb, pa)
+        assert shape_moments(sa, sa) == moments(pa, pa)
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_basis_tables_are_the_moments_of_basis_pairs(self, m):
+        # and each is the leading block of the next degree's table
+        G, den = basis_moments(m)
+        G_next, den_next = basis_moments(m + 1)
+        basis, n = mollifier_basis(m), m + 1
+        for i, bi in enumerate(basis):
+            for j, bj in enumerate(basis):
+                mt = moments(bi, bj)
+                exact = (mt.m_dd, mt.m_dp, mt.m_pd, mt.m_pp)
+                assert tuple(F(g[i * n + j], den) for g in G) == exact
+                assert tuple(F(g[i * (n + 1) + j], den_next) for g in G_next) == exact
+
+    def test_rows_are_formed_once_per_shape(self):
+        shape = MollifierShape.of(["-0.158", "0.25"])
+        assert shape.numerators == ((500, -79, 125), 500)
+        assert shape.numerators is shape.numerators
+        assert TwistShape.of("-0.673", ["0.369"]).numerators == ((1000, -673, 369), 1000)
 
 
 class TestMollifierShape:
