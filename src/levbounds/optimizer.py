@@ -637,17 +637,27 @@ class _Solve:
         self.solves += 1
         x, pinned = state
         g, H = self.model(rows, self.map.y(x))
-        cols, bounds = (slice(None), slice(None)) if block is None else self.map.blocks[block][1:]
-        where = f"{'joint step' if block is None else f'{block} block'} at R = {R!r}"
-        Q, A = H[cols, cols], self.map.A[bounds, cols]
-        d, active, _ = _minimize(_inverse(where, Q), g[cols], A, self.map.b[bounds] - A @ x[cols],
-                                 np.zeros(len(Q)), where)
+        (cols, bounds), d, active, _ = self.minimum(R, g, H, x, block)
         x = x.copy()
         x[cols] += d
         if block is not None:  # the other blocks' rows keep their pins
             pinned = tuple(i for i in pinned if not bounds.start <= i < bounds.stop)
             active = pinned + tuple(bounds.start + i for i in active)
-        return (x, active), -float(g[cols] @ d + 0.5 * d @ Q @ d)
+        return (x, active), -float(g[cols] @ d + 0.5 * d @ H[cols, cols] @ d)
+
+    def minimum(self, R: float, g: np.ndarray, H: np.ndarray, x: np.ndarray,
+                block: str | None):
+        """The model g, H minimized from the coordinates x under the bound
+        rows, over every coordinate or over the named block's, through
+        _inverse and _minimize: the (columns, rows) slices it reads, the
+        move d of those columns, the rows pinned at its end (indexed within
+        those rows) and their multipliers."""
+        span = (slice(None), slice(None)) if block is None else self.map.blocks[block][1:]
+        cols, bounds = span
+        where = f"{'joint step' if block is None else f'{block} block'} at R = {R!r}"
+        Q, A = H[cols, cols], self.map.A[bounds, cols]
+        return span, *_minimize(_inverse(where, Q), g[cols], A, self.map.b[bounds] - A @ x[cols],
+                                np.zeros(len(Q)), where)
 
     def vector(self, state, R: float) -> np.ndarray:
         """The public vector of state at R, inside the bounds; an entry a row
@@ -693,11 +703,8 @@ class _Solve:
         rows, y = self.nodes(R), self.map.y(x)
         g, H = self.model(rows, y)
         scale, prices = self.sign * self.per_log / (R * self.constant(rows, y)), {}
-        for name, cols in self.map.moving.items():
-            at = self.map.blocks[name][2]
-            A, where = self.map.A[at, cols], f"{name} block at R = {R!r}"
-            _, active, lam = _minimize(_inverse(where, H[cols, cols]), g[cols], A,
-                                       self.map.b[at] - A @ x[cols], 0.0 * g[cols], where)
+        for name in self.map.moving:
+            (_, at), _, active, lam = self.minimum(R, g, H, x, name)
             for i, price in zip(active, lam):
                 entry = names[self.map.pins[at.start + i][0]]
                 prices[entry] = scale * float(price) * self.map.moved(at.start + i, x)

@@ -9,7 +9,8 @@ exact moments, and Cauchy integrals of the definition-form kernel
 against c and c1 from the float core.
 
 kernel_numeric is that kernel, evaluated on real or complex arrays, its
-e^{-a-b} formed as e^{-a} e^{-b} away from the removable line, and
+e^{-a-b} formed as e^{-a} e^{-b} away from the removable line (a public
+reference: c and c1 read its bracket form instead), and
 cauchy_derivatives is the one derivative route: the trapezoidal rule on a
 torus about the base point gives the whole table of mixed partials
 d_a^m d_b^n, with radius (order!)^(1/order) and N x N nodes,
@@ -18,12 +19,14 @@ route with its sums reassociated, so that each contracts before it
 rounds: about (-R, -R) the kernel is C + E(s) [1, n_j] G [1, n_k]^T on the
 torus nodes n_j, so each form sum_mn u_m v_n D[m, n] is C u_0 v_0 plus
 four real entries of Phi_u E Phi_v^T, Phi_u = [u^T W; u^T W diag(n)], from
-one E grid per call and no D.  c is the kernel at the centre plus three
-such forms of one order-1 grid; c1 the form at u = v = the twist
-operator's weights, exact from the twist polynomial and rounded once.
+one E grid per call and no D.  c is three such forms of one order-1
+grid, its centre value the form at u = v = e_0; c1 the form at u = v =
+the twist operator's weights, exact from the twist polynomial and rounded
+once.
 Against a 40-digit mpmath evaluation over 960 random draws per cell
-(README), c from this route is good to 3e-14 (relative) at R <= 5 and
-5e-13 up to R = 300; c1 to 2e-13 up to order 8 and 3e-11 up to order 16
+(README), c from this route is good to 4e-14 (relative) at R <= 5 and
+2e-12 up to R = 300, the worst draws those whose three terms cancel
+1e2- to 4e4-fold; c1 to 2e-13 up to order 8 and 3e-11 up to order 16
 at R <= 5, and to 4e-12 up to order 8 and 3e-8 at orders 10 to 16 for
 5 < R <= 300, where 90% of draws are within 2e-12 and the worst is a
 draw whose u^T D u itself cancels 2.7e9-fold.  The route is checked only
@@ -40,9 +43,8 @@ cached integer map of the twist row (_twist_columns) and delta's integer
 ratio.  Only crosscheck_report
 expands shapes to polynomials, for its Gauss-Legendre side.  The
 Gauss-Legendre nodes and weights are cached here per node count, the
-twist map per q_sym count, and the torus nodes, weight matrix and grid
-tables per order, apart from the engine's node tables, read-only and
-built on first use.
+twist map per q_sym count, and one torus table per order (_torus), apart
+from the engine's node tables, read-only and built on first use.
 """
 
 from __future__ import annotations
@@ -131,9 +133,11 @@ def _exp_ratio(s: np.ndarray, decay) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _torus(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The torus nodes rho w^j and the matrix W of cauchy_derivatives for
-    one order, read-only."""
+def _torus(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The trapezoidal rule of cauchy_derivatives at one order, read-only:
+    the rows [1; n_j] of the nodes n_j = rho w^j and the matrix W, then over
+    the node pairs the sums n_j + n_k and the products e^{-n_j} e^{-n_k}
+    that the oracle's E grid reads (_cauchy_forms)."""
     radius = math.factorial(order) ** (1.0 / max(order, 1))
     size = 4 * order + 16
     m = np.arange(order + 1)
@@ -141,19 +145,9 @@ def _torus(order: int) -> tuple[np.ndarray, np.ndarray]:
     # m! rho^-m / N, each m! rounded once from the integer (int64 wraps at 21!)
     scale = np.array([float(math.factorial(k)) for k in m]) / radius ** m / size
     W = scale[:, None] * np.exp(-2j * np.pi * (np.outer(m, np.arange(size)) % size) / size)
-    for table in (nodes, W):
-        table.setflags(write=False)
-    return nodes, W
-
-
-@lru_cache(maxsize=None)
-def _torus_grid(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Over the torus nodes n_j of one order: the sums n_j + n_k, the
-    products e^{-n_j} e^{-n_k} and the rows [1; n_j], read-only."""
-    nodes, _ = _torus(order)
     decay = np.exp(-nodes)
-    tables = (nodes[:, None] + nodes[None, :], np.outer(decay, decay),
-              np.stack([np.ones_like(nodes), nodes]))
+    tables = (np.stack([np.ones_like(nodes), nodes]), W, nodes[:, None] + nodes[None, :],
+              np.outer(decay, decay))
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -176,17 +170,10 @@ def cauchy_derivatives(f: Callable, at: tuple[float, float], order: int) -> np.n
     whole amplification is e^{2 rho}, about e^{2 order/e}.  Aliasing falls
     like rho^N / N!, far below that with N = 4 order + 16.
     """
-    nodes, W = _torus(order)
+    (_, nodes), W = _torus(order)[:2]
     a0, b0 = at
     F = f(a0 + nodes[:, None], b0 + nodes[None, :])
     return (W @ F @ W.T).real
-
-
-def _exp_grid(order: int, R: float) -> np.ndarray:
-    """E(s) on the torus grid of one order about (-R, -R)."""
-    sums, decay, _ = _torus_grid(order)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _exp_ratio(sums - 2.0 * R, math.exp(2.0 * R) * decay)
 
 
 def _cauchy_forms(weights: np.ndarray, R: float) -> np.ndarray:
@@ -199,12 +186,13 @@ def _cauchy_forms(weights: np.ndarray, R: float) -> np.ndarray:
     of a constant is exact) plus the four real entries of the 2 x 2 block
     of u and v against G: the trapezoidal sums of D, reassociated to
     contract the weights before they round.  One E grid: s = -2R +
-    (n_j + n_k), e^{-s} = e^{2R} e^{-n_j} e^{-n_k} from the kept node
-    tables (_torus_grid) and one scalar exp (_exp_grid)."""
-    order = weights.shape[1] - 1
-    _, W = _torus(order)
-    phi = ((weights @ W)[:, None] * _torus_grid(order)[2]).reshape(-1, W.shape[1])
-    return phi @ _exp_grid(order, R) @ phi.T
+    (n_j + n_k), e^{-s} = e^{2R} e^{-n_j} e^{-n_k} from the torus table
+    and one scalar exp."""
+    rows, W, sums, decay = _torus(weights.shape[1] - 1)
+    phi = ((weights @ W)[:, None] * rows).reshape(-1, W.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = _exp_ratio(sums - 2.0 * R, math.exp(2.0 * R) * decay)
+    return phi @ E @ phi.T
 
 
 def _kernel_terms(mt: MomentTable, theta: float, R: float) -> tuple[float, tuple]:
@@ -226,22 +214,22 @@ def _form(mt: MomentTable, theta: float, R: float, block: np.ndarray, u0v0: floa
 
 
 def fd_c_value(p: SectionFourParams) -> float:
-    """c recomputed from the definition-form kernel alone, its derivatives
-    by Cauchy integrals: the three derivative forms share one grid."""
+    """c recomputed from the definition-form kernel alone, its value and
+    derivatives by Cauchy integrals: its three forms share one grid."""
     s1, s2 = p.p1_shape, p.p2_shape
     return _fd_c(p, shape_moments(s1, s1), shape_moments(s1, s2), shape_moments(s2, s2))
 
 
 def _fd_c(p: SectionFourParams, m11: MomentTable, m12: MomentTable, m22: MomentTable) -> float:
     """fd_c_value from the moment tables of (P1, P1), (P1, P2) and (P2, P2):
-    d_a of m21, d_b of m12 and d_a d_b of m22 from one order-1 grid, the
-    weights e_0 and e_1 in its rows [0:2] and [2:4]."""
-    M = _cauchy_forms(np.eye(2), p.R)
-    inv_r = 1.0 / p.r
-    return float(kernel_numeric(m11, p.theta, -p.R, -p.R)
-                 + inv_r * _form(m12.transpose(), p.theta, p.R, M[2:, :2], 0.0)
-                 + inv_r * _form(m12, p.theta, p.R, M[:2, 2:], 0.0)
-                 + inv_r * inv_r * _form(m22, p.theta, p.R, M[2:, 2:], 0.0))
+    c = K_11 + (d_a K_21 + d_b K_12) / r + d_a d_b K_22 / r^2 at (-R, -R),
+    from one order-1 grid with the weight rows e_0 and e_1 / r.  As
+    K_21(a, b) = K_12(b, a), d_a K_21 = d_b K_12 at the symmetric point,
+    so (P1, P2) is counted twice."""
+    M = _cauchy_forms(np.array([[1.0, 0.0], [0.0, 1.0 / p.r]]), p.R)
+    return (_form(m11, p.theta, p.R, M[:2, :2], 1.0)
+            + 2.0 * _form(m12, p.theta, p.R, M[:2, 2:], 0.0)
+            + _form(m22, p.theta, p.R, M[2:, 2:], 0.0))
 
 
 def fd_c1_value(p: SectionFiveParams) -> float:

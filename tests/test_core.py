@@ -231,7 +231,7 @@ class TestCachedData:
     def test_tables_are_read_only(self):
         rows = node_rows(1.0, 0.746, 3, 3)
         for table in (*kernel._rows(6, 3, False), *kernel._rows(len(rows.t), 3, True),
-                      *kernel._gauss(len(rows.t)), *oracle._torus(6), *oracle._torus_grid(6),
+                      *kernel._gauss(len(rows.t)), *oracle._torus(6),
                       *oracle._legendre(5)):
             assert not table.flags.writeable
         for basis in (mollifier_basis(3), twist_basis(3)):
@@ -244,7 +244,7 @@ class TestCachedData:
                 "from levbounds import kernel, oracle, polyalg\n"
                 "for f in (kernel._gauss, kernel._rows, kernel._node_rows, "
                 "polyalg.mollifier_basis, polyalg.twist_basis, polyalg._integral_weights, "
-                "polyalg.basis_moments, oracle._torus, oracle._torus_grid, oracle._legendre, "
+                "polyalg.basis_moments, oracle._torus, oracle._legendre, "
                 "oracle._twist_columns):\n"
                 "    assert f.cache_info().currsize == 0, f\n")
         src = os.path.dirname(os.path.dirname(levbounds.__file__))
@@ -362,6 +362,10 @@ class TestValidation:
                 SectionFiveParams(shape, q, s5["theta"], s5["R"], s5["delta"])
             with pytest.raises(ValueError):
                 c1_core([0.1], [-0.5, 0.3], s5["theta"], s5["R"], s5["delta"])
+        if set(bad) == {"R"}:  # the bound coefficients name it too
+            for bound in (nu_bound, kappa_bound):
+                with pytest.raises(ValueError, match=rf"^R must be positive, got {bad['R']!r}$"):
+                    bound(1.2, bad["R"])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_shape_rejected_alike(self, bad):

@@ -1155,6 +1155,7 @@ class TestSearchBounds:
         ({"r": (-2.0, 2.0)}, r"^bounds for 'r' must be > 0, got \(-2\.0, 2\.0\)$"),
         ({"r": (0.0, 2.0)}, r"^bounds for 'r' must be > 0"),
         ({"R": (0.3, 400.0)}, r"^bounds for 'R' must be <= 300\.0, got \(0\.3, 400\.0\)$"),
+        ({"R": (1.0, 0.5)}, r"^empty bounds for 'R': \(1\.0, 0\.5\)$"),
     ])
     def test_bounds_outside_the_domain_rejected(self, bounds, message):
         # they were once accepted and then scored as penalties

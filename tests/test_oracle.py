@@ -32,9 +32,10 @@ ORDER22_TWIST = TwistShape.of("-0.673", ["0.369", "-4.635", "0.1", "-0.2", "0.05
                                          "0.2", "-0.3", "0.1"])
 # the README's bound on the oracle's relative error against 40 digits, by
 # quantity (c, or c1 by its order) and by R <= 5 or 5 < R <= 300, that
-# the pinned points are held to; in the last cell the README reads 3e-8,
-# set by one draw where u^T D u itself cancels 2.7e9-fold, and the pinned
-# points are held to 1e-8
+# the pinned points are held to; where a draw whose terms cancel sets the
+# README's cell higher, the pinned points keep the tighter bound: for c
+# the README reads 4e-14 and 2e-12, and in the last cell 3e-8, set by one
+# draw where u^T D u itself cancels 2.7e9-fold
 PUBLISHED_BOUNDS = {("c", False): 3e-14, ("c", True): 5e-13,
                     ("c1 order <= 8", False): 2e-13, ("c1 order <= 8", True): 4e-12,
                     ("c1 order 10-16", False): 3e-11, ("c1 order 10-16", True): 1e-8}
@@ -43,9 +44,26 @@ PUBLISHED_BOUNDS = {("c", False): 3e-14, ("c", True): 5e-13,
 def torus_grid(order: int, R) -> tuple[np.ndarray, np.ndarray]:
     """The grid cauchy_derivatives reads about (-R, -R); R = "rho" puts its
     node (0, 0) on a + b = 0."""
-    nodes, _ = oracle._torus(order)
+    nodes = oracle._torus(order)[0][1]
     R = abs(nodes[0]) if R == "rho" else R
     return -R + nodes[:, None], -R + nodes[None, :]
+
+
+def exp_grid(order: int, R: float) -> np.ndarray:
+    """The E grid the oracle's forms read about (-R, -R) at one order, as
+    _cauchy_forms forms it on a call."""
+    grids = []
+
+    def recording(s, decay):
+        grids.append(exp_ratio(s, decay))
+        return grids[-1]
+
+    exp_ratio = oracle._exp_ratio
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_exp_ratio", recording)
+        oracle._cauchy_forms(np.ones((1, order + 1)), R)
+    (E,) = grids
+    return E
 
 
 class TestQuadrature:
@@ -130,12 +148,13 @@ class TestGridNumerator:
     @pytest.mark.parametrize("order", [1, 6, 16])
     @pytest.mark.parametrize("R", [1e-6, "rho"])
     def test_near_entries_are_the_expm1_ratio_bit_for_bit(self, order, R):
-        R = abs(oracle._torus(order)[0][0]) if R == "rho" else R
-        s = oracle._torus_grid(order)[0] - 2.0 * R
+        (_, nodes), _, sums, _ = oracle._torus(order)
+        R = abs(nodes[0]) if R == "rho" else R
+        s = sums - 2.0 * R
         near = np.abs(s) < 1
         assert near.any() and np.any(s == 0) == (R >= 1)
         expm1_ratio = np.divide(-np.expm1(-s), s, out=np.ones_like(s), where=s != 0)
-        assert oracle._exp_grid(order, R)[near].tobytes() == expm1_ratio[near].tobytes()
+        assert exp_grid(order, R)[near].tobytes() == expm1_ratio[near].tobytes()
 
     @pytest.mark.parametrize("order", [1, 6, 16])
     @pytest.mark.parametrize("R", [1e-6, "rho", 5.0, 100.0, 300.0])
@@ -143,9 +162,9 @@ class TestGridNumerator:
         # E at s = -2R + n_j + n_k from the float nodes and R, at 40 digits:
         # every entry within 4 eps of the grid's largest (a few entries,
         # near the zeros of E at s = 2 pi i k, only so relative to the max)
-        nodes, _ = oracle._torus(order)
+        nodes = oracle._torus(order)[0][1]
         R = abs(nodes[0]) if R == "rho" else R
-        E = oracle._exp_grid(order, R)
+        E = exp_grid(order, R)
         to_mp = np.frompyfunc(lambda z: mp.mpc(z.real, z.imag), 1, 1)
         with mp.workdps(40):
             n = to_mp(nodes)
@@ -267,10 +286,10 @@ class TestFdDerivatives:
         assert self.grids(monkeypatch, fd_c1_value, section_five_reference()) == ([(40, 40)], [])
 
     def test_c_evaluates_one_E_grid(self, monkeypatch):
-        # one N = 20 E grid for the three derivative forms, then the kernel
-        # at the centre, whose E is a scalar
+        # one N = 20 E grid for the centre value and the three derivative
+        # forms, and no kernel grid nor scalar centre
         assert self.grids(monkeypatch, fd_c_value, section_four_reference()) == (
-            [(20, 20), ()], [()])
+            [(20, 20)], [])
 
     def test_forms_are_each_tables_derivatives_contracted(self):
         # weights u, v against one E grid give u^T D v of each table, D its
@@ -315,6 +334,24 @@ class TestFdDerivatives:
         # the patch does see construction: an expansion builds one
         expand_mollifier(p4.p1_shape)
         assert len(built) == 1
+
+    def test_oracle_calls_no_kernel_nor_transpose(self, monkeypatch):
+        # c reads its centre value and its (P2, P1) term off the one grid:
+        # neither fd_c_value nor crosscheck_report evaluates kernel_numeric
+        # or forms a transposed table
+        p4, p5 = TestFrozenOracleValues.DRAW
+        calls = []
+        kernel, transpose = oracle.kernel_numeric, MomentTable.transpose
+        monkeypatch.setattr(oracle, "kernel_numeric",
+                            lambda *args: calls.append("kernel") or kernel(*args))
+        monkeypatch.setattr(MomentTable, "transpose",
+                            lambda self: calls.append("transpose") or transpose(self))
+        fd_c_value(p4), fd_c1_value(p5), crosscheck_report(p4, p5)
+        assert calls == []
+        # the patches do see calls
+        mt = shape_moments(p4.p1_shape, p4.p2_shape)
+        oracle.kernel_numeric(mt.transpose(), p4.theta, -p4.R, -p4.R)
+        assert calls == ["transpose", "kernel"]
 
 
 def expanded_weights(shape: TwistShape, delta: float) -> list[float]:
@@ -366,7 +403,7 @@ class TestOracleRecomputation:
         # each torus weight's m! is rounded once from the integer: formed in
         # int64 it wrapped at 21!, and fd_c1_value read 1.0966 here against
         # 1.0471 with no error; now it is within 2.5e-11
-        nodes, W = oracle._torus(22)
+        (_, nodes), W = oracle._torus(22)[:2]
         m = np.arange(23)
         scale = np.array([float(math.factorial(k)) for k in m]) / abs(nodes[0]) ** m / len(nodes)
         assert np.abs(W[:, 0]) == pytest.approx(scale, rel=1e-15)
@@ -391,12 +428,12 @@ class TestFrozenOracleValues:
                               0.3362104623886426, 0.1169020305173259, 1.174521074622356))
 
     def test_reference_point(self):
-        assert repr(fd_c_value(section_four_reference())) == "1.2301085737954223"
+        assert repr(fd_c_value(section_four_reference())) == "1.2301085737954192"
         assert repr(fd_c1_value(section_five_reference())) == "1.047115819630335"
 
     def test_criterion_six_draw(self):
         p4, p5 = self.DRAW
-        assert repr(fd_c_value(p4)) == "6.248115789063149"
+        assert repr(fd_c_value(p4)) == "6.248115789063174"
         assert repr(fd_c1_value(p5)) == "3.8124126848650586"
 
     def test_order_sixteen_twist(self):
@@ -407,7 +444,7 @@ class TestFrozenOracleValues:
 
     def test_largest_R(self):
         assert repr(fd_c_value(replace(section_four_reference(), R=300.0))) \
-            == "2.018404895496884e+260"
+            == "2.0184048954967793e+260"
         assert repr(fd_c1_value(replace(section_five_reference(), R=300.0))) \
             == "2.9576131322259558e+259"
 
@@ -422,7 +459,7 @@ class TestFrozenOracleValues:
     def test_cancelling_cross_moments(self):
         p4 = replace(section_four_reference(), p1_shape=MollifierShape.of(CANCELLING[0]),
                      p2_shape=MollifierShape.of(CANCELLING[1]))
-        assert repr(fd_c_value(p4)) == "7.159659632211359"
+        assert repr(fd_c_value(p4)) == "7.159659632211355"
 
     def test_each_point_is_within_its_published_bound(self):
         # every point pinned above, against its 40-digit value

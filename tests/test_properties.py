@@ -28,6 +28,7 @@ from levbounds.proportions import SectionFiveParams, SectionFourParams, c1_core,
 
 from kernel_reference import (add_naive, combine_naive, derivative_naive, eval_naive,
                               integrate01_product_naive, reflect_naive, scale_naive)
+from test_oracle import exp_grid
 
 property_settings = settings(derandomize=True, database=None, deadline=None,
                              max_examples=100)
@@ -132,12 +133,12 @@ def test_grid_terms_are_each_tables_kernel(pairs, theta, R, order, on_line):
     # on one E grid, is each table's kernel_numeric at the nodes (-R + n_j,
     # -R + n_k), to the rounding of those nodes and of E; R =
     # (order!)^(1/order) puts the torus node (0, 0) on a + b = 0
-    nodes, _ = oracle._torus(order)
+    nodes = oracle._torus(order)[0][1]
     if on_line:
         R = abs(nodes[0])
     a, b = -R + nodes[:, None], -R + nodes[None, :]
     assert np.any(a + b == 0) or not on_line
-    E = oracle._exp_grid(order, R)
+    E = exp_grid(order, R)
     for s1, s2 in pairs:
         mt = moments(expand_mollifier(s1), expand_mollifier(s2))
         C, ((g00, g01), (g10, g11)) = oracle._kernel_terms(mt, theta, R)
