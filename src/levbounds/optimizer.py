@@ -24,20 +24,21 @@ replaced by a sweep, a step of each block (a fallback), and a sweep that
 does not lower c1 ends it.  At most MAX_STEPS joint steps and sweeps.
 
 Each target's solve class (_SOLVES) owns its blocks, its factors, the
-objective it minimizes (nu, or -kappa) and that sign.  The R slope at a
-solved point is the partial derivative at fixed shapes (the envelope
-theorem), and a pinned bound's shadow price its row's multiplier
-(Nocedal & Wright 2006, sec. 12.8).  A safeguarded search on
-(objective, slope) runs over R from the start's R: a probe step
-downhill, then cubic Hermite steps inside the bracket the slopes' signs
-set, bisection as the fallback (sec. 3.5); a bound that cuts the optimum
-is reached exactly.  Each step is one evaluation, as is the start, and
-warm-starts from the previous one.  The result is the better of the
-start and the best step, its objective the float core at the returned
-vector, so it re-evaluates bit for bit; a search whose steps all failed
-raises EvaluationFailureError.  SearchSpec.free_indices alone decides
-which entries move; delta keeps the side of zero of its start, since
-q = v / delta.  Seed and restarts change nothing.
+objective it minimizes (nu, or -kappa) and that sign.  At a solved point
+the R slope is the objective's partial derivative in R at fixed shapes,
+and a pinned entry's shadow price its partial in that entry with the
+others held (the envelope theorem), or 0 where the objective does not
+fall outside the bounds.  A safeguarded search on (objective, slope)
+runs over R from the start's R: a probe step downhill, then cubic
+Hermite steps inside the bracket the slopes' signs set, bisection as the
+fallback (Nocedal & Wright 2006, sec. 3.5); a bound that cuts the
+optimum is reached exactly.  Each step is one evaluation, as is the
+start, and warm-starts from the previous one.  The result is the better
+of the start and the best step, its objective the float core at the
+returned vector, so it re-evaluates bit for bit; a search whose steps
+all failed raises EvaluationFailureError.  SearchSpec.free_indices
+alone decides which entries move; delta keeps the side of zero of its
+start, since q = v / delta.  Seed and restarts change nothing.
 """
 
 from __future__ import annotations
@@ -279,8 +280,9 @@ class SearchResult:
     best point; slope d best_objective / dR there with the shapes held
     (grid_scan has none); pinned each free entry of best_point exactly on
     one of its bounds (lo < hi), with that bound, sorted by name, and
-    shadow its price, d best_objective / d bound (R's is slope; 0 when a
-    step from there releases its row)."""
+    shadow its price, d best_objective / d entry with the other entries
+    held (R's is slope; 0 where the objective does not fall outside the
+    bounds)."""
 
     best_point: tuple[float, ...]
     best_objective: float
@@ -438,8 +440,7 @@ class _Map:
     s0 times the coordinate c_j, c0_j times the coordinate s, or the
     constant s0 c0_j.  So each row of N has at most one nonzero, and a
     block whose entries are all held has no columns and keeps y0.  Each
-    bound row names the public entry it pins, the value it pins it to, and
-    how the row moves with that bound (moved)."""
+    bound row names the public entry it pins and the value it pins it to."""
 
     def __init__(self, spec: SearchSpec, blocks: dict[str, tuple[_Segment, ...]]):
         start = np.array(spec.initial_point, dtype=float)
@@ -470,17 +471,13 @@ class _Map:
                     # s_lo <= s <= s_hi; for s = 1/r the row at 1/hi pins r at hi
                     (s_lo, at_lo), (s_hi, at_hi) = (((1.0 / hi, hi), (1.0 / lo, lo))
                                                     if seg.inverse else ((lo, lo), (hi, hi)))
-                    # each row's last entry: d/d bound of its coefficients and of its b
-                    rows += [({s_col: 1.0}, s_lo, (seg.scale, at_lo),
-                              ({}, -1.0 / hi ** 2 if seg.inverse else 1.0)),
-                             ({s_col: -1.0}, -s_hi, (seg.scale, at_hi),
-                              ({}, 1.0 / lo ** 2 if seg.inverse else -1.0))]
+                    rows += [({s_col: 1.0}, s_lo, (seg.scale, at_lo)),
+                             ({s_col: -1.0}, -s_hi, (seg.scale, at_hi))]
                 for at, k in moving.items():
                     # lo <= c_j <= hi as side (c_j - bound) >= 0, times s when s is free
                     for bound, side in zip(bounds.get(at, ()), (sign, -sign)):
-                        rows.append(({k: side, s_col: -side * bound}, 0.0, (at, bound),
-                                     ({s_col: -side}, 0.0)) if s_free else
-                                    ({k: side}, side * bound, (at, bound), ({}, side)))
+                        rows.append(({k: side, s_col: -side * bound}, 0.0, (at, bound))
+                                    if s_free else ({k: side}, side * bound, (at, bound)))
                 self.parts.append((seg, s_col if s_free else None, moving))
             last = len(y), col, len(rows)
             self.blocks[name] = tuple(slice(a, b) for a, b in zip(first, last))
@@ -489,21 +486,14 @@ class _Map:
         self.y0 = np.array([constant for constant, _ in y])
         self.N = _matrix([entry for _, entry in y], col)
         self.A = _matrix([row for row, *_ in rows], col)
-        self.b = np.array([rhs for _, rhs, *_ in rows])
-        self.pins = [pin for *_, pin, _ in rows]
-        self.moves = [move for *_, move in rows]
-
-    def moved(self, i: int, x: np.ndarray) -> float:
-        """d (b_i - A_i x) / d bound at x, for row i's bound."""
-        d_row, d_b = self.moves[i]
-        return d_b - sum(a * x[col] for col, a in d_row.items())
+        self.b = np.array([rhs for _, rhs, _ in rows])
+        self.pins = [pin for *_, pin in rows]
 
     def coordinates(self, v: np.ndarray) -> np.ndarray:
         """The coordinates x of a public vector."""
         x = []
         for seg, s_col, moving in self.parts:
-            s = 1.0 if seg.scale is None else float(v[seg.scale])
-            s = 1.0 / s if seg.inverse else s
+            s = 1.0 if s_col is None else 1.0 / v[seg.scale] if seg.inverse else v[seg.scale]
             if s_col is not None:
                 x.append(s)
             x += [s * v[at] if s_col is not None else v[at] for at in moving]
@@ -522,6 +512,20 @@ class _Map:
             if s != 0.0:
                 for at, k in moving.items():
                     out[at] = x[k] / s
+
+    def partials(self, g: np.ndarray, v: np.ndarray) -> dict[int, float]:
+        """The partials, by vector index, of a function with gradient g in
+        x at the public vector v, in each public entry that has a column:
+        with y = s (1, c), d/dc_j is s g_k (g_k when s is held), d/ds is
+        g_s + sum_j c_j g_k, and d/dr is -s^2 d/ds for s = 1/r."""
+        out = {}
+        for seg, s_col, moving in self.parts:
+            s = 1.0 if s_col is None else 1.0 / v[seg.scale] if seg.inverse else v[seg.scale]
+            out.update((at, float(s * g[k])) for at, k in moving.items())
+            if s_col is not None:
+                d_s = g[s_col] + sum(v[at] * g[k] for at, k in moving.items())
+                out[seg.scale] = float(-s * s * d_s if seg.inverse else d_s)
+        return out
 
 
 def _hessian(G: np.ndarray, wC: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -637,27 +641,17 @@ class _Solve:
         self.solves += 1
         x, pinned = state
         g, H = self.model(rows, self.map.y(x))
-        (cols, bounds), d, active, _ = self.minimum(R, g, H, x, block)
+        cols, bounds = (slice(None), slice(None)) if block is None else self.map.blocks[block][1:]
+        where = f"{'joint step' if block is None else f'{block} block'} at R = {R!r}"
+        Q, A = H[cols, cols], self.map.A[bounds, cols]
+        d, active, _ = _minimize(_inverse(where, Q), g[cols], A, self.map.b[bounds] - A @ x[cols],
+                                 np.zeros(len(Q)), where)
         x = x.copy()
         x[cols] += d
         if block is not None:  # the other blocks' rows keep their pins
             pinned = tuple(i for i in pinned if not bounds.start <= i < bounds.stop)
             active = pinned + tuple(bounds.start + i for i in active)
-        return (x, active), -float(g[cols] @ d + 0.5 * d @ H[cols, cols] @ d)
-
-    def minimum(self, R: float, g: np.ndarray, H: np.ndarray, x: np.ndarray,
-                block: str | None):
-        """The model g, H minimized from the coordinates x under the bound
-        rows, over every coordinate or over the named block's, through
-        _inverse and _minimize: the (columns, rows) slices it reads, the
-        move d of those columns, the rows pinned at its end (indexed within
-        those rows) and their multipliers."""
-        span = (slice(None), slice(None)) if block is None else self.map.blocks[block][1:]
-        cols, bounds = span
-        where = f"{'joint step' if block is None else f'{block} block'} at R = {R!r}"
-        Q, A = H[cols, cols], self.map.A[bounds, cols]
-        return span, *_minimize(_inverse(where, Q), g[cols], A, self.map.b[bounds] - A @ x[cols],
-                                np.zeros(len(Q)), where)
+        return (x, active), -float(g[cols] @ d + 0.5 * d @ Q @ d)
 
     def vector(self, state, R: float) -> np.ndarray:
         """The public vector of state at R, inside the bounds; an entry a row
@@ -688,27 +682,26 @@ class _Solve:
         c = contract(T, X)
         return self.per_log * (rate / c - math.log(c) / R) / R
 
-    def conditions(self, v: np.ndarray) -> tuple[tuple[str, float], ...]:
-        """The condition number of each block that moves, at the public
-        vector v: of its diagonal block of the model Hessian."""
-        H = self.model(self.nodes(float(v[self.R_at])), self.map.y(self.map.coordinates(v)))[1]
-        return tuple((name, _condition(np.linalg.eigvalsh(H[cols, cols])))
-                     for name, cols in self.map.moving.items())
-
-    def prices(self, v: np.ndarray) -> dict[str, float]:
-        """d objective / d bound for each entry a bound row pins in a step of
-        its block from the public vector v (each row holds one block's
-        columns), from the row's multiplier: d constant / d b = lam."""
-        R, x, names = float(v[self.R_at]), self.map.coordinates(v), self.spec.vector_names()
-        rows, y = self.nodes(R), self.map.y(x)
+    def read(self, v: np.ndarray, pinned: dict[str, float]):
+        """One model at the public vector v: the condition number of each
+        block that moves, of its diagonal block of the model Hessian, and
+        the price of each entry of pinned but R, d objective / d entry with
+        the other entries held (the envelope theorem, as for the R slope),
+        or 0 where the objective does not fall outside the bounds."""
+        R = float(v[self.R_at])
+        rows, y = self.nodes(R), self.map.y(self.map.coordinates(v))
         g, H = self.model(rows, y)
-        scale, prices = self.sign * self.per_log / (R * self.constant(rows, y)), {}
-        for name in self.map.moving:
-            (_, at), _, active, lam = self.minimum(R, g, H, x, name)
-            for i, price in zip(active, lam):
-                entry = names[self.map.pins[at.start + i][0]]
-                prices[entry] = scale * float(price) * self.map.moved(at.start + i, x)
-        return prices
+        conditions = tuple((name, _condition(np.linalg.eigvalsh(H[cols, cols])))
+                           for name, cols in self.map.moving.items())
+        if not pinned.keys() - {"R"}:  # R has no column: its price is the R slope
+            return conditions, {}
+        names, partials = self.spec.vector_names(), self.map.partials(g, v)
+        scale, prices = self.per_log / (R * self.constant(rows, y)), {}
+        for i, d in partials.items():
+            if names[i] in pinned:  # the minimized objective falls below lo when d > 0
+                out = d > 0.0 if pinned[names[i]] == self.spec.bounds_by_index[i][0] else d < 0.0
+                prices[names[i]] = float(self.sign * scale * d) if out else 0.0
+        return conditions, prices
 
 
 class _NuSolve(_Solve):
@@ -887,13 +880,10 @@ def optimize(spec: SearchSpec) -> SearchResult:
         rate = solver.slope(record.best_vector)
     result = record.result("objective failed at the initial point",
                            inner_solves=solver.solves, fallbacks=solver.fallbacks,
-                           conditions=solver.conditions(record.best_vector),
                            slope=solver.sign * rate)
-    if not result.pinned:
-        return result
-    prices = {**solver.prices(record.best_vector), "R": result.slope}
-    return replace(result, shadow=tuple((name, prices.get(name, 0.0))
-                                        for name, _ in result.pinned))
+    conditions, prices = solver.read(record.best_vector, dict(result.pinned))
+    return replace(result, conditions=conditions, shadow=tuple(
+        (name, result.slope if name == "R" else prices[name]) for name, _ in result.pinned))
 
 
 def grid_scan(spec: SearchSpec, resolution: int) -> SearchResult:

@@ -23,13 +23,13 @@ one E grid per call and no D.  c is three such forms of one order-1
 grid, its centre value the form at u = v = e_0; c1 the form at u = v =
 the twist operator's weights, exact from the twist polynomial and rounded
 once.
-Against a 40-digit mpmath evaluation over 960 random draws per cell
-(README), c from this route is good to 4e-14 (relative) at R <= 5 and
-2e-12 up to R = 300, the worst draws those whose three terms cancel
-1e2- to 4e4-fold; c1 to 2e-13 up to order 8 and 3e-11 up to order 16
-at R <= 5, and to 4e-12 up to order 8 and 3e-8 at orders 10 to 16 for
-5 < R <= 300, where 90% of draws are within 2e-12 and the worst is a
-draw whose u^T D u itself cancels 2.7e9-fold.  The route is checked only
+Against a 40-digit mpmath evaluation over 3840 random draws per cell
+(README), c from this route is good to 6e-14 (relative) at R <= 5 and
+4e-12 up to R = 300, the worst draws those whose terms cancel 1e2- to
+3e4-fold; c1 to 8e-14 up to order 8 and 3e-11 up to order 16 at R <= 5,
+and to 2e-10 up to order 8 and 6e-8 at orders 10 to 16 for
+5 < R <= 300, where 90% of draws are within 2e-12 and the worst are
+draws whose u^T D u itself cancels 2e7- to 2.1e9-fold.  The route is checked only
 up to order 16 at R <= 5, at order 16, R = 100, and at order 22, R = 0.746.
 
 The exact data is summed in integers and divided once, read straight

@@ -27,7 +27,8 @@ The exact polynomial operations also keep their per-term Fraction forms
 here, on the exact coefficients Poly.coeffs, as the references of the
 integer form in polyalg: integrate01_product_naive (each of the four
 integrals polyalg.moments gives), combine_naive and the other *_naive
-functions.
+functions.  readme_draws draws the inputs of the README's accuracy
+table, one cell at a time.
 """
 
 from fractions import Fraction
@@ -37,8 +38,9 @@ from math import comb
 import numpy as np
 from mpmath import mp
 
-from levbounds.polyalg import (MomentTable, Poly, expand_mollifier, expand_twist, mollifier_basis,
-                               moments)
+from levbounds.polyalg import (MollifierShape, MomentTable, Poly, TwistShape, expand_mollifier,
+                               expand_twist, mollifier_basis, moments)
+from levbounds.proportions import SectionFiveParams, SectionFourParams
 
 ANCHOR_DPS = 20
 CONSTANT_DPS = 40
@@ -313,3 +315,34 @@ def mp_c1(p) -> float:
         D = _mp_derivatives(moments(poly, poly), p.theta, p.R, len(u) - 1)
         return float(mp.fsum(u[m] * u[n] * D[m][n]
                              for m in range(len(u)) for n in range(len(u))))
+
+
+def readme_draws(quantity: str, large_R: bool, seed: int, count: int = 960):
+    """count draws of one cell of the README's accuracy table, from the
+    numpy seed: SectionFourParams for quantity "c", SectionFiveParams for
+    "c1 order <= 8" (0 to 3 q_sym entries) or "c1 order 10-16" (4 to 7).
+    Mollifier shapes have 1 to 3 (c) or 1 to 4 (c1) entries in [-1, 1],
+    q_linear is in [-1, 1], q_sym entries in [-1, 1] for even draws and in
+    [-5, 5] for odd ones, theta in [0.3, 1], r in [0.5, 2], delta in
+    [0, 1.2], and R log-uniform in [1e-3, 5], or in [5, 300] if large_R."""
+    rng = np.random.default_rng(seed)
+    sym = {"c1 order <= 8": (0, 3), "c1 order 10-16": (4, 7)}.get(quantity)
+    lo, hi = np.log([5.0, 300.0] if large_R else [1e-3, 5.0])
+
+    def shape(most: int) -> MollifierShape:
+        return MollifierShape.of(rng.uniform(-1.0, 1.0, rng.integers(1, most + 1)))
+
+    for i in range(count):
+        if sym is None:
+            p1, p2 = shape(3), shape(3)
+            theta, r, R = rng.uniform(0.3, 1.0), rng.uniform(0.5, 2.0), np.exp(rng.uniform(lo, hi))
+            yield SectionFourParams(p1_shape=p1, p2_shape=p2, theta=float(theta), r=float(r),
+                                    R=float(R))
+        else:
+            p, q_linear = shape(4), rng.uniform(-1.0, 1.0)
+            width = 1.0 if i % 2 == 0 else 5.0
+            q = TwistShape.of(q_linear, rng.uniform(-width, width, rng.integers(sym[0], sym[1] + 1)))
+            theta, delta, R = (rng.uniform(0.3, 1.0), rng.uniform(0.0, 1.2),
+                               np.exp(rng.uniform(lo, hi)))
+            yield SectionFiveParams(p_shape=p, q_shape=q, theta=float(theta), R=float(R),
+                                    delta=float(delta))

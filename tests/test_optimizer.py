@@ -751,10 +751,14 @@ class TestShadowPrices:
         assert v[solver.spec.vector_names().index(name)] == bound
         h = 2e-3
         measured = (4.0 * difference(h / 2.0) - difference(h)) / 3.0
-        assert solver.prices(v) == {name: pytest.approx(measured, rel=1e-6, abs=0.0)}
+        # at most 8.2e-7 off (kappa's p_shape[1]: the joint solve's own
+        # convergence, as for the R slope)
+        assert solver.read(v, {name: bound})[1] == {
+            name: pytest.approx(measured, rel=1e-6, abs=0.0)}
 
     def test_search_prices_each_pinned_entry(self):
-        # one price per pinned entry, by name; R's is the R slope
+        # one price per pinned entry, by name, each a Python float; R's is
+        # the R slope
         spec = with_entry(with_entry(criterion_eight_spec("minimize_nu"), "r", 0.7, r=(0.5, 1.0)),
                           "R", 0.45, R=(0.3, 0.5))
         result = optimize(spec)
@@ -762,15 +766,25 @@ class TestShadowPrices:
         prices = dict(result.shadow)
         assert list(prices) == ["R", "r"] and prices["R"] == result.slope
         solver = optimizer._SOLVES[spec.target](spec)
-        assert prices["r"] == solver.prices(np.array(result.best_point))["r"] < 0.0
+        v = np.array(result.best_point)
+        assert prices["r"] == solver.read(v, dict(result.pinned))[1]["r"] < 0.0
+        # a shape entry under a free scale, 1/r
+        shape = optimize(with_entry(criterion_eight_spec("minimize_nu"), "p2_shape[1]", 0.4,
+                                    **{"p2_shape[1]": (0.3, 0.5)}))
+        assert dict(shape.pinned) == {"p2_shape[1]": 0.3}
+        assert dict(shape.shadow)["p2_shape[1]"] > 0.0
+        assert all(type(p) is float for _, p in result.shadow + shape.shadow)
         assert optimize(criterion_eight_spec("minimize_nu")).shadow == ()
 
-    def test_a_row_a_step_releases_has_no_price(self):
-        # r on its lower bound, below its optimum of about 1.15: the step
-        # from there leaves the bound, so no row is priced (a search reads 0)
-        spec = criterion_eight_spec("minimize_nu")
+    @pytest.mark.parametrize("r", [0.5, 2.0])
+    def test_a_row_a_step_releases_has_no_price(self, r):
+        # r on a bound away from its optimum of about 1.15: nu falls into
+        # the bounds there, as a step from there leaves the bound, so r's
+        # price is 0, and a search that stops there (budget 1) reads 0
+        spec = with_entry(criterion_eight_spec("minimize_nu"), "r", r)
         solver, v = solved_profile(spec)[0], np.array(optimize(spec).best_point)
-        assert solver.prices(np.r_[v[:4], 0.5, v[5:]]) == {}
+        assert solver.read(np.r_[v[:4], r, v[5:]], {"r": r})[1] == {"r": 0.0}
+        assert optimize(replace(spec, budget=1)).shadow == (("r", 0.0),)
 
 
 class TestNewtonSolve:
@@ -950,6 +964,19 @@ search_cases = dict(profile=st.sampled_from(sorted(PROFILES)), k=st.floats(0.1, 
 search_settings = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 
+class TestHermite:
+    def test_a_quadratics_minimizer_is_reproduced(self):
+        # (x - 0.3)^2 from its values and slopes at 0 and 1, in either order
+        older, newer = (0.0, 0.09, -0.6), (1.0, 0.49, 1.4)
+        assert optimizer._hermite(older, newer) == pytest.approx(0.3, rel=0.0, abs=1e-15)
+        assert optimizer._hermite(newer, older) == pytest.approx(0.3, rel=0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("newer", [(1.0, 2.0 / 3.0, 1.0), (1.0, 0.0, -1.0)],
+                             ids=["no real stationary point", "zero denominator"])
+    def test_no_minimizer_is_none(self, newer):
+        assert optimizer._hermite((0.0, 0.0, 1.0), newer) is None
+
+
 class TestRSearch:
     @search_settings
     @given(**search_cases)
@@ -1050,7 +1077,7 @@ class TestMap:
         else:
             blocks = {"mollifier": [(None, at["p_shape"])],
                       "twist": [(at["delta"], slice(at["q_linear"], at["q_sym"].stop))]}
-        expected, free, conditions = [], set(spec.free_indices()), dict(solver.conditions(v0))
+        expected, free, conditions = [], set(spec.free_indices()), dict(solver.read(v0, {})[0])
         for name, segments in blocks.items():
             entries = set()
             for scale, shape in segments:

@@ -20,7 +20,7 @@ from levbounds.proportions import SectionFiveParams, SectionFourParams, c1_value
 from levbounds.reference import section_five_reference, section_four_reference
 
 from kernel_reference import (division_form, kernel_derivative_basis, kernel_matrix, mp_c,
-                              mp_c1)
+                              mp_c1, readme_draws)
 from test_polyalg import coefficients, shape_coeffs
 
 # section-4 shapes whose cross moments m12.dp and m21.pd nearly cancel
@@ -30,12 +30,17 @@ ORDER16_TWIST = TwistShape.of("-0.673", ["0.369", "-4.635", "0.1", "-0.2", "0.05
 # ten q_sym entries: derivatives to order 22, past 21!, where int64 wraps
 ORDER22_TWIST = TwistShape.of("-0.673", ["0.369", "-4.635", "0.1", "-0.2", "0.05", "0.3", "-0.1",
                                          "0.2", "-0.3", "0.1"])
-# the README's bound on the oracle's relative error against 40 digits, by
-# quantity (c, or c1 by its order) and by R <= 5 or 5 < R <= 300, that
-# the pinned points are held to; where a draw whose terms cancel sets the
-# README's cell higher, the pinned points keep the tighter bound: for c
-# the README reads 4e-14 and 2e-12, and in the last cell 3e-8, set by one
-# draw where u^T D u itself cancels 2.7e9-fold
+# the README's table of the oracle's relative error against 40 digits, by
+# quantity (c, or c1 by its order) and by R <= 5 or 5 < R <= 300: the
+# worst of kernel_reference.readme_draws at numpy seeds 9601 to 9604 and
+# of the points pinned below
+README_CELLS = {("c", False): 6e-14, ("c", True): 4e-12,
+                ("c1 order <= 8", False): 8e-14, ("c1 order <= 8", True): 2e-10,
+                ("c1 order 10-16", False): 3e-11, ("c1 order 10-16", True): 6e-8}
+# the bound each pinned point is held to, by the same cells: tighter than
+# README_CELLS where a draw whose terms cancel sets the cell, as in the
+# last, set by a draw where u^T D u itself cancels 2.1e9-fold; at c1 order
+# <= 8, R <= 5 it is looser (the pinned points read at most 6.2e-14 there)
 PUBLISHED_BOUNDS = {("c", False): 3e-14, ("c", True): 5e-13,
                     ("c1 order <= 8", False): 2e-13, ("c1 order <= 8", True): 4e-12,
                     ("c1 order 10-16", False): 3e-11, ("c1 order 10-16", True): 1e-8}
@@ -483,6 +488,13 @@ class TestFrozenOracleValues:
                 exact = mp_c1(p)
             bound = PUBLISHED_BOUNDS[quantity, p.R > 5]
             assert abs(fd(p) / exact - 1) <= bound, (quantity, p.R)
+
+    @pytest.mark.parametrize("quantity, large_R", README_CELLS)
+    def test_first_readme_draws_are_within_their_cell(self, quantity, large_R):
+        # the first 8 draws of each cell of the README's table, at seed 9601
+        fd, exact = (fd_c_value, mp_c) if quantity == "c" else (fd_c1_value, mp_c1)
+        for p in readme_draws(quantity, large_R, 9601, count=8):
+            assert abs(fd(p) / exact(p) - 1) <= README_CELLS[quantity, large_R], p
 
 
 class TestCrosscheckReport:
