@@ -16,12 +16,14 @@ basis rows (exact values at the nodes rounded once): [A u; theta P u] at
 the x-nodes for a mollifier, [U; U'] = [1 + Psi v; Psi' v] at the
 t-nodes for a twist (NodeRows.factors).  c's root is centred at t = 1,
 where the weights pile up, so its t-factors are [1; t - 1] and its T
-three numbers per point (NodeRows.Tc).  node_rows builds what the sums
-read at one (theta, R) once and shares it, read-only; an exact shape
-keeps its float row, a mollifier's factors and x-Gram, and a twist's
-t-Gram per point (shape_row, kept_factors, kept_gram).  Nothing is built
-at import.  The m + 3 x-nodes integrate the degree-2m+2 square in x
-exactly; the t-nodes follow t_count.
+three numbers per point (NodeRows.Tc); its x-factors come from both
+mollifiers' factors and r (c_factors, c_gram).  node_rows builds what
+the sums read at one (theta, R) once and shares it, read-only; an exact
+shape keeps its float row, a mollifier's factors and x-Gram, and a
+twist's t-Gram per point (shape_row, kept_factors, kept_gram), and c's
+first mollifier keeps c's x-Gram per point, r and partner (kept_c_gram).
+Nothing is built at import.  The m + 3 x-nodes integrate the
+degree-2m+2 square in x exactly; the t-nodes follow t_count.
 """
 
 from __future__ import annotations
@@ -154,6 +156,27 @@ def gram(F: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
     return g00, g01, g11
 
 
+# [1, 1; 1, 0]: the rows A2 + theta P2 and A2 of the factors [A2; theta P2]
+_CENTRE = np.array([[1.0, 1.0], [1.0, 0.0]])
+_CENTRE.setflags(write=False)
+
+
+def c_factors(z1: np.ndarray, z2: np.ndarray, r: float) -> np.ndarray:
+    """c's x-factors [F0; F1] = [A1 - (A2 + theta P2) / r; -A2 / r], its
+    root being F0 + (t - 1) F1, from the factors [A z; theta P z] of
+    z1 = (1, p1) and z2 = (1, p2), (2, n_x), or of k stacked rows of each."""
+    F = (_CENTRE @ z2) / -r
+    F[..., 0, :] += z1[..., 0, :]
+    return F
+
+
+def c_gram(rows: NodeRows, f1: np.ndarray, f2: np.ndarray, r: float
+           ) -> tuple[float, float, float]:
+    """c's x-Gram X at r: the Gram of c_factors(f1, f2, r) under rows.wx,
+    from the mollifiers' factors f1 and f2, never expanded in 1/r."""
+    return gram(c_factors(f1, f2, r), rows.wx)
+
+
 class NodeRows(NamedTuple):
     """What both constants read at one (theta, R), and how a shape's row
     becomes its root factors and their Gram there.  A named tuple of floats
@@ -202,8 +225,9 @@ class NodeRows(NamedTuple):
 
 # node_rows keeps this many points, the least recently read dropped first,
 # and each shape this many per slot, the oldest formed dropped first: a
-# sweep pass reads 10 points' rows, each mollifier at 5 points and the
-# twist at 25 (R5, delta), a search operation 6 points' rows
+# sweep pass reads 10 points' rows, each mollifier at 5 points, the twist
+# at 25 (R5, delta) and c's first mollifier its x-Gram at 25 (r, R4), a
+# search operation 6 points' rows
 _NODE_ROWS_KEPT = 64
 
 
@@ -245,6 +269,20 @@ def kept_gram(rows: NodeRows, shape: MollifierShape | TwistShape,
         return shape.kept["grams"][key]
     except KeyError:
         return _keep(shape, "grams", key, rows.gram_of(shape_row(shape), delta))
+
+
+def kept_c_gram(rows: NodeRows, shape: MollifierShape, partner: MollifierShape,
+                r: float) -> tuple[float, float, float]:
+    """c's x-Gram of the pair (shape, partner) at r, c_gram of their kept
+    factors, kept in the first shape's kept["c_grams"] per (x-node count,
+    rho, theta, r) and the partner's float row as bytes: a key by value,
+    so no other partner reads it, and it holds no shape.  c reads it."""
+    key = len(rows.wx), rows.rho, rows.theta, r, shape_row(partner).tobytes()
+    try:
+        return shape.kept["c_grams"][key]
+    except KeyError:
+        return _keep(shape, "c_grams", key, c_gram(rows, kept_factors(rows, shape),
+                                                   kept_factors(rows, partner), r))
 
 
 def node_rows(theta: float, R: float, m: int, k: int | None = None) -> NodeRows:

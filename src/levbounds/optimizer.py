@@ -53,11 +53,12 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import MAX_BASE_R, MIN_BASE_R, NodeRows, basis_products, gram, node_rows
+from .kernel import (MAX_BASE_R, MIN_BASE_R, NodeRows, basis_products, c_factors, gram,
+                     node_rows)
 from .polyalg import (MollifierShape, TwistShape, mollifier_shape_from_poly,
                       twist_shape_from_poly)
-from .proportions import (SectionFourParams, SectionFiveParams, c1_core, c_core, c_factors,
-                          contract, kappa_bound, nu_bound)
+from .proportions import (SectionFourParams, SectionFiveParams, c1_core, c_core, contract,
+                          kappa_bound, nu_bound)
 
 MAX_CONDITION = 1e12       # a free solve block conditioned worse than this is ill-posed
 MAX_STEPS = 50             # joint steps or fallback sweeps: at most this many per R step

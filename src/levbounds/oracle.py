@@ -328,9 +328,9 @@ def _row_checks(name: str, mt: MomentTable, rows: NodeRows, R: float, a: Mollifi
     over theta, with theta and rho = R theta rounded once from the caller's
     R.  A pair of one shape reads its kept x-Gram (kept_gram, as c1 does;
     AP and PA its off-diagonal entry), a pair of two its kept factors
-    (kept_factors, as c does).  Each error is relative to the same sum over
-    absolute values (|D + rho P| |u| and |theta P| |u|), or to the exact
-    value if that is larger."""
+    (kept_factors, from which c forms the x-Gram it keeps).  Each error is
+    relative to the same sum over absolute values (|D + rho P| |u| and
+    |theta P| |u|), or to the exact value if that is larger."""
     rho, theta, n = Fraction(R * rows.theta), Fraction(rows.theta), len(rows.wx)
 
     def sizes(shape: MollifierShape) -> dict[str, np.ndarray]:

@@ -8,11 +8,12 @@ U = (1 - delta) + delta (1 - 2t) Q(t).  Each root has rank 2, so each
 constant is one 2x2 contraction of a t-Gram with an x-Gram (contract):
 for c1 the Grams of the twist's [U; U'] and the mollifier's
 [A u; theta P u]; for c, whose root is centred at t = 1, the rows' Tc
-and the Gram of c_factors, formed on each call from the mollifiers'
-factors and r (an expansion in 1/r would cancel).  c_value and c1_value
-read what an exact shape keeps per point (kernel.kept_factors,
-kernel.kept_gram); c_core and c1_core form the same on each call with
-the same operations, so both give the same bits.
+and the Gram of kernel.c_factors, from the mollifiers' factors and r
+(an expansion in 1/r would cancel).  c_value and c1_value read the
+x-Grams an exact shape keeps (kernel.kept_c_gram per point, r and
+partner; kernel.kept_gram per point), and contract them on every call;
+c_core and c1_core form the same Grams on each call with the same
+operations, so both give the same bits.
 
 From them nu = ln(c)/(2R) and kappa = 1 - ln(c1)/R (natural logarithm:
 the only base consistent with the reference constants), and the four
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import (MAX_BASE_R, MIN_BASE_R, NodeRows, gram, kept_factors, kept_gram,
+from .kernel import (MAX_BASE_R, MIN_BASE_R, NodeRows, c_gram, kept_c_gram, kept_gram,
                      node_rows)
 from .polyalg import MollifierShape, TwistShape
 
@@ -111,20 +112,6 @@ def _homogeneous(coeffs) -> np.ndarray:
     return u
 
 
-# [1, 1; 1, 0]: the rows A2 + theta P2 and A2 of the factors [A2; theta P2]
-_CENTRE = np.array([[1.0, 1.0], [1.0, 0.0]])
-_CENTRE.setflags(write=False)
-
-
-def c_factors(z1: np.ndarray, z2: np.ndarray, r: float) -> np.ndarray:
-    """c's x-factors [F0; F1] = [A1 - (A2 + theta P2) / r; -A2 / r], its
-    root being F0 + (t - 1) F1, from the factors [A z; theta P z] of
-    z1 = (1, p1) and z2 = (1, p2), (2, n_x), or of k stacked rows of each."""
-    F = (_CENTRE @ z2) / -r
-    F[..., 0, :] += z1[..., 0, :]
-    return F
-
-
 def contract(T: tuple[float, float, float], X: tuple[float, float, float]) -> float:
     """1 + sum_ab T_ab X_ab of two Grams (G00, G01, G11).  Every input is
     finite and the exact sum is at least 1, so a sum that is not finite
@@ -133,30 +120,36 @@ def contract(T: tuple[float, float, float], X: tuple[float, float, float]) -> fl
     return value if math.isfinite(value) else math.inf
 
 
-def _c(factors, z1, z2, m: int, theta: float, r: float, R: float) -> float:
-    """c at mollifier degree m from z1 and z2, read as factors(rows, z): the
-    one evaluation of c_core and c_value, Tc against c_factors' x-Gram."""
+def _c(x_gram, z1, z2, m: int, theta: float, r: float, R: float) -> float:
+    """c at mollifier degree m, Tc against its x-Gram x_gram(rows, z1, z2, r):
+    the one evaluation of c_core and c_value."""
     theta, r, R = float(theta), float(r), float(R)
     _check_scalars(theta, R, r=r)
     rows = node_rows(theta, R, m)
-    c = contract(rows.Tc, gram(c_factors(factors(rows, z1), factors(rows, z2), r), rows.wx))
+    c = contract(rows.Tc, x_gram(rows, z1, z2, r))
     if not math.isfinite(c):
         raise NonFiniteError(f"c evaluated to {c!r}")
     return c
 
 
+def _formed_c_gram(rows: NodeRows, z1: np.ndarray, z2: np.ndarray, r: float
+                   ) -> tuple[float, float, float]:
+    """c's x-Gram from the rows z1 and z2, their factors formed on this call."""
+    return c_gram(rows, rows.factors(z1), rows.factors(z2), r)
+
+
 def c_core(p1, p2, theta: float, r: float, R: float) -> float:
-    """c from float shape coefficients, their factors formed on each call;
-    the search objective evaluates through here, and c_value is the same
-    evaluation on the shapes' kept factors, bit for bit."""
+    """c from float shape coefficients, its x-Gram formed on each call; the
+    search objective evaluates through here, and c_value is the same
+    evaluation on the x-Gram the first shape keeps, bit for bit."""
     z1, z2 = _homogeneous(p1), _homogeneous(p2)
-    return _c(NodeRows.factors, z1, z2, max(len(z1), len(z2)) - 1, theta, r, R)
+    return _c(_formed_c_gram, z1, z2, max(len(z1), len(z2)) - 1, theta, r, R)
 
 
 def c_value(p: SectionFourParams) -> float:
     """The mollified second-moment constant of the two-mollifier detector."""
     s1, s2 = p.p1_shape, p.p2_shape
-    return _c(kept_factors, s1, s2, max(len(s1.shape_coeffs), len(s2.shape_coeffs)),
+    return _c(kept_c_gram, s1, s2, max(len(s1.shape_coeffs), len(s2.shape_coeffs)),
               p.theta, p.r, p.R)
 
 

@@ -353,16 +353,18 @@ class TestShapeProducts:
 
     def test_cache_is_transparent(self, monkeypatch):
         # over a 3^4 (r, R4, R5, delta) lattice on shared shapes, each
-        # (shape, point) Gram is formed once, counted on its builder
-        # NodeRows.gram_of: the c1 mollifier's X at each (x-node count, rho,
-        # theta) and the twist's T at each (t-node count, delta, R); each
-        # c mollifier forms its factors once per point and no Gram; every
+        # (shape, point) Gram is formed once, counted on its builder: on
+        # NodeRows.gram_of the c1 mollifier's X at each (x-node count, rho,
+        # theta) and the twist's T at each (t-node count, delta, R); on
+        # kernel.c_gram c's X, kept on the first shape, at each (x-node
+        # count, rho, theta, r) with the partner's row, 9 builds, one per
+        # (r, R4); each c mollifier forms its factors once per point; every
         # basis product is one of these; every report is bit for bit the
         # one that fresh, equal shapes give
         p4, p5 = section_four_reference(), section_five_reference()
         shapes = (p4.p1_shape, p4.p2_shape, p5.p_shape, p5.q_shape)
-        formed, grams = [], []
-        gram_of = kernel.NodeRows.gram_of
+        formed, grams, c_grams = [], [], []
+        gram_of, c_gram = kernel.NodeRows.gram_of, kernel.c_gram
 
         def counting(n, u, twist=False):
             formed.append((n, tuple(u), twist))
@@ -373,8 +375,13 @@ class TestShapeProducts:
                           rows.R if delta is not None else rows.rho))
             return gram_of(rows, u, delta)
 
+        def counting_c_grams(rows, f1, f2, r):
+            c_grams.append((len(rows.wx), rows.rho, rows.theta, r))
+            return c_gram(rows, f1, f2, r)
+
         monkeypatch.setattr(kernel, "basis_products", counting)
         monkeypatch.setattr(kernel.NodeRows, "gram_of", counting_grams)
+        monkeypatch.setattr(kernel, "c_gram", counting_c_grams)
         axes = [np.linspace(0.8, 1.6, 3), np.linspace(0.4, 0.9, 3), np.linspace(0.5, 12.0, 3),
                 np.linspace(0.5, 1.0, 3)]
         points = [(replace(p4, r=float(r), R=float(R4)), replace(p5, R=float(R5), delta=float(d)))
@@ -386,6 +393,10 @@ class TestShapeProducts:
         assert p4.theta == p5.theta == 1.0  # so rho = R
         assert [list(s.kept["factors"]) for s in shapes[:2]] == [
             [(n4, float(R4), 1.0) for R4 in axes[1]]] * 2
+        partner = kernel.shape_row(p4.p2_shape).tobytes()
+        c_points = [(n4, float(R4), 1.0, float(r)) for r in axes[0] for R4 in axes[1]]
+        assert list(p4.p1_shape.kept["c_grams"]) == [(*at, partner) for at in c_points]
+        assert c_grams == c_points  # each once, in lattice order
         assert list(p5.p_shape.kept["grams"]) == [(n5, float(R5), 1.0) for R5 in axes[2]]
         t_points = [(kernel.t_count(R5, 2 * k + 2), float(d), float(R5))
                     for R5 in axes[2] for d in axes[3]]
@@ -409,14 +420,16 @@ class TestShapeProducts:
                                 replace(b, p_shape=fresh(b.p_shape), q_shape=fresh(b.q_shape)))
             assert ([x.hex() for x in astuple(report)[:8]]
                     == [x.hex() for x in astuple(again)[:8]])
-        for shape, slot in zip(shapes, ("factors", "factors", "grams", "grams")):
-            assert shape.kept.keys() == {"row", slot}
+        slots = (["row", "factors", "c_grams"], ["row", "factors"], ["row", "grams"],
+                 ["row", "grams"])
+        for shape, kept_slots in zip(shapes, slots):
+            assert list(shape.kept) == kept_slots
             assert not shape.kept["row"].flags.writeable
-            if slot == "factors":
+            if "factors" in kept_slots:
                 assert not any(f.flags.writeable for f in shape.kept["factors"].values())
-            else:
+            for slot in {"grams", "c_grams"}.intersection(kept_slots):
                 assert all(type(g) is tuple and len(g) == 3 and all(type(x) is float for x in g)
-                           for g in shape.kept["grams"].values())
+                           for g in shape.kept[slot].values())
             assert shape == fresh(shape) and hash(shape) == hash(fresh(shape))
             assert repr(shape) == repr(fresh(shape))
 
@@ -425,20 +438,28 @@ class TestShapeProducts:
         # read at _NODE_ROWS_KEPT + 8 points, a shape keeps, in each slot,
         # the last _NODE_ROWS_KEPT formed, the oldest dropped first, and a
         # dropped point forms again, bit for bit, what it first gave: a
-        # mollifier's factors and x-Gram, a twist's t-Gram
-        p5, kept = section_five_reference(), kernel._NODE_ROWS_KEPT
+        # mollifier's factors and x-Gram, and c's x-Gram with a partner,
+        # read at _NODE_ROWS_KEPT + 8 values of r at one point; a twist's
+        # t-Gram
+        p4, p5, kept = section_four_reference(), section_five_reference(), kernel._NODE_ROWS_KEPT
         m, k = len(p5.p_shape.shape_coeffs), len(p5.q_shape.sym_coeffs)
-        shape = p5.q_shape if twist else p5.p_shape
+        shape, partner = (p5.q_shape if twist else p5.p_shape), p4.p2_shape
         if twist:  # a twist's points move with delta and R, a mollifier's with R
             reads = [(kernel.node_rows(1.0, 0.746 + (i % 2) / 64, m, k), 0.5 + i / 128)
                      for i in range(kept + 8)]
-            slots = {"grams": lambda rows, delta: kernel.kept_gram(rows, shape, delta)}
+            slots = {"grams": (reads, lambda rows, delta: kernel.kept_gram(rows, shape, delta))}
         else:
             reads = [(kernel.node_rows(1.0, 0.5 + i / 128, m, k), None) for i in range(kept + 8)]
-            slots = {"factors": lambda rows, _: kernel.kept_factors(rows, shape),
-                     "grams": lambda rows, _: kernel.kept_gram(rows, shape)}
+            at = kernel.node_rows(1.0, 0.617, max(m, len(partner.shape_coeffs)))
+            slots = {"factors": (reads, lambda rows, _: kernel.kept_factors(rows, shape)),
+                     "grams": (reads, lambda rows, _: kernel.kept_gram(rows, shape)),
+                     "c_grams": ([(at, 0.8 + i / 128) for i in range(kept + 8)],
+                                 lambda rows, r: kernel.kept_c_gram(rows, shape, partner, r))}
 
-        def keys(reads):
+        def keys(slot, reads):
+            if slot == "c_grams":
+                return [(len(rows.wx), rows.rho, rows.theta, r,
+                         kernel.shape_row(partner).tobytes()) for rows, r in reads]
             return [(len(rows.t), delta, rows.R) if twist else (len(rows.wx), rows.rho, rows.theta)
                     for rows, delta in reads]
 
@@ -446,13 +467,50 @@ class TestShapeProducts:
             return (a.tobytes() == b.tobytes() if isinstance(a, np.ndarray)
                     else [x.hex() for x in a] == [x.hex() for x in b])
 
-        for slot, read in slots.items():
+        for slot, (reads, read) in slots.items():
             first = [read(*point) for point in reads]
-            assert list(shape.kept[slot]) == keys(reads[8:])
+            assert list(shape.kept[slot]) == keys(slot, reads[8:])
             again = read(*reads[0])
             assert again is not first[0] and same(again, first[0])
-            assert list(shape.kept[slot]) == keys(reads[9:] + reads[:1])
+            assert list(shape.kept[slot]) == keys(slot, reads[9:] + reads[:1])
             assert read(*reads[-1]) is first[-1]
+
+    def test_a_kept_c_gram_is_read_for_its_own_pair_and_r_only(self, monkeypatch):
+        # at one point and one r, c's x-Gram kept on the first shape is read
+        # only for its own partner and r: a second partner, the pair swapped
+        # and r one ulp down each form their own (counted on kernel.c_gram),
+        # a partner equal by value but a distinct object reads the kept one,
+        # and each c is bit for bit c_core on the same floats, before and
+        # after the keep holds them all
+        p4 = section_four_reference()
+        s1, s2 = p4.p1_shape, p4.p2_shape
+        other = MollifierShape.of(["0.3", "-0.2"])  # of s2's degree, so the same x-nodes
+        down = math.nextafter(p4.r, 0.0)
+        cases = {"pair": p4, "second partner": replace(p4, p2_shape=other),
+                 "swapped": replace(p4, p1_shape=s2, p2_shape=s1),
+                 "equal partner": replace(p4, p2_shape=MollifierShape(s2.shape_coeffs)),
+                 "r one ulp down": replace(p4, r=down)}
+        assert cases["equal partner"].p2_shape is not s2
+        formed = []
+        c_gram = kernel.c_gram
+
+        def counting(rows, f1, f2, r):
+            formed.append(r)
+            return c_gram(rows, f1, f2, r)
+
+        def core(p):
+            floats = lambda s: [float(x) for x in s.shape_coeffs]
+            return c_core(floats(p.p1_shape), floats(p.p2_shape), p.theta, p.r, p.R).hex()
+
+        monkeypatch.setattr(kernel, "c_gram", counting)
+        first = {name: c_value(p).hex() for name, p in cases.items()}
+        assert len(formed) == 4 and formed.count(down) == 1
+        again = {name: c_value(p).hex() for name, p in cases.items()}
+        assert len(formed) == 4
+        assert first == again == {name: core(p) for name, p in cases.items()}
+        assert len(set(first.values())) == 4  # a false hit would show
+        assert first["equal partner"] == first["pair"]
+        assert len(s1.kept["c_grams"]) == 3 and len(s2.kept["c_grams"]) == 1
 
     def test_kept_factors_name_a_wrong_shape(self):
         p5 = section_five_reference()
