@@ -17,11 +17,11 @@ the x-nodes for a mollifier, [U; U'] = [1 + Psi v; Psi' v] at the
 t-nodes for a twist (NodeRows.factors).  c's root is centred at t = 1,
 where the weights pile up, so its t-factors are [1; t - 1] and its T
 three numbers per point (NodeRows.Tc); its x-factors come from both
-mollifiers' factors and r (c_factors, c_gram).  node_rows builds what
-the sums read at one (theta, R) once and shares it, read-only; an exact
-shape keeps its float row, a mollifier's factors and x-Gram, and a
-twist's t-Gram per point (shape_row, kept_factors, kept_gram), and c's
-first mollifier keeps c's x-Gram per point, r and partner (kept_c_gram).
+mollifiers' factors and r (c_factors).  node_rows builds what the sums
+read at one (theta, R) once and shares it, read-only; an exact shape
+keeps its float row and a mollifier its factors and x-Gram per point
+(shape_row, kept_factors, kept_gram), and the constants themselves keep
+their values on a shape through _keep (proportions.c_value, c1_value).
 Nothing is built at import.  The m + 3 x-nodes integrate the
 degree-2m+2 square in x exactly; the t-nodes follow t_count.
 """
@@ -170,13 +170,6 @@ def c_factors(z1: np.ndarray, z2: np.ndarray, r: float) -> np.ndarray:
     return F
 
 
-def c_gram(rows: NodeRows, f1: np.ndarray, f2: np.ndarray, r: float
-           ) -> tuple[float, float, float]:
-    """c's x-Gram X at r: the Gram of c_factors(f1, f2, r) under rows.wx,
-    from the mollifiers' factors f1 and f2, never expanded in 1/r."""
-    return gram(c_factors(f1, f2, r), rows.wx)
-
-
 class NodeRows(NamedTuple):
     """What both constants read at one (theta, R), and how a shape's row
     becomes its root factors and their Gram there.  A named tuple of floats
@@ -225,13 +218,13 @@ class NodeRows(NamedTuple):
 
 # node_rows keeps this many points, the least recently read dropped first,
 # and each shape this many per slot, the oldest formed dropped first: a
-# sweep pass reads 10 points' rows, each mollifier at 5 points, the twist
-# at 25 (R5, delta) and c's first mollifier its x-Gram at 25 (r, R4), a
-# search operation 6 points' rows
+# sweep pass reads 10 points' rows, each mollifier at 5 points, c1 on its
+# mollifier at 25 (R5, delta) and c on its first mollifier at 25 (r, R4),
+# a search operation 6 points' rows
 _NODE_ROWS_KEPT = 64
 
 
-def _keep(shape: MollifierShape | TwistShape, slot: str, key: tuple, value):
+def _keep(shape: MollifierShape, slot: str, key: tuple, value):
     """value, kept at key in shape.kept[slot], a dict in insertion order
     whose oldest key goes once it holds _NODE_ROWS_KEPT."""
     kept = shape.kept.setdefault(slot, {})
@@ -243,7 +236,7 @@ def _keep(shape: MollifierShape | TwistShape, slot: str, key: tuple, value):
 
 def kept_factors(rows: NodeRows, shape: MollifierShape) -> np.ndarray:
     """rows.factors of a mollifier's row, [A u; theta P u], read-only, kept
-    in kept["factors"] per (x-node count, rho, theta): c reads them."""
+    in kept["factors"] per (x-node count, rho, theta): a miss of c reads them."""
     if not isinstance(shape, MollifierShape):
         raise TypeError(f"kept_factors: a {type(shape).__name__} keeps no factors")
     key = len(rows.wx), rows.rho, rows.theta
@@ -255,34 +248,16 @@ def kept_factors(rows: NodeRows, shape: MollifierShape) -> np.ndarray:
         return _keep(shape, "factors", key, factors)
 
 
-def kept_gram(rows: NodeRows, shape: MollifierShape | TwistShape,
-              delta: float | None = None) -> tuple[float, float, float]:
-    """rows.gram_of a shape's row, kept in kept["grams"]: a mollifier's X
-    (delta None) per (x-node count, rho, theta), a twist's T at delta per
-    (t-node count, delta, R).  c1 reads them."""
-    twist = delta is not None
-    if isinstance(shape, TwistShape) != twist:
-        raise TypeError(f"kept_gram: a {type(shape).__name__} "
-                        f"{'takes no' if twist else 'needs a'} delta")
-    key = (len(rows.t), delta, rows.R) if twist else (len(rows.wx), rows.rho, rows.theta)
+def kept_gram(rows: NodeRows, shape: MollifierShape) -> tuple[float, float, float]:
+    """rows.gram_of a mollifier's row, its x-Gram X, kept in kept["grams"]
+    per (x-node count, rho, theta): a miss of c1 reads it."""
+    if not isinstance(shape, MollifierShape):
+        raise TypeError(f"kept_gram: a {type(shape).__name__} keeps no x-Gram")
+    key = len(rows.wx), rows.rho, rows.theta
     try:
         return shape.kept["grams"][key]
     except KeyError:
-        return _keep(shape, "grams", key, rows.gram_of(shape_row(shape), delta))
-
-
-def kept_c_gram(rows: NodeRows, shape: MollifierShape, partner: MollifierShape,
-                r: float) -> tuple[float, float, float]:
-    """c's x-Gram of the pair (shape, partner) at r, c_gram of their kept
-    factors, kept in the first shape's kept["c_grams"] per (x-node count,
-    rho, theta, r) and the partner's float row as bytes: a key by value,
-    so no other partner reads it, and it holds no shape.  c reads it."""
-    key = len(rows.wx), rows.rho, rows.theta, r, shape_row(partner).tobytes()
-    try:
-        return shape.kept["c_grams"][key]
-    except KeyError:
-        return _keep(shape, "c_grams", key, c_gram(rows, kept_factors(rows, shape),
-                                                   kept_factors(rows, partner), r))
+        return _keep(shape, "grams", key, rows.gram_of(shape_row(shape)))
 
 
 def node_rows(theta: float, R: float, m: int, k: int | None = None) -> NodeRows:

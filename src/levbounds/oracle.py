@@ -326,11 +326,12 @@ def _row_checks(name: str, mt: MomentTable, rows: NodeRows, R: float, a: Mollifi
     (theta P_b) over the x-nodes are m_dd + rho (m_dp + m_pd) + rho^2 m_pp,
     m_dp + rho m_pp, m_pd + rho m_pp and m_pp, times theta once per P and
     over theta, with theta and rho = R theta rounded once from the caller's
-    R.  A pair of one shape reads its kept x-Gram (kept_gram, as c1 does;
-    AP and PA its off-diagonal entry), a pair of two its kept factors
-    (kept_factors, from which c forms the x-Gram it keeps).  Each error is
-    relative to the same sum over absolute values (|D + rho P| |u| and
-    |theta P| |u|), or to the exact value if that is larger."""
+    R.  A pair of one shape reads its kept x-Gram (kept_gram, which c1
+    reads on a miss; AP and PA its off-diagonal entry), a pair of two its
+    kept factors (kept_factors, from which c forms its x-Gram on a miss).
+    Each error is relative to the same sum over absolute values
+    (|D + rho P| |u| and |theta P| |u|), or to the exact value if that is
+    larger."""
     rho, theta, n = Fraction(R * rows.theta), Fraction(rows.theta), len(rows.wx)
 
     def sizes(shape: MollifierShape) -> dict[str, np.ndarray]:

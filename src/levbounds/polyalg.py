@@ -275,12 +275,12 @@ class _Shape:
     @cached_property
     def kept(self) -> dict:
         """What the float core keeps of this shape (kernel.shape_row,
-        kernel.kept_factors, kernel.kept_gram, kernel.kept_c_gram: its float
-        row, and per point a mollifier's root factors and x-Gram, a twist's
-        t-Gram, and, for c's first mollifier, c's x-Gram per r and
-        partner), empty until it first reads the shape.  Not a field: it
-        takes no part in ==, hash or repr, and a shape built by
-        dataclasses.replace starts with an empty one."""
+        kernel.kept_factors, kernel.kept_gram, proportions.c_value and
+        c1_value: its float row, a mollifier's root factors and x-Gram per
+        point, and, on the first mollifier of c or c1, the constant per
+        point and partner or twist row), empty until it first reads the
+        shape.  Not a field: it takes no part in ==, hash or repr, and a
+        shape built by dataclasses.replace starts with an empty one."""
         return {}
 
 

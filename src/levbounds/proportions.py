@@ -9,11 +9,14 @@ constant is one 2x2 contraction of a t-Gram with an x-Gram (contract):
 for c1 the Grams of the twist's [U; U'] and the mollifier's
 [A u; theta P u]; for c, whose root is centred at t = 1, the rows' Tc
 and the Gram of kernel.c_factors, from the mollifiers' factors and r
-(an expansion in 1/r would cancel).  c_value and c1_value read the
-x-Grams an exact shape keeps (kernel.kept_c_gram per point, r and
-partner; kernel.kept_gram per point), and contract them on every call;
-c_core and c1_core form the same Grams on each call with the same
-operations, so both give the same bits.
+(an expansion in 1/r would cancel).  c_value and c1_value keep the
+constant itself on their first mollifier (kept["c"], kept["c1"], through
+kernel._keep), per point, (theta, R, r) or (theta, R, delta), and the
+partner's or the twist's float row as bytes: a key by value that pins
+every input, so a hit checks and forms nothing.  A miss evaluates from
+what the mollifiers keep (kernel.kept_factors, kernel.kept_gram), and
+keeps nothing when it raises; c_core and c1_core form the same Grams on
+each call with the same operations, so both give the same bits.
 
 From them nu = ln(c)/(2R) and kappa = 1 - ln(c1)/R (natural logarithm:
 the only base consistent with the reference constants), and the four
@@ -26,12 +29,13 @@ parameters, so a report evaluates its two halves independently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import (MAX_BASE_R, MIN_BASE_R, NodeRows, c_gram, kept_c_gram, kept_gram,
-                     node_rows)
+from .kernel import (MAX_BASE_R, MIN_BASE_R, NodeRows, _keep, c_factors, gram, kept_factors,
+                     kept_gram, node_rows, shape_row)
 from .polyalg import MollifierShape, TwistShape
 
 
@@ -58,6 +62,15 @@ def _check_scalars(theta: float, R: float, r: float = 1.0, delta: float = 0.0) -
         raise ValueError(f"delta must be finite, got {delta}")
 
 
+def _check_params(**scalars: float) -> None:
+    """A params class's scalars: real numbers and not bools, since the kept
+    constants are keyed by them as given, in the float core's domain."""
+    for name, x in scalars.items():
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ValueError(f"{name} must be a finite number, got {x!r}")
+    _check_scalars(**scalars)
+
+
 @dataclass(frozen=True)
 class SectionFourParams:
     """Inputs of the additional-zeros constant c: two mollifier shapes plus
@@ -70,7 +83,7 @@ class SectionFourParams:
     R: float
 
     def __post_init__(self) -> None:
-        _check_scalars(self.theta, self.R, r=self.r)
+        _check_params(theta=self.theta, r=self.r, R=self.R)
 
 
 @dataclass(frozen=True)
@@ -85,11 +98,14 @@ class SectionFiveParams:
     delta: float
 
     def __post_init__(self) -> None:
-        _check_scalars(self.theta, self.R, delta=self.delta)
+        _check_params(theta=self.theta, R=self.R, delta=self.delta)
 
 
 @dataclass(frozen=True)
 class BoundReport:
+    """The eight quantities of bounds_table, in its order, and the params
+    they come from; full_report fills the fields positionally."""
+
     c: float
     nu: float
     c1: float
@@ -120,37 +136,36 @@ def contract(T: tuple[float, float, float], X: tuple[float, float, float]) -> fl
     return value if math.isfinite(value) else math.inf
 
 
-def _c(x_gram, z1, z2, m: int, theta: float, r: float, R: float) -> float:
-    """c at mollifier degree m, Tc against its x-Gram x_gram(rows, z1, z2, r):
-    the one evaluation of c_core and c_value."""
+def _c(factors, z1, z2, m: int, theta: float, r: float, R: float) -> float:
+    """c at mollifier degree m, Tc against the Gram of c_factors of both
+    mollifiers' factors(rows, z) at r: the one evaluation of c_core and c_value."""
     theta, r, R = float(theta), float(r), float(R)
     _check_scalars(theta, R, r=r)
     rows = node_rows(theta, R, m)
-    c = contract(rows.Tc, x_gram(rows, z1, z2, r))
+    c = contract(rows.Tc, gram(c_factors(factors(rows, z1), factors(rows, z2), r), rows.wx))
     if not math.isfinite(c):
         raise NonFiniteError(f"c evaluated to {c!r}")
     return c
 
 
-def _formed_c_gram(rows: NodeRows, z1: np.ndarray, z2: np.ndarray, r: float
-                   ) -> tuple[float, float, float]:
-    """c's x-Gram from the rows z1 and z2, their factors formed on this call."""
-    return c_gram(rows, rows.factors(z1), rows.factors(z2), r)
-
-
 def c_core(p1, p2, theta: float, r: float, R: float) -> float:
-    """c from float shape coefficients, its x-Gram formed on each call; the
+    """c from float shape coefficients, its factors formed on each call; the
     search objective evaluates through here, and c_value is the same
-    evaluation on the x-Gram the first shape keeps, bit for bit."""
+    evaluation on the factors the shapes keep, bit for bit."""
     z1, z2 = _homogeneous(p1), _homogeneous(p2)
-    return _c(_formed_c_gram, z1, z2, max(len(z1), len(z2)) - 1, theta, r, R)
+    return _c(NodeRows.factors, z1, z2, max(len(z1), len(z2)) - 1, theta, r, R)
 
 
 def c_value(p: SectionFourParams) -> float:
-    """The mollified second-moment constant of the two-mollifier detector."""
+    """The mollified second-moment constant of the two-mollifier detector,
+    kept on the first mollifier per (theta, R, r) and partner row."""
     s1, s2 = p.p1_shape, p.p2_shape
-    return _c(kept_c_gram, s1, s2, max(len(s1.shape_coeffs), len(s2.shape_coeffs)),
-              p.theta, p.r, p.R)
+    key = p.theta, p.R, p.r, shape_row(s2).tobytes()
+    try:
+        return s1.kept["c"][key]
+    except KeyError:
+        m = max(len(s1.shape_coeffs), len(s2.shape_coeffs))
+        return _keep(s1, "c", key, _c(kept_factors, s1, s2, m, p.theta, p.r, p.R))
 
 
 def nu_bound(c: float, R: float) -> float:
@@ -162,14 +177,14 @@ def nu_bound(c: float, R: float) -> float:
     return math.log(c) / (2.0 * R)
 
 
-def _c1(grams, up, w, m: int, k: int, theta: float, R: float, delta: float) -> float:
-    """c1 at mollifier degree m and k symmetric twist terms, the twist's T,
-    grams(rows, w, delta), against the mollifier's X, grams(rows, up): the
+def _c1(x_gram, up, w, m: int, k: int, theta: float, R: float, delta: float) -> float:
+    """c1 at mollifier degree m and k symmetric twist terms, the T of the
+    twist row w at delta against the mollifier's X, x_gram(rows, up): the
     one evaluation of c1_core and c1_value."""
     theta, R, delta = float(theta), float(R), float(delta)
     _check_scalars(theta, R, delta=delta)
     rows = node_rows(theta, R, m, k)
-    c1 = contract(grams(rows, w, delta), grams(rows, up))
+    c1 = contract(rows.gram_of(w, delta), x_gram(rows, up))
     if not math.isfinite(c1):
         raise NonFiniteError(f"c1 evaluated to {c1!r}")
     return c1
@@ -178,7 +193,7 @@ def _c1(grams, up, w, m: int, k: int, theta: float, R: float, delta: float) -> f
 def c1_core(p, q, theta: float, R: float, delta: float) -> float:
     """c1 from float coefficients p and q = (q0, q_1, .., q_m), the twist
     v = delta (1, q), their Grams formed on each call: the search
-    objective, bit for bit c1_value on the shapes' kept Grams."""
+    objective, bit for bit c1_value on the mollifier's kept Gram."""
     if len(q) < 1:
         raise ValueError("c1_core: the twist needs at least q_linear, got no entries")
     up, w = _homogeneous(p), _homogeneous(q)
@@ -186,9 +201,15 @@ def c1_core(p, q, theta: float, R: float, delta: float) -> float:
 
 
 def c1_value(p: SectionFiveParams) -> float:
-    """The twisted second-moment constant of the critical-line detector."""
-    return _c1(kept_gram, p.p_shape, p.q_shape, len(p.p_shape.shape_coeffs),
-               len(p.q_shape.sym_coeffs), p.theta, p.R, p.delta)
+    """The twisted second-moment constant of the critical-line detector,
+    kept on the mollifier per (theta, R, delta) and twist row."""
+    s, w = p.p_shape, shape_row(p.q_shape)
+    key = p.theta, p.R, p.delta, w.tobytes()
+    try:
+        return s.kept["c1"][key]
+    except KeyError:
+        return _keep(s, "c1", key, _c1(kept_gram, s, w, len(s.shape_coeffs), len(w) - 2,
+                                       p.theta, p.R, p.delta))
 
 
 def kappa_bound(c1: float, R: float) -> float:
@@ -222,5 +243,6 @@ def bounds_table(c: float, R4: float, c1: float, R5: float) -> dict[str, float]:
 
 
 def full_report(p4: SectionFourParams, p5: SectionFiveParams) -> BoundReport:
-    return BoundReport(**bounds_table(c_value(p4), p4.R, c1_value(p5), p5.R),
-                       params4=p4, params5=p5)
+    """c of p4 and c1 of p5, each read from its keep at a seen point, and
+    the quantities bounds_table composes from them."""
+    return BoundReport(*bounds_table(c_value(p4), p4.R, c1_value(p5), p5.R).values(), p4, p5)

@@ -174,9 +174,10 @@ def test_kept_factors_are_the_basis_products_combined(shape, q_linear, q_sym, th
     # the stacked factors are, row for row and bit for bit, D u + rho (P u)
     # and theta (P u) for a mollifier row u, kept on the shape, and 1 + Psi v
     # and Psi' v for a twist v = delta w, each product one matrix-vector
-    # product with the basis rows; the Grams each shape keeps are bit for
-    # bit those of these factors under their weights: only the contraction
-    # and, for c, its x-factors can round differently from these
+    # product with the basis rows; the x-Gram a mollifier keeps and the
+    # t-Gram c1 forms of a twist are bit for bit those of these factors
+    # under their weights: only the contraction and, for c, its x-factors
+    # can round differently from these
     q = TwistShape.of(q_linear, q_sym)
     rows = node_rows(theta, R, len(shape.shape_coeffs), len(q_sym))
     u, w = kernel.shape_row(shape), kernel.shape_row(q)
@@ -190,7 +191,7 @@ def test_kept_factors_are_the_basis_products_combined(shape, q_linear, q_sym, th
         assert [row.tobytes() for row in factors] == [row.tobytes() for row in expected]
     for kept, expected in ((kernel.kept_gram(rows, shape),
                             kernel.gram(kernel.kept_factors(rows, shape), rows.wx)),
-                           (kernel.kept_gram(rows, q, delta),
+                           (rows.gram_of(w, delta),
                             kernel.gram(rows.factors(w, delta), rows.wt))):
         assert [x.hex() for x in kept] == [x.hex() for x in expected]
 

@@ -1,7 +1,9 @@
 """Bound constants and combiners: reference values, degeneracies, properties."""
 
+import collections
 import itertools
 import math
+import re
 import warnings
 from dataclasses import astuple, fields, replace
 from fractions import Fraction
@@ -9,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from levbounds import kernel
+from levbounds import kernel, proportions
 from levbounds.kernel import basis_products
 from levbounds.polyalg import (MollifierShape, TwistShape, expand_mollifier, expand_twist,
                                moments)
@@ -86,6 +88,26 @@ class TestCValue:
             SectionFourParams(X_SHAPE, X_SHAPE, 1.5, 1.0, 0.5)
         with pytest.raises(ValueError):
             SectionFourParams(X_SHAPE, X_SHAPE, 1.0, 1.0, 0.0)
+
+
+class TestParamsScalars:
+    """Each scalar of the params classes is a real number and not a bool:
+    the constants kept on a shape are keyed by the values as given."""
+
+    @pytest.mark.parametrize("section, field", [("four", "theta"), ("four", "r"), ("four", "R"),
+                                                ("five", "theta"), ("five", "R"),
+                                                ("five", "delta")])
+    def test_a_bool_or_a_non_real_scalar_is_refused_by_name(self, section, field):
+        # theta = True once evaluated at theta = 1 and delta = False at 0;
+        # r = "1" died comparing a str with an int, naming no field
+        p = section_four_reference() if section == "four" else section_five_reference()
+        for bad in (True, False, np.True_, "1", 1j, None):
+            with pytest.raises(ValueError, match=rf"^{field} must be a finite number, "
+                                                 rf"got {re.escape(repr(bad))}$"):
+                replace(p, **{field: bad})
+        value = c_value if section == "four" else c1_value
+        for good in (Fraction(getattr(p, field)), np.float64(getattr(p, field))):
+            assert value(replace(p, **{field: good})) == value(p)
 
 
 class TestNuBound:
@@ -324,7 +346,8 @@ class TestFullReport:
 class TestShapeProducts:
     """The float core reads each exact shape through its float row, kept on
     the shape, and what it forms from that row at a point is kept there
-    too: a mollifier's factors and x-Gram, a twist's t-Gram."""
+    too: a mollifier's factors and x-Gram, and, on the first mollifier of
+    c or c1, the constant itself per point and partner or twist row."""
 
     def test_values_are_the_float_core_bit_for_bit(self):
         # c_value and c1_value read the shapes' kept rows and products;
@@ -353,18 +376,20 @@ class TestShapeProducts:
 
     def test_cache_is_transparent(self, monkeypatch):
         # over a 3^4 (r, R4, R5, delta) lattice on shared shapes, each
-        # (shape, point) Gram is formed once, counted on its builder: on
-        # NodeRows.gram_of the c1 mollifier's X at each (x-node count, rho,
-        # theta) and the twist's T at each (t-node count, delta, R); on
-        # kernel.c_gram c's X, kept on the first shape, at each (x-node
-        # count, rho, theta, r) with the partner's row, 9 builds, one per
-        # (r, R4); each c mollifier forms its factors once per point; every
-        # basis product is one of these; every report is bit for bit the
-        # one that fresh, equal shapes give
+        # constant is evaluated once per point of its half and kept on its
+        # first mollifier: c per (theta, R4, r) and partner row, c1 per
+        # (theta, R5, delta) and twist row, 9 entries each in lattice order.
+        # Each Gram is formed once, counted on its builder: c's x-Gram per
+        # (r, R4) on gram where proportions reads it, 9 builds, and on
+        # NodeRows.gram_of the c1 mollifier's X per (x-node count, rho,
+        # theta) and the twist's T per (t-node count, delta, R); each c
+        # mollifier forms its factors once per point; every basis product is
+        # one of these; the twist keeps its row only; every report is bit
+        # for bit the one that fresh, equal shapes give
         p4, p5 = section_four_reference(), section_five_reference()
         shapes = (p4.p1_shape, p4.p2_shape, p5.p_shape, p5.q_shape)
         formed, grams, c_grams = [], [], []
-        gram_of, c_gram = kernel.NodeRows.gram_of, kernel.c_gram
+        gram_of = kernel.NodeRows.gram_of
 
         def counting(n, u, twist=False):
             formed.append((n, tuple(u), twist))
@@ -375,13 +400,13 @@ class TestShapeProducts:
                           rows.R if delta is not None else rows.rho))
             return gram_of(rows, u, delta)
 
-        def counting_c_grams(rows, f1, f2, r):
-            c_grams.append((len(rows.wx), rows.rho, rows.theta, r))
-            return c_gram(rows, f1, f2, r)
+        def counting_c_grams(F, w):
+            c_grams.append(len(w))
+            return kernel.gram(F, w)
 
         monkeypatch.setattr(kernel, "basis_products", counting)
         monkeypatch.setattr(kernel.NodeRows, "gram_of", counting_grams)
-        monkeypatch.setattr(kernel, "c_gram", counting_c_grams)
+        monkeypatch.setattr(proportions, "gram", counting_c_grams)
         axes = [np.linspace(0.8, 1.6, 3), np.linspace(0.4, 0.9, 3), np.linspace(0.5, 12.0, 3),
                 np.linspace(0.5, 1.0, 3)]
         points = [(replace(p4, r=float(r), R=float(R4)), replace(p5, R=float(R5), delta=float(d)))
@@ -393,14 +418,15 @@ class TestShapeProducts:
         assert p4.theta == p5.theta == 1.0  # so rho = R
         assert [list(s.kept["factors"]) for s in shapes[:2]] == [
             [(n4, float(R4), 1.0) for R4 in axes[1]]] * 2
-        partner = kernel.shape_row(p4.p2_shape).tobytes()
-        c_points = [(n4, float(R4), 1.0, float(r)) for r in axes[0] for R4 in axes[1]]
-        assert list(p4.p1_shape.kept["c_grams"]) == [(*at, partner) for at in c_points]
-        assert c_grams == c_points  # each once, in lattice order
+        partner, twist = (kernel.shape_row(s).tobytes() for s in shapes[1::2])
+        assert list(p4.p1_shape.kept["c"]) == [(1.0, float(R4), float(r), partner)
+                                               for r in axes[0] for R4 in axes[1]]
+        assert c_grams == [n4] * 9  # one per (r, R4)
+        assert list(p5.p_shape.kept["c1"]) == [(1.0, float(R5), float(d), twist)
+                                               for R5 in axes[2] for d in axes[3]]
         assert list(p5.p_shape.kept["grams"]) == [(n5, float(R5), 1.0) for R5 in axes[2]]
         t_points = [(kernel.t_count(R5, 2 * k + 2), float(d), float(R5))
                     for R5 in axes[2] for d in axes[3]]
-        assert list(p5.q_shape.kept["grams"]) == t_points
         row = kernel.shape_row
         assert sorted(grams, key=repr) == sorted(  # each once
             [(n5, tuple(row(p5.p_shape)), None, float(R5)) for R5 in axes[2]]
@@ -420,107 +446,214 @@ class TestShapeProducts:
                                 replace(b, p_shape=fresh(b.p_shape), q_shape=fresh(b.q_shape)))
             assert ([x.hex() for x in astuple(report)[:8]]
                     == [x.hex() for x in astuple(again)[:8]])
-        slots = (["row", "factors", "c_grams"], ["row", "factors"], ["row", "grams"],
-                 ["row", "grams"])
+        slots = (["row", "factors", "c"], ["row", "factors"], ["row", "grams", "c1"], ["row"])
         for shape, kept_slots in zip(shapes, slots):
             assert list(shape.kept) == kept_slots
             assert not shape.kept["row"].flags.writeable
             if "factors" in kept_slots:
                 assert not any(f.flags.writeable for f in shape.kept["factors"].values())
-            for slot in {"grams", "c_grams"}.intersection(kept_slots):
+            if "grams" in kept_slots:
                 assert all(type(g) is tuple and len(g) == 3 and all(type(x) is float for x in g)
-                           for g in shape.kept[slot].values())
+                           for g in shape.kept["grams"].values())
+            for slot in {"c", "c1"}.intersection(kept_slots):
+                assert all(type(x) is float for x in shape.kept[slot].values())
             assert shape == fresh(shape) and hash(shape) == hash(fresh(shape))
             assert repr(shape) == repr(fresh(shape))
 
-    @pytest.mark.parametrize("twist", [False, True])
-    def test_each_shape_keeps_a_bounded_number_of_points(self, twist):
+    def test_a_kept_report_forms_and_checks_nothing(self, monkeypatch):
+        # two passes of full_report over a 3^4 (r, R4, R5, delta) lattice,
+        # each call counted where it is made: the first forms one x-Gram of
+        # c per (r, R4), one x-Gram of the c1 mollifier per R5, one t-Gram
+        # per (R5, delta) and one factor set per (c mollifier, R4), and
+        # checks the scalars once per constant evaluated; the second, on
+        # equal params built anew, reads no node rows, forms no Gram or
+        # basis product and checks nothing, and gives the same bits
+        p4, p5 = section_four_reference(), section_five_reference()
+        axes = [np.linspace(0.8, 1.6, 3), np.linspace(0.4, 0.9, 3), np.linspace(0.5, 12.0, 3),
+                np.linspace(0.5, 1.0, 3)]
+        points = [(replace(p4, r=float(r), R=float(R4)), replace(p5, R=float(R5), delta=float(d)))
+                  for r, R4, R5, d in itertools.product(*axes)]
+        anew = [(replace(a), replace(b)) for a, b in points]
+        calls = collections.Counter()
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        def counted_products(n, u, twist=False):
+            calls["twist products" if twist else "mollifier products"] += 1
+            return basis_products(n, u, twist)
+
+        def counted_grams(rows, u, delta=None):
+            calls["x-Gram" if delta is None else "t-Gram"] += 1
+            return gram_of(rows, u, delta)
+
+        gram_of = kernel.NodeRows.gram_of
+        for module, name, label in ((proportions, "node_rows", "node rows"),
+                                    (proportions, "_check_scalars", "check"),
+                                    (proportions, "gram", "c x-Gram"),
+                                    (kernel, "gram", "gram")):
+            monkeypatch.setattr(module, name, counted(label, getattr(module, name)))
+        monkeypatch.setattr(kernel, "basis_products", counted_products)
+        monkeypatch.setattr(kernel.NodeRows, "gram_of", counted_grams)
+        kernel._node_rows.cache_clear()
+        first = [full_report(a, b) for a, b in points]
+        # 6 points' node rows each form their Tc through gram
+        assert calls == {"c x-Gram": 9, "x-Gram": 3, "t-Gram": 9, "mollifier products": 6 + 3,
+                         "twist products": 9, "gram": 6 + 3 + 9, "node rows": 18, "check": 18}
+        calls.clear()
+        again = [full_report(a, b) for a, b in anew]
+        assert calls == {}
+        assert ([[x.hex() for x in astuple(report)[:8]] for report in first]
+                == [[x.hex() for x in astuple(report)[:8]] for report in again])
+
+    @pytest.mark.parametrize("slot", ["factors", "grams", "c", "c1"])
+    def test_each_shape_keeps_a_bounded_number_of_points(self, slot):
         # read at _NODE_ROWS_KEPT + 8 points, a shape keeps, in each slot,
         # the last _NODE_ROWS_KEPT formed, the oldest dropped first, and a
         # dropped point forms again, bit for bit, what it first gave: a
-        # mollifier's factors and x-Gram, and c's x-Gram with a partner,
-        # read at _NODE_ROWS_KEPT + 8 values of r at one point; a twist's
-        # t-Gram
+        # mollifier's factors and x-Gram at as many values of R, c on its
+        # first mollifier at as many values of r, c1 on its mollifier at as
+        # many (R, delta), while a kept point reads the same object
         p4, p5, kept = section_four_reference(), section_five_reference(), kernel._NODE_ROWS_KEPT
-        m, k = len(p5.p_shape.shape_coeffs), len(p5.q_shape.sym_coeffs)
-        shape, partner = (p5.q_shape if twist else p5.p_shape), p4.p2_shape
-        if twist:  # a twist's points move with delta and R, a mollifier's with R
-            reads = [(kernel.node_rows(1.0, 0.746 + (i % 2) / 64, m, k), 0.5 + i / 128)
+        if slot == "c":
+            shape, partner = p4.p1_shape, kernel.shape_row(p4.p2_shape).tobytes()
+            reads = [replace(p4, r=0.8 + i / 128) for i in range(kept + 8)]
+            read, key = c_value, lambda p: (p.theta, p.R, p.r, partner)
+        elif slot == "c1":
+            shape, twist = p5.p_shape, kernel.shape_row(p5.q_shape).tobytes()
+            reads = [replace(p5, R=0.746 + (i % 2) / 64, delta=0.5 + i / 128)
                      for i in range(kept + 8)]
-            slots = {"grams": (reads, lambda rows, delta: kernel.kept_gram(rows, shape, delta))}
+            read, key = c1_value, lambda p: (p.theta, p.R, p.delta, twist)
         else:
-            reads = [(kernel.node_rows(1.0, 0.5 + i / 128, m, k), None) for i in range(kept + 8)]
-            at = kernel.node_rows(1.0, 0.617, max(m, len(partner.shape_coeffs)))
-            slots = {"factors": (reads, lambda rows, _: kernel.kept_factors(rows, shape)),
-                     "grams": (reads, lambda rows, _: kernel.kept_gram(rows, shape)),
-                     "c_grams": ([(at, 0.8 + i / 128) for i in range(kept + 8)],
-                                 lambda rows, r: kernel.kept_c_gram(rows, shape, partner, r))}
-
-        def keys(slot, reads):
-            if slot == "c_grams":
-                return [(len(rows.wx), rows.rho, rows.theta, r,
-                         kernel.shape_row(partner).tobytes()) for rows, r in reads]
-            return [(len(rows.t), delta, rows.R) if twist else (len(rows.wx), rows.rho, rows.theta)
-                    for rows, delta in reads]
+            shape, m = p5.p_shape, len(p5.p_shape.shape_coeffs)
+            reads = [kernel.node_rows(1.0, 0.5 + i / 128, m) for i in range(kept + 8)]
+            keep = kernel.kept_factors if slot == "factors" else kernel.kept_gram
+            read, key = (lambda rows: keep(rows, shape)), (
+                lambda rows: (len(rows.wx), rows.rho, rows.theta))
 
         def same(a, b):
-            return (a.tobytes() == b.tobytes() if isinstance(a, np.ndarray)
-                    else [x.hex() for x in a] == [x.hex() for x in b])
+            return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
-        for slot, (reads, read) in slots.items():
-            first = [read(*point) for point in reads]
-            assert list(shape.kept[slot]) == keys(slot, reads[8:])
-            again = read(*reads[0])
-            assert again is not first[0] and same(again, first[0])
-            assert list(shape.kept[slot]) == keys(slot, reads[9:] + reads[:1])
-            assert read(*reads[-1]) is first[-1]
+        first = [read(point) for point in reads]
+        assert list(shape.kept[slot]) == [key(point) for point in reads[8:]]
+        again = read(reads[0])
+        assert again is not first[0] and same(again, first[0])
+        assert list(shape.kept[slot]) == [key(point) for point in reads[9:] + reads[:1]]
+        assert read(reads[-1]) is first[-1]
 
-    def test_a_kept_c_gram_is_read_for_its_own_pair_and_r_only(self, monkeypatch):
-        # at one point and one r, c's x-Gram kept on the first shape is read
-        # only for its own partner and r: a second partner, the pair swapped
-        # and r one ulp down each form their own (counted on kernel.c_gram),
-        # a partner equal by value but a distinct object reads the kept one,
-        # and each c is bit for bit c_core on the same floats, before and
-        # after the keep holds them all
-        p4 = section_four_reference()
-        s1, s2 = p4.p1_shape, p4.p2_shape
-        other = MollifierShape.of(["0.3", "-0.2"])  # of s2's degree, so the same x-nodes
-        down = math.nextafter(p4.r, 0.0)
-        cases = {"pair": p4, "second partner": replace(p4, p2_shape=other),
-                 "swapped": replace(p4, p1_shape=s2, p2_shape=s1),
-                 "equal partner": replace(p4, p2_shape=MollifierShape(s2.shape_coeffs)),
-                 "r one ulp down": replace(p4, r=down)}
-        assert cases["equal partner"].p2_shape is not s2
-        formed = []
-        c_gram = kernel.c_gram
+    def test_a_kept_constant_is_read_at_its_own_inputs_only(self, monkeypatch):
+        # c kept on its first mollifier, and c1 on its mollifier, is read
+        # only at its own point and partner or twist row: a second partner
+        # or twist, the pair swapped, r, R, theta or delta one ulp down, and
+        # the points (theta, R) = (0.5, 1.0) and (1.0, 0.5), which share
+        # rho, each evaluate and keep their own (counted on the node rows
+        # each miss reads); a partner or twist equal by value but a distinct
+        # object reads the kept one; every value is bit for bit c_core or
+        # c1_core on the same floats, on the first and the second read, and
+        # the values differ, so a false hit would show.  At R = 9.5 each
+        # one-ulp move shifts c and c1 by at least 2 ulps; at the reference
+        # R some of them round to the same value
+        p4, p5 = replace(section_four_reference(), R=9.5), replace(section_five_reference(), R=9.5)
+        s1, s2, q = p4.p1_shape, p4.p2_shape, p5.q_shape
+        down = lambda x: math.nextafter(x, 0.0)
+        rho_points = {"theta 0.5, R 1": dict(theta=0.5, R=1.0),
+                      "theta 1, R 0.5": dict(theta=1.0, R=0.5)}
+        c_cases = {"pair": p4, "second partner": replace(p4, p2_shape=MollifierShape.of(
+                       ["0.3", "-0.2"])),  # of s2's degree, so the same x-nodes
+                   "swapped": replace(p4, p1_shape=s2, p2_shape=s1),
+                   "equal": replace(p4, p2_shape=MollifierShape(s2.shape_coeffs)),
+                   "r one ulp down": replace(p4, r=down(p4.r)),
+                   "R one ulp down": replace(p4, R=down(p4.R)),
+                   "theta one ulp down": replace(p4, theta=down(p4.theta)),
+                   **{name: replace(p4, **at) for name, at in rho_points.items()}}
+        c1_cases = {"pair": p5, "second twist": replace(p5, q_shape=TwistShape.of(
+                        "0.2", ["0.1", "-0.3"])),
+                    "equal": replace(p5, q_shape=TwistShape(q.linear_coeff, q.sym_coeffs)),
+                    "R one ulp down": replace(p5, R=down(p5.R)),
+                    "theta one ulp down": replace(p5, theta=down(p5.theta)),
+                    "delta one ulp down": replace(p5, delta=down(p5.delta)),
+                    **{name: replace(p5, **at) for name, at in rho_points.items()}}
+        assert c_cases["equal"].p2_shape is not s2 and c1_cases["equal"].q_shape is not q
+        floats = lambda xs: [float(x) for x in xs]
+        cores = {
+            c_value: lambda p: c_core(floats(p.p1_shape.shape_coeffs),
+                                      floats(p.p2_shape.shape_coeffs), p.theta, p.r, p.R),
+            c1_value: lambda p: c1_core(floats(p.p_shape.shape_coeffs),
+                                        floats((p.q_shape.linear_coeff, *p.q_shape.sym_coeffs)),
+                                        p.theta, p.R, p.delta)}
+        cases = {c_value: c_cases, c1_value: c1_cases}
+        expected = {value: {name: cores[value](p).hex() for name, p in cases[value].items()}
+                    for value in cases}
+        misses = []
+        node_rows = proportions.node_rows
 
-        def counting(rows, f1, f2, r):
-            formed.append(r)
-            return c_gram(rows, f1, f2, r)
+        def counting(*args):
+            misses.append(args)
+            return node_rows(*args)
 
-        def core(p):
-            floats = lambda s: [float(x) for x in s.shape_coeffs]
-            return c_core(floats(p.p1_shape), floats(p.p2_shape), p.theta, p.r, p.R).hex()
+        monkeypatch.setattr(proportions, "node_rows", counting)
+        for value, named in cases.items():
+            misses.clear()
+            first = {name: value(p).hex() for name, p in named.items()}
+            assert len(misses) == len(named) - 1
+            again = {name: value(p).hex() for name, p in named.items()}
+            assert len(misses) == len(named) - 1
+            assert first == again == expected[value]
+            assert len(set(first.values())) == len(named) - 1  # a false hit would show
+            assert first["equal"] == first["pair"]
+        assert [len(s.kept["c"]) for s in (s1, s2)] == [len(c_cases) - 2, 1]
+        assert len(p5.p_shape.kept["c1"]) == len(c1_cases) - 1
 
-        monkeypatch.setattr(kernel, "c_gram", counting)
-        first = {name: c_value(p).hex() for name, p in cases.items()}
-        assert len(formed) == 4 and formed.count(down) == 1
-        again = {name: c_value(p).hex() for name, p in cases.items()}
-        assert len(formed) == 4
-        assert first == again == {name: core(p) for name, p in cases.items()}
-        assert len(set(first.values())) == 4  # a false hit would show
-        assert first["equal partner"] == first["pair"]
-        assert len(s1.kept["c_grams"]) == 3 and len(s2.kept["c_grams"]) == 1
+    def test_a_failed_evaluation_keeps_nothing(self):
+        # a miss that raises leaves the slot of the constant it would have
+        # kept as it was, and the same call raises the same error again:
+        # a square past binary64 (NonFiniteError) from a partner or twist
+        # of 1e200, and a shape coefficient outside binary64 (ValueError).
+        # The partner's or twist's row is read first, so when both shapes
+        # hold one it is the partner's or twist's that is named
+        huge = Fraction(10) ** 400
+        p4, p5 = section_four_reference(), section_five_reference()
+        c_value(p4), c1_value(p5)  # each slot holds one entry
+        big_p, big_q = MollifierShape.of(["0.1", huge]), TwistShape.of(-2 * huge, ["0.3"])
+        out_p, out_q = (r"MollifierShape\.shape_coeffs\[1\] = 1\.000000e\+400",
+                        r"TwistShape\.linear_coeff = -2\.000000e\+400")
+        cases = [
+            (c_value, replace(p4, p2_shape=MollifierShape.of(["1e200", "0.075"])),
+             NonFiniteError, r"c evaluated to inf"),
+            (c1_value, replace(p5, q_shape=TwistShape.of("1e200", ["0.369", "-4.635"])),
+             NonFiniteError, r"c1 evaluated to inf"),
+            (c_value, replace(p4, p2_shape=MollifierShape.of([-2 * huge, "0.075"])),
+             ValueError, r"MollifierShape\.shape_coeffs\[0\] = -2\.000000e\+400"),
+            (c_value, replace(p4, p1_shape=big_p), ValueError, out_p),
+            (c_value, replace(p4, p1_shape=big_p, p2_shape=MollifierShape.of([-2 * huge])),
+             ValueError, r"MollifierShape\.shape_coeffs\[0\] = -2\.000000e\+400"),
+            (c1_value, replace(p5, q_shape=big_q), ValueError, out_q),
+            (c1_value, replace(p5, p_shape=big_p), ValueError, out_p),
+            (c1_value, replace(p5, p_shape=big_p, q_shape=big_q), ValueError, out_q)]
+        for value, params, error, message in cases:
+            holder, slot = ((params.p1_shape, "c") if value is c_value
+                            else (params.p_shape, "c1"))
+            before = list(holder.kept.get(slot, {}).items())
+            for _ in range(2):
+                with pytest.raises(error, match=f"^{message}( is outside binary64)?$"):
+                    value(params)
+                assert list(holder.kept.get(slot, {}).items()) == before
 
     def test_kept_factors_name_a_wrong_shape(self):
+        # only a mollifier keeps factors or an x-Gram: kept_gram takes no
+        # delta, and a twist is refused by name
         p5 = section_five_reference()
         rows = kernel.node_rows(1.0, 0.746, 3, 2)
-        with pytest.raises(TypeError, match="a MollifierShape takes no delta"):
+        with pytest.raises(TypeError, match="takes 2 positional arguments but 3 were given"):
             kernel.kept_gram(rows, p5.p_shape, 0.771)
-        with pytest.raises(TypeError, match="a TwistShape needs a delta"):
+        with pytest.raises(TypeError, match="a TwistShape keeps no x-Gram"):
             kernel.kept_gram(rows, p5.q_shape)
         with pytest.raises(TypeError, match="a TwistShape keeps no factors"):
             kernel.kept_factors(rows, p5.q_shape)
+        assert p5.q_shape.kept == {}
 
     def test_a_mollifier_keeps_two_points_that_share_rho(self, monkeypatch):
         # (theta, R) = (0.5, 1.0) and (1.0, 0.5) have rho = R theta = 0.5
@@ -558,7 +691,7 @@ class TestShapeProducts:
         # over a 3^4 (r, R4, R5, delta) lattice at the reference shapes the
         # reports read 6 points' node rows, each built once and then reused,
         # and every field is bit for bit the one computed with the cache
-        # cleared before the point
+        # cleared before the point, on fresh equal shapes, which keep nothing
         p4, p5 = section_four_reference(), section_five_reference()
         axes = [np.linspace(0.8, 1.6, 3), np.linspace(0.4, 0.9, 3), np.linspace(0.5, 12.0, 3),
                 np.linspace(0.5, 1.0, 3)]
@@ -569,6 +702,9 @@ class TestShapeProducts:
         assert kernel._node_rows.cache_info().misses == 6
         for report, (a, b) in zip(reports, points):
             kernel._node_rows.cache_clear()
-            again = full_report(a, b)
+            again = full_report(replace(a, p1_shape=MollifierShape(a.p1_shape.shape_coeffs),
+                                        p2_shape=MollifierShape(a.p2_shape.shape_coeffs)),
+                                replace(b, p_shape=MollifierShape(b.p_shape.shape_coeffs)))
+            assert kernel._node_rows.cache_info().misses == 2
             assert ([x.hex() for x in astuple(report)[:8]]
                     == [x.hex() for x in astuple(again)[:8]])
