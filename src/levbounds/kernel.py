@@ -18,10 +18,10 @@ t-nodes for a twist (NodeRows.factors).  c's root is centred at t = 1,
 where the weights pile up, so its t-factors are [1; t - 1] and its T
 three numbers per point (NodeRows.Tc); its x-factors come from both
 mollifiers' factors and r (c_factors).  node_rows builds what the sums
-read at one (theta, R) once and shares it, read-only; an exact shape
-keeps its float row and a mollifier its factors and x-Gram per point
-(shape_row, kept_factors, kept_gram), and the constants themselves keep
-their values on a shape through _keep (proportions.c_value, c1_value).
+read at one (theta, R) once and shares it, read-only.  An exact shape
+keeps its float row here (shape_row) and nothing formed at a point: a
+shape's factors and Grams are formed on each evaluation, and only the
+constants themselves are kept (proportions.c_value, c1_value).
 Nothing is built at import.  The m + 3 x-nodes integrate the
 degree-2m+2 square in x exactly; the t-nodes follow t_count.
 """
@@ -128,24 +128,24 @@ def shape_row(shape: MollifierShape | TwistShape) -> np.ndarray:
         entries = (shape.linear_coeff, *shape.sym_coeffs) if twist else shape.shape_coeffs
         try:
             row = np.array([1.0, *map(float, entries)])
-        except OverflowError:  # an entry past the binary64 range
-            i, x = next((i, x) for i, x in enumerate(entries) if _overflows(x))
-            name = (f"shape_coeffs[{i}]" if not twist else
-                    "linear_coeff" if i == 0 else f"sym_coeffs[{i - 1}]")
-            shown = f"{Decimal(x.numerator) / x.denominator:.6e}"
-            raise ValueError(f"{type(shape).__name__}.{name} = {shown} is outside binary64"
-                             ) from None
+        except OverflowError:  # name the first entry past the binary64 range
+            for i, x in enumerate(entries):
+                as_binary64(f"{type(shape).__name__}." + (
+                    f"shape_coeffs[{i}]" if not twist else
+                    "linear_coeff" if i == 0 else f"sym_coeffs[{i - 1}]"), x)
         row.setflags(write=False)
         kept["row"] = row
     return row
 
 
-def _overflows(x: Fraction) -> bool:
+def as_binary64(name: str, x) -> float:
+    """float(x), or, for a rational x past the binary64 range, where float
+    raises a bare OverflowError, a ValueError naming name and the value."""
     try:
-        float(x)
+        return float(x)
     except OverflowError:
-        return True
-    return False
+        shown = f"{Decimal(x.numerator) / x.denominator:.6e}"
+        raise ValueError(f"{name} = {shown} is outside binary64") from None
 
 
 def gram(F: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
@@ -217,47 +217,11 @@ class NodeRows(NamedTuple):
 
 
 # node_rows keeps this many points, the least recently read dropped first,
-# and each shape this many per slot, the oldest formed dropped first: a
-# sweep pass reads 10 points' rows, each mollifier at 5 points, c1 on its
-# mollifier at 25 (R5, delta) and c on its first mollifier at 25 (r, R4),
-# a search operation 6 points' rows
+# and proportions this many constants per shape and slot, the oldest
+# formed dropped first: a sweep pass reads 10 points' rows, c on its first
+# mollifier at 25 (r, R4) and c1 on its mollifier at 25 (R5, delta), a
+# search operation 6 points' rows
 _NODE_ROWS_KEPT = 64
-
-
-def _keep(shape: MollifierShape, slot: str, key: tuple, value):
-    """value, kept at key in shape.kept[slot], a dict in insertion order
-    whose oldest key goes once it holds _NODE_ROWS_KEPT."""
-    kept = shape.kept.setdefault(slot, {})
-    if len(kept) == _NODE_ROWS_KEPT:
-        del kept[next(iter(kept))]
-    kept[key] = value
-    return value
-
-
-def kept_factors(rows: NodeRows, shape: MollifierShape) -> np.ndarray:
-    """rows.factors of a mollifier's row, [A u; theta P u], read-only, kept
-    in kept["factors"] per (x-node count, rho, theta): a miss of c reads them."""
-    if not isinstance(shape, MollifierShape):
-        raise TypeError(f"kept_factors: a {type(shape).__name__} keeps no factors")
-    key = len(rows.wx), rows.rho, rows.theta
-    try:
-        return shape.kept["factors"][key]
-    except KeyError:
-        factors = rows.factors(shape_row(shape))
-        factors.setflags(write=False)
-        return _keep(shape, "factors", key, factors)
-
-
-def kept_gram(rows: NodeRows, shape: MollifierShape) -> tuple[float, float, float]:
-    """rows.gram_of a mollifier's row, its x-Gram X, kept in kept["grams"]
-    per (x-node count, rho, theta): a miss of c1 reads it."""
-    if not isinstance(shape, MollifierShape):
-        raise TypeError(f"kept_gram: a {type(shape).__name__} keeps no x-Gram")
-    key = len(rows.wx), rows.rho, rows.theta
-    try:
-        return shape.kept["grams"][key]
-    except KeyError:
-        return _keep(shape, "grams", key, rows.gram_of(shape_row(shape)))
 
 
 def node_rows(theta: float, R: float, m: int, k: int | None = None) -> NodeRows:

@@ -53,8 +53,8 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import (MAX_BASE_R, MIN_BASE_R, NodeRows, basis_products, c_factors, gram,
-                     node_rows)
+from .kernel import (MAX_BASE_R, MIN_BASE_R, NodeRows, as_binary64, basis_products, c_factors,
+                     gram, node_rows)
 from .polyalg import (MollifierShape, TwistShape, mollifier_shape_from_poly,
                       twist_shape_from_poly)
 from .proportions import (SectionFourParams, SectionFiveParams, c1_core, c_core, contract,
@@ -148,12 +148,14 @@ class SearchSpec:
         initial = dict(zip(names, self.initial_point))
         starts = [("theta", self.theta)] + [(f"initial {n}", x) for n, x in initial.items()]
         for where, x in starts:
-            if isinstance(x, bool) or not (isinstance(x, numbers.Real) and math.isfinite(x)):
+            if isinstance(x, bool) or not (isinstance(x, numbers.Real)
+                                           and math.isfinite(as_binary64(where, x))):
                 raise ValueError(f"{where} must be a finite number, got {x!r}")
         for name, (lo, hi) in self.scalar_bounds.items():
             if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in (lo, hi)):
                 raise ValueError(f"bounds for {name!r} must be numbers, got ({lo!r}, {hi!r})")
-            if not (math.isfinite(lo) and math.isfinite(hi)):
+            if not all(math.isfinite(as_binary64(f"{side} bound for {name!r}", x))
+                       for side, x in (("lower", lo), ("upper", hi))):
                 raise ValueError(f"bounds for {name!r} must be finite, got ({lo}, {hi})")
             if not lo <= hi:
                 raise ValueError(f"empty bounds for {name!r}: ({lo}, {hi})")

@@ -3,8 +3,9 @@
 Everything here recomputes a quantity the engine produces, by a route
 that shares nothing with it beyond polynomial evaluation and the moment
 data itself: Gauss-Legendre quadrature against exact moment integrals,
-the root factors [A u; theta P u] and x-Gram the engine keeps on each
-mollifier shape (kernel.kept_factors, kernel.kept_gram) against the same
+the root factors [A u; theta P u] and x-Gram the engine forms from each
+mollifier shape's float row (NodeRows.factors, NodeRows.gram_of of
+kernel.shape_row, as a miss of c or c1 forms them) against the same
 exact moments, and Cauchy integrals of the definition-form kernel
 against c and c1 from the float core.
 
@@ -59,7 +60,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .kernel import NodeRows, _rows, kept_factors, kept_gram, node_rows, shape_row
+from .kernel import NodeRows, _rows, node_rows, shape_row
 from .polyalg import (MollifierShape, MomentTable, Poly, TwistShape, expand_mollifier,
                       poly_derivative, shape_moments, twist_basis)
 from .proportions import SectionFourParams, SectionFiveParams, c1_value, c_value
@@ -320,15 +321,16 @@ def _rel(exact: float, numeric: float) -> float:
 
 def _row_checks(name: str, mt: MomentTable, rows: NodeRows, R: float, a: MollifierShape,
                 b: MollifierShape) -> list[CheckResult]:
-    """What the engine keeps of a pair of shapes at (theta, R) against their
-    exact moments: with [A u; theta P u] each shape's root factors, the
+    """What the engine forms from a pair of shapes at (theta, R) against
+    their exact moments: with [A u; theta P u] each shape's root factors, the
     sums of A_a A_b, A_a (theta P_b), (theta P_a) A_b and (theta P_a)
     (theta P_b) over the x-nodes are m_dd + rho (m_dp + m_pd) + rho^2 m_pp,
     m_dp + rho m_pp, m_pd + rho m_pp and m_pp, times theta once per P and
     over theta, with theta and rho = R theta rounded once from the caller's
-    R.  A pair of one shape reads its kept x-Gram (kept_gram, which c1
-    reads on a miss; AP and PA its off-diagonal entry), a pair of two its
-    kept factors (kept_factors, from which c forms its x-Gram on a miss).
+    R.  A pair of one shape reads the x-Gram of its float row
+    (rows.gram_of, as a miss of c1 forms it; AP and PA its off-diagonal
+    entry), a pair of two the products of their factors (rows.factors, from
+    which a miss of c forms its x-Gram).
     Each error is relative to the same sum over absolute values
     (|D + rho P| |u| and |theta P| |u|), or to the exact value if that is
     larger."""
@@ -340,10 +342,10 @@ def _row_checks(name: str, mt: MomentTable, rows: NodeRows, R: float, a: Mollifi
         return {"A": np.abs(slopes + rows.rho * values) @ u, "P": np.abs(rows.theta * values) @ u}
 
     if a is b:
-        x00, x01, x11 = kept_gram(rows, a)
+        x00, x01, x11 = rows.gram_of(shape_row(a))
         nums = {"AA": x00, "AP": x01, "PA": x01, "PP": x11}
     else:  # row 0 of the factors is A, row 1 theta P
-        fa, fb = kept_factors(rows, a), kept_factors(rows, b)
+        fa, fb = rows.factors(shape_row(a)), rows.factors(shape_row(b))
         nums = {ab: float(rows.wx @ (fa["AP".index(ab[0])] * fb["AP".index(ab[1])]))
                 for ab in ("AA", "AP", "PA", "PP")}
     size_a, size_b = sizes(a), sizes(b)

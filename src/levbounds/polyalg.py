@@ -274,13 +274,12 @@ class _Shape:
 
     @cached_property
     def kept(self) -> dict:
-        """What the float core keeps of this shape (kernel.shape_row,
-        kernel.kept_factors, kernel.kept_gram, proportions.c_value and
-        c1_value: its float row, a mollifier's root factors and x-Gram per
-        point, and, on the first mollifier of c or c1, the constant per
-        point and partner or twist row), empty until it first reads the
-        shape.  Not a field: it takes no part in ==, hash or repr, and a
-        shape built by dataclasses.replace starts with an empty one."""
+        """What the float core keeps of this shape, empty until it first
+        reads the shape: its float row (kernel.shape_row) and, on the first
+        mollifier of c or c1, the constant per point and partner or twist
+        row (proportions.c_value, c1_value), so at most the slots "row",
+        "c" and "c1".  Not a field: it takes no part in ==, hash or repr,
+        and a shape built by dataclasses.replace starts with an empty one."""
         return {}
 
 

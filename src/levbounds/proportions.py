@@ -9,14 +9,16 @@ constant is one 2x2 contraction of a t-Gram with an x-Gram (contract):
 for c1 the Grams of the twist's [U; U'] and the mollifier's
 [A u; theta P u]; for c, whose root is centred at t = 1, the rows' Tc
 and the Gram of kernel.c_factors, from the mollifiers' factors and r
-(an expansion in 1/r would cancel).  c_value and c1_value keep the
-constant itself on their first mollifier (kept["c"], kept["c1"], through
-kernel._keep), per point, (theta, R, r) or (theta, R, delta), and the
-partner's or the twist's float row as bytes: a key by value that pins
-every input, so a hit checks and forms nothing.  A miss evaluates from
-what the mollifiers keep (kernel.kept_factors, kernel.kept_gram), and
-keeps nothing when it raises; c_core and c1_core form the same Grams on
-each call with the same operations, so both give the same bits.
+(an expansion in 1/r would cancel).  _c and _c1 are the one evaluation:
+each takes homogeneous rows and forms their factors and Grams itself.
+c_core and c1_core pass the rows of float coefficients; c_value and
+c1_value pass the shapes' float rows (kernel.shape_row) on a miss, so
+both routes give the same bits.  c_value and c1_value keep the constant
+itself on their first mollifier (kept["c"], kept["c1"], through _keep,
+at most _NODE_ROWS_KEPT per slot), per point, (theta, R, r) or
+(theta, R, delta), and the partner's or the twist's float row as bytes:
+a key by value that pins every input, so a hit checks and forms nothing,
+and a miss that raises keeps nothing.
 
 From them nu = ln(c)/(2R) and kappa = 1 - ln(c1)/R (natural logarithm:
 the only base consistent with the reference constants), and the four
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import (MAX_BASE_R, MIN_BASE_R, NodeRows, _keep, c_factors, gram, kept_factors,
-                     kept_gram, node_rows, shape_row)
+from .kernel import (_NODE_ROWS_KEPT, MAX_BASE_R, MIN_BASE_R, as_binary64, c_factors, gram,
+                     node_rows, shape_row)
 from .polyalg import MollifierShape, TwistShape
 
 
@@ -64,11 +66,14 @@ def _check_scalars(theta: float, R: float, r: float = 1.0, delta: float = 0.0) -
 
 def _check_params(**scalars: float) -> None:
     """A params class's scalars: real numbers and not bools, since the kept
-    constants are keyed by them as given, in the float core's domain."""
+    constants are keyed by them as given, whose binary64 values, which the
+    float core reads, lie in its domain."""
+    floats = {}
     for name, x in scalars.items():
         if isinstance(x, bool) or not isinstance(x, numbers.Real):
             raise ValueError(f"{name} must be a finite number, got {x!r}")
-    _check_scalars(**scalars)
+        floats[name] = as_binary64(name, x)
+    _check_scalars(**floats)
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,16 @@ class BoundReport:
     params5: SectionFiveParams
 
 
+def _keep(shape: MollifierShape, slot: str, key: tuple, value: float) -> float:
+    """value, kept at key in shape.kept[slot], a dict in insertion order
+    whose oldest key goes once it holds _NODE_ROWS_KEPT."""
+    kept = shape.kept.setdefault(slot, {})
+    if len(kept) == _NODE_ROWS_KEPT:
+        del kept[next(iter(kept))]
+    kept[key] = value
+    return value
+
+
 def _homogeneous(coeffs) -> np.ndarray:
     """The row (1, c_1, .., c_m); non-finite coefficients raise ValueError,
     as they do when the exact shape is built from them."""
@@ -136,36 +151,35 @@ def contract(T: tuple[float, float, float], X: tuple[float, float, float]) -> fl
     return value if math.isfinite(value) else math.inf
 
 
-def _c(factors, z1, z2, m: int, theta: float, r: float, R: float) -> float:
-    """c at mollifier degree m, Tc against the Gram of c_factors of both
-    mollifiers' factors(rows, z) at r: the one evaluation of c_core and c_value."""
+def _c(z1: np.ndarray, z2: np.ndarray, theta: float, r: float, R: float) -> float:
+    """c of the homogeneous mollifier rows z1 and z2, Tc against the Gram
+    of c_factors of their factors at r: the one evaluation of c_core and of
+    a miss of c_value."""
     theta, r, R = float(theta), float(r), float(R)
     _check_scalars(theta, R, r=r)
-    rows = node_rows(theta, R, m)
-    c = contract(rows.Tc, gram(c_factors(factors(rows, z1), factors(rows, z2), r), rows.wx))
+    rows = node_rows(theta, R, max(len(z1), len(z2)) - 1)
+    c = contract(rows.Tc, gram(c_factors(rows.factors(z1), rows.factors(z2), r), rows.wx))
     if not math.isfinite(c):
         raise NonFiniteError(f"c evaluated to {c!r}")
     return c
 
 
 def c_core(p1, p2, theta: float, r: float, R: float) -> float:
-    """c from float shape coefficients, its factors formed on each call; the
-    search objective evaluates through here, and c_value is the same
-    evaluation on the factors the shapes keep, bit for bit."""
-    z1, z2 = _homogeneous(p1), _homogeneous(p2)
-    return _c(NodeRows.factors, z1, z2, max(len(z1), len(z2)) - 1, theta, r, R)
+    """c from float shape coefficients: the search objective evaluates
+    through here, and a miss of c_value is the same evaluation of the
+    shapes' float rows."""
+    return _c(_homogeneous(p1), _homogeneous(p2), theta, r, R)
 
 
 def c_value(p: SectionFourParams) -> float:
     """The mollified second-moment constant of the two-mollifier detector,
     kept on the first mollifier per (theta, R, r) and partner row."""
-    s1, s2 = p.p1_shape, p.p2_shape
-    key = p.theta, p.R, p.r, shape_row(s2).tobytes()
+    s1, z2 = p.p1_shape, shape_row(p.p2_shape)
+    key = p.theta, p.R, p.r, z2.tobytes()
     try:
         return s1.kept["c"][key]
     except KeyError:
-        m = max(len(s1.shape_coeffs), len(s2.shape_coeffs))
-        return _keep(s1, "c", key, _c(kept_factors, s1, s2, m, p.theta, p.r, p.R))
+        return _keep(s1, "c", key, _c(shape_row(s1), z2, p.theta, p.r, p.R))
 
 
 def nu_bound(c: float, R: float) -> float:
@@ -177,14 +191,14 @@ def nu_bound(c: float, R: float) -> float:
     return math.log(c) / (2.0 * R)
 
 
-def _c1(x_gram, up, w, m: int, k: int, theta: float, R: float, delta: float) -> float:
-    """c1 at mollifier degree m and k symmetric twist terms, the T of the
-    twist row w at delta against the mollifier's X, x_gram(rows, up): the
-    one evaluation of c1_core and c1_value."""
+def _c1(up: np.ndarray, w: np.ndarray, theta: float, R: float, delta: float) -> float:
+    """c1 of the homogeneous mollifier row up and twist row w, the T of w
+    at delta against the X of up: the one evaluation of c1_core and of a
+    miss of c1_value."""
     theta, R, delta = float(theta), float(R), float(delta)
     _check_scalars(theta, R, delta=delta)
-    rows = node_rows(theta, R, m, k)
-    c1 = contract(rows.gram_of(w, delta), x_gram(rows, up))
+    rows = node_rows(theta, R, len(up) - 1, len(w) - 2)
+    c1 = contract(rows.gram_of(w, delta), rows.gram_of(up))
     if not math.isfinite(c1):
         raise NonFiniteError(f"c1 evaluated to {c1!r}")
     return c1
@@ -192,12 +206,11 @@ def _c1(x_gram, up, w, m: int, k: int, theta: float, R: float, delta: float) -> 
 
 def c1_core(p, q, theta: float, R: float, delta: float) -> float:
     """c1 from float coefficients p and q = (q0, q_1, .., q_m), the twist
-    v = delta (1, q), their Grams formed on each call: the search
-    objective, bit for bit c1_value on the mollifier's kept Gram."""
+    v = delta (1, q): the search objective, and a miss of c1_value is the
+    same evaluation of the shapes' float rows."""
     if len(q) < 1:
         raise ValueError("c1_core: the twist needs at least q_linear, got no entries")
-    up, w = _homogeneous(p), _homogeneous(q)
-    return _c1(NodeRows.gram_of, up, w, len(up) - 1, len(w) - 2, theta, R, delta)
+    return _c1(_homogeneous(p), _homogeneous(q), theta, R, delta)
 
 
 def c1_value(p: SectionFiveParams) -> float:
@@ -208,8 +221,7 @@ def c1_value(p: SectionFiveParams) -> float:
     try:
         return s.kept["c1"][key]
     except KeyError:
-        return _keep(s, "c1", key, _c1(kept_gram, s, w, len(s.shape_coeffs), len(w) - 2,
-                                       p.theta, p.R, p.delta))
+        return _keep(s, "c1", key, _c1(shape_row(s), w, p.theta, p.R, p.delta))
 
 
 def kappa_bound(c1: float, R: float) -> float:

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,10 +119,18 @@ class TestSpecValidation:
         ("theta", 1.5, "initial point: theta must lie in (0, 1], got 1.5"),
         ("r", 0.0, "initial point: r must be positive, got 0.0"),
         ("R", 400.0, "initial point: R must be <= 300.0, got 400.0"),
+        pytest.param("theta", 10**400, "theta = 1.000000e+400 is outside binary64",
+                     id="theta-10**400"),
+        ("theta", Fraction(10**400), "theta = 1.000000e+400 is outside binary64"),
+        pytest.param("r", 10**400, "initial r = 1.000000e+400 is outside binary64",
+                     id="r-10**400"),
+        ("p1_shape[0]", Fraction(-10**400), "initial p1_shape[0] = -1.000000e+400 is outside "
+                                            "binary64"),
     ])
     def test_start_point_checked_by_name(self, field, value, message):
         # each once built a spec: theta = True and a start r of True were
-        # searched as 1.0, and the others failed only in optimize, at the start
+        # searched as 1.0, and the others failed only in optimize, at the
+        # start; a value past binary64 raised a bare OverflowError
         spec = nu_spec(scalar_bounds={"R": (0.3, 1.0)})
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             if field == "theta":
@@ -1183,6 +1192,9 @@ class TestSearchBounds:
         ({"r": (0.0, 2.0)}, r"^bounds for 'r' must be > 0"),
         ({"R": (0.3, 400.0)}, r"^bounds for 'R' must be <= 300\.0, got \(0\.3, 400\.0\)$"),
         ({"R": (1.0, 0.5)}, r"^empty bounds for 'R': \(1\.0, 0\.5\)$"),
+        ({"r": (0.5, 10**400)}, r"^upper bound for 'r' = 1\.000000e\+400 is outside binary64$"),
+        ({"R": (Fraction(-10**400), 1.0)},
+         r"^lower bound for 'R' = -1\.000000e\+400 is outside binary64$"),
     ])
     def test_bounds_outside_the_domain_rejected(self, bounds, message):
         # they were once accepted and then scored as penalties

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from levbounds import kernel, oracle
-from levbounds.kernel import NodeRows, kept_factors
+from levbounds.kernel import NodeRows
 from levbounds.oracle import (cauchy_derivatives, crosscheck_report, fd_c1_value,
                               fd_c_value, kernel_numeric, quad_integrate01)
 from levbounds.polyalg import (MollifierShape, MomentTable, Poly, TwistShape, X,
@@ -506,52 +506,6 @@ class TestCrosscheckReport:
         assert max(ch.tolerance for ch in report.checks) <= 1e-9
 
     @staticmethod
-    def failing_with_perturbed_products(monkeypatch, which: int) -> set[str]:
-        """The checks that fail when one row of the root factors
-        [A u; theta P u] the engine keeps on each shape reads off by 1e-10:
-        a pair of two shapes reads their kept factors, a pair of one its
-        kept x-Gram, here the Gram of the perturbed factors."""
-        p4, p5 = section_four_reference(), section_five_reference()
-        names = [ch.name for ch in crosscheck_report(p4, p5).checks]
-        assert sum(n.startswith("node rows[") for n in names) == 20
-
-        def perturbed(rows, shape):
-            factors = kept_factors(rows, shape).copy()
-            factors[which] *= 1 + 1e-10
-            return factors
-
-        monkeypatch.setattr(oracle, "kept_factors", perturbed)
-        monkeypatch.setattr(oracle, "kept_gram", lambda rows, shape: kernel.gram(
-            perturbed(rows, shape), rows.wx))
-        return {ch.name for ch in crosscheck_report(p4, p5).checks if not ch.passed}
-
-    def test_node_row_checks_catch_a_perturbed_row(self, monkeypatch):
-        # every pair's kept x-factors are checked; A u off by 1e-10 fails
-        # each sum it enters
-        assert self.failing_with_perturbed_products(monkeypatch, 0) == {
-            f"node rows[{pair}.{part}] vs exact moments"
-            for pair in ("m11", "m21", "m12", "m22", "m55") for part in ("AA", "AP", "PA")}
-
-    def test_node_row_checks_read_the_kept_value_row(self, monkeypatch):
-        # the kept theta P u is read as it is kept: off by 1e-10, with A u
-        # as kept, it fails each sum it enters
-        assert self.failing_with_perturbed_products(monkeypatch, 1) == {
-            f"node rows[{pair}.{part}] vs exact moments"
-            for pair in ("m11", "m21", "m12", "m22", "m55") for part in ("AP", "PA", "PP")}
-
-    def test_one_shape_pairs_read_the_kept_gram(self, monkeypatch):
-        # m11, m22 and m55 read the x-Gram each shape keeps, as c1 reads it:
-        # its X00 off by 1e-10 fails their AA checks and nothing else
-        def perturbed(rows, shape):
-            x00, x01, x11 = kernel.kept_gram(rows, shape)
-            return x00 * (1 + 1e-10), x01, x11
-
-        monkeypatch.setattr(oracle, "kept_gram", perturbed)
-        p4, p5 = section_four_reference(), section_five_reference()
-        assert {ch.name for ch in crosscheck_report(p4, p5).checks if not ch.passed} == {
-            f"node rows[{pair}.AA] vs exact moments" for pair in ("m11", "m22", "m55")}
-
-    @staticmethod
     def failing_with(monkeypatch, target, name: str, perturbed) -> set[str]:
         """The checks that fail with target.name replaced by perturbed, given
         the original."""
@@ -559,22 +513,41 @@ class TestCrosscheckReport:
         p4, p5 = section_four_reference(), section_five_reference()
         return {ch.name for ch in crosscheck_report(p4, p5).checks if not ch.passed}
 
-    def test_node_row_checks_catch_a_perturbed_A(self, monkeypatch):
-        # the checks read A u as the roots read it, the first row of the
-        # mollifier factors NodeRows.factors forms: off by 1e-10, it fails
-        # each sum it enters
+    @pytest.mark.parametrize("which, parts", [(0, ("AA", "AP", "PA")), (1, ("AP", "PA", "PP"))],
+                             ids=["A", "theta P"])
+    def test_node_row_checks_catch_a_perturbed_row(self, monkeypatch, which, parts):
+        # the checks read the root factors [A u; theta P u] as a miss of c
+        # or c1 forms them, NodeRows.factors of the shape's float row: a pair
+        # of two shapes their products, a pair of one their x-Gram
+        # (NodeRows.gram_of).  A u (row 0) or theta P u (row 1) off by 1e-10,
+        # the other as formed, fails each sum it enters and nothing else
         def perturbed(factors):
             def formed(rows, u, delta=None):
                 rows_of_u = factors(rows, u, delta)
                 if delta is None:
-                    rows_of_u[0] *= 1 + 1e-10
+                    rows_of_u[which] *= 1 + 1e-10
                 return rows_of_u
             return formed
 
-        failing = self.failing_with(monkeypatch, NodeRows, "factors", perturbed)
-        assert failing == {f"node rows[{pair}.{part}] vs exact moments"
-                           for pair in ("m11", "m21", "m12", "m22", "m55")
-                           for part in ("AA", "AP", "PA")}
+        p4, p5 = section_four_reference(), section_five_reference()
+        names = [ch.name for ch in crosscheck_report(p4, p5).checks]
+        assert sum(n.startswith("node rows[") for n in names) == 20
+        assert self.failing_with(monkeypatch, NodeRows, "factors", perturbed) == {
+            f"node rows[{pair}.{part}] vs exact moments"
+            for pair in ("m11", "m21", "m12", "m22", "m55") for part in parts}
+
+    def test_one_shape_pairs_read_the_x_gram(self, monkeypatch):
+        # m11, m22 and m55 read the x-Gram of each shape's row as a miss of
+        # c1 forms it, NodeRows.gram_of: its X00 off by 1e-10 fails their AA
+        # checks and nothing else
+        def perturbed(gram_of):
+            def formed(rows, u, delta=None):
+                g00, g01, g11 = gram_of(rows, u, delta)
+                return (g00 * (1 + 1e-10) if delta is None else g00), g01, g11
+            return formed
+
+        assert self.failing_with(monkeypatch, NodeRows, "gram_of", perturbed) == {
+            f"node rows[{pair}.AA] vs exact moments" for pair in ("m11", "m22", "m55")}
 
     def test_node_row_checks_catch_a_wrong_rho(self, monkeypatch):
         # rho = R theta on the exact side comes from the params' R, so node
@@ -598,6 +571,22 @@ class TestCrosscheckReport:
         assert self.failing_with(monkeypatch, kernel, "basis_products", perturbed) == {
             f"node rows[{pair}.{part}] vs exact moments"
             for pair in ("m11", "m21", "m12", "m22", "m55") for part in ("AA", "AP", "PA", "PP")}
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_keeps_nothing_beyond_the_constants(self, shared):
+        # the row checks form what they read on the call, so every shape the
+        # report reads holds its row, and the first mollifier of c or c1 its
+        # constant, and nothing more; a mollifier that is both, shared, holds
+        # row, c and c1
+        p4, p5 = section_four_reference(), section_five_reference()
+        if shared:
+            p5 = replace(p5, p_shape=p4.p1_shape)
+        shapes = (p4.p1_shape, p4.p2_shape, p5.p_shape, p5.q_shape)
+        assert all(shape.kept == {} for shape in shapes)
+        assert crosscheck_report(p4, p5).all_passed
+        assert [list(shape.kept) for shape in shapes] == (
+            [["row", "c", "c1"], ["row"], ["row", "c", "c1"], ["row"]] if shared
+            else [["row", "c"], ["row"], ["row", "c1"], ["row"]])
 
     def test_cancelling_cross_moments_pass(self):
         # m12.dp and m21.pd nearly cancel here: against their own value the

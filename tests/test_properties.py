@@ -170,12 +170,12 @@ def test_c1_at_delta_zero_is_the_kernel_value(shape, q_linear, q_sym, theta, R):
 @property_settings
 @given(shape=shapes, q_linear=st.floats(-2.0, 2.0), q_sym=coeffs, theta=thetas,
        R=st.floats(1e-6, 300.0), delta=st.floats(-2.0, 2.0))
-def test_kept_factors_are_the_basis_products_combined(shape, q_linear, q_sym, theta, R, delta):
-    # the stacked factors are, row for row and bit for bit, D u + rho (P u)
-    # and theta (P u) for a mollifier row u, kept on the shape, and 1 + Psi v
-    # and Psi' v for a twist v = delta w, each product one matrix-vector
-    # product with the basis rows; the x-Gram a mollifier keeps and the
-    # t-Gram c1 forms of a twist are bit for bit those of these factors
+def test_factors_are_the_basis_products_combined(shape, q_linear, q_sym, theta, R, delta):
+    # the stacked factors a miss of c or c1 forms are, row for row and bit
+    # for bit, D u + rho (P u) and theta (P u) for a mollifier's float row
+    # u, and 1 + Psi v and Psi' v for a twist v = delta w, each product one
+    # matrix-vector product with the basis rows; the x-Gram of a mollifier
+    # and the t-Gram of a twist are bit for bit those of these factors
     # under their weights: only the contraction and, for c, its x-factors
     # can round differently from these
     q = TwistShape.of(q_linear, q_sym)
@@ -184,16 +184,15 @@ def test_kept_factors_are_the_basis_products_combined(shape, q_linear, q_sym, th
     D, P = kernel._rows(len(rows.wx), len(u) - 1, False)
     Psi, dPsi = kernel._rows(len(rows.t), len(w) - 2, True)
     v = delta * w
-    for factors, expected in ((kernel.kept_factors(rows, shape),
+    for factors, expected in ((rows.factors(u),
                                (D @ u + rows.rho * (P @ u), rows.theta * (P @ u))),
                               (rows.factors(w, delta), (1.0 + Psi @ v, dPsi @ v))):
         assert factors.shape == (2, len(expected[0]))
         assert [row.tobytes() for row in factors] == [row.tobytes() for row in expected]
-    for kept, expected in ((kernel.kept_gram(rows, shape),
-                            kernel.gram(kernel.kept_factors(rows, shape), rows.wx)),
-                           (rows.gram_of(w, delta),
-                            kernel.gram(rows.factors(w, delta), rows.wt))):
-        assert [x.hex() for x in kept] == [x.hex() for x in expected]
+    for formed, expected in ((rows.gram_of(u), kernel.gram(rows.factors(u), rows.wx)),
+                             (rows.gram_of(w, delta),
+                              kernel.gram(rows.factors(w, delta), rows.wt))):
+        assert [x.hex() for x in formed] == [x.hex() for x in expected]
 
 
 @property_settings

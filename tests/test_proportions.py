@@ -109,6 +109,32 @@ class TestParamsScalars:
         for good in (Fraction(getattr(p, field)), np.float64(getattr(p, field))):
             assert value(replace(p, **{field: good})) == value(p)
 
+    @pytest.mark.parametrize("section, field", [("four", "theta"), ("four", "r"), ("four", "R"),
+                                                ("five", "theta"), ("five", "R"),
+                                                ("five", "delta")])
+    @pytest.mark.parametrize("huge, shown", [(10**400, "1.000000e+400"),
+                                             (Fraction(10**400), "1.000000e+400"),
+                                             (-10**400, "-1.000000e+400")],
+                             ids=["int", "Fraction", "negative int"])
+    def test_a_scalar_past_binary64_is_refused_by_name(self, section, field, huge, shown):
+        # r and delta of 10**400 once escaped as a bare OverflowError from
+        # math.isfinite, naming no field
+        p = section_four_reference() if section == "four" else section_five_reference()
+        with pytest.raises(ValueError, match=rf"^{field} = {re.escape(shown)} "
+                                             r"is outside binary64$"):
+            replace(p, **{field: huge})
+
+    @pytest.mark.parametrize("section, field, message", [
+        ("four", "theta", r"theta must lie in \(0, 1\], got 0\.0"),
+        ("four", "r", r"r must be positive, got 0\.0"),
+        ("five", "R", r"R must be >= 1e-06, got 0\.0")], ids=["theta", "r", "R"])
+    def test_a_scalar_is_checked_as_the_core_reads_it(self, section, field, message):
+        # a positive Fraction that rounds to 0.0 once built params whose
+        # every evaluation failed on the float the core reads
+        p = section_four_reference() if section == "four" else section_five_reference()
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            replace(p, **{field: Fraction(1, 10**400)})
+
 
 class TestNuBound:
     def test_log_one(self):
@@ -345,12 +371,12 @@ class TestFullReport:
 
 class TestShapeProducts:
     """The float core reads each exact shape through its float row, kept on
-    the shape, and what it forms from that row at a point is kept there
-    too: a mollifier's factors and x-Gram, and, on the first mollifier of
-    c or c1, the constant itself per point and partner or twist row."""
+    the shape, and keeps on the first mollifier of c or c1 the constant
+    itself per point and partner or twist row; a miss forms the factors
+    and Grams it reads from the rows on the call, and keeps none of them."""
 
     def test_values_are_the_float_core_bit_for_bit(self):
-        # c_value and c1_value read the shapes' kept rows and products;
+        # c_value and c1_value evaluate the shapes' kept rows on a miss;
         # c_core and c1_core, the search objective, form them from floats on
         # each call.
         # The search's re-evaluation of its best point relies on both
@@ -374,18 +400,22 @@ class TestShapeProducts:
                                            floats((q.linear_coeff, *q.sym_coeffs)),
                                            theta, R5, delta)
 
+    # what each reference shape keeps after a report reads it: its float
+    # row, and the constant on the first mollifier of c or c1
+    SLOTS = (["row", "c"], ["row"], ["row", "c1"], ["row"])
+
     def test_cache_is_transparent(self, monkeypatch):
         # over a 3^4 (r, R4, R5, delta) lattice on shared shapes, each
         # constant is evaluated once per point of its half and kept on its
         # first mollifier: c per (theta, R4, r) and partner row, c1 per
         # (theta, R5, delta) and twist row, 9 entries each in lattice order.
-        # Each Gram is formed once, counted on its builder: c's x-Gram per
-        # (r, R4) on gram where proportions reads it, 9 builds, and on
-        # NodeRows.gram_of the c1 mollifier's X per (x-node count, rho,
-        # theta) and the twist's T per (t-node count, delta, R); each c
-        # mollifier forms its factors once per point; every basis product is
-        # one of these; the twist keeps its row only; every report is bit
-        # for bit the one that fresh, equal shapes give
+        # Each miss forms what it reads from the rows, counted on its
+        # builder: c both mollifiers' factors and its x-Gram (gram where
+        # proportions reads it), c1 the mollifier's X and the twist's T
+        # (NodeRows.gram_of); every basis product is one of these; a shape
+        # keeps its row and the constants only, so its slots are exactly
+        # row, c and c1 as the shape holds them; every report is bit for bit
+        # the one that fresh, equal shapes give
         p4, p5 = section_four_reference(), section_five_reference()
         shapes = (p4.p1_shape, p4.p2_shape, p5.p_shape, p5.q_shape)
         formed, grams, c_grams = [], [], []
@@ -397,7 +427,7 @@ class TestShapeProducts:
 
         def counting_grams(rows, u, delta=None):
             grams.append((len(rows.t) if delta is not None else len(rows.wx), tuple(u), delta,
-                          rows.R if delta is not None else rows.rho))
+                          rows.R))
             return gram_of(rows, u, delta)
 
         def counting_c_grams(F, w):
@@ -415,25 +445,21 @@ class TestShapeProducts:
         n4 = max(len(p4.p1_shape.shape_coeffs), len(p4.p2_shape.shape_coeffs)) + 3
         n5 = len(p5.p_shape.shape_coeffs) + 3  # one x count per mollifier: m + 3
         k = len(p5.q_shape.sym_coeffs)
-        assert p4.theta == p5.theta == 1.0  # so rho = R
-        assert [list(s.kept["factors"]) for s in shapes[:2]] == [
-            [(n4, float(R4), 1.0) for R4 in axes[1]]] * 2
         partner, twist = (kernel.shape_row(s).tobytes() for s in shapes[1::2])
         assert list(p4.p1_shape.kept["c"]) == [(1.0, float(R4), float(r), partner)
                                                for r in axes[0] for R4 in axes[1]]
         assert c_grams == [n4] * 9  # one per (r, R4)
         assert list(p5.p_shape.kept["c1"]) == [(1.0, float(R5), float(d), twist)
                                                for R5 in axes[2] for d in axes[3]]
-        assert list(p5.p_shape.kept["grams"]) == [(n5, float(R5), 1.0) for R5 in axes[2]]
         t_points = [(kernel.t_count(R5, 2 * k + 2), float(d), float(R5))
                     for R5 in axes[2] for d in axes[3]]
         row = kernel.shape_row
-        assert sorted(grams, key=repr) == sorted(  # each once
-            [(n5, tuple(row(p5.p_shape)), None, float(R5)) for R5 in axes[2]]
+        assert sorted(grams, key=repr) == sorted(  # X and T once per (R5, delta)
+            [(n5, tuple(row(p5.p_shape)), None, R5) for _, _, R5 in t_points]
             + [(n, tuple(row(p5.q_shape)), d, R5) for n, d, R5 in t_points], key=repr)
         assert sorted(formed) == sorted(
-            [(n, tuple(row(s)), False) for s in shapes[:2] for n, *_ in s.kept["factors"]]
-            + [(n5, tuple(row(p5.p_shape)), False)] * 3
+            [(n4, tuple(row(s)), False) for s in shapes[:2]] * 9
+            + [(n5, tuple(row(p5.p_shape)), False)] * 9
             + [(n, tuple(d * row(p5.q_shape)), True) for n, d, _ in t_points])
         monkeypatch.undo()
 
@@ -446,28 +472,24 @@ class TestShapeProducts:
                                 replace(b, p_shape=fresh(b.p_shape), q_shape=fresh(b.q_shape)))
             assert ([x.hex() for x in astuple(report)[:8]]
                     == [x.hex() for x in astuple(again)[:8]])
-        slots = (["row", "factors", "c"], ["row", "factors"], ["row", "grams", "c1"], ["row"])
-        for shape, kept_slots in zip(shapes, slots):
+        for shape, kept_slots in zip(shapes, self.SLOTS):
             assert list(shape.kept) == kept_slots
             assert not shape.kept["row"].flags.writeable
-            if "factors" in kept_slots:
-                assert not any(f.flags.writeable for f in shape.kept["factors"].values())
-            if "grams" in kept_slots:
-                assert all(type(g) is tuple and len(g) == 3 and all(type(x) is float for x in g)
-                           for g in shape.kept["grams"].values())
-            for slot in {"c", "c1"}.intersection(kept_slots):
+            for slot in kept_slots[1:]:
                 assert all(type(x) is float for x in shape.kept[slot].values())
             assert shape == fresh(shape) and hash(shape) == hash(fresh(shape))
             assert repr(shape) == repr(fresh(shape))
 
     def test_a_kept_report_forms_and_checks_nothing(self, monkeypatch):
         # two passes of full_report over a 3^4 (r, R4, R5, delta) lattice,
-        # each call counted where it is made: the first forms one x-Gram of
-        # c per (r, R4), one x-Gram of the c1 mollifier per R5, one t-Gram
-        # per (R5, delta) and one factor set per (c mollifier, R4), and
-        # checks the scalars once per constant evaluated; the second, on
-        # equal params built anew, reads no node rows, forms no Gram or
-        # basis product and checks nothing, and gives the same bits
+        # each call counted where it is made: the first, one miss per point
+        # of each half, forms per (r, R4) c's x-Gram and both mollifiers'
+        # factors, and per (R5, delta) the c1 mollifier's x-Gram and the
+        # twist's t-Gram, each from one basis product, and checks the
+        # scalars once per constant evaluated; the second, on equal params
+        # built anew, reads no node rows, forms no Gram or basis product and
+        # checks nothing, and gives the same bits.  Neither pass keeps any
+        # slot beyond row, c and c1
         p4, p5 = section_four_reference(), section_five_reference()
         axes = [np.linspace(0.8, 1.6, 3), np.linspace(0.4, 0.9, 3), np.linspace(0.5, 12.0, 3),
                 np.linspace(0.5, 1.0, 3)]
@@ -501,46 +523,39 @@ class TestShapeProducts:
         kernel._node_rows.cache_clear()
         first = [full_report(a, b) for a, b in points]
         # 6 points' node rows each form their Tc through gram
-        assert calls == {"c x-Gram": 9, "x-Gram": 3, "t-Gram": 9, "mollifier products": 6 + 3,
-                         "twist products": 9, "gram": 6 + 3 + 9, "node rows": 18, "check": 18}
+        assert calls == {"c x-Gram": 9, "x-Gram": 9, "t-Gram": 9, "mollifier products": 2 * 9 + 9,
+                         "twist products": 9, "gram": 6 + 9 + 9, "node rows": 18, "check": 18}
         calls.clear()
         again = [full_report(a, b) for a, b in anew]
         assert calls == {}
         assert ([[x.hex() for x in astuple(report)[:8]] for report in first]
                 == [[x.hex() for x in astuple(report)[:8]] for report in again])
+        assert [list(s.kept) for s in (p4.p1_shape, p4.p2_shape, p5.p_shape, p5.q_shape)] == list(
+            self.SLOTS)
 
-    @pytest.mark.parametrize("slot", ["factors", "grams", "c", "c1"])
+    @pytest.mark.parametrize("slot", ["c", "c1"])
     def test_each_shape_keeps_a_bounded_number_of_points(self, slot):
         # read at _NODE_ROWS_KEPT + 8 points, a shape keeps, in each slot,
         # the last _NODE_ROWS_KEPT formed, the oldest dropped first, and a
-        # dropped point forms again, bit for bit, what it first gave: a
-        # mollifier's factors and x-Gram at as many values of R, c on its
-        # first mollifier at as many values of r, c1 on its mollifier at as
-        # many (R, delta), while a kept point reads the same object
-        p4, p5, kept = section_four_reference(), section_five_reference(), kernel._NODE_ROWS_KEPT
+        # dropped point forms again, bit for bit, what it first gave: c on
+        # its first mollifier at as many values of r, c1 on its mollifier at
+        # as many (R, delta), while a kept point reads the same object
+        p4, p5 = section_four_reference(), section_five_reference()
+        kept = proportions._NODE_ROWS_KEPT
         if slot == "c":
             shape, partner = p4.p1_shape, kernel.shape_row(p4.p2_shape).tobytes()
             reads = [replace(p4, r=0.8 + i / 128) for i in range(kept + 8)]
             read, key = c_value, lambda p: (p.theta, p.R, p.r, partner)
-        elif slot == "c1":
+        else:
             shape, twist = p5.p_shape, kernel.shape_row(p5.q_shape).tobytes()
             reads = [replace(p5, R=0.746 + (i % 2) / 64, delta=0.5 + i / 128)
                      for i in range(kept + 8)]
             read, key = c1_value, lambda p: (p.theta, p.R, p.delta, twist)
-        else:
-            shape, m = p5.p_shape, len(p5.p_shape.shape_coeffs)
-            reads = [kernel.node_rows(1.0, 0.5 + i / 128, m) for i in range(kept + 8)]
-            keep = kernel.kept_factors if slot == "factors" else kernel.kept_gram
-            read, key = (lambda rows: keep(rows, shape)), (
-                lambda rows: (len(rows.wx), rows.rho, rows.theta))
-
-        def same(a, b):
-            return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
         first = [read(point) for point in reads]
         assert list(shape.kept[slot]) == [key(point) for point in reads[8:]]
         again = read(reads[0])
-        assert again is not first[0] and same(again, first[0])
+        assert again is not first[0] and again.hex() == first[0].hex()
         assert list(shape.kept[slot]) == [key(point) for point in reads[9:] + reads[:1]]
         assert read(reads[-1]) is first[-1]
 
@@ -641,51 +656,6 @@ class TestShapeProducts:
                 with pytest.raises(error, match=f"^{message}( is outside binary64)?$"):
                     value(params)
                 assert list(holder.kept.get(slot, {}).items()) == before
-
-    def test_kept_factors_name_a_wrong_shape(self):
-        # only a mollifier keeps factors or an x-Gram: kept_gram takes no
-        # delta, and a twist is refused by name
-        p5 = section_five_reference()
-        rows = kernel.node_rows(1.0, 0.746, 3, 2)
-        with pytest.raises(TypeError, match="takes 2 positional arguments but 3 were given"):
-            kernel.kept_gram(rows, p5.p_shape, 0.771)
-        with pytest.raises(TypeError, match="a TwistShape keeps no x-Gram"):
-            kernel.kept_gram(rows, p5.q_shape)
-        with pytest.raises(TypeError, match="a TwistShape keeps no factors"):
-            kernel.kept_factors(rows, p5.q_shape)
-        assert p5.q_shape.kept == {}
-
-    def test_a_mollifier_keeps_two_points_that_share_rho(self, monkeypatch):
-        # (theta, R) = (0.5, 1.0) and (1.0, 0.5) have rho = R theta = 0.5
-        # exactly, but theta P u differs: each mollifier keeps both points,
-        # the c mollifiers their factors and the c1 mollifier its x-Gram,
-        # each Gram formed once (counted on its builder, NodeRows.gram_of),
-        # and each constant is bit for bit the one fresh, equal shapes give
-        p4, p5 = section_four_reference(), section_five_reference()
-        points = [(0.5, 1.0), (1.0, 0.5)]
-        formed = []
-        gram_of = kernel.NodeRows.gram_of
-
-        def counting(rows, u, delta=None):
-            formed.append((rows.theta, rows.R, delta is not None))
-            return gram_of(rows, u, delta)
-
-        def constants(p4, p5, theta, R):
-            return (c_value(replace(p4, theta=theta, R=R)).hex(),
-                    c1_value(replace(p5, theta=theta, R=R)).hex())
-
-        monkeypatch.setattr(kernel.NodeRows, "gram_of", counting)
-        kept = [constants(p4, p5, *point) for point in points * 2]
-        assert kept[:2] == kept[2:]
-        assert sorted(formed) == [(0.5, 1.0, False), (0.5, 1.0, True),
-                                  (1.0, 0.5, False), (1.0, 0.5, True)]
-        monkeypatch.undo()
-        for shape, slot in ((p4.p1_shape, "factors"), (p4.p2_shape, "factors"),
-                            (p5.p_shape, "grams")):
-            assert [key[1:] for key in shape.kept[slot]] == [(0.5, 0.5), (0.5, 1.0)]
-        for point, values in zip(points, kept):
-            assert values == constants(section_four_reference(), section_five_reference(),
-                                       *point)
 
     def test_node_row_reuse_changes_no_bit(self):
         # over a 3^4 (r, R4, R5, delta) lattice at the reference shapes the
