@@ -140,7 +140,9 @@ def shape_row(shape: MollifierShape | TwistShape) -> np.ndarray:
 
 def as_binary64(name: str, x) -> float:
     """float(x), or, for a rational x past the binary64 range, where float
-    raises a bare OverflowError, a ValueError naming name and the value."""
+    raises a bare OverflowError, a ValueError naming name and the value:
+    shape_row names a coefficient through it, and the params classes and
+    SearchSpec their scalars."""
     try:
         return float(x)
     except OverflowError:

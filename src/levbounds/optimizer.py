@@ -33,17 +33,17 @@ runs over R from the start's R: a probe step downhill, then cubic
 Hermite steps inside the bracket the slopes' signs set, bisection as the
 fallback (Nocedal & Wright 2006, sec. 3.5); a bound that cuts the
 optimum is reached exactly.  Each step is one evaluation, as is the
-start, and warm-starts from the previous one.  The result is the better
-of the start and the best step, its objective the float core at the
-returned vector, so it re-evaluates bit for bit; a search whose steps
-all failed raises EvaluationFailureError.  SearchSpec.free_indices
+start, and warm-starts from the previous one.  The best step's slope is
+reused, and one is computed at the end only when the start stays best.
+The result is the better of the start and the best step, its objective
+the float core at the returned vector, so it re-evaluates bit for bit; a
+search whose steps all failed raises EvaluationFailureError.  SearchSpec.free_indices
 alone decides which entries move; delta keeps the side of zero of its
 start, since q = v / delta.  Seed and restarts change nothing.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from collections import Counter
@@ -77,19 +77,16 @@ class EvaluationFailureError(RuntimeError):
     first failure."""
 
 
-class DimensionTooHighError(ValueError):
-    """grid_scan asked to lattice more than 3 free entries."""
-
-
 class IllPosedSolveError(ArithmeticError):
     """A free solve block is not positive definite, or too ill-conditioned."""
 
 
 # The search layout, stated once: each target's config section, that
-# section's fields in vector order, its params class and its shapes.  A
-# field's size is an index into shape_degrees for a list of shape
-# coefficients, or SHAPE or SCALAR for a single shape coefficient or search
-# scalar.  A shape is (params field, family, raw-polynomial config key), in
+# section's fields in vector order, its params class and its shapes, read
+# by the solves, the CLI's config reader, params_from_vector and
+# params_fields/search_start.  A field's size is an index into
+# shape_degrees for a list of shape coefficients, or SHAPE or SCALAR for a
+# single shape coefficient or search scalar.  A shape is (params field, family, raw-polynomial config key), in
 # field order; section_parts gives each its fields.  A family is three
 # conversions: from its coefficient fields, from a raw polynomial, and back.
 SHAPE, SCALAR = "shape", "scalar"
@@ -111,8 +108,9 @@ TARGETS = tuple(SEARCH_FIELDS)
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """One search.  seed and restarts are kept, and validated, for library
-    callers that pass them; neither changes the search."""
+    """One search.  seed and restarts are validated and change nothing:
+    their one caller is the search workload of bench/workloads.py, and
+    ROADMAP item 1, which re-sizes that benchmark, removes them."""
 
     target: str
     shape_degrees: tuple[int, ...]
@@ -281,11 +279,11 @@ class SearchResult:
     after a failed joint step; failures the failed evaluations by class;
     conditions each free block's model Hessian condition number at the
     best point; slope d best_objective / dR there with the shapes held
-    (grid_scan has none); pinned each free entry of best_point exactly on
-    one of its bounds (lo < hi), with that bound, sorted by name, and
-    shadow its price, d best_objective / d entry with the other entries
-    held (R's is slope; 0 where the objective does not fall outside the
-    bounds)."""
+    (None when no search set it); pinned each free entry of best_point
+    exactly on one of its bounds (lo < hi), with that bound, sorted by
+    name, and shadow its price, d best_objective / d entry with the other
+    entries held (R's is slope; 0 where the objective does not fall
+    outside the bounds)."""
 
     best_point: tuple[float, ...]
     best_objective: float
@@ -441,9 +439,11 @@ class _Map:
     its own from the start values s0, c0: s is the coordinate s or the
     constant s0; y_j is the coordinate s c_j when s and c_j are both free,
     s0 times the coordinate c_j, c0_j times the coordinate s, or the
-    constant s0 c0_j.  So each row of N has at most one nonzero, and a
-    block whose entries are all held has no columns and keeps y0.  Each
-    bound row names the public entry it pins and the value it pins it to."""
+    constant s0 c0_j.  So each row of N has at most one nonzero, and
+    y0 + N x is exact in any summation order; a block whose entries are
+    all held has no columns, keeps y0, is never solved and gets no
+    condition number.  Each bound row names the public entry it pins and
+    the value it pins it to."""
 
     def __init__(self, spec: SearchSpec, blocks: dict[str, tuple[_Segment, ...]]):
         start = np.array(spec.initial_point, dtype=float)
@@ -557,6 +557,7 @@ class _Solve:
         return self.map.coordinates(v), ()
 
     def nodes(self, R: float) -> NodeRows:
+        """The one place the solve reads node rows: at R and its degrees."""
         return node_rows(self.spec.theta, R, *self.degrees)
 
     def factors(self, rows: NodeRows, y: np.ndarray):
@@ -887,34 +888,3 @@ def optimize(spec: SearchSpec) -> SearchResult:
     conditions, prices = solver.read(record.best_vector, dict(result.pinned))
     return replace(result, conditions=conditions, shadow=tuple(
         (name, result.slope if name == "R" else prices[name]) for name, _ in result.pinned))
-
-
-def grid_scan(spec: SearchSpec, resolution: int) -> SearchResult:
-    """Exhaustive lattice over the free entries, each within its bounds.
-
-    resolution >= 2 places that many points per axis; resolution 1
-    degenerates to the bound corners plus the midpoint.
-    """
-    free = spec.free_indices()
-    if len(free) > 3:
-        raise DimensionTooHighError(
-            f"grid_scan supports at most 3 free entries, got {len(free)}")
-    names = spec.vector_names()
-    unbounded = [names[i] for i in free if i not in spec.bounds_by_index]
-    if unbounded:
-        raise ValueError(f"grid_scan needs bounds on every free entry, "
-                         f"got none on {', '.join(unbounded)}")
-    if not _integer(resolution) or resolution < 1:
-        raise ValueError(f"resolution must be an integer >= 1, got {resolution!r}")
-
-    axes = [np.array([lo, 0.5 * (lo + hi), hi]) if resolution == 1
-            else np.linspace(lo, hi, resolution)
-            for lo, hi in (spec.bounds_by_index[i] for i in free)]
-
-    record = _Record(_SOLVES[spec.target](spec))
-    base = np.array(spec.initial_point, dtype=float)
-    for point in itertools.product(*axes):  # last axis fastest; one point if none
-        v = base.copy()
-        v[list(free)] = point
-        record(v)
-    return record.result("every lattice point failed to evaluate")

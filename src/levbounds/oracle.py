@@ -9,29 +9,25 @@ kernel.shape_row, as a miss of c or c1 forms them) against the same
 exact moments, and Cauchy integrals of the definition-form kernel
 against c and c1 from the float core.
 
-kernel_numeric is that kernel, evaluated on real or complex arrays, its
-e^{-a-b} formed as e^{-a} e^{-b} away from the removable line (a public
-reference: c and c1 read its bracket form instead), and
-cauchy_derivatives is the one derivative route: the trapezoidal rule on a
-torus about the base point gives the whole table of mixed partials
-d_a^m d_b^n, with radius (order!)^(1/order) and N x N nodes,
-N = 4 order + 16, both fixed by the order alone.  c and c1 read that
-route with its sums reassociated, so that each contracts before it
-rounds: about (-R, -R) the kernel is C + E(s) [1, n_j] G [1, n_k]^T on the
-torus nodes n_j, so each form sum_mn u_m v_n D[m, n] is C u_0 v_0 plus
-four real entries of Phi_u E Phi_v^T, Phi_u = [u^T W; u^T W diag(n)], from
-one E grid per call and no D.  c is three such forms of one order-1
-grid, its centre value the form at u = v = e_0; c1 the form at u = v =
-the twist operator's weights, exact from the twist polynomial and rounded
-once.
-Against a 40-digit mpmath evaluation over 3840 random draws per cell
-(README), c from this route is good to 6e-14 (relative) at R <= 5 and
-4e-12 up to R = 300, the worst draws those whose terms cancel 1e2- to
-3e4-fold; c1 to 8e-14 up to order 8 and 3e-11 up to order 16 at R <= 5,
-and to 2e-10 up to order 8 and 6e-8 at orders 10 to 16 for
-5 < R <= 300, where 90% of draws are within 2e-12 and the worst are
-draws whose u^T D u itself cancels 2e7- to 2.1e9-fold.  The route is checked only
-up to order 16 at R <= 5, at order 16, R = 100, and at order 22, R = 0.746.
+The kernel of a moment table is h = (m_pd + m_dp) + E(s) g(-a,-b)/theta,
+s = a + b and E(s) = (1 - e^{-s})/s (_exp_ratio), total on the plane.
+Its derivatives d_a^m d_b^n come from Cauchy's integral: the trapezoidal
+rule on a torus about the base point, with radius (order!)^(1/order) and
+N x N nodes, N = 4 order + 16, both fixed by the order alone (_torus).
+c and c1 read that rule with its sums reassociated, so that each
+contracts before it rounds: about (-R, -R) the kernel is C + E(s) [1,
+n_j] G [1, n_k]^T on the torus nodes n_j, so each form
+sum_mn u_m v_n D[m, n] is C u_0 v_0 plus four real entries of
+Phi_u E Phi_v^T, Phi_u = [u^T W; u^T W diag(n)], from one E grid per call
+and no D (_cauchy_forms).  c is three such forms of one order-1 grid, its
+centre value the form at u = v = e_0; c1 the form at u = v = the twist
+operator's weights, exact from the twist polynomial and rounded once.
+The definition-form kernel on real or complex arrays and the plain
+D = Re(W F W^T) route are the tests' references (tests/kernel_reference.py:
+kernel_numeric, cauchy_derivatives); no command evaluates either.
+The route's error against 40 digits, by order and R, is the README's
+accuracy table; it is checked up to order 16 at R <= 5, at order 16,
+R = 100, and at order 22, R = 0.746.
 
 The exact data is summed in integers and divided once, read straight
 from each shape's integer row (1, c_1..c_m) or (1, q0, q_1..q_m) over its
@@ -55,7 +51,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -97,31 +92,13 @@ def _absolute(p: Poly) -> Poly:
     return Poly(tuple(map(abs, p.nums)), p.den)
 
 
-def kernel_numeric(mt: MomentTable, theta: float, a, b):
-    """Direct kernel evaluation from its definition, total on the plane.
-
-    a and b are scalars or numpy arrays, real or complex, that broadcast
-    together.  Evaluated as (m_pd + m_dp) + E(s) g(-a,-b)/theta with
-    g(-a,-b)/theta = (m_dd/theta - b m_dp) - a (m_pd - b theta m_pp),
-    s = a + b and E(s) = (1 - e^{-s})/s, whose numerator has two forms
-    (_exp_ratio):
-
-    - 1 - e^{-a} e^{-b} where |s| >= 1, one exp per node;
-    - -expm1(-s) where |s| < 1, which keeps full relative precision as
-      s -> 0, and wherever the product is not finite (e^{-a} = 0 times
-      e^{-b} = inf, as at a = 800, b = -795), so no input that expm1 takes
-      to a finite value reads inf or nan.  On the removable line E(0) = 1.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        decay = np.exp(-a) * np.exp(-b)
-    mdd, mdp, mpd, mpp = mt.floats
-    g_over_theta = (mdd / theta - b * mdp) - a * (mpd - b * theta * mpp)
-    return (mpd + mdp) + _exp_ratio(np.asarray(a + b), decay) * g_over_theta
-
-
 def _exp_ratio(s: np.ndarray, decay) -> np.ndarray:
-    """E(s) = (1 - e^{-s}) / s by the two forms of kernel_numeric, given
-    e^{-s} as a product of exponentials that may read inf or nan."""
+    """E(s) = (1 - e^{-s}) / s, given e^{-s} as a product of exponentials
+    that may read inf or nan, in two forms: 1 - decay where |s| >= 1, and
+    -expm1(-s) where |s| < 1, which keeps full relative precision as
+    s -> 0, and wherever 1 - decay is not finite (e^{-a} = 0 times
+    e^{-b} = inf), so no s that expm1 takes to a finite value reads inf or
+    nan.  E(0) = 1 on the removable line."""
     # an overflow, an inf times 0 and s = 0 are all in `near`, redone below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         numerator = np.asarray(1.0 - decay)
@@ -135,10 +112,18 @@ def _exp_ratio(s: np.ndarray, decay) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _torus(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The trapezoidal rule of cauchy_derivatives at one order, read-only:
-    the rows [1; n_j] of the nodes n_j = rho w^j and the matrix W, then over
-    the node pairs the sums n_j + n_k and the products e^{-n_j} e^{-n_k}
-    that the oracle's E grid reads (_cauchy_forms)."""
+    """The trapezoidal rule of Cauchy's integral on the torus at one
+    order, read-only: the rows [1; n_j] of the nodes n_j = rho w^j,
+    w = e^{2 pi i/N}, and W[m, j] = m! rho^-m w^-jm / N, so that
+    D = Re(W F W^T) on a grid of values F (exponentially accurate for an
+    entire function: Lyness & Moler 1967; Bornemann 2011); then the node
+    pairs' sums n_j + n_k and products e^{-n_j} e^{-n_k} (_cauchy_forms).
+    D[m, n] rounds by about eps max|F| m! n! / rho^(m+n), and the kernel
+    grows like e^{-a-b}, so max|F| is about e^{2 rho} times its centre
+    value.  rho = (order!)^(1/order) makes m!/rho^m 1 at m = 0 and
+    m = order and smaller between (log m! is convex): the amplification is
+    e^{2 rho}, about e^{2 order/e}.  Aliasing, like rho^N / N!, is far
+    below that with N = 4 order + 16."""
     radius = math.factorial(order) ** (1.0 / max(order, 1))
     size = 4 * order + 16
     m = np.arange(order + 1)
@@ -154,38 +139,15 @@ def _torus(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def cauchy_derivatives(f: Callable, at: tuple[float, float], order: int) -> np.ndarray:
-    """Matrix D[m, n] of d_a^m d_b^n f at `at`, m, n <= order, f entire.
-
-    D[m, n] is m! n! times a Taylor coefficient, which Cauchy's integral
-    over the torus of radius rho about `at` gives; the trapezoidal rule on
-    N x N nodes, exponentially accurate for an entire f (Lyness & Moler
-    1967; Bornemann 2011), gives them all at once.  f is called once, on
-    the complex grid (a0 + rho w^j, b0 + rho w^k) with w = e^{2 pi i/N},
-    and D = Re(W F W^T) with W[m, j] = m! rho^-m w^-jm / N.
-
-    Rounding in D[m, n] is about eps max|F| m! n! / rho^(m+n), and for the
-    kernel, which grows like e^{-a-b}, max|F| is about e^{2 rho} times the
-    centre value.  rho = (order!)^(1/order) makes m!/rho^m equal to 1 at
-    m = 0 and m = order and smaller in between (log m! is convex), so the
-    whole amplification is e^{2 rho}, about e^{2 order/e}.  Aliasing falls
-    like rho^N / N!, far below that with N = 4 order + 16.
-    """
-    (_, nodes), W = _torus(order)[:2]
-    a0, b0 = at
-    F = f(a0 + nodes[:, None], b0 + nodes[None, :])
-    return (W @ F @ W.T).real
-
-
 def _cauchy_forms(weights: np.ndarray, R: float) -> np.ndarray:
     """The kernel's derivative forms sum_mn u_m v_n D[m, n] at (-R, -R),
     before the moments enter: for weight rows u_i (k, order + 1), the
     (2k, 2k) matrix Phi E Phi^T, Phi stacking [u_i W; u_i W diag(n)].
 
-    On the torus of cauchy_derivatives the kernel is C + E(s) [1, n_j] G
-    [1, n_k]^T (_kernel_terms), so a form is C u_0 v_0 (the trapezoidal sum
-    of a constant is exact) plus the four real entries of the 2 x 2 block
-    of u and v against G: the trapezoidal sums of D, reassociated to
+    On the torus (_torus) the kernel is C + E(s) [1, n_j] G [1, n_k]^T
+    (_kernel_terms), so a form is C u_0 v_0 (the trapezoidal sum of a
+    constant is exact) plus the four real entries of the 2 x 2 block of u
+    and v against G: the trapezoidal sums of D, reassociated to
     contract the weights before they round.  One E grid: s = -2R +
     (n_j + n_k), e^{-s} = e^{2R} e^{-n_j} e^{-n_k} from the torus table
     and one scalar exp."""
@@ -361,7 +323,12 @@ def _row_checks(name: str, mt: MomentTable, rows: NodeRows, R: float, a: Mollifi
 
 
 def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> CrosscheckReport:
-    """Run every exact-vs-numeric comparison; failures are data, not errors."""
+    """Run every exact-vs-numeric comparison; failures are data, not errors.
+    Its 20 moment checks referee shape_moments against Gauss-Legendre, its
+    20 node-row checks the engine's factors and x-Grams (_row_checks: the
+    exact side scaled by theta, no row divided by it), and its two Cauchy
+    checks read its own tables, bit for bit fd_c_value and fd_c1_value.
+    It keeps nothing on a shape beyond what c_value and c1_value keep."""
     checks: list[CheckResult] = []
     c_exact = c_value(p4)
     c1_exact = c1_value(p5)

@@ -12,11 +12,13 @@ P1 P2' and P1 P2 of a polynomial pair, in one integer pass with no
 derivative polynomial built, as a MomentTable in the same integer form.
 basis_moments(m) caches, per mollifier degree, the G_k: the moments of
 every pair of the basis below, exact, over one common denominator, the
-x-Gram blocks an exact referee reads.  A pair of shapes' table is then
-one integer bilinear form of their integer rows (the shapes' numerators)
-with the G_k (shape_moments), and no polynomial is built.  The oracle
+x-Gram blocks an exact referee reads (X = G_dd + rho (G_dp + G_pd) +
+rho^2 G_pp).  A pair of shapes' table is then one integer bilinear form
+of their integer rows (the shapes' numerators) with the G_k
+(shape_moments), and no polynomial is built.  The oracle
 builds the moment kernel h(a, b) from these tables; the float engine
-(kernel, proportions, optimizer) reads none of them.
+(kernel, proportions, optimizer) reads none of them, and no other module
+derives numerators from Fractions.
 
 Two constrained construction bases are provided:
 
@@ -237,11 +239,6 @@ class MomentTable:
         the exact moment is."""
         return tuple(n / self.den for n in self.nums)
 
-    def transpose(self) -> "MomentTable":
-        """Moment table of the reversed pair (P2, P1)."""
-        dd, dp, pd, pp = self.nums
-        return MomentTable((dd, pd, dp, pp), self.den)
-
 
 def moments(p1: Poly, p2: Poly) -> MomentTable:
     """The four moments of (p1, p2) in one integer pass.  With p1 = a / D1,
@@ -396,11 +393,6 @@ def shape_moments(a: MollifierShape, b: MollifierShape) -> MomentTable:
 def expand_mollifier(shape: MollifierShape) -> Poly:
     """Expand P(x) = x + sum_j c_j x^j (1-x) to canonical form."""
     return _combine(mollifier_basis(len(shape.shape_coeffs)), shape.shape_coeffs)
-
-
-def expand_twist(shape: TwistShape) -> Poly:
-    """Expand Q(x) = 1 + q0 x + sum_k q_k I_k(x) to canonical form."""
-    return _combine(twist_basis(len(shape.sym_coeffs)), (shape.linear_coeff, *shape.sym_coeffs))
 
 
 # --------------------------------------------------------------------------

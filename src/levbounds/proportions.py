@@ -13,17 +13,22 @@ and the Gram of kernel.c_factors, from the mollifiers' factors and r
 each takes homogeneous rows and forms their factors and Grams itself.
 c_core and c1_core pass the rows of float coefficients; c_value and
 c1_value pass the shapes' float rows (kernel.shape_row) on a miss, so
-both routes give the same bits.  c_value and c1_value keep the constant
-itself on their first mollifier (kept["c"], kept["c1"], through _keep,
-at most _NODE_ROWS_KEPT per slot), per point, (theta, R, r) or
-(theta, R, delta), and the partner's or the twist's float row as bytes:
-a key by value that pins every input, so a hit checks and forms nothing,
-and a miss that raises keeps nothing.
+both routes give the same bits; each checks theta, R and r or delta
+first.  c_value and c1_value keep the constant on their first mollifier
+(kept["c"], kept["c1"], through _keep, at most _NODE_ROWS_KEPT per slot)
+keyed by the binary64 (theta, R, r) or (theta, R, delta) the core reads,
+formed once per params object (_point), and the partner's or twist's
+float row as bytes, read first, so its out-of-binary64 error is the one
+named.  So a hit checks and forms nothing, equal inputs (a distinct but
+equal shape, a Fraction and its float) share one entry, and a miss that
+raises keeps nothing.  A sweep benchmark pass evaluates each constant at
+25 points and reads each kept value 24 more times.
 
 From them nu = ln(c)/(2R) and kappa = 1 - ln(c1)/R (natural logarithm:
 the only base consistent with the reference constants), and the four
 proportions d = 1/2 + kappa/2 - nu, s = kappa - 2 nu, d_grh = 1 - nu and
-s_grh = 1 - 2 nu, composed in bounds_table only.  nu and kappa share no
+s_grh = 1 - 2 nu, composed in bounds_table only, which full_report,
+reproduce and eval --which bounds read.  nu and kappa share no
 parameters, so a report evaluates its two halves independently.
 """
 
@@ -64,16 +69,17 @@ def _check_scalars(theta: float, R: float, r: float = 1.0, delta: float = 0.0) -
         raise ValueError(f"delta must be finite, got {delta}")
 
 
-def _check_params(**scalars: float) -> None:
-    """A params class's scalars: real numbers and not bools, since the kept
-    constants are keyed by them as given, whose binary64 values, which the
-    float core reads, lie in its domain."""
+def _check_params(**scalars: float) -> dict[str, float]:
+    """The binary64 values of a params class's scalars, which the float core
+    reads and the kept constants are keyed by: each scalar a real number
+    and not a bool, its value in the core's domain."""
     floats = {}
     for name, x in scalars.items():
         if isinstance(x, bool) or not isinstance(x, numbers.Real):
             raise ValueError(f"{name} must be a finite number, got {x!r}")
         floats[name] = as_binary64(name, x)
     _check_scalars(**floats)
+    return floats
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,8 @@ class SectionFourParams:
     R: float
 
     def __post_init__(self) -> None:
-        _check_params(theta=self.theta, r=self.r, R=self.R)
+        f = _check_params(theta=self.theta, r=self.r, R=self.R)
+        object.__setattr__(self, "_point", (f["theta"], f["R"], f["r"]))  # not a field
 
 
 @dataclass(frozen=True)
@@ -103,7 +110,8 @@ class SectionFiveParams:
     delta: float
 
     def __post_init__(self) -> None:
-        _check_params(theta=self.theta, R=self.R, delta=self.delta)
+        f = _check_params(theta=self.theta, R=self.R, delta=self.delta)
+        object.__setattr__(self, "_point", (f["theta"], f["R"], f["delta"]))  # not a field
 
 
 @dataclass(frozen=True)
@@ -173,13 +181,14 @@ def c_core(p1, p2, theta: float, r: float, R: float) -> float:
 
 def c_value(p: SectionFourParams) -> float:
     """The mollified second-moment constant of the two-mollifier detector,
-    kept on the first mollifier per (theta, R, r) and partner row."""
+    kept on the first mollifier per binary64 (theta, R, r) and partner row."""
     s1, z2 = p.p1_shape, shape_row(p.p2_shape)
-    key = p.theta, p.R, p.r, z2.tobytes()
+    key = p._point + (z2.tobytes(),)
     try:
         return s1.kept["c"][key]
     except KeyError:
-        return _keep(s1, "c", key, _c(shape_row(s1), z2, p.theta, p.r, p.R))
+        theta, R, r = p._point
+        return _keep(s1, "c", key, _c(shape_row(s1), z2, theta, r, R))
 
 
 def nu_bound(c: float, R: float) -> float:
@@ -215,13 +224,13 @@ def c1_core(p, q, theta: float, R: float, delta: float) -> float:
 
 def c1_value(p: SectionFiveParams) -> float:
     """The twisted second-moment constant of the critical-line detector,
-    kept on the mollifier per (theta, R, delta) and twist row."""
+    kept on the mollifier per binary64 (theta, R, delta) and twist row."""
     s, w = p.p_shape, shape_row(p.q_shape)
-    key = p.theta, p.R, p.delta, w.tobytes()
+    key = p._point + (w.tobytes(),)
     try:
         return s.kept["c1"][key]
     except KeyError:
-        return _keep(s, "c1", key, _c1(shape_row(s), w, p.theta, p.R, p.delta))
+        return _keep(s, "c1", key, _c1(shape_row(s), w, *p._point))
 
 
 def kappa_bound(c1: float, R: float) -> float:

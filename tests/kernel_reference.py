@@ -23,23 +23,31 @@ c is h11 + (1/r) d_a h21 + (1/r) d_b h12 + (1/r^2) d_ab h22 at
 a = b = -R, and c1 the form u^T D u of the twist operator's weights u
 (twist_operator_coefficients) over the derivative matrix D of (P, P).
 
+The definition form is kernel_numeric, on real or complex arrays, and
+cauchy_derivatives reads the whole derivative matrix of any entire
+function off the oracle's torus (levbounds.oracle._torus), D = Re(W F
+W^T): the two references whose sums the oracle's forms reassociate.
+
 The exact polynomial operations also keep their per-term Fraction forms
 here, on the exact coefficients Poly.coeffs, as the references of the
 integer form in polyalg: integrate01_product_naive (each of the four
 integrals polyalg.moments gives), combine_naive and the other *_naive
-functions.  readme_draws draws the inputs of the README's accuracy
-table, one cell at a time.
+functions; expand_twist and transpose (of a MomentTable) are the exact
+operations that only the tests read.  readme_draws draws the inputs of
+the README's accuracy table, one cell at a time.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import Callable
 
 import numpy as np
 from mpmath import mp
 
-from levbounds.polyalg import (MollifierShape, MomentTable, Poly, TwistShape, expand_mollifier,
-                               expand_twist, mollifier_basis, moments)
+from levbounds.oracle import _exp_ratio, _torus
+from levbounds.polyalg import (MollifierShape, MomentTable, Poly, TwistShape, _combine,
+                               expand_mollifier, mollifier_basis, moments, twist_basis)
 from levbounds.proportions import SectionFiveParams, SectionFourParams
 
 ANCHOR_DPS = 20
@@ -87,6 +95,17 @@ def reflect_naive(a) -> tuple[Fraction, ...]:
 
 def eval_naive(a, x: Fraction) -> Fraction:
     return sum((c * x**k for k, c in enumerate(a)), Fraction(0))
+
+
+def expand_twist(shape: TwistShape) -> Poly:
+    """Expand Q(x) = 1 + q0 x + sum_k q_k I_k(x) to canonical form."""
+    return _combine(twist_basis(len(shape.sym_coeffs)), (shape.linear_coeff, *shape.sym_coeffs))
+
+
+def transpose(mt: MomentTable) -> MomentTable:
+    """Moment table of the reversed pair (P2, P1)."""
+    dd, dp, pd, pp = mt.nums
+    return MomentTable((dd, pd, dp, pp), mt.den)
 
 
 def combine_naive(basis: tuple[Poly, ...], coeffs) -> tuple[Fraction, ...]:
@@ -188,7 +207,7 @@ def moment_grams(m: int) -> np.ndarray:
     for i, bi in enumerate(basis):
         for j in range(i, m + 1):
             mt = moments(bi, basis[j])
-            for (a, b), table in (((i, j), mt), ((j, i), mt.transpose())):
+            for (a, b), table in (((i, j), mt), ((j, i), transpose(mt))):
                 grams[:, a, b] = table.floats
     grams.setflags(write=False)
     return grams
@@ -240,6 +259,32 @@ def division_form(mt: MomentTable, theta: float, a, b):
     """h(a, b) from its definition, in binary64, or at mpmath's working
     precision for mpmath inputs; undefined on a + b = 0."""
     return numerator(mt, theta, a, b) / (theta * (a + b))
+
+
+def kernel_numeric(mt: MomentTable, theta: float, a, b):
+    """Direct kernel evaluation from its definition, total on the plane:
+    a and b scalars or numpy arrays, real or complex, that broadcast
+    together.  (m_pd + m_dp) + E(s) g(-a,-b)/theta with g(-a,-b)/theta =
+    (m_dd/theta - b m_dp) - a (m_pd - b theta m_pp), s = a + b, and E(s)
+    from e^{-a} e^{-b}, one exp per node, by the oracle's two forms
+    (_exp_ratio: e^{-800} e^{795} reads expm1's value, not nan)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = np.exp(-a) * np.exp(-b)
+    mdd, mdp, mpd, mpp = mt.floats
+    g_over_theta = (mdd / theta - b * mdp) - a * (mpd - b * theta * mpp)
+    return (mpd + mdp) + _exp_ratio(np.asarray(a + b), decay) * g_over_theta
+
+
+def cauchy_derivatives(f: Callable, at: tuple[float, float], order: int) -> np.ndarray:
+    """Matrix D[m, n] of d_a^m d_b^n f at `at`, m, n <= order, f entire:
+    m! n! times a Taylor coefficient, by Cauchy's integral over the
+    oracle's torus about `at` (levbounds.oracle._torus: its radius, node
+    count and accuracy).  f is called once, on the complex grid
+    (a0 + rho w^j, b0 + rho w^k), and D = Re(W F W^T)."""
+    (_, nodes), W = _torus(order)[:2]
+    a0, b0 = at
+    F = f(a0 + nodes[:, None], b0 + nodes[None, :])
+    return (W @ F @ W.T).real
 
 
 def _mp(x) -> "mp.mpf":

@@ -13,9 +13,9 @@ import pytest
 
 import levbounds as lb
 from levbounds.optimizer import SearchSpec, optimize
-from levbounds.oracle import fd_c1_value, fd_c_value, kernel_numeric
+from levbounds.oracle import fd_c1_value, fd_c_value
 from levbounds.polyalg import (MollifierShape, MomentTable, TwistShape, ZERO,
-                               expand_mollifier, expand_twist, moments, poly_derivative,
+                               expand_mollifier, moments, poly_derivative,
                                poly_eval, poly_reflect)
 from levbounds.proportions import (SectionFiveParams, SectionFourParams, c1_value,
                                    c_value, grh_bounds, nu_bound,
@@ -23,7 +23,7 @@ from levbounds.proportions import (SectionFiveParams, SectionFourParams, c1_valu
 from levbounds.reference import (REFERENCE_CONSTANTS, REMARK_DELTA1_KAPPA,
                                  section_five_reference, section_four_reference)
 
-from kernel_reference import kernel_matrix
+from kernel_reference import expand_twist, kernel_matrix, kernel_numeric
 
 F = pytest.approx
 

@@ -672,12 +672,14 @@ class TestSelfcheck:
 
 
 def test_reproduce_and_selfcheck_import_no_test_dependency():
-    # the runtime needs numpy only; mpmath, hypothesis and pytest are test extras
+    # the runtime needs numpy only; mpmath, hypothesis and pytest are test
+    # extras, and the references no command runs live in the tests
     code = ("import contextlib, io, sys\n"
             "from levbounds import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['reproduce']) == 0 and cli.main(['selfcheck']) == 0\n"
-            "loaded = {'mpmath', 'hypothesis', 'pytest'} & set(sys.modules)\n"
+            "loaded = {'mpmath', 'hypothesis', 'pytest', 'kernel_reference', 'search_helpers'}"
+            " & set(sys.modules)\n"
             "assert not loaded, loaded\n")
     src = os.path.dirname(os.path.dirname(levbounds.__file__))
     subprocess.run([sys.executable, "-c", code], check=True,

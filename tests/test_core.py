@@ -25,15 +25,15 @@ from levbounds import kernel, oracle
 from levbounds.kernel import MIN_BASE_R, node_rows
 from levbounds.optimizer import SearchSpec, _SOLVES
 from levbounds.polyalg import (MollifierShape, MomentTable, Poly, TwistShape, expand_mollifier,
-                               expand_twist, mollifier_basis, moments, poly_derivative,
-                               poly_eval, twist_basis)
+                               mollifier_basis, moments, poly_derivative, poly_eval,
+                               twist_basis)
 from levbounds.proportions import (SectionFiveParams, SectionFourParams, c1_core,
                                    c1_value, c_core, c_value, kappa_bound,
                                    nu_bound)
 from levbounds.reference import section_five_reference, section_four_reference
 
 from kernel_reference import (_expm1_ratio_derivatives, _mp_derivatives, add_naive,
-                              anchor_matrix, derivative_naive, eval_naive,
+                              anchor_matrix, derivative_naive, eval_naive, expand_twist,
                               kernel_derivative_basis, kernel_matrix, mp_c, mp_c1,
                               scale_naive, twist_operator_coefficients)
 

@@ -16,11 +16,10 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from levbounds.oracle import cauchy_derivatives, kernel_numeric
 from levbounds.polyalg import MollifierShape, MomentTable, X, expand_mollifier, moments
 
-from kernel_reference import (_expm1_ratio_derivatives, division_form,
-                              kernel_derivative_basis, kernel_matrix)
+from kernel_reference import (_expm1_ratio_derivatives, cauchy_derivatives, division_form,
+                              kernel_derivative_basis, kernel_matrix, kernel_numeric)
 
 F = Fraction
 

@@ -11,45 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from levbounds import kernel, optimizer, proportions
-from levbounds.optimizer import (MAX_CONDITION, TARGETS, DimensionTooHighError,
-                                 EvaluationFailureError, IllPosedSolveError, SearchSpec,
-                                 _NuSolve, grid_scan, optimize, params_fields,
-                                 search_start)
+from levbounds.optimizer import (MAX_CONDITION, TARGETS, EvaluationFailureError,
+                                 IllPosedSolveError, SearchSpec, _NuSolve, optimize,
+                                 params_fields, search_start)
 from levbounds.polyalg import MollifierShape, TwistShape
 from levbounds.proportions import (NonFiniteError, SectionFiveParams, SectionFourParams,
                                    c1_core, c1_value, c_core, c_value, kappa_bound, nu_bound)
-from levbounds.reference import section_five_reference, section_four_reference
+from levbounds.reference import section_four_reference
 
-from search_helpers import hold_shapes
-
-
-def nu_spec(**overrides) -> SearchSpec:
-    p4 = section_four_reference()
-    fields = dict(
-        target="minimize_nu",
-        shape_degrees=(2, 2),
-        scalar_bounds={"r": (0.5, 2.0), "R": (0.3, 1.0)},
-        theta=1.0,
-        initial_point=(-0.158, 0.25, 0.492, 0.075, p4.r, p4.R),
-        budget=300,
-    )
-    fields.update(overrides)
-    return SearchSpec(**fields)
-
-
-def kappa_spec(**overrides) -> SearchSpec:
-    p5 = section_five_reference()
-    fields = dict(
-        target="maximize_kappa",
-        shape_degrees=(3, 2),
-        scalar_bounds={"R": (0.5, 1.0), "delta": (0.5, 1.0)},
-        theta=1.0,
-        initial_point=(-0.482, -0.392, -0.262, -0.673, 0.369, -4.635,
-                       p5.R, p5.delta),
-        budget=300,
-    )
-    fields.update(overrides)
-    return SearchSpec(**fields)
+from search_helpers import DimensionTooHighError, grid_scan, hold_shapes, kappa_spec, nu_spec
 
 
 def seed_objective(spec: SearchSpec) -> float:
@@ -382,19 +352,11 @@ class TestGridScan:
 
 def criterion_eight_spec(target: str, **overrides) -> SearchSpec:
     """The budget-2000 search of acceptance criterion 8."""
-    p4, p5 = section_four_reference(), section_five_reference()
     if target == "minimize_nu":
-        fields = dict(target=target, shape_degrees=(2, 2),
-                      scalar_bounds={"r": (0.5, 2.0), "R": (0.3, 1.2)},
-                      initial_point=(-0.158, 0.25, 0.492, 0.075, p4.r, p4.R))
-    else:
-        fields = dict(target=target, shape_degrees=(3, 2),
-                      scalar_bounds={"R": (0.4, 1.2), "delta": (0.4, 1.2)},
-                      initial_point=(-0.482, -0.392, -0.262, -0.673, 0.369, -4.635,
-                                     p5.R, p5.delta))
-    fields.update(theta=1.0, budget=2000)
-    fields.update(overrides)
-    return SearchSpec(**fields)
+        return nu_spec(**{"scalar_bounds": {"r": (0.5, 2.0), "R": (0.3, 1.2)}, "budget": 2000,
+                          **overrides})
+    return kappa_spec(**{"scalar_bounds": {"R": (0.4, 1.2), "delta": (0.4, 1.2)},
+                         "budget": 2000, **overrides})
 
 
 def with_entry(spec: SearchSpec, name: str, value: float, **bounds) -> SearchSpec:
@@ -407,10 +369,8 @@ def with_entry(spec: SearchSpec, name: str, value: float, **bounds) -> SearchSpe
 
 def criterion_nine_spec() -> SearchSpec:
     """The delta = 1 search of acceptance criterion 9."""
-    return criterion_eight_spec("maximize_kappa", budget=1200,
-                                scalar_bounds={"R": (0.4, 1.2), "delta": (1.0, 1.0)},
-                                initial_point=(-0.482, -0.392, -0.262, -0.673, 0.369, -4.635,
-                                               section_five_reference().R, 1.0))
+    return with_entry(criterion_eight_spec("maximize_kappa", budget=1200), "delta", 1.0,
+                      delta=(1.0, 1.0))
 
 
 class TestResultSlope:

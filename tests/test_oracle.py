@@ -11,16 +11,15 @@ from mpmath import mp
 
 from levbounds import kernel, oracle
 from levbounds.kernel import NodeRows
-from levbounds.oracle import (cauchy_derivatives, crosscheck_report, fd_c1_value,
-                              fd_c_value, kernel_numeric, quad_integrate01)
+from levbounds.oracle import crosscheck_report, fd_c1_value, fd_c_value, quad_integrate01
 from levbounds.polyalg import (MollifierShape, MomentTable, Poly, TwistShape, X,
-                               expand_mollifier, expand_twist, moments, poly_derivative,
-                               shape_moments)
+                               expand_mollifier, moments, poly_derivative, shape_moments)
 from levbounds.proportions import SectionFiveParams, SectionFourParams, c1_value, c_value
 from levbounds.reference import section_five_reference, section_four_reference
 
-from kernel_reference import (division_form, kernel_derivative_basis, kernel_matrix, mp_c,
-                              mp_c1, readme_draws)
+from kernel_reference import (cauchy_derivatives, division_form, expand_twist,
+                              kernel_derivative_basis, kernel_matrix, kernel_numeric, mp_c,
+                              mp_c1, readme_draws, transpose)
 from test_polyalg import coefficients, shape_coeffs
 
 # section-4 shapes whose cross moments m12.dp and m21.pd nearly cancel
@@ -266,42 +265,35 @@ class TestFdDerivatives:
                 kernel_matrix(mt, params.theta, params.R, 2), rel=1e-12)
 
     @staticmethod
-    def grids(monkeypatch, fd, params) -> tuple[list, list]:
-        """The shapes of s for which fd forms E, and those kernel_numeric
-        is called on."""
-        grids, kernels = [], []
+    def grids(monkeypatch, fd, params) -> list:
+        """The shapes of s for which fd forms E."""
+        grids = []
 
         def ratio(s, decay):
             grids.append(s.shape)
             return exp_ratio(s, decay)
 
-        def kernel(mt, theta, a, b):
-            kernels.append(np.broadcast(a, b).shape)
-            return kernel_numeric(mt, theta, a, b)
-
         exp_ratio = oracle._exp_ratio
         monkeypatch.setattr(oracle, "_exp_ratio", ratio)
-        monkeypatch.setattr(oracle, "kernel_numeric", kernel)
         fd(params)
-        return grids, kernels
+        return grids
 
     def test_c1_evaluates_one_E_grid(self, monkeypatch):
         # one E grid of N = 4 order + 16 = 40 nodes per variable at the
-        # reference order 6, and no kernel grid
-        assert self.grids(monkeypatch, fd_c1_value, section_five_reference()) == ([(40, 40)], [])
+        # reference order 6
+        assert self.grids(monkeypatch, fd_c1_value, section_five_reference()) == [(40, 40)]
 
     def test_c_evaluates_one_E_grid(self, monkeypatch):
         # one N = 20 E grid for the centre value and the three derivative
-        # forms, and no kernel grid nor scalar centre
-        assert self.grids(monkeypatch, fd_c_value, section_four_reference()) == (
-            [(20, 20)], [])
+        # forms, and no scalar centre
+        assert self.grids(monkeypatch, fd_c_value, section_four_reference()) == [(20, 20)]
 
     def test_forms_are_each_tables_derivatives_contracted(self):
         # weights u, v against one E grid give u^T D v of each table, D its
         # closed-form derivative matrix, to rounding of the absolute sum
         p4 = section_four_reference()
         p1, p2 = expand_mollifier(p4.p1_shape), expand_mollifier(p4.p2_shape)
-        tables = (moments(p1, p2).transpose(), moments(p1, p2), moments(p2, p2))
+        tables = (transpose(moments(p1, p2)), moments(p1, p2), moments(p2, p2))
         rng = np.random.default_rng(37)
         for order, R in ((1, 0.617), (1, 1.0), (6, 0.746), (16, 5.0)):
             u, v = rng.uniform(-1, 1, (2, order + 1))
@@ -339,24 +331,6 @@ class TestFdDerivatives:
         # the patch does see construction: an expansion builds one
         expand_mollifier(p4.p1_shape)
         assert len(built) == 1
-
-    def test_oracle_calls_no_kernel_nor_transpose(self, monkeypatch):
-        # c reads its centre value and its (P2, P1) term off the one grid:
-        # neither fd_c_value nor crosscheck_report evaluates kernel_numeric
-        # or forms a transposed table
-        p4, p5 = TestFrozenOracleValues.DRAW
-        calls = []
-        kernel, transpose = oracle.kernel_numeric, MomentTable.transpose
-        monkeypatch.setattr(oracle, "kernel_numeric",
-                            lambda *args: calls.append("kernel") or kernel(*args))
-        monkeypatch.setattr(MomentTable, "transpose",
-                            lambda self: calls.append("transpose") or transpose(self))
-        fd_c_value(p4), fd_c1_value(p5), crosscheck_report(p4, p5)
-        assert calls == []
-        # the patches do see calls
-        mt = shape_moments(p4.p1_shape, p4.p2_shape)
-        oracle.kernel_numeric(mt.transpose(), p4.theta, -p4.R, -p4.R)
-        assert calls == ["transpose", "kernel"]
 
 
 def expanded_weights(shape: TwistShape, delta: float) -> list[float]:

@@ -8,11 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from levbounds.polyalg import (MAX_DEGREE, ConstraintViolationError, MollifierShape,
                                Poly, TwistShape, X, ZERO, basis_moments, expand_mollifier,
-                               expand_twist, mollifier_basis, mollifier_shape_from_poly,
+                               mollifier_basis, mollifier_shape_from_poly,
                                moments, poly_derivative,
                                poly_eval, poly_reflect, shape_moments, sym_basis_integral,
                                twist_shape_from_poly)
 from levbounds.oracle import quad_integrate01
+
+from kernel_reference import expand_twist
 
 F = Fraction
 

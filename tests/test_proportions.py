@@ -13,8 +13,7 @@ import pytest
 
 from levbounds import kernel, proportions
 from levbounds.kernel import basis_products
-from levbounds.polyalg import (MollifierShape, TwistShape, expand_mollifier, expand_twist,
-                               moments)
+from levbounds.polyalg import MollifierShape, TwistShape, expand_mollifier, moments
 from levbounds.proportions import (BoundReport, NonFiniteError, NonPositiveConstantError,
                                    SectionFiveParams, SectionFourParams, bounds_table,
                                    c1_core, c1_value, c_core, c_value, full_report,
@@ -22,7 +21,7 @@ from levbounds.proportions import (BoundReport, NonFiniteError, NonPositiveConst
 from levbounds.reference import (REFERENCE_CONSTANTS, section_five_reference,
                                  section_four_reference)
 
-from kernel_reference import kernel_matrix, twist_operator_coefficients
+from kernel_reference import expand_twist, kernel_matrix, twist_operator_coefficients
 
 X_SHAPE = MollifierShape.of([])
 
@@ -90,13 +89,16 @@ class TestCValue:
             SectionFourParams(X_SHAPE, X_SHAPE, 1.0, 1.0, 0.0)
 
 
+SCALARS = pytest.mark.parametrize("section, field", [
+    ("four", "theta"), ("four", "r"), ("four", "R"), ("five", "theta"), ("five", "R"),
+    ("five", "delta")])
+
+
 class TestParamsScalars:
     """Each scalar of the params classes is a real number and not a bool:
-    the constants kept on a shape are keyed by the values as given."""
+    the constants kept on a shape are keyed by its binary64 value."""
 
-    @pytest.mark.parametrize("section, field", [("four", "theta"), ("four", "r"), ("four", "R"),
-                                                ("five", "theta"), ("five", "R"),
-                                                ("five", "delta")])
+    @SCALARS
     def test_a_bool_or_a_non_real_scalar_is_refused_by_name(self, section, field):
         # theta = True once evaluated at theta = 1 and delta = False at 0;
         # r = "1" died comparing a str with an int, naming no field
@@ -109,9 +111,21 @@ class TestParamsScalars:
         for good in (Fraction(getattr(p, field)), np.float64(getattr(p, field))):
             assert value(replace(p, **{field: good})) == value(p)
 
-    @pytest.mark.parametrize("section, field", [("four", "theta"), ("four", "r"), ("four", "R"),
-                                                ("five", "theta"), ("five", "R"),
-                                                ("five", "delta")])
+    @SCALARS
+    def test_a_scalar_of_one_binary64_value_keeps_one_entry(self, section, field):
+        # theta = Fraction(1, 3) and 1/3, or delta = Fraction(7, 10) and 0.7,
+        # once kept bit-identical constants in two entries: a Fraction, its
+        # float and its numpy float are one key, the binary64 the core reads
+        p = section_four_reference() if section == "four" else section_five_reference()
+        value, holder, slot = ((c_value, p.p1_shape, "c") if section == "four"
+                               else (c1_value, p.p_shape, "c1"))
+        exact = Fraction(1, 3) if field == "theta" else Fraction(7, 10)
+        reads = [value(replace(p, **{field: x})) for x in (exact, float(exact), np.float64(exact))]
+        (key,) = holder.kept[slot]
+        assert [type(x) for x in key[:3]] == [float] * 3 and float(exact) in key[:3]
+        assert len({x.hex() for x in reads}) == 1
+
+    @SCALARS
     @pytest.mark.parametrize("huge, shown", [(10**400, "1.000000e+400"),
                                              (Fraction(10**400), "1.000000e+400"),
                                              (-10**400, "-1.000000e+400")],
