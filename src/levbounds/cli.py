@@ -4,11 +4,11 @@ Config files are JSON.  Every value is read through one field table,
 SECTION_FIELDS, which gives each key of each section (the top level
 included) its kind, and one reader, _get, which converts a value by its
 kind or raises a ConfigError naming <section>.<key>; _section_params
-builds a params section by its row of optimizer.SEARCH_FIELDS.  Decimal
-numbers are kept as decimal strings all the way into exact rationals (the
-parser reads JSON floats as strings), while scalar parameters (theta, r,
-R, delta) become finite binary64; a JSON boolean is neither.  Exit codes:
-0 success, 1 quantitative failure, 2 usage or config error.
+builds a params section by its row of optimizer.SEARCH_FIELDS.  Decimals
+stay exact into rationals (JSON floats parse as Decimal), while scalars
+(theta, r, R, delta) are JSON numbers, never strings, made finite binary64;
+a JSON boolean is neither.  Exit codes: 0 success, 1 quantitative failure,
+2 usage or config error.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any
 
@@ -38,6 +39,11 @@ class ConfigError(ValueError):
 # config parsing
 # --------------------------------------------------------------------------
 
+class _JSONFloat(Decimal):
+    """A JSON float, read exactly, whose repr is its JSON text."""
+    __repr__ = Decimal.__str__
+
+
 def _exactly(json_type: type, value: Any) -> Any:
     """value if its type is exactly json_type (so true is not an integer)."""
     if type(value) is not json_type:
@@ -46,14 +52,14 @@ def _exactly(json_type: type, value: Any) -> Any:
 
 
 def _number(value: Any) -> float:
-    """A finite binary64 from a JSON number (decimals arrive as strings)."""
-    if isinstance(value, bool) or not math.isfinite(x := float(value)):
+    """A finite binary64 from a JSON number, not from a string."""
+    if isinstance(value, (bool, str)) or not math.isfinite(x := float(value)):
         raise ValueError(value)
     return x
 
 
 def _decimal(value: Any) -> Fraction:
-    """An exact rational from a decimal inside the binary64 range."""
+    """An exact rational from a number or decimal string in binary64 range."""
     x = Fraction(str(value))
     float(x)  # OverflowError past the binary64 range
     return x
@@ -117,17 +123,21 @@ def _section(cfg: dict, where: str, default: Any = _REQUIRED) -> dict:
 
 
 def _load_json(path: str) -> dict:
-    """The config object; its keys are checked like any section's."""
+    """The config object; the keys of each object present are checked here,
+    read by the command or not, and its values only when read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh, parse_float=str)
+            cfg = json.load(fh, parse_float=_JSONFloat)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path!r}: expected an object")
-    return _section(cfg, TOP)
+    for where in _section(cfg, TOP):
+        if SECTION_FIELDS[TOP][where] is OBJECT:
+            _section(cfg, where)
+    return cfg
 
 
 def _section_params(cfg: dict, where: str, theta: float):

@@ -19,10 +19,9 @@ where the weights pile up, so its t-factors are [1; t - 1] and its T
 three numbers per point (NodeRows.Tc); its x-factors come from both
 mollifiers' factors and r (c_factors).  node_rows builds what the sums
 read at one (theta, R) once and shares it, read-only.  An exact shape
-keeps its float row here (shape_row) and nothing formed at a point: a
-shape's factors and Grams are formed on each evaluation, and only the
-constants themselves are kept (proportions.c_value, c1_value).
-Nothing is built at import.  The m + 3 x-nodes integrate the
+keeps its float row here as bytes (row_bytes, an array through shape_row)
+and nothing formed at a point: its factors and Grams are formed on each
+evaluation.  Nothing is built at import.  The m + 3 x-nodes integrate the
 degree-2m+2 square in x exactly; the t-nodes follow t_count.
 """
 
@@ -115,11 +114,11 @@ def basis_products(n: int, u: np.ndarray, twist: bool = False) -> np.ndarray:
     return _rows(n, len(u) - 1 - twist, twist) @ u
 
 
-def shape_row(shape: MollifierShape | TwistShape) -> np.ndarray:
+def row_bytes(shape: MollifierShape | TwistShape) -> bytes:
     """The homogeneous row of an exact shape in binary64, each entry
-    rounded once: (1, shape_coeffs) for a mollifier, (1, linear_coeff,
-    sym_coeffs) for a twist.  Formed on the first read and kept on the
-    shape (its kept["row"]), read-only; an entry outside binary64 raises
+    rounded once, as bytes: (1, shape_coeffs) for a mollifier, (1,
+    linear_coeff, sym_coeffs) for a twist.  Formed on the first read and
+    kept on the shape (its kept["row"]); an entry outside binary64 raises
     ValueError naming the shape's field, the index and the value."""
     kept = shape.kept
     row = kept.get("row")
@@ -127,21 +126,24 @@ def shape_row(shape: MollifierShape | TwistShape) -> np.ndarray:
         twist = isinstance(shape, TwistShape)
         entries = (shape.linear_coeff, *shape.sym_coeffs) if twist else shape.shape_coeffs
         try:
-            row = np.array([1.0, *map(float, entries)])
+            row = kept["row"] = np.array([1.0, *map(float, entries)]).tobytes()
         except OverflowError:  # name the first entry past the binary64 range
             for i, x in enumerate(entries):
                 as_binary64(f"{type(shape).__name__}." + (
                     f"shape_coeffs[{i}]" if not twist else
                     "linear_coeff" if i == 0 else f"sym_coeffs[{i - 1}]"), x)
-        row.setflags(write=False)
-        kept["row"] = row
     return row
+
+
+def shape_row(shape: MollifierShape | TwistShape) -> np.ndarray:
+    """The row_bytes of a shape as a float array, a read-only view of them."""
+    return np.frombuffer(row_bytes(shape))
 
 
 def as_binary64(name: str, x) -> float:
     """float(x), or, for a rational x past the binary64 range, where float
     raises a bare OverflowError, a ValueError naming name and the value:
-    shape_row names a coefficient through it, and the params classes and
+    row_bytes names a coefficient through it, and the params classes and
     SearchSpec their scalars."""
     try:
         return float(x)
@@ -218,11 +220,8 @@ class NodeRows(NamedTuple):
         return moved
 
 
-# node_rows keeps this many points, the least recently read dropped first,
-# and proportions this many constants per shape and slot, the oldest
-# formed dropped first: a sweep pass reads 10 points' rows, c on its first
-# mollifier at 25 (r, R4) and c1 on its mollifier at 25 (R5, delta), a
-# search operation 6 points' rows
+# node_rows keeps this many points, the least recently read dropped first:
+# a sweep pass reads 10 points' rows, a search operation 6
 _NODE_ROWS_KEPT = 64
 
 

@@ -5,9 +5,9 @@ that shares nothing with it beyond polynomial evaluation and the moment
 data itself: Gauss-Legendre quadrature against exact moment integrals,
 the root factors [A u; theta P u] and x-Gram the engine forms from each
 mollifier shape's float row (NodeRows.factors, NodeRows.gram_of of
-kernel.shape_row, as a miss of c or c1 forms them) against the same
-exact moments, and Cauchy integrals of the definition-form kernel
-against c and c1 from the float core.
+kernel.shape_row, as c and c1 form them) against the same exact moments,
+and Cauchy integrals of the definition-form kernel against c and c1 from
+the float core.
 
 The kernel of a moment table is h = (m_pd + m_dp) + E(s) g(-a,-b)/theta,
 s = a + b and E(s) = (1 - e^{-s})/s (_exp_ratio), total on the plane.
@@ -328,7 +328,7 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
     20 node-row checks the engine's factors and x-Grams (_row_checks: the
     exact side scaled by theta, no row divided by it), and its two Cauchy
     checks read its own tables, bit for bit fd_c_value and fd_c1_value.
-    It keeps nothing on a shape beyond what c_value and c1_value keep."""
+    What it forms it forms on the call: a shape keeps only its float row."""
     checks: list[CheckResult] = []
     c_exact = c_value(p4)
     c1_exact = c1_value(p5)

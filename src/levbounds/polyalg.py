@@ -34,8 +34,8 @@ exact affine basis, defined once and cached per degree: mollifier_basis
 (x, x^j - x^{j+1}) and twist_basis (1, x, I_1, .., I_m).  Expansion is
 the affine combination of a basis, recovery from a raw polynomial peels
 the coordinates off by leading degree, and the float evaluation core
-reads the bases at its quadrature nodes (kernel.node_rows) and keeps
-what it forms from a shape on the shape (kernel.shape_row).
+reads the bases at its quadrature nodes (kernel.node_rows) and keeps a
+shape's float row on the shape (kernel.row_bytes).
 """
 
 from __future__ import annotations
@@ -272,11 +272,9 @@ class _Shape:
     @cached_property
     def kept(self) -> dict:
         """What the float core keeps of this shape, empty until it first
-        reads the shape: its float row (kernel.shape_row) and, on the first
-        mollifier of c or c1, the constant per point and partner or twist
-        row (proportions.c_value, c1_value), so at most the slots "row",
-        "c" and "c1".  Not a field: it takes no part in ==, hash or repr,
-        and a shape built by dataclasses.replace starts with an empty one."""
+        reads the shape: its float row (kernel.row_bytes).  Not a field: it
+        takes no part in ==, hash or repr, and a shape built by
+        dataclasses.replace starts with an empty one."""
         return {}
 
 

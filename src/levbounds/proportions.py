@@ -11,18 +11,18 @@ for c1 the Grams of the twist's [U; U'] and the mollifier's
 and the Gram of kernel.c_factors, from the mollifiers' factors and r
 (an expansion in 1/r would cancel).  _c and _c1 are the one evaluation:
 each takes homogeneous rows and forms their factors and Grams itself.
-c_core and c1_core pass the rows of float coefficients; c_value and
-c1_value pass the shapes' float rows (kernel.shape_row) on a miss, so
-both routes give the same bits; each checks theta, R and r or delta
-first.  c_value and c1_value keep the constant on their first mollifier
-(kept["c"], kept["c1"], through _keep, at most _NODE_ROWS_KEPT per slot)
-keyed by the binary64 (theta, R, r) or (theta, R, delta) the core reads,
-formed once per params object (_point), and the partner's or twist's
-float row as bytes, read first, so its out-of-binary64 error is the one
-named.  So a hit checks and forms nothing, equal inputs (a distinct but
-equal shape, a Fraction and its float) share one entry, and a miss that
-raises keeps nothing.  A sweep benchmark pass evaluates each constant at
-25 points and reads each kept value 24 more times.
+c_core and c1_core pass the rows of float coefficients, and c_value and
+c1_value the shapes' float rows (kernel.row_bytes), so both routes give
+the same bits; each checks theta, R and r or delta first.  c_value and
+c1_value are memos of it: each reads one lru_cache of at most
+_NODE_ROWS_KEPT constants keyed by exactly what the core reads, the
+binary64 (theta, R, r) or (theta, R, delta), formed once per params object
+(_point), and the two rows as bytes, the partner's or twist's read first,
+so its out-of-binary64 error is the one named.  So a hit forms and checks
+nothing and cannot return another input's value, equal inputs (equal
+shapes built anew, a Fraction and its float) share one entry, and a raise
+keeps nothing.  A sweep benchmark pass evaluates each constant at 25
+points and reads each kept value 24 more times.
 
 From them nu = ln(c)/(2R) and kappa = 1 - ln(c1)/R (natural logarithm:
 the only base consistent with the reference constants), and the four
@@ -38,11 +38,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .kernel import (_NODE_ROWS_KEPT, MAX_BASE_R, MIN_BASE_R, as_binary64, c_factors, gram,
-                     node_rows, shape_row)
+                     node_rows, row_bytes)
 from .polyalg import MollifierShape, TwistShape
 
 
@@ -71,7 +72,7 @@ def _check_scalars(theta: float, R: float, r: float = 1.0, delta: float = 0.0) -
 
 def _check_params(**scalars: float) -> dict[str, float]:
     """The binary64 values of a params class's scalars, which the float core
-    reads and the kept constants are keyed by: each scalar a real number
+    reads and its memos are keyed by: each scalar a real number
     and not a bool, its value in the core's domain."""
     floats = {}
     for name, x in scalars.items():
@@ -131,16 +132,6 @@ class BoundReport:
     params5: SectionFiveParams
 
 
-def _keep(shape: MollifierShape, slot: str, key: tuple, value: float) -> float:
-    """value, kept at key in shape.kept[slot], a dict in insertion order
-    whose oldest key goes once it holds _NODE_ROWS_KEPT."""
-    kept = shape.kept.setdefault(slot, {})
-    if len(kept) == _NODE_ROWS_KEPT:
-        del kept[next(iter(kept))]
-    kept[key] = value
-    return value
-
-
 def _homogeneous(coeffs) -> np.ndarray:
     """The row (1, c_1, .., c_m); non-finite coefficients raise ValueError,
     as they do when the exact shape is built from them."""
@@ -179,16 +170,17 @@ def c_core(p1, p2, theta: float, r: float, R: float) -> float:
     return _c(_homogeneous(p1), _homogeneous(p2), theta, r, R)
 
 
+@lru_cache(maxsize=_NODE_ROWS_KEPT)
+def _c_memo(point: tuple[float, float, float], z1: bytes, z2: bytes) -> float:
+    theta, R, r = point
+    return _c(np.frombuffer(z1), np.frombuffer(z2), theta, r, R)
+
+
 def c_value(p: SectionFourParams) -> float:
     """The mollified second-moment constant of the two-mollifier detector,
-    kept on the first mollifier per binary64 (theta, R, r) and partner row."""
-    s1, z2 = p.p1_shape, shape_row(p.p2_shape)
-    key = p._point + (z2.tobytes(),)
-    try:
-        return s1.kept["c"][key]
-    except KeyError:
-        theta, R, r = p._point
-        return _keep(s1, "c", key, _c(shape_row(s1), z2, theta, r, R))
+    read from its memo at the binary64 (theta, R, r) and the rows."""
+    z2 = row_bytes(p.p2_shape)
+    return _c_memo(p._point, row_bytes(p.p1_shape), z2)
 
 
 def nu_bound(c: float, R: float) -> float:
@@ -222,15 +214,16 @@ def c1_core(p, q, theta: float, R: float, delta: float) -> float:
     return _c1(_homogeneous(p), _homogeneous(q), theta, R, delta)
 
 
+@lru_cache(maxsize=_NODE_ROWS_KEPT)
+def _c1_memo(point: tuple[float, float, float], up: bytes, w: bytes) -> float:
+    return _c1(np.frombuffer(up), np.frombuffer(w), *point)
+
+
 def c1_value(p: SectionFiveParams) -> float:
     """The twisted second-moment constant of the critical-line detector,
-    kept on the mollifier per binary64 (theta, R, delta) and twist row."""
-    s, w = p.p_shape, shape_row(p.q_shape)
-    key = p._point + (w.tobytes(),)
-    try:
-        return s.kept["c1"][key]
-    except KeyError:
-        return _keep(s, "c1", key, _c1(shape_row(s), w, *p._point))
+    read from its memo at the binary64 (theta, R, delta) and the rows."""
+    w = row_bytes(p.q_shape)
+    return _c1_memo(p._point, row_bytes(p.p_shape), w)
 
 
 def kappa_bound(c1: float, R: float) -> float:
@@ -264,6 +257,6 @@ def bounds_table(c: float, R4: float, c1: float, R5: float) -> dict[str, float]:
 
 
 def full_report(p4: SectionFourParams, p5: SectionFiveParams) -> BoundReport:
-    """c of p4 and c1 of p5, each read from its keep at a seen point, and
+    """c of p4 and c1 of p5, each read from its memo at a seen point, and
     the quantities bounds_table composes from them."""
     return BoundReport(*bounds_table(c_value(p4), p4.R, c1_value(p5), p5.R).values(), p4, p5)

@@ -10,7 +10,7 @@ import pytest
 
 import levbounds
 from levbounds import kernel, reference
-from levbounds.cli import _search_spec, main
+from levbounds.cli import SECTION_FIELDS, _search_spec, main
 from levbounds.oracle import crosscheck_report
 from levbounds.proportions import kappa_bound, c1_value
 
@@ -326,6 +326,72 @@ class TestConfigKeys:
         assert "--seed" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("section, command", [
+        ("search", ["reproduce"]), ("constants", ["reproduce"]),
+        ("search", ["selfcheck"]), ("constants", ["selfcheck"]),
+        ("section5", ["eval", "--which", "c"]), ("search", ["eval", "--which", "c"]),
+        ("constants", ["eval", "--which", "c"]),
+        ("section4", ["eval", "--which", "c1"]), ("search", ["eval", "--which", "c1"]),
+        ("constants", ["eval", "--which", "c1"]),
+        ("section4", ["eval", "--which", "bounds"]), ("section5", ["eval", "--which", "bounds"]),
+        ("search", ["eval", "--which", "bounds"]),
+        ("section4", ["optimize"]), ("section5", ["optimize"]), ("constants", ["optimize"]),
+    ], ids=lambda x: x if isinstance(x, str) else "-".join(x[::2]))
+    @pytest.mark.parametrize("fault, message", [
+        ("unknown key", "unknown field 'bogus' (allowed: {allowed})"),
+        ("not an object", "expected an object, got [1]")], ids=["unknown key", "not an object"])
+    def test_a_section_the_command_does_not_read_is_checked(self, tmp_path, capsys, section,
+                                                            command, fault, message):
+        # a section that the command reads no value of once went unchecked:
+        # "constants": {"bogus": 1, "c": "abc"} let eval --which c exit 0.
+        # bounds reads no section that all four constants replace, and
+        # optimize no section but its target's
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        target = "maximize_kappa" if section == "section4" else "minimize_nu"
+        cfg["search"] = {"target": target, "budget": 1}
+        cfg["constants"] = ({"c": 1.2, "c1": 1.1, "R4": 0.6, "R5": 0.7}
+                            if command[-1] == "bounds" else {})
+        assert main([*command, "--config", write_config(tmp_path, cfg)]) == 0
+        capsys.readouterr()
+        if fault == "unknown key":
+            cfg[section]["bogus"] = 1
+        else:
+            cfg[section] = [1]
+        code = main([*command, "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        allowed = ", ".join(SECTION_FIELDS[section])
+        assert captured.err == f"config error: {section}: {message.format(allowed=allowed)}\n"
+
+    @pytest.mark.parametrize("where, command", [
+        ("theta", ["eval", "--which", "c"]),
+        ("section4.r", ["eval", "--which", "c"]),
+        ("section4.R", ["eval", "--which", "bounds"]),
+        ("section5.R", ["eval", "--which", "c1"]),
+        ("section5.delta", ["eval", "--which", "bounds"]),
+        ("constants.c", ["eval", "--which", "bounds"]),
+        ("search.bounds.R", ["optimize"])], ids=lambda x: x if isinstance(x, str) else x[-1])
+    @pytest.mark.parametrize("text", [" 0.5 ", "1_154e-3"], ids=["spaces", "underscore"])
+    def test_a_scalar_given_as_a_string_is_refused(self, tmp_path, capsys, where, command, text):
+        # "theta": " 0.5 " and "r": "1_154e-3" once evaluated as 0.5 and
+        # 1.154, and eval --which bounds exited 0: a scalar is a JSON number
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["search"] = {"target": "minimize_nu", "budget": 1, "bounds": {"R": [0.3, 1.2]}}
+        cfg["constants"] = {"c": 1.2}
+        section, _, key = where.rpartition(".")
+        if section == "search.bounds":
+            cfg["search"]["bounds"]["R"] = [text, 1.2]
+            message = f"expected [lo, hi], got [{text!r}, 1.2]"
+        else:
+            (cfg[section] if section else cfg)[key] = text
+            message = f"not a number, got {text!r}"
+        code = main([*command, "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {where}: {message}\n"
+
     @pytest.mark.parametrize("constants, key", [
         ({"c": "abc", "c1": 1.0, "R4": 0.617, "R5": 0.746}, "constants.c"),
         ({"c": 1.0, "c1": 1.0, "R4": None, "R5": 0.746}, "constants.R4"),
@@ -479,8 +545,7 @@ class TestOptimize:
         assert code == 0
         out = capsys.readouterr().out
         values = machine_values(out)
-        fragment = json.loads([l for l in out.splitlines() if l.startswith("{")][-1],
-                              parse_float=str)
+        fragment = json.loads([l for l in out.splitlines() if l.startswith("{")][-1])
         sec5 = fragment["section5"]
         from levbounds.cli import _section_params
         params = _section_params({"section5": sec5}, "section5", 1.0)
@@ -509,7 +574,7 @@ class TestOptimize:
         (the other section from cfg); the machine values of both runs."""
         assert main(["optimize", "--config", write_config(tmp_path, cfg), "--machine"]) == 0
         out = capsys.readouterr().out
-        fragment = json.loads(out.splitlines()[-1], parse_float=str)
+        fragment = json.loads(out.splitlines()[-1])
         again = {**{k: v for k, v in cfg.items() if k != "search"}, **fragment}
         assert main(["eval", "--which", "bounds", "--machine",
                      "--config", write_config(tmp_path, again, "again.json")]) == 0

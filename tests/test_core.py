@@ -241,9 +241,9 @@ class TestCachedData:
 
     def test_nothing_built_at_import(self):
         code = ("import levbounds\n"
-                "from levbounds import kernel, oracle, polyalg\n"
+                "from levbounds import kernel, oracle, polyalg, proportions\n"
                 "for f in (kernel._gauss, kernel._rows, kernel._node_rows, "
-                "polyalg.mollifier_basis, polyalg.twist_basis, polyalg._integral_weights, "
+                "proportions._c_memo, proportions._c1_memo, polyalg.mollifier_basis, polyalg.twist_basis, polyalg._integral_weights, "
                 "polyalg.basis_moments, oracle._torus, oracle._legendre, "
                 "oracle._twist_columns):\n"
                 "    assert f.cache_info().currsize == 0, f\n")

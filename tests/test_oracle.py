@@ -14,7 +14,8 @@ from levbounds.kernel import NodeRows
 from levbounds.oracle import crosscheck_report, fd_c1_value, fd_c_value, quad_integrate01
 from levbounds.polyalg import (MollifierShape, MomentTable, Poly, TwistShape, X,
                                expand_mollifier, moments, poly_derivative, shape_moments)
-from levbounds.proportions import SectionFiveParams, SectionFourParams, c1_value, c_value
+from levbounds.proportions import (SectionFiveParams, SectionFourParams, c1_value, c_value,
+                                   full_report)
 from levbounds.reference import section_five_reference, section_four_reference
 
 from kernel_reference import (cauchy_derivatives, division_form, expand_twist,
@@ -547,20 +548,19 @@ class TestCrosscheckReport:
             for pair in ("m11", "m21", "m12", "m22", "m55") for part in ("AA", "AP", "PA", "PP")}
 
     @pytest.mark.parametrize("shared", [False, True])
-    def test_keeps_nothing_beyond_the_constants(self, shared):
-        # the row checks form what they read on the call, so every shape the
-        # report reads holds its row, and the first mollifier of c or c1 its
-        # constant, and nothing more; a mollifier that is both, shared, holds
-        # row, c and c1
+    def test_a_shape_keeps_only_its_row(self, shared):
+        # the row checks form what they read on the call, and the constants
+        # are kept by their memos, so every shape the report reads holds its
+        # float row and nothing more, a mollifier read by both c and c1
+        # (shared) included
         p4, p5 = section_four_reference(), section_five_reference()
         if shared:
             p5 = replace(p5, p_shape=p4.p1_shape)
         shapes = (p4.p1_shape, p4.p2_shape, p5.p_shape, p5.q_shape)
         assert all(shape.kept == {} for shape in shapes)
         assert crosscheck_report(p4, p5).all_passed
-        assert [list(shape.kept) for shape in shapes] == (
-            [["row", "c", "c1"], ["row"], ["row", "c", "c1"], ["row"]] if shared
-            else [["row", "c"], ["row"], ["row", "c1"], ["row"]])
+        full_report(p4, p5)
+        assert [list(shape.kept) for shape in shapes] == [["row"]] * 4
 
     def test_cancelling_cross_moments_pass(self):
         # m12.dp and m21.pd nearly cancel here: against their own value the

@@ -1,6 +1,5 @@
 """Bound constants and combiners: reference values, degeneracies, properties."""
 
-import collections
 import itertools
 import math
 import re
@@ -12,7 +11,6 @@ import numpy as np
 import pytest
 
 from levbounds import kernel, proportions
-from levbounds.kernel import basis_products
 from levbounds.polyalg import MollifierShape, TwistShape, expand_mollifier, moments
 from levbounds.proportions import (BoundReport, NonFiniteError, NonPositiveConstantError,
                                    SectionFiveParams, SectionFourParams, bounds_table,
@@ -24,6 +22,45 @@ from levbounds.reference import (REFERENCE_CONSTANTS, section_five_reference,
 from kernel_reference import expand_twist, kernel_matrix, twist_operator_coefficients
 
 X_SHAPE = MollifierShape.of([])
+
+# each constant's memo, read through its public cache_info
+MEMOS = {c_value: proportions._c_memo, c1_value: proportions._c1_memo}
+
+
+def clear_memos():
+    for memo in MEMOS.values():
+        memo.cache_clear()
+
+
+def counts(cache):
+    """(hits, misses, currsize) of an lru_cache."""
+    info = cache.cache_info()
+    return info.hits, info.misses, info.currsize
+
+
+def core(value, p):
+    """c_core or c1_core on the floats of the shapes and scalars of p."""
+    floats = lambda xs: [float(x) for x in xs]
+    if value is c_value:
+        return c_core(floats(p.p1_shape.shape_coeffs), floats(p.p2_shape.shape_coeffs),
+                      p.theta, p.r, p.R)
+    q = p.q_shape
+    return c1_core(floats(p.p_shape.shape_coeffs), floats((q.linear_coeff, *q.sym_coeffs)),
+                   p.theta, p.R, p.delta)
+
+
+def fresh(shape):
+    """An equal shape built anew, which keeps nothing yet."""
+    return (TwistShape(shape.linear_coeff, shape.sym_coeffs)
+            if isinstance(shape, TwistShape) else MollifierShape(shape.shape_coeffs))
+
+
+def lattice(p4, p5):
+    """The report params over a 3^4 (r, R4, R5, delta) lattice at p4 and p5's shapes."""
+    axes = [np.linspace(0.8, 1.6, 3), np.linspace(0.4, 0.9, 3), np.linspace(0.5, 12.0, 3),
+            np.linspace(0.5, 1.0, 3)]
+    return [(replace(p4, r=float(r), R=float(R4)), replace(p5, R=float(R5), delta=float(d)))
+            for r, R4, R5, d in itertools.product(*axes)]
 
 
 class TestCValue:
@@ -96,7 +133,7 @@ SCALARS = pytest.mark.parametrize("section, field", [
 
 class TestParamsScalars:
     """Each scalar of the params classes is a real number and not a bool:
-    the constants kept on a shape are keyed by its binary64 value."""
+    a constant's memo is keyed by its binary64 value."""
 
     @SCALARS
     def test_a_bool_or_a_non_real_scalar_is_refused_by_name(self, section, field):
@@ -115,14 +152,14 @@ class TestParamsScalars:
     def test_a_scalar_of_one_binary64_value_keeps_one_entry(self, section, field):
         # theta = Fraction(1, 3) and 1/3, or delta = Fraction(7, 10) and 0.7,
         # once kept bit-identical constants in two entries: a Fraction, its
-        # float and its numpy float are one key, the binary64 the core reads
+        # float and its numpy float are one key, the binary64 the core reads,
+        # so the first read evaluates and the other two hit
         p = section_four_reference() if section == "four" else section_five_reference()
-        value, holder, slot = ((c_value, p.p1_shape, "c") if section == "four"
-                               else (c1_value, p.p_shape, "c1"))
+        value = c_value if section == "four" else c1_value
+        clear_memos()
         exact = Fraction(1, 3) if field == "theta" else Fraction(7, 10)
         reads = [value(replace(p, **{field: x})) for x in (exact, float(exact), np.float64(exact))]
-        (key,) = holder.kept[slot]
-        assert [type(x) for x in key[:3]] == [float] * 3 and float(exact) in key[:3]
+        assert counts(MEMOS[value]) == (2, 1, 1)
         assert len({x.hex() for x in reads}) == 1
 
     @SCALARS
@@ -385,9 +422,11 @@ class TestFullReport:
 
 class TestShapeProducts:
     """The float core reads each exact shape through its float row, kept on
-    the shape, and keeps on the first mollifier of c or c1 the constant
-    itself per point and partner or twist row; a miss forms the factors
-    and Grams it reads from the rows on the call, and keeps none of them."""
+    the shape, and c_value and c1_value are memos of the core keyed by the
+    binary64 point and the rows.  Read through the memos' cache_info and
+    that of kernel._node_rows: a value is the core's, bit for bit, a hit
+    evaluates nothing, a raise keeps nothing, a memo holds a bounded number
+    of entries, and a different input is its own entry."""
 
     def test_values_are_the_float_core_bit_for_bit(self):
         # c_value and c1_value evaluate the shapes' kept rows on a miss;
@@ -414,177 +453,93 @@ class TestShapeProducts:
                                            floats((q.linear_coeff, *q.sym_coeffs)),
                                            theta, R5, delta)
 
-    # what each reference shape keeps after a report reads it: its float
-    # row, and the constant on the first mollifier of c or c1
-    SLOTS = (["row", "c"], ["row"], ["row", "c1"], ["row"])
-
-    def test_cache_is_transparent(self, monkeypatch):
+    def test_a_report_evaluates_each_point_once(self):
         # over a 3^4 (r, R4, R5, delta) lattice on shared shapes, each
-        # constant is evaluated once per point of its half and kept on its
-        # first mollifier: c per (theta, R4, r) and partner row, c1 per
-        # (theta, R5, delta) and twist row, 9 entries each in lattice order.
-        # Each miss forms what it reads from the rows, counted on its
-        # builder: c both mollifiers' factors and its x-Gram (gram where
-        # proportions reads it), c1 the mollifier's X and the twist's T
-        # (NodeRows.gram_of); every basis product is one of these; a shape
-        # keeps its row and the constants only, so its slots are exactly
-        # row, c and c1 as the shape holds them; every report is bit for bit
-        # the one that fresh, equal shapes give
+        # constant is evaluated once per point of its half, 9 times, and
+        # read from its memo at the other 72 reports; every report is bit
+        # for bit bounds_table of c_core and c1_core on the same floats; a
+        # shape keeps only its float row, read-only, and its ==, hash and
+        # repr are those of a fresh equal shape
         p4, p5 = section_four_reference(), section_five_reference()
         shapes = (p4.p1_shape, p4.p2_shape, p5.p_shape, p5.q_shape)
-        formed, grams, c_grams = [], [], []
-        gram_of = kernel.NodeRows.gram_of
-
-        def counting(n, u, twist=False):
-            formed.append((n, tuple(u), twist))
-            return basis_products(n, u, twist)
-
-        def counting_grams(rows, u, delta=None):
-            grams.append((len(rows.t) if delta is not None else len(rows.wx), tuple(u), delta,
-                          rows.R))
-            return gram_of(rows, u, delta)
-
-        def counting_c_grams(F, w):
-            c_grams.append(len(w))
-            return kernel.gram(F, w)
-
-        monkeypatch.setattr(kernel, "basis_products", counting)
-        monkeypatch.setattr(kernel.NodeRows, "gram_of", counting_grams)
-        monkeypatch.setattr(proportions, "gram", counting_c_grams)
-        axes = [np.linspace(0.8, 1.6, 3), np.linspace(0.4, 0.9, 3), np.linspace(0.5, 12.0, 3),
-                np.linspace(0.5, 1.0, 3)]
-        points = [(replace(p4, r=float(r), R=float(R4)), replace(p5, R=float(R5), delta=float(d)))
-                  for r, R4, R5, d in itertools.product(*axes)]
+        points = lattice(p4, p5)
+        clear_memos()
         reports = [full_report(a, b) for a, b in points]
-        n4 = max(len(p4.p1_shape.shape_coeffs), len(p4.p2_shape.shape_coeffs)) + 3
-        n5 = len(p5.p_shape.shape_coeffs) + 3  # one x count per mollifier: m + 3
-        k = len(p5.q_shape.sym_coeffs)
-        partner, twist = (kernel.shape_row(s).tobytes() for s in shapes[1::2])
-        assert list(p4.p1_shape.kept["c"]) == [(1.0, float(R4), float(r), partner)
-                                               for r in axes[0] for R4 in axes[1]]
-        assert c_grams == [n4] * 9  # one per (r, R4)
-        assert list(p5.p_shape.kept["c1"]) == [(1.0, float(R5), float(d), twist)
-                                               for R5 in axes[2] for d in axes[3]]
-        t_points = [(kernel.t_count(R5, 2 * k + 2), float(d), float(R5))
-                    for R5 in axes[2] for d in axes[3]]
-        row = kernel.shape_row
-        assert sorted(grams, key=repr) == sorted(  # X and T once per (R5, delta)
-            [(n5, tuple(row(p5.p_shape)), None, R5) for _, _, R5 in t_points]
-            + [(n, tuple(row(p5.q_shape)), d, R5) for n, d, R5 in t_points], key=repr)
-        assert sorted(formed) == sorted(
-            [(n4, tuple(row(s)), False) for s in shapes[:2]] * 9
-            + [(n5, tuple(row(p5.p_shape)), False)] * 9
-            + [(n, tuple(d * row(p5.q_shape)), True) for n, d, _ in t_points])
-        monkeypatch.undo()
-
-        def fresh(shape):
-            return (TwistShape(shape.linear_coeff, shape.sym_coeffs)
-                    if isinstance(shape, TwistShape) else MollifierShape(shape.shape_coeffs))
-
+        assert [counts(memo) for memo in MEMOS.values()] == [(72, 9, 9)] * 2
         for report, (a, b) in zip(reports, points):
-            again = full_report(replace(a, p1_shape=fresh(a.p1_shape), p2_shape=fresh(a.p2_shape)),
-                                replace(b, p_shape=fresh(b.p_shape), q_shape=fresh(b.q_shape)))
+            expected = bounds_table(core(c_value, a), a.R, core(c1_value, b), b.R)
+            assert [type(x) for x in astuple(report)[:8]] == [float] * 8
             assert ([x.hex() for x in astuple(report)[:8]]
-                    == [x.hex() for x in astuple(again)[:8]])
-        for shape, kept_slots in zip(shapes, self.SLOTS):
-            assert list(shape.kept) == kept_slots
-            assert not shape.kept["row"].flags.writeable
-            for slot in kept_slots[1:]:
-                assert all(type(x) is float for x in shape.kept[slot].values())
+                    == [x.hex() for x in expected.values()])
+        for shape in shapes:
+            assert list(shape.kept) == ["row"]
+            row = kernel.shape_row(shape)
+            assert not row.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 2.0
             assert shape == fresh(shape) and hash(shape) == hash(fresh(shape))
             assert repr(shape) == repr(fresh(shape))
 
-    def test_a_kept_report_forms_and_checks_nothing(self, monkeypatch):
-        # two passes of full_report over a 3^4 (r, R4, R5, delta) lattice,
-        # each call counted where it is made: the first, one miss per point
-        # of each half, forms per (r, R4) c's x-Gram and both mollifiers'
-        # factors, and per (R5, delta) the c1 mollifier's x-Gram and the
-        # twist's t-Gram, each from one basis product, and checks the
-        # scalars once per constant evaluated; the second, on equal params
-        # built anew, reads no node rows, forms no Gram or basis product and
-        # checks nothing, and gives the same bits.  Neither pass keeps any
-        # slot beyond row, c and c1
+    def test_a_hit_evaluates_nothing(self):
+        # the first pass over the lattice reads 6 points' node rows; a second
+        # pass, on equal params and shapes built anew, hits each memo once
+        # per report, and reads no node rows and misses no memo, so it
+        # evaluates nothing; it gives the same bits
         p4, p5 = section_four_reference(), section_five_reference()
-        axes = [np.linspace(0.8, 1.6, 3), np.linspace(0.4, 0.9, 3), np.linspace(0.5, 12.0, 3),
-                np.linspace(0.5, 1.0, 3)]
-        points = [(replace(p4, r=float(r), R=float(R4)), replace(p5, R=float(R5), delta=float(d)))
-                  for r, R4, R5, d in itertools.product(*axes)]
-        anew = [(replace(a), replace(b)) for a, b in points]
-        calls = collections.Counter()
-
-        def counted(name, f):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return f(*args, **kwargs)
-            return wrapper
-
-        def counted_products(n, u, twist=False):
-            calls["twist products" if twist else "mollifier products"] += 1
-            return basis_products(n, u, twist)
-
-        def counted_grams(rows, u, delta=None):
-            calls["x-Gram" if delta is None else "t-Gram"] += 1
-            return gram_of(rows, u, delta)
-
-        gram_of = kernel.NodeRows.gram_of
-        for module, name, label in ((proportions, "node_rows", "node rows"),
-                                    (proportions, "_check_scalars", "check"),
-                                    (proportions, "gram", "c x-Gram"),
-                                    (kernel, "gram", "gram")):
-            monkeypatch.setattr(module, name, counted(label, getattr(module, name)))
-        monkeypatch.setattr(kernel, "basis_products", counted_products)
-        monkeypatch.setattr(kernel.NodeRows, "gram_of", counted_grams)
+        points = lattice(p4, p5)
+        anew = [(replace(a, p1_shape=fresh(a.p1_shape), p2_shape=fresh(a.p2_shape)),
+                 replace(b, p_shape=fresh(b.p_shape), q_shape=fresh(b.q_shape)))
+                for a, b in points]
+        clear_memos()
         kernel._node_rows.cache_clear()
         first = [full_report(a, b) for a, b in points]
-        # 6 points' node rows each form their Tc through gram
-        assert calls == {"c x-Gram": 9, "x-Gram": 9, "t-Gram": 9, "mollifier products": 2 * 9 + 9,
-                         "twist products": 9, "gram": 6 + 9 + 9, "node rows": 18, "check": 18}
-        calls.clear()
+        assert counts(kernel._node_rows)[1:] == (6, 6)
+        caches = (*MEMOS.values(), kernel._node_rows)
+        before = [counts(cache) for cache in caches]
         again = [full_report(a, b) for a, b in anew]
-        assert calls == {}
+        moved = [tuple(now - then for now, then in zip(counts(cache), was))
+                 for cache, was in zip(caches, before)]
+        assert moved == [(81, 0, 0), (81, 0, 0), (0, 0, 0)]  # (hits, misses, entries)
         assert ([[x.hex() for x in astuple(report)[:8]] for report in first]
                 == [[x.hex() for x in astuple(report)[:8]] for report in again])
-        assert [list(s.kept) for s in (p4.p1_shape, p4.p2_shape, p5.p_shape, p5.q_shape)] == list(
-            self.SLOTS)
 
-    @pytest.mark.parametrize("slot", ["c", "c1"])
-    def test_each_shape_keeps_a_bounded_number_of_points(self, slot):
-        # read at _NODE_ROWS_KEPT + 8 points, a shape keeps, in each slot,
-        # the last _NODE_ROWS_KEPT formed, the oldest dropped first, and a
-        # dropped point forms again, bit for bit, what it first gave: c on
-        # its first mollifier at as many values of r, c1 on its mollifier at
-        # as many (R, delta), while a kept point reads the same object
+    @pytest.mark.parametrize("value", [c_value, c1_value], ids=["c", "c1"])
+    def test_each_memo_keeps_a_bounded_number_of_points(self, value):
+        # read at _NODE_ROWS_KEPT + 8 points, a memo keeps _NODE_ROWS_KEPT
+        # entries in all, over every shape it reads: c at as many values of
+        # r over two partners, c1 at as many (R, delta) over two twists.  A
+        # dropped point evaluates again, bit for bit what it first gave,
+        # while a kept point reads the same object
         p4, p5 = section_four_reference(), section_five_reference()
-        kept = proportions._NODE_ROWS_KEPT
-        if slot == "c":
-            shape, partner = p4.p1_shape, kernel.shape_row(p4.p2_shape).tobytes()
-            reads = [replace(p4, r=0.8 + i / 128) for i in range(kept + 8)]
-            read, key = c_value, lambda p: (p.theta, p.R, p.r, partner)
-        else:
-            shape, twist = p5.p_shape, kernel.shape_row(p5.q_shape).tobytes()
-            reads = [replace(p5, R=0.746 + (i % 2) / 64, delta=0.5 + i / 128)
+        kept, memo = proportions._NODE_ROWS_KEPT, MEMOS[value]
+        if value is c_value:
+            partners = (p4.p2_shape, MollifierShape.of(["0.3", "-0.2"]))
+            reads = [replace(p4, r=0.8 + i / 128, p2_shape=partners[i % 2])
                      for i in range(kept + 8)]
-            read, key = c1_value, lambda p: (p.theta, p.R, p.delta, twist)
-
-        first = [read(point) for point in reads]
-        assert list(shape.kept[slot]) == [key(point) for point in reads[8:]]
-        again = read(reads[0])
+        else:
+            twists = (p5.q_shape, TwistShape.of("0.2", ["0.1", "-0.3"]))
+            reads = [replace(p5, R=0.746 + (i % 3) / 64, delta=0.5 + i / 128,
+                             q_shape=twists[i % 2]) for i in range(kept + 8)]
+        clear_memos()
+        first = [value(point) for point in reads]
+        assert counts(memo) == (0, kept + 8, kept)
+        again = value(reads[0])
         assert again is not first[0] and again.hex() == first[0].hex()
-        assert list(shape.kept[slot]) == [key(point) for point in reads[9:] + reads[:1]]
-        assert read(reads[-1]) is first[-1]
+        assert counts(memo) == (0, kept + 9, kept)
+        assert value(reads[-1]) is first[-1]
+        assert counts(memo) == (1, kept + 9, kept)
 
-    def test_a_kept_constant_is_read_at_its_own_inputs_only(self, monkeypatch):
-        # c kept on its first mollifier, and c1 on its mollifier, is read
-        # only at its own point and partner or twist row: a second partner
-        # or twist, the pair swapped, r, R, theta or delta one ulp down, and
-        # the points (theta, R) = (0.5, 1.0) and (1.0, 0.5), which share
-        # rho, each evaluate and keep their own (counted on the node rows
-        # each miss reads); a partner or twist equal by value but a distinct
-        # object reads the kept one; every value is bit for bit c_core or
-        # c1_core on the same floats, on the first and the second read, and
-        # the values differ, so a false hit would show.  At R = 9.5 each
-        # one-ulp move shifts c and c1 by at least 2 ulps; at the reference
-        # R some of them round to the same value
+    def test_a_kept_constant_is_read_at_its_own_inputs_only(self):
+        # each memo is read only at its own point and rows: a second first
+        # mollifier, partner, mollifier or twist, the pair swapped, r, R,
+        # theta or delta one ulp down, and the points (theta, R) = (0.5, 1.0)
+        # and (1.0, 0.5), which share rho, each evaluate and keep their own
+        # entry; a partner or twist equal by value but a distinct object
+        # reads the kept one.  Every value is bit for bit c_core or c1_core
+        # on the same floats, on the first and the second read, and the
+        # values differ, so a false hit would show.  At R = 9.5 each one-ulp
+        # move shifts c and c1 by at least 2 ulps; at the reference R some
+        # of them round to the same value
         p4, p5 = replace(section_four_reference(), R=9.5), replace(section_five_reference(), R=9.5)
         s1, s2, q = p4.p1_shape, p4.p2_shape, p5.q_shape
         down = lambda x: math.nextafter(x, 0.0)
@@ -592,6 +547,8 @@ class TestShapeProducts:
                       "theta 1, R 0.5": dict(theta=1.0, R=0.5)}
         c_cases = {"pair": p4, "second partner": replace(p4, p2_shape=MollifierShape.of(
                        ["0.3", "-0.2"])),  # of s2's degree, so the same x-nodes
+                   "second first mollifier": replace(p4, p1_shape=MollifierShape.of(
+                       ["-0.1", "0.2"])),
                    "swapped": replace(p4, p1_shape=s2, p2_shape=s1),
                    "equal": replace(p4, p2_shape=MollifierShape(s2.shape_coeffs)),
                    "r one ulp down": replace(p4, r=down(p4.r)),
@@ -600,52 +557,63 @@ class TestShapeProducts:
                    **{name: replace(p4, **at) for name, at in rho_points.items()}}
         c1_cases = {"pair": p5, "second twist": replace(p5, q_shape=TwistShape.of(
                         "0.2", ["0.1", "-0.3"])),
+                    "second mollifier": replace(p5, p_shape=MollifierShape.of(
+                        ["-0.4", "-0.3", "-0.2"])),
                     "equal": replace(p5, q_shape=TwistShape(q.linear_coeff, q.sym_coeffs)),
                     "R one ulp down": replace(p5, R=down(p5.R)),
                     "theta one ulp down": replace(p5, theta=down(p5.theta)),
                     "delta one ulp down": replace(p5, delta=down(p5.delta)),
                     **{name: replace(p5, **at) for name, at in rho_points.items()}}
         assert c_cases["equal"].p2_shape is not s2 and c1_cases["equal"].q_shape is not q
-        floats = lambda xs: [float(x) for x in xs]
-        cores = {
-            c_value: lambda p: c_core(floats(p.p1_shape.shape_coeffs),
-                                      floats(p.p2_shape.shape_coeffs), p.theta, p.r, p.R),
-            c1_value: lambda p: c1_core(floats(p.p_shape.shape_coeffs),
-                                        floats((p.q_shape.linear_coeff, *p.q_shape.sym_coeffs)),
-                                        p.theta, p.R, p.delta)}
         cases = {c_value: c_cases, c1_value: c1_cases}
-        expected = {value: {name: cores[value](p).hex() for name, p in cases[value].items()}
+        expected = {value: {name: core(value, p).hex() for name, p in cases[value].items()}
                     for value in cases}
-        misses = []
-        node_rows = proportions.node_rows
-
-        def counting(*args):
-            misses.append(args)
-            return node_rows(*args)
-
-        monkeypatch.setattr(proportions, "node_rows", counting)
+        clear_memos()
         for value, named in cases.items():
-            misses.clear()
             first = {name: value(p).hex() for name, p in named.items()}
-            assert len(misses) == len(named) - 1
+            assert counts(MEMOS[value]) == (1, len(named) - 1, len(named) - 1)
             again = {name: value(p).hex() for name, p in named.items()}
-            assert len(misses) == len(named) - 1
+            assert counts(MEMOS[value]) == (1 + len(named), len(named) - 1, len(named) - 1)
             assert first == again == expected[value]
             assert len(set(first.values())) == len(named) - 1  # a false hit would show
             assert first["equal"] == first["pair"]
-        assert [len(s.kept["c"]) for s in (s1, s2)] == [len(c_cases) - 2, 1]
-        assert len(p5.p_shape.kept["c1"]) == len(c1_cases) - 1
+
+    @pytest.mark.parametrize("section, field", [("four", "p1_shape"), ("four", "p2_shape"),
+                                                ("five", "p_shape"), ("five", "q_shape")])
+    def test_a_memo_is_keyed_by_value_not_by_object(self, section, field):
+        # Fraction(1, 3) and Fraction(1/3) differ below binary64, so shapes
+        # holding either have one float row: they read one entry, the second
+        # a hit, bit for bit the core's
+        third, near = Fraction(1, 3), Fraction(1 / 3)
+        assert third != near and float(third) == float(near)
+        if section == "four":
+            p, value = section_four_reference(), c_value
+            shapes = [MollifierShape.of([x, "0.25"]) for x in (third, near)]
+        elif field == "p_shape":
+            p, value = section_five_reference(), c1_value
+            shapes = [MollifierShape.of([x, "-0.392", "-0.262"]) for x in (third, near)]
+        else:
+            p, value = section_five_reference(), c1_value
+            shapes = [TwistShape.of(x, ["0.369", "-4.635"]) for x in (third, near)]
+        a, b = (replace(p, **{field: shape}) for shape in shapes)
+        assert a != b
+        clear_memos()
+        first, second = value(a), value(b)
+        assert counts(MEMOS[value]) == (1, 1, 1)
+        assert first is second and first.hex() == core(value, a).hex() == core(value, b).hex()
 
     def test_a_failed_evaluation_keeps_nothing(self):
-        # a miss that raises leaves the slot of the constant it would have
-        # kept as it was, and the same call raises the same error again:
-        # a square past binary64 (NonFiniteError) from a partner or twist
-        # of 1e200, and a shape coefficient outside binary64 (ValueError).
-        # The partner's or twist's row is read first, so when both shapes
-        # hold one it is the partner's or twist's that is named
+        # a miss that raises leaves its memo's entries as they were, and the
+        # same call raises the same error again, evaluating again: a square
+        # past binary64 (NonFiniteError) from a partner or twist of 1e200.
+        # A shape coefficient outside binary64 (ValueError) raises before
+        # the memo is read.  The partner's or twist's row is read first, so
+        # when both shapes hold one it is the partner's or twist's that is
+        # named
         huge = Fraction(10) ** 400
         p4, p5 = section_four_reference(), section_five_reference()
-        c_value(p4), c1_value(p5)  # each slot holds one entry
+        clear_memos()
+        c_value(p4), c1_value(p5)  # each memo holds one entry
         big_p, big_q = MollifierShape.of(["0.1", huge]), TwistShape.of(-2 * huge, ["0.3"])
         out_p, out_q = (r"MollifierShape\.shape_coeffs\[1\] = 1\.000000e\+400",
                         r"TwistShape\.linear_coeff = -2\.000000e\+400")
@@ -663,32 +631,29 @@ class TestShapeProducts:
             (c1_value, replace(p5, p_shape=big_p), ValueError, out_p),
             (c1_value, replace(p5, p_shape=big_p, q_shape=big_q), ValueError, out_q)]
         for value, params, error, message in cases:
-            holder, slot = ((params.p1_shape, "c") if value is c_value
-                            else (params.p_shape, "c1"))
-            before = list(holder.kept.get(slot, {}).items())
-            for _ in range(2):
+            hits, misses, size = counts(MEMOS[value])
+            for i in (1, 2):
                 with pytest.raises(error, match=f"^{message}( is outside binary64)?$"):
                     value(params)
-                assert list(holder.kept.get(slot, {}).items()) == before
+                evaluated = i if error is NonFiniteError else 0
+                assert counts(MEMOS[value]) == (hits, misses + evaluated, size)
 
     def test_node_row_reuse_changes_no_bit(self):
         # over a 3^4 (r, R4, R5, delta) lattice at the reference shapes the
         # reports read 6 points' node rows, each built once and then reused,
-        # and every field is bit for bit the one computed with the cache
-        # cleared before the point, on fresh equal shapes, which keep nothing
+        # and every field is bit for bit the one computed with the node rows
+        # and the memos cleared before the point
         p4, p5 = section_four_reference(), section_five_reference()
-        axes = [np.linspace(0.8, 1.6, 3), np.linspace(0.4, 0.9, 3), np.linspace(0.5, 12.0, 3),
-                np.linspace(0.5, 1.0, 3)]
-        points = [(replace(p4, r=float(r), R=float(R4)), replace(p5, R=float(R5), delta=float(d)))
-                  for r, R4, R5, d in itertools.product(*axes)]
+        points = lattice(p4, p5)
+        clear_memos()
         kernel._node_rows.cache_clear()
         reports = [full_report(a, b) for a, b in points]
         assert kernel._node_rows.cache_info().misses == 6
         for report, (a, b) in zip(reports, points):
+            clear_memos()
             kernel._node_rows.cache_clear()
-            again = full_report(replace(a, p1_shape=MollifierShape(a.p1_shape.shape_coeffs),
-                                        p2_shape=MollifierShape(a.p2_shape.shape_coeffs)),
-                                replace(b, p_shape=MollifierShape(b.p_shape.shape_coeffs)))
+            again = full_report(replace(a, p1_shape=fresh(a.p1_shape), p2_shape=fresh(a.p2_shape)),
+                                replace(b, p_shape=fresh(b.p_shape)))
             assert kernel._node_rows.cache_info().misses == 2
             assert ([x.hex() for x in astuple(report)[:8]]
                     == [x.hex() for x in astuple(again)[:8]])
