@@ -3,9 +3,11 @@
 Config files are JSON.  Every value is read through one field table,
 SECTION_FIELDS, which gives each key of each section (the top level
 included) its kind, and one reader, _get, which converts a value by its
-kind or raises a ConfigError naming <section>.<key>; _section_params
-builds a params section by its row of optimizer.SEARCH_FIELDS.  Decimals
-stay exact into rationals (JSON floats parse as Decimal), while scalars
+kind or raises a ConfigError naming <section>.<key>.  _load_json converts
+every value present, whether the command reads it or not, and
+_section_params builds a params section by its row of
+optimizer.SEARCH_FIELDS.  Decimals stay exact into rationals (JSON
+floats parse as Decimal), while scalars
 (theta, r, R, delta) are JSON numbers, never strings, made finite binary64;
 a JSON boolean is neither.  Exit codes: 0 success, 1 quantitative failure,
 2 usage or config error.
@@ -123,8 +125,9 @@ def _section(cfg: dict, where: str, default: Any = _REQUIRED) -> dict:
 
 
 def _load_json(path: str) -> dict:
-    """The config object; the keys of each object present are checked here,
-    read by the command or not, and its values only when read."""
+    """The config object, each object present checked here, read by the
+    command or not: the top level first and then the sections in
+    SECTION_FIELDS order, each its keys and then each value by its kind."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh, parse_float=_JSONFloat)
@@ -134,9 +137,14 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"config {path!r} line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path!r}: expected an object")
-    for where in _section(cfg, TOP):
-        if SECTION_FIELDS[TOP][where] is OBJECT:
-            _section(cfg, where)
+    for where, kinds in SECTION_FIELDS.items():
+        if isinstance(kinds, dict):
+            sec = _section(cfg, where, {})
+        else:  # search.bounds: open names, each of one kind
+            parent, _, name = where.partition(".")
+            sec = cfg.get(parent, {}).get(name, {})
+        for key in sec:
+            _get(sec, key, where)
     return cfg
 
 

@@ -25,11 +25,15 @@ keeps nothing.  A sweep benchmark pass evaluates each constant at 25
 points and reads each kept value 24 more times.
 
 From them nu = ln(c)/(2R) and kappa = 1 - ln(c1)/R (natural logarithm:
-the only base consistent with the reference constants), and the four
-proportions d = 1/2 + kappa/2 - nu, s = kappa - 2 nu, d_grh = 1 - nu and
-s_grh = 1 - 2 nu, composed in bounds_table only, which full_report,
-reproduce and eval --which bounds read.  nu and kappa share no
-parameters, so a report evaluates its two halves independently.
+the only base consistent with the reference constants; a constant below 1
+comes from no shape and is refused), and the four proportions
+d = 1/2 + kappa/2 - nu, s = kappa - 2 nu, d_grh = 1 - nu and
+s_grh = 1 - 2 nu.  _quantities is the one composition of the eight, a
+tuple in BoundReport's order: full_report builds the report, a NamedTuple,
+from it and its params, and bounds_table, which reproduce and eval --which
+bounds read, keys it by BoundReport's first eight field names.  nu and
+kappa share no parameters, so a report evaluates its two halves
+independently.
 """
 
 
@@ -39,6 +43,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +57,9 @@ class NonFiniteError(ArithmeticError):
 
 
 class NonPositiveConstantError(ValueError):
-    """log of a non-positive moment constant requested."""
+    """A moment constant below 1 given to a bound: each constant is 1 plus
+    the integral of a square, so no shape gives one, and its log would be
+    negative and the proportions it bounds above 1."""
 
 
 def _check_scalars(theta: float, R: float, r: float = 1.0, delta: float = 0.0) -> None:
@@ -115,10 +122,10 @@ class SectionFiveParams:
         object.__setattr__(self, "_point", (f["theta"], f["R"], f["delta"]))  # not a field
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """The eight quantities of bounds_table, in its order, and the params
-    they come from; full_report fills the fields positionally."""
+class BoundReport(NamedTuple):
+    """The eight quantities of a report, as _quantities composes them, and
+    the params they come from: one immutable tuple, whose first eight field
+    names are bounds_table's keys."""
 
     c: float
     nu: float
@@ -184,9 +191,9 @@ def c_value(p: SectionFourParams) -> float:
 
 
 def nu_bound(c: float, R: float) -> float:
-    """Additional-zeros bound coefficient ln(c) / (2R)."""
-    if not c > 0:
-        raise NonPositiveConstantError(f"c must be positive, got {c!r}")
+    """Additional-zeros bound coefficient ln(c) / (2R), c at least 1."""
+    if not c >= 1:
+        raise NonPositiveConstantError(f"c must be at least 1, got {c!r}")
     if not R > 0:
         raise ValueError(f"R must be positive, got {R!r}")
     return math.log(c) / (2.0 * R)
@@ -227,9 +234,9 @@ def c1_value(p: SectionFiveParams) -> float:
 
 
 def kappa_bound(c1: float, R: float) -> float:
-    """Critical-line proportion coefficient 1 - ln(c1) / R."""
-    if not c1 > 0:
-        raise NonPositiveConstantError(f"c1 must be positive, got {c1!r}")
+    """Critical-line proportion coefficient 1 - ln(c1) / R, c1 at least 1."""
+    if not c1 >= 1:
+        raise NonPositiveConstantError(f"c1 must be at least 1, got {c1!r}")
     if not R > 0:
         raise ValueError(f"R must be positive, got {R!r}")
     return 1.0 - math.log(c1) / R
@@ -245,18 +252,21 @@ def grh_bounds(nu: float) -> tuple[float, float]:
     return 1.0 - nu, 1.0 - 2.0 * nu
 
 
-def bounds_table(c: float, R4: float, c1: float, R5: float) -> dict[str, float]:
-    """The eight quantities of a report from the two constants and their
-    contour offsets, keyed and ordered as BoundReport's fields."""
+def _quantities(c: float, R4: float, c1: float, R5: float) -> tuple[float, ...]:
+    """The eight quantities of a report, in BoundReport's order, from the
+    two constants and their contour offsets: the one composition."""
     nu = nu_bound(c, R4)
     kappa = kappa_bound(c1, R5)
-    d_uncond, s_uncond = unconditional_bounds(kappa, nu)
-    d_grh, s_grh = grh_bounds(nu)
-    return {"c": c, "nu": nu, "c1": c1, "kappa": kappa, "d_uncond": d_uncond,
-            "s_uncond": s_uncond, "d_grh": d_grh, "s_grh": s_grh}
+    return (c, nu, c1, kappa, *unconditional_bounds(kappa, nu), *grh_bounds(nu))
+
+
+def bounds_table(c: float, R4: float, c1: float, R5: float) -> dict[str, float]:
+    """The eight quantities of a report keyed by BoundReport's first eight
+    field names, in their order."""
+    return dict(zip(BoundReport._fields[:8], _quantities(c, R4, c1, R5)))
 
 
 def full_report(p4: SectionFourParams, p5: SectionFiveParams) -> BoundReport:
     """c of p4 and c1 of p5, each read from its memo at a seen point, and
-    the quantities bounds_table composes from them."""
-    return BoundReport(*bounds_table(c_value(p4), p4.R, c1_value(p5), p5.R).values(), p4, p5)
+    the quantities _quantities composes from them."""
+    return BoundReport(*_quantities(c_value(p4), p4.R, c1_value(p5), p5.R), p4, p5)

@@ -140,6 +140,15 @@ class TestEval:
         assert values["d_grh"] == 1.0
         assert values["s_grh"] == 1.0
 
+    def test_eval_bounds_refuses_a_constant_below_one(self, tmp_path, capsys):
+        # c1 = 0.5 once exited 0 and printed kappa = 1.99 and d_uncond = 1.343
+        cfg = {"constants": {"c": 1.2, "c1": 0.5, "R4": 0.6, "R5": 0.7}}
+        code = main(["eval", "--which", "bounds", "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "evaluation error: c1 must be at least 1, got 0.5\n"
+
     def test_eval_bounds_from_sections(self, tmp_path, capsys):
         code = main(["eval", "--which", "bounds", "--config",
                      write_config(tmp_path, REFERENCE_CONFIG), "--machine"])
@@ -219,6 +228,15 @@ class TestEval:
         assert main(["eval", "--which", "c", "--config",
                      write_config(tmp_path, cfg)]) == 2
         assert "section4" in capsys.readouterr().err
+
+
+# one bad value for each section, and the error that names it
+BAD_VALUES = {
+    "section4": ({"r": "abc"}, "section4.r: not a number, got 'abc'"),
+    "section5": ({"delta": True}, "section5.delta: not a number, got True"),
+    "search": ({"bounds": {"R": "x"}}, "search.bounds.R: expected [lo, hi], got 'x'"),
+    "constants": ({"c": "abc"}, "constants.c: not a number, got 'abc'"),
+}
 
 
 class TestConfigKeys:
@@ -337,15 +355,14 @@ class TestConfigKeys:
         ("search", ["eval", "--which", "bounds"]),
         ("section4", ["optimize"]), ("section5", ["optimize"]), ("constants", ["optimize"]),
     ], ids=lambda x: x if isinstance(x, str) else "-".join(x[::2]))
-    @pytest.mark.parametrize("fault, message", [
-        ("unknown key", "unknown field 'bogus' (allowed: {allowed})"),
-        ("not an object", "expected an object, got [1]")], ids=["unknown key", "not an object"])
+    @pytest.mark.parametrize("fault", ["unknown key", "not an object", "bad value"])
     def test_a_section_the_command_does_not_read_is_checked(self, tmp_path, capsys, section,
-                                                            command, fault, message):
+                                                            command, fault):
         # a section that the command reads no value of once went unchecked:
-        # "constants": {"bogus": 1, "c": "abc"} let eval --which c exit 0.
-        # bounds reads no section that all four constants replace, and
-        # optimize no section but its target's
+        # "constants": {"bogus": 1, "c": "abc"} let eval --which c exit 0,
+        # and then "constants": {"c": "abc"} still did.  bounds reads no
+        # section that all four constants replace, and optimize no section
+        # but its target's
         cfg = json.loads(json.dumps(REFERENCE_CONFIG))
         target = "maximize_kappa" if section == "section4" else "minimize_nu"
         cfg["search"] = {"target": target, "budget": 1}
@@ -355,14 +372,19 @@ class TestConfigKeys:
         capsys.readouterr()
         if fault == "unknown key":
             cfg[section]["bogus"] = 1
-        else:
+            allowed = ", ".join(SECTION_FIELDS[section])
+            message = f"{section}: unknown field 'bogus' (allowed: {allowed})"
+        elif fault == "not an object":
             cfg[section] = [1]
+            message = f"{section}: expected an object, got [1]"
+        else:
+            value, message = BAD_VALUES[section]
+            cfg[section].update(value)
         code = main([*command, "--config", write_config(tmp_path, cfg)])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        allowed = ", ".join(SECTION_FIELDS[section])
-        assert captured.err == f"config error: {section}: {message.format(allowed=allowed)}\n"
+        assert captured.err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("where, command", [
         ("theta", ["eval", "--which", "c"]),

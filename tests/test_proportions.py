@@ -4,7 +4,7 @@ import itertools
 import math
 import re
 import warnings
-from dataclasses import astuple, fields, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -201,11 +201,12 @@ class TestNuBound:
         for R in (0.3, 0.617, 1.5):
             assert nu_bound(math.exp(2 * R), R) == pytest.approx(1.0, rel=1e-15)
 
-    def test_nonpositive_rejected(self):
-        with pytest.raises(NonPositiveConstantError):
-            nu_bound(0.0, 0.5)
-        with pytest.raises(NonPositiveConstantError):
-            nu_bound(-1.0, 0.5)
+    @pytest.mark.parametrize("c", [0.0, -1.0, 0.5, math.nextafter(1.0, 0.0)])
+    def test_below_one_rejected(self, c):
+        # c is 1 plus the integral of a square: c = 0.5 once gave nu < 0
+        # and proportions above 1
+        with pytest.raises(NonPositiveConstantError, match=rf"^c must be at least 1, got {c!r}$"):
+            nu_bound(c, 0.5)
 
 
 class TestC1Value:
@@ -309,9 +310,12 @@ class TestKappaBound:
         for R in (0.4, 0.746, 2.0):
             assert kappa_bound(math.exp(R), R) == pytest.approx(0.0, abs=1e-15)
 
-    def test_nonpositive_rejected(self):
-        with pytest.raises(NonPositiveConstantError):
-            kappa_bound(-0.5, 0.746)
+    @pytest.mark.parametrize("c1", [-0.5, 0.5, math.nextafter(1.0, 0.0)])
+    def test_below_one_rejected(self, c1):
+        # c1 = 0.5 once gave kappa = 1.99 and d_uncond = 1.343
+        with pytest.raises(NonPositiveConstantError,
+                           match=rf"^c1 must be at least 1, got {c1!r}$"):
+            kappa_bound(c1, 0.746)
 
 
 class TestCombiners:
@@ -347,8 +351,20 @@ class TestFullReport:
         report = full_report(p4, p5)
         table = bounds_table(report.c, p4.R, report.c1, p5.R)
         assert list(table) == list(REFERENCE_CONSTANTS)
-        assert list(table) == [f.name for f in fields(BoundReport)][:8]
+        assert list(table) == list(BoundReport._fields[:8])
         assert table == {key: getattr(report, key) for key in table}
+
+    def test_a_report_is_an_immutable_record(self):
+        # a report is one tuple: its fields are read by name, none is set,
+        # and bounds_table keys its dict by the first eight names
+        p4, p5 = section_four_reference(), section_five_reference()
+        report = full_report(p4, p5)
+        with pytest.raises(AttributeError):
+            report.c = 2.0
+        table = bounds_table(report.c, p4.R, report.c1, p5.R)
+        assert list(table) == list(BoundReport._fields[:8])
+        assert tuple(report) == (*table.values(), p4, p5)
+        assert report == full_report(p4, p5) and hash(report) == hash(full_report(p4, p5))
 
     def test_internal_consistency(self):
         report = full_report(section_four_reference(), section_five_reference())
@@ -468,8 +484,8 @@ class TestShapeProducts:
         assert [counts(memo) for memo in MEMOS.values()] == [(72, 9, 9)] * 2
         for report, (a, b) in zip(reports, points):
             expected = bounds_table(core(c_value, a), a.R, core(c1_value, b), b.R)
-            assert [type(x) for x in astuple(report)[:8]] == [float] * 8
-            assert ([x.hex() for x in astuple(report)[:8]]
+            assert [type(x) for x in tuple(report)[:8]] == [float] * 8
+            assert ([x.hex() for x in tuple(report)[:8]]
                     == [x.hex() for x in expected.values()])
         for shape in shapes:
             assert list(shape.kept) == ["row"]
@@ -500,8 +516,8 @@ class TestShapeProducts:
         moved = [tuple(now - then for now, then in zip(counts(cache), was))
                  for cache, was in zip(caches, before)]
         assert moved == [(81, 0, 0), (81, 0, 0), (0, 0, 0)]  # (hits, misses, entries)
-        assert ([[x.hex() for x in astuple(report)[:8]] for report in first]
-                == [[x.hex() for x in astuple(report)[:8]] for report in again])
+        assert ([[x.hex() for x in tuple(report)[:8]] for report in first]
+                == [[x.hex() for x in tuple(report)[:8]] for report in again])
 
     @pytest.mark.parametrize("value", [c_value, c1_value], ids=["c", "c1"])
     def test_each_memo_keeps_a_bounded_number_of_points(self, value):
@@ -655,5 +671,5 @@ class TestShapeProducts:
             again = full_report(replace(a, p1_shape=fresh(a.p1_shape), p2_shape=fresh(a.p2_shape)),
                                 replace(b, p_shape=fresh(b.p_shape)))
             assert kernel._node_rows.cache_info().misses == 2
-            assert ([x.hex() for x in astuple(report)[:8]]
-                    == [x.hex() for x in astuple(again)[:8]])
+            assert ([x.hex() for x in tuple(report)[:8]]
+                    == [x.hex() for x in tuple(again)[:8]])
