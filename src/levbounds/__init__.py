@@ -10,7 +10,7 @@ from .oracle import (CheckResult, CrosscheckReport, crosscheck_report, fd_c1_val
                      quad_integrate01)
 from .polyalg import (ConstraintViolationError, MollifierShape, MomentTable, Poly,
                       TwistShape, expand_mollifier, moments, poly_derivative, poly_eval)
-from .proportions import (BoundReport, NonFiniteError, NonPositiveConstantError,
+from .proportions import (BoundReport, ConstantBelowOneError, NonFiniteError,
                           SectionFiveParams, SectionFourParams, bounds_table, c1_core,
                           c1_value, c_core, c_value,
                           full_report, grh_bounds, kappa_bound, nu_bound,
@@ -27,7 +27,7 @@ __all__ = [
     "quad_integrate01",
     "ConstraintViolationError", "MollifierShape", "Poly", "TwistShape", "expand_mollifier",
     "poly_derivative", "poly_eval",
-    "BoundReport", "NonFiniteError", "NonPositiveConstantError", "SectionFiveParams",
+    "BoundReport", "ConstantBelowOneError", "NonFiniteError", "SectionFiveParams",
     "SectionFourParams", "bounds_table", "c1_core", "c1_value", "c_core", "c_value",
     "full_report", "grh_bounds", "kappa_bound", "nu_bound", "unconditional_bounds",
     "REFERENCE_CONSTANTS", "REMARK_DELTA1_KAPPA",

@@ -18,17 +18,17 @@ t-nodes for a twist (NodeRows.factors).  c's root is centred at t = 1,
 where the weights pile up, so its t-factors are [1; t - 1] and its T
 three numbers per point (NodeRows.Tc); its x-factors come from both
 mollifiers' factors and r (c_factors).  node_rows builds what the sums
-read at one (theta, R) once and shares it, read-only.  An exact shape
-keeps its float row here as bytes (row_bytes, an array through shape_row)
-and nothing formed at a point: its factors and Grams are formed on each
-evaluation.  Nothing is built at import.  The m + 3 x-nodes integrate the
-degree-2m+2 square in x exactly; the t-nodes follow t_count.
+read at one (theta, R) once and shares it, read-only.  A shape's binary64
+row is the shape's own cached row (an array through shape_row), and
+nothing formed at a point is kept: its factors and Grams are formed on
+each evaluation.  Nothing is built at import.  The m + 3 x-nodes
+integrate the degree-2m+2 square in x exactly; the t-nodes follow
+t_count.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -114,42 +114,10 @@ def basis_products(n: int, u: np.ndarray, twist: bool = False) -> np.ndarray:
     return _rows(n, len(u) - 1 - twist, twist) @ u
 
 
-def row_bytes(shape: MollifierShape | TwistShape) -> bytes:
-    """The homogeneous row of an exact shape in binary64, each entry
-    rounded once, as bytes: (1, shape_coeffs) for a mollifier, (1,
-    linear_coeff, sym_coeffs) for a twist.  Formed on the first read and
-    kept on the shape (its kept["row"]); an entry outside binary64 raises
-    ValueError naming the shape's field, the index and the value."""
-    kept = shape.kept
-    row = kept.get("row")
-    if row is None:
-        twist = isinstance(shape, TwistShape)
-        entries = (shape.linear_coeff, *shape.sym_coeffs) if twist else shape.shape_coeffs
-        try:
-            row = kept["row"] = np.array([1.0, *map(float, entries)]).tobytes()
-        except OverflowError:  # name the first entry past the binary64 range
-            for i, x in enumerate(entries):
-                as_binary64(f"{type(shape).__name__}." + (
-                    f"shape_coeffs[{i}]" if not twist else
-                    "linear_coeff" if i == 0 else f"sym_coeffs[{i - 1}]"), x)
-    return row
-
-
 def shape_row(shape: MollifierShape | TwistShape) -> np.ndarray:
-    """The row_bytes of a shape as a float array, a read-only view of them."""
-    return np.frombuffer(row_bytes(shape))
-
-
-def as_binary64(name: str, x) -> float:
-    """float(x), or, for a rational x past the binary64 range, where float
-    raises a bare OverflowError, a ValueError naming name and the value:
-    row_bytes names a coefficient through it, and the params classes and
-    SearchSpec their scalars."""
-    try:
-        return float(x)
-    except OverflowError:
-        shown = f"{Decimal(x.numerator) / x.denominator:.6e}"
-        raise ValueError(f"{name} = {shown} is outside binary64") from None
+    """A shape's binary64 row (its cached row) as a float array, a
+    read-only view of its bytes."""
+    return np.frombuffer(shape.row)
 
 
 def gram(F: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:

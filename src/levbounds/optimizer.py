@@ -12,8 +12,9 @@ Each solve has one affine map y = y0 + N x (_Map) from its coordinates x
 to its solve vector y, with bound rows A x >= b, one slice of each per
 block; the state is (x, pinned rows).  The model is the constant's exact
 gradient 2 N'My and Hessian 2 N'MN, M its quadratic form in y, read
-through the factors of y and of N's columns (formed once per point).  A
-step minimizes it under the bound rows by a primal active-set loop, over
+through the factors of N's columns, formed once per solve at R, and of
+y, formed once per point and read by the constant there too.  A step
+minimizes it under the bound rows by a primal active-set loop, over
 every coordinate or one block's, with one eigendecomposition for the
 condition gate (MAX_CONDITION; worse raises IllPosedSolveError) and the
 inverse.  With one block moving the solve is one step.  With both c1
@@ -53,9 +54,8 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import (MAX_BASE_R, MIN_BASE_R, NodeRows, as_binary64, basis_products, c_factors,
-                     gram, node_rows)
-from .polyalg import (MollifierShape, TwistShape, mollifier_shape_from_poly,
+from .kernel import MAX_BASE_R, MIN_BASE_R, NodeRows, basis_products, c_factors, gram, node_rows
+from .polyalg import (MollifierShape, TwistShape, as_binary64, mollifier_shape_from_poly,
                       twist_shape_from_poly)
 from .proportions import (SectionFourParams, SectionFiveParams, c1_core, c_core, contract,
                           kappa_bound, nu_bound)
@@ -550,7 +550,6 @@ class _Solve:
     def __init__(self, spec: SearchSpec, degrees: tuple, blocks: dict[str, tuple[_Segment, ...]]):
         self.spec, self.degrees, self.map = spec, degrees, _Map(spec, blocks)
         self.R_at, self.solves, self.fallbacks = spec.places()["R"], 0, 0
-        self.kept = None, None  # the last node rows read, and N's column factors there
 
     def start(self, v: np.ndarray):
         """The state at the public vector v: its coordinates, no row pinned."""
@@ -571,30 +570,23 @@ class _Solve:
         """The t- and x-Gram of the factors U (c's Tc when None) and F."""
         return rows.Tc if U is None else gram(U, rows.wt), gram(F, rows.wx)
 
-    def constant(self, rows: NodeRows, y: np.ndarray) -> float:
-        return contract(*self.grams(rows, *self.factors(rows, y)[1:]))
-
     def columns(self, rows: NodeRows):
         """N's columns' x-factors FX and t-factors FT (None when no column
-        moves them), column axis first, and each times its weights; formed
-        once per point, kept for the last rows read."""
-        kept_rows, columns = self.kept
-        if kept_rows is not rows:
-            at = [part.transpose(2, 0, 1) for part in self.parts(rows, self.map.N)]
-            FX, FT = self.x_factors(at), self.t_part(at)
-            columns = FX, FX * rows.wx, FT, None if FT is None else FT * rows.wt
-            self.kept = rows, columns
-        return columns
+        moves them), column axis first, and each times its weights: fixed
+        at rows, so formed once per solve(R) and per read."""
+        at = [part.transpose(2, 0, 1) for part in self.parts(rows, self.map.N)]
+        FX, FT = self.x_factors(at), self.t_part(at)
+        return FX, FX * rows.wx, FT, None if FT is None else FT * rows.wt
 
-    def model(self, rows: NodeRows, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def model(self, rows: NodeRows, columns, F: np.ndarray, U: np.ndarray | None):
         """The gradient 2 N'My and Hessian 2 N'MN of the constant in x from
         y's factors F, U and N's columns' FX, FT, 2x2 matrices flattened:
         with p_i = (FX_i wx) F', dX/dx_i = p_i + p_i', the gradient is
         2 sum_ab T_ab p_iab and the Hessian 2 sum_ab T_ab sum_x wx FX_ia FX_jb;
         c1's t-factors add the same with X, q_i = (FT_i wt) U', and the
-        cross term C + C', C = 2 q (p + p')'."""
-        _, F, U = self.factors(rows, y)
-        FX, wFX, FT, wFT = self.columns(rows)
+        cross term C + C', C = 2 q (p + p')'.  The constant at y is
+        contract(*grams(rows, F, U)), from the same factors."""
+        FX, wFX, FT, wFT = columns
         k = len(wFX)
         p3 = wFX @ F.T  # (k, 2, 2)
         p = p3.reshape(k, 4)
@@ -611,40 +603,51 @@ class _Solve:
 
     def solve(self, R: float, state):
         """The solved state at R, warm-started from state; see the module
-        docstring."""
+        docstring.  An accepted joint step carries its trial's factors."""
         rows, moving = self.nodes(R), list(self.map.moving)
+        columns = self.columns(rows) if moving else None
+
+        def at(state):  # the factors of state's solve vector
+            return self.factors(rows, self.map.y(state[0]))[1:]
+
+        def step(state, factors, block=None):
+            return self.step(R, self.model(rows, columns, *factors), state, block)
+
         if len(moving) < 2:  # exact: the constant is quadratic in each block
-            return self.step(R, rows, state, moving[0])[0] if moving else state
-        last = self.constant(rows, self.map.y(state[0]))
+            return step(state, at(state), moving[0])[0] if moving else state
+        factors = at(state)
+        last = contract(*self.grams(rows, *factors))
         for _ in range(MAX_STEPS):
             margin = SQRT_EPS * abs(last)  # see the module docstring
             try:
-                trial, gain = self.step(R, rows, state)
-                now = self.constant(rows, self.map.y(trial[0]))
+                trial, gain = step(state, factors)
+                formed = at(trial)
+                now = contract(*self.grams(rows, *formed))
             except IllPosedSolveError:
                 now = math.inf
             if now < last + margin:
-                state, last = trial, now
+                state, factors, last = trial, formed, now
                 if gain <= margin:
                     break
                 continue
             self.fallbacks += 1
             for name in moving:  # a sweep
-                state = self.step(R, rows, state, name)[0]
-            now = self.constant(rows, self.map.y(state[0]))
+                state = step(state, factors, name)[0]
+                factors = at(state)
+            now = contract(*self.grams(rows, *factors))
             if not now < last:
                 break
             last = now
         return state
 
-    def step(self, R: float, rows: NodeRows, state, block: str | None = None):
-        """Minimize the model at state under the bound rows, over every
-        coordinate or over the named block's: the state reached and the
-        decrease the model predicts.  Each step factors the model Hessian
-        once and counts as one solve."""
+    def step(self, R: float, model, state, block: str | None = None):
+        """Minimize the model (g, H) at state under the bound rows, over
+        every coordinate or over the named block's: the state reached and
+        the decrease the model predicts.  Each step factors the model
+        Hessian once and counts as one solve."""
         self.solves += 1
         x, pinned = state
-        g, H = self.model(rows, self.map.y(x))
+        g, H = model
         cols, bounds = (slice(None), slice(None)) if block is None else self.map.blocks[block][1:]
         where = f"{'joint step' if block is None else f'{block} block'} at R = {R!r}"
         Q, A = H[cols, cols], self.map.A[bounds, cols]
@@ -693,14 +696,15 @@ class _Solve:
         the other entries held (the envelope theorem, as for the R slope),
         or 0 where the objective does not fall outside the bounds."""
         R = float(v[self.R_at])
-        rows, y = self.nodes(R), self.map.y(self.map.coordinates(v))
-        g, H = self.model(rows, y)
+        rows = self.nodes(R)
+        F, U = self.factors(rows, self.map.y(self.map.coordinates(v)))[1:]
+        g, H = self.model(rows, self.columns(rows), F, U)
         conditions = tuple((name, _condition(np.linalg.eigvalsh(H[cols, cols])))
                            for name, cols in self.map.moving.items())
         if not pinned.keys() - {"R"}:  # R has no column: its price is the R slope
             return conditions, {}
         names, partials = self.spec.vector_names(), self.map.partials(g, v)
-        scale, prices = self.per_log / (R * self.constant(rows, y)), {}
+        scale, prices = self.per_log / (R * contract(*self.grams(rows, F, U))), {}
         for i, d in partials.items():
             if names[i] in pinned:  # the minimized objective falls below lo when d > 0
                 out = d > 0.0 if pinned[names[i]] == self.spec.bounds_by_index[i][0] else d < 0.0

@@ -34,18 +34,20 @@ exact affine basis, defined once and cached per degree: mollifier_basis
 (x, x^j - x^{j+1}) and twist_basis (1, x, I_1, .., I_m).  Expansion is
 the affine combination of a basis, recovery from a raw polynomial peels
 the coordinates off by leading degree, and the float evaluation core
-reads the bases at its quadrature nodes (kernel.node_rows) and keeps a
-shape's float row on the shape (kernel.row_bytes).
+reads the bases at its quadrature nodes (kernel.node_rows) and each
+shape's row rounded to binary64 here, once per shape (_Shape.row).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import zip_longest
 from math import comb, gcd, lcm
 from operator import mul
+from struct import pack
 
 
 MAX_DEGREE = 64
@@ -67,6 +69,18 @@ def as_fraction(value: int | str | float | Fraction) -> Fraction:
     if isinstance(value, float):  # includes numpy float64, via the builtin repr
         return Fraction(repr(float(value)))
     return Fraction(value)
+
+
+def as_binary64(name: str, x) -> float:
+    """float(x), or, for a rational x past the binary64 range, where float
+    raises a bare OverflowError, a ValueError naming name and the value:
+    a shape's row names a coefficient through it, and the params classes
+    and SearchSpec their scalars."""
+    try:
+        return float(x)
+    except OverflowError:
+        shown = f"{Decimal(x.numerator) / x.denominator:.6e}"
+        raise ValueError(f"{name} = {shown} is outside binary64") from None
 
 
 def _require_integers(name: str, nums, den) -> None:
@@ -267,20 +281,39 @@ def moments(p1: Poly, p2: Poly) -> MomentTable:
 # --------------------------------------------------------------------------
 
 class _Shape:
-    """The storage slot every exact shape carries for the float core."""
+    """What every exact shape gives the float core: its homogeneous row,
+    1 and then the coefficients in field order (_entries)."""
 
     @cached_property
-    def kept(self) -> dict:
-        """What the float core keeps of this shape, empty until it first
-        reads the shape: its float row (kernel.row_bytes).  Not a field: it
+    def numerators(self) -> tuple[tuple[int, ...], int]:
+        """The row as integer numerators over their least common
+        denominator, formed once per shape."""
+        return _over_common_denominator((1, *self._entries()))
+
+    @cached_property
+    def row(self) -> bytes:
+        """The row in binary64, each entry rounded once, as bytes (an array
+        through kernel.shape_row), formed once per shape.  Not a field: it
         takes no part in ==, hash or repr, and a shape built by
-        dataclasses.replace starts with an empty one."""
-        return {}
+        dataclasses.replace forms its own.  An entry outside binary64
+        raises ValueError naming the shape's field, the index and the value."""
+        entries = self._entries()
+        try:
+            return pack(f"{len(entries) + 1}d", 1.0, *map(float, entries))
+        except OverflowError:  # name the first entry past the binary64 range
+            for f in fields(self):
+                value = getattr(self, f.name)
+                named = ([(f.name, value)] if not isinstance(value, tuple)
+                         else [(f"{f.name}[{i}]", x) for i, x in enumerate(value)])
+                for name, x in named:
+                    as_binary64(f"{type(self).__name__}.{name}", x)
+            raise
 
 
 @dataclass(frozen=True)
 class MollifierShape(_Shape):
-    """Coefficients c_1..c_m of P(x) = x + sum_j c_j x^j (1-x)."""
+    """Coefficients c_1..c_m of P(x) = x + sum_j c_j x^j (1-x): the row
+    (1, c_1..c_m)."""
 
     shape_coeffs: tuple[Fraction, ...]
 
@@ -288,16 +321,14 @@ class MollifierShape(_Shape):
     def of(coeffs) -> "MollifierShape":
         return MollifierShape(tuple(as_fraction(c) for c in coeffs))
 
-    @cached_property
-    def numerators(self) -> tuple[tuple[int, ...], int]:
-        """The row (1, c_1..c_m) as integer numerators over their least
-        common denominator, formed once per shape."""
-        return _over_common_denominator((1, *self.shape_coeffs))
+    def _entries(self) -> tuple[Fraction, ...]:
+        return self.shape_coeffs
 
 
 @dataclass(frozen=True)
 class TwistShape(_Shape):
-    """Coefficients of Q(x) = 1 + q0 x + sum_k q_k I_k(x).
+    """Coefficients of Q(x) = 1 + q0 x + sum_k q_k I_k(x): the row (1, q0,
+    q_1..q_m).
 
     I_k(x) = integral_0^x t^k (1-t)^k dt, whose derivative x^k(1-x)^k is
     symmetric about x = 1/2; together with the constant-derivative linear
@@ -312,11 +343,8 @@ class TwistShape(_Shape):
         return TwistShape(as_fraction(linear_coeff),
                           tuple(as_fraction(c) for c in sym_coeffs))
 
-    @cached_property
-    def numerators(self) -> tuple[tuple[int, ...], int]:
-        """The row (1, q0, q_1..q_m) as integer numerators over their least
-        common denominator, formed once per shape."""
-        return _over_common_denominator((1, self.linear_coeff, *self.sym_coeffs))
+    def _entries(self) -> tuple[Fraction, ...]:
+        return (self.linear_coeff, *self.sym_coeffs)
 
 
 # --------------------------------------------------------------------------

@@ -12,13 +12,13 @@ and the Gram of kernel.c_factors, from the mollifiers' factors and r
 (an expansion in 1/r would cancel).  _c and _c1 are the one evaluation:
 each takes homogeneous rows and forms their factors and Grams itself.
 c_core and c1_core pass the rows of float coefficients, and c_value and
-c1_value the shapes' float rows (kernel.row_bytes), so both routes give
-the same bits; each checks theta, R and r or delta first.  c_value and
-c1_value are memos of it: each reads one lru_cache of at most
+c1_value the shapes' binary64 rows (each shape's cached row), so both
+routes give the same bits; each checks theta, R and r or delta first.
+c_value and c1_value are memos of it: each reads one lru_cache of at most
 _NODE_ROWS_KEPT constants keyed by exactly what the core reads, the
 binary64 (theta, R, r) or (theta, R, delta), formed once per params object
-(_point), and the two rows as bytes, the partner's or twist's read first,
-so its out-of-binary64 error is the one named.  So a hit forms and checks
+(_point), and the two rows as bytes, the partner's or twist's first, read
+first, so its out-of-binary64 error is the one named.  So a hit forms and checks
 nothing and cannot return another input's value, equal inputs (equal
 shapes built anew, a Fraction and its float) share one entry, and a raise
 keeps nothing.  A sweep benchmark pass evaluates each constant at 25
@@ -47,16 +47,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import (_NODE_ROWS_KEPT, MAX_BASE_R, MIN_BASE_R, as_binary64, c_factors, gram,
-                     node_rows, row_bytes)
-from .polyalg import MollifierShape, TwistShape
+from .kernel import _NODE_ROWS_KEPT, MAX_BASE_R, MIN_BASE_R, c_factors, gram, node_rows
+from .polyalg import MollifierShape, TwistShape, as_binary64
 
 
 class NonFiniteError(ArithmeticError):
     """A bound computation produced NaN or infinity."""
 
 
-class NonPositiveConstantError(ValueError):
+class ConstantBelowOneError(ValueError):
     """A moment constant below 1 given to a bound: each constant is 1 plus
     the integral of a square, so no shape gives one, and its log would be
     negative and the proportions it bounds above 1."""
@@ -178,7 +177,7 @@ def c_core(p1, p2, theta: float, r: float, R: float) -> float:
 
 
 @lru_cache(maxsize=_NODE_ROWS_KEPT)
-def _c_memo(point: tuple[float, float, float], z1: bytes, z2: bytes) -> float:
+def _c_memo(point: tuple[float, float, float], z2: bytes, z1: bytes) -> float:
     theta, R, r = point
     return _c(np.frombuffer(z1), np.frombuffer(z2), theta, r, R)
 
@@ -186,14 +185,13 @@ def _c_memo(point: tuple[float, float, float], z1: bytes, z2: bytes) -> float:
 def c_value(p: SectionFourParams) -> float:
     """The mollified second-moment constant of the two-mollifier detector,
     read from its memo at the binary64 (theta, R, r) and the rows."""
-    z2 = row_bytes(p.p2_shape)
-    return _c_memo(p._point, row_bytes(p.p1_shape), z2)
+    return _c_memo(p._point, p.p2_shape.row, p.p1_shape.row)
 
 
 def nu_bound(c: float, R: float) -> float:
     """Additional-zeros bound coefficient ln(c) / (2R), c at least 1."""
     if not c >= 1:
-        raise NonPositiveConstantError(f"c must be at least 1, got {c!r}")
+        raise ConstantBelowOneError(f"c must be at least 1, got {c!r}")
     if not R > 0:
         raise ValueError(f"R must be positive, got {R!r}")
     return math.log(c) / (2.0 * R)
@@ -222,21 +220,20 @@ def c1_core(p, q, theta: float, R: float, delta: float) -> float:
 
 
 @lru_cache(maxsize=_NODE_ROWS_KEPT)
-def _c1_memo(point: tuple[float, float, float], up: bytes, w: bytes) -> float:
+def _c1_memo(point: tuple[float, float, float], w: bytes, up: bytes) -> float:
     return _c1(np.frombuffer(up), np.frombuffer(w), *point)
 
 
 def c1_value(p: SectionFiveParams) -> float:
     """The twisted second-moment constant of the critical-line detector,
     read from its memo at the binary64 (theta, R, delta) and the rows."""
-    w = row_bytes(p.q_shape)
-    return _c1_memo(p._point, row_bytes(p.p_shape), w)
+    return _c1_memo(p._point, p.q_shape.row, p.p_shape.row)
 
 
 def kappa_bound(c1: float, R: float) -> float:
     """Critical-line proportion coefficient 1 - ln(c1) / R, c1 at least 1."""
     if not c1 >= 1:
-        raise NonPositiveConstantError(f"c1 must be at least 1, got {c1!r}")
+        raise ConstantBelowOneError(f"c1 must be at least 1, got {c1!r}")
     if not R > 0:
         raise ValueError(f"R must be positive, got {R!r}")
     return 1.0 - math.log(c1) / R

@@ -15,7 +15,7 @@ PUBLIC = set("""
     MomentTable moments EvaluationFailureError IllPosedSolveError SearchResult SearchSpec optimize
     CheckResult CrosscheckReport crosscheck_report fd_c1_value fd_c_value quad_integrate01
     ConstraintViolationError MollifierShape Poly TwistShape expand_mollifier poly_derivative
-    poly_eval BoundReport NonFiniteError NonPositiveConstantError SectionFiveParams
+    poly_eval BoundReport ConstantBelowOneError NonFiniteError SectionFiveParams
     SectionFourParams bounds_table c1_core c1_value c_core c_value full_report grh_bounds
     kappa_bound nu_bound unconditional_bounds REFERENCE_CONSTANTS REMARK_DELTA1_KAPPA
     section_five_reference section_four_reference""".split())

@@ -16,7 +16,8 @@ from levbounds.optimizer import (MAX_CONDITION, TARGETS, EvaluationFailureError,
                                  params_fields, search_start)
 from levbounds.polyalg import MollifierShape, TwistShape
 from levbounds.proportions import (NonFiniteError, SectionFiveParams, SectionFourParams,
-                                   c1_core, c1_value, c_core, c_value, kappa_bound, nu_bound)
+                                   c1_core, c1_value, c_core, c_value, contract, kappa_bound,
+                                   nu_bound)
 from levbounds.reference import section_four_reference
 
 from search_helpers import DimensionTooHighError, grid_scan, hold_shapes, kappa_spec, nu_spec
@@ -760,22 +761,27 @@ class TestNewtonSolve:
     @staticmethod
     def check_model(target, core, draw):
         """The solve's constant matches the float core at six drawn vectors,
-        and its model the central differences of the constant there; the
-        constant is quadratic in each block, so every central difference is
-        exact up to rounding, whatever the step."""
+        and its model the central differences of the constant there, both
+        read from one formation of the point's factors; the constant is
+        quadratic in each block, so every central difference is exact up to
+        rounding, whatever the step."""
         spec = criterion_eight_spec(target)
         solver = optimizer._SOLVES[target](spec)
         rng = np.random.default_rng(8)
         for _ in range(6):
             v = draw(rng, np.array(spec.initial_point))
             rows = solver.nodes(v[spec.places()["R"]])
-            x = solver.start(v)[0]
+            columns, x = solver.columns(rows), solver.start(v)[0]
+
+            def one_pass(x):
+                F, U = solver.factors(rows, solver.map.y(x))[1:]
+                return contract(*solver.grams(rows, F, U)), solver.model(rows, columns, F, U)
 
             def constant(x):
-                return solver.constant(rows, solver.map.y(x))
+                return one_pass(x)[0]
 
-            assert constant(x) == pytest.approx(core(v), rel=1e-13)
-            gradient, hessian = solver.model(rows, solver.map.y(x))
+            value, (gradient, hessian) = one_pass(x)
+            assert value == pytest.approx(core(v), rel=1e-13)
             E = np.diag(1e-2 * (1.0 + np.abs(x)))
             fd_gradient = [(constant(x + e) - constant(x - e)) / (2.0 * e[i])
                            for i, e in enumerate(E)]
@@ -803,33 +809,45 @@ class TestNewtonSolve:
         self.check_model("minimize_nu",
                          lambda v: c_core(v[:2], v[2:4], 1.0, v[4], v[5]), draw)
 
-    @pytest.mark.parametrize("target", TARGETS)
-    def test_a_model_at_a_seen_point_forms_no_column_factors(self, target, monkeypatch):
-        # N's column factors are fixed per point: the first model call at a
-        # point forms them, with one basis product per block of a matrix
-        # row, and a later call there forms only the factors of y, each of
-        # one vector row, with the same gradient and Hessian, bit for bit
-        spec = criterion_eight_spec(target)
-        solver = optimizer._SOLVES[target](spec)
-        v = np.array(spec.initial_point)
-        rows, y = solver.nodes(v[spec.places()["R"]]), solver.map.y(solver.start(v)[0])
-        formed = []
-        basis_products = kernel.basis_products
+    @pytest.mark.parametrize("spec", [
+        criterion_eight_spec("minimize_nu"), criterion_eight_spec("maximize_kappa"),
+        SearchSpec(target="maximize_kappa", shape_degrees=(9, 3),
+                   scalar_bounds={"R": (0.3, 1.5)}, theta=1.0, budget=2000,
+                   initial_point=(-0.482, -0.392, -0.262, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                  -0.673, 0.369, -4.635, 0.0, 0.746, 1.0))],
+        ids=["criterion-8 nu", "criterion-8 kappa", "(9,3) sweeps"])
+    def test_a_solve_forms_each_points_factors_once(self, spec, monkeypatch):
+        # N's column factors are fixed at R: one solve(R) forms them once,
+        # one basis product per block of a matrix row.  Each point's factors
+        # are formed once, each from one vector row per block: the start's,
+        # which its model and constant both read, and, with two blocks
+        # moving, those of every state a step returns (a joint step's trial,
+        # read for its constant and, once accepted, for the next step's
+        # model, and each state of a sweep); one block moving, the solve is
+        # its one step and forms nothing after it.  The criterion-8 kappa
+        # solve takes two joint steps, the (9,3) one 11 sweeps in place of
+        # ill-posed joint steps: 22 steps and 23 points
+        solver = optimizer._SOLVES[spec.target](spec)
+        formed, steps = [], []
+        basis_products, step = kernel.basis_products, solver.step
 
         def counting(n, u, twist=False):
             formed.append(np.ndim(u))
             return basis_products(n, u, twist)
 
+        def counted(*args):
+            steps.append(step(*args))
+            return steps[-1]
+
         monkeypatch.setattr(kernel, "basis_products", counting)
         monkeypatch.setattr(optimizer, "basis_products", counting)
-        first = solver.model(rows, y)
-        assert sorted(formed) == [1, 1, 2, 2]
-        formed.clear()
-        again = solver.model(rows, y)
-        assert formed == [1, 1]
-        assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
-        solver.model(solver.nodes(v[spec.places()["R"]] + 0.01), y)  # a new point forms them
-        assert sorted(formed) == [1, 1, 1, 1, 2, 2]
+        monkeypatch.setattr(solver, "step", counted)
+        v = np.array(spec.initial_point)
+        solver.solve(v[solver.R_at], solver.start(v))
+        assert formed.count(2) == 2
+        points = 1 if len(solver.map.moving) < 2 else 1 + len(steps)
+        assert formed.count(1) == 2 * points
+        assert (solver.fallbacks > 0) == (spec.shape_degrees == (9, 3))
 
     def test_pinned_delta_takes_no_fallback(self):
         # the steps minimize the model under the bound rows, so delta stays
@@ -878,10 +896,15 @@ class TestNewtonSolve:
         solver = optimizer._KappaSolve(spec)
         R = spec.initial_point[6]
         rows = solver.nodes(R)
-        mollifier, _ = solver.step(R, rows, solver.start(np.array(spec.initial_point)),
-                                   "mollifier")
+
+        def model(state):
+            F, U = solver.factors(rows, solver.map.y(state[0]))[1:]
+            return solver.model(rows, solver.columns(rows), F, U)
+
+        start = solver.start(np.array(spec.initial_point))
+        mollifier, _ = solver.step(R, model(start), start, "mollifier")
         assert [solver.map.pins[i] for i in mollifier[1]] == [(0, -0.482)]
-        twist, _ = solver.step(R, rows, mollifier, "twist")
+        twist, _ = solver.step(R, model(mollifier), mollifier, "twist")
         assert twist[1] == mollifier[1]
         assert solver.vector(twist, R)[0] == -0.482
 
@@ -1110,9 +1133,8 @@ class TestIllPosedSolves:
         """One step of the nu solve at R = 0.5 on a model whose Hessian is H."""
         spec = criterion_eight_spec("minimize_nu")
         solver = _NuSolve(spec)
-        solver.model = lambda rows, y: (np.zeros(len(H)), H)
         state = solver.start(np.array(spec.initial_point))
-        return solver.step(0.5, solver.nodes(0.5), state, "mollifier")
+        return solver.step(0.5, (np.zeros(len(H)), H), state, "mollifier")
 
     def test_indefinite_block_fails_loudly(self):
         with pytest.raises(IllPosedSolveError,

@@ -548,19 +548,26 @@ class TestCrosscheckReport:
             for pair in ("m11", "m21", "m12", "m22", "m55") for part in ("AA", "AP", "PA", "PP")}
 
     @pytest.mark.parametrize("shared", [False, True])
-    def test_a_shape_keeps_only_its_row(self, shared):
+    def test_a_shape_keeps_only_its_rows(self, shared):
         # the row checks form what they read on the call, and the constants
         # are kept by their memos, so every shape the report reads holds its
-        # float row and nothing more, a mollifier read by both c and c1
-        # (shared) included
+        # two rows, exact and binary64, and nothing more, a mollifier read by
+        # both c and c1 (shared) included; the binary64 row the checks form
+        # is the object the report reads
         p4, p5 = section_four_reference(), section_five_reference()
         if shared:
             p5 = replace(p5, p_shape=p4.p1_shape)
         shapes = (p4.p1_shape, p4.p2_shape, p5.p_shape, p5.q_shape)
-        assert all(shape.kept == {} for shape in shapes)
+
+        def formed():  # what each shape holds beyond its fields
+            return [set(vars(shape)) - set(shape.__dataclass_fields__) for shape in shapes]
+
+        assert formed() == [set()] * 4
         assert crosscheck_report(p4, p5).all_passed
+        rows = [vars(shape)["row"] for shape in shapes]
         full_report(p4, p5)
-        assert [list(shape.kept) for shape in shapes] == [["row"]] * 4
+        assert all(vars(shape)["row"] is row for shape, row in zip(shapes, rows))
+        assert formed() == [{"numerators", "row"}] * 4
 
     def test_cancelling_cross_moments_pass(self):
         # m12.dp and m21.pd nearly cancel here: against their own value the

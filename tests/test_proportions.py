@@ -12,7 +12,7 @@ import pytest
 
 from levbounds import kernel, proportions
 from levbounds.polyalg import MollifierShape, TwistShape, expand_mollifier, moments
-from levbounds.proportions import (BoundReport, NonFiniteError, NonPositiveConstantError,
+from levbounds.proportions import (BoundReport, ConstantBelowOneError, NonFiniteError,
                                    SectionFiveParams, SectionFourParams, bounds_table,
                                    c1_core, c1_value, c_core, c_value, full_report,
                                    grh_bounds, kappa_bound, nu_bound, unconditional_bounds)
@@ -205,7 +205,7 @@ class TestNuBound:
     def test_below_one_rejected(self, c):
         # c is 1 plus the integral of a square: c = 0.5 once gave nu < 0
         # and proportions above 1
-        with pytest.raises(NonPositiveConstantError, match=rf"^c must be at least 1, got {c!r}$"):
+        with pytest.raises(ConstantBelowOneError, match=rf"^c must be at least 1, got {c!r}$"):
             nu_bound(c, 0.5)
 
 
@@ -313,7 +313,7 @@ class TestKappaBound:
     @pytest.mark.parametrize("c1", [-0.5, 0.5, math.nextafter(1.0, 0.0)])
     def test_below_one_rejected(self, c1):
         # c1 = 0.5 once gave kappa = 1.99 and d_uncond = 1.343
-        with pytest.raises(NonPositiveConstantError,
+        with pytest.raises(ConstantBelowOneError,
                            match=rf"^c1 must be at least 1, got {c1!r}$"):
             kappa_bound(c1, 0.746)
 
@@ -437,15 +437,15 @@ class TestFullReport:
 
 
 class TestShapeProducts:
-    """The float core reads each exact shape through its float row, kept on
-    the shape, and c_value and c1_value are memos of the core keyed by the
-    binary64 point and the rows.  Read through the memos' cache_info and
+    """The float core reads each exact shape through its binary64 row, the
+    shape's cached row, and c_value and c1_value are memos of the core
+    keyed by the binary64 point and the rows.  Read through the memos' cache_info and
     that of kernel._node_rows: a value is the core's, bit for bit, a hit
     evaluates nothing, a raise keeps nothing, a memo holds a bounded number
     of entries, and a different input is its own entry."""
 
     def test_values_are_the_float_core_bit_for_bit(self):
-        # c_value and c1_value evaluate the shapes' kept rows on a miss;
+        # c_value and c1_value evaluate the shapes' rows on a miss;
         # c_core and c1_core, the search objective, form them from floats on
         # each call.
         # The search's re-evaluation of its best point relies on both
@@ -473,28 +473,59 @@ class TestShapeProducts:
         # over a 3^4 (r, R4, R5, delta) lattice on shared shapes, each
         # constant is evaluated once per point of its half, 9 times, and
         # read from its memo at the other 72 reports; every report is bit
-        # for bit bounds_table of c_core and c1_core on the same floats; a
-        # shape keeps only its float row, read-only, and its ==, hash and
-        # repr are those of a fresh equal shape
+        # for bit bounds_table of c_core and c1_core on the same floats; each
+        # shared shape formed its binary64 row on the first report, and every
+        # later report read that same object
         p4, p5 = section_four_reference(), section_five_reference()
         shapes = (p4.p1_shape, p4.p2_shape, p5.p_shape, p5.q_shape)
         points = lattice(p4, p5)
         clear_memos()
-        reports = [full_report(a, b) for a, b in points]
+        reports = [full_report(*points[0])]
+        rows = [shape.row for shape in shapes]
+        reports += [full_report(a, b) for a, b in points[1:]]
+        assert all(shape.row is row for shape, row in zip(shapes, rows))
         assert [counts(memo) for memo in MEMOS.values()] == [(72, 9, 9)] * 2
         for report, (a, b) in zip(reports, points):
             expected = bounds_table(core(c_value, a), a.R, core(c1_value, b), b.R)
             assert [type(x) for x in tuple(report)[:8]] == [float] * 8
             assert ([x.hex() for x in tuple(report)[:8]]
                     == [x.hex() for x in expected.values()])
-        for shape in shapes:
-            assert list(shape.kept) == ["row"]
-            row = kernel.shape_row(shape)
-            assert not row.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                row[0] = 2.0
-            assert shape == fresh(shape) and hash(shape) == hash(fresh(shape))
-            assert repr(shape) == repr(fresh(shape))
+
+    @pytest.mark.parametrize("shape, field", [
+        (MollifierShape.of(["-0.482", "-0.392", "-0.262"]), "shape_coeffs"),
+        (TwistShape.of("-0.673", ["0.369", "-4.635"]), "sym_coeffs")], ids=["mollifier", "twist"])
+    def test_a_shape_forms_its_row_once(self, shape, field):
+        # the row is the homogeneous row in binary64, formed on the first
+        # read and then the same object, and shape_row is a read-only view
+        # of it; it is not a field, so ==, hash and repr are those of a
+        # shape that has formed none, and a shape built by
+        # dataclasses.replace forms its own; an entry past binary64 is named
+        # by its field and index, and a read that raises forms no row
+        entries = (shape.shape_coeffs if field == "shape_coeffs"
+                   else (shape.linear_coeff, *shape.sym_coeffs))
+        shape, unread = fresh(shape), fresh(shape)
+        row = shape.row
+        assert type(row) is bytes and shape.row is row
+        assert row == np.array([1.0, *map(float, entries)]).tobytes()
+        view = kernel.shape_row(shape)
+        assert view.base is row and not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 2.0
+        assert "row" not in vars(unread)
+        assert shape == unread and hash(shape) == hash(unread) and repr(shape) == repr(unread)
+        copy = replace(shape)
+        assert "row" not in vars(copy) and copy.row == row and copy.row is not row
+
+        def last(x):  # shape with the last entry of its last field replaced by x
+            return replace(shape, **{field: (*getattr(shape, field)[:-1], x)})
+
+        assert np.frombuffer(last(Fraction(1, 7)).row)[-1] == 1 / 7
+        past, at = last(-Fraction(10) ** 400), len(getattr(shape, field)) - 1
+        for _ in range(2):
+            with pytest.raises(ValueError, match=rf"^{type(shape).__name__}\.{field}\[{at}\] "
+                                                 rf"= -1\.000000e\+400 is outside binary64$"):
+                past.row
+        assert "row" not in vars(past)
 
     def test_a_hit_evaluates_nothing(self):
         # the first pass over the lattice reads 6 points' node rows; a second
