@@ -144,9 +144,9 @@ def c_factors(z1: np.ndarray, z2: np.ndarray, r: float) -> np.ndarray:
 
 class NodeRows(NamedTuple):
     """What both constants read at one (theta, R), and how a shape's row
-    becomes its root factors and their Gram there.  A named tuple of floats
-    and read-only arrays: node_rows hands one object per point to every
-    caller, so no caller can change it."""
+    becomes its root factors there, whose Gram is gram under wx or wt.
+    A named tuple of floats and read-only arrays: node_rows hands one
+    object per point to every caller, so no caller can change it."""
 
     theta: float
     R: float
@@ -170,10 +170,6 @@ class NodeRows(NamedTuple):
         up[0] += self.rho * up[1]
         up[1] *= self.theta
         return up
-
-    def gram_of(self, u: np.ndarray, delta: float | None = None) -> tuple[float, float, float]:
-        """The Gram of factors(u, delta) under their weights: X or T."""
-        return gram(self.factors(u, delta), self.wx if delta is None else self.wt)
 
     def dT_dR(self, U: np.ndarray | None = None) -> tuple[float, float, float]:
         """d/dR of the t-Gram of U (c's [1; t - 1] when None): wt moves by 2t wt."""

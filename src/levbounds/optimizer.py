@@ -25,20 +25,23 @@ replaced by a sweep, a step of each block (a fallback), and a sweep that
 does not lower c1 ends it.  At most MAX_STEPS joint steps and sweeps.
 
 Each target's solve class (_SOLVES) owns its blocks, its factors, the
-objective it minimizes (nu, or -kappa) and that sign.  At a solved point
-the R slope is the objective's partial derivative in R at fixed shapes,
-and a pinned entry's shadow price its partial in that entry with the
-others held (the envelope theorem), or 0 where the objective does not
-fall outside the bounds.  A safeguarded search on (objective, slope)
-runs over R from the start's R: a probe step downhill, then cubic
-Hermite steps inside the bracket the slopes' signs set, bisection as the
-fallback (Nocedal & Wright 2006, sec. 3.5); a bound that cuts the
-optimum is reached exactly.  Each step is one evaluation, as is the
-start, and warm-starts from the previous one.  The best step's slope is
-reused, and one is computed at the end only when the start stays best.
-The result is the better of the start and the best step, its objective
-the float core at the returned vector, so it re-evaluates bit for bit; a
-search whose steps all failed raises EvaluationFailureError.  SearchSpec.free_indices
+objective it minimizes (nu, or -kappa) and that sign, and its evaluate:
+one call of the float core (proportions._c or _c1) at a public vector,
+whose constant gives the objective and whose rows, factors and Grams give
+the R slope, the objective's partial derivative in R at fixed shapes; the
+model alone reads the solve's map, in its coordinates.  At a solved point
+the R slope is the slope of the solved profile, and a pinned entry's
+shadow price the objective's partial in that entry with the others held
+(the envelope theorem), or 0 where the objective does not fall outside
+the bounds.  A safeguarded search on (objective, slope) runs over R from
+the start's R: a probe step downhill, then cubic Hermite steps inside
+the bracket the slopes' signs set, bisection as the fallback (Nocedal &
+Wright 2006, sec. 3.5); a bound that cuts the optimum is reached
+exactly.  Each step is one evaluation, as is the start, and warm-starts
+from the previous one.  The result is the better of the start and the
+best step, with the objective and slope of its evaluation: the objective
+is the float core at the returned vector, so it re-evaluates bit for
+bit; a search whose steps all failed raises EvaluationFailureError.  SearchSpec.free_indices
 alone decides which entries move; delta keeps the side of zero of its
 start, since q = v / delta.  Seed and restarts change nothing.
 """
@@ -57,7 +60,7 @@ import numpy as np
 from .kernel import MAX_BASE_R, MIN_BASE_R, NodeRows, basis_products, c_factors, gram, node_rows
 from .polyalg import (MollifierShape, TwistShape, as_binary64, mollifier_shape_from_poly,
                       twist_shape_from_poly)
-from .proportions import (SectionFourParams, SectionFiveParams, c1_core, c_core, contract,
+from .proportions import (SectionFourParams, SectionFiveParams, _c, _c1, _homogeneous, contract,
                           kappa_bound, nu_bound)
 
 MAX_CONDITION = 1e12       # a free solve block conditioned worse than this is ill-posed
@@ -278,8 +281,9 @@ class SearchResult:
     counts the model steps, each one factorization; fallbacks the sweeps
     after a failed joint step; failures the failed evaluations by class;
     conditions each free block's model Hessian condition number at the
-    best point; slope d best_objective / dR there with the shapes held
-    (None when no search set it); pinned each free entry of best_point
+    best point; slope d best_objective / dR there with the shapes held,
+    from the evaluation that gave best_objective (None when no search set
+    it); pinned each free entry of best_point
     exactly on one of its bounds (lo < hi), with that bound, sorted by
     name, and shadow its price, d best_objective / d entry with the other
     entries held (R's is slope; 0 where the objective does not fall
@@ -299,38 +303,33 @@ class SearchResult:
 
 
 class _Record:
-    """Counts the evaluations of a solve's objective and their failures;
-    keeps the best point, its R slope when it was evaluated with one, and
-    the improvements."""
+    """Counts the evaluations of a solve (_Solve.evaluate) and their
+    failures; keeps the best point, its R slope, and the improvements."""
 
     def __init__(self, solve: _Solve):
         self.solve = solve
         self.count = 0
         self.best = math.inf
         self.best_vector: np.ndarray | None = None
-        self.best_rate: float | None = None
+        self.best_rate = math.nan
         self.trace: list[tuple[int, float]] = []
         self.failures: Counter[str] = Counter()
         self.failure: Exception | None = None  # the first evaluation error
 
-    def __call__(self, point: np.ndarray | Callable[[], np.ndarray],
-                 slope: bool = False) -> tuple[float, float]:
+    def __call__(self, point: np.ndarray | Callable[[], np.ndarray]) -> tuple[float, float]:
         """One evaluation at point, or at the vector point() builds: the
-        objective and, if slope, its R slope (else nan); (inf, nan) if
-        building or evaluating either fails."""
+        objective and its R slope; (inf, nan) if building or evaluating
+        fails."""
         self.count += 1
         try:
             v = point() if callable(point) else point
-            val = self.solve.objective(v)
-            rate = self.solve.slope(v) if slope else math.nan
+            val, rate = self.solve.evaluate(v)
         except (ArithmeticError, ValueError) as exc:
             self.failure = self.failure or exc
             self.failures[type(exc).__name__] += 1
             return math.inf, math.nan
         if val < self.best:
-            self.best = val
-            self.best_vector = np.array(v, dtype=float)
-            self.best_rate = rate if slope else None
+            self.best, self.best_vector, self.best_rate = val, np.array(v, dtype=float), rate
             self.trace.append((self.count, val))
         return val, rate
 
@@ -540,12 +539,15 @@ def _hessian(G: np.ndarray, wC: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 class _Solve:
     """The exact solve of one target at fixed R over the coordinates x of
-    one map (_Map) and one state (x, pinned rows).  A subclass gives
-    parts, what its factors read of y or of N's columns (a mollifier's
-    factors as c_core and c1_core form them, the twist's [Psi v; Psi' v]),
-    its x-factors (or their R derivative) and, for c1, the linear part of
-    its t-factors; its objective (minimized), sign and per_log, the
-    objective being per_log ln(constant) / R up to a constant."""
+    one map (_Map) and one state (x, pinned rows), and its evaluation at a
+    public vector.  A subclass gives parts, what its factors read of y or
+    of N's columns (a mollifier's factors as c_core and c1_core form them,
+    the twist's [Psi v; Psi' v]), and unpack, which reads from those its
+    x-factors and, for c1, the linear part of its t-factors (else None);
+    its sign and per_log, the objective (minimized) being per_log
+    ln(constant) / R up to a constant; and evaluate(v), the objective and
+    its R slope (r_slope) from one call of the float core.  A solve keeps
+    its solves and fallbacks counts and nothing else that changes."""
 
     def __init__(self, spec: SearchSpec, degrees: tuple, blocks: dict[str, tuple[_Segment, ...]]):
         self.spec, self.degrees, self.map = spec, degrees, _Map(spec, blocks)
@@ -560,10 +562,9 @@ class _Solve:
         return node_rows(self.spec.theta, R, *self.degrees)
 
     def factors(self, rows: NodeRows, y: np.ndarray):
-        """y's parts, its x-factors F and its t-factors U (None for c)."""
-        at = self.parts(rows, y)
-        psi = self.t_part(at)
-        return at, self.x_factors(at), None if psi is None else _U0 + psi
+        """y's x-factors F and its t-factors U (None for c)."""
+        F, psi = self.unpack(self.parts(rows, y))
+        return F, None if psi is None else _U0 + psi
 
     @staticmethod
     def grams(rows: NodeRows, F: np.ndarray, U: np.ndarray | None):
@@ -574,8 +575,7 @@ class _Solve:
         """N's columns' x-factors FX and t-factors FT (None when no column
         moves them), column axis first, and each times its weights: fixed
         at rows, so formed once per solve(R) and per read."""
-        at = [part.transpose(2, 0, 1) for part in self.parts(rows, self.map.N)]
-        FX, FT = self.x_factors(at), self.t_part(at)
+        FX, FT = self.unpack([part.transpose(2, 0, 1) for part in self.parts(rows, self.map.N)])
         return FX, FX * rows.wx, FT, None if FT is None else FT * rows.wt
 
     def model(self, rows: NodeRows, columns, F: np.ndarray, U: np.ndarray | None):
@@ -608,7 +608,7 @@ class _Solve:
         columns = self.columns(rows) if moving else None
 
         def at(state):  # the factors of state's solve vector
-            return self.factors(rows, self.map.y(state[0]))[1:]
+            return self.factors(rows, self.map.y(state[0]))
 
         def step(state, factors, block=None):
             return self.step(R, self.model(rows, columns, *factors), state, block)
@@ -674,20 +674,18 @@ class _Solve:
         out[self.R_at] = R
         return out
 
-    def slope(self, v: np.ndarray) -> float:
-        """d(objective)/dR at the public vector v with the shapes held: at a
-        solved point, the slope of the solved profile (the envelope theorem;
-        active bound rows do not depend on R).  T moves with its weights,
-        X with the x-factors' R derivative dF: dX = K + K', K = (dF wx) F'."""
-        R = float(v[self.R_at])
-        rows = self.nodes(R)
-        at, F, U = self.factors(rows, self.map.y(self.map.coordinates(v)))
-        (T, X), dF = self.grams(rows, F, U), self.x_factors(at, d_dR=True)
-        dT, ((K00, K01), (K10, K11)) = rows.dT_dR(U), ((dF * rows.wx) @ F.T).tolist()
+    def r_slope(self, rows: NodeRows, T, X, dT, F: np.ndarray, dF: np.ndarray, c: float
+                ) -> float:
+        """d(objective)/dR with the shapes held, from the constant c = 1 +
+        sum_ab T_ab X_ab at rows, its x-factors F and the R derivatives dT
+        of T and dF of F: T moves with its weights, X with dF,
+        dX = K + K', K = (dF wx) F'.  At a solved point it is the slope of
+        the solved profile (the envelope theorem; active bound rows do not
+        depend on R)."""
+        (K00, K01), (K10, K11) = ((dF * rows.wx) @ F.T).tolist()
         rate = (dT[0] * X[0] + 2.0 * dT[1] * X[1] + dT[2] * X[2]
                 + 2.0 * (T[0] * K00 + T[1] * (K01 + K10) + T[2] * K11))
-        c = contract(T, X)
-        return self.per_log * (rate / c - math.log(c) / R) / R
+        return self.per_log * (rate / c - math.log(c) / rows.R) / rows.R
 
     def read(self, v: np.ndarray, pinned: dict[str, float]):
         """One model at the public vector v: the condition number of each
@@ -697,7 +695,7 @@ class _Solve:
         or 0 where the objective does not fall outside the bounds."""
         R = float(v[self.R_at])
         rows = self.nodes(R)
-        F, U = self.factors(rows, self.map.y(self.map.coordinates(v)))[1:]
+        F, U = self.factors(rows, self.map.y(self.map.coordinates(v)))
         g, H = self.model(rows, self.columns(rows), F, U)
         conditions = tuple((name, _condition(np.linalg.eigvalsh(H[cols, cols])))
                            for name, cols in self.map.moving.items())
@@ -721,7 +719,7 @@ class _NuSolve(_Solve):
 
     def __init__(self, spec: SearchSpec):
         at = spec.places()
-        self.core = at["p1_shape"], at["p2_shape"], at["r"]  # c_core's slices of v
+        self.core = at["p1_shape"], at["p2_shape"], at["r"]  # the core's slices of v
         p1, p2 = (tuple(range(s.start, s.stop)) for s in self.core[:2])
         self.split = len(p1) + 1  # z = (z1, z2)
         super().__init__(spec, (max(len(p1), len(p2)),), {"mollifier": (
@@ -730,15 +728,15 @@ class _NuSolve(_Solve):
     def parts(self, rows, Y):
         return rows.factors(Y[:self.split]), rows.factors(Y[self.split:])
 
-    def x_factors(self, at, d_dR=False) -> np.ndarray:
-        return c_factors(*(map(NodeRows.d_dR, at) if d_dR else at), 1.0)
+    def unpack(self, at):
+        return c_factors(*at, 1.0), None  # c's t-factors are fixed: its T is the rows' Tc
 
-    def t_part(self, at) -> None:
-        return None  # c's t-factors are fixed: its T is the rows' Tc
-
-    def objective(self, v: np.ndarray) -> float:
+    def evaluate(self, v: np.ndarray) -> tuple[float, float]:
         (p1, p2, r), R = self.core, float(v[self.R_at])
-        return nu_bound(c_core(v[p1], v[p2], self.spec.theta, v[r], R), R)
+        c, rows, X, F, f1, f2 = _c(_homogeneous(v[p1]), _homogeneous(v[p2]),
+                                   self.spec.theta, v[r], R)
+        dF = c_factors(NodeRows.d_dR(f1), NodeRows.d_dR(f2), v[r])
+        return nu_bound(c, R), self.r_slope(rows, rows.Tc, X, rows.dT_dR(), F, dF, c)
 
 
 # the twist's constant factor rows: [U; U'] = [1; 0] + [Psi v; Psi' v]
@@ -755,7 +753,7 @@ class _KappaSolve(_Solve):
     per_log = 1.0  # -kappa = ln(c1) / R - 1
 
     def __init__(self, spec: SearchSpec):
-        at = spec.places()  # c1_core takes the twist as one run (q_linear, q_sym[0], ..)
+        at = spec.places()  # the core takes the twist as one run (q_linear, q_sym[0], ..)
         self.core = at["p_shape"], slice(at["q_linear"], at["q_sym"].stop), at["delta"]
         p, q = (tuple(range(s.start, s.stop)) for s in self.core[:2])
         super().__init__(spec, (len(p), len(q) - 1), {
@@ -765,15 +763,15 @@ class _KappaSolve(_Solve):
     def parts(self, rows, Y):
         return rows.factors(Y[self.u]), basis_products(len(rows.t), Y[self.v], True)
 
-    def x_factors(self, at, d_dR=False) -> np.ndarray:
-        return NodeRows.d_dR(at[0]) if d_dR else at[0]
+    def unpack(self, at):
+        return at
 
-    def t_part(self, at) -> np.ndarray:
-        return at[1]
-
-    def objective(self, v: np.ndarray) -> float:
+    def evaluate(self, v: np.ndarray) -> tuple[float, float]:
         (p, q, delta), R = self.core, float(v[self.R_at])
-        return -kappa_bound(c1_core(v[p], v[q], self.spec.theta, R, v[delta]), R)
+        c1, rows, T, X, F, U = _c1(_homogeneous(v[p]), _homogeneous(v[q]),
+                                   self.spec.theta, R, v[delta])
+        return -kappa_bound(c1, R), self.r_slope(rows, T, X, rows.dT_dR(U), F,
+                                                 NodeRows.d_dR(F), c1)
 
 
 _SOLVES = {"minimize_nu": _NuSolve, "maximize_kappa": _KappaSolve}  # one per target
@@ -868,7 +866,7 @@ def optimize(spec: SearchSpec) -> SearchResult:
             nonlocal state
             state = solver.solve(R, state)
             return solver.vector(state, R)
-        return record(point, slope=True)
+        return record(point)
 
     def room() -> bool:
         return record.count < spec.budget
@@ -883,12 +881,9 @@ def optimize(spec: SearchSpec) -> SearchResult:
         first = record.failure
         raise EvaluationFailureError(f"all {steps} search steps failed, the first with "
                                      f"{type(first).__name__}: {first}") from first
-    rate = record.best_rate  # None when the best point is the start
-    if rate is None:
-        rate = solver.slope(record.best_vector)
     result = record.result("objective failed at the initial point",
                            inner_solves=solver.solves, fallbacks=solver.fallbacks,
-                           slope=solver.sign * rate)
+                           slope=solver.sign * record.best_rate)
     conditions, prices = solver.read(record.best_vector, dict(result.pinned))
     return replace(result, conditions=conditions, shadow=tuple(
         (name, result.slope if name == "R" else prices[name]) for name, _ in result.pinned))

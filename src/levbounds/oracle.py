@@ -4,7 +4,7 @@ Everything here recomputes a quantity the engine produces, by a route
 that shares nothing with it beyond polynomial evaluation and the moment
 data itself: Gauss-Legendre quadrature against exact moment integrals,
 the root factors [A u; theta P u] and x-Gram the engine forms from each
-mollifier shape's float row (NodeRows.factors, NodeRows.gram_of of
+mollifier shape's float row (NodeRows.factors and kernel.gram of
 kernel.shape_row, as c and c1 form them) against the same exact moments,
 and Cauchy integrals of the definition-form kernel against c and c1 from
 the float core.
@@ -55,7 +55,7 @@ from operator import mul
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .kernel import NodeRows, _rows, node_rows, shape_row
+from .kernel import NodeRows, _rows, gram, node_rows, shape_row
 from .polyalg import (MollifierShape, MomentTable, Poly, TwistShape, expand_mollifier,
                       poly_derivative, shape_moments, twist_basis)
 from .proportions import SectionFourParams, SectionFiveParams, c1_value, c_value
@@ -290,7 +290,7 @@ def _row_checks(name: str, mt: MomentTable, rows: NodeRows, R: float, a: Mollifi
     m_dp + rho m_pp, m_pd + rho m_pp and m_pp, times theta once per P and
     over theta, with theta and rho = R theta rounded once from the caller's
     R.  A pair of one shape reads the x-Gram of its float row
-    (rows.gram_of, as a miss of c1 forms it; AP and PA its off-diagonal
+    (gram of its rows.factors, as c1 forms it; AP and PA its off-diagonal
     entry), a pair of two the products of their factors (rows.factors, from
     which a miss of c forms its x-Gram).
     Each error is relative to the same sum over absolute values
@@ -304,7 +304,7 @@ def _row_checks(name: str, mt: MomentTable, rows: NodeRows, R: float, a: Mollifi
         return {"A": np.abs(slopes + rows.rho * values) @ u, "P": np.abs(rows.theta * values) @ u}
 
     if a is b:
-        x00, x01, x11 = rows.gram_of(shape_row(a))
+        x00, x01, x11 = gram(rows.factors(shape_row(a)), rows.wx)
         nums = {"AA": x00, "AP": x01, "PA": x01, "PP": x11}
     else:  # row 0 of the factors is A, row 1 theta P
         fa, fb = rows.factors(shape_row(a)), rows.factors(shape_row(b))

@@ -218,9 +218,8 @@ class MomentTable:
     over one denominator: nums is (m_dd, m_dp, m_pd, m_pp) times den.
 
     Canonical form: den > 0 and gcd(den, *nums) = 1, so the zero table is
-    ((0, 0, 0, 0), 1) and equal tables compare equal.  MomentTable.of
-    builds one from four rationals; the constructor takes only the
-    canonical form and fails naming it.
+    ((0, 0, 0, 0), 1) and equal tables compare equal.  The constructor
+    takes only the canonical form and fails naming it.
     """
 
     nums: tuple[int, int, int, int]
@@ -233,13 +232,6 @@ class MomentTable:
         if self.den <= 0 or gcd(self.den, *self.nums) != 1:
             raise ValueError("MomentTable not in canonical form (denominator not positive, "
                              "or a factor shared with the numerators)")
-
-    @staticmethod
-    def of(m_dd, m_dp, m_pd, m_pp) -> "MomentTable":
-        """The table of four rationals (ints or Fractions), over their
-        least common denominator."""
-        ms = (m_dd, m_dp, m_pd, m_pp)
-        return MomentTable(*_over_common_denominator([Fraction(m) for m in ms]))
 
     m_dd = property(lambda self: Fraction(self.nums[0], self.den), doc="integral of P1' P2'")
     m_dp = property(lambda self: Fraction(self.nums[1], self.den), doc="integral of P1' P2")

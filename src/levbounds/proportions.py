@@ -10,10 +10,13 @@ for c1 the Grams of the twist's [U; U'] and the mollifier's
 [A u; theta P u]; for c, whose root is centred at t = 1, the rows' Tc
 and the Gram of kernel.c_factors, from the mollifiers' factors and r
 (an expansion in 1/r would cancel).  _c and _c1 are the one evaluation:
-each takes homogeneous rows and forms their factors and Grams itself.
-c_core and c1_core pass the rows of float coefficients, and c_value and
-c1_value the shapes' binary64 rows (each shape's cached row), so both
-routes give the same bits; each checks theta, R and r or delta first.
+each takes homogeneous rows, forms their factors and Grams itself, and
+returns the constant with what formed it (the node rows, the factors and
+the Grams), which one private caller reads, the search's evaluate
+(optimizer), for its R slope.  c_core and c1_core pass the rows of float
+coefficients, and c_value and c1_value the shapes' binary64 rows (each
+shape's cached row), and return the constant alone, so every route gives
+the same bits; each checks theta, R and r or delta first.
 c_value and c1_value are memos of it: each reads one lru_cache of at most
 _NODE_ROWS_KEPT constants keyed by exactly what the core reads, the
 binary64 (theta, R, r) or (theta, R, delta), formed once per params object
@@ -156,30 +159,33 @@ def contract(T: tuple[float, float, float], X: tuple[float, float, float]) -> fl
     return value if math.isfinite(value) else math.inf
 
 
-def _c(z1: np.ndarray, z2: np.ndarray, theta: float, r: float, R: float) -> float:
-    """c of the homogeneous mollifier rows z1 and z2, Tc against the Gram
-    of c_factors of their factors at r: the one evaluation of c_core and of
-    a miss of c_value."""
+def _c(z1: np.ndarray, z2: np.ndarray, theta: float, r: float, R: float) -> tuple:
+    """c of the homogeneous mollifier rows z1 and z2, Tc against the Gram X
+    of c_factors F of their factors f1, f2 at r, and what formed it:
+    (c, rows, X, F, f1, f2)."""
     theta, r, R = float(theta), float(r), float(R)
     _check_scalars(theta, R, r=r)
     rows = node_rows(theta, R, max(len(z1), len(z2)) - 1)
-    c = contract(rows.Tc, gram(c_factors(rows.factors(z1), rows.factors(z2), r), rows.wx))
+    f1, f2 = rows.factors(z1), rows.factors(z2)
+    F = c_factors(f1, f2, r)
+    X = gram(F, rows.wx)
+    c = contract(rows.Tc, X)
     if not math.isfinite(c):
         raise NonFiniteError(f"c evaluated to {c!r}")
-    return c
+    return c, rows, X, F, f1, f2
 
 
 def c_core(p1, p2, theta: float, r: float, R: float) -> float:
-    """c from float shape coefficients: the search objective evaluates
-    through here, and a miss of c_value is the same evaluation of the
-    shapes' float rows."""
-    return _c(_homogeneous(p1), _homogeneous(p2), theta, r, R)
+    """c from float shape coefficients, the constant of _c at their rows:
+    the search's evaluate reads the same _c call, and a miss of c_value is
+    the same evaluation of the shapes' float rows."""
+    return _c(_homogeneous(p1), _homogeneous(p2), theta, r, R)[0]
 
 
 @lru_cache(maxsize=_NODE_ROWS_KEPT)
 def _c_memo(point: tuple[float, float, float], z2: bytes, z1: bytes) -> float:
     theta, R, r = point
-    return _c(np.frombuffer(z1), np.frombuffer(z2), theta, r, R)
+    return _c(np.frombuffer(z1), np.frombuffer(z2), theta, r, R)[0]
 
 
 def c_value(p: SectionFourParams) -> float:
@@ -197,31 +203,34 @@ def nu_bound(c: float, R: float) -> float:
     return math.log(c) / (2.0 * R)
 
 
-def _c1(up: np.ndarray, w: np.ndarray, theta: float, R: float, delta: float) -> float:
-    """c1 of the homogeneous mollifier row up and twist row w, the T of w
-    at delta against the X of up: the one evaluation of c1_core and of a
-    miss of c1_value."""
+def _c1(up: np.ndarray, w: np.ndarray, theta: float, R: float, delta: float) -> tuple:
+    """c1 of the homogeneous mollifier row up and twist row w, the Gram T
+    of w's factors U at delta against the Gram X of up's factors F, and
+    what formed it: (c1, rows, T, X, F, U)."""
     theta, R, delta = float(theta), float(R), float(delta)
     _check_scalars(theta, R, delta=delta)
     rows = node_rows(theta, R, len(up) - 1, len(w) - 2)
-    c1 = contract(rows.gram_of(w, delta), rows.gram_of(up))
+    U, F = rows.factors(w, delta), rows.factors(up)
+    T, X = gram(U, rows.wt), gram(F, rows.wx)
+    c1 = contract(T, X)
     if not math.isfinite(c1):
         raise NonFiniteError(f"c1 evaluated to {c1!r}")
-    return c1
+    return c1, rows, T, X, F, U
 
 
 def c1_core(p, q, theta: float, R: float, delta: float) -> float:
     """c1 from float coefficients p and q = (q0, q_1, .., q_m), the twist
-    v = delta (1, q): the search objective, and a miss of c1_value is the
-    same evaluation of the shapes' float rows."""
+    v = delta (1, q), the constant of _c1 at their rows: the search's
+    evaluate reads the same _c1 call, and a miss of c1_value is the same
+    evaluation of the shapes' float rows."""
     if len(q) < 1:
         raise ValueError("c1_core: the twist needs at least q_linear, got no entries")
-    return _c1(_homogeneous(p), _homogeneous(q), theta, R, delta)
+    return _c1(_homogeneous(p), _homogeneous(q), theta, R, delta)[0]
 
 
 @lru_cache(maxsize=_NODE_ROWS_KEPT)
 def _c1_memo(point: tuple[float, float, float], w: bytes, up: bytes) -> float:
-    return _c1(np.frombuffer(up), np.frombuffer(w), *point)
+    return _c1(np.frombuffer(up), np.frombuffer(w), *point)[0]
 
 
 def c1_value(p: SectionFiveParams) -> float:

@@ -32,8 +32,9 @@ The exact polynomial operations also keep their per-term Fraction forms
 here, on the exact coefficients Poly.coeffs, as the references of the
 integer form in polyalg: integrate01_product_naive (each of the four
 integrals polyalg.moments gives), combine_naive and the other *_naive
-functions; expand_twist and transpose (of a MomentTable) are the exact
-operations that only the tests read.  readme_draws draws the inputs of
+functions; expand_twist, moment_table (a MomentTable of four rationals)
+and transpose (of a MomentTable) are the exact operations that only the
+tests read.  readme_draws draws the inputs of
 the README's accuracy table, one cell at a time.
 """
 
@@ -47,7 +48,8 @@ from mpmath import mp
 
 from levbounds.oracle import _exp_ratio, _torus
 from levbounds.polyalg import (MollifierShape, MomentTable, Poly, TwistShape, _combine,
-                               expand_mollifier, mollifier_basis, moments, twist_basis)
+                               _over_common_denominator, expand_mollifier, mollifier_basis,
+                               moments, twist_basis)
 from levbounds.proportions import SectionFiveParams, SectionFourParams
 
 ANCHOR_DPS = 20
@@ -100,6 +102,13 @@ def eval_naive(a, x: Fraction) -> Fraction:
 def expand_twist(shape: TwistShape) -> Poly:
     """Expand Q(x) = 1 + q0 x + sum_k q_k I_k(x) to canonical form."""
     return _combine(twist_basis(len(shape.sym_coeffs)), (shape.linear_coeff, *shape.sym_coeffs))
+
+
+def moment_table(m_dd, m_dp, m_pd, m_pp) -> MomentTable:
+    """The canonical table of four rationals (ints or Fractions), over
+    their least common denominator."""
+    ms = (m_dd, m_dp, m_pd, m_pp)
+    return MomentTable(*_over_common_denominator([Fraction(m) for m in ms]))
 
 
 def transpose(mt: MomentTable) -> MomentTable:

@@ -15,7 +15,7 @@ from levbounds.polyalg import MollifierShape, MomentTable, X, ZERO, expand_molli
 from levbounds.proportions import c1_core, c_core
 
 from kernel_reference import (anchor_matrix, cauchy_derivatives, kernel_matrix, kernel_numeric,
-                              numerator, transpose)
+                              moment_table, numerator, transpose)
 
 F = Fraction
 
@@ -25,7 +25,7 @@ P2 = expand_mollifier(MollifierShape.of(["0.492", "0.075"]))
 
 def random_moment_table(rng) -> MomentTable:
     vals = [F(int(rng.integers(-40, 41)), int(rng.integers(1, 12))) for _ in range(4)]
-    return MomentTable.of(*vals)
+    return moment_table(*vals)
 
 
 class TestMoments:
@@ -71,11 +71,11 @@ class TestMomentTableForm:
         assert moments(ZERO, P1) == MomentTable((0, 0, 0, 0), 1)
 
     def test_of_builds_the_canonical_table(self):
-        assert MomentTable.of(F(1, 2), F(1, 3), 0, 2) == MomentTable((3, 2, 0, 12), 6)
-        assert MomentTable.of(0, 0, 0, 0) == MomentTable((0, 0, 0, 0))
+        assert moment_table(F(1, 2), F(1, 3), 0, 2) == MomentTable((3, 2, 0, 12), 6)
+        assert moment_table(0, 0, 0, 0) == MomentTable((0, 0, 0, 0))
         mt = moments(P1, P2)
-        assert MomentTable.of(mt.m_dd, mt.m_dp, mt.m_pd, mt.m_pp) == mt
-        assert transpose(mt) == MomentTable.of(mt.m_dd, mt.m_pd, mt.m_dp, mt.m_pp)
+        assert moment_table(mt.m_dd, mt.m_dp, mt.m_pd, mt.m_pp) == mt
+        assert transpose(mt) == moment_table(mt.m_dd, mt.m_pd, mt.m_dp, mt.m_pp)
 
     @pytest.mark.parametrize("nums, den", [((2, 4, 6, 8), 2), ((1, 0, 0, 0), -1),
                                            ((0, 0, 0, 0), 0), ((1, 0, 0), 1),

@@ -19,7 +19,8 @@ from mpmath import mp
 from levbounds.polyalg import MollifierShape, MomentTable, X, expand_mollifier, moments
 
 from kernel_reference import (_expm1_ratio_derivatives, cauchy_derivatives, division_form,
-                              kernel_derivative_basis, kernel_matrix, kernel_numeric)
+                              kernel_derivative_basis, kernel_matrix, kernel_numeric,
+                              moment_table)
 
 F = Fraction
 
@@ -45,7 +46,7 @@ class TestRingOps:
         rng = np.random.default_rng(23)
         for _ in range(20):
             mt1, mt2 = random_pair_moments(rng), random_pair_moments(rng)
-            total = MomentTable.of(mt1.m_dd + mt2.m_dd, mt1.m_dp + mt2.m_dp,
+            total = moment_table(mt1.m_dd + mt2.m_dd, mt1.m_dp + mt2.m_dp,
                                    mt1.m_pd + mt2.m_pd, mt1.m_pp + mt2.m_pp)
             theta = float(rng.uniform(0.3, 1.0))
             a, b = (float(x) for x in rng.uniform(-2.0, -0.1, 2))

@@ -382,20 +382,21 @@ class TestResultSlope:
     def test_best_step_slope_is_reused(self, monkeypatch, spec):
         # the best step was evaluated with its R slope, which the result
         # keeps: the slope at the best point, bit for bit, and no call to
-        # slope beyond one per search step
+        # evaluate beyond one per evaluation
         calls = []
-        slope = optimizer._Solve.slope
+        cls = optimizer._SOLVES[spec.target]
+        evaluate = cls.evaluate
 
         def counting(self, v):
             calls.append(tuple(v))
-            return slope(self, v)
+            return evaluate(self, v)
 
-        monkeypatch.setattr(optimizer._Solve, "slope", counting)
+        monkeypatch.setattr(cls, "evaluate", counting)
         result = optimize(spec)
-        solver = optimizer._SOLVES[spec.target](spec)
+        solver = cls(spec)
         assert result.best_point != spec.initial_point and not result.failures
-        assert result.slope == solver.sign * slope(solver, np.array(result.best_point))
-        assert len(calls) == result.evaluations_used - 1
+        assert result.slope == solver.sign * evaluate(solver, np.array(result.best_point))[1]
+        assert len(calls) == result.evaluations_used
 
     @pytest.mark.parametrize("spec", [criterion_eight_spec("minimize_nu"),
                                       criterion_eight_spec("maximize_kappa"),
@@ -403,7 +404,7 @@ class TestResultSlope:
                              ids=["criterion-8 nu", "criterion-8 kappa", "criterion-9"])
     def test_node_row_reuse_changes_no_bit(self, monkeypatch, spec):
         # the search reads each R's node rows several times (solve,
-        # objective, slope, conditions), from node_rows' cache: with every
+        # evaluation, conditions), from node_rows' cache: with every
         # point already kept, and with the cache cleared before every read,
         # the result is the same, bit for bit
         def keys(result):
@@ -426,21 +427,23 @@ class TestResultSlope:
 
     @pytest.mark.parametrize("target", TARGETS)
     def test_start_slope_is_computed_once(self, monkeypatch, target):
-        # the start is evaluated without a slope: when it stays the best
-        # point, the result's slope is computed there, once
+        # the start is evaluated with its slope, like every step: when it
+        # stays the best point, the result's slope is the one computed
+        # there, once
         calls = []
-        slope = optimizer._Solve.slope
+        cls = optimizer._SOLVES[target]
+        evaluate = cls.evaluate
 
         def counting(self, v):
             calls.append(tuple(v))
-            return slope(self, v)
+            return evaluate(self, v)
 
-        monkeypatch.setattr(optimizer._Solve, "slope", counting)
+        monkeypatch.setattr(cls, "evaluate", counting)
         spec = criterion_eight_spec(target, budget=1)
         result = optimize(spec)
-        solver = optimizer._SOLVES[target](spec)
+        solver = cls(spec)
         assert calls == [spec.initial_point]
-        assert result.slope == solver.sign * slope(solver, np.array(spec.initial_point))
+        assert result.slope == solver.sign * evaluate(solver, np.array(spec.initial_point))[1]
 
 
 class TestSolveTable:
@@ -662,7 +665,7 @@ class TestRSlope:
         solver, at = solved_profile(spec)
 
         def difference(R, h):
-            return (solver.objective(at(R + h)) - solver.objective(at(R - h))) / (2.0 * h)
+            return (solver.evaluate(at(R + h))[0] - solver.evaluate(at(R - h))[0]) / (2.0 * h)
 
         # each R at least 0.05 from the profile's optimum, where the slope is
         # not small; at most 5.3e-7 off (kappa at 0.8: the solve's own
@@ -673,7 +676,7 @@ class TestRSlope:
                 assert v[spec.vector_names().index(held[0])] == held[1]
             h = 2e-3
             measured = (4.0 * difference(R, h / 2.0) - difference(R, h)) / 3.0
-            assert solver.slope(v) == pytest.approx(measured, rel=1e-6, abs=0.0)
+            assert solver.evaluate(v)[1] == pytest.approx(measured, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("target, lo, hi, end",
                              [(t, *cut) for t, cuts in END_CUTS.items() for cut in cuts])
@@ -715,7 +718,7 @@ class TestShadowPrices:
 
         def difference(h):
             (a, va), (b, vb) = solved(bound + h), solved(bound - h)
-            return (a.sign * a.objective(va) - b.sign * b.objective(vb)) / (2.0 * h)
+            return (a.sign * a.evaluate(va)[0] - b.sign * b.evaluate(vb)[0]) / (2.0 * h)
 
         solver, v = solved(bound)
         assert v[solver.spec.vector_names().index(name)] == bound
@@ -757,9 +760,93 @@ class TestShadowPrices:
         assert optimize(replace(spec, budget=1)).shadow == (("r", 0.0),)
 
 
+def drawn_points(target: str) -> list[np.ndarray]:
+    """Six vectors about the criterion-8 start of target, the shapes moved
+    and the scalars drawn inside their bounds; the same on every call."""
+    rng, v0 = np.random.default_rng(8), np.array(criterion_eight_spec(target).initial_point)
+    points = []
+    for _ in range(6):
+        if target == "maximize_kappa":
+            v = v0 + np.r_[rng.normal(scale=0.3, size=6), 0.0, 0.0]
+            v[6:] = rng.uniform(0.4, 1.2, size=2)  # R and delta
+        else:
+            v = v0 + np.r_[rng.normal(scale=0.3, size=4), 0.0, 0.0]
+            v[4:] = rng.uniform(0.5, 2.0), rng.uniform(0.3, 1.2)  # r and R
+        points.append(v)
+    return points
+
+
+def sweeps_spec() -> SearchSpec:
+    """Degrees (9, 3) at delta = 1: the joint Hessian fails the condition
+    gate, and per-block sweeps replace each joint step."""
+    return SearchSpec(target="maximize_kappa", shape_degrees=(9, 3),
+                      scalar_bounds={"R": (0.3, 1.5)}, theta=1.0, budget=2000,
+                      initial_point=(-0.482, -0.392, -0.262, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                     -0.673, 0.369, -4.635, 0.0, 0.746, 1.0))
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_slope_off_a_solved_point_is_the_R_partial_with_the_shapes_held(self, target):
+        # at the start and at points no solve returned, the slope is
+        # d objective / dR with every other entry held; Richardson's
+        # extrapolation of central differences measures it
+        spec = criterion_eight_spec(target)
+        solver, R_at = optimizer._SOLVES[target](spec), spec.places()["R"]
+        for v in [np.array(spec.initial_point)] + drawn_points(target):
+            def objective(R):
+                moved = v.copy()
+                moved[R_at] = R
+                return solver.evaluate(moved)[0]
+
+            def difference(h):
+                return (objective(v[R_at] + h) - objective(v[R_at] - h)) / (2.0 * h)
+
+            h = 2e-3
+            measured = (4.0 * difference(h / 2.0) - difference(h)) / 3.0
+            assert solver.evaluate(v)[1] == pytest.approx(measured, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("spec, vector, matrix", [
+        (criterion_eight_spec("minimize_nu"), 16, 8),
+        (criterion_eight_spec("maximize_kappa"), 28, 8),
+        (criterion_nine_spec(), 58, 14), (sweeps_spec(), 240, 18)],
+        ids=["criterion-8 nu", "criterion-8 kappa", "criterion-9", "(9,3) sweeps"])
+    def test_a_search_forms_each_points_factors_once(self, spec, vector, matrix, monkeypatch):
+        # an evaluation forms its point's factors once, one vector row per
+        # block, and reads its objective and its R slope from them; each
+        # solve forms those of the points it visits (as
+        # test_a_solve_forms_each_points_factors_once counts them) and N's
+        # column factors, one matrix row per block; read forms the best
+        # point's factors and the columns once more
+        formed, solves, steps = [], [], []
+        basis_products, solve, step = (kernel.basis_products, optimizer._Solve.solve,
+                                       optimizer._Solve.step)
+
+        def counting(n, u, twist=False):
+            formed.append(np.ndim(u))
+            return basis_products(n, u, twist)
+
+        def counted_solve(self, *args):
+            solves.append(len(self.map.moving))
+            return solve(self, *args)
+
+        def counted_step(self, *args):
+            steps.append(step(self, *args))
+            return steps[-1]
+
+        monkeypatch.setattr(kernel, "basis_products", counting)
+        monkeypatch.setattr(optimizer, "basis_products", counting)
+        monkeypatch.setattr(optimizer._Solve, "solve", counted_solve)
+        monkeypatch.setattr(optimizer._Solve, "step", counted_step)
+        result = optimize(spec)
+        points = len(solves) + (len(steps) if set(solves) == {2} else 0)
+        assert formed.count(1) == 2 * result.evaluations_used + 2 * points + 2 == vector
+        assert formed.count(2) == 2 * (len(solves) + 1) == matrix
+
+
 class TestNewtonSolve:
     @staticmethod
-    def check_model(target, core, draw):
+    def check_model(target, core):
         """The solve's constant matches the float core at six drawn vectors,
         and its model the central differences of the constant there, both
         read from one formation of the point's factors; the constant is
@@ -767,14 +854,12 @@ class TestNewtonSolve:
         rounding, whatever the step."""
         spec = criterion_eight_spec(target)
         solver = optimizer._SOLVES[target](spec)
-        rng = np.random.default_rng(8)
-        for _ in range(6):
-            v = draw(rng, np.array(spec.initial_point))
+        for v in drawn_points(target):
             rows = solver.nodes(v[spec.places()["R"]])
             columns, x = solver.columns(rows), solver.start(v)[0]
 
             def one_pass(x):
-                F, U = solver.factors(rows, solver.map.y(x))[1:]
+                F, U = solver.factors(rows, solver.map.y(x))
                 return contract(*solver.grams(rows, F, U)), solver.model(rows, columns, F, U)
 
             def constant(x):
@@ -792,30 +877,14 @@ class TestNewtonSolve:
             np.testing.assert_allclose(fd_hessian, hessian, rtol=1e-6, atol=0.0)
 
     def test_gradient_and_hessian_match_central_differences_of_c1(self):
-        def draw(rng, v):
-            v = v + np.r_[rng.normal(scale=0.3, size=6), 0.0, 0.0]
-            v[6:] = rng.uniform(0.4, 1.2, size=2)  # R and delta inside their bounds
-            return v
-
-        self.check_model("maximize_kappa",
-                         lambda v: c1_core(v[:3], v[3:6], 1.0, v[6], v[7]), draw)
+        self.check_model("maximize_kappa", lambda v: c1_core(v[:3], v[3:6], 1.0, v[6], v[7]))
 
     def test_gradient_and_hessian_match_central_differences_of_c(self):
-        def draw(rng, v):
-            v = v + np.r_[rng.normal(scale=0.3, size=4), 0.0, 0.0]
-            v[4:] = rng.uniform(0.5, 2.0), rng.uniform(0.3, 1.2)  # r and R inside their bounds
-            return v
-
-        self.check_model("minimize_nu",
-                         lambda v: c_core(v[:2], v[2:4], 1.0, v[4], v[5]), draw)
+        self.check_model("minimize_nu", lambda v: c_core(v[:2], v[2:4], 1.0, v[4], v[5]))
 
     @pytest.mark.parametrize("spec", [
         criterion_eight_spec("minimize_nu"), criterion_eight_spec("maximize_kappa"),
-        SearchSpec(target="maximize_kappa", shape_degrees=(9, 3),
-                   scalar_bounds={"R": (0.3, 1.5)}, theta=1.0, budget=2000,
-                   initial_point=(-0.482, -0.392, -0.262, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                                  -0.673, 0.369, -4.635, 0.0, 0.746, 1.0))],
-        ids=["criterion-8 nu", "criterion-8 kappa", "(9,3) sweeps"])
+        sweeps_spec()], ids=["criterion-8 nu", "criterion-8 kappa", "(9,3) sweeps"])
     def test_a_solve_forms_each_points_factors_once(self, spec, monkeypatch):
         # N's column factors are fixed at R: one solve(R) forms them once,
         # one basis product per block of a matrix row.  Each point's factors
@@ -898,7 +967,7 @@ class TestNewtonSolve:
         rows = solver.nodes(R)
 
         def model(state):
-            F, U = solver.factors(rows, solver.map.y(state[0]))[1:]
+            F, U = solver.factors(rows, solver.map.y(state[0]))
             return solver.model(rows, solver.columns(rows), F, U)
 
         start = solver.start(np.array(spec.initial_point))

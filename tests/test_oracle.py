@@ -12,15 +12,15 @@ from mpmath import mp
 from levbounds import kernel, oracle
 from levbounds.kernel import NodeRows
 from levbounds.oracle import crosscheck_report, fd_c1_value, fd_c_value, quad_integrate01
-from levbounds.polyalg import (MollifierShape, MomentTable, Poly, TwistShape, X,
+from levbounds.polyalg import (MollifierShape, Poly, TwistShape, X,
                                expand_mollifier, moments, poly_derivative, shape_moments)
 from levbounds.proportions import (SectionFiveParams, SectionFourParams, c1_value, c_value,
                                    full_report)
 from levbounds.reference import section_five_reference, section_four_reference
 
 from kernel_reference import (cauchy_derivatives, division_form, expand_twist,
-                              kernel_derivative_basis, kernel_matrix, kernel_numeric, mp_c,
-                              mp_c1, readme_draws, transpose)
+                              kernel_derivative_basis, kernel_matrix, kernel_numeric,
+                              moment_table, mp_c, mp_c1, readme_draws, transpose)
 from test_polyalg import coefficients, shape_coeffs
 
 # section-4 shapes whose cross moments m12.dp and m21.pd nearly cancel
@@ -494,7 +494,7 @@ class TestCrosscheckReport:
         # the checks read the root factors [A u; theta P u] as a miss of c
         # or c1 forms them, NodeRows.factors of the shape's float row: a pair
         # of two shapes their products, a pair of one their x-Gram
-        # (NodeRows.gram_of).  A u (row 0) or theta P u (row 1) off by 1e-10,
+        # (kernel.gram).  A u (row 0) or theta P u (row 1) off by 1e-10,
         # the other as formed, fails each sum it enters and nothing else
         def perturbed(factors):
             def formed(rows, u, delta=None):
@@ -512,16 +512,16 @@ class TestCrosscheckReport:
             for pair in ("m11", "m21", "m12", "m22", "m55") for part in parts}
 
     def test_one_shape_pairs_read_the_x_gram(self, monkeypatch):
-        # m11, m22 and m55 read the x-Gram of each shape's row as a miss of
-        # c1 forms it, NodeRows.gram_of: its X00 off by 1e-10 fails their AA
-        # checks and nothing else
-        def perturbed(gram_of):
-            def formed(rows, u, delta=None):
-                g00, g01, g11 = gram_of(rows, u, delta)
-                return (g00 * (1 + 1e-10) if delta is None else g00), g01, g11
+        # m11, m22 and m55 read the x-Gram of each shape's row as c1 forms
+        # it, kernel.gram of its factors: its X00 off by 1e-10 fails their
+        # AA checks and nothing else
+        def perturbed(gram):
+            def formed(F, w):
+                g00, g01, g11 = gram(F, w)
+                return g00 * (1 + 1e-10), g01, g11
             return formed
 
-        assert self.failing_with(monkeypatch, NodeRows, "gram_of", perturbed) == {
+        assert self.failing_with(monkeypatch, oracle, "gram", perturbed) == {
             f"node rows[{pair}.AA] vs exact moments" for pair in ("m11", "m22", "m55")}
 
     def test_node_row_checks_catch_a_wrong_rho(self, monkeypatch):
@@ -588,7 +588,7 @@ class TestCrosscheckReport:
             mt = shape_moments(a, b)
             if a != b:
                 return mt
-            return MomentTable.of(mt.m_dd, mt.m_dp, mt.m_pd, mt.m_pp * (1 + Fraction(1, 10**10)))
+            return moment_table(mt.m_dd, mt.m_dp, mt.m_pd, mt.m_pp * (1 + Fraction(1, 10**10)))
 
         monkeypatch.setattr(oracle, "shape_moments", perturbed)
         failing = {ch.name for ch in crosscheck_report(p4, section_five_reference()).checks

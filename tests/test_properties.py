@@ -21,14 +21,15 @@ from levbounds import kernel
 from levbounds.kernel import node_rows
 from levbounds import oracle
 from levbounds.oracle import crosscheck_report, fd_c1_value
-from levbounds.polyalg import (MAX_DEGREE, ZERO, MollifierShape, MomentTable, Poly, TwistShape,
+from levbounds.polyalg import (MAX_DEGREE, ZERO, MollifierShape, Poly, TwistShape,
                                as_fraction, expand_mollifier, mollifier_basis,
                                moments, poly_derivative, poly_eval, poly_reflect, twist_basis)
 from levbounds.proportions import SectionFiveParams, SectionFourParams, c1_core, c_core
 
 from kernel_reference import (add_naive, cauchy_derivatives, combine_naive, derivative_naive,
                               eval_naive, expand_twist, integrate01_product_naive,
-                              kernel_numeric, reflect_naive, scale_naive, transpose)
+                              kernel_numeric, moment_table, reflect_naive, scale_naive,
+                              transpose)
 from test_oracle import exp_grid
 
 property_settings = settings(derandomize=True, database=None, deadline=None,
@@ -104,7 +105,7 @@ def test_moment_tables_transpose_exactly(shape1, shape2):
 def test_one_pass_moments_are_the_four_product_integrals(p, q):
     dp, dq = poly_derivative(p), poly_derivative(q)
     naive = integrate01_product_naive
-    assert moments(p, q) == MomentTable.of(naive(dp, dq), naive(dp, q), naive(p, dq), naive(p, q))
+    assert moments(p, q) == moment_table(naive(dp, dq), naive(dp, q), naive(p, dq), naive(p, q))
 
 
 @property_settings
@@ -116,7 +117,7 @@ def test_table_is_canonical_and_its_floats_are_each_moment_rounded_once(p, q):
     mt = moments(p, q)
     exact = (mt.m_dd, mt.m_dp, mt.m_pd, mt.m_pp)
     assert mt.den > 0 and gcd(mt.den, *mt.nums) == 1
-    assert MomentTable.of(*exact) == mt
+    assert moment_table(*exact) == mt
     try:
         rounded = tuple(map(float, exact))
     except OverflowError:  # a moment past binary64 fails alike both ways
@@ -175,10 +176,8 @@ def test_factors_are_the_basis_products_combined(shape, q_linear, q_sym, theta, 
     # the stacked factors a miss of c or c1 forms are, row for row and bit
     # for bit, D u + rho (P u) and theta (P u) for a mollifier's float row
     # u, and 1 + Psi v and Psi' v for a twist v = delta w, each product one
-    # matrix-vector product with the basis rows; the x-Gram of a mollifier
-    # and the t-Gram of a twist are bit for bit those of these factors
-    # under their weights: only the contraction and, for c, its x-factors
-    # can round differently from these
+    # matrix-vector product with the basis rows; c and c1 take their Grams
+    # of these factors under their weights (kernel.gram)
     q = TwistShape.of(q_linear, q_sym)
     rows = node_rows(theta, R, len(shape.shape_coeffs), len(q_sym))
     u, w = kernel.shape_row(shape), kernel.shape_row(q)
@@ -190,10 +189,6 @@ def test_factors_are_the_basis_products_combined(shape, q_linear, q_sym, theta, 
                               (rows.factors(w, delta), (1.0 + Psi @ v, dPsi @ v))):
         assert factors.shape == (2, len(expected[0]))
         assert [row.tobytes() for row in factors] == [row.tobytes() for row in expected]
-    for formed, expected in ((rows.gram_of(u), kernel.gram(rows.factors(u), rows.wx)),
-                             (rows.gram_of(w, delta),
-                              kernel.gram(rows.factors(w, delta), rows.wt))):
-        assert [x.hex() for x in formed] == [x.hex() for x in expected]
 
 
 @property_settings
