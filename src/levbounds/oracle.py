@@ -29,19 +29,18 @@ The route's error against 40 digits, by order and R, is the README's
 accuracy table; it is checked up to order 16 at R <= 5, at order 16,
 R = 100, and at order 22, R = 0.746.
 
-The exact data is summed in integers and divided once, read straight
-from each shape's integer row (1, c_1..c_m) or (1, q0, q_1..q_m) over its
-common denominator (the shapes' numerators), and no polynomial is built
-per call: the four moments of a pair are one integer bilinear form of
-their rows with the cached basis tables G_k (polyalg.shape_moments,
-polyalg.basis_moments), a table that stays integer numerators until its
-floats are read, and each twist weight u_j is an integer ratio from one
-cached integer map of the twist row (_twist_columns) and delta's integer
-ratio.  Only crosscheck_report
-expands shapes to polynomials, for its Gauss-Legendre side.  The
-Gauss-Legendre nodes and weights are cached here per node count, the
-twist map per q_sym count, and one torus table per order (_torus), apart
-from the engine's node tables, read-only and built on first use.
+The exact data is summed in integers and divided once, read straight from
+each shape's integer row (1, c_1..c_m) or (1, q0, q_1..q_m) over its
+common denominator (the shapes' numerators), and no polynomial or table
+is built per call: each moment of a pair is the integer quotient of one
+bilinear form of their rows with the cached basis tables G_k
+(polyalg._moment_numerators, _moments), and each twist weight u_j that of
+a cached integer map of the twist row (_twist_columns) and delta's ratio.
+Only crosscheck_report builds tables (shape_moments) and polynomials, for
+its Gauss-Legendre side, whose nodes and weights are cached here per node
+count, as are the twist map per q_sym count and one torus table per order
+(_torus), apart from the engine's node tables, read-only and built on
+first use.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .kernel import NodeRows, _rows, gram, node_rows, shape_row
-from .polyalg import (MollifierShape, MomentTable, Poly, TwistShape, expand_mollifier,
-                      poly_derivative, shape_moments, twist_basis)
+from .polyalg import (MollifierShape, MomentTable, Poly, TwistShape, _moment_numerators,
+                      expand_mollifier, poly_derivative, shape_moments, twist_basis)
 from .proportions import SectionFourParams, SectionFiveParams, c1_value, c_value
 
 
@@ -144,13 +143,10 @@ def _cauchy_forms(weights: np.ndarray, R: float) -> np.ndarray:
     before the moments enter: for weight rows u_i (k, order + 1), the
     (2k, 2k) matrix Phi E Phi^T, Phi stacking [u_i W; u_i W diag(n)].
 
-    On the torus (_torus) the kernel is C + E(s) [1, n_j] G [1, n_k]^T
-    (_kernel_terms), so a form is C u_0 v_0 (the trapezoidal sum of a
-    constant is exact) plus the four real entries of the 2 x 2 block of u
-    and v against G: the trapezoidal sums of D, reassociated to
-    contract the weights before they round.  One E grid: s = -2R +
-    (n_j + n_k), e^{-s} = e^{2R} e^{-n_j} e^{-n_k} from the torus table
-    and one scalar exp."""
+    A form is C u_0 v_0 (the trapezoidal sum of a constant is exact) plus
+    the 2 x 2 block of u and v against G (_kernel_terms), as the module
+    docstring derives.  One E grid: s = -2R + (n_j + n_k), e^{-s} = e^{2R}
+    e^{-n_j} e^{-n_k} from the torus table and one scalar exp."""
     rows, W, sums, decay = _torus(weights.shape[1] - 1)
     phi = ((weights @ W)[:, None] * rows).reshape(-1, W.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -158,20 +154,20 @@ def _cauchy_forms(weights: np.ndarray, R: float) -> np.ndarray:
     return phi @ E @ phi.T
 
 
-def _kernel_terms(mt: MomentTable, theta: float, R: float) -> tuple[float, tuple]:
+def _kernel_terms(m: tuple, theta: float, R: float) -> tuple[float, tuple]:
     """C = m_pd + m_dp and the 2 x 2 G, rows of floats, with
     g(-a,-b)/theta = [1, n_a] G [1, n_b]^T at a = -R + n_a, b = -R + n_b:
-    the kernel's bracket form about (-R, -R)."""
-    mdd, mdp, mpd, mpp = mt.floats
+    the kernel's bracket form about (-R, -R), of the float moments m."""
+    mdd, mdp, mpd, mpp = m
     inner = mpd + R * theta * mpp
     return mpd + mdp, (((mdd / theta + R * mdp) + R * inner, -(mdp + R * theta * mpp)),
                        (-inner, theta * mpp))
 
 
-def _form(mt: MomentTable, theta: float, R: float, block: np.ndarray, u0v0: float) -> float:
-    """sum_mn u_m v_n D[m, n] of the kernel of mt, from its 2 x 2 block of
-    _cauchy_forms and u_0 v_0."""
-    C, ((g00, g01), (g10, g11)) = _kernel_terms(mt, theta, R)
+def _form(m: tuple, theta: float, R: float, block: np.ndarray, u0v0: float) -> float:
+    """sum_mn u_m v_n D[m, n] of the kernel of the moments m, from its
+    2 x 2 block of _cauchy_forms and u_0 v_0."""
+    C, ((g00, g01), (g10, g11)) = _kernel_terms(m, theta, R)
     (b00, b01), (b10, b11) = block.real.tolist()
     return C * u0v0 + ((g00 * b00 + g01 * b01) + (g10 * b10 + g11 * b11))
 
@@ -180,11 +176,17 @@ def fd_c_value(p: SectionFourParams) -> float:
     """c recomputed from the definition-form kernel alone, its value and
     derivatives by Cauchy integrals: its three forms share one grid."""
     s1, s2 = p.p1_shape, p.p2_shape
-    return _fd_c(p, shape_moments(s1, s1), shape_moments(s1, s2), shape_moments(s2, s2))
+    return _fd_c(p, _moments(s1, s1), _moments(s1, s2), _moments(s2, s2))
 
 
-def _fd_c(p: SectionFourParams, m11: MomentTable, m12: MomentTable, m22: MomentTable) -> float:
-    """fd_c_value from the moment tables of (P1, P1), (P1, P2) and (P2, P2):
+def _moments(a: MollifierShape, b: MollifierShape) -> tuple[float, ...]:
+    """The moments of (a, b), each an integer quotient rounded once: no table, no gcd."""
+    nums, den = _moment_numerators(a, b)
+    return tuple([n / den for n in nums])
+
+
+def _fd_c(p: SectionFourParams, m11: tuple, m12: tuple, m22: tuple) -> float:
+    """fd_c_value from the float moments of (P1, P1), (P1, P2) and (P2, P2):
     c = K_11 + (d_a K_21 + d_b K_12) / r + d_a d_b K_22 / r^2 at (-R, -R),
     from one order-1 grid with the weight rows e_0 and e_1 / r.  As
     K_21(a, b) = K_12(b, a), d_a K_21 = d_b K_12 at the symmetric point,
@@ -211,7 +213,7 @@ def fd_c1_value(p: SectionFiveParams) -> float:
     numerators, so trailing zero q_sym entries, and delta = 0, keep the
     grid of the twist they trim to.
     """
-    return _fd_c1(p, shape_moments(p.p_shape, p.p_shape))
+    return _fd_c1(p, _moments(p.p_shape, p.p_shape))
 
 
 @lru_cache(maxsize=None)
@@ -244,10 +246,10 @@ def _twist_weights(shape: TwistShape, delta: float) -> np.ndarray:
     return np.array([x / (den * d * E) for x in u])
 
 
-def _fd_c1(p: SectionFiveParams, mt: MomentTable) -> float:
-    """fd_c1_value from the moment table of (P, P)."""
+def _fd_c1(p: SectionFiveParams, m: tuple) -> float:
+    """fd_c1_value from the float moments of (P, P)."""
     u = _twist_weights(p.q_shape, p.delta)
-    return _form(mt, p.theta, p.R, _cauchy_forms(u[None], p.R), float(u[0]) ** 2)
+    return _form(m, p.theta, p.R, _cauchy_forms(u[None], p.R), float(u[0]) ** 2)
 
 
 # --------------------------------------------------------------------------
@@ -330,12 +332,8 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
     checks read its own tables, bit for bit fd_c_value and fd_c1_value.
     What it forms it forms on the call: a shape keeps only its float row."""
     checks: list[CheckResult] = []
-    c_exact = c_value(p4)
-    c1_exact = c1_value(p5)
-
     shapes = {"1": p4.p1_shape, "2": p4.p2_shape, "5": p5.p_shape}
-    # the tables come from the shape rows, as fd_c_value and fd_c1_value
-    # form them; the expanded polynomials feed only the quadrature side
+    # the expanded polynomials feed only the quadrature side
     polys = {k: expand_mollifier(s) for k, s in shapes.items()}
     rows4 = node_rows(p4.theta, p4.R, max(len(p4.p1_shape.shape_coeffs),
                                           len(p4.p2_shape.shape_coeffs)))
@@ -362,12 +360,10 @@ def crosscheck_report(p4: SectionFourParams, p5: SectionFiveParams) -> Crosschec
                                       abs(value - num) / max(abs(value), size, 1e-300), 1e-12))
         checks += _row_checks(name, mt, rows, R, shapes[name[1]], shapes[name[2]])
 
-    # the Cauchy checks read the report's own tables, which fd_c_value and
-    # fd_c1_value form by the same route, from the shape rows
-    c_cauchy = _fd_c(p4, tables["m11"], tables["m12"], tables["m22"])
-    checks.append(CheckResult("c vs Cauchy integrals", c_exact, c_cauchy,
-                              _rel(c_exact, c_cauchy), 1e-9))
-    c1_cauchy = _fd_c1(p5, tables["m55"])
-    checks.append(CheckResult("c1 vs Cauchy integrals", c1_exact, c1_cauchy,
-                              _rel(c1_exact, c1_cauchy), 1e-9))
+    # the Cauchy checks read the tables' floats, fd_c_value's quotients
+    m = {name: mt.floats for name, mt in tables.items()}
+    for name, exact, cauchy in (("c", c_value(p4), _fd_c(p4, m["m11"], m["m12"], m["m22"])),
+                                ("c1", c1_value(p5), _fd_c1(p5, m["m55"]))):
+        checks.append(CheckResult(f"{name} vs Cauchy integrals", exact, cauchy,
+                                  _rel(exact, cauchy), 1e-9))
     return CrosscheckReport(tuple(checks))

@@ -13,12 +13,12 @@ derivative polynomial built, as a MomentTable in the same integer form.
 basis_moments(m) caches, per mollifier degree, the G_k: the moments of
 every pair of the basis below, exact, over one common denominator, the
 x-Gram blocks an exact referee reads (X = G_dd + rho (G_dp + G_pd) +
-rho^2 G_pp).  A pair of shapes' table is then one integer bilinear form
+rho^2 G_pp).  A pair of shapes' moments are one integer bilinear form
 of their integer rows (the shapes' numerators) with the G_k
-(shape_moments), and no polynomial is built.  The oracle
-builds the moment kernel h(a, b) from these tables; the float engine
-(kernel, proportions, optimizer) reads none of them, and no other module
-derives numerators from Fractions.
+(_moment_numerators), with no polynomial built; shape_moments reduces
+them to a table.  The oracle builds the moment kernel h(a, b) from them;
+the float engine (kernel, proportions, optimizer) reads none of them, and
+no other module derives numerators from Fractions.
 
 Two constrained construction bases are provided:
 
@@ -35,7 +35,7 @@ exact affine basis, defined once and cached per degree: mollifier_basis
 the affine combination of a basis, recovery from a raw polynomial peels
 the coordinates off by leading degree, and the float evaluation core
 reads the bases at its quadrature nodes (kernel.node_rows) and each
-shape's row rounded to binary64 here, once per shape (_Shape.row).
+shape's numerators rounded to binary64 once here (_Shape.row).
 """
 
 from __future__ import annotations
@@ -284,14 +284,14 @@ class _Shape:
 
     @cached_property
     def row(self) -> bytes:
-        """The row in binary64, each entry rounded once, as bytes (an array
-        through kernel.shape_row), formed once per shape.  Not a field: it
-        takes no part in ==, hash or repr, and a shape built by
-        dataclasses.replace forms its own.  An entry outside binary64
-        raises ValueError naming the shape's field, the index and the value."""
-        entries = self._entries()
+        """The row in binary64, each entry n / den of its numerators rounded
+        once, as bytes (an array through kernel.shape_row), once per shape.
+        Not a field: it takes no part in ==, hash or repr, and a shape built
+        by dataclasses.replace forms its own.  An entry outside binary64
+        raises ValueError naming the shape's field, index and value."""
+        nums, den = self.numerators
         try:
-            return pack(f"{len(entries) + 1}d", 1.0, *map(float, entries))
+            return pack(f"{len(nums)}d", *[n / den for n in nums])
         except OverflowError:  # name the first entry past the binary64 range
             for f in fields(self):
                 value = getattr(self, f.name)
@@ -390,20 +390,24 @@ def basis_moments(m: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(t.nums[k] * (den // t.den) for t in tables) for k in range(4)), den
 
 
-def shape_moments(a: MollifierShape, b: MollifierShape) -> MomentTable:
-    """moments(expand_mollifier(a), expand_mollifier(b)), read from the
-    shapes' integer rows (MollifierShape.numerators): each moment is one
-    integer bilinear form of the two rows with the basis table of the
-    larger degree (basis_moments), over the product of the three
-    denominators, reduced by one gcd.  No Poly is built."""
+def _moment_numerators(a: MollifierShape, b: MollifierShape) -> tuple[list[int], int]:
+    """The four moments of shapes a and b, unreduced, with no Poly built:
+    each numerator one integer bilinear form of their numerators with the
+    basis table of the larger degree (basis_moments), over the product of
+    the three denominators."""
     (ra, da), (rb, db) = a.numerators, b.numerators
     n = max(len(ra), len(rb))
     grams, den = basis_moments(n - 1)
     # each G_k is row-major with n columns: rb is padded to n, and a
     # shorter ra reads only the leading rows
     outer = [x * y for x in ra for y in rb + (0,) * (n - len(rb))]
-    nums = [sum(map(mul, g, outer)) for g in grams]
-    den *= da * db
+    return [sum(map(mul, g, outer)) for g in grams], den * da * db
+
+
+def shape_moments(a: MollifierShape, b: MollifierShape) -> MomentTable:
+    """moments(expand_mollifier(a), expand_mollifier(b)): the numerators
+    of _moment_numerators, reduced by one gcd."""
+    nums, den = _moment_numerators(a, b)
     g = gcd(den, *nums)
     return MomentTable(tuple(x // g for x in nums), den // g)
 

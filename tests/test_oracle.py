@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from struct import pack
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from mpmath import mp
 from levbounds import kernel, oracle
 from levbounds.kernel import NodeRows
 from levbounds.oracle import crosscheck_report, fd_c1_value, fd_c_value, quad_integrate01
-from levbounds.polyalg import (MollifierShape, Poly, TwistShape, X,
+from levbounds.polyalg import (MollifierShape, MomentTable, Poly, TwistShape, X,
                                expand_mollifier, moments, poly_derivative, shape_moments)
 from levbounds.proportions import (SectionFiveParams, SectionFourParams, c1_value, c_value,
                                    full_report)
@@ -22,6 +23,13 @@ from kernel_reference import (cauchy_derivatives, division_form, expand_twist,
                               kernel_derivative_basis, kernel_matrix, kernel_numeric,
                               moment_table, mp_c, mp_c1, readme_draws, transpose)
 from test_polyalg import coefficients, shape_coeffs
+
+# entries of every size the exact layer rounds: 17-digit decimals, and
+# test_polyalg's zeros, 26-digit decimals, entries near 1e+-300 and the
+# smallest subnormal
+entries = st.lists(st.one_of(
+    st.builds(lambda n, k: f"{n}e-{k}", st.integers(-10**17, 10**17), st.integers(0, 20)),
+    coefficients), max_size=5)
 
 # section-4 shapes whose cross moments m12.dp and m21.pd nearly cancel
 CANCELLING = (["1.545", "1.483"], ["-0.921", "0.996"])
@@ -171,12 +179,19 @@ class TestGridNumerator:
         R = abs(nodes[0]) if R == "rho" else R
         E = exp_grid(order, R)
         to_mp = np.frompyfunc(lambda z: mp.mpc(z.real, z.imag), 1, 1)
+        j, k = np.triu_indices(len(nodes))
         with mp.workdps(40):
             n = to_mp(nodes)
             s = (n[:, None] + n[None, :]) - 2 * mp.mpf(R)
+            # mp addition commutes, so s, and E(s), is symmetric exactly:
+            # each unordered pair's E is evaluated once and read against
+            # both float entries, which differ by a rounding
+            assert (s == s.T).all()
             exact = np.frompyfunc(lambda x: (1 - mp.exp(-x)) / x if x != 0 else mp.mpf(1),
-                                  1, 1)(s)
-            error = np.array([float(abs(x - y)) for x, y in zip(exact.ravel(), E.ravel())])
+                                  1, 1)(s[j, k])
+            error = np.array([float(abs(x - y)) for entries in (E[j, k], E[k, j])
+                              for x, y in zip(exact, entries)])
+        assert len(error) == E.size + len(nodes)  # every entry, the diagonal twice
         assert error.max() <= 4 * np.finfo(float).eps * np.abs(E).max()
 
     @pytest.mark.parametrize("order", [1, 6, 16])
@@ -192,10 +207,24 @@ class TestGridNumerator:
         a, b = np.broadcast_arrays(*torus_grid(order, R))
         F = kernel_numeric(mt, p5.theta, a, b)
         off_line = a + b != 0  # division_form is undefined on the line
+        # the definition is symmetric in (a, b) when m_dp = m_pd, and entry
+        # (k, j) reads entry (j, k)'s (b, a) bit for bit, so the reference
+        # is evaluated once per unordered pair and read against both float
+        # entries, which differ by a rounding
+        assert mt.m_dp == mt.m_pd and (a == b.T).all() and (off_line == off_line.T).all()
+        j, k = np.triu_indices(len(a))
+        j, k = j[off_line[j, k]], k[off_line[j, k]]
         to_mp = np.frompyfunc(lambda z: mp.mpc(z.real, z.imag), 1, 1)
         with mp.workdps(40):
-            exact = division_form(mt, p5.theta, to_mp(a[off_line]), to_mp(b[off_line]))
-            error = np.array([float(abs(x - y)) for x, y in zip(exact, F[off_line])])
+            exact = division_form(mt, p5.theta, to_mp(a[j, k]), to_mp(b[j, k]))
+            # and so it is, to its 40-digit rounding, on the first row's pairs
+            row = j == j[0]
+            swapped = division_form(mt, p5.theta, to_mp(b[j, k][row]), to_mp(a[j, k][row]))
+            asymmetry = max(float(abs(x - y)) for x, y in zip(exact[row], swapped))
+            error = np.array([float(abs(x - y)) for entries in (F[j, k], F[k, j])
+                              for x, y in zip(exact, entries)])
+        assert asymmetry <= 1e-35 * np.abs(F).max()
+        assert len(error) == off_line.sum() + np.diag(off_line).sum()
         assert error.max() <= 4 * np.finfo(float).eps * np.abs(F).max()
 
     def test_off_grid_pair_stays_finite(self):
@@ -301,7 +330,7 @@ class TestFdDerivatives:
             forms = oracle._cauchy_forms(np.stack([u, v]), R)
             for mt in tables:
                 K = kernel_matrix(mt, 1.0, R, order)
-                form = oracle._form(mt, 1.0, R, forms[:2, 2:], u[0] * v[0])
+                form = oracle._form(mt.floats, 1.0, R, forms[:2, 2:], u[0] * v[0])
                 assert abs(form - u @ K @ v) <= 1e-14 * (np.abs(u) @ np.abs(K) @ np.abs(v))
 
     def test_moments_build_no_polynomial(self, monkeypatch):
@@ -356,6 +385,73 @@ class TestTwistWeights:
         # entries and delta = 0 keep the trimmed twist's order
         shape = TwistShape.of(linear, sym)
         assert oracle._twist_weights(shape, delta).tolist() == expanded_weights(shape, delta)
+
+
+def outcome(read):
+    """The bits of each float read() returns, or OverflowError if it raises
+    that."""
+    try:
+        return [x.hex() for x in read()]
+    except OverflowError:
+        return OverflowError
+
+
+class TestRoundedOnceFromIntegers:
+    """Each float the oracle and a shape's row read is its exact number,
+    rounded once straight from its integers: the oracle's moments are the
+    integer quotients of the unreduced bilinear form, bit for bit the
+    canonical table's floats, and a row's entries are float() of each
+    exact entry."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(a=entries, b=entries)
+    @example(a=[], b=[])  # zero rows
+    @example(a=["0", "0", "0"], b=["0"])
+    @example(a=["0.12345678901234567", "-9.8765432109876543"], b=["3.1415926535897932"])
+    @example(a=["1e300", "-1e300"], b=["0.5"])  # the moments overflow
+    @example(a=["1e-300", "-2.5e-300", "5e-324"], b=["1e-300"])  # subnormal moments
+    def test_quotients_are_the_tables_floats(self, a, b):
+        # on shapes of unequal degree, each pair's quotients against the
+        # reduced table's floats, and the quotients fd_c_value and
+        # fd_c1_value contract are those
+        a, b = MollifierShape.of(a), MollifierShape.of(b)
+        pairs = ((a, a), (a, b), (b, b))
+        quotients = [outcome(lambda: oracle._moments(x, y)) for x, y in pairs]
+        assert quotients == [outcome(lambda: shape_moments(x, y).floats) for x, y in pairs]
+        if OverflowError in quotients:
+            return
+        read = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_fd_c", lambda p, *m: read.extend(m))
+            patch.setattr(oracle, "_fd_c1", lambda p, m: read.append(m))
+            fd_c_value(SectionFourParams(a, b, 0.8, 1.154, 0.617))
+            fd_c1_value(SectionFiveParams(b, TwistShape.of("-0.673"), 0.8, 0.746, 0.771))
+        assert [[x.hex() for x in m] for m in read] == quotients + [quotients[2]]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(a=entries, b=entries)
+    @example(a=[], b=[])
+    @example(a=["0.12345678901234567", "-9.8765432109876543"], b=["3.1415926535897932"])
+    @example(a=["1e300", "-1e-300", "5e-324"], b=["-1e300", "0"])
+    def test_a_row_is_each_entry_rounded_once(self, a, b):
+        mollifier = MollifierShape.of(a)
+        twist = TwistShape.of(b[0], b[1:]) if b else TwistShape.of("0")
+        for shape, exact in ((mollifier, mollifier.shape_coeffs),
+                             (twist, (twist.linear_coeff, *twist.sym_coeffs))):
+            assert shape.row == pack(f"{len(exact) + 1}d", 1.0, *map(float, exact))
+
+    def test_the_values_build_no_table(self, monkeypatch):
+        # fd_c_value and fd_c1_value read quotients and build no table; the
+        # report still builds one per pair it checks, at most 5
+        p4, p5 = TestFrozenOracleValues.DRAW
+        crosscheck_report(p4, p5)  # the per-degree basis tables, built once
+        built, post_init = [], MomentTable.__post_init__
+        monkeypatch.setattr(MomentTable, "__post_init__",
+                            lambda self: built.append(post_init(self)))
+        fd_c_value(p4), fd_c1_value(p5)
+        assert built == []
+        assert crosscheck_report(p4, p5).all_passed
+        assert 0 < len(built) <= 5
 
 
 class TestOracleRecomputation:

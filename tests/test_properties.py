@@ -143,7 +143,7 @@ def test_grid_terms_are_each_tables_kernel(pairs, theta, R, order, on_line):
     E = exp_grid(order, R)
     for s1, s2 in pairs:
         mt = moments(expand_mollifier(s1), expand_mollifier(s2))
-        C, ((g00, g01), (g10, g11)) = oracle._kernel_terms(mt, theta, R)
+        C, ((g00, g01), (g10, g11)) = oracle._kernel_terms(mt.floats, theta, R)
         n_a, n_b = nodes[:, None], nodes[None, :]
         grid = C + E * ((g00 + g01 * n_b) + n_a * (g10 + g11 * n_b))
         F = kernel_numeric(mt, theta, a, b)
