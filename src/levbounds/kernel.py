@@ -16,7 +16,8 @@ basis rows (exact values at the nodes rounded once): [A u; theta P u] at
 the x-nodes for a mollifier, [U; U'] = [1 + Psi v; Psi' v] at the
 t-nodes for a twist (NodeRows.factors).  c's root is centred at t = 1,
 where the weights pile up, so its t-factors are [1; t - 1] and its T
-three numbers per point (NodeRows.Tc); its x-factors come from both
+three numbers per point (NodeRows.Tc, formed at c's points only: c1's
+T is its twist's, formed on each evaluation); its x-factors come from both
 mollifiers' factors and r (c_factors).  node_rows builds what the sums
 read at one (theta, R) once and shares it, read-only.  A shape's binary64
 row is the shape's own cached row (an array through shape_row), and
@@ -154,7 +155,7 @@ class NodeRows(NamedTuple):
     t: np.ndarray                 # (n_t,)
     wt: np.ndarray                # e^{2Rt} w_t, (n_t,)
     wx: np.ndarray                # w_x / theta, (n_x,)
-    Tc: tuple[float, float, float]  # the t-Gram of c's [1; t - 1] under wt
+    Tc: tuple[float, float, float] | None  # c's t-Gram of [1; t - 1] under wt; None for c1
 
     def factors(self, u: np.ndarray, delta: float | None = None) -> np.ndarray:
         """The root factors of a homogeneous row u, formed in place from its
@@ -191,7 +192,8 @@ _NODE_ROWS_KEPT = 64
 
 def node_rows(theta: float, R: float, m: int, k: int | None = None) -> NodeRows:
     """The node rows at (theta, R) for mollifier degree m, on m + 3
-    x-nodes, and, for c1, a twist with k symmetric terms (k None for c).
+    x-nodes, and, for c1, a twist with k symmetric terms (k None for c,
+    the one case that forms Tc).
     One shared object per point, theta and R read as floats, so an int, a
     float and a numpy float of one value are one point.  Inputs are not
     validated: the callers in proportions check theta and R."""
@@ -205,4 +207,5 @@ def _node_rows(theta: float, R: float, m: int, k: int | None) -> NodeRows:
     wt = (wt * math.exp(2.0 * R)) * np.exp((2.0 * R) * centred[1])
     for table in (wt, wx):
         table.setflags(write=False)
-    return NodeRows(theta, R, R * theta, t, wt, wx, gram(centred, wt))
+    Tc = gram(centred, wt) if k is None else None  # c1's T is its twist's
+    return NodeRows(theta, R, R * theta, t, wt, wx, Tc)

@@ -27,17 +27,23 @@ D = Re(W F W^T) route are the tests' references (tests/kernel_reference.py:
 kernel_numeric, cauchy_derivatives); no command evaluates either.
 The route's error against 40 digits, by order and R, is the README's
 accuracy table; it is checked up to order 16 at R <= 5, at order 16,
-R = 100, and at order 22, R = 0.746.
+R = 100, and at order 22, R = 0.746.  The grid's e^{-s} is at most
+e^{2R + 2 rho}, rho the torus radius, which for R <= kernel.MAX_BASE_R
+stays inside binary64 at every order a twist reaches (rho < 25 up to
+order 64), so the grid is formed under no errstate: only _exp_ratio's
+division and its near entries, where 1 - e^{-s} is redone by expm1,
+take one.
 
 The exact data is summed in integers and divided once, read straight from
 each shape's integer row (1, c_1..c_m) or (1, q0, q_1..q_m) over its
 common denominator (the shapes' numerators), and no polynomial or table
 is built per call: each moment of a pair is the integer quotient of one
 bilinear form of their rows with the cached basis tables G_k
-(polyalg._moment_numerators, _moments), and each twist weight u_j that of
-a cached integer map of the twist row (_twist_columns) and delta's ratio.
-Only crosscheck_report builds tables (shape_moments) and polynomials, for
-its Gauss-Legendre side, whose nodes and weights are cached here per node
+(polyalg._moment_numerators, _moments), three forms and three quotients
+for a pair of one shape, whose m_pd is its m_dp, and each twist weight
+u_j that of a cached integer map of the twist row (_twist_columns) and
+delta's ratio.  Only crosscheck_report builds tables (shape_moments) and
+polynomials, for its Gauss-Legendre side, whose nodes and weights are cached here per node
 count, as are the twist map per q_sym count and one torus table per order
 (_torus), apart from the engine's node tables, read-only and built on
 first use.
@@ -102,10 +108,13 @@ def _exp_ratio(s: np.ndarray, decay) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         numerator = np.asarray(1.0 - decay)
         ratio = np.asarray(numerator / s)
-    near = (np.abs(s) < 1) | ~np.isfinite(numerator)
-    if near.any():
-        s = s[near]
-        ratio[near] = np.divide(-np.expm1(-s), s, out=np.ones(s.shape, ratio.dtype), where=s != 0)
+        near = (np.abs(s) < 1) | ~np.isfinite(numerator)
+        if near.any():
+            s = s[near]
+            fixed = -np.expm1(-s)
+            fixed /= s
+            fixed[s == 0] = 1.0
+            ratio[near] = fixed
     return ratio
 
 
@@ -146,11 +155,15 @@ def _cauchy_forms(weights: np.ndarray, R: float) -> np.ndarray:
     A form is C u_0 v_0 (the trapezoidal sum of a constant is exact) plus
     the 2 x 2 block of u and v against G (_kernel_terms), as the module
     docstring derives.  One E grid: s = -2R + (n_j + n_k), e^{-s} = e^{2R}
-    e^{-n_j} e^{-n_k} from the torus table and one scalar exp."""
+    e^{-n_j} e^{-n_k} from the torus table and one scalar exp.  For
+    R <= kernel.MAX_BASE_R that product is at most e^{2R + 2 rho}, rho the
+    torus radius: rho < 25 up to order 64, the largest a twist of
+    polyalg.MAX_DEGREE reaches, and binary64's e^{709} needs order 140 or
+    more.  So it is finite with no errstate here; _exp_ratio's covers its
+    own division and near entries."""
     rows, W, sums, decay = _torus(weights.shape[1] - 1)
     phi = ((weights @ W)[:, None] * rows).reshape(-1, W.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        E = _exp_ratio(sums - 2.0 * R, math.exp(2.0 * R) * decay)
+    E = _exp_ratio(sums - 2.0 * R, math.exp(2.0 * R) * decay)
     return phi @ E @ phi.T
 
 
@@ -180,8 +193,14 @@ def fd_c_value(p: SectionFourParams) -> float:
 
 
 def _moments(a: MollifierShape, b: MollifierShape) -> tuple[float, ...]:
-    """The moments of (a, b), each an integer quotient rounded once: no table, no gcd."""
+    """The moments of (a, b), each an integer quotient rounded once: no
+    table, no gcd, and for a pair of one shape, whose m_pd is its m_dp,
+    three quotients."""
     nums, den = _moment_numerators(a, b)
+    if a is b:
+        dd, dp, _, pp = nums
+        dp = dp / den
+        return dd / den, dp, dp, pp / den
     return tuple([n / den for n in nums])
 
 
@@ -241,9 +260,10 @@ def _twist_weights(shape: TwistShape, delta: float) -> np.ndarray:
     v = [sum(map(mul, row, col)) for col in cols]
     while v[-1] == 0:  # v_0 = d E, as Q(0) = 1
         v.pop()
-    u = [num * x for x in v]
-    u[0] += (den - num) * d * E
-    return np.array([x / (den * d * E) for x in u])
+    u, dE = [num * x for x in v], d * E
+    u[0] += (den - num) * dE
+    scale = den * dE
+    return np.array([x / scale for x in u])
 
 
 def _fd_c1(p: SectionFiveParams, m: tuple) -> float:

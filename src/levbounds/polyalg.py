@@ -16,9 +16,14 @@ x-Gram blocks an exact referee reads (X = G_dd + rho (G_dp + G_pd) +
 rho^2 G_pp).  A pair of shapes' moments are one integer bilinear form
 of their integer rows (the shapes' numerators) with the G_k
 (_moment_numerators), with no polynomial built; shape_moments reduces
-them to a table.  The oracle builds the moment kernel h(a, b) from them;
-the float engine (kernel, proportions, optimizer) reads none of them, and
-no other module derives numerators from Fractions.
+them to a table.  A pair of one shape is three quadratic forms, as
+G_pd is G_dp transposed (so m_pd = m_dp): it reads a packed table cached
+beside the G_k (_basis_self_moments, the entries i <= j, G_ij + G_ji off
+the diagonal), three integer forms over n(n+1)/2 products, not four over
+n^2, giving the same integers.  The oracle builds the moment kernel
+h(a, b) from them; the float engine (kernel, proportions, optimizer)
+reads none of them, and no other module derives numerators from
+Fractions.
 
 Two constrained construction bases are provided:
 
@@ -35,7 +40,12 @@ exact affine basis, defined once and cached per degree: mollifier_basis
 the affine combination of a basis, recovery from a raw polynomial peels
 the coordinates off by leading degree, and the float evaluation core
 reads the bases at its quadrature nodes (kernel.node_rows) and each
-shape's numerators rounded to binary64 once here (_Shape.row).
+shape's numerators rounded to binary64 once here (_Shape.row).  A shape's
+numerators and row, and a table's floats, are formed on the first read
+and then plain instance attributes (_formed_once): a descriptor that
+takes no lock, as Python 3.11's functools.cached_property takes on every
+first read, since each value is a pure function of a frozen instance and
+two threads that race form equal values.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import zip_longest
 from math import comb, gcd, lcm
 from operator import mul
@@ -200,6 +210,28 @@ def poly_reflect(p: Poly) -> Poly:
     return Poly.of(out, p.den)
 
 
+class _formed_once:
+    """A value formed on its first read and then a plain attribute: a
+    non-data descriptor that writes what its function returns into the
+    instance __dict__ under its own name, which every later read finds
+    first, as functools.cached_property does from Python 3.12, without
+    the per-class lock that 3.11's takes on every first read.  Two threads
+    that read it first together each form it, equal by construction, and
+    one of them is kept; a read that raises writes nothing."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 # --------------------------------------------------------------------------
 # exact moments of a polynomial pair
 # --------------------------------------------------------------------------
@@ -238,7 +270,7 @@ class MomentTable:
     m_pd = property(lambda self: Fraction(self.nums[2], self.den), doc="integral of P1 P2'")
     m_pp = property(lambda self: Fraction(self.nums[3], self.den), doc="integral of P1 P2")
 
-    @cached_property
+    @_formed_once
     def floats(self) -> tuple[float, float, float, float]:
         """The four moments, in field order, each rounded to binary64 once
         per table: an integer quotient is correctly rounded, as float() of
@@ -276,13 +308,13 @@ class _Shape:
     """What every exact shape gives the float core: its homogeneous row,
     1 and then the coefficients in field order (_entries)."""
 
-    @cached_property
+    @_formed_once
     def numerators(self) -> tuple[tuple[int, ...], int]:
         """The row as integer numerators over their least common
         denominator, formed once per shape."""
         return _over_common_denominator((1, *self._entries()))
 
-    @cached_property
+    @_formed_once
     def row(self) -> bytes:
         """The row in binary64, each entry n / den of its numerators rounded
         once, as bytes (an array through kernel.shape_row), once per shape.
@@ -390,11 +422,33 @@ def basis_moments(m: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(t.nums[k] * (den // t.den) for t in tables) for k in range(4)), den
 
 
+@lru_cache(maxsize=None)
+def _basis_self_moments(m: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """G_dd, G_dp and G_pp of basis_moments(m) packed for a pair of one
+    shape, over the same denominator: the entries i <= j of each, row-major,
+    off the diagonal G_ij + G_ji.  The quadratic form of a row u is then
+    sum_{i <= j} u_i u_j H_ij, and as G_pd is G_dp transposed, u's m_pd is
+    its m_dp."""
+    (dd, dp, _, pp), den = basis_moments(m)
+    n = m + 1
+    return tuple(tuple(g[i * n + j] + g[j * n + i] if i < j else g[i * n + i]
+                       for i in range(n) for j in range(i, n))
+                 for g in (dd, dp, pp)), den
+
+
 def _moment_numerators(a: MollifierShape, b: MollifierShape) -> tuple[list[int], int]:
     """The four moments of shapes a and b, unreduced, with no Poly built:
     each numerator one integer bilinear form of their numerators with the
     basis table of the larger degree (basis_moments), over the product of
-    the three denominators."""
+    the three denominators.  A pair of one shape (a is b) reads three
+    quadratic forms over the packed table (_basis_self_moments), its m_pd
+    the same integer as its m_dp."""
+    if a is b:
+        ra, da = a.numerators
+        grams, den = _basis_self_moments(len(ra) - 1)
+        outer = [x * y for i, x in enumerate(ra) for y in ra[i:]]
+        dd, dp, pp = [sum(map(mul, g, outer)) for g in grams]
+        return [dd, dp, dp, pp], den * da * da
     (ra, da), (rb, db) = a.numerators, b.numerators
     n = max(len(ra), len(rb))
     grams, den = basis_moments(n - 1)

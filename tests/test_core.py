@@ -244,7 +244,7 @@ class TestCachedData:
                 "from levbounds import kernel, oracle, polyalg, proportions\n"
                 "for f in (kernel._gauss, kernel._rows, kernel._node_rows, "
                 "proportions._c_memo, proportions._c1_memo, polyalg.mollifier_basis, polyalg.twist_basis, polyalg._integral_weights, "
-                "polyalg.basis_moments, oracle._torus, oracle._legendre, "
+                "polyalg.basis_moments, polyalg._basis_self_moments, oracle._torus, oracle._legendre, "
                 "oracle._twist_columns):\n"
                 "    assert f.cache_info().currsize == 0, f\n")
         src = os.path.dirname(os.path.dirname(levbounds.__file__))

@@ -204,14 +204,18 @@ class TestNodeRowsCache:
         for name in ("t", "wt", "wx"):
             a, b = getattr(cached, name), getattr(fresh, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        # c's t-Gram: three floats, each bit for bit the fresh build's, and
-        # the sums of wt, wt (t - 1) and wt (t - 1)^2, whose terms share a
-        # sign, so each is good to a few ulps
-        assert all(type(x) is float for x in cached.Tc)
-        assert [x.hex() for x in cached.Tc] == [x.hex() for x in fresh.Tc]
-        for x, p in zip(cached.Tc, range(3)):
-            exact = math.fsum(w * (t - 1.0) ** p for w, t in zip(cached.wt, cached.t))
-            assert abs(x - exact) <= 1e-13 * abs(exact)
+        # c's t-Gram, formed at c's points only (k None): three floats, each
+        # bit for bit the fresh build's, and the sums of wt, wt (t - 1) and
+        # wt (t - 1)^2, whose terms share a sign, so each is good to a few
+        # ulps; c1's T is its twist's, so its points carry none
+        if k is None:
+            assert all(type(x) is float for x in cached.Tc)
+            assert [x.hex() for x in cached.Tc] == [x.hex() for x in fresh.Tc]
+            for x, p in zip(cached.Tc, range(3)):
+                exact = math.fsum(w * (t - 1.0) ** p for w, t in zip(cached.wt, cached.t))
+                assert abs(x - exact) <= 1e-13 * abs(exact)
+        else:
+            assert cached.Tc is None and fresh.Tc is None
         assert node_rows(theta, R, m, k) is cached
 
     def test_keeps_at_most_its_size(self):

@@ -227,6 +227,18 @@ class TestGridNumerator:
         assert len(error) == off_line.sum() + np.diag(off_line).sum()
         assert error.max() <= 4 * np.finfo(float).eps * np.abs(F).max()
 
+    def test_the_grid_is_finite_at_the_largest_order_and_R(self):
+        # no errstate covers the grid's e^{2R} e^{-n_j} e^{-n_k}: at
+        # R = MAX_BASE_R and order 64, the largest a twist reaches (31
+        # q_sym terms, Q of degree 63, u of 65 weights; 32 pass MAX_DEGREE),
+        # it stays inside binary64, and an overflow warning fails as an error
+        longest = TwistShape.of("0.5", [0] * 30 + ["1e-3"])
+        assert len(oracle._twist_weights(longest, 1.0)) == 65
+        with pytest.raises(ValueError, match="MAX_DEGREE"):
+            oracle._twist_weights(TwistShape.of("0.5", [0] * 31 + ["1e-3"]), 1.0)
+        assert np.isfinite(exp_grid(64, kernel.MAX_BASE_R)).all()
+        assert np.isfinite(oracle._cauchy_forms(np.ones((1, 65)), kernel.MAX_BASE_R)).all()
+
     def test_off_grid_pair_stays_finite(self):
         # e^{-800} = 0 and e^{795} = inf: the product is nan, so expm1 takes it
         mt = moments(X, X)

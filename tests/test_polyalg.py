@@ -1,5 +1,6 @@
 """Exact polynomial algebra: examples, constraint identities, properties."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from levbounds.polyalg import (MAX_DEGREE, ConstraintViolationError, MollifierShape,
-                               Poly, TwistShape, X, ZERO, basis_moments, expand_mollifier,
+                               Poly, TwistShape, X, ZERO, _moment_numerators, basis_moments,
+                               expand_mollifier,
                                mollifier_basis, mollifier_shape_from_poly,
                                moments, poly_derivative,
                                poly_eval, poly_reflect, shape_moments, sym_basis_integral,
@@ -24,6 +26,17 @@ coefficients = st.one_of(
     st.floats(-4, 4), st.sampled_from([0, "0", 0.0]),
     st.builds(lambda n, k: f"{n}e-{k}", st.integers(-10**25, 10**25), st.integers(0, 60)),
     st.sampled_from([1e300, -1e300, 1e-300, "-1e-300", "1e300", 5e-324]))
+
+
+MAX_FLOAT, MIN_NORMAL = 1.7976931348623157e308, 2.2250738585072014e-308
+
+# a self pair's entries: 17-digit decimals, 40-digit rationals, zeros and
+# binary64's edges
+self_pair_coefficients = st.one_of(
+    st.integers(-10**17 + 1, 10**17 - 1).map(lambda n: f"{n}e-17"),
+    st.builds(F, st.integers(-10**40, 10**40), st.integers(10**39, 10**40)),
+    st.sampled_from([0, "0", 0.0]),
+    st.sampled_from([MAX_FLOAT, -MAX_FLOAT, MIN_NORMAL, -MIN_NORMAL, 5e-324]))
 
 
 def shape_coeffs(max_size: int):
@@ -178,6 +191,21 @@ class TestShapeMoments:
         assert shape_moments(sa, sb) == moments(pa, pb)
         assert shape_moments(sb, sa) == moments(pb, pa)
         assert shape_moments(sa, sa) == moments(pa, pa)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(self_pair_coefficients, max_size=8))
+    @example([])
+    @example(["-0.158", "0.25"])
+    @example([MAX_FLOAT, -MAX_FLOAT, MIN_NORMAL, "0", F(10**40 - 1, 10**39 + 7)])
+    def test_a_pair_of_one_shape_is_a_pair_of_two_equal_shapes(self, coeffs):
+        # a is a reads the packed self-pair table, a and its copy the full
+        # one: the same unreduced integers over the same denominator
+        a = MollifierShape.of(coeffs)
+        nums, den = _moment_numerators(a, a)
+        assert (nums, den) == _moment_numerators(a, replace(a))
+        assert all(type(x) is int for x in (*nums, den)) and nums[1] == nums[2]
+        p = expand_mollifier(a)
+        assert shape_moments(a, a) == moments(p, p)
 
     @pytest.mark.parametrize("m", range(9))
     def test_basis_tables_are_the_moments_of_basis_pairs(self, m):

@@ -3,6 +3,8 @@
 import itertools
 import math
 import re
+import sys
+import threading
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -496,16 +498,21 @@ class TestShapeProducts:
         (TwistShape.of("-0.673", ["0.369", "-4.635"]), "sym_coeffs")], ids=["mollifier", "twist"])
     def test_a_shape_forms_its_row_once(self, shape, field):
         # the row is the homogeneous row in binary64, formed on the first
-        # read and then the same object, and shape_row is a read-only view
-        # of it; it is not a field, so ==, hash and repr are those of a
+        # read and then the same object, kept in the shape's own __dict__
+        # by a descriptor that takes no lock, and shape_row is a read-only
+        # view of it; it is not a field, so ==, hash and repr are those of a
         # shape that has formed none, and a shape built by
         # dataclasses.replace forms its own; an entry past binary64 is named
-        # by its field and index, and a read that raises forms no row
+        # by its field and index, and a read that raises forms no row; four
+        # threads racing to a fresh shape's first read of its row (more
+        # than the cores, switching every microsecond) each read equal
+        # bytes, and the shape keeps one of them
         entries = (shape.shape_coeffs if field == "shape_coeffs"
                    else (shape.linear_coeff, *shape.sym_coeffs))
         shape, unread = fresh(shape), fresh(shape)
         row = shape.row
-        assert type(row) is bytes and shape.row is row
+        assert type(row) is bytes and shape.row is row and vars(shape)["row"] is row
+        assert not hasattr(type(shape).row, "lock")
         assert row == np.array([1.0, *map(float, entries)]).tobytes()
         view = kernel.shape_row(shape)
         assert view.base is row and not view.flags.writeable
@@ -526,6 +533,26 @@ class TestShapeProducts:
                                                  rf"= -1\.000000e\+400 is outside binary64$"):
                 past.row
         assert "row" not in vars(past)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                racing, start, read = fresh(shape), threading.Barrier(4, timeout=10), []
+
+                def first_read():
+                    start.wait()
+                    read.append(racing.row)
+
+                threads = [threading.Thread(target=first_read) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert read == [row] * 4 and any(racing.row is x for x in read)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_a_hit_evaluates_nothing(self):
         # the first pass over the lattice reads 6 points' node rows; a second
