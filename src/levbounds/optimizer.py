@@ -8,42 +8,49 @@ row, z[0] = 1: the minimum over (P1, P2, r) is one step.  c1's X is
 quadratic in the mollifier u = (1, p) and its T in the twist
 v = delta (1, q): c1 is quadratic in each with the other fixed.
 
-Each solve has one affine map y = y0 + N x (_Map) from its coordinates x
-to its solve vector y, with bound rows A x >= b, one slice of each per
-block; the state is (x, pinned rows).  The model is the constant's exact
-gradient 2 N'My and Hessian 2 N'MN, M its quadratic form in y, read
-through the factors of N's columns, formed once per solve at R, and of
-y, formed once per point and read by the constant there too.  A step
-minimizes it under the bound rows by a primal active-set loop, over
-every coordinate or one block's, with one eigendecomposition for the
-condition gate (MAX_CONDITION; worse raises IllPosedSolveError) and the
-inverse.  With one block moving the solve is one step.  With both c1
-blocks moving it takes joint steps, each kept when c1 rises by at most
-sqrt(eps) c1 (a margin above its rounding), until one predicts a
-decrease of at most that; an ill-posed or rejected joint step is
-replaced by a sweep, a step of each block (a fallback), and a sweep that
-does not lower c1 ends it.  At most MAX_STEPS joint steps and sweeps.
+Each solve has one map (_Map) between public vectors and its
+coordinates x, the moving entries of s (1, c) per shape, with bound rows
+A x >= b, one slice of each per block; the state is (public vector,
+pinned rows).  Each point a solve visits is formed by one call of the
+float core (proportions._c or _c1) at its public vector, whose constant,
+factors and Grams the model, the acceptance of a step and the evaluation
+there all read.  The model is the constant's exact gradient and Hessian in x,
+from the point's factors and Grams and the factors of N's columns, the
+solve vector's linear part in x, formed once per solve at R.  A step
+reads the coordinates of its state's vector, minimizes the model under
+the bound rows by a primal active-set loop, over every coordinate or one
+block's, with one eigendecomposition for the condition gate
+(MAX_CONDITION; worse raises IllPosedSolveError) and the inverse, and
+writes the next public vector, so coordinates live inside one step.
+With one block moving the solve is one step.  With both c1 blocks moving
+it takes joint steps, each kept when the c1 formed at its vector rises
+by at most sqrt(eps) c1 (a margin above its rounding), until one
+predicts a decrease of at most that; an ill-posed or rejected joint step
+is replaced by a sweep, a step of each block (a fallback), and a sweep
+that does not lower c1 ends it.  At most MAX_STEPS joint steps and
+sweeps.
 
-Each target's solve class (_SOLVES) owns its blocks, its factors, the
-objective it minimizes (nu, or -kappa) and that sign, and its evaluate:
-one call of the float core (proportions._c or _c1) at a public vector,
-whose constant gives the objective and whose rows, factors and Grams give
-the R slope, the objective's partial derivative in R at fixed shapes; the
-model alone reads the solve's map, in its coordinates.  At a solved point
-the R slope is the slope of the solved profile, and a pinned entry's
-shadow price the objective's partial in that entry with the others held
-(the envelope theorem), or 0 where the objective does not fall outside
-the bounds.  A safeguarded search on (objective, slope) runs over R from
-the start's R: a probe step downhill, then cubic Hermite steps inside
-the bracket the slopes' signs set, bisection as the fallback (Nocedal &
-Wright 2006, sec. 3.5); a bound that cuts the optimum is reached
-exactly.  Each step is one evaluation, as is the start, and warm-starts
-from the previous one.  The result is the better of the start and the
-best step, with the objective and slope of its evaluation: the objective
-is the float core at the returned vector, so it re-evaluates bit for
-bit; a search whose steps all failed raises EvaluationFailureError.  SearchSpec.free_indices
-alone decides which entries move; delta keeps the side of zero of its
-start, since q = v / delta.  Seed and restarts change nothing.
+Each target's solve class (_SOLVES) owns its blocks, its column factors,
+the objective it minimizes (nu, or -kappa) and that sign, and its form;
+evaluate reads a formation's constant for the objective and its rows,
+factors and Grams for the R slope, the objective's partial derivative in
+R at fixed shapes, so a solved point is evaluated from the solve's last
+formation.  At a solved point the R slope is the slope of the solved
+profile, and a pinned entry's shadow price the objective's partial in
+that entry with the others held (the envelope theorem), or 0 where the
+objective does not fall outside the bounds.  A safeguarded search on
+(objective, slope) runs over R from the start's R: a probe step
+downhill, then cubic Hermite steps inside the bracket the slopes' signs
+set, bisection as the fallback (Nocedal & Wright 2006, sec. 3.5); a
+bound that cuts the optimum is reached exactly.  Each step is one
+evaluation, as is the start, and warm-starts from the previous one.  The
+result is the better of the start and the best step, with the objective
+and slope of its evaluation: the objective is the float core at the
+returned vector, so it re-evaluates bit for bit; a search whose steps
+all failed raises EvaluationFailureError.  SearchSpec.free_indices alone
+decides which entries move; delta keeps the side of zero of its start,
+since q = v / delta, and a delta pinned at 0 leaves q as it was.  Seed
+and restarts change nothing.
 """
 
 from __future__ import annotations
@@ -57,10 +64,10 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import MAX_BASE_R, MIN_BASE_R, NodeRows, basis_products, c_factors, gram, node_rows
+from .kernel import MAX_BASE_R, MIN_BASE_R, NodeRows, basis_products, c_factors
 from .polyalg import (MollifierShape, TwistShape, as_binary64, mollifier_shape_from_poly,
                       twist_shape_from_poly)
-from .proportions import (SectionFourParams, SectionFiveParams, _c, _c1, _homogeneous, contract,
+from .proportions import (SectionFourParams, SectionFiveParams, _c, _c1, _homogeneous,
                           kappa_bound, nu_bound)
 
 MAX_CONDITION = 1e12       # a free solve block conditioned worse than this is ill-posed
@@ -316,14 +323,15 @@ class _Record:
         self.failures: Counter[str] = Counter()
         self.failure: Exception | None = None  # the first evaluation error
 
-    def __call__(self, point: np.ndarray | Callable[[], np.ndarray]) -> tuple[float, float]:
-        """One evaluation at point, or at the vector point() builds: the
-        objective and its R slope; (inf, nan) if building or evaluating
-        fails."""
+    def __call__(self, point: np.ndarray | Callable[[], tuple[np.ndarray, tuple]]
+                 ) -> tuple[float, float]:
+        """One evaluation at the vector point, or at the vector point()
+        returns with its formation (_Solve.form): the objective and its R
+        slope; (inf, nan) if building or evaluating fails."""
         self.count += 1
         try:
-            v = point() if callable(point) else point
-            val, rate = self.solve.evaluate(v)
+            v, formed = point() if callable(point) else (point, None)
+            val, rate = self.solve.evaluate(v, formed)
         except (ArithmeticError, ValueError) as exc:
             self.failure = self.failure or exc
             self.failures[type(exc).__name__] += 1
@@ -431,16 +439,16 @@ def _matrix(rows: list[dict[int, float]], ncols: int) -> np.ndarray:
 
 
 class _Map:
-    """The affine map of one solve: its solve vector y = y0 + N x in its
-    coordinates x, and its bounds as rows A x >= b, built once from the
-    target's segments by block name, each block one slice of y, x and rows.
-    A segment s (1, c) holds the entries s and y_j = s c_j, each mapped on
-    its own from the start values s0, c0: s is the coordinate s or the
-    constant s0; y_j is the coordinate s c_j when s and c_j are both free,
-    s0 times the coordinate c_j, c0_j times the coordinate s, or the
-    constant s0 c0_j.  So each row of N has at most one nonzero, and
-    y0 + N x is exact in any summation order; a block whose entries are
-    all held has no columns, keeps y0, is never solved and gets no
+    """The map of one solve between public vectors and its coordinates x,
+    and its bounds as rows A x >= b, built once from the target's segments
+    by block name, each block one slice of the solve vector's entries, of x
+    and of the rows.  A segment s (1, c) holds the entries s and s c_j,
+    each mapped on its own from the start values s0, c0: s is the
+    coordinate s; s c_j is the coordinate s c_j when s and c_j are both
+    free, s0 times the coordinate c_j, or c0_j times the coordinate s; an
+    entry with neither free has no column.  So each row of N, the solve
+    vector's linear part in x, has at most one nonzero; a block whose
+    entries are all held has no columns, is never solved and gets no
     condition number.  Each bound row names the public entry it pins and
     the value it pins it to."""
 
@@ -448,8 +456,8 @@ class _Map:
         start = np.array(spec.initial_point, dtype=float)
         free = set(spec.free_indices())
         bounds = spec.bounds_by_index
-        self.parts, y, rows, col = [], [], [], 0  # y: per solve entry, (constant, {col: a})
-        self.blocks = {}  # each block's (y, x, rows) slices, by name
+        self.parts, y, rows, col = [], [], [], 0  # y: per solve entry, {col: a}
+        self.blocks = {}  # each block's (solve entries, x, rows) slices, by name
         for name, segments in blocks.items():
             first = len(y), col, len(rows)
             for seg in segments:
@@ -459,11 +467,10 @@ class _Map:
                 moving = [at for at in seg.shape if at in free]
                 moving = {at: col + s_free + k for k, at in enumerate(moving)}
                 col += s_free + len(moving)
-                y.append((0.0, {s_col: 1.0}) if s_free else (s0, {}))
+                y.append({s_col: 1.0} if s_free else {})
                 for at in seg.shape:
-                    c0 = float(start[at])
-                    y.append((0.0, {moving[at]: 1.0 if s_free else s0}) if at in moving
-                             else (0.0, {s_col: c0}) if s_free else (s0 * c0, {}))
+                    y.append({moving[at]: 1.0 if s_free else s0} if at in moving
+                             else {s_col: float(start[at])} if s_free else {})
                 sign = 1.0
                 if s_free:
                     lo, hi = bounds[seg.scale]
@@ -485,8 +492,7 @@ class _Map:
             self.blocks[name] = tuple(slice(a, b) for a, b in zip(first, last))
         self.moving = {name: cols for name, (_, cols, _) in self.blocks.items()
                        if cols.stop > cols.start}  # the columns of each block that has any
-        self.y0 = np.array([constant for constant, _ in y])
-        self.N = _matrix([entry for _, entry in y], col)
+        self.N = _matrix(y, col)
         self.A = _matrix([row for row, *_ in rows], col)
         self.b = np.array([rhs for _, rhs, _ in rows])
         self.pins = [pin for *_, pin in rows]
@@ -501,19 +507,21 @@ class _Map:
             x += [s * v[at] if s_col is not None else v[at] for at in moving]
         return np.array(x, dtype=float)
 
-    def y(self, x: np.ndarray) -> np.ndarray:
-        """The solve vector y0 + N x."""
-        return self.y0 + self.N @ x
-
-    def write(self, x: np.ndarray, out: np.ndarray) -> None:
-        """Write the public entries of the coordinates x into the vector out."""
+    def write(self, x: np.ndarray, pinned: tuple[int, ...], out: np.ndarray) -> None:
+        """Write the public entries of the coordinates x, with the rows
+        pinned, into the vector out, each entry a row pins exactly on its
+        bound: c_j is x_k / s, s the bound of a pinned scale, and a scale at
+        0 writes none of its entries, which keep their values in out."""
+        pins = dict(self.pins[i] for i in pinned)
         for seg, s_col, moving in self.parts:
             s = 1.0 if s_col is None else x[s_col]
+            if seg.scale in pins:  # pinned: its bound, before any entry is divided by it
+                s = 1.0 / pins[seg.scale] if seg.inverse else pins[seg.scale]
             if s_col is not None:
-                out[seg.scale] = 1.0 / s if seg.inverse else s
+                out[seg.scale] = pins.get(seg.scale, 1.0 / s if seg.inverse else s)
             if s != 0.0:
                 for at, k in moving.items():
-                    out[at] = x[k] / s
+                    out[at] = pins.get(at, x[k] / s)
 
     def partials(self, g: np.ndarray, v: np.ndarray) -> dict[int, float]:
         """The partials, by vector index, of a function with gradient g in
@@ -530,162 +538,143 @@ class _Map:
         return out
 
 
-def _hessian(G: np.ndarray, wC: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _hessian(G: tuple[float, float, float], wC: np.ndarray, C: np.ndarray) -> np.ndarray:
     """sum_ab G_ab sum_n w_n C_ian C_jbn of column factors C, (k, 2, n), and
-    wC = C w, for a symmetric 2x2 G flattened."""
+    wC = C w, for a Gram G = (G00, G01, G11)."""
     k, n = len(C), C.shape[1] * C.shape[2]
-    return wC.reshape(k, n) @ (G.reshape(2, 2) @ C).reshape(k, n).T
+    G = np.array(((G[0], G[1]), (G[1], G[2])))
+    return wC.reshape(k, n) @ (G @ C).reshape(k, n).T
 
 
 class _Solve:
     """The exact solve of one target at fixed R over the coordinates x of
-    one map (_Map) and one state (x, pinned rows), and its evaluation at a
-    public vector.  A subclass gives parts, what its factors read of y or
-    of N's columns (a mollifier's factors as c_core and c1_core form them,
-    the twist's [Psi v; Psi' v]), and unpack, which reads from those its
-    x-factors and, for c1, the linear part of its t-factors (else None);
-    its sign and per_log, the objective (minimized) being per_log
-    ln(constant) / R up to a constant; and evaluate(v), the objective and
-    its R slope (r_slope) from one call of the float core.  A solve keeps
-    its solves and fallbacks counts and nothing else that changes."""
+    one map (_Map), from one state (public vector, pinned rows), and its
+    evaluation at a public vector.  A subclass gives form(v), the float
+    core's formation at v, (constant, rows, T, X, F, U, ..) with U None for
+    c, which the model, a step's acceptance and evaluate all read; dR, the
+    R derivatives of its T and F; column_factors, the x- and t-factors of
+    N's columns (a mollifier's as c_core and c1_core form its factors, the
+    twist's [Psi v; Psi' v]; None for c's fixed t-factors); its sign and
+    bound, the objective (minimized) being sign bound(constant, R), and
+    per_log, the objective being per_log ln(constant) / R up to a constant.
+    A solve keeps its solves and fallbacks counts and nothing else that
+    changes."""
 
-    def __init__(self, spec: SearchSpec, degrees: tuple, blocks: dict[str, tuple[_Segment, ...]]):
-        self.spec, self.degrees, self.map = spec, degrees, _Map(spec, blocks)
+    def __init__(self, spec: SearchSpec, blocks: dict[str, tuple[_Segment, ...]]):
+        self.spec, self.map = spec, _Map(spec, blocks)
         self.R_at, self.solves, self.fallbacks = spec.places()["R"], 0, 0
-
-    def start(self, v: np.ndarray):
-        """The state at the public vector v: its coordinates, no row pinned."""
-        return self.map.coordinates(v), ()
-
-    def nodes(self, R: float) -> NodeRows:
-        """The one place the solve reads node rows: at R and its degrees."""
-        return node_rows(self.spec.theta, R, *self.degrees)
-
-    def factors(self, rows: NodeRows, y: np.ndarray):
-        """y's x-factors F and its t-factors U (None for c)."""
-        F, psi = self.unpack(self.parts(rows, y))
-        return F, None if psi is None else _U0 + psi
-
-    @staticmethod
-    def grams(rows: NodeRows, F: np.ndarray, U: np.ndarray | None):
-        """The t- and x-Gram of the factors U (c's Tc when None) and F."""
-        return rows.Tc if U is None else gram(U, rows.wt), gram(F, rows.wx)
 
     def columns(self, rows: NodeRows):
         """N's columns' x-factors FX and t-factors FT (None when no column
         moves them), column axis first, and each times its weights: fixed
         at rows, so formed once per solve(R) and per read."""
-        FX, FT = self.unpack([part.transpose(2, 0, 1) for part in self.parts(rows, self.map.N)])
+        FX, FT = self.column_factors(rows)
         return FX, FX * rows.wx, FT, None if FT is None else FT * rows.wt
 
-    def model(self, rows: NodeRows, columns, F: np.ndarray, U: np.ndarray | None):
-        """The gradient 2 N'My and Hessian 2 N'MN of the constant in x from
-        y's factors F, U and N's columns' FX, FT, 2x2 matrices flattened:
-        with p_i = (FX_i wx) F', dX/dx_i = p_i + p_i', the gradient is
-        2 sum_ab T_ab p_iab and the Hessian 2 sum_ab T_ab sum_x wx FX_ia FX_jb;
-        c1's t-factors add the same with X, q_i = (FT_i wt) U', and the
-        cross term C + C', C = 2 q (p + p')'.  The constant at y is
-        contract(*grams(rows, F, U)), from the same factors."""
+    @staticmethod
+    def model(columns, formed: tuple):
+        """The gradient and Hessian in x of the constant 1 + sum_ab T_ab X_ab
+        at the vector of formed, from its Grams T, X and factors F, U and
+        N's columns' FX, FT: with p_i = (FX_i wx) F', dX/dx_i = p_i + p_i',
+        the gradient is 2 sum_ab T_ab p_iab and the Hessian 2 sum_ab T_ab
+        sum_x wx FX_ia FX_jb; c1's t-factors add the same with X,
+        q_i = (FT_i wt) U', and the cross term C + C', C = 2 q (p + p')'."""
+        _, _, T, X, F, U, *_ = formed
         FX, wFX, FT, wFT = columns
         k = len(wFX)
         p3 = wFX @ F.T  # (k, 2, 2)
         p = p3.reshape(k, 4)
-        # T flattened: (T00, T01, T01, T11)
-        T = np.array(rows.Tc[:2] + rows.Tc[1:]) if U is None else ((U * rows.wt) @ U.T).ravel()
-        g, H = p @ T, _hessian(T, wFX, FX)
+        g, H = p @ (T[0], T[1], T[1], T[2]), _hessian(T, wFX, FX)
         if FT is not None:
-            X = ((F * rows.wx) @ F.T).ravel()
             q = (wFT @ U.T).reshape(k, 4)
-            g += q @ X
+            g += q @ (X[0], X[1], X[1], X[2])
             C = q @ (p3 + p3.transpose(0, 2, 1)).reshape(k, 4).T
             H += _hessian(X, wFT, FT) + C + C.T
         return 2.0 * g, 2.0 * H
 
     def solve(self, R: float, state):
-        """The solved state at R, warm-started from state; see the module
-        docstring.  An accepted joint step carries its trial's factors."""
-        rows, moving = self.nodes(R), list(self.map.moving)
-        columns = self.columns(rows) if moving else None
+        """The solved state at R from state, and its formation; see the
+        module docstring.  Each state a step writes is formed once, and a
+        joint step is kept on the constant formed there."""
+        v = state[0].copy()
+        v[self.R_at] = R
+        state, formed, moving = (v, state[1]), self.form(v), list(self.map.moving)
+        if not moving:
+            return state, formed
+        columns = self.columns(formed[1])
 
-        def at(state):  # the factors of state's solve vector
-            return self.factors(rows, self.map.y(state[0]))
-
-        def step(state, factors, block=None):
-            return self.step(R, self.model(rows, columns, *factors), state, block)
+        def step(state, formed, block=None):
+            state, gain = self.step(self.model(columns, formed), state, block)
+            return state, self.form(state[0]), gain
 
         if len(moving) < 2:  # exact: the constant is quadratic in each block
-            return step(state, at(state), moving[0])[0] if moving else state
-        factors = at(state)
-        last = contract(*self.grams(rows, *factors))
+            return step(state, formed, moving[0])[:2]
         for _ in range(MAX_STEPS):
+            last = formed[0]
             margin = SQRT_EPS * abs(last)  # see the module docstring
             try:
-                trial, gain = step(state, factors)
-                formed = at(trial)
-                now = contract(*self.grams(rows, *formed))
-            except IllPosedSolveError:
+                trial, formed_trial, gain = step(state, formed)
+                now = formed_trial[0]
+            except (ArithmeticError, ValueError):  # ill-posed, or its vector fails to evaluate
                 now = math.inf
             if now < last + margin:
-                state, factors, last = trial, formed, now
+                state, formed = trial, formed_trial
                 if gain <= margin:
                     break
                 continue
             self.fallbacks += 1
             for name in moving:  # a sweep
-                state = step(state, factors, name)[0]
-                factors = at(state)
-            now = contract(*self.grams(rows, *factors))
-            if not now < last:
+                state, formed, _ = step(state, formed, name)
+            if not formed[0] < last:
                 break
-            last = now
-        return state
+        return state, formed
 
-    def step(self, R: float, model, state, block: str | None = None):
+    def step(self, model, state, block: str | None = None):
         """Minimize the model (g, H) at state under the bound rows, over
-        every coordinate or over the named block's: the state reached and
-        the decrease the model predicts.  Each step factors the model
-        Hessian once and counts as one solve."""
+        every coordinate or over the named block's: the state reached,
+        its public vector written from state's, and the decrease the model
+        predicts.  Each step factors the model Hessian once and counts as
+        one solve."""
         self.solves += 1
-        x, pinned = state
-        g, H = model
+        v, pinned = state
+        x, (g, H) = self.map.coordinates(v), model
         cols, bounds = (slice(None), slice(None)) if block is None else self.map.blocks[block][1:]
-        where = f"{'joint step' if block is None else f'{block} block'} at R = {R!r}"
+        where = (f"{'joint step' if block is None else f'{block} block'} "
+                 f"at R = {float(v[self.R_at])!r}")
         Q, A = H[cols, cols], self.map.A[bounds, cols]
         d, active, _ = _minimize(_inverse(where, Q), g[cols], A, self.map.b[bounds] - A @ x[cols],
                                  np.zeros(len(Q)), where)
-        x = x.copy()
         x[cols] += d
         if block is not None:  # the other blocks' rows keep their pins
             pinned = tuple(i for i in pinned if not bounds.start <= i < bounds.stop)
             active = pinned + tuple(bounds.start + i for i in active)
-        return (x, active), -float(g[cols] @ d + 0.5 * d @ Q @ d)
+        return (self.vector(v, x, active), active), -float(g[cols] @ d + 0.5 * d @ Q @ d)
 
-    def vector(self, state, R: float) -> np.ndarray:
-        """The public vector of state at R, inside the bounds; an entry a row
-        pins lands on its bound exactly."""
-        x, pinned = state
-        out = np.array(self.spec.initial_point, dtype=float)
-        self.map.write(x, out)
-        for i in pinned:
-            at, value = self.map.pins[i]
-            out[at] = value
+    def vector(self, v: np.ndarray, x: np.ndarray, pinned: tuple[int, ...]) -> np.ndarray:
+        """The public vector of the coordinates x with the rows pinned,
+        written over a copy of the public vector v, inside the bounds; an
+        entry a row pins lands on its bound exactly."""
+        out = v.copy()
+        self.map.write(x, pinned, out)
         for i, (lo, hi) in self.spec.bounds_by_index.items():
             out[i] = min(max(out[i], lo), hi)
-        out[self.R_at] = R
         return out
 
-    def r_slope(self, rows: NodeRows, T, X, dT, F: np.ndarray, dF: np.ndarray, c: float
-                ) -> float:
-        """d(objective)/dR with the shapes held, from the constant c = 1 +
-        sum_ab T_ab X_ab at rows, its x-factors F and the R derivatives dT
-        of T and dF of F: T moves with its weights, X with dF,
-        dX = K + K', K = (dF wx) F'.  At a solved point it is the slope of
-        the solved profile (the envelope theorem; active bound rows do not
-        depend on R)."""
+    def evaluate(self, v: np.ndarray, formed: tuple | None = None) -> tuple[float, float]:
+        """The objective at the public vector v and its R slope, d objective
+        / dR with the shapes held, read from formed, the core's formation at
+        v (formed here when None): T moves with its weights, by dT, and X
+        with the factors' R derivative dF, dX = K + K', K = (dF wx) F'.  At
+        a solved point it is the slope of the solved profile (the envelope
+        theorem; active bound rows do not depend on R)."""
+        formed = self.form(v) if formed is None else formed
+        c, rows, T, X, F = formed[:5]
+        dT, dF = self.dR(v, formed)
         (K00, K01), (K10, K11) = ((dF * rows.wx) @ F.T).tolist()
         rate = (dT[0] * X[0] + 2.0 * dT[1] * X[1] + dT[2] * X[2]
                 + 2.0 * (T[0] * K00 + T[1] * (K01 + K10) + T[2] * K11))
-        return self.per_log * (rate / c - math.log(c) / rows.R) / rows.R
+        return (self.sign * self.bound(c, rows.R),
+                self.per_log * (rate / c - math.log(c) / rows.R) / rows.R)
 
     def read(self, v: np.ndarray, pinned: dict[str, float]):
         """One model at the public vector v: the condition number of each
@@ -693,16 +682,14 @@ class _Solve:
         the price of each entry of pinned but R, d objective / d entry with
         the other entries held (the envelope theorem, as for the R slope),
         or 0 where the objective does not fall outside the bounds."""
-        R = float(v[self.R_at])
-        rows = self.nodes(R)
-        F, U = self.factors(rows, self.map.y(self.map.coordinates(v)))
-        g, H = self.model(rows, self.columns(rows), F, U)
+        formed = self.form(v)
+        g, H = self.model(self.columns(formed[1]), formed)
         conditions = tuple((name, _condition(np.linalg.eigvalsh(H[cols, cols])))
                            for name, cols in self.map.moving.items())
         if not pinned.keys() - {"R"}:  # R has no column: its price is the R slope
             return conditions, {}
         names, partials = self.spec.vector_names(), self.map.partials(g, v)
-        scale, prices = self.per_log / (R * contract(*self.grams(rows, F, U))), {}
+        scale, prices = self.per_log / (formed[1].R * formed[0]), {}
         for i, d in partials.items():
             if names[i] in pinned:  # the minimized objective falls below lo when d > 0
                 out = d > 0.0 if pinned[names[i]] == self.spec.bounds_by_index[i][0] else d < 0.0
@@ -714,7 +701,7 @@ class _NuSolve(_Solve):
     """c = Tc contracted with the x-Gram of c's x-factors, linear in
     z = (1, p1, t, t p2), t = 1/r: one block."""
 
-    sign = 1.0     # nu is minimized as it is
+    sign, bound = 1.0, staticmethod(nu_bound)  # nu is minimized as it is
     per_log = 0.5  # nu = ln(c) / (2R)
 
     def __init__(self, spec: SearchSpec):
@@ -722,26 +709,23 @@ class _NuSolve(_Solve):
         self.core = at["p1_shape"], at["p2_shape"], at["r"]  # the core's slices of v
         p1, p2 = (tuple(range(s.start, s.stop)) for s in self.core[:2])
         self.split = len(p1) + 1  # z = (z1, z2)
-        super().__init__(spec, (max(len(p1), len(p2)),), {"mollifier": (
+        super().__init__(spec, {"mollifier": (
             _Segment(p1, None), _Segment(p2, at["r"], inverse=True))})
 
-    def parts(self, rows, Y):
-        return rows.factors(Y[:self.split]), rows.factors(Y[self.split:])
-
-    def unpack(self, at):
-        return c_factors(*at, 1.0), None  # c's t-factors are fixed: its T is the rows' Tc
-
-    def evaluate(self, v: np.ndarray) -> tuple[float, float]:
-        (p1, p2, r), R = self.core, float(v[self.R_at])
+    def form(self, v: np.ndarray) -> tuple:
+        (p1, p2, r), R = self.core, v[self.R_at]
         c, rows, X, F, f1, f2 = _c(_homogeneous(v[p1]), _homogeneous(v[p2]),
                                    self.spec.theta, v[r], R)
-        dF = c_factors(NodeRows.d_dR(f1), NodeRows.d_dR(f2), v[r])
-        return nu_bound(c, R), self.r_slope(rows, rows.Tc, X, rows.dT_dR(), F, dF, c)
+        return c, rows, rows.Tc, X, F, None, f1, f2  # c's T is the rows' Tc
 
+    def dR(self, v: np.ndarray, formed: tuple):
+        rows, f1, f2 = formed[1], *formed[6:]
+        return rows.dT_dR(), c_factors(NodeRows.d_dR(f1), NodeRows.d_dR(f2), v[self.core[2]])
 
-# the twist's constant factor rows: [U; U'] = [1; 0] + [Psi v; Psi' v]
-_U0 = np.array([[1.0], [0.0]])
-_U0.setflags(write=False)
+    def column_factors(self, rows: NodeRows):
+        z = (rows.factors(self.map.N[part]).transpose(2, 0, 1)
+             for part in (slice(self.split), slice(self.split, None)))
+        return c_factors(*z, 1.0), None
 
 
 class _KappaSolve(_Solve):
@@ -749,29 +733,28 @@ class _KappaSolve(_Solve):
     Psi' v], affine in the twist block v = delta (1, q), and X the x-Gram
     of [A u; theta P u], linear in the mollifier block u_P = (1, p)."""
 
-    sign = -1.0    # kappa is maximized as -kappa
+    sign, bound = -1.0, staticmethod(kappa_bound)  # kappa is maximized as -kappa
     per_log = 1.0  # -kappa = ln(c1) / R - 1
 
     def __init__(self, spec: SearchSpec):
         at = spec.places()  # the core takes the twist as one run (q_linear, q_sym[0], ..)
         self.core = at["p_shape"], slice(at["q_linear"], at["q_sym"].stop), at["delta"]
         p, q = (tuple(range(s.start, s.stop)) for s in self.core[:2])
-        super().__init__(spec, (len(p), len(q) - 1), {
+        super().__init__(spec, {
             "mollifier": (_Segment(p, None),), "twist": (_Segment(q, at["delta"]),)})
         self.u, self.v = (self.map.blocks[name][0] for name in ("mollifier", "twist"))
 
-    def parts(self, rows, Y):
-        return rows.factors(Y[self.u]), basis_products(len(rows.t), Y[self.v], True)
+    def form(self, v: np.ndarray) -> tuple:
+        (p, q, delta), R = self.core, v[self.R_at]
+        return _c1(_homogeneous(v[p]), _homogeneous(v[q]), self.spec.theta, R, v[delta])
 
-    def unpack(self, at):
-        return at
+    def dR(self, v: np.ndarray, formed: tuple):
+        return formed[1].dT_dR(formed[5]), NodeRows.d_dR(formed[4])
 
-    def evaluate(self, v: np.ndarray) -> tuple[float, float]:
-        (p, q, delta), R = self.core, float(v[self.R_at])
-        c1, rows, T, X, F, U = _c1(_homogeneous(v[p]), _homogeneous(v[q]),
-                                   self.spec.theta, R, v[delta])
-        return -kappa_bound(c1, R), self.r_slope(rows, T, X, rows.dT_dR(U), F,
-                                                 NodeRows.d_dR(F), c1)
+    def column_factors(self, rows: NodeRows):
+        N = self.map.N
+        return (rows.factors(N[self.u]).transpose(2, 0, 1),
+                basis_products(len(rows.t), N[self.v], True).transpose(2, 0, 1))
 
 
 _SOLVES = {"minimize_nu": _NuSolve, "maximize_kappa": _KappaSolve}  # one per target
@@ -859,13 +842,13 @@ def optimize(spec: SearchSpec) -> SearchResult:
     record(start)
     if record.best_vector is None:
         return record.result("objective failed at the initial point")
-    state = solver.start(start)
+    state = start, ()
 
     def step(R: float) -> tuple[float, float]:
-        def point() -> np.ndarray:
+        def point() -> tuple[np.ndarray, tuple]:
             nonlocal state
-            state = solver.solve(R, state)
-            return solver.vector(state, R)
+            state, formed = solver.solve(R, state)
+            return state[0], formed
         return record(point)
 
     def room() -> bool:

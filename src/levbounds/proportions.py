@@ -12,11 +12,12 @@ and the Gram of kernel.c_factors, from the mollifiers' factors and r
 (an expansion in 1/r would cancel).  _c and _c1 are the one evaluation:
 each takes homogeneous rows, forms their factors and Grams itself, and
 returns the constant with what formed it (the node rows, the factors and
-the Grams), which one private caller reads, the search's evaluate
-(optimizer), for its R slope.  c_core and c1_core pass the rows of float
-coefficients, and c_value and c1_value the shapes' binary64 rows (each
-shape's cached row), and return the constant alone, so every route gives
-the same bits; each checks theta, R and r or delta first.
+the Grams), which the search (optimizer) reads at each point it visits,
+for its model, a step's acceptance and the R slope.  c_core and c1_core
+pass the rows of float coefficients, and c_value and c1_value the
+shapes' binary64 rows (each shape's cached row), and return the constant
+alone, so every route gives the same bits; each checks theta, R and r or
+delta first.
 c_value and c1_value are memos of it: each reads one lru_cache of at most
 _NODE_ROWS_KEPT constants keyed by exactly what the core reads, the
 binary64 (theta, R, r) or (theta, R, delta), formed once per params object
@@ -177,7 +178,7 @@ def _c(z1: np.ndarray, z2: np.ndarray, theta: float, r: float, R: float) -> tupl
 
 def c_core(p1, p2, theta: float, r: float, R: float) -> float:
     """c from float shape coefficients, the constant of _c at their rows:
-    the search's evaluate reads the same _c call, and a miss of c_value is
+    the search forms each point by the same _c call, and a miss of c_value is
     the same evaluation of the shapes' float rows."""
     return _c(_homogeneous(p1), _homogeneous(p2), theta, r, R)[0]
 
@@ -220,8 +221,8 @@ def _c1(up: np.ndarray, w: np.ndarray, theta: float, R: float, delta: float) -> 
 
 def c1_core(p, q, theta: float, R: float, delta: float) -> float:
     """c1 from float coefficients p and q = (q0, q_1, .., q_m), the twist
-    v = delta (1, q), the constant of _c1 at their rows: the search's
-    evaluate reads the same _c1 call, and a miss of c1_value is the same
+    v = delta (1, q), the constant of _c1 at their rows: the search
+    forms each point by the same _c1 call, and a miss of c1_value is the same
     evaluation of the shapes' float rows."""
     if len(q) < 1:
         raise ValueError("c1_core: the twist needs at least q_linear, got no entries")

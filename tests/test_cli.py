@@ -622,6 +622,25 @@ class TestOptimize:
         assert found["best_objective"] > 0.93828
         assert again["kappa"] == found["best_objective"]
 
+    def test_delta_pinned_on_zero_keeps_the_last_twist(self, tmp_path, capsys):
+        # delta starts at -0.02 under bounds [-1, 1.2], and its side-of-zero
+        # row pins it at 0, where q = v / delta cannot be written: q keeps
+        # its values from the last step with delta nonzero, here the start's.
+        # The twist was once divided by the unpinned delta, about 1e-17, and
+        # q_sym printed as ["-1.37e+18", "8.57e+18"]
+        cfg = json.loads(json.dumps(REFERENCE_CONFIG))
+        cfg["section5"]["delta"] = -0.02
+        cfg["search"] = {"target": "maximize_kappa", "budget": 2000,
+                         "bounds": {"R": [0.4, 1.2], "delta": [-1, 1.2]}}
+        assert main(["optimize", "--config", write_config(tmp_path, cfg), "--machine"]) == 0
+        fragment = json.loads(capsys.readouterr().out.splitlines()[-1])["section5"]
+        entries = [x for value in fragment.values()
+                   for x in (value if isinstance(value, list) else [value])]
+        assert all(math.isfinite(float(x)) for x in entries)
+        assert fragment["delta"] == 0.0
+        start = REFERENCE_CONFIG["section5"]
+        assert (fragment["q_linear"], fragment["q_sym"]) == (start["q_linear"], start["q_sym"])
+
     def test_out_file_ends_with_the_fragment(self, tmp_path, capsys):
         # --out once left the fragment out
         cfg = json.loads(json.dumps(REFERENCE_CONFIG))

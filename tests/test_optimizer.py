@@ -16,7 +16,7 @@ from levbounds.optimizer import (MAX_CONDITION, TARGETS, EvaluationFailureError,
                                  params_fields, search_start)
 from levbounds.polyalg import MollifierShape, TwistShape
 from levbounds.proportions import (NonFiniteError, SectionFiveParams, SectionFourParams,
-                                   c1_core, c1_value, c_core, c_value, contract, kappa_bound,
+                                   c1_core, c1_value, c_core, c_value, kappa_bound,
                                    nu_bound)
 from levbounds.reference import section_four_reference
 
@@ -387,9 +387,9 @@ class TestResultSlope:
         cls = optimizer._SOLVES[spec.target]
         evaluate = cls.evaluate
 
-        def counting(self, v):
+        def counting(self, v, formed=None):
             calls.append(tuple(v))
-            return evaluate(self, v)
+            return evaluate(self, v, formed)
 
         monkeypatch.setattr(cls, "evaluate", counting)
         result = optimize(spec)
@@ -403,8 +403,8 @@ class TestResultSlope:
                                       criterion_nine_spec()],
                              ids=["criterion-8 nu", "criterion-8 kappa", "criterion-9"])
     def test_node_row_reuse_changes_no_bit(self, monkeypatch, spec):
-        # the search reads each R's node rows several times (solve,
-        # evaluation, conditions), from node_rows' cache: with every
+        # the search reads each R's node rows several times (each point the
+        # core forms there, and read), from node_rows' cache: with every
         # point already kept, and with the cache cleared before every read,
         # the result is the same, bit for bit
         def keys(result):
@@ -420,8 +420,7 @@ class TestResultSlope:
                 return node_rows(*args)
             return rebuilt
 
-        for module in (optimizer, proportions):
-            monkeypatch.setattr(module, "node_rows", cleared(module.node_rows))
+        monkeypatch.setattr(proportions, "node_rows", cleared(proportions.node_rows))
         assert keys(optimize(spec)) == keys(warm)
         assert kernel._node_rows.cache_info().hits == 0
 
@@ -434,9 +433,9 @@ class TestResultSlope:
         cls = optimizer._SOLVES[target]
         evaluate = cls.evaluate
 
-        def counting(self, v):
+        def counting(self, v, formed=None):
             calls.append(tuple(v))
-            return evaluate(self, v)
+            return evaluate(self, v, formed)
 
         monkeypatch.setattr(cls, "evaluate", counting)
         spec = criterion_eight_spec(target, budget=1)
@@ -643,8 +642,8 @@ def solved_profile(spec: SearchSpec):
     """The solve of spec and its solved public vector at a given R, each
     solve started from the start point."""
     solver = optimizer._SOLVES[spec.target](spec)
-    start = solver.start(np.array(spec.initial_point))
-    return solver, lambda R: solver.vector(solver.solve(R, start), R)
+    start = np.array(spec.initial_point), ()
+    return solver, lambda R: solver.solve(R, start)[0][0]
 
 
 class TestRSlope:
@@ -785,6 +784,12 @@ def sweeps_spec() -> SearchSpec:
                                      -0.673, 0.369, -4.635, 0.0, 0.746, 1.0))
 
 
+def zero_delta_spec() -> SearchSpec:
+    """delta from -0.02 under bounds (-1, 1.2): its side-of-zero row pins it
+    at 0, where the twist q = v / delta cannot be written."""
+    return with_entry(criterion_eight_spec("maximize_kappa"), "delta", -0.02, delta=(-1.0, 1.2))
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("target", TARGETS)
     def test_slope_off_a_solved_point_is_the_R_partial_with_the_shapes_held(self, target):
@@ -808,16 +813,19 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("spec, vector, matrix", [
         (criterion_eight_spec("minimize_nu"), 16, 8),
-        (criterion_eight_spec("maximize_kappa"), 28, 8),
-        (criterion_nine_spec(), 58, 14), (sweeps_spec(), 240, 18)],
+        (criterion_eight_spec("maximize_kappa"), 22, 8),
+        (criterion_nine_spec(), 46, 14), (sweeps_spec(), 218, 20)],
         ids=["criterion-8 nu", "criterion-8 kappa", "criterion-9", "(9,3) sweeps"])
     def test_a_search_forms_each_points_factors_once(self, spec, vector, matrix, monkeypatch):
-        # an evaluation forms its point's factors once, one vector row per
-        # block, and reads its objective and its R slope from them; each
-        # solve forms those of the points it visits (as
-        # test_a_solve_forms_each_points_factors_once counts them) and N's
-        # column factors, one matrix row per block; read forms the best
-        # point's factors and the columns once more
+        # each point's factors are formed once, one vector row per block:
+        # the start's, which its evaluation reads, and in each solve the
+        # point it starts from at its R and every state a step returns (as
+        # test_a_solve_forms_each_points_factors_once counts them), the last
+        # of which the step's evaluation reads; each solve forms N's column
+        # factors, one matrix row per block; read forms the best point's
+        # factors and the columns once more.  A solved point was formed
+        # twice when the solve and the evaluation each formed it: 16, 28,
+        # 58 and 240 vector rows
         formed, solves, steps = [], [], []
         basis_products, solve, step = (kernel.basis_products, optimizer._Solve.solve,
                                        optimizer._Solve.step)
@@ -838,35 +846,63 @@ class TestEvaluate:
         monkeypatch.setattr(optimizer, "basis_products", counting)
         monkeypatch.setattr(optimizer._Solve, "solve", counted_solve)
         monkeypatch.setattr(optimizer._Solve, "step", counted_step)
-        result = optimize(spec)
-        points = len(solves) + (len(steps) if set(solves) == {2} else 0)
-        assert formed.count(1) == 2 * result.evaluations_used + 2 * points + 2 == vector
+        optimize(spec)
+        assert formed.count(1) == 2 * (1 + len(solves) + len(steps) + 1) == vector
         assert formed.count(2) == 2 * (len(solves) + 1) == matrix
+
+
+class TestSolvedStates:
+    @pytest.mark.parametrize("spec", [
+        criterion_eight_spec("minimize_nu"), criterion_eight_spec("maximize_kappa"),
+        criterion_nine_spec(), sweeps_spec(), zero_delta_spec()],
+        ids=["criterion-8 nu", "criterion-8 kappa", "criterion-9", "(9,3) sweeps", "zero delta"])
+    def test_a_solved_state_is_its_public_vector(self, spec, monkeypatch):
+        # each state a solve returns comes with the core's formation at its
+        # public vector: that vector, evaluated afresh, gives the state's
+        # constant and objective bit for bit, and the search's best
+        # objective is one of those.  With coordinates kept across steps
+        # the solve once compared a c1 of its own, 2.358 with delta pinned
+        # on 0, where its vector read 4.366
+        cls = optimizer._SOLVES[spec.target]
+        solve, returned = cls.solve, []
+
+        def recorded(self, R, state):
+            returned.append(solve(self, R, state))
+            return returned[-1]
+
+        monkeypatch.setattr(cls, "solve", recorded)
+        result = optimize(spec)
+        solver, objectives = cls(spec), set()
+        for (v, _), formed in returned:
+            assert np.isfinite(v).all()
+            assert solver.form(v)[0] == formed[0]
+            assert solver.evaluate(v) == solver.evaluate(v, formed)
+            objectives.add(solver.sign * solver.evaluate(v)[0])
+        assert result.best_point != spec.initial_point and not result.failures
+        assert result.best_objective in objectives
 
 
 class TestNewtonSolve:
     @staticmethod
     def check_model(target, core):
-        """The solve's constant matches the float core at six drawn vectors,
-        and its model the central differences of the constant there, both
-        read from one formation of the point's factors; the constant is
-        quadratic in each block, so every central difference is exact up to
-        rounding, whatever the step."""
+        """At six drawn vectors the model built from the core's formation
+        matches the central differences, in the map's coordinates, of the
+        core's constant at the public vector the coordinates write; the
+        constant is quadratic in each block, so every central difference is
+        exact up to rounding, whatever the step."""
         spec = criterion_eight_spec(target)
         solver = optimizer._SOLVES[target](spec)
         for v in drawn_points(target):
-            rows = solver.nodes(v[spec.places()["R"]])
-            columns, x = solver.columns(rows), solver.start(v)[0]
-
-            def one_pass(x):
-                F, U = solver.factors(rows, solver.map.y(x))
-                return contract(*solver.grams(rows, F, U)), solver.model(rows, columns, F, U)
+            formed, x = solver.form(v), solver.map.coordinates(v)
+            gradient, hessian = solver.model(solver.columns(formed[1]), formed)
 
             def constant(x):
-                return one_pass(x)[0]
+                out = v.copy()
+                solver.map.write(x, (), out)
+                return core(out)
 
-            value, (gradient, hessian) = one_pass(x)
-            assert value == pytest.approx(core(v), rel=1e-13)
+            assert formed[0] == core(v)
+            assert constant(x) == pytest.approx(core(v), rel=1e-13)
             E = np.diag(1e-2 * (1.0 + np.abs(x)))
             fd_gradient = [(constant(x + e) - constant(x - e)) / (2.0 * e[i])
                            for i, e in enumerate(E)]
@@ -888,14 +924,15 @@ class TestNewtonSolve:
     def test_a_solve_forms_each_points_factors_once(self, spec, monkeypatch):
         # N's column factors are fixed at R: one solve(R) forms them once,
         # one basis product per block of a matrix row.  Each point's factors
-        # are formed once, each from one vector row per block: the start's,
-        # which its model and constant both read, and, with two blocks
-        # moving, those of every state a step returns (a joint step's trial,
-        # read for its constant and, once accepted, for the next step's
-        # model, and each state of a sweep); one block moving, the solve is
-        # its one step and forms nothing after it.  The criterion-8 kappa
-        # solve takes two joint steps, the (9,3) one 11 sweeps in place of
-        # ill-posed joint steps: 22 steps and 23 points
+        # are formed once, by the core at its public vector, each from one
+        # vector row per block: the start's at R, which the first step's
+        # model and constant both read, and those of every state a step
+        # returns (a joint step's trial, read for its constant and, once
+        # accepted, for the next step's model, each state of a sweep, and
+        # the one state of a one-block solve), the last of which the
+        # search's evaluation reads.  The criterion-8 kappa solve takes two
+        # joint steps, the (9,3) one 11 sweeps in place of ill-posed joint
+        # steps: 22 steps and 23 points
         solver = optimizer._SOLVES[spec.target](spec)
         formed, steps = [], []
         basis_products, step = kernel.basis_products, solver.step
@@ -912,10 +949,9 @@ class TestNewtonSolve:
         monkeypatch.setattr(optimizer, "basis_products", counting)
         monkeypatch.setattr(solver, "step", counted)
         v = np.array(spec.initial_point)
-        solver.solve(v[solver.R_at], solver.start(v))
+        solver.solve(v[solver.R_at], (v, ()))
         assert formed.count(2) == 2
-        points = 1 if len(solver.map.moving) < 2 else 1 + len(steps)
-        assert formed.count(1) == 2 * points
+        assert formed.count(1) == 2 * (1 + len(steps))
         assert (solver.fallbacks > 0) == (spec.shape_degrees == (9, 3))
 
     def test_pinned_delta_takes_no_fallback(self):
@@ -963,19 +999,17 @@ class TestNewtonSolve:
         spec = criterion_eight_spec("maximize_kappa")
         spec = replace(spec, scalar_bounds={**spec.scalar_bounds, "p_shape[0]": (-0.6, -0.482)})
         solver = optimizer._KappaSolve(spec)
-        R = spec.initial_point[6]
-        rows = solver.nodes(R)
 
         def model(state):
-            F, U = solver.factors(rows, solver.map.y(state[0]))
-            return solver.model(rows, solver.columns(rows), F, U)
+            formed = solver.form(state[0])
+            return solver.model(solver.columns(formed[1]), formed)
 
-        start = solver.start(np.array(spec.initial_point))
-        mollifier, _ = solver.step(R, model(start), start, "mollifier")
+        start = np.array(spec.initial_point), ()
+        mollifier, _ = solver.step(model(start), start, "mollifier")
         assert [solver.map.pins[i] for i in mollifier[1]] == [(0, -0.482)]
-        twist, _ = solver.step(R, model(mollifier), mollifier, "twist")
+        twist, _ = solver.step(model(mollifier), mollifier, "twist")
         assert twist[1] == mollifier[1]
-        assert solver.vector(twist, R)[0] == -0.482
+        assert twist[0][0] == -0.482
 
     def test_every_step_ill_posed_still_fails_the_search(self):
         # degree (6, 5) at delta = 1: the joint Hessian fails the condition
@@ -1118,21 +1152,22 @@ class TestMap:
     def test_the_map_at_the_start_state(self, spec):
         solver = optimizer._SOLVES[spec.target](spec)
         m, v0 = solver.map, np.array(spec.initial_point)
-        x, pinned = solver.start(v0)
-        y, at = m.y(x), spec.places()
-        # the start state round-trips to v0, bit for bit but for the entries
-        # held as 1/r or as s c with s a free 1/r or delta: each comes back
-        # through one quotient, within an ulp
-        v = solver.vector((x, pinned), v0[solver.R_at])
+        x = m.coordinates(v0)
+        y, at = m.N @ x, spec.places()
+        # the start's coordinates round-trip to v0, bit for bit but for the
+        # entries held as 1/r or as s c with s a free 1/r or delta: each
+        # comes back through one quotient, within an ulp
+        v = solver.vector(v0, x, ())
         quotients = set()
         for seg, s_col, moving in m.parts:
             if s_col is not None:
                 quotients |= set(moving) | ({seg.scale} if seg.inverse else set())
         for i, (got, want) in enumerate(zip(v, v0)):
             assert got == want if i not in quotients else abs(got - want) <= np.spacing(abs(want))
-        # each segment's slice of y is s (1, c), as binary64 products, with s
-        # 1, 1.0 / r or delta; a block whose entries are all held has no
-        # columns and no conditions entry
+        # each segment's slice of N x is s (1, c), as binary64 products, with
+        # s 1, 1.0 / r or delta, in each entry that has a column (the others
+        # read 0); a block whose entries are all held has no columns and no
+        # conditions entry
         if spec.target == "minimize_nu":
             blocks = {"mollifier": [(None, at["p1_shape"]), (at["r"], at["p2_shape"])]}
         else:
@@ -1148,7 +1183,8 @@ class TestMap:
                 entries |= {scale, *range(shape.start, shape.stop)} - {None}
             cols = m.blocks[name][1]
             assert (not entries & free) == (cols.stop == cols.start) == (name not in conditions)
-        assert np.array_equal(y, np.concatenate(expected))
+        mapped = np.any(m.N, axis=1)
+        assert np.array_equal(y, np.where(mapped, np.concatenate(expected), 0.0))
         assert list(conditions) == list(m.moving)
         # every bound row holds, to the rounding of s c: an entry that starts
         # on its bound under a free r or delta reads s c - s bound, which
@@ -1201,9 +1237,9 @@ class TestIllPosedSolves:
     def step_with_hessian(self, H):
         """One step of the nu solve at R = 0.5 on a model whose Hessian is H."""
         spec = criterion_eight_spec("minimize_nu")
-        solver = _NuSolve(spec)
-        state = solver.start(np.array(spec.initial_point))
-        return solver.step(0.5, (np.zeros(len(H)), H), state, "mollifier")
+        solver, v = _NuSolve(spec), np.array(spec.initial_point)
+        v[solver.R_at] = 0.5
+        return solver.step((np.zeros(len(H)), H), (v, ()), "mollifier")
 
     def test_indefinite_block_fails_loudly(self):
         with pytest.raises(IllPosedSolveError,
