@@ -8,49 +8,50 @@ row, z[0] = 1: the minimum over (P1, P2, r) is one step.  c1's X is
 quadratic in the mollifier u = (1, p) and its T in the twist
 v = delta (1, q): c1 is quadratic in each with the other fixed.
 
-Each solve has one map (_Map) between public vectors and its
-coordinates x, the moving entries of s (1, c) per shape, with bound rows
-A x >= b, one slice of each per block; the state is (public vector,
-pinned rows).  Each point a solve visits is formed by one call of the
-float core (proportions._c or _c1) at its public vector, whose constant,
-factors and Grams the model, the acceptance of a step and the evaluation
-there all read.  The model is the constant's exact gradient and Hessian in x,
-from the point's factors and Grams and the factors of N's columns, the
-solve vector's linear part in x, formed once per solve at R.  A step
-reads the coordinates of its state's vector, minimizes the model under
-the bound rows by a primal active-set loop, over every coordinate or one
-block's, with one eigendecomposition for the condition gate
-(MAX_CONDITION; worse raises IllPosedSolveError) and the inverse, and
-writes the next public vector, so coordinates live inside one step.
-With one block moving the solve is one step.  With both c1 blocks moving
-it takes joint steps, each kept when the c1 formed at its vector rises
-by at most sqrt(eps) c1 (a margin above its rounding), until one
-predicts a decrease of at most that; an ill-posed or rejected joint step
-is replaced by a sweep, a step of each block (a fallback), and a sweep
-that does not lower c1 ends it.  At most MAX_STEPS joint steps and
-sweeps.
+Each solve has one map (_Map) between public vectors and its coordinates
+x, the moving entries of s (1, c) per shape, with bound rows A x >= b,
+one slice of each per block.  The state is (public vector, pinned rows,
+formation), its formation one call of the float core (proportions._c or
+_c1) at its vector, whose constant, factors and Grams the model, a
+step's acceptance, evaluate and read all read: no point is formed twice.
+The model is the constant's exact gradient and Hessian in x, from those
+and the factors of N's columns, the solve vector's linear part in x,
+formed once per solve at R.  A solve forms its entry point only where R
+moves its state's vector.  A step minimizes the model from its state's
+coordinates under the bound rows by a primal active-set loop, over every
+coordinate or one block's, with one eigendecomposition for the condition
+gate (MAX_CONDITION; worse raises IllPosedSolveError) and the inverse,
+and writes and forms the next state, so coordinates live inside one
+step.  With one block moving a solve is one step; with both c1 blocks it
+takes joint steps, each kept when the c1 formed at its vector rises by
+at most sqrt(eps) c1 (a margin above its rounding), until one predicts a
+decrease of at most that; an ill-posed or rejected joint step is
+replaced by a sweep, a step of each block (a fallback), and a sweep that
+does not lower c1 ends it.  At most MAX_STEPS joint steps and sweeps.
 
 Each target's solve class (_SOLVES) owns its blocks, its column factors,
 the objective it minimizes (nu, or -kappa) and that sign, and its form;
-evaluate reads a formation's constant for the objective and its rows,
+evaluate reads a state's constant for the objective and its rows,
 factors and Grams for the R slope, the objective's partial derivative in
-R at fixed shapes, so a solved point is evaluated from the solve's last
-formation.  At a solved point the R slope is the slope of the solved
-profile, and a pinned entry's shadow price the objective's partial in
-that entry with the others held (the envelope theorem), or 0 where the
-objective does not fall outside the bounds.  A safeguarded search on
-(objective, slope) runs over R from the start's R: a probe step
-downhill, then cubic Hermite steps inside the bracket the slopes' signs
-set, bisection as the fallback (Nocedal & Wright 2006, sec. 3.5); a
-bound that cuts the optimum is reached exactly.  Each step is one
-evaluation, as is the start, and warm-starts from the previous one.  The
-result is the better of the start and the best step, with the objective
-and slope of its evaluation: the objective is the float core at the
-returned vector, so it re-evaluates bit for bit; a search whose steps
-all failed raises EvaluationFailureError.  SearchSpec.free_indices alone
-decides which entries move; delta keeps the side of zero of its start,
-since q = v / delta, and a delta pinned at 0 leaves q as it was.  Seed
-and restarts change nothing.
+R at fixed shapes.  At a solved point the R slope is the slope of the
+solved profile, and a pinned entry's shadow price the objective's
+partial in that entry with the others held (the envelope theorem), or 0
+where the objective does not fall outside the bounds.  A safeguarded
+search on (objective, slope) runs over R from the start's R: a probe
+step downhill, then cubic Hermite steps inside the bracket the slopes'
+signs set, bisection as the fallback (Nocedal & Wright 2006, sec. 3.5);
+a bound that cuts the optimum is reached exactly.  Each step is one
+evaluation, as is the start, and warm-starts from the previous one's
+state, the first from the start's, at its own R.  The result is the
+better of the start and the best step, with the objective and slope of
+its evaluation: the objective is the float core at the returned vector,
+so it re-evaluates bit for bit; a search whose steps all failed raises
+EvaluationFailureError.  SearchSpec.free_indices decides which entries
+may move.  delta keeps the side of zero of its start, since q = v /
+delta, and a block stops moving while one of its own pinned rows holds
+its scale at 0, where s c cannot carry a move of c, so a delta pinned on
+0 leaves q as it was; pinned rows carry over from one solve to the next,
+and so does the hold.  Seed and restarts change nothing.
 """
 
 from __future__ import annotations
@@ -311,43 +312,41 @@ class SearchResult:
 
 class _Record:
     """Counts the evaluations of a solve (_Solve.evaluate) and their
-    failures; keeps the best point, its R slope, and the improvements."""
+    failures; keeps the best state, its R slope, and the improvements."""
 
     def __init__(self, solve: _Solve):
         self.solve = solve
         self.count = 0
         self.best = math.inf
-        self.best_vector: np.ndarray | None = None
+        self.best_state: tuple | None = None
         self.best_rate = math.nan
         self.trace: list[tuple[int, float]] = []
         self.failures: Counter[str] = Counter()
         self.failure: Exception | None = None  # the first evaluation error
 
-    def __call__(self, point: np.ndarray | Callable[[], tuple[np.ndarray, tuple]]
-                 ) -> tuple[float, float]:
-        """One evaluation at the vector point, or at the vector point()
-        returns with its formation (_Solve.form): the objective and its R
-        slope; (inf, nan) if building or evaluating fails."""
+    def __call__(self, point: Callable[[], tuple]) -> tuple[float, float]:
+        """One evaluation, of the state point() returns (_Solve): the
+        objective and its R slope; (inf, nan) if forming or evaluating fails."""
         self.count += 1
         try:
-            v, formed = point() if callable(point) else (point, None)
-            val, rate = self.solve.evaluate(v, formed)
+            state = point()
+            val, rate = self.solve.evaluate(state)
         except (ArithmeticError, ValueError) as exc:
             self.failure = self.failure or exc
             self.failures[type(exc).__name__] += 1
             return math.inf, math.nan
         if val < self.best:
-            self.best, self.best_vector, self.best_rate = val, np.array(v, dtype=float), rate
+            self.best, self.best_state, self.best_rate = val, state, rate
             self.trace.append((self.count, val))
         return val, rate
 
     def result(self, failed: str, **extra) -> SearchResult:
         """The best point and trace, times solve.sign; if nothing evaluated,
         EvaluationFailureError(failed) from the first failure."""
-        if self.best_vector is None:
+        if self.best_state is None:
             raise EvaluationFailureError(f"{failed}: {self.failure}") from self.failure
         spec, sign = self.solve.spec, self.solve.sign
-        best = tuple(float(x) for x in self.best_vector)
+        best = tuple(float(x) for x in self.best_state[0])
         names, free = spec.vector_names(), spec.free_indices()
         pinned = sorted((names[i], best[i]) for i, (lo, hi) in spec.bounds_by_index.items()
                         if i in free and best[i] in (lo, hi))
@@ -458,6 +457,7 @@ class _Map:
         bounds = spec.bounds_by_index
         self.parts, y, rows, col = [], [], [], 0  # y: per solve entry, {col: a}
         self.blocks = {}  # each block's (solve entries, x, rows) slices, by name
+        self.holds = {}   # each row that pins a scale of moving entries at 0, to its block
         for name, segments in blocks.items():
             first = len(y), col, len(rows)
             for seg in segments:
@@ -482,6 +482,8 @@ class _Map:
                                                     if seg.inverse else ((lo, lo), (hi, hi)))
                     rows += [({s_col: 1.0}, s_lo, (seg.scale, at_lo)),
                              ({s_col: -1.0}, -s_hi, (seg.scale, at_hi))]
+                    self.holds.update((len(rows) - 2 + k, name) for k, at in
+                                      enumerate((at_lo, at_hi)) if moving and at == 0.0)
                 for at, k in moving.items():
                     # lo <= c_j <= hi as side (c_j - bound) >= 0, times s when s is free
                     for bound, side in zip(bounds.get(at, ()), (sign, -sign)):
@@ -548,17 +550,16 @@ def _hessian(G: tuple[float, float, float], wC: np.ndarray, C: np.ndarray) -> np
 
 class _Solve:
     """The exact solve of one target at fixed R over the coordinates x of
-    one map (_Map), from one state (public vector, pinned rows), and its
-    evaluation at a public vector.  A subclass gives form(v), the float
-    core's formation at v, (constant, rows, T, X, F, U, ..) with U None for
-    c, which the model, a step's acceptance and evaluate all read; dR, the
-    R derivatives of its T and F; column_factors, the x- and t-factors of
-    N's columns (a mollifier's as c_core and c1_core form its factors, the
-    twist's [Psi v; Psi' v]; None for c's fixed t-factors); its sign and
-    bound, the objective (minimized) being sign bound(constant, R), and
-    per_log, the objective being per_log ln(constant) / R up to a constant.
-    A solve keeps its solves and fallbacks counts and nothing else that
-    changes."""
+    one map (_Map), and the evaluation and read of a state (public vector,
+    pinned rows, formation).  A subclass gives form(v), the formation: the
+    float core's (constant, rows, T, X, F, U, ..) at v, with U None for c;
+    dR, the R derivatives of its T and F; column_factors, the x- and
+    t-factors of N's columns (a mollifier's as c_core and c1_core form its
+    factors, the twist's [Psi v; Psi' v]; None for c's fixed t-factors); its
+    sign and bound, the objective (minimized) being sign bound(constant, R),
+    and per_log, the objective being per_log ln(constant) / R up to a
+    constant.  A solve keeps its solves and fallbacks counts and nothing
+    else that changes."""
 
     def __init__(self, spec: SearchSpec, blocks: dict[str, tuple[_Segment, ...]]):
         self.spec, self.map = spec, _Map(spec, blocks)
@@ -592,51 +593,51 @@ class _Solve:
             H += _hessian(X, wFT, FT) + C + C.T
         return 2.0 * g, 2.0 * H
 
-    def solve(self, R: float, state):
-        """The solved state at R from state, and its formation; see the
-        module docstring.  Each state a step writes is formed once, and a
-        joint step is kept on the constant formed there."""
-        v = state[0].copy()
-        v[self.R_at] = R
-        state, formed, moving = (v, state[1]), self.form(v), list(self.map.moving)
-        if not moving:
-            return state, formed
-        columns = self.columns(formed[1])
+    def solve(self, R: float, state: tuple) -> tuple:
+        """The solved state at R from state, itself the entry point unless R
+        moves its vector; see the module docstring.  A joint step is kept
+        on the constant formed at the vector it writes."""
+        if state[0][self.R_at] != R:
+            v = state[0].copy()
+            v[self.R_at] = R
+            state = v, state[1], self.form(v)
+        columns = self.columns(state[2][1]) if self.map.moving else None
 
-        def step(state, formed, block=None):
-            state, gain = self.step(self.model(columns, formed), state, block)
-            return state, self.form(state[0]), gain
+        def step(state, block=None):
+            return self.step(self.model(columns, state[2]), state, block)
 
-        if len(moving) < 2:  # exact: the constant is quadratic in each block
-            return step(state, formed, moving[0])[:2]
         for _ in range(MAX_STEPS):
-            last = formed[0]
+            held = {self.map.holds.get(i) for i in state[1]}
+            moving = [name for name in self.map.moving if name not in held]
+            if len(moving) < 2:  # exact: the constant is quadratic in each block
+                return step(state, moving[0])[0] if moving else state
+            last = state[2][0]
             margin = SQRT_EPS * abs(last)  # see the module docstring
             try:
-                trial, formed_trial, gain = step(state, formed)
-                now = formed_trial[0]
+                trial, gain = step(state)
+                now = trial[2][0]
             except (ArithmeticError, ValueError):  # ill-posed, or its vector fails to evaluate
                 now = math.inf
             if now < last + margin:
-                state, formed = trial, formed_trial
+                state = trial
                 if gain <= margin:
                     break
                 continue
             self.fallbacks += 1
             for name in moving:  # a sweep
-                state, formed, _ = step(state, formed, name)
-            if not formed[0] < last:
+                state = step(state, name)[0]
+            if not state[2][0] < last:
                 break
-        return state, formed
+        return state
 
-    def step(self, model, state, block: str | None = None):
+    def step(self, model, state: tuple, block: str | None = None):
         """Minimize the model (g, H) at state under the bound rows, over
-        every coordinate or over the named block's: the state reached,
-        its public vector written from state's, and the decrease the model
-        predicts.  Each step factors the model Hessian once and counts as
-        one solve."""
+        every coordinate or over the named block's: the state reached, its
+        public vector written from state's and formed there, and the
+        decrease the model predicts.  Each step factors the model Hessian
+        once and counts as one solve."""
         self.solves += 1
-        v, pinned = state
+        v, pinned, _ = state
         x, (g, H) = self.map.coordinates(v), model
         cols, bounds = (slice(None), slice(None)) if block is None else self.map.blocks[block][1:]
         where = (f"{'joint step' if block is None else f'{block} block'} "
@@ -648,7 +649,8 @@ class _Solve:
         if block is not None:  # the other blocks' rows keep their pins
             pinned = tuple(i for i in pinned if not bounds.start <= i < bounds.stop)
             active = pinned + tuple(bounds.start + i for i in active)
-        return (self.vector(v, x, active), active), -float(g[cols] @ d + 0.5 * d @ Q @ d)
+        v = self.vector(v, x, active)
+        return (v, active, self.form(v)), -float(g[cols] @ d + 0.5 * d @ Q @ d)
 
     def vector(self, v: np.ndarray, x: np.ndarray, pinned: tuple[int, ...]) -> np.ndarray:
         """The public vector of the coordinates x with the rows pinned,
@@ -660,14 +662,14 @@ class _Solve:
             out[i] = min(max(out[i], lo), hi)
         return out
 
-    def evaluate(self, v: np.ndarray, formed: tuple | None = None) -> tuple[float, float]:
-        """The objective at the public vector v and its R slope, d objective
-        / dR with the shapes held, read from formed, the core's formation at
-        v (formed here when None): T moves with its weights, by dT, and X
-        with the factors' R derivative dF, dX = K + K', K = (dF wx) F'.  At
-        a solved point it is the slope of the solved profile (the envelope
-        theorem; active bound rows do not depend on R)."""
-        formed = self.form(v) if formed is None else formed
+    def evaluate(self, state: tuple) -> tuple[float, float]:
+        """The objective at state's public vector and its R slope, d
+        objective / dR with the shapes held, read from state's formation: T
+        moves with its weights, by dT, and X with the factors' R derivative
+        dF, dX = K + K', K = (dF wx) F'.  At a solved point it is the slope
+        of the solved profile (the envelope theorem; active bound rows do
+        not depend on R)."""
+        v, _, formed = state
         c, rows, T, X, F = formed[:5]
         dT, dF = self.dR(v, formed)
         (K00, K01), (K10, K11) = ((dF * rows.wx) @ F.T).tolist()
@@ -676,13 +678,13 @@ class _Solve:
         return (self.sign * self.bound(c, rows.R),
                 self.per_log * (rate / c - math.log(c) / rows.R) / rows.R)
 
-    def read(self, v: np.ndarray, pinned: dict[str, float]):
-        """One model at the public vector v: the condition number of each
-        block that moves, of its diagonal block of the model Hessian, and
-        the price of each entry of pinned but R, d objective / d entry with
-        the other entries held (the envelope theorem, as for the R slope),
-        or 0 where the objective does not fall outside the bounds."""
-        formed = self.form(v)
+    def read(self, state: tuple, pinned: dict[str, float]):
+        """One model at state, from its formation: the condition number of
+        each block that moves, of its diagonal block of the model Hessian,
+        and the price of each entry of pinned but R, d objective / d entry
+        with the other entries held (the envelope theorem, as for the R
+        slope), or 0 where the objective does not fall outside the bounds."""
+        v, _, formed = state
         g, H = self.model(self.columns(formed[1]), formed)
         conditions = tuple((name, _condition(np.linalg.eigvalsh(H[cols, cols])))
                            for name, cols in self.map.moving.items())
@@ -837,18 +839,16 @@ def optimize(spec: SearchSpec) -> SearchResult:
     """A search over R on the objective's R slope with an exact solve at
     each step; see the module docstring.  Deterministic."""
     solver = _SOLVES[spec.target](spec)
-    record = _Record(solver)
-    start = np.array(spec.initial_point, dtype=float)
-    record(start)
-    if record.best_vector is None:
+    record, start = _Record(solver), np.array(spec.initial_point, dtype=float)
+    record(lambda: (start, (), solver.form(start)))
+    if (state := record.best_state) is None:
         return record.result("objective failed at the initial point")
-    state = start, ()
 
     def step(R: float) -> tuple[float, float]:
-        def point() -> tuple[np.ndarray, tuple]:
+        def point() -> tuple:
             nonlocal state
-            state, formed = solver.solve(R, state)
-            return state[0], formed
+            state = solver.solve(R, state)
+            return state
         return record(point)
 
     def room() -> bool:
@@ -867,6 +867,6 @@ def optimize(spec: SearchSpec) -> SearchResult:
     result = record.result("objective failed at the initial point",
                            inner_solves=solver.solves, fallbacks=solver.fallbacks,
                            slope=solver.sign * record.best_rate)
-    conditions, prices = solver.read(record.best_vector, dict(result.pinned))
+    conditions, prices = solver.read(record.best_state, dict(result.pinned))
     return replace(result, conditions=conditions, shadow=tuple(
         (name, result.slope if name == "R" else prices[name]) for name, _ in result.pinned))

@@ -42,6 +42,12 @@ def hold_shapes(spec: SearchSpec) -> SearchSpec:
     return replace(spec, scalar_bounds={**spec.scalar_bounds, **held})
 
 
+def state_at(solver, v: np.ndarray) -> tuple:
+    """The solve state at the public vector v with no row pinned: v, (),
+    and the core's formation there."""
+    return v, (), solver.form(v)
+
+
 def grid_scan(spec: SearchSpec, resolution: int) -> SearchResult:
     """Exhaustive lattice over the free entries, each within its bounds.
 
@@ -64,10 +70,10 @@ def grid_scan(spec: SearchSpec, resolution: int) -> SearchResult:
             else np.linspace(lo, hi, resolution)
             for lo, hi in (spec.bounds_by_index[i] for i in free)]
 
-    record = _Record(_SOLVES[spec.target](spec))
-    base = np.array(spec.initial_point, dtype=float)
+    solver = _SOLVES[spec.target](spec)
+    record, base = _Record(solver), np.array(spec.initial_point, dtype=float)
     for point in itertools.product(*axes):  # last axis fastest; one point if none
         v = base.copy()
         v[list(free)] = point
-        record(v)
+        record(lambda: state_at(solver, v))
     return record.result("every lattice point failed to evaluate")

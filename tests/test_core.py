@@ -36,6 +36,7 @@ from kernel_reference import (_expm1_ratio_derivatives, _mp_derivatives, add_nai
                               anchor_matrix, derivative_naive, eval_naive, expand_twist,
                               kernel_derivative_basis, kernel_matrix, mp_c, mp_c1,
                               scale_naive, twist_operator_coefficients)
+from search_helpers import state_at
 
 AGREEMENT = 1e-13
 
@@ -117,7 +118,7 @@ class TestReferenceAgreement:
     def test_objective_equals_params_route_bit_for_bit(self):
         rng = np.random.default_rng(5)
         for spec in search_specs():
-            evaluate = _SOLVES[spec.target](spec).evaluate
+            solver = _SOLVES[spec.target](spec)
             x0 = np.array(spec.initial_point)
             for _ in range(5):
                 v = x0 * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, len(x0)))
@@ -126,7 +127,7 @@ class TestReferenceAgreement:
                     expected = nu_bound(c_value(params), params.R)
                 else:
                     expected = -kappa_bound(c1_value(params), params.R)
-                assert evaluate(v)[0] == expected
+                assert solver.evaluate(state_at(solver, v))[0] == expected
 
     def test_core_reads_any_float_layout(self):
         # slices of a vector and fresh lists give the same bits

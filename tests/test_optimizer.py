@@ -20,7 +20,8 @@ from levbounds.proportions import (NonFiniteError, SectionFiveParams, SectionFou
                                    nu_bound)
 from levbounds.reference import section_four_reference
 
-from search_helpers import DimensionTooHighError, grid_scan, hold_shapes, kappa_spec, nu_spec
+from search_helpers import (DimensionTooHighError, grid_scan, hold_shapes, kappa_spec, nu_spec,
+                            state_at)
 
 
 def seed_objective(spec: SearchSpec) -> float:
@@ -387,15 +388,16 @@ class TestResultSlope:
         cls = optimizer._SOLVES[spec.target]
         evaluate = cls.evaluate
 
-        def counting(self, v, formed=None):
-            calls.append(tuple(v))
-            return evaluate(self, v, formed)
+        def counting(self, state):
+            calls.append(tuple(state[0]))
+            return evaluate(self, state)
 
         monkeypatch.setattr(cls, "evaluate", counting)
         result = optimize(spec)
         solver = cls(spec)
         assert result.best_point != spec.initial_point and not result.failures
-        assert result.slope == solver.sign * evaluate(solver, np.array(result.best_point))[1]
+        best = state_at(solver, np.array(result.best_point))
+        assert result.slope == solver.sign * evaluate(solver, best)[1]
         assert len(calls) == result.evaluations_used
 
     @pytest.mark.parametrize("spec", [criterion_eight_spec("minimize_nu"),
@@ -433,16 +435,17 @@ class TestResultSlope:
         cls = optimizer._SOLVES[target]
         evaluate = cls.evaluate
 
-        def counting(self, v, formed=None):
-            calls.append(tuple(v))
-            return evaluate(self, v, formed)
+        def counting(self, state):
+            calls.append(tuple(state[0]))
+            return evaluate(self, state)
 
         monkeypatch.setattr(cls, "evaluate", counting)
         spec = criterion_eight_spec(target, budget=1)
         result = optimize(spec)
         solver = cls(spec)
         assert calls == [spec.initial_point]
-        assert result.slope == solver.sign * evaluate(solver, np.array(spec.initial_point))[1]
+        start = state_at(solver, np.array(spec.initial_point))
+        assert result.slope == solver.sign * evaluate(solver, start)[1]
 
 
 class TestSolveTable:
@@ -639,11 +642,11 @@ END_CUTS = {"minimize_nu": [(0.3, 0.5, 0.5), (0.9, 1.5, 0.9), (0.4, 0.6, 0.6),
 
 
 def solved_profile(spec: SearchSpec):
-    """The solve of spec and its solved public vector at a given R, each
-    solve started from the start point."""
+    """The solve of spec and its solved state at a given R, each solve
+    started from the start's state."""
     solver = optimizer._SOLVES[spec.target](spec)
-    start = np.array(spec.initial_point), ()
-    return solver, lambda R: solver.solve(R, start)[0][0]
+    start = state_at(solver, np.array(spec.initial_point))
+    return solver, lambda R: solver.solve(R, start)
 
 
 class TestRSlope:
@@ -670,12 +673,12 @@ class TestRSlope:
         # not small; at most 5.3e-7 off (kappa at 0.8: the solve's own
         # convergence, as a warm-started solve there moves the slope as much)
         for R in (0.42, 0.5, 0.8, 0.9, 1.0, 1.1):
-            v = at(R)
+            state = at(R)
             if held:
-                assert v[spec.vector_names().index(held[0])] == held[1]
+                assert state[0][spec.vector_names().index(held[0])] == held[1]
             h = 2e-3
             measured = (4.0 * difference(R, h / 2.0) - difference(R, h)) / 3.0
-            assert solver.evaluate(v)[1] == pytest.approx(measured, rel=1e-6, abs=0.0)
+            assert solver.evaluate(state)[1] == pytest.approx(measured, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("target, lo, hi, end",
                              [(t, *cut) for t, cuts in END_CUTS.items() for cut in cuts])
@@ -716,16 +719,16 @@ class TestShadowPrices:
             return solver, profile(0.7)
 
         def difference(h):
-            (a, va), (b, vb) = solved(bound + h), solved(bound - h)
-            return (a.sign * a.evaluate(va)[0] - b.sign * b.evaluate(vb)[0]) / (2.0 * h)
+            (a, sa), (b, sb) = solved(bound + h), solved(bound - h)
+            return (a.sign * a.evaluate(sa)[0] - b.sign * b.evaluate(sb)[0]) / (2.0 * h)
 
-        solver, v = solved(bound)
-        assert v[solver.spec.vector_names().index(name)] == bound
+        solver, state = solved(bound)
+        assert state[0][solver.spec.vector_names().index(name)] == bound
         h = 2e-3
         measured = (4.0 * difference(h / 2.0) - difference(h)) / 3.0
         # at most 8.2e-7 off (kappa's p_shape[1]: the joint solve's own
         # convergence, as for the R slope)
-        assert solver.read(v, {name: bound})[1] == {
+        assert solver.read(state, {name: bound})[1] == {
             name: pytest.approx(measured, rel=1e-6, abs=0.0)}
 
     def test_search_prices_each_pinned_entry(self):
@@ -739,7 +742,7 @@ class TestShadowPrices:
         assert list(prices) == ["R", "r"] and prices["R"] == result.slope
         solver = optimizer._SOLVES[spec.target](spec)
         v = np.array(result.best_point)
-        assert prices["r"] == solver.read(v, dict(result.pinned))[1]["r"] < 0.0
+        assert prices["r"] == solver.read(state_at(solver, v), dict(result.pinned))[1]["r"] < 0.0
         # a shape entry under a free scale, 1/r
         shape = optimize(with_entry(criterion_eight_spec("minimize_nu"), "p2_shape[1]", 0.4,
                                     **{"p2_shape[1]": (0.3, 0.5)}))
@@ -755,7 +758,7 @@ class TestShadowPrices:
         # price is 0, and a search that stops there (budget 1) reads 0
         spec = with_entry(criterion_eight_spec("minimize_nu"), "r", r)
         solver, v = solved_profile(spec)[0], np.array(optimize(spec).best_point)
-        assert solver.read(np.r_[v[:4], r, v[5:]], {"r": r})[1] == {"r": 0.0}
+        assert solver.read(state_at(solver, np.r_[v[:4], r, v[5:]]), {"r": r})[1] == {"r": 0.0}
         assert optimize(replace(spec, budget=1)).shadow == (("r", 0.0),)
 
 
@@ -802,30 +805,32 @@ class TestEvaluate:
             def objective(R):
                 moved = v.copy()
                 moved[R_at] = R
-                return solver.evaluate(moved)[0]
+                return solver.evaluate(state_at(solver, moved))[0]
 
             def difference(h):
                 return (objective(v[R_at] + h) - objective(v[R_at] - h)) / (2.0 * h)
 
             h = 2e-3
             measured = (4.0 * difference(h / 2.0) - difference(h)) / 3.0
-            assert solver.evaluate(v)[1] == pytest.approx(measured, rel=1e-6, abs=0.0)
+            assert solver.evaluate(state_at(solver, v))[1] == pytest.approx(measured, rel=1e-6,
+                                                                           abs=0.0)
 
     @pytest.mark.parametrize("spec, vector, matrix", [
-        (criterion_eight_spec("minimize_nu"), 16, 8),
-        (criterion_eight_spec("maximize_kappa"), 22, 8),
-        (criterion_nine_spec(), 46, 14), (sweeps_spec(), 218, 20)],
+        (criterion_eight_spec("minimize_nu"), 12, 8),
+        (criterion_eight_spec("maximize_kappa"), 18, 8),
+        (criterion_nine_spec(), 42, 14), (sweeps_spec(), 214, 20)],
         ids=["criterion-8 nu", "criterion-8 kappa", "criterion-9", "(9,3) sweeps"])
     def test_a_search_forms_each_points_factors_once(self, spec, vector, matrix, monkeypatch):
         # each point's factors are formed once, one vector row per block:
-        # the start's, which its evaluation reads, and in each solve the
-        # point it starts from at its R and every state a step returns (as
+        # the start's, which its evaluation and the first solve, at the
+        # start's R, both read; in each later solve the point it starts
+        # from at its R; and every state a step returns (as
         # test_a_solve_forms_each_points_factors_once counts them), the last
-        # of which the step's evaluation reads; each solve forms N's column
-        # factors, one matrix row per block; read forms the best point's
-        # factors and the columns once more.  A solved point was formed
-        # twice when the solve and the evaluation each formed it: 16, 28,
-        # 58 and 240 vector rows
+        # of which the step's evaluation reads.  Each solve forms N's column
+        # factors, one matrix row per block, and read forms the columns once
+        # more from the best state's formation.  The first solve's entry and
+        # the best point were once formed twice: 16, 22, 46 and 218 vector
+        # rows
         formed, solves, steps = [], [], []
         basis_products, solve, step = (kernel.basis_products, optimizer._Solve.solve,
                                        optimizer._Solve.step)
@@ -847,7 +852,7 @@ class TestEvaluate:
         monkeypatch.setattr(optimizer._Solve, "solve", counted_solve)
         monkeypatch.setattr(optimizer._Solve, "step", counted_step)
         optimize(spec)
-        assert formed.count(1) == 2 * (1 + len(solves) + len(steps) + 1) == vector
+        assert formed.count(1) == 2 * (len(solves) + len(steps)) == vector
         assert formed.count(2) == 2 * (len(solves) + 1) == matrix
 
 
@@ -873,13 +878,92 @@ class TestSolvedStates:
         monkeypatch.setattr(cls, "solve", recorded)
         result = optimize(spec)
         solver, objectives = cls(spec), set()
-        for (v, _), formed in returned:
+        for state in returned:
+            v, _, formed = state
             assert np.isfinite(v).all()
             assert solver.form(v)[0] == formed[0]
-            assert solver.evaluate(v) == solver.evaluate(v, formed)
-            objectives.add(solver.sign * solver.evaluate(v)[0])
+            assert solver.evaluate(state_at(solver, v)) == solver.evaluate(state)
+            objectives.add(solver.sign * solver.evaluate(state)[0])
         assert result.best_point != spec.initial_point and not result.failures
         assert result.best_objective in objectives
+
+
+class TestFormations:
+    @staticmethod
+    def count_forms(cls, monkeypatch) -> tuple[list[str], list[str]]:
+        """Install a counting form on cls; returns the list that names,
+        per formation, the method that asked for it, and the list that names
+        each call of solve, step or read that returned."""
+        form, calls, done, inside = cls.form, [], [], ["optimize"]
+
+        def counted_form(self, v):
+            calls.append(inside[-1])
+            return form(self, v)
+
+        def within(name):
+            method = getattr(cls, name)
+
+            def counted(self, *args):
+                inside.append(name)
+                try:
+                    out = method(self, *args)
+                finally:
+                    inside.pop()
+                done.append(name)
+                return out
+            monkeypatch.setattr(cls, name, counted)
+
+        monkeypatch.setattr(cls, "form", counted_form)
+        for name in ("solve", "step", "read"):
+            within(name)
+        return calls, done
+
+    @pytest.mark.parametrize("spec", [
+        criterion_eight_spec("minimize_nu"), criterion_eight_spec("maximize_kappa"),
+        criterion_nine_spec(), sweeps_spec(), zero_delta_spec()],
+        ids=["criterion-8 nu", "criterion-8 kappa", "criterion-9", "(9,3) sweeps", "zero delta"])
+    def test_a_search_forms_each_point_once(self, spec, monkeypatch):
+        # one formation for the start, one for each solve whose R moves its
+        # state's vector, and one for each step that returns (an ill-posed
+        # one raises before it writes a vector); the first solve sits at the
+        # start's R and forms none.  The first solve's entry and the best
+        # point were once formed a second time
+        cls, moved = optimizer._SOLVES[spec.target], []
+        (calls, done), solve = self.count_forms(cls, monkeypatch), cls.solve
+
+        def recorded(self, R, state):
+            moved.append(bool(state[0][self.R_at] != R))
+            return solve(self, R, state)
+
+        monkeypatch.setattr(cls, "solve", recorded)
+        result = optimize(spec)
+        assert not result.failures and moved[0] is False
+        assert len(calls) == 1 + sum(moved) + done.count("step")
+        assert calls.count("step") == done.count("step")
+        assert calls.count("solve") == sum(moved)
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_read_forms_nothing(self, target, monkeypatch):
+        # read models the best state from the formation its evaluation read
+        calls, done = self.count_forms(optimizer._SOLVES[target], monkeypatch)
+        result = optimize(criterion_eight_spec(target))
+        assert done.count("read") == 1 and result.conditions
+        assert "read" not in calls
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_at_budget_one_the_start_is_formed_once(self, target, monkeypatch):
+        # the start's one formation serves its evaluation and read
+        cls = optimizer._SOLVES[target]
+        (calls, _), states = self.count_forms(cls, monkeypatch), []
+        for name in ("evaluate", "read"):
+            def kept(self, state, *args, _method=getattr(cls, name)):
+                states.append(state)
+                return _method(self, state, *args)
+            monkeypatch.setattr(cls, name, kept)
+        result = optimize(criterion_eight_spec(target, budget=1))
+        assert calls == ["optimize"]
+        assert len(states) == 2 and states[0][2] is states[1][2]
+        assert result.best_point == tuple(states[0][0]) and result.conditions
 
 
 class TestNewtonSolve:
@@ -925,8 +1009,9 @@ class TestNewtonSolve:
         # N's column factors are fixed at R: one solve(R) forms them once,
         # one basis product per block of a matrix row.  Each point's factors
         # are formed once, by the core at its public vector, each from one
-        # vector row per block: the start's at R, which the first step's
-        # model and constant both read, and those of every state a step
+        # vector row per block: the start state's, at the solve's own R, so
+        # that the solve forms no entry point and the first step's model and
+        # constant both read it, and those of every state a step
         # returns (a joint step's trial, read for its constant and, once
         # accepted, for the next step's model, each state of a sweep, and
         # the one state of a one-block solve), the last of which the
@@ -948,8 +1033,8 @@ class TestNewtonSolve:
         monkeypatch.setattr(kernel, "basis_products", counting)
         monkeypatch.setattr(optimizer, "basis_products", counting)
         monkeypatch.setattr(solver, "step", counted)
-        v = np.array(spec.initial_point)
-        solver.solve(v[solver.R_at], (v, ()))
+        start = state_at(solver, np.array(spec.initial_point))
+        solver.solve(start[0][solver.R_at], start)
         assert formed.count(2) == 2
         assert formed.count(1) == 2 * (1 + len(steps))
         assert (solver.fallbacks > 0) == (spec.shape_degrees == (9, 3))
@@ -968,6 +1053,18 @@ class TestNewtonSolve:
         # joint steps, which likewise need no sweep
         frozen = optimize(with_entry(spec, "delta", 0.6, delta=None))
         assert frozen.fallbacks == 0 and frozen.failures == ()
+
+    def test_delta_pinned_on_zero_holds_the_twist(self):
+        # delta's side-of-zero row pins it on 0, where q = v / delta cannot
+        # move: the twist block is held from there on, so no joint step
+        # predicts a move its vector cannot carry.  Every joint step was
+        # once rejected for that: 22 solves and 7 fallbacks in 4 evaluations
+        spec = zero_delta_spec()
+        result = optimize(spec)
+        assert result.fallbacks == 0 and result.failures == ()
+        assert result.best_point[-1] == 0.0
+        assert result.best_point[3:6] == spec.initial_point[3:6]
+        assert result.inner_solves <= result.evaluations_used
 
     def test_pinned_delta_matches_a_frozen_delta(self):
         # at 0.74 both searches agree to about 2e-14; at 0.6 the objective's
@@ -1001,10 +1098,9 @@ class TestNewtonSolve:
         solver = optimizer._KappaSolve(spec)
 
         def model(state):
-            formed = solver.form(state[0])
-            return solver.model(solver.columns(formed[1]), formed)
+            return solver.model(solver.columns(state[2][1]), state[2])
 
-        start = np.array(spec.initial_point), ()
+        start = state_at(solver, np.array(spec.initial_point))
         mollifier, _ = solver.step(model(start), start, "mollifier")
         assert [solver.map.pins[i] for i in mollifier[1]] == [(0, -0.482)]
         twist, _ = solver.step(model(mollifier), mollifier, "twist")
@@ -1173,7 +1269,8 @@ class TestMap:
         else:
             blocks = {"mollifier": [(None, at["p_shape"])],
                       "twist": [(at["delta"], slice(at["q_linear"], at["q_sym"].stop))]}
-        expected, free, conditions = [], set(spec.free_indices()), dict(solver.read(v0, {})[0])
+        expected, free = [], set(spec.free_indices())
+        conditions = dict(solver.read(state_at(solver, v0), {})[0])
         for name, segments in blocks.items():
             entries = set()
             for scale, shape in segments:
@@ -1239,7 +1336,7 @@ class TestIllPosedSolves:
         spec = criterion_eight_spec("minimize_nu")
         solver, v = _NuSolve(spec), np.array(spec.initial_point)
         v[solver.R_at] = 0.5
-        return solver.step((np.zeros(len(H)), H), (v, ()), "mollifier")
+        return solver.step((np.zeros(len(H)), H), state_at(solver, v), "mollifier")
 
     def test_indefinite_block_fails_loudly(self):
         with pytest.raises(IllPosedSolveError,
